@@ -11,11 +11,10 @@
 use std::fmt;
 
 use raco_core::{Allocation, LoopAllocation};
-use raco_graph::{DistanceModel, PathCover};
+use raco_graph::{DistanceModel, ModifyAllocation, PathCover};
 use raco_ir::{AccessPattern, AguSpec, ArrayId, LoopSpec, MemoryLayout};
 
 use crate::isa::{AddressInstr, AddressProgram, MrId, RegId, Update};
-use crate::modify::ModifyAllocation;
 
 /// Errors produced during code generation.
 #[derive(Debug, Clone, PartialEq, Eq)]

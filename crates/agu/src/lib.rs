@@ -11,9 +11,10 @@
 //! * [`codegen`] — generates a loop's address program from a
 //!   [`LoopAllocation`](raco_core::Allocation) and a
 //!   [`MemoryLayout`](raco_ir::MemoryLayout);
-//! * [`modify`] — frequency-based allocation of over-range deltas to
-//!   modify registers (the machine extension of Araujo et al., the paper's
-//!   ref \[2\]; experiment E7);
+//! * [`ModifyAllocation`] — frequency-based allocation of over-range
+//!   deltas to modify registers (the machine extension of Araujo et al.,
+//!   the paper's ref \[2\]; experiment E7), re-exported from `raco-graph`
+//!   so codegen and the allocator's cost model price the same machine;
 //! * [`sim`] — a cycle-accurate simulator that executes the address
 //!   program against a reference [`Trace`](raco_ir::Trace) and asserts
 //!   every access hits the right address;
@@ -52,7 +53,6 @@ pub mod codegen;
 pub mod isa;
 pub mod listing;
 pub mod metrics;
-pub mod modify;
 pub mod peephole;
 pub mod sim;
 
@@ -60,5 +60,5 @@ pub use codegen::{CodeGenError, CodeGenerator};
 pub use isa::{AddressInstr, AddressProgram, MrId, RegId, Update};
 pub use listing::ProgramListing;
 pub use metrics::ProgramMetrics;
-pub use modify::ModifyAllocation;
+pub use raco_graph::ModifyAllocation;
 pub use sim::{SimError, SimReport};

@@ -125,7 +125,7 @@ fn main() {
                 for (i, l) in [0usize, 1, 2].into_iter().enumerate() {
                     // Residual = paths' over-range deltas not absorbed by
                     // the L most frequent values.
-                    let modif = raco_agu::modify::ModifyAllocation::for_cover(
+                    let modif = raco_agu::ModifyAllocation::for_cover(
                         alloc.cover(),
                         alloc.distance_model(),
                         l,
@@ -159,7 +159,7 @@ fn main() {
 fn cover_cost_with_modify(
     cover: &PathCover,
     dm: &raco_graph::DistanceModel,
-    modify: &raco_agu::modify::ModifyAllocation,
+    modify: &raco_agu::ModifyAllocation,
 ) -> u32 {
     let mut cost = 0;
     for path in cover.paths() {

@@ -1,7 +1,7 @@
 //! The `raco bench-trajectory` suite: a small, versioned pipeline
-//! benchmark whose JSON output (`BENCH_pipeline.json` at the repository
-//! root) is committed per change, so the performance trajectory of the
-//! pipeline is tracked in-repo alongside the code.
+//! benchmark whose JSON output (`BENCH_pipeline.json`, committed at the
+//! repository root) is refreshed per change, so the performance
+//! trajectory of the pipeline is tracked in-repo alongside the code.
 //!
 //! The suite is hand-timed (no criterion — that is a dev-dependency of
 //! the bench binaries only) and deliberately tiny: a cold compile, a
@@ -191,14 +191,13 @@ pub fn report_json(label: &str, benches: &[BenchSample]) -> Json {
     ])
 }
 
-/// Where the committed trajectory file lives: `BENCH_pipeline.json` at
-/// the workspace root.
+/// Where `raco bench-trajectory` writes without `-o`:
+/// `BENCH_pipeline.json` in the current directory. Run from the
+/// repository root, that is the committed trajectory file; a binary run
+/// from another checkout writes into that checkout, never into the one
+/// it was built in.
 pub fn default_output_path() -> PathBuf {
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop(); // crates/
-    path.pop(); // workspace root
-    path.push(FILE_NAME);
-    path
+    PathBuf::from(FILE_NAME)
 }
 
 #[cfg(test)]
@@ -236,10 +235,10 @@ mod tests {
     }
 
     #[test]
-    fn default_output_path_targets_the_workspace_root() {
-        let path = default_output_path();
-        assert!(path.ends_with(FILE_NAME));
-        assert!(path.parent().unwrap().join("Cargo.toml").is_file());
+    fn default_output_path_is_in_the_current_directory() {
+        // Relative, so it resolves against the working directory at run
+        // time, not a directory baked in when the binary was built.
+        assert_eq!(default_output_path(), PathBuf::from(FILE_NAME));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use raco_ir::dsl::{self, ParseError};
 use raco_ir::{AguSpec, CanonicalPattern, LoopSpec, MemoryLayout, Trace};
 
 use crate::cache::{AllocationCache, CachePolicy, CacheStats};
-use crate::pool::{map_parallel, Parallelism};
+use crate::pool::{map_workers, Parallelism};
 use crate::report::{CompilationReport, LoopFailure, LoopReport, UnitReport};
 use crate::timings::{BatchTimings, Stage};
 
@@ -322,7 +322,8 @@ impl Pipeline {
             .iter()
             .map(|k| (k.name().to_owned(), k.spec().clone()))
             .collect();
-        let compiled = map_parallel(config.parallelism, &loops, |_, (name, spec)| {
+        let workers = config.parallelism.resolve(loops.len());
+        let compiled = map_workers(workers, &loops, |_, (name, spec)| {
             let (mut report, program) = self.compile_loop_timed(config, spec, &timings);
             report.name = name.clone();
             (report, program)
@@ -340,7 +341,7 @@ impl Pipeline {
             loops: reports,
             listing: unit_listing.map(|l| l.to_string()),
         }];
-        self.finish_report(config, units, loops.len(), started, &timings)
+        self.finish_report(config, units, workers, started, &timings)
     }
 
     /// Compiles named `(name, source)` units as one batch: all loops of
@@ -418,7 +419,8 @@ impl Pipeline {
             }
         }
 
-        let compiled = map_parallel(config.parallelism, &work, |_, (unit, spec)| {
+        let workers = config.parallelism.resolve(work.len());
+        let compiled = map_workers(workers, &work, |_, (unit, spec)| {
             (*unit, self.compile_loop_timed(config, spec, &timings))
         });
 
@@ -447,15 +449,14 @@ impl Pipeline {
         for (unit, listing) in reports.iter_mut().zip(listings) {
             unit.listing = Some(listing.to_string());
         }
-        let total = work.len();
-        Ok(self.finish_report(config, reports, total, started, &timings))
+        Ok(self.finish_report(config, reports, workers, started, &timings))
     }
 
     fn finish_report(
         &self,
         config: &PipelineConfig,
         units: Vec<UnitReport>,
-        loops: usize,
+        threads: usize,
         started: Instant,
         timings: &BatchTimings,
     ) -> CompilationReport {
@@ -466,7 +467,7 @@ impl Pipeline {
             update_range: config.agu.update_range(),
             costs: config.agu.cost_table(),
             modify_registers: config.agu.modify_registers(),
-            threads: config.parallelism.resolve(loops),
+            threads,
             elapsed: started.elapsed(),
             cache: self.cache.stats(),
             timings: timings.finish(),

@@ -83,7 +83,8 @@ pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
 /// opt in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Shard workers to run; `0` means one per available core.
+    /// Shard workers to run; `0` means one per available core
+    /// ([`raco_driver::pool::available_workers`]).
     pub shards: usize,
     /// Bound on queued requests per shard; beyond it requests are shed
     /// with an `ok:false` `shed` response.
@@ -291,7 +292,7 @@ impl Server {
     pub fn with_options(config: PipelineConfig, options: ServeOptions) -> Self {
         let mut options = options;
         if options.shards == 0 {
-            options.shards = std::thread::available_parallelism().map_or(1, |n| n.get());
+            options.shards = raco_driver::pool::available_workers();
         }
         options.queue_depth = options.queue_depth.max(1);
         options.max_connections = options.max_connections.max(1);
@@ -443,6 +444,7 @@ impl Server {
                 .map_err(ComputeError::Driver);
         }
         let (tx, rx) = mpsc::sync_channel(1);
+        let submitted = Instant::now();
         shard
             .submit(Box::new(move |pipeline| {
                 // The receiver may have walked away on a compute
@@ -451,9 +453,12 @@ impl Server {
             }))
             .map_err(ComputeError::Shed)?;
         let result = match self.options.compute_deadline {
-            Some(deadline) => match rx.recv_timeout(deadline) {
-                Ok(result) => result,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
+            // The budget runs from the submit, not from this wait: a
+            // connection thread descheduled after submitting must not
+            // find a late reply already queued and pass it as on time.
+            Some(deadline) => match rx.recv_timeout(deadline.saturating_sub(submitted.elapsed())) {
+                Ok(result) if submitted.elapsed() <= deadline => result,
+                Ok(_) | Err(mpsc::RecvTimeoutError::Timeout) => {
                     return Err(ComputeError::Deadline(deadline))
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => {

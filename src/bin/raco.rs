@@ -62,6 +62,7 @@
 //!     --transport <t>    stdio (default) or tcp
 //!
 //! bench-trajectory-only:
+//! -o, --output <file>    report path (default ./BENCH_pipeline.json)
 //!     --quick            fewer samples (CI smoke mode)
 //!     --label <s>        label stamped into the report (default "local")
 //! ```
@@ -219,6 +220,7 @@ fn usage() -> &'static str {
      \x20     --transport <t>    stdio (default) or tcp\n\
      \n\
      bench-trajectory-only options:\n\
+     \x20 -o, --output <file>    report path (default ./BENCH_pipeline.json)\n\
      \x20     --quick            fewer samples (CI smoke mode)\n\
      \x20     --label <s>        label stamped into the report (default \"local\")\n\
      \n\
