@@ -281,26 +281,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Adds another cache's statistics into this one, field by field.
-    ///
-    /// Serve mode runs one [`AllocationCache`] per shard; the `stats`
-    /// and `metrics` ops report the fleet as a whole by folding every
-    /// shard's snapshot into one aggregate. `persisted` is summed like
-    /// the rest — each shard's latest snapshot contributes its own
-    /// entry count.
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.allocation_hits += other.allocation_hits;
-        self.allocation_misses += other.allocation_misses;
-        self.curve_hits += other.curve_hits;
-        self.curve_misses += other.curve_misses;
-        self.allocation_entries += other.allocation_entries;
-        self.curve_entries += other.curve_entries;
-        self.allocation_evictions += other.allocation_evictions;
-        self.curve_evictions += other.curve_evictions;
-        self.loaded += other.loaded;
-        self.persisted += other.persisted;
-    }
-
     /// Overall hit rate across both tables, in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
         let hits = self.allocation_hits + self.curve_hits;
@@ -441,31 +421,6 @@ impl AllocationCache {
             self.loaded.fetch_add(1, Ordering::Relaxed);
         }
         fresh
-    }
-
-    /// Copies every resident entry of `other` into this cache,
-    /// returning how many were freshly installed (keys already present
-    /// here keep their resident value). Value handles are shared, not
-    /// deep-copied, and neither the hit/miss nor the `loaded` counters
-    /// move — absorption is bookkeeping, not traffic.
-    ///
-    /// Serve mode uses this to fold per-shard caches into one combined
-    /// cache before writing a shutdown snapshot, so a snapshot taken
-    /// from a sharded server warms a single-process boot completely.
-    pub fn absorb_entries(&self, other: &AllocationCache) -> usize {
-        let (allocations, curves) = other.export();
-        let mut installed = 0;
-        for (key, value) in allocations {
-            if self.allocations.insert(key, value) {
-                installed += 1;
-            }
-        }
-        for (key, value) in curves {
-            if self.curves.insert(key, value) {
-                installed += 1;
-            }
-        }
-        installed
     }
 
     /// Records how many entries the most recent snapshot save wrote.
@@ -663,64 +618,6 @@ mod tests {
         let stats = cache.stats();
         assert!(stats.curve_entries <= 8 + SHARDS);
         assert_eq!(stats.curve_hits + stats.curve_misses, 4 * 256);
-    }
-
-    #[test]
-    fn absorb_sums_every_stat_field() {
-        let mut total = CacheStats {
-            allocation_hits: 1,
-            allocation_misses: 2,
-            curve_hits: 3,
-            curve_misses: 4,
-            allocation_entries: 5,
-            curve_entries: 6,
-            allocation_evictions: 7,
-            curve_evictions: 8,
-            loaded: 9,
-            persisted: 10,
-        };
-        total.absorb(&total.clone());
-        assert_eq!(total.allocation_hits, 2);
-        assert_eq!(total.allocation_misses, 4);
-        assert_eq!(total.curve_hits, 6);
-        assert_eq!(total.curve_misses, 8);
-        assert_eq!(total.allocation_entries, 10);
-        assert_eq!(total.curve_entries, 12);
-        assert_eq!(total.allocation_evictions, 14);
-        assert_eq!(total.curve_evictions, 16);
-        assert_eq!(total.loaded, 18);
-        assert_eq!(total.persisted, 20);
-    }
-
-    #[test]
-    fn absorb_entries_merges_disjoint_caches_without_counting_traffic() {
-        let options = OptimizerOptions::default();
-        let a = AllocationCache::new();
-        let b = AllocationCache::new();
-        let _ = a.cost_curve(&canonical(&[0, 1]), sym(1), 2, &options, || vec![1, 0]);
-        let _ = b.cost_curve(&canonical(&[0, 2]), sym(1), 2, &options, || vec![1, 1]);
-        // Overlap: both caches hold the [0, 1] curve key under k_max 4.
-        let _ = a.cost_curve(&canonical(&[0, 1]), sym(1), 4, &options, || {
-            vec![1, 0, 0, 0]
-        });
-        let _ = b.cost_curve(&canonical(&[0, 1]), sym(1), 4, &options, || {
-            vec![1, 0, 0, 0]
-        });
-
-        let merged = AllocationCache::new();
-        assert_eq!(merged.absorb_entries(&a), 2);
-        // b shares one key with a — only the fresh one installs.
-        assert_eq!(merged.absorb_entries(&b), 1);
-        let stats = merged.stats();
-        assert_eq!(stats.curve_entries, 3);
-        assert_eq!(stats.curve_hits + stats.curve_misses, 0);
-        assert_eq!(stats.loaded, 0, "absorption is not a snapshot load");
-
-        // The merged entries are live: the next lookup is a hit.
-        let _ = merged.cost_curve(&canonical(&[0, 2]), sym(1), 2, &options, || {
-            panic!("absorbed entry must hit")
-        });
-        assert_eq!(merged.stats().curve_hits, 1);
     }
 
     #[test]

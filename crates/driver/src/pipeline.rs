@@ -54,6 +54,9 @@ pub enum DriverError {
         /// The path that yielded nothing.
         path: PathBuf,
     },
+    /// [`PipelineConfig::deadline`] passed before every loop of the
+    /// batch had started. Loops that finished before it stay cached.
+    DeadlineExceeded,
 }
 
 impl std::fmt::Display for DriverError {
@@ -63,6 +66,9 @@ impl std::fmt::Display for DriverError {
             DriverError::Io { path, error } => write!(f, "{}: {error}", path.display()),
             DriverError::EmptyBatch { path } => {
                 write!(f, "{}: no DSL sources found", path.display())
+            }
+            DriverError::DeadlineExceeded => {
+                write!(f, "the compute deadline passed before every loop started")
             }
         }
     }
@@ -111,6 +117,14 @@ pub struct PipelineConfig {
     pub cache_policy: CachePolicy,
     /// Attach per-loop listings and per-unit assembled listings.
     pub listings: bool,
+    /// When set, [`Pipeline::compile_units_with`] and
+    /// [`Pipeline::compile_kernels_with`] check it before starting each
+    /// loop and abandon the batch with [`DriverError::DeadlineExceeded`]
+    /// once it has passed. A loop that has started always finishes —
+    /// one allocation is bounded by the branch-and-bound node limit
+    /// instead — so every cache entry is whole, and the deadline is
+    /// part of no cache key. `None` (the default) never expires.
+    pub deadline: Option<Instant>,
 }
 
 impl PipelineConfig {
@@ -133,6 +147,7 @@ impl PipelineConfig {
             caching: true,
             cache_policy: CachePolicy::Unbounded,
             listings: false,
+            deadline: None,
         }
     }
 
@@ -307,14 +322,37 @@ impl Pipeline {
     }
 
     /// Compiles the whole `raco-kernels` suite as one batch workload.
+    /// A [`PipelineConfig::deadline`] in the pipeline's own
+    /// configuration does not apply here; pass it to
+    /// [`compile_kernels_with`](Self::compile_kernels_with).
     pub fn compile_kernels(&self) -> CompilationReport {
-        self.compile_kernels_with(&self.config)
+        self.kernel_batch(&self.config, None)
+            .expect("a batch without a deadline compiles every loop")
     }
 
     /// Like [`compile_kernels`](Self::compile_kernels), but under a
     /// per-request configuration (see
     /// [`compile_units_with`](Self::compile_units_with)).
-    pub fn compile_kernels_with(&self, config: &PipelineConfig) -> CompilationReport {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DriverError::DeadlineExceeded`] when `config.deadline`
+    /// passes before every kernel has started.
+    pub fn compile_kernels_with(
+        &self,
+        config: &PipelineConfig,
+    ) -> Result<CompilationReport, DriverError> {
+        self.kernel_batch(config, config.deadline)
+            .ok_or(DriverError::DeadlineExceeded)
+    }
+
+    /// The kernel suite as one unit; `None` when `deadline` passed
+    /// before every loop started.
+    fn kernel_batch(
+        &self,
+        config: &PipelineConfig,
+        deadline: Option<Instant>,
+    ) -> Option<CompilationReport> {
         let kernels = raco_kernels::suite();
         let started = Instant::now();
         let timings = BatchTimings::new();
@@ -324,13 +362,19 @@ impl Pipeline {
             .collect();
         let workers = config.parallelism.resolve(loops.len());
         let compiled = map_workers(workers, &loops, |_, (name, spec)| {
+            if expired(deadline) {
+                return None;
+            }
             let (mut report, program) = self.compile_loop_timed(config, spec, &timings);
             report.name = name.clone();
-            (report, program)
+            Some((report, program))
         });
+        if compiled.iter().any(Option::is_none) {
+            return None;
+        }
         let mut unit_listing = config.listings.then(|| ProgramListing::new("raco-kernels"));
         let mut reports = Vec::with_capacity(compiled.len());
-        for (report, program) in compiled {
+        for (report, program) in compiled.into_iter().flatten() {
             if let (Some(listing), Some(program)) = (unit_listing.as_mut(), program) {
                 listing.push(report.name.clone(), program);
             }
@@ -341,7 +385,7 @@ impl Pipeline {
             loops: reports,
             listing: unit_listing.map(|l| l.to_string()),
         }];
-        self.finish_report(config, units, workers, started, &timings)
+        Some(self.finish_report(config, units, workers, started, &timings))
     }
 
     /// Compiles named `(name, source)` units as one batch: all loops of
@@ -376,7 +420,9 @@ impl Pipeline {
     /// # Errors
     ///
     /// Returns [`DriverError::Parse`] on the first unit that fails to
-    /// parse (per-loop failures do not abort the batch).
+    /// parse (per-loop failures do not abort the batch), and
+    /// [`DriverError::DeadlineExceeded`] when `config.deadline` passes
+    /// before every loop has started.
     pub fn compile_units_with(
         &self,
         config: &PipelineConfig,
@@ -421,8 +467,14 @@ impl Pipeline {
 
         let workers = config.parallelism.resolve(work.len());
         let compiled = map_workers(workers, &work, |_, (unit, spec)| {
-            (*unit, self.compile_loop_timed(config, spec, &timings))
+            if expired(config.deadline) {
+                return None;
+            }
+            Some((*unit, self.compile_loop_timed(config, spec, &timings)))
         });
+        if compiled.iter().any(Option::is_none) {
+            return Err(DriverError::DeadlineExceeded);
+        }
 
         let mut reports: Vec<UnitReport> = unit_names
             .into_iter()
@@ -440,7 +492,7 @@ impl Pipeline {
         } else {
             Vec::new()
         };
-        for (unit, (loop_report, program)) in compiled {
+        for (unit, (loop_report, program)) in compiled.into_iter().flatten() {
             if let (true, Some(program)) = (config.listings, program) {
                 listings[unit].push(loop_report.name.clone(), program);
             }
@@ -741,6 +793,11 @@ impl Pipeline {
     }
 }
 
+/// `true` once `deadline` has passed; `None` never expires.
+fn expired(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|deadline| Instant::now() >= deadline)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -773,6 +830,31 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, DriverError::Parse { .. }));
         assert!(err.to_string().contains("bad"));
+    }
+
+    #[test]
+    fn a_passed_deadline_abandons_the_batch_and_caches_nothing() {
+        let pipeline = pipeline(4);
+        let mut config = pipeline.config().clone();
+        config.deadline = Some(Instant::now());
+        let units = [(
+            "two".to_owned(),
+            "for (i = 0; i < 64; i++) { y[i] = x[i-1] + x[i+1]; }
+             for (j = 0; j < 32; j++) { z[j] = y[j] + y[j+3]; }"
+                .to_owned(),
+        )];
+        let err = pipeline.compile_units_with(&config, &units).unwrap_err();
+        assert!(matches!(err, DriverError::DeadlineExceeded), "{err}");
+        let err = pipeline.compile_kernels_with(&config).unwrap_err();
+        assert!(matches!(err, DriverError::DeadlineExceeded), "{err}");
+        // No loop started, so nothing reached the cache.
+        let stats = pipeline.cache_stats();
+        assert_eq!(stats.allocation_entries + stats.curve_entries, 0);
+        // Without the deadline the same request compiles in full.
+        config.deadline = None;
+        let report = pipeline.compile_units_with(&config, &units).unwrap();
+        assert_eq!((report.loop_count(), report.failed()), (2, 0));
+        assert_eq!(pipeline.compile_kernels_with(&config).unwrap().failed(), 0);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! This crate keeps one [`Pipeline`](raco_driver::Pipeline) alive
 //! behind a newline-delimited JSON protocol ([`protocol`]) served over
 //! stdio or TCP ([`server`]), so every request — across clients and
-//! connections — amortizes the same two-phase allocation work. Pair it
+//! connections — amortizes the same two-phase allocation work. Each
+//! compile runs on the thread that read its request, against that one
+//! pipeline: there is no queue and no worker handoff, and a panic or
+//! an expired compute deadline costs one named error reply. Pair it
 //! with [`CachePolicy::Bounded`](raco_driver::CachePolicy) so
 //! unbounded traffic cannot grow memory without limit.
 //!
@@ -59,7 +62,6 @@
 mod metrics;
 pub mod protocol;
 pub mod server;
-mod shard;
 
 pub use protocol::{Envelope, Knobs, ProtocolError, Request};
 pub use server::{

@@ -56,13 +56,16 @@ pub(crate) struct ServiceMetrics {
     ///
     /// [`total_requests`]: Self::total_requests
     shed_connections: AtomicU64,
-    /// Requests refused because their shard's queue was full.
+    /// Compiles refused because `queue_depth` compiles were already in
+    /// flight.
     shed_queue: AtomicU64,
     /// Connections closed for not completing a request within the read
     /// deadline.
     read_deadlines: AtomicU64,
     /// Requests whose compile outran the compute deadline.
     compute_deadlines: AtomicU64,
+    /// Compiles that panicked and were answered with `internal`.
+    internal_errors: AtomicU64,
 }
 
 impl ServiceMetrics {
@@ -84,6 +87,7 @@ impl ServiceMetrics {
             shed_queue: AtomicU64::new(0),
             read_deadlines: AtomicU64::new(0),
             compute_deadlines: AtomicU64::new(0),
+            internal_errors: AtomicU64::new(0),
         }
     }
 
@@ -92,7 +96,7 @@ impl ServiceMetrics {
         self.shed_connections.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one request refused by a full shard queue.
+    /// Counts one compile shed at the in-flight bound.
     pub(crate) fn note_shed_queue(&self) {
         self.shed_queue.fetch_add(1, Ordering::Relaxed);
     }
@@ -105,6 +109,11 @@ impl ServiceMetrics {
     /// Counts one compile that outran the compute deadline.
     pub(crate) fn note_compute_deadline(&self) {
         self.compute_deadlines.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one compile that panicked.
+    pub(crate) fn note_internal(&self) {
+        self.internal_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total requests/connections shed (queue + connection cap).
@@ -168,11 +177,9 @@ impl ServiceMetrics {
 
     /// The full `metrics` response payload: uptime, request counts,
     /// per-op latency quantiles, accumulated pipeline stage timings
-    /// (from [`raco_obs::global()`]), shed/deadline counters, cache
-    /// hit/eviction rates (aggregated across shards) and — when the
-    /// server runs more than one shard — a per-shard breakdown the
-    /// caller renders.
-    pub(crate) fn payload(&self, cache: &CacheStats, shards: Option<Json>) -> Json {
+    /// (from [`raco_obs::global()`]), shed/deadline/internal-error
+    /// counters and the cache's hit/eviction rates.
+    pub(crate) fn payload(&self, cache: &CacheStats) -> Json {
         let by_op: Vec<(String, Json)> = self
             .registry
             .counters()
@@ -192,7 +199,7 @@ impl ServiceMetrics {
             .filter(|(_, snapshot)| snapshot.count > 0)
             .map(|(name, snapshot)| (name, histogram_json(&snapshot)))
             .collect();
-        let mut fields = vec![
+        Json::Obj(vec![
             ("uptime_ms".to_owned(), Json::UInt(self.uptime_ms())),
             (
                 "requests".to_owned(),
@@ -230,18 +237,21 @@ impl ServiceMetrics {
                     ),
                 ]),
             ),
+            (
+                "errors".to_owned(),
+                Json::Obj(vec![(
+                    "internal".to_owned(),
+                    Json::UInt(self.internal_errors.load(Ordering::Relaxed)),
+                )]),
+            ),
             ("cache".to_owned(), protocol::stats_json(cache)),
-        ];
-        if let Some(shards) = shards {
-            fields.push(("shards".to_owned(), shards));
-        }
-        Json::Obj(fields)
+        ])
     }
 }
 
 /// One latency histogram as JSON: exact count/total plus estimated
 /// quantiles, durations converted from nanoseconds to microseconds.
-pub(crate) fn histogram_json(snapshot: &HistogramSnapshot) -> Json {
+fn histogram_json(snapshot: &HistogramSnapshot) -> Json {
     let us = |ns: u64| Json::Num(ns as f64 / 1000.0);
     Json::Obj(vec![
         ("count".to_owned(), Json::UInt(snapshot.count)),
@@ -266,7 +276,7 @@ mod tests {
         metrics.finish("compile", 5_000);
         assert_eq!(metrics.total_requests(), 2);
         assert_eq!(metrics.in_flight.get(), 0);
-        let payload = metrics.payload(&CacheStats::default(), None);
+        let payload = metrics.payload(&CacheStats::default());
         let requests = payload.get("requests").unwrap();
         assert_eq!(requests.get("total").and_then(Json::as_u64), Some(2));
         assert_eq!(
@@ -292,17 +302,19 @@ mod tests {
         metrics.note_shed_queue();
         metrics.note_read_deadline();
         metrics.note_compute_deadline();
+        metrics.note_internal();
         // Sheds and deadline reaps never became requests.
         assert_eq!(metrics.total_requests(), 0);
         assert_eq!(metrics.total_shed(), 3);
-        let payload = metrics.payload(&CacheStats::default(), None);
+        let payload = metrics.payload(&CacheStats::default());
         let shed = payload.get("shed").expect("shed object");
         assert_eq!(shed.get("connections").and_then(Json::as_u64), Some(1));
         assert_eq!(shed.get("queue").and_then(Json::as_u64), Some(2));
         let deadlines = payload.get("deadlines").expect("deadlines object");
         assert_eq!(deadlines.get("read").and_then(Json::as_u64), Some(1));
         assert_eq!(deadlines.get("compute").and_then(Json::as_u64), Some(1));
-        assert!(payload.get("shards").is_none(), "single-process payload");
+        let errors = payload.get("errors").expect("errors object");
+        assert_eq!(errors.get("internal").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

@@ -57,12 +57,14 @@
 //!
 //! Operational failures of the serve tier additionally carry a
 //! machine-readable `error_kind`: `busy` (the `--max-connections`
-//! bound refused the connection), `shed` (the routed shard's queue was
-//! full), `read_deadline` (no complete request arrived within
-//! `--read-deadline`; the connection is then closed) and
-//! `compute_deadline` (the compile outran `--compute-deadline`; the
-//! connection survives and the shard finishes warming its cache in the
-//! background, so a retry usually hits).
+//! bound refused the connection), `shed` (`--queue-depth` compiles
+//! were already in flight), `read_deadline` (no complete request
+//! arrived within `--read-deadline`; the connection is then closed),
+//! `compute_deadline` (`--compute-deadline` passed before every loop
+//! of the compile started; the connection survives and the loops that
+//! finished stay cached, so a retry usually hits) and `internal` (the
+//! compile panicked; only that request fails and the connection keeps
+//! serving).
 //!
 //! Compile reports carry the full machine (`address_registers`,
 //! `modify_range`, `modify_registers`) and, per loop, the explicit
@@ -457,8 +459,9 @@ pub fn error_line(id: &Option<Json>, message: &str) -> String {
 ///
 /// The serve tier names its operational failures so clients can react
 /// without parsing prose: `busy` (connection cap reached), `shed`
-/// (shard queue full), `read_deadline` (no complete request in time)
-/// and `compute_deadline` (the compile outran its budget).
+/// (in-flight compile bound reached), `read_deadline` (no complete
+/// request in time), `compute_deadline` (the compile outran its
+/// budget) and `internal` (the compile panicked).
 pub fn error_kind_line(id: &Option<Json>, kind: &str, message: &str) -> String {
     envelope(
         id,

@@ -1,12 +1,12 @@
-//! The service loop: shard-per-core pipelines behind stdio or TCP.
+//! The service loop: one shared pipeline behind stdio or TCP.
 //!
-//! A [`Server`] owns a set of shards (the private `shard` module), each
-//! with
-//! its own warm [`Pipeline`], and routes every compile by a consistent
-//! hash of its *canonical* cache key — so every repetition of a shape
-//! lands on the shard that already paid for its allocation. In the
-//! default single-shard configuration this degenerates to the original
-//! design: one pipeline, one cache, zero handoff overhead.
+//! A [`Server`] owns one warm [`Pipeline`] and runs every `compile` and
+//! `kernels` request on the thread that read it: the caller of
+//! [`Server::handle_line`], the stdio loop, or a TCP connection's own
+//! thread. Connections supply the concurrency. They share the pipeline
+//! by reference, and its allocation cache is internally sharded, so
+//! every repetition of a (shape, machine) pair hits the entry the
+//! first one paid for, whichever connection sent it.
 //!
 //! Transports:
 //!
@@ -15,35 +15,34 @@
 //!   buffers in tests).
 //! * [`Server::serve_tcp`] — accepts TCP connections and runs the same
 //!   loop per connection on a scoped thread, so concurrent clients
-//!   compile in parallel against the shard set. A `shutdown` request
-//!   stops the accept loop.
+//!   compile in parallel against the shared pipeline. A `shutdown`
+//!   request stops the accept loop.
 //!
-//! The TCP tier enforces production bounds, each configured through
+//! The server enforces production bounds, each configured through
 //! [`ServeOptions`]: a connection cap (over-limit connects get a
 //! `busy` error and a clean close), a per-request read deadline (a
 //! client with no complete request in time is answered with a
 //! `read_deadline` error and reaped — the slow-loris fix), a compute
-//! deadline (a compile that outruns it gets a `compute_deadline` error
-//! while the shard finishes warming its cache in the background), and
-//! bounded shard queues (a full queue sheds the request with a `shed`
-//! error instead of queueing unbounded work).
+//! deadline (checked before each loop of a compile starts; once it has
+//! passed the request gets a `compute_deadline` error, and the loops
+//! that finished stay cached for a retry), and a bound on compiles in
+//! flight (past it a compile is shed with a `shed` error instead of
+//! oversubscribing the machine). A panic inside a compile costs that
+//! request one `internal` error; the connection keeps serving.
 
+use std::any::Any;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use raco_driver::json::Json;
-use raco_driver::{
-    persist, AllocationCache, CompilationReport, LoadReport, PersistError, Pipeline,
-    PipelineConfig, SaveReport,
-};
+use raco_driver::{CompilationReport, DriverError, Pipeline, PipelineConfig};
 
-use crate::metrics::{self, ServiceMetrics, INVALID_OP};
+use crate::metrics::{ServiceMetrics, INVALID_OP};
 use crate::protocol::{self, Envelope, Request};
-use crate::shard::{self, ShardSet, ShedError};
 
 /// How long a drained connection thread may lag behind the stop flag:
 /// blocked reads wake at this interval to check whether a shutdown was
@@ -71,33 +70,31 @@ const ACCEPT_BACKOFF_CEIL: Duration = Duration::from_millis(1);
 /// memory by never sending a newline.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
-/// Default bound on queued requests per shard.
+/// Default bound on compiles in flight at once.
 pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 
 /// Default bound on concurrently served TCP connections.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
 
-/// Operational limits of the serve tier. [`Default`] reproduces the
-/// pre-shard behaviour exactly: one shard, inline execution, no
-/// deadlines — existing embedders and tests see no change unless they
-/// opt in.
+/// Operational limits of the serve tier. [`Default`] sets no
+/// deadlines, so embedders and tests see none unless they opt in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Shard workers to run; `0` means one per available core
-    /// ([`raco_driver::pool::available_workers`]).
-    pub shards: usize,
-    /// Bound on queued requests per shard; beyond it requests are shed
-    /// with an `ok:false` `shed` response.
+    /// Bound on `compile`/`kernels` requests in flight at once, across
+    /// every connection; a compile arriving past it is shed with an
+    /// `ok:false` `shed` response. Nothing queues: each compile runs
+    /// on the thread that read it, so this caps concurrent compute.
     pub queue_depth: usize,
     /// A TCP connection with no *complete* request line within this
     /// window is answered with a `read_deadline` error and closed
     /// (slow-loris reaping). `None` disables reaping.
     pub read_deadline: Option<Duration>,
-    /// A compile outrunning this budget gets a `compute_deadline`
-    /// error; the connection survives and the shard finishes the
-    /// compile in the background (warming its cache for a retry).
-    /// `None` disables the deadline (and keeps single-shard servers on
-    /// the inline zero-handoff path).
+    /// Budget for one compile, checked before each of its loops
+    /// starts: once it has passed, the request gets a
+    /// `compute_deadline` error and the connection survives. A loop
+    /// that has started always finishes and stays cached, so a retry
+    /// picks up where the compile stopped. `None` disables the
+    /// deadline.
     pub compute_deadline: Option<Duration>,
     /// Bound on concurrently served TCP connections; over-limit
     /// connects get an `ok:false` `busy` response and a clean close.
@@ -107,7 +104,6 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            shards: 1,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             read_deadline: None,
             compute_deadline: None,
@@ -234,7 +230,7 @@ pub struct Reply {
     pub shutdown: bool,
 }
 
-/// What a routed compile runs on its shard.
+/// What one compile request runs.
 enum ComputeWork {
     /// Named DSL units (a `compile` request, or one named kernel).
     Units(Vec<(String, String)>),
@@ -242,41 +238,44 @@ enum ComputeWork {
     KernelSuite,
 }
 
-/// Why a routed compile produced no report.
+/// Why a compile produced no report.
 enum ComputeError {
     /// The pipeline itself failed (parse error, driver error…).
     Driver(String),
-    /// The routed shard's queue was full.
-    Shed(ShedError),
-    /// The compile outran the compute deadline.
-    Deadline(Duration),
+    /// `queue_depth` compiles were already in flight.
+    Shed,
+    /// The compute deadline passed before every loop started.
+    Deadline,
+    /// The compile panicked; carries the panic message.
+    Internal(String),
 }
 
-/// Runs one unit of compute work against a shard's pipeline.
-fn run_work(
-    pipeline: &Pipeline,
-    config: &PipelineConfig,
-    work: &ComputeWork,
-) -> Result<CompilationReport, String> {
-    match work {
-        ComputeWork::Units(units) => pipeline
-            .compile_units_with(config, units)
-            .map_err(|e| e.to_string()),
-        ComputeWork::KernelSuite => Ok(pipeline.compile_kernels_with(config)),
-    }
+/// A fault the next compile hits, injected by tests.
+#[cfg(test)]
+#[derive(Debug)]
+enum Fault {
+    /// Panic inside the compile, as a pipeline bug would.
+    Panic,
+    /// Wait at the barrier twice: once to tell the test the compile is
+    /// in flight, once more to be released.
+    Hold(std::sync::Arc<std::sync::Barrier>),
 }
 
-/// A long-lived compile service over a consistent-hash shard set.
+/// A long-lived compile service over one shared pipeline.
 #[derive(Debug)]
 pub struct Server {
-    shards: ShardSet,
+    pipeline: Pipeline,
     options: ServeOptions,
+    /// Compiles running right now, bounded by `options.queue_depth`.
+    in_flight: AtomicUsize,
     /// Where graceful shutdowns (and default-path `save_cache`
     /// requests) snapshot the warm cache; `None` disables both.
     cache_save_path: Option<PathBuf>,
     /// Per-op request counters and latency histograms (the `metrics`
     /// op reads these; every response carries their `elapsed_us`).
     metrics: ServiceMetrics,
+    #[cfg(test)]
+    fault: std::sync::Mutex<Option<Fault>>,
 }
 
 impl Server {
@@ -287,39 +286,20 @@ impl Server {
         Self::with_options(config, ServeOptions::default())
     }
 
-    /// A server with explicit operational limits: shard count, queue
-    /// depth, read/compute deadlines and the connection cap.
+    /// A server with explicit operational limits: in-flight bound,
+    /// read/compute deadlines and the connection cap.
     pub fn with_options(config: PipelineConfig, options: ServeOptions) -> Self {
         let mut options = options;
-        if options.shards == 0 {
-            options.shards = raco_driver::pool::available_workers();
-        }
         options.queue_depth = options.queue_depth.max(1);
         options.max_connections = options.max_connections.max(1);
-        // One shard with no compute deadline needs no worker handoff:
-        // jobs run inline on the submitting thread, exactly like the
-        // pre-shard server (loopback benches and embedders keep their
-        // zero-handoff latency).
-        let inline = options.shards == 1 && options.compute_deadline.is_none();
-        let shards = ShardSet::new(&config, options.shards, options.queue_depth, inline);
         Server {
-            shards,
+            pipeline: Pipeline::with_config(config),
             options,
+            in_flight: AtomicUsize::new(0),
             cache_save_path: None,
             metrics: ServiceMetrics::new(),
-        }
-    }
-
-    /// Wraps an existing pipeline (e.g. one pre-warmed by a batch run
-    /// or one that loaded a cache snapshot at boot) as a single-shard
-    /// inline server.
-    pub fn with_pipeline(pipeline: Pipeline) -> Self {
-        let options = ServeOptions::default();
-        Server {
-            shards: ShardSet::from_pipeline(pipeline, options.queue_depth),
-            options,
-            cache_save_path: None,
-            metrics: ServiceMetrics::new(),
+            #[cfg(test)]
+            fault: std::sync::Mutex::new(None),
         }
     }
 
@@ -337,58 +317,17 @@ impl Server {
         self.cache_save_path.as_deref()
     }
 
-    /// The server's operational limits (normalized: `shards` is the
-    /// resolved count, never 0).
+    /// The server's operational limits (normalized: bounds are at
+    /// least 1).
     pub fn options(&self) -> &ServeOptions {
         &self.options
     }
 
-    /// Shard 0's pipeline. With the default single shard this is *the*
-    /// pipeline, exactly as before sharding; with more shards it is
-    /// only one slice of the cache — use
-    /// [`cache_stats`](Self::cache_stats) for fleet-wide numbers.
+    /// The pipeline every request compiles against: its cache holds
+    /// the server's whole working set (load a snapshot into it with
+    /// [`Pipeline::load_cache`] to boot warm).
     pub fn pipeline(&self) -> &Pipeline {
-        self.shards.first_pipeline()
-    }
-
-    /// Cache statistics aggregated across every shard.
-    pub fn cache_stats(&self) -> raco_driver::CacheStats {
-        self.shards.aggregate_cache_stats()
-    }
-
-    /// Seeds **every** shard's pipeline from the snapshot at `path`, so
-    /// each shard boots warm whatever slice of the keyspace it owns.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first shard's load failure (shards are seeded in
-    /// order; a failure leaves later shards cold).
-    pub fn load_cache(&self, path: &std::path::Path) -> Result<Vec<LoadReport>, PersistError> {
-        self.shards
-            .shards()
-            .iter()
-            .map(|shard| shard.pipeline.load_cache(path))
-            .collect()
-    }
-
-    /// Snapshots the union of every shard's cache to `path`. A
-    /// single-shard server saves its pipeline's cache directly
-    /// (preserving that cache's `persisted` accounting); a sharded one
-    /// folds all shards into a fresh cache first, so the snapshot
-    /// warms a later boot of *any* shard count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying persistence failure.
-    pub fn save_cache_merged(&self, path: &std::path::Path) -> Result<SaveReport, PersistError> {
-        if self.shards.len() == 1 {
-            return self.shards.first_pipeline().save_cache(path);
-        }
-        let merged = AllocationCache::new();
-        for shard in self.shards.shards() {
-            merged.absorb_entries(shard.pipeline.cache());
-        }
-        persist::save(&merged, path)
+        &self.pipeline
     }
 
     /// Writes the shutdown snapshot, if one is configured. Both serve
@@ -398,7 +337,7 @@ impl Server {
     /// it must not fail the service).
     fn snapshot_on_shutdown(&self) {
         if let Some(path) = &self.cache_save_path {
-            match self.save_cache_merged(path) {
+            match self.pipeline.save_cache(path) {
                 Ok(report) => {
                     eprintln!("raco serve: cache snapshot {} ({report})", path.display());
                 }
@@ -426,110 +365,96 @@ impl Server {
         reply
     }
 
-    /// Routes one compile to its shard and waits for the report —
-    /// inline on the calling thread for a single-shard no-deadline
-    /// server, through the shard's bounded queue otherwise.
+    /// Runs one compile on the calling thread: sheds it when
+    /// `queue_depth` compiles are already in flight, arms the compute
+    /// deadline, and turns a panic into [`ComputeError::Internal`] so
+    /// it costs one reply instead of the connection thread (whose
+    /// panic would resurface when `serve_tcp` joins it and skip the
+    /// shutdown snapshot).
     fn execute(
         &self,
-        key: u64,
-        config: PipelineConfig,
+        mut config: PipelineConfig,
         work: ComputeWork,
     ) -> Result<CompilationReport, ComputeError> {
-        let shard = self.shards.route(key);
-        if self.shards.is_inline() {
-            let mut out = None;
-            shard.run_inline(|pipeline| out = Some(run_work(pipeline, &config, &work)));
-            return out
-                .expect("inline job ran on the calling thread")
-                .map_err(ComputeError::Driver);
+        if self.in_flight.fetch_add(1, Ordering::AcqRel) >= self.options.queue_depth {
+            self.in_flight.fetch_sub(1, Ordering::AcqRel);
+            return Err(ComputeError::Shed);
         }
-        let (tx, rx) = mpsc::sync_channel(1);
-        let submitted = Instant::now();
-        shard
-            .submit(Box::new(move |pipeline| {
-                // The receiver may have walked away on a compute
-                // deadline; the compile still warmed the shard cache.
-                let _ = tx.send(run_work(pipeline, &config, &work));
-            }))
-            .map_err(ComputeError::Shed)?;
-        let result = match self.options.compute_deadline {
-            // The budget runs from the submit, not from this wait: a
-            // connection thread descheduled after submitting must not
-            // find a late reply already queued and pass it as on time.
-            Some(deadline) => match rx.recv_timeout(deadline.saturating_sub(submitted.elapsed())) {
-                Ok(result) if submitted.elapsed() <= deadline => result,
-                Ok(_) | Err(mpsc::RecvTimeoutError::Timeout) => {
-                    return Err(ComputeError::Deadline(deadline))
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    Err("shard worker unavailable".to_owned())
-                }
-            },
-            None => rx
-                .recv()
-                .unwrap_or_else(|_| Err("shard worker unavailable".to_owned())),
-        };
-        result.map_err(ComputeError::Driver)
+        config.deadline = self
+            .options
+            .compute_deadline
+            .map(|budget| Instant::now() + budget);
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            self.inject_fault();
+            match &work {
+                ComputeWork::Units(units) => self.pipeline.compile_units_with(&config, units),
+                ComputeWork::KernelSuite => self.pipeline.compile_kernels_with(&config),
+            }
+        }));
+        self.in_flight.fetch_sub(1, Ordering::AcqRel);
+        match outcome {
+            Ok(Ok(report)) => Ok(report),
+            Ok(Err(DriverError::DeadlineExceeded)) => Err(ComputeError::Deadline),
+            Ok(Err(error)) => Err(ComputeError::Driver(error.to_string())),
+            Err(payload) => Err(ComputeError::Internal(panic_message(payload.as_ref()))),
+        }
     }
 
-    /// Renders a routed compile's failure, counting sheds and deadline
-    /// hits into the service metrics.
+    /// Fires the fault a test armed, once.
+    #[cfg(test)]
+    fn inject_fault(&self) {
+        let fault = self.fault.lock().expect("fault hook").take();
+        match fault {
+            Some(Fault::Panic) => panic!("injected fault"),
+            Some(Fault::Hold(barrier)) => {
+                barrier.wait();
+                barrier.wait();
+            }
+            None => {}
+        }
+    }
+
+    /// Renders a compile's failure, counting sheds, deadline hits and
+    /// internal errors into the service metrics.
     fn compute_error_line(&self, id: &Option<Json>, error: &ComputeError) -> String {
         match error {
             ComputeError::Driver(message) => protocol::error_line(id, message),
-            ComputeError::Shed(shed) => {
+            ComputeError::Shed => {
                 self.metrics.note_shed_queue();
                 protocol::error_kind_line(
                     id,
                     "shed",
                     &format!(
-                        "shard {} queue full (depth {}); request shed — retry with backoff",
-                        shed.shard, shed.depth
+                        "{} compiles already in flight; request shed — retry with backoff",
+                        self.options.queue_depth
                     ),
                 )
             }
-            ComputeError::Deadline(deadline) => {
+            ComputeError::Deadline => {
                 self.metrics.note_compute_deadline();
                 protocol::error_kind_line(
                     id,
                     "compute_deadline",
                     &format!(
-                        "compile exceeded the {} ms compute deadline; the shard keeps \
-                         warming its cache in the background, so a retry may hit",
-                        deadline.as_millis()
+                        "compile passed the {} ms compute deadline; the loops it finished \
+                         stay cached, so a retry may hit",
+                        self.options
+                            .compute_deadline
+                            .unwrap_or_default()
+                            .as_millis()
                     ),
                 )
             }
+            ComputeError::Internal(message) => {
+                self.metrics.note_internal();
+                protocol::error_kind_line(
+                    id,
+                    "internal",
+                    &format!("internal error while compiling: {message}"),
+                )
+            }
         }
-    }
-
-    /// The per-shard `metrics` breakdown: request count, compute
-    /// latency and the shard's own cache statistics (whose hit rates
-    /// show consistent routing keeping each slice hot).
-    fn shards_json(&self) -> Json {
-        Json::Arr(
-            self.shards
-                .shards()
-                .iter()
-                .map(|shard| {
-                    let stats = shard.pipeline.cache_stats();
-                    let mut fields = vec![
-                        ("id".to_owned(), Json::UInt(shard.index as u64)),
-                        (
-                            "requests".to_owned(),
-                            Json::UInt(shard.executed.load(Ordering::Relaxed)),
-                        ),
-                        ("hit_rate".to_owned(), Json::Num(stats.hit_rate())),
-                        ("cache".to_owned(), protocol::stats_json(&stats)),
-                    ];
-                    let latency = shard.latency.snapshot();
-                    if latency.count > 0 {
-                        fields.push(("compute_us".to_owned(), metrics::histogram_json(&latency)));
-                    }
-                    Json::Obj(fields)
-                })
-                .collect(),
-        )
     }
 
     /// Decodes and executes one request; returns the op label the
@@ -561,15 +486,14 @@ impl Server {
             }
             reply(protocol::report_line(&id, &report))
         };
-        let base_config = self.shards.first_pipeline().config();
+        let base_config = self.pipeline.config();
         let out = match request {
             Request::Compile { name, source } => {
                 let config = match knobs.apply(base_config) {
                     Ok(config) => config,
                     Err(message) => return (op, reply(protocol::error_line(&id, &message))),
                 };
-                let key = shard::compile_route_key(&source, &config);
-                match self.execute(key, config, ComputeWork::Units(vec![(name, source)])) {
+                match self.execute(config, ComputeWork::Units(vec![(name, source)])) {
                     Ok(report) => report_reply(report),
                     Err(e) => reply(self.compute_error_line(&id, &e)),
                 }
@@ -579,7 +503,6 @@ impl Server {
                     Ok(config) => config,
                     Err(message) => return (op, reply(protocol::error_line(&id, &message))),
                 };
-                let key = shard::kernels_route_key(kernel.as_deref(), &config);
                 let work = match kernel {
                     None => ComputeWork::KernelSuite,
                     Some(name) => {
@@ -600,7 +523,7 @@ impl Server {
                         ComputeWork::Units(vec![(name.clone(), kernel.source().to_owned())])
                     }
                 };
-                match self.execute(key, config, work) {
+                match self.execute(config, work) {
                     Ok(report) => report_reply(report),
                     Err(e) => reply(self.compute_error_line(&id, &e)),
                 }
@@ -608,7 +531,8 @@ impl Server {
             Request::Stats => {
                 // Cache counters first (their layout is load-bearing
                 // for scripted clients), then the service fields.
-                let Json::Obj(mut fields) = protocol::stats_json(&self.cache_stats()) else {
+                let Json::Obj(mut fields) = protocol::stats_json(&self.pipeline.cache_stats())
+                else {
                     unreachable!("stats_json returns an object")
                 };
                 fields.extend(self.metrics.stats_fields());
@@ -618,17 +542,14 @@ impl Server {
                 ))
             }
             Request::Metrics => {
-                let shards = (self.shards.len() > 1).then(|| self.shards_json());
-                let payload = self.metrics.payload(&self.cache_stats(), shards);
+                let payload = self.metrics.payload(&self.pipeline.cache_stats());
                 reply(protocol::payload_line(
                     &id,
                     vec![("metrics".to_owned(), payload)],
                 ))
             }
             Request::ClearCache => {
-                for shard in self.shards.shards() {
-                    shard.pipeline.clear_cache();
-                }
+                self.pipeline.clear_cache();
                 reply(protocol::ack_line(&id, "cleared"))
             }
             Request::SaveCache { path } => {
@@ -646,7 +567,7 @@ impl Server {
                         )
                     }
                 };
-                match self.save_cache_merged(&target) {
+                match self.pipeline.save_cache(&target) {
                     Ok(report) => reply(protocol::saved_line(&id, &target, &report)),
                     Err(error) => reply(protocol::error_line(&id, &error.to_string())),
                 }
@@ -725,7 +646,7 @@ impl Server {
     }
 
     /// Accepts connections on `listener` and serves each on its own
-    /// scoped thread against the shard set, until any client sends
+    /// scoped thread against the shared pipeline, until any client sends
     /// `shutdown`.
     ///
     /// Operational bounds ([`ServeOptions`]) are enforced here: at most
@@ -905,6 +826,19 @@ impl Server {
     }
 }
 
+/// The message a caught panic carried (`panic!` payloads are a `&str`
+/// or a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match (
+        payload.downcast_ref::<&str>(),
+        payload.downcast_ref::<String>(),
+    ) {
+        (Some(message), _) => (*message).to_owned(),
+        (_, Some(message)) => message.clone(),
+        _ => "panic with a non-text payload".to_owned(),
+    }
+}
+
 /// The op name a decoded request is accounted under.
 fn op_label(request: &Request) -> &'static str {
     match request {
@@ -1042,8 +976,8 @@ mod tests {
         let deadlines = metrics.get("deadlines").expect("deadline counters");
         assert_eq!(deadlines.get("read").and_then(Json::as_u64), Some(0));
         assert_eq!(deadlines.get("compute").and_then(Json::as_u64), Some(0));
-        // A single-shard server reports no per-shard breakdown.
-        assert!(metrics.get("shards").is_none());
+        let errors = metrics.get("errors").expect("error counters");
+        assert_eq!(errors.get("internal").and_then(Json::as_u64), Some(0));
 
         let cache = metrics.get("cache").expect("cache rates");
         assert!(cache.get("hit_rate").is_some());
@@ -1051,43 +985,6 @@ mod tests {
             cache.get("allocation_hits").and_then(Json::as_u64).unwrap() > 0,
             "second identical compile hits the warm cache"
         );
-    }
-
-    #[test]
-    fn sharded_metrics_report_per_shard_breakdown() {
-        let server = Server::with_options(
-            PipelineConfig::new(AguSpec::new(4, 1).unwrap()),
-            ServeOptions {
-                shards: 3,
-                ..ServeOptions::default()
-            },
-        );
-        let compile =
-            r#"{"op":"compile","source":"for (i = 0; i < 8; i++) { y[i] = x[i] + x[i+1]; }"}"#;
-        let first = parsed(&server.handle_line(compile));
-        assert_eq!(first.get("ok"), Some(&Json::Bool(true)));
-        server.handle_line(compile);
-        let json = parsed(&server.handle_line(r#"{"op":"metrics"}"#));
-        let metrics = json.get("metrics").expect("metrics payload");
-        let Some(Json::Arr(shards)) = metrics.get("shards") else {
-            panic!("sharded server reports a shards array: {json:?}");
-        };
-        assert_eq!(shards.len(), 3);
-        let executed: u64 = shards
-            .iter()
-            .map(|s| s.get("requests").and_then(Json::as_u64).unwrap())
-            .sum();
-        assert_eq!(executed, 2, "both compiles executed on some shard");
-        // Consistent routing: the identical source hit exactly one shard.
-        let busy: Vec<u64> = shards
-            .iter()
-            .map(|s| s.get("requests").and_then(Json::as_u64).unwrap())
-            .filter(|&n| n > 0)
-            .collect();
-        assert_eq!(busy, vec![2], "one shard took both identical compiles");
-        // And the aggregate cache saw the second compile hit.
-        let cache = metrics.get("cache").expect("aggregate cache");
-        assert!(cache.get("allocation_hits").and_then(Json::as_u64).unwrap() > 0);
     }
 
     #[test]
@@ -1226,60 +1123,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_compiles_match_single_shard_reports() {
-        let config = PipelineConfig::new(AguSpec::new(4, 1).unwrap());
-        let single = Server::new(config.clone());
-        let sharded = Server::with_options(
-            config,
-            ServeOptions {
-                shards: 4,
-                ..ServeOptions::default()
-            },
-        );
-        let request = r#"{"id":1,"op":"compile","source":"for (i = 0; i < 32; i++) { y[i] = x[i-2] + x[i] + x[i+2]; }"}"#;
-        let strip = |json: Json| {
-            let Json::Obj(fields) = json else {
-                panic!("object")
-            };
-            Json::Obj(
-                fields
-                    .into_iter()
-                    .filter(|(k, _)| k != "elapsed_us")
-                    .map(|(k, v)| {
-                        if k == "report" {
-                            let Json::Obj(inner) = v else {
-                                panic!("report")
-                            };
-                            (
-                                k,
-                                Json::Obj(
-                                    inner
-                                        .into_iter()
-                                        .filter(|(k, _)| {
-                                            !matches!(
-                                                k.as_str(),
-                                                "elapsed_us"
-                                                    | "loops_per_second"
-                                                    | "cache"
-                                                    | "threads"
-                                            )
-                                        })
-                                        .collect(),
-                                ),
-                            )
-                        } else {
-                            (k, v)
-                        }
-                    })
-                    .collect(),
-            )
-        };
-        let a = strip(parsed(&single.handle_line(request)));
-        let b = strip(parsed(&sharded.handle_line(request)));
-        assert_eq!(a, b, "routing must not change compile results");
-    }
-
-    #[test]
     fn compute_deadline_returns_named_error_and_keeps_serving() {
         let server = Server::with_options(
             PipelineConfig::new(AguSpec::new(4, 1).unwrap()),
@@ -1308,6 +1151,185 @@ mod tests {
             .and_then(|m| m.get("deadlines"))
             .expect("deadline counters");
         assert!(deadlines.get("compute").and_then(Json::as_u64).unwrap() >= 1);
+    }
+
+    /// A four-loop unit whose loops each cost a cold allocation.
+    const MULTI_LOOP: &str = concat!(
+        r#""source":"for (i = 0; i < 64; i++) { y[i] = x[i-3] + x[i] + x[i+2] + x[i+7] + x[i+11]; } "#,
+        r#"for (j = 0; j < 64; j++) { z[j] = w[j-5] + w[j+1] + w[j+4] + w[j+9] + w[j+13]; } "#,
+        r#"for (k = 0; k < 64; k++) { y[k] = v[k-6] + v[k-1] + v[k+3] + v[k+8] + v[k+12]; } "#,
+        r#"for (n = 0; n < 64; n++) { z[n] = u[n-7] + u[n-2] + u[n+5] + u[n+6] + u[n+10]; }""#,
+    );
+
+    /// The rendered `report.units` of a reply (the part that must not
+    /// depend on timing or on what the cache already held).
+    fn units(reply: &Json) -> String {
+        reply
+            .get("report")
+            .and_then(|r| r.get("units"))
+            .unwrap_or_else(|| panic!("a report: {reply:?}"))
+            .render()
+    }
+
+    #[test]
+    fn compute_deadline_mid_batch_leaves_the_cache_sound() {
+        let mut config = PipelineConfig::new(AguSpec::new(4, 1).unwrap());
+        config.parallelism = raco_driver::Parallelism::Sequential;
+        let request = format!(r#"{{"op":"compile",{MULTI_LOOP}}}"#);
+        let reference = units(&parsed(&Server::new(config.clone()).handle_line(&request)));
+        // Grow the budget by a quarter until the compile fits in it, so
+        // some budget lands between two loop starts. Every budget
+        // that expires leaves whatever its finished loops cached; the
+        // same request without a deadline must still answer exactly
+        // what a fresh server does.
+        let (mut deadlines, mut partial) = (0, 0);
+        let mut budget = Duration::from_micros(1);
+        loop {
+            let mut server = Server::with_options(
+                config.clone(),
+                ServeOptions {
+                    compute_deadline: Some(budget),
+                    ..ServeOptions::default()
+                },
+            );
+            let reply = parsed(&server.handle_line(&request));
+            if reply.get("ok") == Some(&Json::Bool(true)) {
+                assert_eq!(units(&reply), reference);
+                break;
+            }
+            assert_eq!(
+                reply.get("error_kind").and_then(Json::as_str),
+                Some("compute_deadline"),
+                "{reply:?}"
+            );
+            deadlines += 1;
+            let stats = server.pipeline().cache_stats();
+            if stats.allocation_entries > 0 {
+                partial += 1;
+            }
+            server.options.compute_deadline = None;
+            let retry = parsed(&server.handle_line(&request));
+            assert_eq!(units(&retry), reference, "budget {budget:?}");
+            budget = budget * 5 / 4;
+            assert!(budget < Duration::from_secs(60), "the compile never fit");
+        }
+        assert!(deadlines > 0, "a 1 µs budget cannot fit four cold loops");
+        assert!(partial > 0, "some budget expired between loops");
+    }
+
+    #[test]
+    fn a_compile_past_the_in_flight_bound_is_shed_and_counted() {
+        let server = Server::with_options(
+            PipelineConfig::new(AguSpec::new(4, 1).unwrap()),
+            ServeOptions {
+                queue_depth: 1,
+                ..ServeOptions::default()
+            },
+        );
+        let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+        *server.fault.lock().unwrap() = Some(Fault::Hold(barrier.clone()));
+        let compile =
+            r#"{"id":1,"op":"compile","source":"for (i = 0; i < 8; i++) { s += x[i]; }"}"#;
+        let (first, shed, pong) = std::thread::scope(|scope| {
+            let held = scope.spawn(|| parsed(&server.handle_line(compile)));
+            // The first compile is now in flight and holds the one slot.
+            barrier.wait();
+            let shed = parsed(&server.handle_line(
+                r#"{"id":2,"op":"compile","source":"for (i = 0; i < 8; i++) { s += x[i]; }"}"#,
+            ));
+            let pong = parsed(&server.handle_line(r#"{"op":"ping"}"#));
+            barrier.wait();
+            (held.join().expect("held compile"), shed, pong)
+        });
+        assert_eq!(first.get("ok"), Some(&Json::Bool(true)), "{first:?}");
+        assert_eq!(shed.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(shed.get("error_kind").and_then(Json::as_str), Some("shed"));
+        assert_eq!(shed.get("id").and_then(Json::as_u64), Some(2));
+        // Only compiles count against the bound.
+        assert_eq!(pong.get("ok"), Some(&Json::Bool(true)));
+        let metrics = parsed(&server.handle_line(r#"{"op":"metrics"}"#));
+        let shed = metrics
+            .get("metrics")
+            .and_then(|m| m.get("shed"))
+            .expect("shed counters");
+        assert_eq!(shed.get("queue").and_then(Json::as_u64), Some(1));
+        // The slot is free again.
+        let again = parsed(&server.handle_line(compile));
+        assert_eq!(again.get("ok"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn a_panicking_compile_costs_one_internal_reply() {
+        let snap =
+            std::env::temp_dir().join(format!("raco-serve-panic-{}.snap", std::process::id()));
+        std::fs::remove_file(&snap).ok();
+        let server = server().with_cache_save_path(&snap);
+        *server.fault.lock().unwrap() = Some(Fault::Panic);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+        let addr = listener.local_addr().unwrap();
+        let compile = |id: u64| {
+            format!(
+                r#"{{"id":{id},"op":"compile","source":"for (i = 0; i < 8; i++) {{ y[i] = x[i] + x[i+1]; }}"}}"#
+            )
+        };
+        // One connection: the panicking compile, then a ping, the same
+        // compile again and the metrics. Replies are checked after the
+        // server has shut down, so a failed check cannot strand it.
+        let requests = [
+            compile(1),
+            r#"{"op":"ping","id":2}"#.to_owned(),
+            compile(3),
+            r#"{"op":"metrics"}"#.to_owned(),
+            r#"{"op":"shutdown"}"#.to_owned(),
+        ];
+        let (replies, served) = std::thread::scope(|scope| {
+            let handle = scope.spawn(|| server.serve_tcp(&listener));
+            let stream = TcpStream::connect(addr).expect("connect");
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let replies: Vec<Option<Json>> = requests
+                .iter()
+                .map(|line| {
+                    writeln!(writer, "{line}").ok()?;
+                    let mut reply = String::new();
+                    reader.read_line(&mut reply).ok()?;
+                    Json::parse(&reply).ok()
+                })
+                .collect();
+            if replies[4].is_none() {
+                // The connection died: stop the server from another.
+                let mut other = TcpStream::connect(addr).expect("connect");
+                writeln!(other, r#"{{"op":"shutdown"}}"#).unwrap();
+            }
+            (replies, handle.join())
+        });
+        let written = std::fs::metadata(&snap).map(|m| m.len()).unwrap_or(0);
+        std::fs::remove_file(&snap).ok();
+
+        assert!(matches!(served, Ok(Ok(()))), "serve_tcp exits cleanly");
+        let reply = |i: usize| {
+            replies[i]
+                .clone()
+                .unwrap_or_else(|| panic!("request {i} got no reply"))
+        };
+        let failed = reply(0);
+        assert_eq!(failed.get("ok"), Some(&Json::Bool(false)), "{failed:?}");
+        assert_eq!(
+            failed.get("error_kind").and_then(Json::as_str),
+            Some("internal")
+        );
+        assert_eq!(failed.get("id").and_then(Json::as_u64), Some(1));
+        // The same connection keeps serving, compiles included.
+        assert_eq!(reply(1).get("ok"), Some(&Json::Bool(true)));
+        let compiled = reply(2);
+        assert_eq!(compiled.get("ok"), Some(&Json::Bool(true)), "{compiled:?}");
+        let internal = reply(3)
+            .get("metrics")
+            .and_then(|m| m.get("errors"))
+            .and_then(|e| e.get("internal"))
+            .and_then(Json::as_u64);
+        assert_eq!(internal, Some(1));
+        assert!(written > 0, "the shutdown snapshot is still written");
     }
 
     #[test]

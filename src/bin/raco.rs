@@ -20,7 +20,8 @@
 //! -k, --registers <K>    address registers (default 4)
 //! -m, --modify <M>       auto-modify range (default 1)
 //!     --modify-regs <N>  modify registers (default 0)
-//! -j, --threads <T>      worker threads (default: all cores; 1 = sequential)
+//! -j, --threads <T>      worker threads (default: all cores; 1 = sequential;
+//!                        serve: 1, since connections supply the concurrency)
 //!     --iterations <N>   simulated iterations per loop (default 16)
 //!     --no-cache         disable the allocation cache
 //!     --no-validate      skip simulator validation
@@ -37,12 +38,14 @@
 //!     --stdio            serve stdin/stdout (the default transport)
 //!     --tcp <addr>       serve TCP connections on <addr> (e.g. 127.0.0.1:4750)
 //!     --cache-max <N>    bound the allocation cache at ~N entries (FIFO eviction)
-//!     --shards <N>       shard workers, each with its own cache (default 0 = cores)
-//!     --queue-depth <N>  queued requests per shard before shedding (default 256)
+//!     --queue-depth <N>  compiles in flight at once, across all
+//!                        connections, before shedding (default 256)
 //!     --read-deadline <ms>     reap connections with no complete request
 //!                              within <ms> (default 10000; 0 disables)
-//!     --compute-deadline <ms>  answer `compute_deadline` when a compile
-//!                              outruns <ms> (default 30000; 0 disables)
+//!     --compute-deadline <ms>  answer `compute_deadline` when <ms> pass
+//!                              before every loop of a compile has started;
+//!                              finished loops stay cached (default 30000;
+//!                              0 disables)
 //!     --max-connections <N>    refuse connections past N with `busy` (default 1024)
 //!
 //! loadgen-only (plus the serve knobs above, forwarded to the spawned server):
@@ -101,7 +104,6 @@ struct CliOptions {
     stdio: bool,
     tcp: Option<String>,
     cache_max: Option<usize>,
-    shards: Option<usize>,
     read_deadline_ms: Option<u64>,
     compute_deadline_ms: Option<u64>,
     queue_depth: Option<usize>,
@@ -140,7 +142,6 @@ impl Default for CliOptions {
             stdio: false,
             tcp: None,
             cache_max: None,
-            shards: None,
             read_deadline_ms: None,
             compute_deadline_ms: None,
             queue_depth: None,
@@ -180,7 +181,7 @@ fn usage() -> &'static str {
      \x20 -k, --registers <K>    address registers (default 4)\n\
      \x20 -m, --modify <M>       auto-modify range (default 1)\n\
      \x20     --modify-regs <N>  modify registers (default 0)\n\
-     \x20 -j, --threads <T>      worker threads (default: all cores)\n\
+     \x20 -j, --threads <T>      worker threads (default: all cores; serve: 1)\n\
      \x20     --iterations <N>   simulated iterations per loop (default 16)\n\
      \x20     --no-cache         disable the allocation cache\n\
      \x20     --no-validate      skip simulator validation\n\
@@ -197,10 +198,10 @@ fn usage() -> &'static str {
      \x20     --stdio            serve stdin/stdout (the default transport)\n\
      \x20     --tcp <addr>       serve TCP connections on <addr>\n\
      \x20     --cache-max <N>    bound the allocation cache at ~N entries\n\
-     \x20     --shards <N>       shard workers (default 0 = one per core)\n\
-     \x20     --queue-depth <N>  queued requests per shard before shedding (default 256)\n\
+     \x20     --queue-depth <N>  compiles in flight before shedding (default 256)\n\
      \x20     --read-deadline <ms>     reap slow clients (default 10000; 0 = off)\n\
-     \x20     --compute-deadline <ms>  per-compile budget (default 30000; 0 = off)\n\
+     \x20     --compute-deadline <ms>  per-compile budget, checked before each\n\
+     \x20                              loop starts (default 30000; 0 = off)\n\
      \x20     --max-connections <N>    refuse connections past N (default 1024)\n\
      \n\
      loadgen-only options (serve knobs above reach the spawned server):\n\
@@ -274,7 +275,6 @@ fn parse_options(args: Vec<String>) -> Result<CliOptions, String> {
                 options.tcp = Some(value);
             }
             "--cache-max" => options.cache_max = Some(parse_number(&arg, iter.next())?),
-            "--shards" => options.shards = Some(parse_number(&arg, iter.next())?),
             "--read-deadline" => {
                 options.read_deadline_ms = Some(parse_number(&arg, iter.next())?);
             }
@@ -386,15 +386,14 @@ fn build_pipeline(options: &CliOptions) -> Result<Pipeline, String> {
 }
 
 /// The serve tier's operational limits from the CLI flags, with the
-/// production defaults (shards = cores, 10 s read / 30 s compute
-/// deadlines; `0` disables a deadline).
+/// production defaults (10 s read / 30 s compute deadlines; `0`
+/// disables a deadline).
 fn serve_options(options: &CliOptions) -> ServeOptions {
     let deadline = |ms: Option<u64>, default_ms: u64| match ms.unwrap_or(default_ms) {
         0 => None,
         ms => Some(std::time::Duration::from_millis(ms)),
     };
     ServeOptions {
-        shards: options.shards.unwrap_or(0),
         queue_depth: options
             .queue_depth
             .unwrap_or(raco::serve::DEFAULT_QUEUE_DEPTH),
@@ -525,37 +524,18 @@ fn run() -> Result<bool, String> {
                 return Err("serve: --stdio and --tcp are mutually exclusive".to_owned());
             }
             let mut config = build_config(&options)?;
-            let serve_opts = serve_options(&options);
-            // Several shards compiling concurrently already use the
-            // machine; per-compile thread fan-out on top of that would
-            // oversubscribe it. Shards default to sequential compiles
-            // unless -j asks otherwise.
-            if options.threads.is_none() && serve_opts.shards != 1 {
+            // Connections supply the concurrency: each compile runs on
+            // its connection's thread, and fanning its loops out on top
+            // would oversubscribe the machine. -j still asks for more.
+            if options.threads.is_none() {
                 config.parallelism = Parallelism::Sequential;
             }
-            let mut server = Server::with_options(config, serve_opts);
-            if let Some(path) = &options.cache_load {
-                // Seed *every* shard from the snapshot so each boots
-                // warm on whatever slice of the keyspace it owns.
-                let reports = server.load_cache(path).map_err(|e| e.to_string())?;
-                if let Some(first) = reports.first() {
-                    for warning in &first.warnings {
-                        eprintln!("raco: cache snapshot: {warning}");
-                    }
-                    if !options.quiet {
-                        eprintln!(
-                            "raco: cache loaded from {} into {} shard(s) ({first})",
-                            path.display(),
-                            reports.len()
-                        );
-                    }
-                }
-            }
+            let mut server = Server::with_options(config, serve_options(&options));
+            warm_from_snapshot(server.pipeline(), &options)?;
             if let Some(save) = &options.cache_save {
                 // The server snapshots on graceful shutdown (and on
                 // `save_cache` requests) itself, once every connection
-                // has drained; a sharded server merges all shard caches
-                // into the snapshot.
+                // has drained.
                 server = server.with_cache_save_path(save);
             }
             if !options.quiet {
@@ -564,9 +544,8 @@ fn run() -> Result<bool, String> {
                     deadline.map_or("off".to_owned(), |d| format!("{} ms", d.as_millis()))
                 };
                 eprintln!(
-                    "raco serve: {} shard(s), queue depth {}, read deadline {}, \
+                    "raco serve: queue depth {}, read deadline {}, \
                      compute deadline {}, max {} connections",
-                    opts.shards,
                     opts.queue_depth,
                     ms(opts.read_deadline),
                     ms(opts.compute_deadline),
@@ -627,9 +606,8 @@ fn run() -> Result<bool, String> {
             }
             // Server knobs are forwarded to the spawned server (and
             // ignored when --tcp targets an external one).
-            let forward: [(&str, Option<String>); 7] = [
+            let forward: [(&str, Option<String>); 6] = [
                 ("--machine", options.machine.clone()),
-                ("--shards", options.shards.map(|n| n.to_string())),
                 (
                     "--read-deadline",
                     options.read_deadline_ms.map(|n| n.to_string()),
@@ -682,9 +660,6 @@ fn run() -> Result<bool, String> {
                 );
                 if let Some(rate) = report.aggregate_hit_rate() {
                     println!("cache    aggregate hit rate {rate:.3}");
-                }
-                for (id, requests, rate) in report.shard_summary() {
-                    println!("shard {id}: {requests} requests, hit rate {rate:.3}");
                 }
                 println!("artifact written to {}", config.output.display());
             }

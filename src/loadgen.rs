@@ -4,17 +4,17 @@
 //! `raco serve` TCP endpoint from many concurrent connections, then
 //! writes a schema-versioned benchmark artifact (`BENCH_serve.json`)
 //! with end-to-end latency quantiles, connect+first-reply latency,
-//! throughput, error counts and the server's own per-shard cache
-//! statistics (fetched through the `metrics` op after the run).
+//! throughput, error counts and the server's own `metrics` payload
+//! (cache hit rate, shed and deadline counters), fetched after the run.
 //!
 //! The trace is what a production addressing workload looks like: a
 //! pool of distinct loop shapes sampled with a hot-head skew (a few
 //! shapes dominate, a long tail recurs occasionally), each request
 //! compiled for one of several machines (`registers`/`modify` knobs
-//! vary per request). Because the serve tier routes on the *canonical*
-//! pattern key, every repetition of a (shape, machine) pair lands on
-//! the same shard — the per-shard hit rates in the artifact are the
-//! direct evidence.
+//! vary per request). Every connection compiles against the server's
+//! one shared pipeline, so each (shape, machine) pair misses once and
+//! then hits from any connection — the aggregate hit rate in the
+//! artifact is the direct evidence.
 //!
 //! By default `loadgen` spawns its own `raco serve --tcp 127.0.0.1:0`
 //! child (the binary under test is the binary running loadgen) and
@@ -36,8 +36,9 @@ use rand::{Rng, SeedableRng};
 
 /// The artifact's schema tag (`BENCH_serve.json`).
 pub const SCHEMA: &str = "raco-bench-serve";
-/// The artifact's schema version.
-pub const SCHEMA_VERSION: u64 = 1;
+/// The artifact's schema version. Version 2 dropped the per-shard
+/// `server.shards` breakdown along with the shards themselves.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Default number of requests replayed.
 pub const DEFAULT_REQUESTS: u64 = 100_000;
@@ -75,7 +76,7 @@ pub struct LoadgenConfig {
     pub shapes: usize,
     /// Master seed: the whole trace is a pure function of it.
     pub seed: u64,
-    /// Extra CLI args for the spawned server (`--shards`, deadlines…).
+    /// Extra CLI args for the spawned server (deadlines, bounds…).
     /// Ignored when `addr` targets an external server.
     pub server_args: Vec<String>,
     /// Where the benchmark artifact goes.
@@ -151,25 +152,6 @@ impl LoadgenReport {
                 .get("cache")?
                 .get("hit_rate")?,
         )
-    }
-
-    /// `(shard id, requests, hit rate)` per shard, when the server ran
-    /// more than one.
-    pub fn shard_summary(&self) -> Vec<(u64, u64, f64)> {
-        let Some(Json::Arr(shards)) = self.server_metrics.as_ref().and_then(|m| m.get("shards"))
-        else {
-            return Vec::new();
-        };
-        shards
-            .iter()
-            .filter_map(|shard| {
-                Some((
-                    shard.get("id")?.as_u64()?,
-                    shard.get("requests")?.as_u64()?,
-                    as_f64(shard.get("hit_rate")?)?,
-                ))
-            })
-            .collect()
     }
 
     /// Renders the schema-versioned artifact.
@@ -556,8 +538,8 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
 
     report.connect = connect_probes(&addr, CONNECT_PROBES);
 
-    // Capture the server's own view (per-shard hit rates, shed and
-    // deadline counters) before tearing it down.
+    // Capture the server's own view (cache hit rate, shed and deadline
+    // counters) before tearing it down.
     if let Ok(mut client) = Client::connect(&addr) {
         if let Ok(reply) = client.request(r#"{"op":"metrics"}"#) {
             report.server_metrics = Json::parse(&reply)

@@ -211,7 +211,7 @@ fn modify_register_machines_validate_with_bounded_cost() {
 // The fixtures under `tests/fixtures/` were captured from the seed
 // (knob-configured) build: per-machine listings for three nested
 // kernels, the full kernel cost table, and the canonical-pattern
-// fingerprints the cache and shard router key on.
+// fingerprints the cache keys on.
 // ---------------------------------------------------------------------
 
 fn fixture(name: &str) -> String {
@@ -291,9 +291,8 @@ fn classic_descriptions_reproduce_seed_kernel_costs() {
 
 #[test]
 fn canonical_fingerprints_match_the_seed_capture() {
-    // The allocation cache and the serve tier's shard router both key
-    // on these fingerprints; a drift would silently invalidate every
-    // persisted snapshot and re-shard warm traffic.
+    // The allocation cache keys on these fingerprints; a drift would
+    // silently invalidate every persisted snapshot.
     let mut actual = String::new();
     for kernel in raco::kernels::suite() {
         for pattern in kernel.spec().patterns() {

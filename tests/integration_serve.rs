@@ -1,15 +1,20 @@
 //! End-to-end tests of the serve front end: golden NDJSON round-trips
 //! over the stdio loop, protocol error paths, cross-request cache
 //! reuse observed through the `stats` op, bounded-cache eviction under
-//! a sweep of distinct patterns, and a concurrent TCP session.
+//! a sweep of distinct patterns, concurrent TCP sessions, the
+//! production bounds (read/compute deadlines, the slow-loris reap, the
+//! connection cap), snapshot warm boots, and a `raco loadgen` smoke
+//! run against the real binary.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::path::PathBuf;
+use std::time::Duration;
 
 use raco::driver::json::Json;
 use raco::driver::{CachePolicy, PipelineConfig};
 use raco::ir::AguSpec;
-use raco::serve::Server;
+use raco::serve::{ServeOptions, Server};
 
 fn default_server() -> Server {
     Server::new(PipelineConfig::new(AguSpec::new(4, 1).unwrap()))
@@ -490,8 +495,6 @@ fn tcp_clients_share_one_warm_cache() {
 
 #[test]
 fn graceful_drain_closes_idle_connections_and_snapshots_the_cache() {
-    use std::io::Read;
-
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
     let addr = listener.local_addr().unwrap();
     let snap = std::env::temp_dir().join(format!("raco-serve-drain-{}.snap", std::process::id()));
@@ -862,4 +865,394 @@ fn one_connection_compiles_the_same_source_on_two_backends() {
         responses[0].get("report").and_then(|r| r.get("units")),
         responses[2].get("report").and_then(|r| r.get("units"))
     );
+}
+
+fn config() -> PipelineConfig {
+    PipelineConfig::new(AguSpec::new(4, 1).unwrap())
+}
+
+fn parsed(server: &Server, line: &str) -> Json {
+    Json::parse(&server.handle_line(line).line).expect("valid JSON reply")
+}
+
+/// A small mixed trace: every shape compiled under two machines, the
+/// whole set replayed `rounds` times.
+fn trace(rounds: usize) -> Vec<String> {
+    let shapes = [
+        "for (i = 0; i < 32; i++) { y[i] = x[i-1] + x[i] + x[i+1]; }",
+        "for (i = 0; i < 24; i++) { y[i] = x[i] + x[i+4]; }",
+        "for (i = 2; i < 40; i++) { y[i] = x[i-2] + x[i+2] + x[i+5]; }",
+        "for (i = 0; i < 16; i++) { s += x[i] * h[i]; }",
+        "for (i = 1; i < 28; i++) { y[i] = x[i-1] + x[i+6]; }",
+    ];
+    let machines = [(2u32, 1u32), (4, 2)];
+    let mut lines = Vec::new();
+    for _ in 0..rounds {
+        for source in shapes {
+            for (registers, modify) in machines {
+                lines.push(format!(
+                    "{{\"op\":\"compile\",\"source\":\"{source}\",\"registers\":{registers},\"modify\":{modify}}}"
+                ));
+            }
+        }
+    }
+    lines
+}
+
+/// `(hits, misses)` across allocation and curve caches.
+fn cache_traffic(server: &Server) -> (u64, u64) {
+    let stats = server.pipeline().cache_stats();
+    (
+        stats.allocation_hits + stats.curve_hits,
+        stats.allocation_misses + stats.curve_misses,
+    )
+}
+
+#[test]
+fn warm_replay_adds_no_misses() {
+    let server = Server::new(config());
+    for line in trace(1) {
+        assert!(ok(&parsed(&server, &line)), "{line}");
+    }
+    let (hits_warm, misses_warm) = cache_traffic(&server);
+    // Every repetition of a (shape, machine) pair hits the entry its
+    // first compile paid for, so the replay adds hits and no misses.
+    for line in trace(2) {
+        assert!(ok(&parsed(&server, &line)), "{line}");
+    }
+    let (hits, misses) = cache_traffic(&server);
+    assert_eq!(misses, misses_warm, "a warm replay must not miss");
+    assert!(hits > hits_warm, "repeated trace must hit a warm cache");
+}
+
+#[test]
+fn snapshots_boot_a_fresh_server_warm() {
+    let snap = std::env::temp_dir().join(format!("raco-serve-boot-{}.bin", std::process::id()));
+    std::fs::remove_file(&snap).ok();
+
+    let warm = Server::new(config());
+    for line in trace(1) {
+        assert!(ok(&parsed(&warm, &line)));
+    }
+    let saved = parsed(
+        &warm,
+        &format!("{{\"op\":\"save_cache\",\"path\":\"{}\"}}", snap.display()),
+    );
+    assert!(ok(&saved), "{saved:?}");
+
+    // A fresh server loaded from the snapshot serves the whole first
+    // replay from its cache.
+    let reborn = Server::new(config());
+    reborn.pipeline().load_cache(&snap).expect("snapshot loads");
+    std::fs::remove_file(&snap).ok();
+    for line in trace(1) {
+        assert!(ok(&parsed(&reborn, &line)));
+    }
+    let stats = reborn.pipeline().cache_stats();
+    assert_eq!(stats.allocation_misses, 0, "booted warm: {stats:?}");
+    assert!(stats.allocation_hits > 0);
+}
+
+#[test]
+fn compute_deadline_errors_by_name_and_the_connection_survives() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server = Server::with_options(
+        config(),
+        ServeOptions {
+            compute_deadline: Some(Duration::from_nanos(1)),
+            ..ServeOptions::default()
+        },
+    );
+
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve_tcp(&listener));
+
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+
+        // A 1 ns budget cannot cover a cold compile: a *named* error
+        // comes back instead of a dead connection.
+        writeln!(
+            writer,
+            r#"{{"id":1,"op":"compile","source":"for (i = 0; i < 48; i++) {{ y[i] = x[i-3] + x[i] + x[i+3]; }}"}}"#
+        )
+        .unwrap();
+        reader.read_line(&mut reply).expect("deadline reply");
+        let json = Json::parse(&reply).expect("valid JSON");
+        assert_eq!(json.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(
+            json.get("error_kind").and_then(Json::as_str),
+            Some("compute_deadline")
+        );
+
+        // Same connection keeps serving…
+        writeln!(writer, r#"{{"op":"ping","id":2}}"#).unwrap();
+        reply.clear();
+        reader.read_line(&mut reply).expect("ping reply");
+        assert!(reply.contains(r#""pong":true"#), "{reply}");
+
+        // …and metrics counted the deadline hit.
+        writeln!(writer, r#"{{"op":"metrics"}}"#).unwrap();
+        reply.clear();
+        reader.read_line(&mut reply).expect("metrics reply");
+        let metrics = Json::parse(&reply).unwrap();
+        let compute = metrics
+            .get("metrics")
+            .and_then(|m| m.get("deadlines"))
+            .and_then(|d| d.get("compute"))
+            .and_then(Json::as_u64)
+            .expect("deadline counter");
+        assert!(compute >= 1);
+
+        writeln!(writer, r#"{{"op":"shutdown"}}"#).unwrap();
+        reply.clear();
+        reader.read_line(&mut reply).expect("shutdown ack");
+        handle.join().expect("server thread").expect("clean exit");
+    });
+}
+
+#[test]
+fn slow_loris_is_reaped_while_live_clients_keep_being_served() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server = Server::with_options(
+        config(),
+        ServeOptions {
+            read_deadline: Some(Duration::from_millis(300)),
+            ..ServeOptions::default()
+        },
+    );
+
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve_tcp(&listener));
+
+        // The attacker: sends half a request line and then nothing,
+        // forever. Before the read deadline this pinned a connection
+        // thread until process exit.
+        let loris = TcpStream::connect(addr).expect("connect");
+        let mut loris_writer = loris.try_clone().unwrap();
+        loris_writer.write_all(br#"{"op":"comp"#).unwrap();
+        loris_writer.flush().unwrap();
+
+        // Meanwhile a healthy client mixes pings with an oversized
+        // frame — the adversarial mix must cost it nothing.
+        let healthy = TcpStream::connect(addr).expect("connect");
+        let mut healthy_writer = healthy.try_clone().unwrap();
+        let mut healthy_reader = BufReader::new(healthy);
+        let mut reply = String::new();
+        for round in 0..4 {
+            if round == 2 {
+                let oversized = format!("{}\n", "x".repeat(raco::serve::MAX_REQUEST_LINE + 16));
+                healthy_writer.write_all(oversized.as_bytes()).unwrap();
+                reply.clear();
+                healthy_reader
+                    .read_line(&mut reply)
+                    .expect("oversize reply");
+                assert!(reply.contains(r#""ok":false"#), "{reply}");
+            }
+            writeln!(healthy_writer, r#"{{"op":"ping","id":{round}}}"#).unwrap();
+            reply.clear();
+            healthy_reader.read_line(&mut reply).expect("ping reply");
+            assert!(reply.contains(r#""pong":true"#), "{reply}");
+            std::thread::sleep(Duration::from_millis(150));
+        }
+
+        // By now (~600 ms > 300 ms deadline) the loris got a named
+        // error and a close — the thread it pinned is reclaimed.
+        let mut loris_reader = BufReader::new(loris);
+        let mut last_words = String::new();
+        loris_reader
+            .read_to_string(&mut last_words)
+            .expect("loris connection closed cleanly");
+        assert!(
+            last_words.contains(r#""error_kind":"read_deadline""#),
+            "loris must be told why: {last_words:?}"
+        );
+
+        // The reap is visible in metrics, and the healthy client still
+        // gets answers afterwards.
+        writeln!(healthy_writer, r#"{{"op":"metrics"}}"#).unwrap();
+        reply.clear();
+        healthy_reader.read_line(&mut reply).expect("metrics reply");
+        let metrics = Json::parse(&reply).unwrap();
+        let reaped = metrics
+            .get("metrics")
+            .and_then(|m| m.get("deadlines"))
+            .and_then(|d| d.get("read"))
+            .and_then(Json::as_u64)
+            .expect("read deadline counter");
+        assert!(reaped >= 1, "{metrics:?}");
+
+        writeln!(healthy_writer, r#"{{"op":"shutdown"}}"#).unwrap();
+        reply.clear();
+        healthy_reader.read_line(&mut reply).expect("shutdown ack");
+        handle.join().expect("server thread").expect("clean exit");
+    });
+}
+
+#[test]
+fn dribbled_requests_within_the_deadline_still_parse() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server = Server::with_options(
+        config(),
+        ServeOptions {
+            read_deadline: Some(Duration::from_secs(5)),
+            ..ServeOptions::default()
+        },
+    );
+
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve_tcp(&listener));
+
+        // A congested-but-honest client: the frame arrives in 8-byte
+        // pieces with pauses, completing well inside the deadline.
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let framed =
+            "{\"id\":7,\"op\":\"compile\",\"source\":\"for (i = 0; i < 8; i++) { s += x[i]; }\"}\n";
+        for piece in framed.as_bytes().chunks(8) {
+            writer.write_all(piece).unwrap();
+            writer.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        let json = Json::parse(&reply).expect("valid JSON");
+        assert!(ok(&json), "{reply}");
+        assert_eq!(json.get("id").and_then(Json::as_u64), Some(7));
+
+        writeln!(writer, r#"{{"op":"shutdown"}}"#).unwrap();
+        reply.clear();
+        reader.read_line(&mut reply).expect("shutdown ack");
+        handle.join().expect("server thread").expect("clean exit");
+    });
+}
+
+#[test]
+fn over_limit_connections_get_busy_and_a_clean_close() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server = Server::with_options(
+        config(),
+        ServeOptions {
+            max_connections: 1,
+            ..ServeOptions::default()
+        },
+    );
+
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve_tcp(&listener));
+
+        // The one allowed client, with a round trip to make sure its
+        // accept has been processed.
+        let first = TcpStream::connect(addr).expect("connect");
+        let mut first_writer = first.try_clone().unwrap();
+        let mut first_reader = BufReader::new(first);
+        let mut reply = String::new();
+        writeln!(first_writer, r#"{{"op":"ping","id":1}}"#).unwrap();
+        first_reader.read_line(&mut reply).expect("ping reply");
+        assert!(reply.contains(r#""pong":true"#));
+
+        // One past the cap: an `ok:false` busy response, then EOF.
+        let refused = TcpStream::connect(addr).expect("connect");
+        let mut refused_reader = BufReader::new(refused);
+        let mut last_words = String::new();
+        refused_reader
+            .read_to_string(&mut last_words)
+            .expect("refused connection closes cleanly");
+        assert!(
+            last_words.contains(r#""error_kind":"busy""#),
+            "refused client must be told why: {last_words:?}"
+        );
+
+        // The in-limit client is unaffected, and the shed shows up in
+        // its metrics.
+        writeln!(first_writer, r#"{{"op":"metrics"}}"#).unwrap();
+        reply.clear();
+        first_reader.read_line(&mut reply).expect("metrics reply");
+        let metrics = Json::parse(&reply).unwrap();
+        let shed = metrics
+            .get("metrics")
+            .and_then(|m| m.get("shed"))
+            .and_then(|s| s.get("connections"))
+            .and_then(Json::as_u64)
+            .expect("shed connection counter");
+        assert!(shed >= 1);
+
+        writeln!(first_writer, r#"{{"op":"shutdown"}}"#).unwrap();
+        reply.clear();
+        first_reader.read_line(&mut reply).expect("shutdown ack");
+        handle.join().expect("server thread").expect("clean exit");
+    });
+}
+
+#[test]
+fn loadgen_smoke_produces_a_schema_versioned_artifact() {
+    let artifact =
+        std::env::temp_dir().join(format!("raco-loadgen-smoke-{}.json", std::process::id()));
+    std::fs::remove_file(&artifact).ok();
+    let status = std::process::Command::new(PathBuf::from(env!("CARGO_BIN_EXE_raco")))
+        .args([
+            "loadgen",
+            "--requests",
+            "200",
+            "--connections",
+            "2",
+            "--shapes",
+            "8",
+            "--seed",
+            "11",
+            "--quiet",
+            "-o",
+        ])
+        .arg(&artifact)
+        .status()
+        .expect("run raco loadgen");
+    assert!(status.success(), "loadgen exit: {status:?}");
+
+    let json = Json::parse(&std::fs::read_to_string(&artifact).expect("artifact written"))
+        .expect("artifact is valid JSON");
+    std::fs::remove_file(&artifact).ok();
+    assert_eq!(
+        json.get("schema").and_then(Json::as_str),
+        Some(raco::loadgen::SCHEMA)
+    );
+    assert_eq!(
+        json.get("version").and_then(Json::as_u64),
+        Some(raco::loadgen::SCHEMA_VERSION)
+    );
+    assert_eq!(json.get("requests").and_then(Json::as_u64), Some(200));
+    let errors = json.get("errors").expect("errors object");
+    assert_eq!(
+        errors.get("transport").and_then(Json::as_u64),
+        Some(0),
+        "no connection deaths under load: {errors:?}"
+    );
+    assert_eq!(errors.get("rejected").and_then(Json::as_u64), Some(0));
+    assert!(
+        json.get("latency_us")
+            .and_then(|l| l.get("p99_us"))
+            .is_some(),
+        "latency quantiles present"
+    );
+    // The spawned server's own metrics counted every request (plus the
+    // connect probes' pings) and served the repeats from its cache.
+    let server = json.get("server").expect("server metrics captured");
+    let compiles = server
+        .get("requests")
+        .and_then(|r| r.get("by_op"))
+        .and_then(|o| o.get("compile"))
+        .and_then(Json::as_u64);
+    assert_eq!(compiles, Some(200), "every request compiled: {server:?}");
+    let hit_rate = match server.get("cache").and_then(|c| c.get("hit_rate")) {
+        Some(Json::Num(rate)) => *rate,
+        other => panic!("aggregate hit rate expected, got {other:?}"),
+    };
+    assert!(hit_rate > 0.5, "repeats hit the shared cache: {hit_rate}");
+    assert!(server.get("shards").is_none(), "no per-shard breakdown");
 }
