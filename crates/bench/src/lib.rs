@@ -16,6 +16,10 @@
 //! Each binary prints a Markdown table and writes a CSV next to the build
 //! tree (`target/experiments/`). All randomness is seeded; re-running
 //! reproduces identical tables.
+//!
+//! [`trajectory`] is the recorder behind `raco bench-trajectory`: it runs
+//! the repository benchmark (`perfbench`, the only timer) and appends one
+//! point to the committed `BENCH_pipeline.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

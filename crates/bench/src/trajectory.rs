@@ -1,194 +1,231 @@
-//! The `raco bench-trajectory` suite: a small, versioned pipeline
-//! benchmark whose JSON output (`BENCH_pipeline.json`, committed at the
-//! repository root) is refreshed per change, so the performance
-//! trajectory of the pipeline is tracked in-repo alongside the code.
+//! The `raco bench-trajectory` recorder: appends one point of the
+//! repository benchmark's results to the committed trajectory file
+//! (`BENCH_pipeline.json`), so the pipeline's performance history is
+//! tracked in-repo alongside the code.
 //!
-//! The suite is hand-timed (no criterion — that is a dev-dependency of
-//! the bench binaries only) and deliberately tiny: a cold compile, a
-//! warm cache-hit compile, a warm serve round trip, and the deduplicated
-//! vs. undeduplicated whole-loop allocation pair that documents the
-//! `best_phase2` reuse win.
+//! The recorder times nothing itself. For every workload listed in
+//! `BENCHMARK.json` it runs `perfbench` — the one, drift-calibrated,
+//! output-checked timer — as
+//! `python3 perfbench/run.py --workload <w> --seed 1 --seconds <s> --trace 0`,
+//! and records the calibrated metrics of its last stdout line and the
+//! values of its `raw {…}` line. Run it from the repository root.
+//!
+//! The file holds one point per line, so an append leaves every earlier
+//! byte in place:
+//!
+//! ```text
+//! {"schema":"raco-bench-trajectory","version":2,"points":[
+//! {"label":"…","commit":"…","seconds":20,"workloads":{"batch_cold":{…},…}},
+//! {"label":"…",…}
+//! ]}
+//! ```
 
-use std::path::PathBuf;
-use std::time::Instant;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
-use raco_core::{partition, Optimizer};
 use raco_driver::json::Json;
-use raco_driver::{Pipeline, PipelineConfig};
-use raco_ir::{dsl, AguSpec, LoopSpec};
-use raco_serve::Server;
 
-/// Schema identifier stamped into every trajectory file.
-pub const SCHEMA: &str = "raco-bench-trajectory";
+const SCHEMA: &str = "raco-bench-trajectory";
+const VERSION: u64 = 2;
+const FILE_NAME: &str = "BENCH_pipeline.json";
+const BENCHMARK_FILE: &str = "BENCHMARK.json";
+const RUNNER: &str = "perfbench/run.py";
+/// Seconds per workload with `--quick`.
+const QUICK_SECONDS: u64 = 3;
+/// Every recorded run uses the same workload seed, so points compare.
+const SEED: u64 = 1;
 
-/// Schema version stamped into every trajectory file.
-pub const VERSION: u64 = 1;
-
-/// File name of the committed trajectory report.
-pub const FILE_NAME: &str = "BENCH_pipeline.json";
-
-/// A three-tap stencil: the canonical warm-path workload.
-const FIR_SOURCE: &str = "for (i = 1; i < 64; i++) { y[i] = x[i-1] + x[i] + x[i+1]; }";
-
-/// A two-array loop on a modify-register machine: the workload where
-/// `allocate_loop` used to re-run `best_phase2` at the granted register
-/// count after `cost_curve` had already swept it.
-const LOOP_SOURCE: &str =
-    "for (i = 2; i < 64; i++) { y[i] = x[i-2] + x[i] + x[i+3] + y[i-1] + y[i-2]; }";
-
-/// One measured benchmark: the median per-operation latency over
-/// `samples` timed repetitions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchSample {
-    /// Benchmark name (stable across versions of the trajectory file).
-    pub name: &'static str,
-    /// Unit of `value` (always microseconds today).
-    pub unit: &'static str,
-    /// Median per-operation latency.
-    pub value: f64,
-    /// Number of timed repetitions behind the median.
-    pub samples: usize,
-}
-
-/// Times `inner` iterations of `f` per sample, `samples` times, and
-/// returns the median per-operation latency in microseconds.
-fn median_us(samples: usize, inner: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..inner {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / inner as f64 / 1000.0
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-fn machine() -> AguSpec {
-    AguSpec::new(4, 1).expect("valid machine")
-}
-
-fn loop_spec() -> LoopSpec {
-    let mut specs = dsl::parse_program(LOOP_SOURCE).expect("benchmark source parses");
-    specs.remove(0)
-}
-
-/// Runs the whole suite. `quick` cuts sample counts for CI smoke runs;
-/// the measured medians are noisier but the schema and bench set are
-/// identical.
-pub fn run(quick: bool) -> Vec<BenchSample> {
-    let (samples, inner) = if quick { (5, 4) } else { (20, 16) };
-    let mut results = Vec::new();
-
-    // Cold compile: a fresh pipeline (empty cache) per operation.
-    let cold_samples = if quick { 3 } else { 10 };
-    results.push(BenchSample {
-        name: "pipeline_cold",
-        unit: "us",
-        value: median_us(cold_samples, 1, || {
-            let pipeline = Pipeline::new(machine());
-            pipeline
-                .compile_str("bench", FIR_SOURCE)
-                .expect("benchmark source compiles");
-        }),
-        samples: cold_samples,
-    });
-
-    // Warm compile: every allocation is a cache hit; this is the bench
-    // the instrumentation-overhead budget (≤ 2 %) is judged on.
-    let warm = Pipeline::new(machine());
-    warm.compile_str("bench", FIR_SOURCE).expect("warms");
-    results.push(BenchSample {
-        name: "pipeline_warm",
-        unit: "us",
-        value: median_us(samples, inner, || {
-            warm.compile_str("bench", FIR_SOURCE).expect("warm compile");
-        }),
-        samples,
-    });
-
-    // Warm serve round trip: request parse + warm compile + response
-    // rendering through the loopback `handle_line`.
-    let server = Server::new(PipelineConfig::new(machine()));
-    let request = format!(r#"{{"op":"compile","source":"{FIR_SOURCE}"}}"#);
-    server.handle_line(&request);
-    results.push(BenchSample {
-        name: "serve_warm_compile",
-        unit: "us",
-        value: median_us(samples, inner, || {
-            server.handle_line(&request);
-        }),
-        samples,
-    });
-
-    // The dedup pair: whole-loop allocation on a modify-register
-    // machine, after (reuse the cost-curve sweep's phase-2 reports) vs.
-    // before (re-run best_phase2 at the granted register count).
-    let optimizer = Optimizer::new(machine().with_modify_registers(2));
-    let spec = loop_spec();
-    results.push(BenchSample {
-        name: "alloc_loop_dedup",
-        unit: "us",
-        value: median_us(samples, inner, || {
-            optimizer.allocate_loop(&spec).expect("loop allocates");
-        }),
-        samples,
-    });
-    results.push(BenchSample {
-        name: "alloc_loop_undeduped",
-        unit: "us",
-        value: median_us(samples, inner, || {
-            undeduped_allocate_loop(&optimizer, &spec);
-        }),
-        samples,
-    });
-
-    results
-}
-
-/// The pre-dedup `allocate_loop` shape: sweep a full cost curve per
-/// pattern, partition registers across arrays, then allocate each array
-/// from scratch at its granted count — running phase 1 and the phase-2
-/// modify-register sweep a second time per pattern.
-fn undeduped_allocate_loop(optimizer: &Optimizer, spec: &LoopSpec) {
-    let k = optimizer.agu().address_registers();
-    let patterns = spec.patterns();
-    let curves: Vec<Vec<u32>> = patterns
+/// The workload names and `run_seconds` of a `BENCHMARK.json`.
+fn declared_workloads(text: &str) -> Result<(Vec<String>, u64), String> {
+    let json = Json::parse(text).map_err(|e| e.to_string())?;
+    let run_seconds = json
+        .get("run_seconds")
+        .and_then(Json::as_u64)
+        .ok_or("no `run_seconds`")?;
+    let Some(Json::Arr(workloads)) = json.get("workloads") else {
+        return Err("no `workloads` array".to_owned());
+    };
+    let names = workloads
         .iter()
-        .map(|p| optimizer.cost_curve(p, k))
-        .collect();
-    let assignment = partition::distribute_registers(&curves, k).expect("arity fits");
-    for (pattern, &granted) in patterns.iter().zip(&assignment) {
-        optimizer.allocate_with_registers(pattern, granted);
+        .map(|w| w.get("name").and_then(Json::as_str).map(str::to_owned))
+        .collect::<Option<Vec<_>>>()
+        .ok_or("a workload has no `name`")?;
+    Ok((names, run_seconds))
+}
+
+/// Turns one perfbench run's stdout into a point's workload entry:
+/// `correct`, `attempted`, `failed`, the calibrated `metrics` of the
+/// last line as printed, and `raw`, each metric's value from the
+/// `raw {…}` line. Rejects a run that reports `correct:false` or a
+/// failed op, and a stdout without a final JSON line or a `raw` line.
+fn parse_run(stdout: &str) -> Result<Json, String> {
+    let last = stdout
+        .lines()
+        .rev()
+        .find(|line| !line.trim().is_empty())
+        .ok_or("no output")?;
+    let result = Json::parse(last).map_err(|e| format!("last line is not the JSON result: {e}"))?;
+    let correct = result.get("correct").and_then(Json::as_bool);
+    let attempted = result.get("attempted").and_then(Json::as_u64);
+    let failed = result.get("failed").and_then(Json::as_u64);
+    let (Some(correct), Some(attempted), Some(failed), Some(metrics @ Json::Obj(_))) =
+        (correct, attempted, failed, result.get("metrics"))
+    else {
+        return Err(format!("incomplete result: {last}"));
+    };
+    if !correct {
+        return Err("an output check failed (correct:false)".to_owned());
+    }
+    if failed > 0 {
+        return Err(format!("{failed} of {attempted} ops failed"));
+    }
+    let raw_line = stdout
+        .lines()
+        .find_map(|line| line.strip_prefix("raw "))
+        .ok_or("no `raw {…}` line")?;
+    let Ok(Json::Obj(raw_metrics)) = Json::parse(raw_line) else {
+        return Err(format!("`raw` line is not a JSON object: {raw_line}"));
+    };
+    let raw = raw_metrics
+        .into_iter()
+        .map(|(name, metric)| match metric.get("value") {
+            Some(value @ (Json::Int(_) | Json::UInt(_) | Json::Num(_))) => {
+                Ok((name, value.clone()))
+            }
+            _ => Err(format!("`raw` metric `{name}` has no numeric value")),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Json::Obj(vec![
+        ("correct".to_owned(), Json::Bool(correct)),
+        ("attempted".to_owned(), Json::UInt(attempted)),
+        ("failed".to_owned(), Json::UInt(failed)),
+        ("metrics".to_owned(), metrics.clone()),
+        ("raw".to_owned(), Json::Obj(raw)),
+    ]))
+}
+
+/// One point: `label`, the `commit` it was recorded at (`null` outside
+/// a git checkout), the `seconds` each workload ran, and each
+/// workload's entry from [`parse_run`].
+fn point(label: &str, commit: Option<&str>, seconds: u64, workloads: Vec<(String, Json)>) -> Json {
+    Json::Obj(vec![
+        ("label".to_owned(), Json::str(label)),
+        ("commit".to_owned(), commit.map_or(Json::Null, Json::str)),
+        ("seconds".to_owned(), Json::UInt(seconds)),
+        ("workloads".to_owned(), Json::Obj(workloads)),
+    ])
+}
+
+/// Checks that `text` is a trajectory file of this schema and version
+/// whose last field is the `points` array, and returns its text up to
+/// that array's closing `]`, trailing whitespace trimmed.
+fn points_head(text: &str) -> Result<&str, String> {
+    let Json::Obj(fields) = Json::parse(text).map_err(|e| e.to_string())? else {
+        return Err("not a JSON object".to_owned());
+    };
+    let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    let schema = field("schema").and_then(Json::as_str);
+    let version = field("version").and_then(Json::as_u64);
+    if schema != Some(SCHEMA) || version != Some(VERSION) {
+        return Err(format!(
+            "not a {SCHEMA} version {VERSION} file (schema {schema:?}, version {version:?})"
+        ));
+    }
+    if !matches!(fields.last(), Some((key, Json::Arr(_))) if key == "points") {
+        return Err("the last field is not the `points` array".to_owned());
+    }
+    let head = text
+        .trim_end()
+        .strip_suffix('}')
+        .and_then(|rest| rest.trim_end().strip_suffix(']'))
+        .expect("an object whose last value is an array ends in `]}`");
+    Ok(head.trim_end())
+}
+
+/// Appends `point` to the trajectory file text `existing` (`None`: no
+/// file yet), keeping every byte of `existing` before the closing `]}`.
+fn append(existing: Option<&str>, point: &Json) -> Result<String, String> {
+    let fresh = format!("{{\"schema\":\"{SCHEMA}\",\"version\":{VERSION},\"points\":[]}}");
+    let head = points_head(existing.unwrap_or(&fresh))?;
+    let separator = if head.ends_with('[') { "" } else { "," };
+    Ok(format!("{head}{separator}\n{}\n]}}\n", point.render()))
+}
+
+fn read_existing(path: &Path) -> Result<Option<String>, String> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(format!("{}: {e}", path.display())),
     }
 }
 
-/// Renders the trajectory report: schema header, free-form `label`
-/// (e.g. a git revision or PR tag), and one entry per benchmark.
-pub fn report_json(label: &str, benches: &[BenchSample]) -> Json {
-    Json::Obj(vec![
-        ("schema".to_owned(), Json::str(SCHEMA)),
-        ("version".to_owned(), Json::UInt(VERSION)),
-        ("label".to_owned(), Json::str(label)),
-        (
-            "benches".to_owned(),
-            Json::Arr(
-                benches
-                    .iter()
-                    .map(|b| {
-                        Json::Obj(vec![
-                            ("name".to_owned(), Json::str(b.name)),
-                            ("unit".to_owned(), Json::str(b.unit)),
-                            ("value".to_owned(), Json::Num(b.value)),
-                            ("samples".to_owned(), Json::UInt(b.samples as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// Appends `point` to the file at `path`, creating it if missing; a
+/// file of another schema or version is left untouched.
+fn write_point(path: &Path, point: &Json) -> Result<(), String> {
+    let in_file = |e: String| format!("{}: {e}", path.display());
+    let text = append(read_existing(path)?.as_deref(), point).map_err(in_file)?;
+    std::fs::write(path, text).map_err(|e| in_file(e.to_string()))
+}
+
+/// Runs one workload, forwarding perfbench's own table to stderr.
+fn run_workload(name: &str, seconds: u64) -> Result<Json, String> {
+    let output = Command::new("python3")
+        .args([RUNNER, "--workload", name, "--seed", &SEED.to_string()])
+        .args(["--seconds", &seconds.to_string(), "--trace", "0"])
+        .stderr(Stdio::inherit())
+        .output()
+        .map_err(|e| format!("python3 {RUNNER}: {e}"))?;
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    eprint!("{stdout}");
+    match (parse_run(&stdout), output.status.success()) {
+        (Ok(run), true) => Ok(run),
+        (Err(e), _) => Err(e),
+        (Ok(_), false) => Err(format!("{RUNNER} exited with {}", output.status)),
+    }
+}
+
+fn head_commit() -> Option<String> {
+    let output = Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .stderr(Stdio::null())
+        .output()
+        .ok()?;
+    output
+        .status
+        .success()
+        .then(|| String::from_utf8_lossy(&output.stdout).trim().to_owned())
+}
+
+/// Runs every workload of `BENCHMARK.json` through perfbench (its
+/// `run_seconds` each, 3 s with `quick`) and appends the resulting
+/// point, labelled `label`, to the trajectory file at `path`. Returns
+/// the appended point.
+///
+/// # Errors
+///
+/// Returns a message, having appended nothing, when `BENCHMARK.json`
+/// cannot be read, the existing file has another schema or version, or
+/// a run fails or reports an output mismatch or a failed op.
+pub fn record(quick: bool, label: &str, path: &Path) -> Result<Json, String> {
+    let declared = std::fs::read_to_string(BENCHMARK_FILE)
+        .map_err(|e| format!("{BENCHMARK_FILE}: {e} (run from the repository root)"))?;
+    let (workloads, run_seconds) =
+        declared_workloads(&declared).map_err(|e| format!("{BENCHMARK_FILE}: {e}"))?;
+    // Refuse a foreign file before spending minutes on runs.
+    if let Some(text) = read_existing(path)? {
+        points_head(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    }
+    let seconds = if quick { QUICK_SECONDS } else { run_seconds };
+    let runs = workloads
+        .into_iter()
+        .map(|name| match run_workload(&name, seconds) {
+            Ok(run) => Ok((name, run)),
+            Err(e) => Err(format!("{name}: {e}")),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let point = point(label, head_commit().as_deref(), seconds, runs);
+    write_point(path, &point)?;
+    Ok(point)
 }
 
 /// Where `raco bench-trajectory` writes without `-o`:
@@ -204,34 +241,145 @@ pub fn default_output_path() -> PathBuf {
 mod tests {
     use super::*;
 
+    /// The shape of a real `perfbench --trace 0` stdout.
+    const STDOUT: &str = "\
+perfbench library_warm seed 1 seconds 3 trace 0
+addr_cycles                        907.0000         907.0000  cycles
+attempted 16890 failed 0 output mismatches 0
+raw {\"latency_p50_us\":{\"value\":135.47318708050076,\"unit\":\"us\"},\"addr_cycles\":{\"value\":907,\"unit\":\"cycles\"}}
+{\"correct\":true,\"attempted\":16890,\"failed\":0,\"metrics\":{\"latency_p50_us\":{\"value\":159.34604949816807,\"unit\":\"us\"},\"addr_cycles\":{\"value\":907,\"unit\":\"cycles\"}}}
+";
+
+    fn sample_point(label: &str) -> Json {
+        let run = parse_run(STDOUT).expect("sample run parses");
+        point(
+            label,
+            Some("0123abc"),
+            3,
+            vec![("library_warm".to_owned(), run)],
+        )
+    }
+
+    fn points(text: &str) -> Vec<Json> {
+        match Json::parse(text).expect("valid JSON").get("points") {
+            Some(Json::Arr(points)) => points.clone(),
+            other => panic!("no points array: {other:?}"),
+        }
+    }
+
+    fn temp_file(name: &str) -> PathBuf {
+        let pid = std::process::id();
+        std::env::temp_dir().join(format!("raco-trajectory-{pid}-{name}.json"))
+    }
+
     #[test]
-    fn report_json_matches_the_schema() {
-        let benches = [BenchSample {
-            name: "pipeline_warm",
-            unit: "us",
-            value: 123.5,
-            samples: 20,
-        }];
-        let json = report_json("test", &benches);
-        assert_eq!(json.get("schema").and_then(Json::as_str), Some(SCHEMA));
-        assert_eq!(json.get("version").and_then(Json::as_u64), Some(VERSION));
-        assert_eq!(json.get("label").and_then(Json::as_str), Some("test"));
-        let Some(Json::Arr(entries)) = json.get("benches") else {
-            panic!("benches must be an array");
-        };
-        assert_eq!(entries.len(), 1);
-        let entry = &entries[0];
+    fn parse_run_keeps_calibrated_metrics_and_raw_values() {
+        let run = parse_run(STDOUT).unwrap();
         assert_eq!(
-            entry.get("name").and_then(Json::as_str),
-            Some("pipeline_warm")
+            run.render(),
+            "{\"correct\":true,\"attempted\":16890,\"failed\":0,\"metrics\":\
+             {\"latency_p50_us\":{\"value\":159.34604949816807,\"unit\":\"us\"},\
+             \"addr_cycles\":{\"value\":907,\"unit\":\"cycles\"}},\
+             \"raw\":{\"latency_p50_us\":135.47318708050076,\"addr_cycles\":907}}"
         );
-        assert_eq!(entry.get("unit").and_then(Json::as_str), Some("us"));
-        assert_eq!(entry.get("value"), Some(&Json::Num(123.5)));
-        assert_eq!(entry.get("samples").and_then(Json::as_u64), Some(20));
-        // The rendered line reparses losslessly (it is committed as a
-        // file); small integers reparse as `Int`, so compare renders.
-        let reparsed = Json::parse(&json.render()).unwrap();
-        assert_eq!(reparsed.render(), json.render());
+    }
+
+    #[test]
+    fn failed_incorrect_and_truncated_runs_are_rejected() {
+        let without = |prefix: &str| -> String {
+            STDOUT
+                .lines()
+                .filter(|l| !l.starts_with(prefix))
+                .map(|l| format!("{l}\n"))
+                .collect()
+        };
+        let cases = [
+            (
+                STDOUT.replace("\"correct\":true", "\"correct\":false"),
+                "correct:false",
+            ),
+            (
+                STDOUT.replace("\"failed\":0", "\"failed\":2"),
+                "2 of 16890 ops failed",
+            ),
+            (without("{"), "last line is not the JSON result"),
+            (without("raw "), "no `raw"),
+            (String::new(), "no output"),
+        ];
+        for (stdout, message) in cases {
+            let err = parse_run(&stdout).unwrap_err();
+            assert!(err.contains(message), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_missing_file_starts_a_fresh_v2_file() {
+        let path = temp_file("fresh");
+        std::fs::remove_file(&path).ok();
+        write_point(&path, &sample_point("a")).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let expected = format!(
+            "{{\"schema\":\"raco-bench-trajectory\",\"version\":2,\"points\":[\n{}\n]}}\n",
+            sample_point("a").render()
+        );
+        assert_eq!(text, expected);
+    }
+
+    #[test]
+    fn appending_keeps_earlier_points_byte_identical() {
+        let first = append(None, &sample_point("a")).unwrap();
+        let second = append(Some(&first), &sample_point("b")).unwrap();
+        let third = append(Some(&second), &sample_point("c")).unwrap();
+        for (before, after) in [(&first, &second), (&second, &third)] {
+            let kept = before.strip_suffix("\n]}\n").unwrap();
+            assert!(after.starts_with(kept), "{before}\n{after}");
+            assert_eq!(points(after).len(), points(before).len() + 1);
+        }
+        let labels: Vec<_> = points(&third)
+            .iter()
+            .map(|p| p.get("label").and_then(Json::as_str).unwrap().to_owned())
+            .collect();
+        assert_eq!(labels, ["a", "b", "c"]);
+        // An empty points array takes its first point without a comma.
+        let empty = r#"{"schema":"raco-bench-trajectory","version":2,"points":[ ]}"#;
+        assert_eq!(
+            points(&append(Some(empty), &sample_point("a")).unwrap()).len(),
+            1
+        );
+    }
+
+    #[test]
+    fn v1_and_foreign_files_are_rejected_and_left_unwritten() {
+        let foreign = [
+            // The pre-recorder format: one overwritten, uncalibrated point.
+            r#"{"schema":"raco-bench-trajectory","version":1,"label":"x","benches":[]}"#,
+            r#"{"schema":"raco-bench-serve","version":2,"points":[]}"#,
+            r#"{"schema":"raco-bench-trajectory","version":3,"points":[]}"#,
+            r#"{"schema":"raco-bench-trajectory","version":2,"points":{}}"#,
+            r#"{"schema":"raco-bench-trajectory","version":2,"points":[],"note":[]}"#,
+            r#"[{"schema":"raco-bench-trajectory","version":2,"points":[]}]"#,
+            "not json",
+        ];
+        for (i, text) in foreign.iter().enumerate() {
+            let path = temp_file(&format!("foreign{i}"));
+            std::fs::write(&path, text).unwrap();
+            assert!(write_point(&path, &sample_point("a")).is_err(), "{text}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), *text);
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn the_committed_files_are_readable_by_the_recorder() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let declared = std::fs::read_to_string(root.join(BENCHMARK_FILE)).unwrap();
+        let (workloads, run_seconds) = declared_workloads(&declared).unwrap();
+        assert_eq!(workloads, ["batch_cold", "library_warm", "serve_warm"]);
+        assert!(run_seconds > QUICK_SECONDS);
+        let trajectory = std::fs::read_to_string(root.join(FILE_NAME)).unwrap();
+        let appended = append(Some(&trajectory), &sample_point("next")).unwrap();
+        assert_eq!(points(&appended).len(), points(&trajectory).len() + 1);
     }
 
     #[test]
@@ -239,28 +387,5 @@ mod tests {
         // Relative, so it resolves against the working directory at run
         // time, not a directory baked in when the binary was built.
         assert_eq!(default_output_path(), PathBuf::from(FILE_NAME));
-    }
-
-    #[test]
-    fn undeduped_baseline_matches_the_deduped_allocation_cost() {
-        // The baseline must be a faithful "before": same machine, same
-        // granted registers, same final costs — only the redundant
-        // recomputation differs.
-        let optimizer = Optimizer::new(machine().with_modify_registers(2));
-        let spec = loop_spec();
-        let deduped = optimizer.allocate_loop(&spec).expect("loop allocates");
-        let k = optimizer.agu().address_registers();
-        let patterns = spec.patterns();
-        let curves: Vec<Vec<u32>> = patterns
-            .iter()
-            .map(|p| optimizer.cost_curve(p, k))
-            .collect();
-        let assignment = partition::distribute_registers(&curves, k).expect("arity fits");
-        let baseline_cost: u32 = patterns
-            .iter()
-            .zip(&assignment)
-            .map(|(p, &granted)| optimizer.allocate_with_registers(p, granted).cost())
-            .sum();
-        assert_eq!(deduped.total_cost(), baseline_cost);
     }
 }

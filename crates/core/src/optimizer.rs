@@ -885,27 +885,45 @@ mod tests {
     fn deduped_loop_allocation_matches_standalone_allocations() {
         // allocate_loop reuses Phase 1 (and the MR sweep's Phase-2
         // reports) across the curve and the final allocation; the
-        // result must stay byte-identical to allocating each array
-        // separately at its granted register count.
-        let spec = parse_loop(
-            "for (i = 0; i < 64; i++) {
-                s = a[i] + a[i + 10] + a[i + 20] + a[i + 30]
-                  + b[i] + b[i + 9] + b[i + 18];
-            }",
-        )
-        .unwrap();
-        for mr in [0, 1, 2] {
-            let agu = AguSpec::new(3, 1).unwrap().with_modify_registers(mr);
-            let opt = Optimizer::new(agu);
-            let whole = opt.allocate_loop(&spec).unwrap();
-            for ((array, alloc), &ka) in whole.per_array().iter().zip(whole.registers()) {
-                let pattern = spec
+        // result must stay byte-identical to the undeduplicated path:
+        // a public cost curve per array, the register partition over
+        // those curves, then each array allocated separately at its
+        // granted register count.
+        let cases = [
+            (
+                "for (i = 0; i < 64; i++) {
+                    s = a[i] + a[i + 10] + a[i + 20] + a[i + 30]
+                      + b[i] + b[i + 9] + b[i + 18];
+                }",
+                3,
+            ),
+            (
+                "for (i = 2; i < 64; i++) { y[i] = x[i-2] + x[i] + x[i+3] + y[i-1] + y[i-2]; }",
+                4,
+            ),
+        ];
+        for (source, k) in cases {
+            let spec = parse_loop(source).unwrap();
+            for mr in [0, 1, 2] {
+                let agu = AguSpec::new(k, 1).unwrap().with_modify_registers(mr);
+                let opt = Optimizer::new(agu);
+                let whole = opt.allocate_loop(&spec).unwrap();
+                let curves: Vec<Vec<u32>> = spec
                     .patterns()
-                    .into_iter()
-                    .find(|p| p.array() == *array)
-                    .unwrap();
-                let standalone = opt.allocate_with_registers(&pattern, ka);
-                assert_eq!(**alloc, standalone, "MR={mr} array={array:?} K={ka}");
+                    .iter()
+                    .map(|p| opt.cost_curve(p, k))
+                    .collect();
+                let grants = partition::distribute_registers(&curves, k).unwrap();
+                assert_eq!(whole.registers(), grants.as_slice(), "MR={mr} {source}");
+                for ((array, alloc), &ka) in whole.per_array().iter().zip(whole.registers()) {
+                    let pattern = spec
+                        .patterns()
+                        .into_iter()
+                        .find(|p| p.array() == *array)
+                        .unwrap();
+                    let standalone = opt.allocate_with_registers(&pattern, ka);
+                    assert_eq!(**alloc, standalone, "MR={mr} array={array:?} K={ka}");
+                }
             }
         }
     }

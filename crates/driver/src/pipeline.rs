@@ -937,6 +937,44 @@ mod tests {
     }
 
     #[test]
+    fn shifted_suite_units_compile_cold_and_warm() {
+        // Units that each repeat the kernel suite (hits by key
+        // equality) plus a loop at per-unit base offsets (hits through
+        // shift normalization) compile without a failure, with the
+        // cache off, on a cold cache and all-hits on a warm one.
+        let suite = raco_kernels::suite_program();
+        let units: Vec<(String, String)> = (0..2)
+            .map(|c| {
+                let smooth = format!(
+                    "for (i = {}; i < 256; i++) {{ s{c}[i] = d{c}[i - {}] + d{c}[i - {}] + d{c}[i - {c}]; }}",
+                    8 + c,
+                    c + 1,
+                    c + 2
+                );
+                (format!("unit{c}"), format!("{suite}\n{smooth}\n"))
+            })
+            .collect();
+        let config = |caching| {
+            let mut config = PipelineConfig::new(AguSpec::new(4, 1).unwrap());
+            config.caching = caching;
+            config.validation_iterations = 4;
+            config
+        };
+        let uncached = Pipeline::with_config(config(false))
+            .compile_units(&units)
+            .unwrap();
+        assert_eq!(uncached.loop_count(), 2 * (raco_kernels::suite().len() + 1));
+        assert_eq!(uncached.failed(), 0, "{}", uncached.render_table());
+        let warm = Pipeline::with_config(config(true));
+        let primed = warm.compile_units(&units).unwrap();
+        assert_eq!(primed.failed(), 0, "{}", primed.render_table());
+        let misses = warm.cache_stats().allocation_misses;
+        let replay = warm.compile_units(&units).unwrap();
+        assert_eq!(replay.failed(), 0, "{}", replay.render_table());
+        assert_eq!(warm.cache_stats().allocation_misses, misses);
+    }
+
+    #[test]
     fn per_request_configs_share_one_cache() {
         let pipeline = pipeline(4);
         let source = "for (i = 0; i < 64; i++) { y[i] = x[i-1] + x[i] + x[i+1]; }";

@@ -6,7 +6,7 @@
 //! raco serve [options]             long-lived NDJSON compile service
 //! raco loadgen [options]           replay a mixed-machine trace against `raco serve`
 //! raco fuzz [options]              adversarial long-runner against `raco serve`
-//! raco bench-trajectory [options]  run the pipeline benchmark suite
+//! raco bench-trajectory [options]  append a benchmark point to BENCH_pipeline.json
 //! raco help                        this text
 //! ```
 //!
@@ -64,10 +64,12 @@
 //!     --failures-dir <d> where minimal repros go (default fuzz-failures/)
 //!     --transport <t>    stdio (default) or tcp
 //!
-//! bench-trajectory-only:
-//! -o, --output <file>    report path (default ./BENCH_pipeline.json)
-//!     --quick            fewer samples (CI smoke mode)
-//!     --label <s>        label stamped into the report (default "local")
+//! bench-trajectory-only (run from the repository root; runs
+//! `python3 perfbench/run.py` once per BENCHMARK.json workload and
+//! appends one point, or nothing if a run fails or the file is foreign):
+//! -o, --output <file>    trajectory file (default ./BENCH_pipeline.json)
+//!     --quick            3 s per workload instead of BENCHMARK.json's run_seconds
+//!     --label <s>        label stamped into the point (default "local")
 //! ```
 //!
 //! Exit status (uniform across subcommands):
@@ -170,7 +172,7 @@ fn usage() -> &'static str {
      \x20 raco serve [options]             long-lived NDJSON compile service\n\
      \x20 raco loadgen [options]           replay a mixed-machine trace against `raco serve`\n\
      \x20 raco fuzz [options]              adversarial long-runner against `raco serve`\n\
-     \x20 raco bench-trajectory [options]  run the pipeline benchmark suite\n\
+     \x20 raco bench-trajectory [options]  append a benchmark point to BENCH_pipeline.json\n\
      \x20 raco help                        this text\n\
      \n\
      options:\n\
@@ -220,10 +222,11 @@ fn usage() -> &'static str {
      \x20     --failures-dir <d> where minimal repros go (default fuzz-failures/)\n\
      \x20     --transport <t>    stdio (default) or tcp\n\
      \n\
-     bench-trajectory-only options:\n\
-     \x20 -o, --output <file>    report path (default ./BENCH_pipeline.json)\n\
-     \x20     --quick            fewer samples (CI smoke mode)\n\
-     \x20     --label <s>        label stamped into the report (default \"local\")\n\
+     bench-trajectory-only options (run from the repository root; one\n\
+     perfbench run per BENCHMARK.json workload, one point appended):\n\
+     \x20 -o, --output <file>    trajectory file (default ./BENCH_pipeline.json)\n\
+     \x20     --quick            3 s per workload instead of run_seconds\n\
+     \x20     --label <s>        label stamped into the point (default \"local\")\n\
      \n\
      exit status:\n\
      \x20 0  every loop compiled (and validated); serve: clean shutdown\n\
@@ -724,25 +727,16 @@ fn run() -> Result<bool, String> {
             if !options.paths.is_empty() {
                 return Err("bench-trajectory: unexpected positional arguments".to_owned());
             }
-            let benches = raco_bench::trajectory::run(options.quick);
-            let label = options.label.clone().unwrap_or_else(|| "local".to_owned());
-            let json = raco_bench::trajectory::report_json(&label, &benches);
+            let label = options.label.as_deref().unwrap_or("local");
             let path = options
                 .output
                 .clone()
                 .unwrap_or_else(raco_bench::trajectory::default_output_path);
-            let mut rendered = json.render();
-            rendered.push('\n');
-            std::fs::write(&path, rendered).map_err(|e| format!("{}: {e}", path.display()))?;
+            let point = raco_bench::trajectory::record(options.quick, label, &path)
+                .map_err(|e| format!("bench-trajectory: {e}"))?;
             if !options.quiet {
-                println!("bench      unit  median  samples");
-                for bench in &benches {
-                    println!(
-                        "{:<24} {:>4} {:>10.1} {:>8}",
-                        bench.name, bench.unit, bench.value, bench.samples
-                    );
-                }
-                println!("trajectory written to {}", path.display());
+                println!("{}", point.render());
+                println!("point `{label}` appended to {}", path.display());
             }
             Ok(true)
         }
