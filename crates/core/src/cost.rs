@@ -119,6 +119,13 @@ impl CostModel {
             .saturating_mul(self.adda_cost)
     }
 
+    /// [`path_cost`](Self::path_cost) of the merge `a ⊕ b` of two
+    /// disjoint paths, without building it.
+    pub fn merged_path_cost(&self, a: &Path, b: &Path, dm: &DistanceModel) -> u32 {
+        a.merged_cost(b, dm, self.include_wrap)
+            .saturating_mul(self.adda_cost)
+    }
+
     /// Total cost of a cover under this model.
     ///
     /// With modify registers, the `count` most frequent over-range deltas

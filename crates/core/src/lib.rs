@@ -55,7 +55,9 @@ pub mod random;
 mod report;
 
 pub use cost::CostModel;
-pub use optimizer::{AllocError, Allocation, LoopAllocation, Optimizer, OptimizerOptions};
+pub use optimizer::{
+    AllocError, Allocation, AllocationMemo, LoopAllocation, Optimizer, OptimizerOptions,
+};
 pub use phase1::{Phase1Outcome, Phase1Report};
 pub use phase2::{MergeRecord, MergeStrategy, Phase2Report};
 pub use report::AllocationReport;

@@ -31,8 +31,8 @@ fn phase2_histogram() -> &'static Arc<Histogram> {
 ///
 /// Prepared once per pattern and shared by the cost curve and the final
 /// allocation, so the branch-and-bound search — the cycle sink of the
-/// whole allocator — runs exactly once per pattern in
-/// [`Optimizer::allocate_loop`].
+/// whole allocator — runs at most once per pattern in
+/// [`Optimizer::allocate_patterns`].
 struct PreparedPattern {
     dm: DistanceModel,
     phase1: Phase1Report,
@@ -93,6 +93,49 @@ impl fmt::Display for AllocError {
 }
 
 impl std::error::Error for AllocError {}
+
+/// The two questions [`Optimizer::allocate_patterns`] asks about each
+/// array of a loop, answered from a memo — typically a cache keyed by
+/// canonical pattern, machine and options — with `compute` as the
+/// fallback on a miss.
+///
+/// The optimizer calls [`cost_curve`](Self::cost_curve) for every
+/// pattern in index order, partitions the registers, then calls
+/// [`allocation`](Self::allocation) for every pattern in index order.
+/// An answer must equal what `compute` returns; the optimizer takes it
+/// on trust.
+pub trait AllocationMemo {
+    /// The cost curve of pattern `index` for `1..=K` registers (what
+    /// [`Optimizer::cost_curve`] returns with `k_max = K`).
+    fn cost_curve(&mut self, index: usize, compute: impl FnOnce() -> Vec<u32>) -> Arc<Vec<u32>>;
+
+    /// The allocation of pattern `index` onto `registers` registers
+    /// (what [`Optimizer::allocate_with_registers`] returns).
+    fn allocation(
+        &mut self,
+        index: usize,
+        registers: usize,
+        compute: impl FnOnce() -> Allocation,
+    ) -> Arc<Allocation>;
+}
+
+/// The memo of [`Optimizer::allocate_loop`]: remembers nothing.
+struct Recompute;
+
+impl AllocationMemo for Recompute {
+    fn cost_curve(&mut self, _: usize, compute: impl FnOnce() -> Vec<u32>) -> Arc<Vec<u32>> {
+        Arc::new(compute())
+    }
+
+    fn allocation(
+        &mut self,
+        _: usize,
+        _: usize,
+        compute: impl FnOnce() -> Allocation,
+    ) -> Arc<Allocation> {
+        Arc::new(compute())
+    }
+}
 
 /// The paper's two-phase register-constrained allocator.
 ///
@@ -283,13 +326,42 @@ impl Optimizer {
     /// across arrays so that the total cost is minimal (each array needs
     /// at least one register of its own).
     ///
+    /// This is [`allocate_patterns`](Self::allocate_patterns) over the
+    /// loop's patterns with no memo: every curve and allocation is
+    /// computed.
+    ///
     /// # Errors
     ///
     /// Returns [`AllocError::EmptyLoop`] for loops without accesses and
     /// [`AllocError::InsufficientRegisters`] when the loop touches more
     /// arrays than there are registers.
     pub fn allocate_loop(&self, spec: &LoopSpec) -> Result<LoopAllocation, AllocError> {
-        let patterns = spec.patterns();
+        self.allocate_patterns(&spec.patterns(), &mut Recompute)
+    }
+
+    /// Allocates the per-array `patterns` of one loop in the paper's
+    /// order — a cost curve per array, the register partition over the
+    /// curves ([`partition::distribute_registers`]), then each array at
+    /// its granted register count — asking `memo` for every curve and
+    /// every allocation before computing it.
+    ///
+    /// Phase 1 runs at most once per pattern: a curve miss keeps its
+    /// prepared Phase-1 state (and, on machines with modify registers,
+    /// the selection sweep's Phase-2 report for every register count),
+    /// and an allocation miss for the same pattern reuses it. A memo
+    /// that answers correctly leaves the result unchanged: it equals
+    /// [`allocate_loop`](Self::allocate_loop) on a loop with these
+    /// patterns.
+    ///
+    /// # Errors
+    ///
+    /// As [`allocate_loop`](Self::allocate_loop); a failing loop asks
+    /// the memo nothing.
+    pub fn allocate_patterns(
+        &self,
+        patterns: &[AccessPattern],
+        memo: &mut impl AllocationMemo,
+    ) -> Result<LoopAllocation, AllocError> {
         if patterns.is_empty() {
             return Err(AllocError::EmptyLoop);
         }
@@ -300,35 +372,46 @@ impl Optimizer {
                 registers: k,
             });
         }
-        // Cost curve per pattern: cost with 1..=k registers. Phase 1
-        // runs once per pattern and is shared with the final allocation
-        // below; on MR machines the curve's selection sweep already
-        // produced the Phase-2 report for every register count, so the
-        // granted-k allocation is a lookup, not a re-run (previously
-        // both the branch-and-bound search and the sweep ran twice).
-        let mut prepared = Vec::with_capacity(patterns.len());
-        let mut curves: Vec<Vec<u32>> = Vec::with_capacity(patterns.len());
-        let mut swept: Vec<Vec<Phase2Report>> = Vec::with_capacity(patterns.len());
-        for p in &patterns {
-            let prep = self.prepare_model(DistanceModel::with_range(p, self.agu.update_range()));
-            let (curve, reports) = self.curve_from(&prep, k, true);
-            prepared.push(prep);
-            curves.push(curve);
-            swept.push(reports);
-        }
-        let assignment = partition::distribute_registers(&curves, k).expect("arity checked above");
+        // What each curve miss computed on the way — Phase-1 state and
+        // the MR sweep's reports — kept for that pattern's allocation.
+        let mut kept: Vec<Option<(PreparedPattern, Vec<Phase2Report>)>> =
+            std::iter::repeat_with(|| None)
+                .take(patterns.len())
+                .collect();
+        let curves: Vec<Arc<Vec<u32>>> = patterns
+            .iter()
+            .zip(&mut kept)
+            .enumerate()
+            .map(|(i, (p, slot))| {
+                memo.cost_curve(i, || {
+                    let prep =
+                        self.prepare_model(DistanceModel::with_range(p, self.agu.update_range()));
+                    let (curve, reports) = self.curve_from(&prep, k);
+                    *slot = Some((prep, reports));
+                    curve
+                })
+            })
+            .collect();
+        let views: Vec<&[u32]> = curves.iter().map(|c| c.as_slice()).collect();
+        let assignment = partition::distribute_registers(&views, k).expect("arity checked above");
         let per_array = patterns
             .iter()
-            .zip(prepared)
-            .zip(swept)
+            .zip(kept)
             .zip(&assignment)
-            .map(|(((p, prep), mut reports), &ka)| {
-                let phase2 = if ka <= reports.len() {
-                    reports.swap_remove(ka - 1)
-                } else {
-                    self.best_phase2(&prep.phase1, &prep.dm, ka)
-                };
-                (p.array(), Arc::new(self.finish_allocation(prep, phase2)))
+            .enumerate()
+            .map(|(i, ((p, slot), &ka))| {
+                let allocation = memo.allocation(i, ka, || match slot {
+                    Some((prep, mut reports)) => {
+                        let phase2 = if ka <= reports.len() {
+                            reports.swap_remove(ka - 1)
+                        } else {
+                            self.best_phase2(&prep.phase1, &prep.dm, ka)
+                        };
+                        self.finish_allocation(prep, phase2)
+                    }
+                    None => self.allocate_with_registers(p, ka),
+                });
+                (p.array(), allocation)
             })
             .collect::<Vec<_>>();
         // Modify registers are machine-wide: the loop's total is priced
@@ -362,20 +445,19 @@ impl Optimizer {
     pub fn cost_curve(&self, pattern: &AccessPattern, k_max: usize) -> Vec<u32> {
         let prepared =
             self.prepare_model(DistanceModel::with_range(pattern, self.agu.update_range()));
-        self.curve_from(&prepared, k_max, false).0
+        self.curve_from(&prepared, k_max).0
     }
 
-    /// Computes the cost curve from prepared Phase-1 state. With
-    /// `keep_reports`, the MR selection sweep's per-`k` Phase-2 reports
-    /// are returned alongside the curve (indexed by `k - 1`) so a caller
-    /// that goes on to allocate at one of the swept counts can reuse the
-    /// report instead of re-running the sweep; on the single-trajectory
-    /// path the report vector is empty.
+    /// Computes the cost curve from prepared Phase-1 state. The MR
+    /// selection sweep's per-`k` Phase-2 reports are returned alongside
+    /// the curve (indexed by `k - 1`) so a caller that goes on to
+    /// allocate at one of the swept counts can reuse the report instead
+    /// of re-running the sweep; on the single-trajectory path the
+    /// report vector is empty.
     fn curve_from(
         &self,
         prepared: &PreparedPattern,
         k_max: usize,
-        keep_reports: bool,
     ) -> (Vec<u32>, Vec<Phase2Report>) {
         let PreparedPattern { dm, phase1 } = prepared;
         if self.options.cost_model.modify_registers() > 0
@@ -385,15 +467,13 @@ impl Optimizer {
             // (see best_phase2), whose result a single merge trajectory
             // cannot reproduce — run the sweep per register count so
             // curve entries equal what allocation at that count costs.
-            let mut reports = Vec::with_capacity(if keep_reports { k_max } else { 0 });
+            let mut reports = Vec::with_capacity(k_max);
             let mut running_min = u32::MAX;
             let curve = (1..=k_max)
                 .map(|k| {
                     let phase2 = self.best_phase2(phase1, dm, k);
                     let at_k = self.options.cost_model.cover_cost(phase2.cover(), dm);
-                    if keep_reports {
-                        reports.push(phase2);
-                    }
+                    reports.push(phase2);
                     running_min = running_min.min(at_k);
                     running_min
                 })
@@ -640,6 +720,8 @@ const _: () = {
 mod tests {
     use super::*;
     use raco_ir::dsl::parse_loop;
+    use raco_ir::CanonicalPattern;
+    use std::collections::HashMap;
 
     fn paper_pattern() -> AccessPattern {
         AccessPattern::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1)
@@ -925,6 +1007,105 @@ mod tests {
                     assert_eq!(**alloc, standalone, "MR={mr} array={array:?} K={ka}");
                 }
             }
+        }
+    }
+
+    /// A memo over plain maps — curves by cost class, allocations by
+    /// exact canonical form and register count, as the driver's cache
+    /// keys them — counting how often it falls back to `compute`.
+    #[derive(Default)]
+    struct MapMemo {
+        canonicals: Vec<CanonicalPattern>,
+        remember: bool,
+        curves: HashMap<CanonicalPattern, Arc<Vec<u32>>>,
+        allocations: HashMap<(CanonicalPattern, usize), Arc<Allocation>>,
+        curve_computes: usize,
+        alloc_computes: usize,
+    }
+
+    impl MapMemo {
+        fn run(&mut self, opt: &Optimizer, spec: &LoopSpec) -> LoopAllocation {
+            let patterns = spec.patterns();
+            self.canonicals = patterns.iter().map(CanonicalPattern::of).collect();
+            opt.allocate_patterns(&patterns, self).unwrap()
+        }
+    }
+
+    impl AllocationMemo for MapMemo {
+        fn cost_curve(
+            &mut self,
+            index: usize,
+            compute: impl FnOnce() -> Vec<u32>,
+        ) -> Arc<Vec<u32>> {
+            let key = self.canonicals[index].cost_class();
+            if let Some(curve) = self.curves.get(&key) {
+                return Arc::clone(curve);
+            }
+            self.curve_computes += 1;
+            let curve = Arc::new(compute());
+            if self.remember {
+                self.curves.insert(key, Arc::clone(&curve));
+            }
+            curve
+        }
+
+        fn allocation(
+            &mut self,
+            index: usize,
+            registers: usize,
+            compute: impl FnOnce() -> Allocation,
+        ) -> Arc<Allocation> {
+            let key = (self.canonicals[index].clone(), registers);
+            if let Some(allocation) = self.allocations.get(&key) {
+                return Arc::clone(allocation);
+            }
+            self.alloc_computes += 1;
+            let allocation = Arc::new(compute());
+            if self.remember {
+                self.allocations.insert(key, Arc::clone(&allocation));
+            }
+            allocation
+        }
+    }
+
+    #[test]
+    fn memoized_loop_allocation_equals_plain_allocate_loop() {
+        let forward = parse_loop(
+            "for (i = 0; i < 64; i++) { y[i] = x[i] + x[i + 1] + x[i + 3] + x[i + 9]; }",
+        )
+        .unwrap();
+        // The same shape walked backwards: every pattern is the mirror
+        // of its forward twin, so it shares the cost class (curve hit)
+        // but not the exact canonical form (allocation miss).
+        let mirrored = parse_loop(
+            "for (i = 63; i > 0; i--) { y[i] = x[i] + x[i - 1] + x[i - 3] + x[i - 9]; }",
+        )
+        .unwrap();
+        let arrays = forward.patterns().len();
+        for mr in [0, 1, 2] {
+            let opt = Optimizer::new(AguSpec::new(3, 1).unwrap().with_modify_registers(mr));
+            let plain = opt.allocate_loop(&forward).unwrap();
+
+            let mut always_miss = MapMemo::default();
+            assert_eq!(always_miss.run(&opt, &forward), plain, "MR={mr}");
+            assert_eq!(always_miss.run(&opt, &forward), plain, "MR={mr}");
+            assert_eq!(always_miss.curve_computes, 2 * arrays);
+            assert_eq!(always_miss.alloc_computes, 2 * arrays);
+
+            let mut memo = MapMemo {
+                remember: true,
+                ..MapMemo::default()
+            };
+            assert_eq!(memo.run(&opt, &forward), plain, "MR={mr} cold");
+            let computes = (memo.curve_computes, memo.alloc_computes);
+            assert_eq!(computes, (arrays, arrays));
+            assert_eq!(memo.run(&opt, &forward), plain, "MR={mr} all hits");
+            assert_eq!((memo.curve_computes, memo.alloc_computes), computes);
+
+            let mirrored_plain = opt.allocate_loop(&mirrored).unwrap();
+            assert_eq!(memo.run(&opt, &mirrored), mirrored_plain, "MR={mr} mirror");
+            assert_eq!(memo.curve_computes, arrays, "mirrored curves hit");
+            assert_eq!(memo.alloc_computes, 2 * arrays, "mirrored allocations miss");
         }
     }
 

@@ -65,7 +65,10 @@ impl std::error::Error for PartitionError {}
 /// let grant = distribute_registers(&curves, 4).unwrap();
 /// assert_eq!(grant, vec![1, 3]);
 /// ```
-pub fn distribute_registers(curves: &[Vec<u32>], k: usize) -> Result<Vec<usize>, PartitionError> {
+pub fn distribute_registers<C: AsRef<[u32]>>(
+    curves: &[C],
+    k: usize,
+) -> Result<Vec<usize>, PartitionError> {
     let arrays = curves.len();
     if arrays > k {
         return Err(PartitionError::InsufficientRegisters {
@@ -74,12 +77,12 @@ pub fn distribute_registers(curves: &[Vec<u32>], k: usize) -> Result<Vec<usize>,
         });
     }
     for (array, c) in curves.iter().enumerate() {
-        if c.is_empty() {
+        if c.as_ref().is_empty() {
             return Err(PartitionError::MalformedCurve { array });
         }
     }
     let cost_of = |a: usize, regs: usize| -> u64 {
-        let c = &curves[a];
+        let c = curves[a].as_ref();
         u64::from(*c.get(regs - 1).unwrap_or(c.last().expect("non-empty")))
     };
     // dp[a][r] = min total cost of the first `a` arrays using exactly r regs.
@@ -172,7 +175,8 @@ mod tests {
 
     #[test]
     fn no_arrays_is_a_valid_degenerate_case() {
-        assert_eq!(distribute_registers(&[], 4).unwrap(), Vec::<usize>::new());
+        let none: &[Vec<u32>] = &[];
+        assert_eq!(distribute_registers(none, 4).unwrap(), Vec::<usize>::new());
     }
 
     #[test]

@@ -209,12 +209,7 @@ pub fn merge_until_with_selection(
         let paths_before = cover.register_count();
         let (i, j) = select_pair(&cover, dm, selection, strategy, rng.as_mut());
         let merged_lengths = (cover.paths()[i].len(), cover.paths()[j].len());
-        let merged_path_cost = account.path_cost(
-            &cover.paths()[i]
-                .merge(&cover.paths()[j])
-                .expect("cover paths are disjoint"),
-            dm,
-        );
+        let merged_path_cost = account.merged_path_cost(&cover.paths()[i], &cover.paths()[j], dm);
         cover.merge_pair(i, j).expect("cover paths are disjoint");
         let total_cost_after = account.cover_cost(&cover, dm);
         records.push(MergeRecord {
@@ -226,9 +221,10 @@ pub fn merge_until_with_selection(
         trajectory.push((cover.register_count(), total_cost_after));
     }
     // Opportunistic phase: keep merging while it strictly pays off
-    // (relaxed Phase-1 covers only; see the function docs).
+    // (relaxed Phase-1 covers only; see the function docs). A cover that
+    // pays no step at all cannot get cheaper, so it skips the scan.
     if strategy == MergeStrategy::GreedyMinCost {
-        while cover.register_count() >= 2 {
+        while cover.register_count() >= 2 && cover.total_cost(dm, selection.includes_wrap()) > 0 {
             let Some((i, j, marginal)) = best_marginal_pair(&cover, dm, selection) else {
                 break;
             };
@@ -237,12 +233,8 @@ pub fn merge_until_with_selection(
             }
             let paths_before = cover.register_count();
             let merged_lengths = (cover.paths()[i].len(), cover.paths()[j].len());
-            let merged_path_cost = account.path_cost(
-                &cover.paths()[i]
-                    .merge(&cover.paths()[j])
-                    .expect("cover paths are disjoint"),
-                dm,
-            );
+            let merged_path_cost =
+                account.merged_path_cost(&cover.paths()[i], &cover.paths()[j], dm);
             cover.merge_pair(i, j).expect("cover paths are disjoint");
             let total_cost_after = account.cover_cost(&cover, dm);
             records.push(MergeRecord {
@@ -288,12 +280,10 @@ fn best_marginal_pair(
     let mut best: Option<(MarginalRank, (usize, usize))> = None;
     for i in 0..p {
         for j in (i + 1)..p {
-            let merged = cover.paths()[i]
-                .merge(&cover.paths()[j])
-                .expect("cover paths are disjoint");
+            let (pi, pj) = (&cover.paths()[i], &cover.paths()[j]);
             let marginal =
-                i64::from(cost_model.path_cost(&merged, dm)) - path_costs[i] - path_costs[j];
-            let rank = (marginal, merged.len(), i, j);
+                i64::from(cost_model.merged_path_cost(pi, pj, dm)) - path_costs[i] - path_costs[j];
+            let rank = (marginal, pi.len() + pj.len(), i, j);
             if best.as_ref().is_none_or(|(r, _)| rank < *r) {
                 best = Some((rank, (i, j)));
             }
@@ -383,17 +373,16 @@ fn select_pair(
             let mut best: Option<(GreedyRank, (usize, usize))> = None;
             for i in 0..p {
                 for j in (i + 1)..p {
-                    let merged = cover.paths()[i]
-                        .merge(&cover.paths()[j])
-                        .expect("cover paths are disjoint");
-                    let cost = cost_model.path_cost(&merged, dm);
+                    let (pi, pj) = (&cover.paths()[i], &cover.paths()[j]);
+                    let merged_len = pi.len() + pj.len();
+                    let cost = cost_model.merged_path_cost(pi, pj, dm);
                     let marginal = i64::from(cost) - path_costs[i] - path_costs[j];
                     let rank = if strategy == MergeStrategy::WorstCost {
                         // Invert the primary criterion; tie-breaks stay
                         // deterministic.
-                        (u32::MAX - cost, -marginal, merged.len(), i, j)
+                        (u32::MAX - cost, -marginal, merged_len, i, j)
                     } else {
-                        (cost, marginal, merged.len(), i, j)
+                        (cost, marginal, merged_len, i, j)
                     };
                     if best.as_ref().is_none_or(|(r, _)| rank < *r) {
                         best = Some((rank, (i, j)));

@@ -32,9 +32,9 @@
 //! evicts the oldest-inserted entries per table once a size limit is
 //! reached (FIFO; see [`CachePolicy::Bounded`] for why not LRU).
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -77,18 +77,58 @@ impl CachePolicy {
     }
 }
 
+/// A key with its hash, computed once per lookup: the hash picks the
+/// shard and, through [`PassThrough`], the shard map's bucket.
+#[derive(Debug, Clone)]
+struct Hashed<K> {
+    hash: u64,
+    key: K,
+}
+
+impl<K: PartialEq> PartialEq for Hashed<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key == other.key
+    }
+}
+
+impl<K: Eq> Eq for Hashed<K> {}
+
+impl<K> Hash for Hashed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Hands a [`Hashed`] key's stored hash to the shard map unchanged.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard maps only hash `Hashed` keys")
+    }
+}
+
 /// One shard: the entries plus their insertion order (for FIFO
 /// eviction). The queue is only consulted when a capacity is set.
 #[derive(Debug)]
 struct Shard<K, V> {
-    entries: HashMap<K, Arc<V>>,
-    order: VecDeque<K>,
+    entries: HashMap<Hashed<K>, Arc<V>, BuildHasherDefault<PassThrough>>,
+    order: VecDeque<Hashed<K>>,
 }
 
 impl<K, V> Shard<K, V> {
     fn new() -> Self {
         Shard {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             order: VecDeque::new(),
         }
     }
@@ -98,6 +138,9 @@ impl<K, V> Shard<K, V> {
 #[derive(Debug)]
 struct ShardedMap<K, V> {
     shards: Vec<RwLock<Shard<K, V>>>,
+    /// Keys are hashed once, with a per-map random seed like
+    /// `HashMap`'s own, so crafted keys cannot pile into one bucket.
+    hasher: RandomState,
     /// Entries kept per shard; `None` disables eviction.
     shard_capacity: Option<usize>,
     hits: AtomicU64,
@@ -109,6 +152,7 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
     fn new(policy: CachePolicy) -> Self {
         ShardedMap {
             shards: (0..SHARDS).map(|_| RwLock::new(Shard::new())).collect(),
+            hasher: RandomState::new(),
             shard_capacity: policy.shard_capacity(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -116,14 +160,17 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &RwLock<Shard<K, V>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
+    /// The key's shard and hashed form. The shard comes from bits 32
+    /// and up, which the shard map uses neither for its bucket index
+    /// (low bits) nor for its control tags (top seven bits).
+    fn locate(&self, key: K) -> (&RwLock<Shard<K, V>>, Hashed<K>) {
+        let hash = self.hasher.hash_one(&key);
+        let shard = &self.shards[(hash >> 32) as usize % SHARDS];
+        (shard, Hashed { hash, key })
     }
 
     fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
-        let shard = self.shard(&key);
+        let (shard, key) = self.locate(key);
         if let Some(v) = shard
             .read()
             .expect("cache shard poisoned")
@@ -134,25 +181,9 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
             return Arc::clone(v);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let value = Arc::new(compute());
-        let mut guard = shard.write().expect("cache shard poisoned");
-        // A racer may have inserted meanwhile; both values are
-        // deterministic functions of the key, keep the first.
-        if let Some(existing) = guard.entries.get(&key) {
-            return Arc::clone(existing);
-        }
-        guard.entries.insert(key.clone(), Arc::clone(&value));
-        if let Some(capacity) = self.shard_capacity {
-            guard.order.push_back(key);
-            while guard.entries.len() > capacity {
-                // The queue never outlives its entries (clear() resets
-                // both), so the front is always a live key.
-                let oldest = guard.order.pop_front().expect("order tracks entries");
-                guard.entries.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        value
+        // A racer may insert meanwhile; both values are deterministic
+        // functions of the key, and the first one stays.
+        self.install(shard, key, Arc::new(compute())).0
     }
 
     /// Inserts an externally produced value (a snapshot entry), going
@@ -161,21 +192,40 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
     /// `false` if the key was already present (the resident value
     /// wins — it is as authoritative as the snapshot's).
     fn insert(&self, key: K, value: Arc<V>) -> bool {
-        let shard = self.shard(&key);
+        let (shard, key) = self.locate(key);
+        self.install(shard, key, value).1
+    }
+
+    /// Stores `value` under `key` unless an entry is resident, evicting
+    /// the oldest entries past the shard capacity. Returns the value
+    /// now resident for `key` and whether it is `value`.
+    fn install(
+        &self,
+        shard: &RwLock<Shard<K, V>>,
+        key: Hashed<K>,
+        value: Arc<V>,
+    ) -> (Arc<V>, bool) {
         let mut guard = shard.write().expect("cache shard poisoned");
-        if guard.entries.contains_key(&key) {
-            return false;
+        let Shard { entries, order } = &mut *guard;
+        match entries.entry(key) {
+            Entry::Occupied(resident) => return (Arc::clone(resident.get()), false),
+            Entry::Vacant(slot) => {
+                if self.shard_capacity.is_some() {
+                    order.push_back(slot.key().clone());
+                }
+                slot.insert(Arc::clone(&value));
+            }
         }
-        guard.entries.insert(key.clone(), value);
         if let Some(capacity) = self.shard_capacity {
-            guard.order.push_back(key);
-            while guard.entries.len() > capacity {
-                let oldest = guard.order.pop_front().expect("order tracks entries");
-                guard.entries.remove(&oldest);
+            while entries.len() > capacity {
+                // The queue never outlives its entries (clear() resets
+                // both), so the front is always a live key.
+                let oldest = order.pop_front().expect("order tracks entries");
+                entries.remove(&oldest);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        true
+        (value, true)
     }
 
     /// Clones out every resident entry (keys and value handles; the
@@ -188,7 +238,7 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
                     .expect("cache shard poisoned")
                     .entries
                     .iter()
-                    .map(|(k, v)| (k.clone(), Arc::clone(v)))
+                    .map(|(k, v)| (k.key.clone(), Arc::clone(v)))
                     .collect::<Vec<_>>()
             })
             .collect()

@@ -16,8 +16,10 @@
 //!   canonicalized ([`raco_ir::canonical`]) so identical shapes across
 //!   loops, units and requests hit a sharded concurrent memo instead
 //!   of re-running branch-and-bound; cost curves additionally share
-//!   entries between mirror-image patterns. Long-lived pipelines can
-//!   bound the tables with [`CachePolicy::Bounded`] (FIFO eviction).
+//!   entries between mirror-image patterns. The pipeline hands the
+//!   cache to [`raco_core::Optimizer::allocate_patterns`] as its memo,
+//!   so the allocator itself runs in one place. Long-lived pipelines
+//!   can bound the tables with [`CachePolicy::Bounded`] (FIFO eviction).
 //! * [`persist`] — cache snapshots. The warm cache serializes to a
 //!   dependency-free, checksummed binary file and restores entry by
 //!   entry in a later process ([`Pipeline::save_cache`] /

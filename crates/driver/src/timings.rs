@@ -14,11 +14,13 @@ use raco_obs::Histogram;
 
 /// A pipeline stage with its own latency histogram.
 ///
-/// Cache-facing stages come in `_hit`/`_miss` pairs: the same code path
-/// is timed into one or the other depending on whether the allocation
-/// cache had the entry, so hit latency (a clone of an `Arc`) and miss
-/// latency (a full optimizer run) stay separately visible. `allocate` is
-/// the uncached whole-loop path taken when caching is disabled.
+/// Allocation runs through `Optimizer::allocate_patterns` with the
+/// allocation cache as its memo, and the memo times each lookup. Lookups
+/// come in `_hit`/`_miss` pairs: the same code path is timed into one or
+/// the other depending on whether the cache had the entry, so hit
+/// latency (a clone of an `Arc`) and miss latency (an optimizer run)
+/// stay separately visible. `partition` is the register partition
+/// between a loop's last curve lookup and its first allocation lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Stage {
     Parse,
@@ -28,14 +30,13 @@ pub(crate) enum Stage {
     Partition,
     AllocHit,
     AllocMiss,
-    Allocate,
     Codegen,
     Simulate,
     Check,
 }
 
 impl Stage {
-    pub(crate) const ALL: [Stage; 11] = [
+    pub(crate) const ALL: [Stage; 10] = [
         Stage::Parse,
         Stage::Lower,
         Stage::CurveHit,
@@ -43,7 +44,6 @@ impl Stage {
         Stage::Partition,
         Stage::AllocHit,
         Stage::AllocMiss,
-        Stage::Allocate,
         Stage::Codegen,
         Stage::Simulate,
         Stage::Check,
@@ -58,7 +58,6 @@ impl Stage {
             Stage::Partition => "partition",
             Stage::AllocHit => "alloc_hit",
             Stage::AllocMiss => "alloc_miss",
-            Stage::Allocate => "allocate",
             Stage::Codegen => "codegen",
             Stage::Simulate => "simulate",
             Stage::Check => "check",
@@ -164,8 +163,8 @@ impl BatchTimings {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageTiming {
     /// Stage name (`parse`, `lower`, `curve_hit`, `curve_miss`,
-    /// `partition`, `alloc_hit`, `alloc_miss`, `allocate`, `codegen`,
-    /// `simulate`, `check`).
+    /// `partition`, `alloc_hit`, `alloc_miss`, `codegen`, `simulate`,
+    /// `check`).
     pub stage: &'static str,
     /// Number of timed calls.
     pub calls: u64,

@@ -28,6 +28,7 @@ use std::fmt;
 
 use crate::bounds;
 use crate::distance::DistanceModel;
+use crate::matching;
 use crate::path::{Path, PathCover};
 
 /// Tuning knobs for the branch-and-bound search.
@@ -143,8 +144,11 @@ pub fn min_zero_cost_cover_with(
     options: BbOptions,
 ) -> Result<BbResult, CoverSearchError> {
     let n = dm.len();
-    let lb = bounds::lower_bound(dm);
-    let heuristic = bounds::upper_bound_cover(dm);
+    // One matching serves both bounds: its path count is the lower
+    // bound, its split repair the heuristic upper bound.
+    let matched = matching::min_path_cover(dm);
+    let lb = matched.register_count();
+    let heuristic = bounds::split_repair_cover(&matched, dm);
     let heuristic_count = heuristic.as_ref().map(PathCover::register_count);
 
     if let Some(cover) = &heuristic {

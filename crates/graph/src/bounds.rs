@@ -58,7 +58,11 @@ pub fn lower_bound(dm: &DistanceModel) -> usize {
 /// assert!(cover.is_zero_cost(&dm));
 /// ```
 pub fn upper_bound_cover(dm: &DistanceModel) -> Option<PathCover> {
-    let base = matching::min_path_cover(dm);
+    split_repair_cover(&matching::min_path_cover(dm), dm)
+}
+
+/// [`upper_bound_cover`] from an already computed matching cover `base`.
+pub(crate) fn split_repair_cover(base: &PathCover, dm: &DistanceModel) -> Option<PathCover> {
     let mut repaired: Vec<Path> = Vec::new();
     for path in base.paths() {
         repaired.extend(split_repair(path, dm)?);
@@ -68,9 +72,10 @@ pub fn upper_bound_cover(dm: &DistanceModel) -> Option<PathCover> {
 
 /// Computes both bounds.
 pub fn bounds(dm: &DistanceModel) -> Bounds {
+    let matched = matching::min_path_cover(dm);
     Bounds {
-        lower: lower_bound(dm),
-        upper: upper_bound_cover(dm),
+        lower: matched.register_count(),
+        upper: split_repair_cover(&matched, dm),
     }
 }
 

@@ -2,8 +2,10 @@
 //!
 //! These enumerate *all* partitions of the access sequence into paths
 //! (set partitions in restricted-growth-string form) and are used to
-//! validate the branch-and-bound (Phase 1) and the merging heuristics
-//! (Phase 2) on small patterns in tests and ablation experiments.
+//! validate the branch-and-bound (Phase 1) on small patterns in tests
+//! and ablation experiments. The exact allocation oracle that checks
+//! Phase 2 (`raco_core::exact`) enumerates the same partitions and
+//! prices them with the allocator's own cost model.
 //!
 //! Complexity is the Bell number `B(n)` — keep `n <= 12`.
 
@@ -55,7 +57,14 @@ fn recurse(
     }
 }
 
-fn assignment_to_cover(assignment: &[usize], blocks: usize) -> PathCover {
+/// The cover a [`for_each_partition`] visit describes: one path per
+/// block, each path listing its accesses in order.
+///
+/// # Panics
+///
+/// Panics if `assignment` is not a restricted growth string over
+/// exactly `blocks` block ids.
+pub fn assignment_to_cover(assignment: &[usize], blocks: usize) -> PathCover {
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); blocks];
     for (i, &b) in assignment.iter().enumerate() {
         groups[b].push(i);
@@ -90,40 +99,6 @@ pub fn min_zero_cost_cover_brute(dm: &DistanceModel) -> Option<PathCover> {
         }
     });
     best
-}
-
-/// Exhaustive minimum-cost allocation to at most `k` registers: the true
-/// optimum of the paper's overall problem, used as the quality oracle for
-/// the two-phase heuristic.
-///
-/// Returns `(cost, cover)` minimizing the steady-state unit-cost updates
-/// per iteration (`include_wrap` selects the cost model, see
-/// [`Path::cost`]).
-///
-/// # Panics
-///
-/// Panics if `dm.len() > 12` or `k == 0`.
-pub fn min_cost_allocation_brute(
-    dm: &DistanceModel,
-    k: usize,
-    include_wrap: bool,
-) -> (u32, PathCover) {
-    let n = dm.len();
-    assert!(n <= 12, "brute-force oracle limited to n <= 12");
-    assert!(k > 0, "need at least one register");
-    let mut best: Option<(u32, PathCover)> = None;
-    for_each_partition(n, k, |assignment, blocks| {
-        let cover = assignment_to_cover(assignment, blocks);
-        let cost = cover.total_cost(dm, include_wrap);
-        let better = match &best {
-            None => true,
-            Some((c, _)) => cost < *c,
-        };
-        if better {
-            best = Some((cost, cover));
-        }
-    });
-    best.expect("at least one partition exists for n >= 1")
 }
 
 #[cfg(test)]
@@ -171,35 +146,5 @@ mod tests {
     fn brute_detects_infeasibility() {
         let dm = DistanceModel::from_offsets(&[0, 10], 5, 1);
         assert_eq!(min_zero_cost_cover_brute(&dm), None);
-    }
-
-    #[test]
-    fn brute_min_cost_with_one_register_is_the_chain_cost() {
-        let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-        let (cost, cover) = min_cost_allocation_brute(&dm, 1, true);
-        assert_eq!(cover.register_count(), 1);
-        // The only 1-block partition is the full chain: intra 4 + wrap 1.
-        assert_eq!(cost, 5);
-    }
-
-    #[test]
-    fn brute_min_cost_zero_when_k_reaches_k_tilde() {
-        let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-        let (cost3, _) = min_cost_allocation_brute(&dm, 3, true);
-        assert_eq!(cost3, 0);
-        let (cost2, _) = min_cost_allocation_brute(&dm, 2, true);
-        assert!(cost2 >= 1, "below K̃ at least one unit cost is unavoidable");
-    }
-
-    #[test]
-    fn brute_cost_is_monotone_in_k() {
-        let dm = DistanceModel::from_offsets(&[0, 3, 1, 4, 2, 5], 1, 1);
-        let mut last = u32::MAX;
-        for k in 1..=6 {
-            let (cost, cover) = min_cost_allocation_brute(&dm, k, true);
-            assert!(cost <= last, "cost must not increase with more registers");
-            assert!(cover.register_count() <= k);
-            last = cost;
-        }
     }
 }

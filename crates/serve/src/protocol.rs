@@ -31,7 +31,7 @@
 //!
 //! `compile` and `kernels` accept per-request machine/option knobs
 //! (`machine`, `registers`, `modify`, `modify_registers`, `threads`,
-//! `iterations`, `validate`, `listings`, `cache`, `timings`); anything
+//! `iterations`, `validate`, `listings`, `timings`); anything
 //! not given falls back to the server's defaults. `machine` selects a
 //! whole machine description — a built-in name (`paper`, `tms320c2x`,
 //! `dsp56k`, `adsp210x`, `bwdsp`, `saris`) or inline `key = value`
@@ -169,8 +169,6 @@ pub struct Knobs {
     pub validate: Option<bool>,
     /// Attach listings to the report.
     pub listings: Option<bool>,
-    /// Consult the shared allocation cache.
-    pub cache: Option<bool>,
     /// Include the per-stage `timings` array in this response's report.
     /// Serve responses omit it by default — rendering it costs more
     /// than a warm compile, and accumulated stage timings are always
@@ -241,9 +239,6 @@ impl Knobs {
         }
         if let Some(listings) = self.listings {
             config.listings = listings;
-        }
-        if let Some(cache) = self.cache {
-            config.caching = cache;
         }
         Ok(config)
     }
@@ -350,7 +345,6 @@ pub fn parse_line(line: &str) -> Result<Envelope, ProtocolError> {
         )?,
         validate: scalar(&value, &id, "validate", Json::as_bool, "a boolean")?,
         listings: scalar(&value, &id, "listings", Json::as_bool, "a boolean")?,
-        cache: scalar(&value, &id, "cache", Json::as_bool, "a boolean")?,
         timings: scalar(&value, &id, "timings", Json::as_bool, "a boolean")?,
     };
 
@@ -555,7 +549,6 @@ mod tests {
         assert_eq!(envelope.knobs.iterations, Some(8));
         assert_eq!(envelope.knobs.validate, Some(false));
         assert_eq!(envelope.knobs.listings, Some(true));
-        assert_eq!(envelope.knobs.cache, Some(false));
         assert_eq!(envelope.knobs.threads, Some(1));
         assert!(!envelope.knobs.is_default());
     }
@@ -644,7 +637,6 @@ mod tests {
         assert_eq!(config.agu.modify_range(), 1, "inherited from base");
         assert_eq!(config.validation_iterations, 3);
         assert!(!config.validate);
-        assert!(config.caching, "inherited from base");
 
         let bad = Knobs {
             registers: Some(0),

@@ -23,7 +23,6 @@
 //! -j, --threads <T>      worker threads (default: all cores; 1 = sequential;
 //!                        serve: 1, since connections supply the concurrency)
 //!     --iterations <N>   simulated iterations per loop (default 16)
-//!     --no-cache         disable the allocation cache
 //!     --no-validate      skip simulator validation
 //!     --cache-load <f>   warm the allocation cache from a snapshot file
 //!     --cache-save <f>   snapshot the warm cache when done (serve: on
@@ -94,7 +93,6 @@ struct CliOptions {
     modify_registers: Option<usize>,
     threads: Option<usize>,
     iterations: u64,
-    cache: bool,
     validate: bool,
     listing: bool,
     timings: bool,
@@ -132,7 +130,6 @@ impl Default for CliOptions {
             modify_registers: None,
             threads: None,
             iterations: 16,
-            cache: true,
             validate: true,
             listing: false,
             timings: false,
@@ -185,7 +182,6 @@ fn usage() -> &'static str {
      \x20     --modify-regs <N>  modify registers (default 0)\n\
      \x20 -j, --threads <T>      worker threads (default: all cores; serve: 1)\n\
      \x20     --iterations <N>   simulated iterations per loop (default 16)\n\
-     \x20     --no-cache         disable the allocation cache\n\
      \x20     --no-validate      skip simulator validation\n\
      \x20     --cache-load <f>   warm the allocation cache from a snapshot file\n\
      \x20     --cache-save <f>   snapshot the warm cache when done (serve: on\n\
@@ -259,7 +255,6 @@ fn parse_options(args: Vec<String>) -> Result<CliOptions, String> {
             }
             "-j" | "--threads" => options.threads = Some(parse_number(&arg, iter.next())?),
             "--iterations" => options.iterations = parse_number(&arg, iter.next())?,
-            "--no-cache" => options.cache = false,
             "--no-validate" => options.validate = false,
             "--listing" => options.listing = true,
             "--timings" => options.timings = true,
@@ -376,7 +371,6 @@ fn build_config(options: &CliOptions) -> Result<PipelineConfig, String> {
     };
     config.validate = options.validate;
     config.validation_iterations = options.iterations;
-    config.caching = options.cache;
     config.listings = options.listing;
     if let Some(max) = options.cache_max {
         config.cache_policy = CachePolicy::Bounded(max);

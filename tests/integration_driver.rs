@@ -1,16 +1,17 @@
 //! Integration tests of the batch compilation driver: every kernel
-//! through the pipeline with trace validation, cache-on/off agreement,
-//! multi-unit batches, JSON/table rendering and the kernel batch
-//! workload.
+//! through the pipeline with trace validation, agreement with the
+//! direct allocator on every built-in machine, warm-cache and
+//! fresh-pipeline agreement, multi-unit batches, JSON/table rendering
+//! and the kernel batch workload.
 
 use raco::agu::codegen::CodeGenerator;
 use raco::agu::sim;
+use raco::core::Optimizer;
 use raco::driver::{Parallelism, Pipeline, PipelineConfig};
-use raco::ir::{AguSpec, MemoryLayout, Trace};
+use raco::ir::{AguSpec, MachineDescription, MemoryLayout, Trace};
 
-fn pipeline_with(k: usize, m: u32, caching: bool, sequential: bool) -> Pipeline {
+fn pipeline_with(k: usize, m: u32, sequential: bool) -> Pipeline {
     let mut config = PipelineConfig::new(AguSpec::new(k, m).unwrap());
-    config.caching = caching;
     if sequential {
         config.parallelism = Parallelism::Sequential;
     }
@@ -19,7 +20,7 @@ fn pipeline_with(k: usize, m: u32, caching: bool, sequential: bool) -> Pipeline 
 
 #[test]
 fn every_kernel_compiles_and_its_trace_matches_the_reference() {
-    let pipeline = pipeline_with(4, 1, true, false);
+    let pipeline = pipeline_with(4, 1, false);
     let report = pipeline.compile_kernels();
     assert_eq!(
         report.loop_count(),
@@ -54,61 +55,92 @@ fn every_kernel_compiles_and_its_trace_matches_the_reference() {
 
 #[test]
 fn pipeline_programs_equal_directly_generated_programs() {
-    // The cached pipeline path must generate byte-identical programs to
-    // the seed's direct Optimizer + CodeGenerator path.
-    let agu = AguSpec::new(4, 1).unwrap();
-    let pipeline = pipeline_with(4, 1, true, true);
-    for kernel in raco::kernels::suite() {
-        let (report, program) = pipeline.compile_loop(kernel.spec());
-        assert!(
-            report.succeeded(),
-            "{}: {:?}",
-            kernel.name(),
-            report.failure
-        );
-        let program = program.expect("successful loops carry programs");
-
-        let direct_alloc = raco::core::Optimizer::new(agu)
-            .allocate_loop(kernel.spec())
-            .expect("kernels fit the machine");
-        let layout = MemoryLayout::contiguous(kernel.spec(), 0x1000, 0x400);
-        let direct = CodeGenerator::new(agu)
-            .generate(kernel.spec(), &direct_alloc, &layout)
-            .expect("codegen succeeds");
-        assert_eq!(
-            program.to_string(),
-            direct.to_string(),
-            "{}: cached pipeline and direct path diverge",
-            kernel.name()
-        );
-        // And the program verifies against an independently captured,
-        // longer trace than the pipeline used.
-        let trace = Trace::capture(kernel.spec(), &layout, 40);
-        let sim_report = sim::run(&program, &trace, &agu).expect("verifies");
-        assert_eq!(
-            sim_report.explicit_updates_per_iteration(),
-            report.cost,
-            "{}",
-            kernel.name()
-        );
+    // On every built-in machine, the pipeline's kernel batch — cold,
+    // then warm on the same cache — must generate byte-identical
+    // programs to the direct Optimizer::allocate_loop + CodeGenerator
+    // path, which consults no cache.
+    let suite = raco::kernels::suite();
+    for &machine in MachineDescription::builtin_names() {
+        let agu = *MachineDescription::builtin(machine).unwrap().spec();
+        let mut config = PipelineConfig::new(agu);
+        config.parallelism = Parallelism::Sequential;
+        config.listings = true;
+        let optimizer = Optimizer::with_options(agu, config.effective_options());
+        let pipeline = Pipeline::with_config(config);
+        for pass in ["cold", "warm"] {
+            let misses = pipeline.cache_stats().allocation_misses;
+            let report = pipeline.compile_kernels();
+            if pass == "warm" {
+                assert_eq!(
+                    report.cache.allocation_misses, misses,
+                    "{machine}: the warm pass is all hits"
+                );
+            }
+            assert_eq!(report.loop_count(), suite.len(), "{machine}/{pass}");
+            for (kernel, lr) in suite.iter().zip(report.loops()) {
+                let name = kernel.name();
+                assert_eq!(lr.name, name, "{machine}/{pass}");
+                assert!(lr.succeeded(), "{machine}/{pass}/{name}: {:?}", lr.failure);
+                let direct_alloc = optimizer
+                    .allocate_loop(kernel.spec())
+                    .expect("kernels fit the machine");
+                let layout = MemoryLayout::contiguous(kernel.spec(), 0x1000, 0x400);
+                let direct = CodeGenerator::new(agu)
+                    .generate(kernel.spec(), &direct_alloc, &layout)
+                    .expect("codegen succeeds");
+                assert_eq!(
+                    lr.listing.as_deref(),
+                    Some(direct.to_string().as_str()),
+                    "{machine}/{pass}/{name}: pipeline and direct path diverge"
+                );
+                // And the program verifies against an independently
+                // captured, longer trace than the pipeline used.
+                let trace = Trace::capture(kernel.spec(), &layout, 40);
+                let sim_report = sim::run(&direct, &trace, &agu).expect("verifies");
+                assert_eq!(
+                    sim_report.explicit_updates_per_iteration(),
+                    lr.cost,
+                    "{machine}/{pass}/{name}"
+                );
+            }
+        }
     }
 }
 
 #[test]
 fn cache_on_and_off_produce_identical_reports() {
-    let cached = pipeline_with(4, 1, true, true).compile_kernels();
-    let uncached = pipeline_with(4, 1, false, true).compile_kernels();
-    assert_eq!(cached.loop_count(), uncached.loop_count());
-    for (a, b) in cached.loops().zip(uncached.loops()) {
+    // Served from a warm cache (on) or computed fresh on a pipeline
+    // whose cache holds nothing yet (off), every loop report is the
+    // same, and its cost is the memo-less Optimizer::allocate_loop's.
+    let warm = pipeline_with(4, 1, true);
+    warm.compile_kernels();
+    let misses = warm.cache_stats().allocation_misses;
+    let cached = warm.compile_kernels();
+    assert_eq!(
+        cached.cache.allocation_misses, misses,
+        "the second batch is served from the cache"
+    );
+    let fresh = pipeline_with(4, 1, true).compile_kernels();
+    assert!(
+        fresh.cache.allocation_misses > 0,
+        "the fresh pipeline computes its allocations"
+    );
+    assert_eq!(cached.loop_count(), fresh.loop_count());
+    for (a, b) in cached.loops().zip(fresh.loops()) {
         assert_eq!(a, b, "loop {} diverges between cache modes", a.name);
     }
-    assert_eq!(uncached.cache.allocation_hits, 0);
-    assert_eq!(uncached.cache.allocation_misses, 0, "cache fully bypassed");
+    let optimizer = Optimizer::new(AguSpec::new(4, 1).unwrap());
+    for (kernel, lr) in raco::kernels::suite().iter().zip(cached.loops()) {
+        let direct = optimizer
+            .allocate_loop(kernel.spec())
+            .expect("kernels fit the machine");
+        assert_eq!(lr.cost, u64::from(direct.total_cost()), "{}", kernel.name());
+    }
 }
 
 #[test]
 fn repeated_kernel_batches_become_pure_cache_hits() {
-    let pipeline = pipeline_with(4, 1, true, false);
+    let pipeline = pipeline_with(4, 1, false);
     let first = pipeline.compile_kernels();
     let misses_after_first = first.cache.allocation_misses + first.cache.curve_misses;
     let second = pipeline.compile_kernels();
@@ -140,9 +172,7 @@ fn multi_unit_batches_keep_unit_attribution() {
                 .to_owned(),
         ),
     ];
-    let report = pipeline_with(4, 1, true, false)
-        .compile_units(&units)
-        .unwrap();
+    let report = pipeline_with(4, 1, false).compile_units(&units).unwrap();
     assert_eq!(report.units.len(), 2);
     assert_eq!(report.units[0].name, "fir.dsp");
     assert_eq!(report.units[0].loops.len(), 1);
@@ -162,7 +192,7 @@ fn multi_unit_batches_keep_unit_attribution() {
 fn the_paper_example_reports_the_expected_allocation() {
     // K = 2 on the paper's loop: K̃ = 3, so exactly one merge and a
     // positive cost; the simulator must agree with the prediction.
-    let report = pipeline_with(2, 1, true, true)
+    let report = pipeline_with(2, 1, true)
         .compile_str("paper", raco::ir::examples::PAPER_LOOP_SOURCE)
         .unwrap();
     let lr = &report.units[0].loops[0];
@@ -176,10 +206,10 @@ fn the_paper_example_reports_the_expected_allocation() {
 #[test]
 fn parallel_and_sequential_batches_agree() {
     let source = raco::kernels::suite_program();
-    let sequential = pipeline_with(4, 1, true, true)
+    let sequential = pipeline_with(4, 1, true)
         .compile_str("suite", &source)
         .unwrap();
-    let parallel = pipeline_with(4, 1, true, false)
+    let parallel = pipeline_with(4, 1, false)
         .compile_str("suite", &source)
         .unwrap();
     assert_eq!(sequential.loop_count(), parallel.loop_count());

@@ -1,16 +1,16 @@
 //! End-to-end integration of the multi-dimensional kernels through the
 //! pipeline: golden expectations for `conv2d` / `transpose` /
-//! `stencil5`, simulator-validated listings with carry blocks, cache
-//! on/off byte-identical reports, and warm-cache hits on a repeated
-//! request observed through `CacheStats`.
+//! `stencil5`, simulator-validated listings with carry blocks,
+//! warm-cache and fresh-pipeline byte-identical reports, and warm-cache
+//! hits on a repeated request observed through `CacheStats`.
 
+use raco::core::Optimizer;
 use raco::driver::{Parallelism, Pipeline, PipelineConfig};
 use raco::ir::AguSpec;
 use raco::kernels;
 
-fn pipeline(k: usize, caching: bool) -> Pipeline {
+fn pipeline(k: usize) -> Pipeline {
     let mut config = PipelineConfig::new(AguSpec::new(k, 1).unwrap());
-    config.caching = caching;
     config.parallelism = Parallelism::Sequential;
     config.listings = true;
     Pipeline::with_config(config)
@@ -43,7 +43,7 @@ fn the_kernel_suite_lists_the_new_multi_dimensional_kernels() {
 
 #[test]
 fn nested_kernels_compile_with_simulator_validated_listings() {
-    let report = pipeline(4, true)
+    let report = pipeline(4)
         .compile_units(&[nested_unit()])
         .expect("nested kernels parse");
     assert_eq!(report.loop_count(), 3);
@@ -109,23 +109,40 @@ fn nested_kernels_compile_with_simulator_validated_listings() {
 
 #[test]
 fn nested_kernels_cache_on_and_off_are_byte_identical() {
-    let cached = pipeline(4, true).compile_units(&[nested_unit()]).unwrap();
-    let uncached = pipeline(4, false).compile_units(&[nested_unit()]).unwrap();
-    assert_eq!(uncached.cache.allocation_misses, 0, "cache fully bypassed");
-    for (a, b) in cached.loops().zip(uncached.loops()) {
+    // A repeated request served from the warm cache (on) and the same
+    // request computed on a fresh pipeline (off) agree byte for byte,
+    // and each cost is the memo-less Optimizer::allocate_loop's.
+    let warm = pipeline(4);
+    warm.compile_units(&[nested_unit()]).unwrap();
+    let misses = warm.cache_stats().allocation_misses;
+    let cached = warm.compile_units(&[nested_unit()]).unwrap();
+    assert_eq!(cached.cache.allocation_misses, misses, "served from cache");
+    let fresh = pipeline(4).compile_units(&[nested_unit()]).unwrap();
+    assert!(fresh.cache.allocation_misses > 0, "computed fresh");
+    assert_eq!(cached.loop_count(), fresh.loop_count());
+    for (a, b) in cached.loops().zip(fresh.loops()) {
         assert_eq!(a, b, "{} diverges between cache modes", a.name);
     }
     // Reports carry the listings, so equality above is byte-for-byte
     // including generated programs and carry blocks.
     assert_eq!(
-        cached.units[0].listing, uncached.units[0].listing,
+        cached.units[0].listing, fresh.units[0].listing,
         "assembled unit listings identical"
     );
+    let optimizer = Optimizer::new(AguSpec::new(4, 1).unwrap());
+    let suite = kernels::suite();
+    for (lr, name) in cached.loops().zip(["conv2d", "transpose", "stencil5"]) {
+        let kernel = suite.iter().find(|k| k.name() == name).unwrap();
+        let direct = optimizer
+            .allocate_loop(kernel.spec())
+            .expect("nested kernels fit K = 4");
+        assert_eq!(lr.cost, u64::from(direct.total_cost()), "{name}");
+    }
 }
 
 #[test]
 fn repeated_nested_requests_hit_the_warm_cache() {
-    let pipeline = pipeline(4, true);
+    let pipeline = pipeline(4);
     let first = pipeline.compile_units(&[nested_unit()]).unwrap();
     let (h1, m1) = (
         first.cache.allocation_hits + first.cache.curve_hits,

@@ -8,12 +8,14 @@
 //! * **differential** — random patterns × machines with 0..=4 modify
 //!   registers: allocate, generate code, simulate, and require
 //!   `predicted == measured` exactly (single- and multi-array loops,
-//!   uncached and through the pipeline's cached path);
+//!   directly and through the pipeline with its cache);
 //! * **monotonicity** — more modify registers never increase the
 //!   predicted cost;
 //! * **zero-MR identity** — on machines without modify registers the
 //!   allocation is byte-identical to the pre-change model (the paper's
 //!   Figure 1 reproduction cannot drift);
+//! * **certified optimality** — the exact oracle, pricing with the same
+//!   model, never exceeds the allocator's cost (MR 0..=2, ADDA 1..=3);
 //! * **cache-key soundness** — machines differing only in MR count
 //!   never share allocation-cache entries, in memory or through
 //!   snapshots, and pre-bump snapshots are rejected cleanly.
@@ -22,8 +24,9 @@ use proptest::prelude::*;
 
 use raco::agu::codegen::CodeGenerator;
 use raco::agu::sim;
-use raco::core::{Optimizer, OptimizerOptions};
+use raco::core::{exact, CostModel, Optimizer, OptimizerOptions};
 use raco::driver::{persist, AllocationCache, Pipeline, PipelineConfig};
+use raco::graph::DistanceModel;
 use raco::ir::{
     AccessKind, AccessPattern, AguSpec, CanonicalPattern, LoopSpec, MemoryLayout, Trace,
 };
@@ -243,6 +246,37 @@ fn snapshots_do_not_cross_modify_register_machines() {
         cross.cache
     );
     assert_eq!(cross.cache.allocation_hits, 0, "{:?}", cross.cache);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The exact oracle scores every cover with the allocator's own cost
+    /// model, modify registers and multi-cycle `ADDA` included, so the
+    /// two-phase heuristic can never come in below the optimum.
+    #[test]
+    fn exact_optimum_never_exceeds_the_allocators_cost(
+        offsets in prop::collection::vec(-12i64..=12, 2..=8),
+        stride in prop_oneof![Just(1i64), Just(-1i64), Just(2i64), Just(-3i64)],
+        m in 0u32..=2,
+        k in 1usize..=3,
+        mr in 0usize..=2,
+        adda in 1u32..=3,
+    ) {
+        let model = CostModel::steady_state()
+            .with_modify_registers(mr)
+            .with_adda_cost(adda);
+        let dm = DistanceModel::from_offsets(&offsets, stride, m);
+        let agu = AguSpec::new(k, m).unwrap().with_modify_registers(mr);
+        let heuristic = Optimizer::new(agu).cost_model(model).allocate_model(dm.clone()).cost();
+        let (optimum, cover) = exact::optimal_allocation(&dm, k, model);
+        prop_assert!(cover.register_count() <= k);
+        prop_assert!(
+            optimum <= heuristic,
+            "optimum {} > heuristic {}: K={} M={} MR={} ADDA={} offsets {:?} stride {}",
+            optimum, heuristic, k, m, mr, adda, &offsets, stride
+        );
+    }
 }
 
 /// Cross-version regression for the v1 → v2 snapshot bump: a
