@@ -36,7 +36,7 @@ use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use raco_core::{Allocation, OptimizerOptions};
 use raco_ir::{CanonicalPattern, UpdateRange};
@@ -135,6 +135,13 @@ impl<K, V> Shard<K, V> {
 }
 
 /// A concurrent hash map sharded by key hash.
+///
+/// A shard whose lock was poisoned (a thread panicked holding it) is
+/// used as it stands, not failed: every value is a whole `Arc` written
+/// in one step, and no call that can panic sits between an entry's
+/// insert and its order-queue update, so a panic cannot leave a shard
+/// half-updated, and failing every later request on it would turn one
+/// panic into a dead cache.
 #[derive(Debug)]
 struct ShardedMap<K, V> {
     shards: Vec<RwLock<Shard<K, V>>>,
@@ -173,7 +180,7 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
         let (shard, key) = self.locate(key);
         if let Some(v) = shard
             .read()
-            .expect("cache shard poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .entries
             .get(&key)
         {
@@ -205,7 +212,7 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
         key: Hashed<K>,
         value: Arc<V>,
     ) -> (Arc<V>, bool) {
-        let mut guard = shard.write().expect("cache shard poisoned");
+        let mut guard = shard.write().unwrap_or_else(PoisonError::into_inner);
         let Shard { entries, order } = &mut *guard;
         match entries.entry(key) {
             Entry::Occupied(resident) => return (Arc::clone(resident.get()), false),
@@ -235,7 +242,7 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
             .iter()
             .flat_map(|s| {
                 s.read()
-                    .expect("cache shard poisoned")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .entries
                     .iter()
                     .map(|(k, v)| (k.key.clone(), Arc::clone(v)))
@@ -247,13 +254,18 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
     fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().expect("cache shard poisoned").entries.len())
+            .map(|s| {
+                s.read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .entries
+                    .len()
+            })
             .sum()
     }
 
     fn clear(&self) {
         for shard in &self.shards {
-            let mut guard = shard.write().expect("cache shard poisoned");
+            let mut guard = shard.write().unwrap_or_else(PoisonError::into_inner);
             guard.entries.clear();
             guard.order.clear();
         }
@@ -668,6 +680,43 @@ mod tests {
         let stats = cache.stats();
         assert!(stats.curve_entries <= 8 + SHARDS);
         assert_eq!(stats.curve_hits + stats.curve_misses, 4 * 256);
+    }
+
+    #[test]
+    fn a_poisoned_shard_keeps_serving() {
+        let cache = AllocationCache::new();
+        let options = OptimizerOptions::default();
+        let _ = cache.cost_curve(&canonical(&[0, 1]), sym(1), 2, &options, || vec![1, 0]);
+        // Panic while holding every shard's write guard.
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guards: Vec<_> = cache
+                    .curves
+                    .shards
+                    .iter()
+                    .map(|shard| shard.write().unwrap())
+                    .collect();
+                panic!("poison every shard");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(cache.curves.shards.iter().all(RwLock::is_poisoned));
+        // A hit, a miss with its insert, and the new entry's hit.
+        let hit = cache.cost_curve(&canonical(&[0, 1]), sym(1), 2, &options, || {
+            panic!("must not recompute")
+        });
+        assert_eq!(*hit, vec![1, 0]);
+        let _ = cache.cost_curve(&canonical(&[0, 5]), sym(1), 2, &options, || vec![2, 1]);
+        let again = cache.cost_curve(&canonical(&[0, 5]), sym(1), 2, &options, || {
+            panic!("must not recompute")
+        });
+        assert_eq!(*again, vec![2, 1]);
+        let stats = cache.stats();
+        assert_eq!((stats.curve_hits, stats.curve_misses), (2, 2));
+        assert_eq!(stats.curve_entries, 2);
+        cache.clear();
+        assert_eq!(cache.stats().curve_entries, 0);
     }
 
     #[test]

@@ -273,48 +273,48 @@ impl Pipeline {
         self.compile_units(&[(name.to_owned(), source.to_owned())])
     }
 
-    /// Compiles a file, or every recognized source in a directory
-    /// (extensions: [`SOURCE_EXTENSIONS`]), as one batch.
+    /// Compiles files and directories as one batch: each file is one
+    /// unit, and a directory contributes every recognized source in it
+    /// (extensions: [`SOURCE_EXTENSIONS`]), sorted by path.
     ///
     /// # Errors
     ///
     /// Returns [`DriverError::Io`] on unreadable paths,
-    /// [`DriverError::EmptyBatch`] for directories without sources and
+    /// [`DriverError::EmptyBatch`] for a directory without sources and
     /// [`DriverError::Parse`] on the first unparsable unit.
-    pub fn compile_path(&self, path: &Path) -> Result<CompilationReport, DriverError> {
-        let read = |p: &Path| -> Result<(String, String), DriverError> {
-            let text = std::fs::read_to_string(p).map_err(|error| DriverError::Io {
-                path: p.to_path_buf(),
-                error,
-            })?;
-            Ok((p.display().to_string(), text))
+    pub fn compile_paths<P: AsRef<Path>>(
+        &self,
+        paths: &[P],
+    ) -> Result<CompilationReport, DriverError> {
+        let io = |path: &Path| {
+            let path = path.to_path_buf();
+            move |error| DriverError::Io { path, error }
         };
         let mut units = Vec::new();
-        if path.is_dir() {
-            let entries = std::fs::read_dir(path).map_err(|error| DriverError::Io {
-                path: path.to_path_buf(),
-                error,
-            })?;
-            let mut files: Vec<PathBuf> = entries
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.extension()
-                        .and_then(|e| e.to_str())
-                        .is_some_and(|e| SOURCE_EXTENSIONS.contains(&e))
-                })
-                .collect();
-            files.sort();
+        for path in paths.iter().map(AsRef::as_ref) {
+            let mut files = vec![path.to_path_buf()];
+            if path.is_dir() {
+                files = std::fs::read_dir(path)
+                    .map_err(io(path))?
+                    .filter_map(Result::ok)
+                    .map(|e| e.path())
+                    .filter(|p| {
+                        p.extension()
+                            .and_then(|e| e.to_str())
+                            .is_some_and(|e| SOURCE_EXTENSIONS.contains(&e))
+                    })
+                    .collect();
+                if files.is_empty() {
+                    return Err(DriverError::EmptyBatch {
+                        path: path.to_path_buf(),
+                    });
+                }
+                files.sort();
+            }
             for file in files {
-                units.push(read(&file)?);
+                let text = std::fs::read_to_string(&file).map_err(io(&file))?;
+                units.push((file.display().to_string(), text));
             }
-            if units.is_empty() {
-                return Err(DriverError::EmptyBatch {
-                    path: path.to_path_buf(),
-                });
-            }
-        } else {
-            units.push(read(path)?);
         }
         self.compile_units(&units)
     }
@@ -1039,7 +1039,7 @@ mod tests {
         )
         .unwrap();
         std::fs::write(dir.join("notes.txt"), "not source").unwrap();
-        let report = pipeline(3).compile_path(&dir).unwrap();
+        let report = pipeline(3).compile_paths(&[&dir]).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(report.units.len(), 2);
         assert_eq!(report.loop_count(), 2);
@@ -1051,12 +1051,12 @@ mod tests {
     #[test]
     fn missing_paths_surface_io_errors() {
         let err = pipeline(2)
-            .compile_path(Path::new("/nonexistent/raco/source.dsp"))
+            .compile_paths(&[Path::new("/nonexistent/raco/source.dsp")])
             .unwrap_err();
         assert!(matches!(err, DriverError::Io { .. }));
         let empty = std::env::temp_dir().join(format!("raco-driver-empty-{}", std::process::id()));
         std::fs::create_dir_all(&empty).unwrap();
-        let err = pipeline(2).compile_path(&empty).unwrap_err();
+        let err = pipeline(2).compile_paths(&[&empty]).unwrap_err();
         std::fs::remove_dir_all(&empty).ok();
         assert!(matches!(err, DriverError::EmptyBatch { .. }));
     }

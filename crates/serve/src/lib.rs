@@ -15,8 +15,8 @@
 //!
 //! ## Example
 //!
-//! A server is a plain value; the transports are loops around
-//! [`Server::handle_line`], which you can also call directly:
+//! A server is a plain value; both transports run one session loop
+//! around [`Server::handle_line`], which you can also call directly:
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -330,8 +330,8 @@ impl Server {
         &self.pipeline
     }
 
-    /// Writes the shutdown snapshot, if one is configured. Both serve
-    /// loops call this once their last connection has drained; a
+    /// Writes the shutdown snapshot, if one is configured. Both
+    /// transports call this once their last session has ended; a
     /// snapshot failure is reported on stderr but never turns a clean
     /// shutdown into an error (the cache is an optimization — losing
     /// it must not fail the service).
@@ -348,17 +348,24 @@ impl Server {
 
     /// Handles one request line and produces one response line.
     ///
-    /// This is the transport-free core: both [`serve`](Self::serve)
-    /// and [`serve_tcp`](Self::serve_tcp) are loops around it, and
-    /// tests and benches call it directly (a "loopback" client).
+    /// This is the transport-free core: the one session loop behind
+    /// [`serve`](Self::serve) and [`serve_tcp`](Self::serve_tcp) calls
+    /// it once per request, and tests and benches call it directly (a
+    /// "loopback" client).
     ///
     /// Every request is counted and timed into the server's per-op
     /// metrics (see the `metrics` op), and every response line gets an
     /// `elapsed_us` field with its end-to-end wall time.
     pub fn handle_line(&self, line: &str) -> Reply {
+        self.accounted(|| self.dispatch(line))
+    }
+
+    /// Counts and times one request under the op label `respond`
+    /// returns, and stamps its `elapsed_us` onto the reply line.
+    fn accounted(&self, respond: impl FnOnce() -> (&'static str, Reply)) -> Reply {
         let started = Instant::now();
         self.metrics.begin();
-        let (op, mut reply) = self.dispatch(line);
+        let (op, mut reply) = respond();
         let elapsed_ns = started.elapsed().as_nanos() as u64;
         self.metrics.finish(op, elapsed_ns);
         reply.line = attach_elapsed(reply.line, elapsed_ns);
@@ -581,24 +588,6 @@ impl Server {
         (op, out)
     }
 
-    /// Produces the error reply for a request line of `total` bytes that
-    /// exceeded [`MAX_REQUEST_LINE`]. Counted under the `invalid` op
-    /// like any other undecodable request.
-    fn oversized_reply(&self, total: u64) -> Reply {
-        let started = Instant::now();
-        self.metrics.begin();
-        let line = protocol::error_line(
-            &None,
-            &format!("request line of {total} bytes exceeds the {MAX_REQUEST_LINE}-byte limit"),
-        );
-        let elapsed_ns = started.elapsed().as_nanos() as u64;
-        self.metrics.finish(INVALID_OP, elapsed_ns);
-        Reply {
-            line: attach_elapsed(line, elapsed_ns),
-            shutdown: false,
-        }
-    }
-
     /// Serves NDJSON requests from `input`, writing responses to
     /// `output`, until a `shutdown` request or end of input. Blank
     /// lines are skipped; lines longer than [`MAX_REQUEST_LINE`] get an
@@ -614,35 +603,74 @@ impl Server {
     /// are error *responses*, not errors here). The shutdown snapshot
     /// is still attempted on the error path — whatever warmth was
     /// accumulated is worth keeping.
-    pub fn serve<R: BufRead, W: Write>(&self, mut input: R, mut output: W) -> io::Result<()> {
-        let result = self.serve_inner(&mut input, &mut output);
-        self.snapshot_on_shutdown();
-        result
-    }
-
-    fn serve_inner<R: BufRead, W: Write>(&self, input: &mut R, output: &mut W) -> io::Result<()> {
+    pub fn serve<R: BufRead, W: Write>(&self, input: R, output: W) -> io::Result<()> {
         // Stdio has no read timeouts, so the idle deadline does not
         // apply here: a pipe's writer is the server's own supervisor,
         // not an untrusted remote peer.
-        while let Some(read) = read_limited_line(input, MAX_REQUEST_LINE, None, None)? {
-            let reply = match read {
+        let result = self.session(input, output, None, None);
+        self.snapshot_on_shutdown();
+        result.map(drop)
+    }
+
+    /// Serves one client: reads request lines, writes one framed reply
+    /// per request and flushes it, until end of input, a `shutdown`
+    /// request, or — when `stop` is given — a server-wide drain.
+    /// Returns `true` if the client asked for shutdown.
+    ///
+    /// Blank lines are skipped. A line longer than [`MAX_REQUEST_LINE`]
+    /// gets an error reply (accounted under the `invalid` op) and the
+    /// session continues. With a `read_deadline`, a client that sends
+    /// no complete request within it gets a `read_deadline` error and
+    /// the session ends (the slow-loris reap). Read and write errors
+    /// are returned.
+    fn session<R: BufRead, W: Write>(
+        &self,
+        mut reader: R,
+        mut writer: W,
+        stop: Option<&AtomicBool>,
+        read_deadline: Option<Duration>,
+    ) -> io::Result<bool> {
+        while let Some(read) =
+            read_limited_line(&mut reader, MAX_REQUEST_LINE, stop, read_deadline)?
+        {
+            let (mut framed, shutdown, ends) = match read {
+                ReadOutcome::Line(line) if line.trim().is_empty() => continue,
                 ReadOutcome::Line(line) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    self.handle_line(&line)
+                    let Reply { line, shutdown } = self.handle_line(&line);
+                    (line, shutdown, shutdown)
                 }
-                ReadOutcome::Oversized(total) => self.oversized_reply(total),
-                ReadOutcome::IdleTimeout => unreachable!("no idle deadline on stdio"),
+                ReadOutcome::Oversized(total) => {
+                    let message = format!(
+                        "request line of {total} bytes exceeds the {MAX_REQUEST_LINE}-byte limit"
+                    );
+                    let line = protocol::error_line(&None, &message);
+                    let shutdown = false;
+                    let reply = self.accounted(|| (INVALID_OP, Reply { line, shutdown }));
+                    (reply.line, false, false)
+                }
+                ReadOutcome::IdleTimeout => {
+                    // Answer, then close: after a mid-line stall the
+                    // stream offers no resync point, and an idle
+                    // keep-alive past the deadline has had its chance.
+                    self.metrics.note_read_deadline();
+                    let message = format!(
+                        "no complete request within the {} ms read deadline; closing",
+                        read_deadline.unwrap_or_default().as_millis()
+                    );
+                    let line = protocol::error_kind_line(&None, "read_deadline", &message);
+                    (line, false, true)
+                }
             };
-            output.write_all(reply.line.as_bytes())?;
-            output.write_all(b"\n")?;
-            output.flush()?;
-            if reply.shutdown {
-                break;
+            // One framed write per reply: a reply split across writes
+            // would interact with Nagle and delayed ACKs on TCP.
+            framed.push('\n');
+            writer.write_all(framed.as_bytes())?;
+            writer.flush()?;
+            if ends {
+                return Ok(shutdown);
             }
         }
-        Ok(())
+        Ok(false)
     }
 
     /// Accepts connections on `listener` and serves each on its own
@@ -688,7 +716,17 @@ impl Server {
                         let stop = &stop;
                         let active = &active;
                         scope.spawn(move || {
-                            let shutdown = self.serve_stream(&stream, stop);
+                            // An I/O error ends only this connection.
+                            let shutdown = connection_writer(&stream)
+                                .and_then(|writer| {
+                                    self.session(
+                                        BufReader::new(&stream),
+                                        writer,
+                                        Some(stop),
+                                        self.options.read_deadline,
+                                    )
+                                })
+                                .unwrap_or(false);
                             active.fetch_sub(1, Ordering::AcqRel);
                             if shutdown {
                                 stop.store(true, Ordering::Release);
@@ -736,94 +774,21 @@ impl Server {
             .write_all(line.as_bytes())
             .and_then(|()| writer.flush());
     }
+}
 
-    /// Serves one TCP connection; `true` if the client asked the whole
-    /// server to shut down. The read side polls `stop` (via a read
-    /// timeout) so a drain elsewhere closes this connection between
-    /// requests instead of waiting for the client to hang up, and — in
-    /// the same polling — enforces the read deadline: a client with no
-    /// complete request within it gets a `read_deadline` error and is
-    /// closed, freeing the thread a slow loris used to pin.
-    fn serve_stream(&self, stream: &TcpStream, stop: &AtomicBool) -> bool {
-        // Blocking per-connection I/O (the listener's nonblocking flag
-        // is inherited on some platforms) with a short read timeout —
-        // the timeout is what turns a parked idle connection into one
-        // that notices a server-wide drain or an expired read deadline.
-        if stream.set_nonblocking(false).is_err() {
-            return false;
-        }
-        if stream.set_read_timeout(Some(DRAIN_POLL)).is_err() {
-            return false;
-        }
-        // Replies are written as one buffer, but disable Nagle anyway:
-        // with it on, any reply split across writes has its tail held
-        // hostage by the peer's delayed ACK (~40 ms on Linux) — fatal
-        // to request/response latency on a warm cache.
-        let _ = stream.set_nodelay(true);
-        let mut writer = match stream.try_clone() {
-            Ok(writer) => writer,
-            Err(_) => return false,
-        };
-        let mut reader = BufReader::new(stream);
-        let mut shutdown = false;
-        // Per-connection I/O errors just end this connection.
-        while let Ok(Some(read)) = read_limited_line(
-            &mut reader,
-            MAX_REQUEST_LINE,
-            Some(stop),
-            self.options.read_deadline,
-        ) {
-            let reply = match read {
-                ReadOutcome::Line(line) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    self.handle_line(&line)
-                }
-                ReadOutcome::Oversized(total) => self.oversized_reply(total),
-                ReadOutcome::IdleTimeout => {
-                    // The slow-loris reap: answer, then close. After a
-                    // mid-line stall the stream offers no resync point,
-                    // and an idle keep-alive past the deadline has had
-                    // its chance — either way the thread is reclaimed.
-                    self.metrics.note_read_deadline();
-                    let deadline = self
-                        .options
-                        .read_deadline
-                        .expect("idle timeout implies a deadline");
-                    let mut line = protocol::error_kind_line(
-                        &None,
-                        "read_deadline",
-                        &format!(
-                            "no complete request within the {} ms read deadline; closing",
-                            deadline.as_millis()
-                        ),
-                    );
-                    line.push('\n');
-                    let _ = writer
-                        .write_all(line.as_bytes())
-                        .and_then(|()| writer.flush());
-                    break;
-                }
-            };
-            // One framed write per reply: a reply split across writes
-            // would interact with Nagle + delayed ACKs (see above).
-            let mut framed = reply.line;
-            framed.push('\n');
-            if writer
-                .write_all(framed.as_bytes())
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
-                break;
-            }
-            if reply.shutdown {
-                shutdown = true;
-                break;
-            }
-        }
-        shutdown
-    }
+/// Readies an accepted connection for its session and returns the
+/// write half. Reads block (the listener's nonblocking flag is
+/// inherited on some platforms) but time out every [`DRAIN_POLL`]:
+/// the timeout is what lets a parked idle connection notice a
+/// server-wide drain or an expired read deadline. Nagle is off: with
+/// it on, a reply's tail can be held hostage by the peer's delayed
+/// ACK (~40 ms on Linux), fatal to request/response latency on a warm
+/// cache.
+fn connection_writer(stream: &TcpStream) -> io::Result<TcpStream> {
+    stream.set_nonblocking(false)?;
+    stream.set_read_timeout(Some(DRAIN_POLL))?;
+    let _ = stream.set_nodelay(true);
+    stream.try_clone()
 }
 
 /// The message a caught panic carried (`panic!` payloads are a `&str`
@@ -924,8 +889,14 @@ mod tests {
                 reply.line
             );
         }
-        let oversized = server.oversized_reply(MAX_REQUEST_LINE as u64 + 1);
-        assert!(parsed(&oversized).get("elapsed_us").is_some());
+        // An oversized line never reaches `handle_line`; the session
+        // loop accounts and stamps its error reply the same way.
+        let mut output = Vec::new();
+        let input = "x".repeat(MAX_REQUEST_LINE + 1);
+        server.serve(input.as_bytes(), &mut output).unwrap();
+        let reply = Json::parse(String::from_utf8(output).unwrap().trim()).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+        assert!(reply.get("elapsed_us").is_some());
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //!     --cache-load <f>   warm the allocation cache from a snapshot file
 //!     --cache-save <f>   snapshot the warm cache when done (serve: on
 //!                        graceful shutdown and on `save_cache` requests)
+//!     --cache-max <N>    bound the allocation cache at ~N entries (FIFO eviction)
 //!     --listing          print assembled per-unit listings
 //!     --timings          print the per-stage pipeline timing table
 //!     --json             print the JSON report to stdout
@@ -36,7 +37,6 @@
 //! serve-only:
 //!     --stdio            serve stdin/stdout (the default transport)
 //!     --tcp <addr>       serve TCP connections on <addr> (e.g. 127.0.0.1:4750)
-//!     --cache-max <N>    bound the allocation cache at ~N entries (FIFO eviction)
 //!     --queue-depth <N>  compiles in flight at once, across all
 //!                        connections, before shedding (default 256)
 //!     --read-deadline <ms>     reap connections with no complete request
@@ -82,18 +82,18 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use raco::driver::{CachePolicy, CompilationReport, Parallelism, Pipeline, PipelineConfig};
-use raco::ir::{AguSpec, MachineDescription, UpdateRange};
-use raco::serve::{ServeOptions, Server};
+use raco::ir::AguSpec;
+use raco::serve::{Knobs, ServeOptions, Server};
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct CliOptions {
     machine: Option<String>,
     registers: Option<usize>,
     modify_range: Option<u32>,
     modify_registers: Option<usize>,
     threads: Option<usize>,
-    iterations: u64,
-    validate: bool,
+    iterations: Option<u64>,
+    validate: Option<bool>,
     listing: bool,
     timings: bool,
     quick: bool,
@@ -119,45 +119,6 @@ struct CliOptions {
     failures_dir: Option<PathBuf>,
     transport: Option<String>,
     paths: Vec<PathBuf>,
-}
-
-impl Default for CliOptions {
-    fn default() -> Self {
-        CliOptions {
-            machine: None,
-            registers: None,
-            modify_range: None,
-            modify_registers: None,
-            threads: None,
-            iterations: 16,
-            validate: true,
-            listing: false,
-            timings: false,
-            quick: false,
-            label: None,
-            json: false,
-            output: None,
-            quiet: false,
-            stdio: false,
-            tcp: None,
-            cache_max: None,
-            read_deadline_ms: None,
-            compute_deadline_ms: None,
-            queue_depth: None,
-            max_connections: None,
-            requests: None,
-            connections: None,
-            shapes: None,
-            cache_load: None,
-            cache_save: None,
-            budget: None,
-            seed: None,
-            max_cases: None,
-            failures_dir: None,
-            transport: None,
-            paths: Vec::new(),
-        }
-    }
 }
 
 fn usage() -> &'static str {
@@ -186,6 +147,7 @@ fn usage() -> &'static str {
      \x20     --cache-load <f>   warm the allocation cache from a snapshot file\n\
      \x20     --cache-save <f>   snapshot the warm cache when done (serve: on\n\
      \x20                        graceful shutdown and on `save_cache` requests)\n\
+     \x20     --cache-max <N>    bound the allocation cache at ~N entries\n\
      \x20     --listing          print assembled per-unit listings\n\
      \x20     --timings          print the per-stage pipeline timing table\n\
      \x20     --json             print the JSON report to stdout\n\
@@ -195,7 +157,6 @@ fn usage() -> &'static str {
      serve-only options:\n\
      \x20     --stdio            serve stdin/stdout (the default transport)\n\
      \x20     --tcp <addr>       serve TCP connections on <addr>\n\
-     \x20     --cache-max <N>    bound the allocation cache at ~N entries\n\
      \x20     --queue-depth <N>  compiles in flight before shedding (default 256)\n\
      \x20     --read-deadline <ms>     reap slow clients (default 10000; 0 = off)\n\
      \x20     --compute-deadline <ms>  per-compile budget, checked before each\n\
@@ -237,10 +198,66 @@ fn parse_number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Resu
         .map_err(|_| format!("{flag}: `{value}` is not a valid number"))
 }
 
-fn parse_options(args: Vec<String>) -> Result<CliOptions, String> {
+/// Every flag, by long name, and the subcommands that read it (`-k`,
+/// `-m`, `-j` and `-o` stand for `--registers`, `--modify`, `--threads`
+/// and `--output`).
+const FLAG_READERS: &[(&str, &str)] = &[
+    ("--machine", "compile kernels serve loadgen"),
+    ("--registers", "compile kernels serve"),
+    ("--modify", "compile kernels serve"),
+    ("--modify-regs", "compile kernels serve"),
+    ("--threads", "compile kernels serve"),
+    ("--iterations", "compile kernels serve"),
+    ("--no-validate", "compile kernels serve"),
+    ("--cache-load", "compile kernels serve"),
+    ("--cache-save", "compile kernels serve"),
+    ("--cache-max", "compile kernels serve loadgen"),
+    ("--listing", "compile kernels serve"),
+    ("--timings", "compile kernels"),
+    ("--json", "compile kernels"),
+    ("--output", "compile kernels loadgen bench-trajectory"),
+    (
+        "--quiet",
+        "compile kernels serve loadgen fuzz bench-trajectory",
+    ),
+    ("--stdio", "serve"),
+    ("--tcp", "serve loadgen"),
+    ("--queue-depth", "serve loadgen"),
+    ("--read-deadline", "serve loadgen"),
+    ("--compute-deadline", "serve loadgen"),
+    ("--max-connections", "serve loadgen"),
+    ("--requests", "loadgen"),
+    ("--connections", "loadgen"),
+    ("--shapes", "loadgen"),
+    ("--seed", "loadgen fuzz"),
+    ("--label", "loadgen bench-trajectory"),
+    ("--budget", "fuzz"),
+    ("--max-cases", "fuzz"),
+    ("--failures-dir", "fuzz"),
+    ("--transport", "fuzz"),
+    ("--quick", "bench-trajectory"),
+];
+
+/// Whether `subcommand` reads `flag`; `None` for an unknown flag.
+fn reads_flag(subcommand: &str, flag: &str) -> Option<bool> {
+    let long = match flag {
+        "-k" => "--registers",
+        "-m" => "--modify",
+        "-j" => "--threads",
+        "-o" => "--output",
+        long => long,
+    };
+    let (_, readers) = FLAG_READERS.iter().find(|(name, _)| *name == long)?;
+    Some(readers.split(' ').any(|reader| reader == subcommand))
+}
+
+fn parse_options(subcommand: &str, args: Vec<String>) -> Result<CliOptions, String> {
     let mut options = CliOptions::default();
     let mut iter = args.into_iter().peekable();
     while let Some(arg) = iter.next() {
+        if reads_flag(subcommand, &arg) == Some(false) {
+            return Err(format!("`{arg}` does not apply to `{subcommand}`"));
+        }
         match arg.as_str() {
             "--machine" => {
                 let value = iter
@@ -254,8 +271,8 @@ fn parse_options(args: Vec<String>) -> Result<CliOptions, String> {
                 options.modify_registers = Some(parse_number(&arg, iter.next())?);
             }
             "-j" | "--threads" => options.threads = Some(parse_number(&arg, iter.next())?),
-            "--iterations" => options.iterations = parse_number(&arg, iter.next())?,
-            "--no-validate" => options.validate = false,
+            "--iterations" => options.iterations = Some(parse_number(&arg, iter.next())?),
+            "--no-validate" => options.validate = Some(false),
             "--listing" => options.listing = true,
             "--timings" => options.timings = true,
             "--quick" => options.quick = true,
@@ -325,57 +342,43 @@ fn parse_options(args: Vec<String>) -> Result<CliOptions, String> {
                 options.output = Some(PathBuf::from(value));
             }
             flag if flag.starts_with('-') => return Err(format!("unknown option `{flag}`")),
+            _ if subcommand != "compile" => {
+                return Err(format!("{subcommand}: unexpected positional arguments"))
+            }
             path => options.paths.push(PathBuf::from(path)),
         }
     }
     Ok(options)
 }
 
-/// Resolves `--machine`: a built-in name, a path to a description
-/// file, or an inline `key = value` description string.
-fn resolve_machine(arg: &str) -> Result<AguSpec, String> {
-    let path = std::path::Path::new(arg);
-    let description = if path.is_file() {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("--machine {}: {e}", path.display()))?;
-        MachineDescription::parse(&text)
-            .map_err(|e| format!("--machine {}: {e}", path.display()))?
-    } else {
-        MachineDescription::resolve(arg).map_err(|e| format!("--machine: {e}"))?
-    };
-    Ok(*description.spec())
-}
-
+/// The pipeline configuration the flags ask for, layered by the same
+/// [`Knobs::apply`] a serve request goes through: the machine first (a
+/// `--machine` description file is read and passed as its text), then
+/// the numeric knobs on top, so e.g. `--machine saris -k 2` keeps the
+/// SARIS cost table while shrinking the register file.
 fn build_config(options: &CliOptions) -> Result<PipelineConfig, String> {
-    let mut agu = match &options.machine {
-        Some(arg) => resolve_machine(arg)?,
-        None => AguSpec::new(4, 1).map_err(|e| e.to_string())?,
-    };
-    // Numeric knobs layer on top of the description (or the paper-shaped
-    // default), so e.g. `--machine saris -k 2` keeps the SARIS cost
-    // table while shrinking the register file.
-    if let Some(k) = options.registers {
-        agu = agu.with_address_registers(k).map_err(|e| e.to_string())?;
-    }
-    if let Some(m) = options.modify_range {
-        agu = agu.with_update_range(UpdateRange::symmetric(m));
-    }
-    if let Some(n) = options.modify_registers {
-        agu = agu.with_modify_registers(n);
-    }
-    let mut config = PipelineConfig::new(agu);
-    config.parallelism = match options.threads {
-        None => Parallelism::Auto,
-        Some(0) | Some(1) => Parallelism::Sequential,
-        Some(n) => Parallelism::Fixed(n),
-    };
-    config.validate = options.validate;
-    config.validation_iterations = options.iterations;
-    config.listings = options.listing;
+    let mut base = PipelineConfig::new(AguSpec::new(4, 1).map_err(|e| e.to_string())?);
     if let Some(max) = options.cache_max {
-        config.cache_policy = CachePolicy::Bounded(max);
+        base.cache_policy = CachePolicy::Bounded(max);
     }
-    Ok(config)
+    let machine = match &options.machine {
+        Some(arg) if std::path::Path::new(arg).is_file() => {
+            Some(std::fs::read_to_string(arg).map_err(|e| format!("--machine {arg}: {e}"))?)
+        }
+        other => other.clone(),
+    };
+    let knobs = Knobs {
+        machine,
+        registers: options.registers,
+        modify: options.modify_range,
+        modify_registers: options.modify_registers,
+        threads: options.threads,
+        iterations: options.iterations,
+        validate: options.validate,
+        listings: Some(options.listing),
+        timings: None,
+    };
+    knobs.apply(&base)
 }
 
 fn build_pipeline(options: &CliOptions) -> Result<Pipeline, String> {
@@ -474,37 +477,21 @@ fn run() -> Result<bool, String> {
             Ok(true)
         }
         "compile" => {
-            let options = parse_options(args)?;
+            let options = parse_options(&command, args)?;
             if options.paths.is_empty() {
                 return Err("compile: no input paths given".to_owned());
             }
             let pipeline = build_pipeline(&options)?;
             warm_from_snapshot(&pipeline, &options)?;
-            // Compile every path into one combined report so the cache
-            // warms across inputs, exactly like batch traffic would.
-            let mut combined: Option<CompilationReport> = None;
-            for path in &options.paths {
-                let report = pipeline.compile_path(path).map_err(|e| e.to_string())?;
-                combined = Some(match combined {
-                    None => report,
-                    Some(mut acc) => {
-                        acc.units.extend(report.units);
-                        acc.elapsed += report.elapsed;
-                        acc.cache = report.cache;
-                        acc
-                    }
-                });
-            }
+            let report = pipeline
+                .compile_paths(&options.paths)
+                .map_err(|e| e.to_string())?;
             save_snapshot(&pipeline, &options)?;
-            let report = combined.expect("at least one path");
             emit(&report, &options)?;
             Ok(report.failed() == 0)
         }
         "kernels" => {
-            let options = parse_options(args)?;
-            if !options.paths.is_empty() {
-                return Err("kernels: unexpected positional arguments".to_owned());
-            }
+            let options = parse_options(&command, args)?;
             let pipeline = build_pipeline(&options)?;
             warm_from_snapshot(&pipeline, &options)?;
             let report = pipeline.compile_kernels();
@@ -513,10 +500,7 @@ fn run() -> Result<bool, String> {
             Ok(report.failed() == 0)
         }
         "serve" => {
-            let options = parse_options(args)?;
-            if !options.paths.is_empty() {
-                return Err("serve: unexpected positional arguments".to_owned());
-            }
+            let options = parse_options(&command, args)?;
             if options.stdio && options.tcp.is_some() {
                 return Err("serve: --stdio and --tcp are mutually exclusive".to_owned());
             }
@@ -575,10 +559,7 @@ fn run() -> Result<bool, String> {
             Ok(true)
         }
         "loadgen" => {
-            let options = parse_options(args)?;
-            if !options.paths.is_empty() {
-                return Err("loadgen: unexpected positional arguments".to_owned());
-            }
+            let options = parse_options(&command, args)?;
             let binary =
                 std::env::current_exe().map_err(|e| format!("loadgen: cannot locate raco: {e}"))?;
             let mut config = raco::loadgen::LoadgenConfig::new(binary);
@@ -663,10 +644,7 @@ fn run() -> Result<bool, String> {
             Ok(report.transport_errors == 0)
         }
         "fuzz" => {
-            let options = parse_options(args)?;
-            if !options.paths.is_empty() {
-                return Err("fuzz: unexpected positional arguments".to_owned());
-            }
+            let options = parse_options(&command, args)?;
             let budget = raco::fuzz::parse_budget(options.budget.as_deref().unwrap_or("45s"))?;
             let seed = options.seed.unwrap_or_else(|| {
                 std::time::SystemTime::now()
@@ -717,10 +695,7 @@ fn run() -> Result<bool, String> {
             Ok(outcome.failures.is_empty())
         }
         "bench-trajectory" => {
-            let options = parse_options(args)?;
-            if !options.paths.is_empty() {
-                return Err("bench-trajectory: unexpected positional arguments".to_owned());
-            }
+            let options = parse_options(&command, args)?;
             let label = options.label.as_deref().unwrap_or("local");
             let path = options
                 .output

@@ -30,10 +30,8 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use raco_driver::{Json, Pipeline, PipelineConfig};
@@ -43,14 +41,8 @@ use raco_serve::Request;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Transport the server under test listens on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// NDJSON over the child's stdin/stdout.
-    Stdio,
-    /// NDJSON over a TCP connection to an ephemeral port.
-    Tcp,
-}
+pub use crate::client::Transport;
+use crate::client::{Connection, SpawnedServer};
 
 /// Configuration of one fuzz run.
 #[derive(Debug, Clone)]
@@ -621,154 +613,13 @@ pub fn write_failure(
 }
 
 // ---------------------------------------------------------------------
-// The server under test
-// ---------------------------------------------------------------------
-
-/// A spawned `raco serve` process with a framed NDJSON connection.
-pub struct ServerUnderTest {
-    child: Child,
-    writer: Box<dyn Write + Send>,
-    reader: BufReader<Box<dyn Read + Send>>,
-}
-
-impl ServerUnderTest {
-    /// Spawns `binary serve` over `transport` with extra CLI args
-    /// (e.g. `--cache-load <path>`).
-    pub fn spawn(binary: &Path, transport: Transport, extra_args: &[String]) -> io::Result<Self> {
-        let mut command = Command::new(binary);
-        command.arg("serve");
-        match transport {
-            Transport::Stdio => {
-                command
-                    .arg("--stdio")
-                    .args(extra_args)
-                    .stdin(Stdio::piped())
-                    .stdout(Stdio::piped())
-                    .stderr(Stdio::null());
-                let mut child = command.spawn()?;
-                let writer = Box::new(child.stdin.take().expect("piped stdin"));
-                let reader =
-                    BufReader::new(Box::new(child.stdout.take().expect("piped stdout"))
-                        as Box<dyn Read + Send>);
-                Ok(ServerUnderTest {
-                    child,
-                    writer,
-                    reader,
-                })
-            }
-            Transport::Tcp => {
-                command
-                    .args(["--tcp", "127.0.0.1:0"])
-                    .args(extra_args)
-                    .stdin(Stdio::null())
-                    .stdout(Stdio::null())
-                    .stderr(Stdio::piped());
-                let mut child = command.spawn()?;
-                let stderr = child.stderr.take().expect("piped stderr");
-                let mut lines = BufReader::new(stderr);
-                let addr = loop {
-                    let mut line = String::new();
-                    if lines.read_line(&mut line)? == 0 {
-                        let _ = child.kill();
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "server exited before announcing its port",
-                        ));
-                    }
-                    if let Some(addr) = line.trim().strip_prefix("raco serve: listening on ") {
-                        break addr.to_owned();
-                    }
-                };
-                // Keep draining stderr so the child can never block on
-                // a full pipe.
-                std::thread::spawn(move || {
-                    let mut sink = String::new();
-                    let mut lines = lines;
-                    while matches!(lines.read_line(&mut sink), Ok(n) if n > 0) {
-                        sink.clear();
-                    }
-                });
-                let stream = TcpStream::connect(&addr)?;
-                stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-                let writer = Box::new(stream.try_clone()?);
-                let reader = BufReader::new(Box::new(stream) as Box<dyn Read + Send>);
-                Ok(ServerUnderTest {
-                    child,
-                    writer,
-                    reader,
-                })
-            }
-        }
-    }
-
-    /// Sends raw bytes (no framing added).
-    pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.writer.write_all(bytes)?;
-        self.writer.flush()
-    }
-
-    /// Reads one non-blank reply line.
-    pub fn read_reply(&mut self) -> io::Result<String> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            if !line.trim().is_empty() {
-                return Ok(line.trim().to_owned());
-            }
-        }
-    }
-
-    /// Sends one whole request line and reads the reply.
-    pub fn request(&mut self, line: &str) -> io::Result<String> {
-        self.send_raw(format!("{line}\n").as_bytes())?;
-        self.read_reply()
-    }
-
-    /// Sends the request in `chunk`-byte partial writes (each flushed
-    /// separately) and reads the reply. Exercises the server's partial-
-    /// frame handling the way a congested peer would.
-    pub fn request_dribbled(&mut self, line: &str, chunk: usize) -> io::Result<String> {
-        let framed = format!("{line}\n");
-        for piece in framed.as_bytes().chunks(chunk.max(1)) {
-            self.writer.write_all(piece)?;
-            self.writer.flush()?;
-        }
-        self.read_reply()
-    }
-
-    /// Requests shutdown and waits for the process to exit.
-    pub fn shutdown(mut self) -> io::Result<()> {
-        let _ = self.request(r#"{"op":"shutdown"}"#);
-        // Close our side of the connection so a stdio server sees EOF.
-        let _ = std::mem::replace(&mut self.writer, Box::new(io::sink()));
-        self.child.wait()?;
-        Ok(())
-    }
-}
-
-impl Drop for ServerUnderTest {
-    fn drop(&mut self) {
-        // Normal teardown goes through `shutdown`; this is the escape
-        // hatch so a panicking fuzz run never leaks a server process.
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-// ---------------------------------------------------------------------
 // The budgeted loop
 // ---------------------------------------------------------------------
 
 const MAX_FAILURES: usize = 3;
 const SHRINK_EVALS: usize = 200;
 
-fn ping_ok(server: &mut ServerUnderTest) -> Result<(), String> {
+fn ping_ok(server: &mut Connection) -> Result<(), String> {
     let reply = server
         .request(r#"{"op":"ping","id":"live"}"#)
         .map_err(|e| format!("ping transport error: {e}"))?;
@@ -831,7 +682,8 @@ fn malformed_frame(rng: &mut SmallRng, valid: &str) -> String {
 pub fn run(config: &FuzzConfig) -> io::Result<FuzzOutcome> {
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let base = base_config();
-    let mut server = ServerUnderTest::spawn(&config.binary, config.transport, &[])?;
+    let mut spawned = SpawnedServer::spawn(&config.binary, config.transport, &[])?;
+    let mut server = spawned.connect()?;
     let mut outcome = FuzzOutcome::default();
     let mut last_valid: Option<(GenUnit, GenKnobs)> = None;
     let started = Instant::now();
@@ -962,13 +814,13 @@ pub fn run(config: &FuzzConfig) -> io::Result<FuzzOutcome> {
         }
     }
 
-    server.shutdown()?;
+    spawned.shutdown(server)?;
     Ok(outcome)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn run_compile_case(
-    server: &mut ServerUnderTest,
+    server: &mut Connection,
     unit: &GenUnit,
     knobs: &GenKnobs,
     case: u64,
@@ -1029,7 +881,7 @@ fn run_compile_case(
 }
 
 fn snapshot_cycle(
-    server: &mut ServerUnderTest,
+    server: &mut Connection,
     unit: &GenUnit,
     knobs: &GenKnobs,
     case: u64,
@@ -1056,19 +908,20 @@ fn snapshot_cycle(
         if json.get("ok") != Some(&Json::Bool(true)) {
             return Err(format!("save_cache rejected: {reply}"));
         }
-        let mut warm = ServerUnderTest::spawn(
+        let mut warm = SpawnedServer::spawn(
             &config.binary,
             config.transport,
             &["--cache-load".to_owned(), snap_path.display().to_string()],
         )
         .map_err(|e| format!("warm spawn: {e}"))?;
+        let mut connection = warm.connect().map_err(|e| format!("warm connect: {e}"))?;
         let verdict = (|| {
             let request = compile_request(case, &unit.render(), knobs);
-            let reply = warm
+            let reply = connection
                 .request(&request)
                 .map_err(|e| format!("warm compile: {e}"))?;
             cross_check(&reply, &request, base).map_err(|e| format!("warm {e}"))?;
-            let stats_reply = warm
+            let stats_reply = connection
                 .request(r#"{"op":"stats"}"#)
                 .map_err(|e| format!("warm stats: {e}"))?;
             let stats = Json::parse(&stats_reply).map_err(|e| format!("warm stats reply: {e}"))?;
@@ -1092,7 +945,9 @@ fn snapshot_cycle(
             }
             Ok(())
         })();
-        let shutdown = warm.shutdown().map_err(|e| format!("warm shutdown: {e}"));
+        let shutdown = warm
+            .shutdown(connection)
+            .map_err(|e| format!("warm shutdown: {e}"));
         verdict.and(shutdown)
     })();
     let _ = fs::remove_file(&snap_path);

@@ -28,6 +28,7 @@
 //! | [`obs`] | `raco-obs` | dependency-free metrics: counters, latency histograms, spans |
 //! | [`driver`] | `raco-driver` | batch pipeline: parallel scheduling, allocation cache, reports |
 //! | [`serve`] | `raco-serve` | long-lived compile service: NDJSON protocol over stdio/TCP |
+//! | [`client`] | (this crate) | a spawned `raco serve` child and framed NDJSON connections to it |
 //! | [`fuzz`] | (this crate) | budgeted adversarial long-runner driving the real `raco serve` binary |
 //! | [`loadgen`] | (this crate) | mixed-machine trace load generator benchmarking the serve tier |
 //!
@@ -72,5 +73,6 @@ pub use raco_oa as oa;
 pub use raco_obs as obs;
 pub use raco_serve as serve;
 
+pub mod client;
 pub mod fuzz;
 pub mod loadgen;

@@ -22,10 +22,7 @@
 //! running server instead.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -33,6 +30,8 @@ use raco_driver::json::Json;
 use raco_obs::{Histogram, HistogramSnapshot};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::client::{Connection, SpawnedServer, Transport};
 
 /// The artifact's schema tag (`BENCH_serve.json`).
 pub const SCHEMA: &str = "raco-bench-serve";
@@ -282,116 +281,6 @@ fn trace_line(rng: &mut SmallRng, shapes: &[String], id: u64) -> String {
 }
 
 // ---------------------------------------------------------------------
-// The server under load
-// ---------------------------------------------------------------------
-
-/// A spawned `raco serve --tcp` child plus the address it announced.
-struct SpawnedServer {
-    child: Child,
-    addr: String,
-}
-
-impl SpawnedServer {
-    /// Spawns `binary serve --tcp 127.0.0.1:0 <extra>` and scrapes the
-    /// bound address from its stderr announcement.
-    fn spawn(binary: &Path, extra_args: &[String]) -> io::Result<Self> {
-        let mut child = Command::new(binary)
-            .arg("serve")
-            .args(["--tcp", "127.0.0.1:0"])
-            .args(extra_args)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()?;
-        let stderr = child.stderr.take().expect("piped stderr");
-        let mut lines = BufReader::new(stderr);
-        let addr = loop {
-            let mut line = String::new();
-            if lines.read_line(&mut line)? == 0 {
-                let _ = child.kill();
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server exited before announcing its port",
-                ));
-            }
-            if let Some(addr) = line.trim().strip_prefix("raco serve: listening on ") {
-                break addr.to_owned();
-            }
-        };
-        // Keep draining stderr so the child can never block on a full
-        // pipe (shutdown snapshots and warnings land there).
-        std::thread::spawn(move || {
-            let mut sink = String::new();
-            while matches!(lines.read_line(&mut sink), Ok(n) if n > 0) {
-                sink.clear();
-            }
-        });
-        Ok(SpawnedServer { child, addr })
-    }
-
-    /// Asks the server to shut down and waits for it to exit.
-    fn shutdown(mut self) -> io::Result<()> {
-        let mut client = Client::connect(&self.addr)?;
-        let _ = client.request(r#"{"op":"shutdown"}"#);
-        drop(client);
-        self.child.wait()?;
-        Ok(())
-    }
-}
-
-impl Drop for SpawnedServer {
-    fn drop(&mut self) {
-        // Normal teardown goes through `shutdown`; this is the escape
-        // hatch so an erroring run never leaks a server process.
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// One framed NDJSON connection.
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        // The trace is strictly request/response per connection, so
-        // Nagle+delayed-ACK interplay would serialize every exchange
-        // behind a ~40 ms timer on loopback; disable it.
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-        Ok(Client {
-            writer: stream.try_clone()?,
-            reader: BufReader::new(stream),
-        })
-    }
-
-    /// Sends one request line and reads the non-blank reply line.
-    fn request(&mut self, line: &str) -> io::Result<String> {
-        // One framed write: a split frame would tangle with Nagle and
-        // the server's delayed ACKs even with nodelay set.
-        let framed = format!("{line}\n");
-        self.writer.write_all(framed.as_bytes())?;
-        self.writer.flush()?;
-        let mut reply = String::new();
-        loop {
-            reply.clear();
-            if self.reader.read_line(&mut reply)? == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            if !reply.trim().is_empty() {
-                return Ok(reply.trim().to_owned());
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The load phase
 // ---------------------------------------------------------------------
 
@@ -414,7 +303,7 @@ fn worker(addr: &str, shapes: &[String], seed: u64, first_id: u64, quota: u64) -
         latency: Histogram::new(),
     };
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut client = match Client::connect(addr) {
+    let mut client = match Connection::tcp(addr) {
         Ok(client) => client,
         Err(_) => {
             stats.transport_errors += 1;
@@ -458,7 +347,7 @@ fn connect_probes(addr: &str, probes: usize) -> HistogramSnapshot {
     let histogram = Histogram::new();
     for _ in 0..probes {
         let started = Instant::now();
-        if let Ok(mut client) = Client::connect(addr) {
+        if let Ok(mut client) = Connection::tcp(addr) {
             if client.request(r#"{"op":"ping"}"#).is_ok() {
                 histogram.record(started.elapsed().as_nanos() as u64);
             }
@@ -480,14 +369,14 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
     let spawned = match &config.addr {
         Some(_) => None,
         None => Some(
-            SpawnedServer::spawn(&config.binary, &config.server_args)
+            SpawnedServer::spawn(&config.binary, Transport::Tcp, &config.server_args)
                 .map_err(|e| format!("loadgen: cannot spawn server: {e}"))?,
         ),
     };
-    let addr = config
-        .addr
-        .clone()
-        .unwrap_or_else(|| spawned.as_ref().expect("spawned when no addr").addr.clone());
+    let addr = config.addr.clone().unwrap_or_else(|| {
+        let server = spawned.as_ref().expect("spawned when no addr");
+        server.addr().expect("spawned over TCP").to_owned()
+    });
 
     let shapes = shape_pool(config.shapes.max(1), config.seed);
     let connections = config.connections.max(1) as u64;
@@ -540,7 +429,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
 
     // Capture the server's own view (cache hit rate, shed and deadline
     // counters) before tearing it down.
-    if let Ok(mut client) = Client::connect(&addr) {
+    if let Ok(mut client) = Connection::tcp(&addr) {
         if let Ok(reply) = client.request(r#"{"op":"metrics"}"#) {
             report.server_metrics = Json::parse(&reply)
                 .ok()
@@ -548,9 +437,10 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         }
     }
 
-    if let Some(spawned) = spawned {
-        spawned
-            .shutdown()
+    if let Some(mut server) = spawned {
+        server
+            .connect()
+            .and_then(|connection| server.shutdown(connection))
             .map_err(|e| format!("loadgen: server shutdown failed: {e}"))?;
     }
 

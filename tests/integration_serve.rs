@@ -254,6 +254,69 @@ fn oversized_tcp_lines_leave_the_connection_usable() {
     });
 }
 
+/// Drops the wall-clock fields of a reply line: every `elapsed_us`, the
+/// report's `loops_per_second` and the stats' `uptime_ms`.
+fn without_wall_clock(line: &str) -> String {
+    fn strip(json: Json) -> Json {
+        match json {
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .into_iter()
+                    .filter(|(key, _)| {
+                        !matches!(
+                            key.as_str(),
+                            "elapsed_us" | "loops_per_second" | "uptime_ms"
+                        )
+                    })
+                    .map(|(key, value)| (key, strip(value)))
+                    .collect(),
+            ),
+            Json::Arr(items) => Json::Arr(items.into_iter().map(strip).collect()),
+            other => other,
+        }
+    }
+    strip(Json::parse(line).expect("reply is valid JSON")).render()
+}
+
+#[test]
+fn stdio_and_tcp_sessions_reply_identically() {
+    use raco::serve::MAX_REQUEST_LINE;
+    let script = format!(
+        "{}\n\n{}\n{}\n{}\n{}\n{}\n",
+        r#"{"id":1,"op":"ping"}"#,
+        "{not json",
+        "z".repeat(MAX_REQUEST_LINE + 1),
+        r#"{"id":2,"op":"compile","name":"fir3","source":"for (i = 1; i < 64; i++) { y[i] = x[i-1] + x[i] + x[i+1]; }"}"#,
+        r#"{"id":3,"op":"stats"}"#,
+        r#"{"id":4,"op":"shutdown"}"#,
+    );
+
+    let mut stdio = Vec::new();
+    default_server()
+        .serve(script.as_bytes(), &mut stdio)
+        .expect("in-memory transport cannot fail");
+    let stdio = String::from_utf8(stdio).expect("replies are UTF-8");
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server = default_server();
+    let tcp = std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve_tcp(&listener));
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(script.as_bytes()).unwrap();
+        // The shutdown reply ends the session, which closes the socket.
+        let mut replies = String::new();
+        stream.read_to_string(&mut replies).expect("read replies");
+        handle.join().expect("server thread").expect("clean exit");
+        replies
+    });
+
+    let stdio: Vec<String> = stdio.lines().map(without_wall_clock).collect();
+    let tcp: Vec<String> = tcp.lines().map(without_wall_clock).collect();
+    assert_eq!(stdio.len(), 6, "one reply per non-blank line: {stdio:#?}");
+    assert_eq!(stdio, tcp);
+}
+
 #[test]
 fn second_identical_request_is_a_cache_hit() {
     let server = default_server();
