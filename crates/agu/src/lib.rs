@@ -53,7 +53,6 @@ pub mod codegen;
 pub mod isa;
 pub mod listing;
 pub mod metrics;
-pub mod peephole;
 pub mod sim;
 
 pub use codegen::{CodeGenError, CodeGenerator};

@@ -238,8 +238,9 @@ impl Pipeline {
         &self,
         path: &Path,
     ) -> Result<crate::persist::LoadReport, crate::persist::PersistError> {
-        let _span = raco_obs::global().time("snapshot.load");
-        crate::persist::load(&self.cache, path)
+        raco_obs::global()
+            .histogram("snapshot.load")
+            .time(|| crate::persist::load(&self.cache, path))
     }
 
     /// Writes every resident cache entry to a snapshot file that a
@@ -252,8 +253,9 @@ impl Pipeline {
         &self,
         path: &Path,
     ) -> Result<crate::persist::SaveReport, crate::persist::PersistError> {
-        let _span = raco_obs::global().time("snapshot.save");
-        crate::persist::save(&self.cache, path)
+        raco_obs::global()
+            .histogram("snapshot.save")
+            .time(|| crate::persist::save(&self.cache, path))
     }
 
     /// Drops every cached allocation and cost curve (hit/miss counters

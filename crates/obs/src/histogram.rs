@@ -148,11 +148,6 @@ impl Histogram {
             buckets,
         }
     }
-
-    /// Estimated value at quantile `q` (see [`HistogramSnapshot::quantile`]).
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.snapshot().quantile(q)
-    }
 }
 
 /// An owned, immutable copy of a [`Histogram`]'s state.
@@ -169,15 +164,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Arithmetic mean of recorded values, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Estimated value at quantile `q` (clamped to `[0, 1]`).
     ///
     /// Finds the bucket containing the `ceil(q * count)`-th smallest
@@ -349,7 +335,6 @@ mod tests {
     fn empty_histogram_quantile_is_zero() {
         let s = Histogram::new().snapshot();
         assert_eq!(s.quantile(0.5), 0);
-        assert_eq!(s.mean(), 0.0);
     }
 
     #[test]

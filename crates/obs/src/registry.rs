@@ -1,100 +1,61 @@
-//! Named metric registry.
+//! Named histogram registry.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
 use crate::histogram::{Histogram, HistogramSnapshot};
-use crate::metrics::{Counter, Gauge};
-use crate::span::SpanTimer;
 
-/// A named collection of counters, gauges, and histograms.
+/// A named collection of histograms.
 ///
-/// Lookups return `Arc` handles so call sites can resolve a metric once
-/// and record through the atomic handle without touching the registry
-/// lock again. Names are stored in `BTreeMap`s so enumeration order is
-/// deterministic, which keeps rendered tables and JSON stable.
+/// Lookups return `Arc` handles so call sites can resolve a histogram
+/// once and record through the atomic handle without touching the
+/// registry lock again. Names are stored in a `BTreeMap` so enumeration
+/// order is deterministic, which keeps rendered tables and JSON stable.
 ///
 /// The registry is `Send + Sync`; the worker pool records into shared
 /// handles concurrently.
 ///
 /// ```
 /// let registry = raco_obs::Registry::new();
-/// let hits = registry.counter("cache.hits");
-/// hits.inc();
-/// assert_eq!(registry.counter("cache.hits").get(), 1); // same metric
+/// registry.histogram("cache.lookup").record(120);
+/// assert_eq!(registry.histogram("cache.lookup").count(), 1); // same histogram
 /// ```
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: RwLock<BTreeMap<String, Arc<Counter>>>,
-    gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-}
-
-fn resolve<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-    if let Some(found) = map.read().expect("metric registry poisoned").get(name) {
-        return Arc::clone(found);
-    }
-    let mut writable = map.write().expect("metric registry poisoned");
-    Arc::clone(writable.entry(name.to_string()).or_default())
-}
-
-fn enumerate<T, V>(
-    map: &RwLock<BTreeMap<String, Arc<T>>>,
-    view: impl Fn(&T) -> V,
-) -> Vec<(String, V)> {
-    map.read()
-        .expect("metric registry poisoned")
-        .iter()
-        .map(|(name, metric)| (name.clone(), view(metric)))
-        .collect()
 }
 
 impl Registry {
     /// Creates an empty registry.
     pub const fn new() -> Self {
         Self {
-            counters: RwLock::new(BTreeMap::new()),
-            gauges: RwLock::new(BTreeMap::new()),
             histograms: RwLock::new(BTreeMap::new()),
         }
     }
 
-    /// Returns the counter registered under `name`, creating it on first
-    /// use. Repeated lookups return handles to the same counter.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        resolve(&self.counters, name)
-    }
-
-    /// Returns the gauge registered under `name`, creating it on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        resolve(&self.gauges, name)
-    }
-
     /// Returns the histogram registered under `name`, creating it on
-    /// first use.
+    /// first use. Repeated lookups return handles to the same histogram.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        resolve(&self.histograms, name)
-    }
-
-    /// Starts a [`SpanTimer`] that records into histogram `name` when
-    /// dropped.
-    pub fn time(&self, name: &str) -> SpanTimer {
-        SpanTimer::new(self.histogram(name))
-    }
-
-    /// All counters with their current values, in name order.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        enumerate(&self.counters, |c| c.get())
-    }
-
-    /// All gauges with their current levels, in name order.
-    pub fn gauges(&self) -> Vec<(String, i64)> {
-        enumerate(&self.gauges, |g| g.get())
+        if let Some(found) = self
+            .histograms
+            .read()
+            .expect("metric registry poisoned")
+            .get(name)
+        {
+            return Arc::clone(found);
+        }
+        let mut writable = self.histograms.write().expect("metric registry poisoned");
+        Arc::clone(writable.entry(name.to_string()).or_default())
     }
 
     /// Snapshots of all histograms, in name order.
     pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-        enumerate(&self.histograms, |h| h.snapshot())
+        self.histograms
+            .read()
+            .expect("metric registry poisoned")
+            .iter()
+            .map(|(name, histogram)| (name.clone(), histogram.snapshot()))
+            .collect()
     }
 }
 
@@ -115,10 +76,10 @@ mod tests {
     #[test]
     fn enumeration_is_name_ordered() {
         let registry = Registry::new();
-        registry.counter("zulu").inc();
-        registry.counter("alpha").inc();
-        registry.counter("mike").inc();
-        let names: Vec<_> = registry.counters().into_iter().map(|(n, _)| n).collect();
+        registry.histogram("zulu").record(1);
+        registry.histogram("alpha").record(1);
+        registry.histogram("mike").record(1);
+        let names: Vec<_> = registry.histograms().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["alpha", "mike", "zulu"]);
     }
 
@@ -129,14 +90,14 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_resolution_yields_one_metric() {
+    fn concurrent_resolution_yields_one_histogram() {
         let registry = Arc::new(Registry::new());
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let registry = Arc::clone(&registry);
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        registry.counter("contended").inc();
+                        registry.histogram("contended").record(1);
                     }
                 })
             })
@@ -144,7 +105,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(registry.counter("contended").get(), 800);
-        assert_eq!(registry.counters().len(), 1);
+        assert_eq!(registry.histogram("contended").count(), 800);
+        assert_eq!(registry.histograms().len(), 1);
     }
 }

@@ -63,6 +63,7 @@ mod metrics;
 pub mod protocol;
 pub mod server;
 
+pub use metrics::histogram_json;
 pub use protocol::{Envelope, Knobs, ProtocolError, Request};
 pub use server::{
     Reply, ServeOptions, Server, DEFAULT_MAX_CONNECTIONS, DEFAULT_QUEUE_DEPTH, MAX_REQUEST_LINE,

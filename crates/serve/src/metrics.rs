@@ -1,60 +1,96 @@
 //! Per-server request accounting behind the `metrics` protocol op.
 //!
-//! Every [`Server`](crate::Server) owns one [`ServiceMetrics`]: an
-//! [`raco_obs::Registry`] whose counters and histograms are keyed by
-//! protocol op name, plus the service start time and an in-flight
-//! gauge. Request latency covers the whole `handle_line` round trip —
-//! parse, dispatch, compile, render — so the per-op histograms answer
-//! "what does a `compile` cost end to end", while the registry in
-//! [`raco_obs::global()`] (surfaced here as `pipeline_us`) breaks the
-//! same wall time down by pipeline stage.
+//! Every [`Server`](crate::Server) owns one [`ServiceMetrics`]: one
+//! latency [`Histogram`] per protocol [`Op`] in a fixed array, plus the
+//! service start time and plain atomics for the in-flight level and the
+//! shed/deadline/internal-error counts. An op's request count is its
+//! histogram's exact `count`. Request latency covers the whole
+//! `handle_line` round trip — parse, dispatch, compile, render — so the
+//! per-op histograms answer "what does a `compile` cost end to end",
+//! while the registry in [`raco_obs::global()`] (surfaced here as
+//! `pipeline_us`) breaks the same wall time down by pipeline stage.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use raco_driver::json::Json;
 use raco_driver::CacheStats;
-use raco_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+use raco_obs::{Histogram, HistogramSnapshot};
 
-use crate::protocol;
+use crate::protocol::{self, Request};
 
-/// Op label for request lines that never decoded into a [`Request`]
-/// (malformed JSON, unknown ops, oversized lines…).
-///
-/// [`Request`]: crate::Request
-pub(crate) const INVALID_OP: &str = "invalid";
+/// The op a request line is accounted under. Variants are in label
+/// order, so iterating [`Op::ALL`] lists `by_op` and `latency_us`
+/// entries alphabetically.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Op {
+    ClearCache,
+    Compile,
+    /// A request line that never decoded into a [`Request`] (malformed
+    /// JSON, unknown ops, oversized lines…).
+    Invalid,
+    Kernels,
+    Metrics,
+    Ping,
+    SaveCache,
+    Shutdown,
+    Stats,
+}
 
-/// Every op label [`ServiceMetrics::finish`] can be called with, hot
-/// ops first: handles are pre-resolved per label so the per-request
-/// path never takes the registry lock.
-const OP_LABELS: [&str; 9] = [
-    "compile",
-    "kernels",
-    "stats",
-    "metrics",
-    "clear_cache",
-    "save_cache",
-    "ping",
-    "shutdown",
-    INVALID_OP,
-];
+impl Op {
+    const ALL: [Op; 9] = [
+        Op::ClearCache,
+        Op::Compile,
+        Op::Invalid,
+        Op::Kernels,
+        Op::Metrics,
+        Op::Ping,
+        Op::SaveCache,
+        Op::Shutdown,
+        Op::Stats,
+    ];
 
-/// Request counters, latency histograms and the in-flight gauge for one
-/// server, all keyed by protocol op name.
+    /// The op a decoded request is accounted under.
+    pub(crate) fn of(request: &Request) -> Op {
+        match request {
+            Request::Compile { .. } => Op::Compile,
+            Request::Kernels { .. } => Op::Kernels,
+            Request::Stats => Op::Stats,
+            Request::Metrics => Op::Metrics,
+            Request::ClearCache => Op::ClearCache,
+            Request::SaveCache { .. } => Op::SaveCache,
+            Request::Ping => Op::Ping,
+            Request::Shutdown => Op::Shutdown,
+        }
+    }
+
+    /// The op's key in `by_op`, `requests_by_op` and `latency_us`.
+    fn label(self) -> &'static str {
+        match self {
+            Op::ClearCache => "clear_cache",
+            Op::Compile => "compile",
+            Op::Invalid => "invalid",
+            Op::Kernels => "kernels",
+            Op::Metrics => "metrics",
+            Op::Ping => "ping",
+            Op::SaveCache => "save_cache",
+            Op::Shutdown => "shutdown",
+            Op::Stats => "stats",
+        }
+    }
+}
+
+/// Per-op latency histograms and the service counters for one server.
 #[derive(Debug)]
 pub(crate) struct ServiceMetrics {
-    registry: Registry,
     started: Instant,
-    in_flight: Arc<Gauge>,
-    /// Pre-resolved (counter, histogram) handle per [`OP_LABELS`] entry.
-    ops: [(Arc<Counter>, Arc<Histogram>); OP_LABELS.len()],
-    /// Connections refused by the `--max-connections` bound. Plain
-    /// atomics rather than registry counters: [`total_requests`] sums
-    /// every registry counter, and a shed connection never became a
-    /// request.
-    ///
-    /// [`total_requests`]: Self::total_requests
+    /// One latency histogram per op, indexed by `Op as usize`.
+    ops: [Histogram; Op::ALL.len()],
+    /// Requests between [`begin`](Self::begin) and
+    /// [`finish`](Self::finish).
+    in_flight: AtomicU64,
+    /// Connections refused by the `--max-connections` bound. A shed
+    /// connection never became a request, so no op counts it.
     shed_connections: AtomicU64,
     /// Compiles refused because `queue_depth` compiles were already in
     /// flight.
@@ -70,19 +106,10 @@ pub(crate) struct ServiceMetrics {
 
 impl ServiceMetrics {
     pub(crate) fn new() -> Self {
-        let registry = Registry::new();
-        let in_flight = registry.gauge("in_flight");
-        let ops = std::array::from_fn(|i| {
-            (
-                registry.counter(OP_LABELS[i]),
-                registry.histogram(OP_LABELS[i]),
-            )
-        });
         ServiceMetrics {
-            registry,
             started: Instant::now(),
-            in_flight,
-            ops,
+            ops: std::array::from_fn(|_| Histogram::new()),
+            in_flight: AtomicU64::new(0),
             shed_connections: AtomicU64::new(0),
             shed_queue: AtomicU64::new(0),
             read_deadlines: AtomicU64::new(0),
@@ -124,26 +151,14 @@ impl ServiceMetrics {
 
     /// Marks one request as entering the service.
     pub(crate) fn begin(&self) {
-        self.in_flight.inc();
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Marks the request done: counts it under `op` and records its
-    /// end-to-end latency (nanoseconds) into the op's histogram.
-    pub(crate) fn finish(&self, op: &str, elapsed_ns: u64) {
-        match OP_LABELS.iter().position(|label| *label == op) {
-            Some(index) => {
-                let (counter, histogram) = &self.ops[index];
-                counter.inc();
-                histogram.record(elapsed_ns);
-            }
-            // Unreachable for the labels the server hands out, but a
-            // novel label must still be counted, not dropped.
-            None => {
-                self.registry.counter(op).inc();
-                self.registry.histogram(op).record(elapsed_ns);
-            }
-        }
-        self.in_flight.dec();
+    /// Marks the request done: records its end-to-end latency
+    /// (nanoseconds) into `op`'s histogram, which also counts it.
+    pub(crate) fn finish(&self, op: Op, elapsed_ns: u64) {
+        self.ops[op as usize].record(elapsed_ns);
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Milliseconds since the server was constructed.
@@ -151,27 +166,34 @@ impl ServiceMetrics {
         self.started.elapsed().as_millis() as u64
     }
 
+    /// Requests finished so far per op, every op listed, in label order.
+    fn by_op(&self) -> Vec<(String, Json)> {
+        Op::ALL
+            .iter()
+            .map(|&op| {
+                (
+                    op.label().to_owned(),
+                    Json::UInt(self.ops[op as usize].count()),
+                )
+            })
+            .collect()
+    }
+
     /// Requests finished so far, across every op.
     pub(crate) fn total_requests(&self) -> u64 {
-        self.registry.counters().iter().map(|(_, n)| n).sum()
+        self.ops.iter().map(Histogram::count).sum()
     }
 
     /// The service fields appended to the `stats` response, after the
     /// cache counters.
     pub(crate) fn stats_fields(&self) -> Vec<(String, Json)> {
-        let by_op: Vec<(String, Json)> = self
-            .registry
-            .counters()
-            .into_iter()
-            .map(|(op, n)| (op, Json::UInt(n)))
-            .collect();
         vec![
             ("uptime_ms".to_owned(), Json::UInt(self.uptime_ms())),
             (
                 "requests_total".to_owned(),
                 Json::UInt(self.total_requests()),
             ),
-            ("requests_by_op".to_owned(), Json::Obj(by_op)),
+            ("requests_by_op".to_owned(), Json::Obj(self.by_op())),
         ]
     }
 
@@ -180,18 +202,11 @@ impl ServiceMetrics {
     /// (from [`raco_obs::global()`]), shed/deadline/internal-error
     /// counters and the cache's hit/eviction rates.
     pub(crate) fn payload(&self, cache: &CacheStats) -> Json {
-        let by_op: Vec<(String, Json)> = self
-            .registry
-            .counters()
-            .into_iter()
-            .map(|(op, n)| (op, Json::UInt(n)))
-            .collect();
-        let latency: Vec<(String, Json)> = self
-            .registry
-            .histograms()
-            .into_iter()
+        let latency: Vec<(String, Json)> = Op::ALL
+            .iter()
+            .map(|&op| (op, self.ops[op as usize].snapshot()))
             .filter(|(_, snapshot)| snapshot.count > 0)
-            .map(|(op, snapshot)| (op, histogram_json(&snapshot)))
+            .map(|(op, snapshot)| (op.label().to_owned(), histogram_json(&snapshot)))
             .collect();
         let pipeline: Vec<(String, Json)> = raco_obs::global()
             .histograms()
@@ -205,8 +220,11 @@ impl ServiceMetrics {
                 "requests".to_owned(),
                 Json::Obj(vec![
                     ("total".to_owned(), Json::UInt(self.total_requests())),
-                    ("in_flight".to_owned(), Json::Int(self.in_flight.get())),
-                    ("by_op".to_owned(), Json::Obj(by_op)),
+                    (
+                        "in_flight".to_owned(),
+                        Json::UInt(self.in_flight.load(Ordering::Relaxed)),
+                    ),
+                    ("by_op".to_owned(), Json::Obj(self.by_op())),
                 ]),
             ),
             ("latency_us".to_owned(), Json::Obj(latency)),
@@ -251,7 +269,9 @@ impl ServiceMetrics {
 
 /// One latency histogram as JSON: exact count/total plus estimated
 /// quantiles, durations converted from nanoseconds to microseconds.
-fn histogram_json(snapshot: &HistogramSnapshot) -> Json {
+/// The serve `metrics` op and `raco loadgen`'s artifact both render
+/// histograms through this.
+pub fn histogram_json(snapshot: &HistogramSnapshot) -> Json {
     let us = |ns: u64| Json::Num(ns as f64 / 1000.0);
     Json::Obj(vec![
         ("count".to_owned(), Json::UInt(snapshot.count)),
@@ -271,11 +291,11 @@ mod tests {
     fn finish_counts_and_times_per_op() {
         let metrics = ServiceMetrics::new();
         metrics.begin();
-        metrics.finish("ping", 1_000);
+        metrics.finish(Op::Ping, 1_000);
         metrics.begin();
-        metrics.finish("compile", 5_000);
+        metrics.finish(Op::Compile, 5_000);
         assert_eq!(metrics.total_requests(), 2);
-        assert_eq!(metrics.in_flight.get(), 0);
+        assert_eq!(metrics.in_flight.load(Ordering::Relaxed), 0);
         let payload = metrics.payload(&CacheStats::default());
         let requests = payload.get("requests").unwrap();
         assert_eq!(requests.get("total").and_then(Json::as_u64), Some(2));
@@ -318,10 +338,44 @@ mod tests {
     }
 
     #[test]
+    fn by_op_lists_every_op_in_label_order_zeros_included() {
+        let metrics = ServiceMetrics::new();
+        metrics.begin();
+        metrics.finish(Op::Invalid, 10);
+        let payload = metrics.payload(&CacheStats::default());
+        let Some(Json::Obj(by_op)) = payload.get("requests").and_then(|r| r.get("by_op")) else {
+            panic!("by_op object");
+        };
+        let names: Vec<&str> = by_op.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "clear_cache",
+                "compile",
+                "invalid",
+                "kernels",
+                "metrics",
+                "ping",
+                "save_cache",
+                "shutdown",
+                "stats"
+            ]
+        );
+        let counts: Vec<u64> = by_op.iter().filter_map(|(_, n)| n.as_u64()).collect();
+        assert_eq!(counts, [0, 0, 1, 0, 0, 0, 0, 0, 0]);
+        // Latency rows appear only for ops that saw a request.
+        let Some(Json::Obj(latency)) = payload.get("latency_us") else {
+            panic!("latency_us object");
+        };
+        assert_eq!(latency.len(), 1);
+        assert_eq!(latency[0].0, "invalid");
+    }
+
+    #[test]
     fn stats_fields_carry_uptime_and_counts() {
         let metrics = ServiceMetrics::new();
         metrics.begin();
-        metrics.finish("stats", 100);
+        metrics.finish(Op::Stats, 100);
         let fields = metrics.stats_fields();
         let names: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["uptime_ms", "requests_total", "requests_by_op"]);

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use raco_driver::json::Json;
 use raco_driver::{CompilationReport, DriverError, Pipeline, PipelineConfig};
 
-use crate::metrics::{ServiceMetrics, INVALID_OP};
+use crate::metrics::{Op, ServiceMetrics};
 use crate::protocol::{self, Envelope, Request};
 
 /// How long a drained connection thread may lag behind the stop flag:
@@ -271,8 +271,8 @@ pub struct Server {
     /// Where graceful shutdowns (and default-path `save_cache`
     /// requests) snapshot the warm cache; `None` disables both.
     cache_save_path: Option<PathBuf>,
-    /// Per-op request counters and latency histograms (the `metrics`
-    /// op reads these; every response carries their `elapsed_us`).
+    /// Per-op latency histograms and service counters (the `metrics`
+    /// op reads these; every response carries its `elapsed_us`).
     metrics: ServiceMetrics,
     #[cfg(test)]
     fault: std::sync::Mutex<Option<Fault>>,
@@ -360,9 +360,9 @@ impl Server {
         self.accounted(|| self.dispatch(line))
     }
 
-    /// Counts and times one request under the op label `respond`
-    /// returns, and stamps its `elapsed_us` onto the reply line.
-    fn accounted(&self, respond: impl FnOnce() -> (&'static str, Reply)) -> Reply {
+    /// Counts and times one request under the op `respond` returns, and
+    /// stamps its `elapsed_us` onto the reply line.
+    fn accounted(&self, respond: impl FnOnce() -> (Op, Reply)) -> Reply {
         let started = Instant::now();
         self.metrics.begin();
         let (op, mut reply) = respond();
@@ -464,14 +464,14 @@ impl Server {
         }
     }
 
-    /// Decodes and executes one request; returns the op label the
-    /// request is accounted under plus the raw (un-timed) reply.
-    fn dispatch(&self, line: &str) -> (&'static str, Reply) {
+    /// Decodes and executes one request; returns the op the request is
+    /// accounted under plus the raw (un-timed) reply.
+    fn dispatch(&self, line: &str) -> (Op, Reply) {
         let Envelope { id, request, knobs } = match protocol::parse_line(line) {
             Ok(envelope) => envelope,
             Err(e) => {
                 return (
-                    INVALID_OP,
+                    Op::Invalid,
                     Reply {
                         line: protocol::error_line(&e.id, &e.message),
                         shutdown: false,
@@ -479,7 +479,7 @@ impl Server {
                 )
             }
         };
-        let op = op_label(&request);
+        let op = Op::of(&request);
         let reply = |line: String| Reply {
             line,
             shutdown: false,
@@ -645,7 +645,7 @@ impl Server {
                     );
                     let line = protocol::error_line(&None, &message);
                     let shutdown = false;
-                    let reply = self.accounted(|| (INVALID_OP, Reply { line, shutdown }));
+                    let reply = self.accounted(|| (Op::Invalid, Reply { line, shutdown }));
                     (reply.line, false, false)
                 }
                 ReadOutcome::IdleTimeout => {
@@ -801,20 +801,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
         (Some(message), _) => (*message).to_owned(),
         (_, Some(message)) => message.clone(),
         _ => "panic with a non-text payload".to_owned(),
-    }
-}
-
-/// The op name a decoded request is accounted under.
-fn op_label(request: &Request) -> &'static str {
-    match request {
-        Request::Compile { .. } => "compile",
-        Request::Kernels { .. } => "kernels",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::ClearCache => "clear_cache",
-        Request::SaveCache { .. } => "save_cache",
-        Request::Ping => "ping",
-        Request::Shutdown => "shutdown",
     }
 }
 

@@ -93,7 +93,7 @@ pub struct Failure {
     pub repro: Option<PathBuf>,
 }
 
-/// Counters and failures of a finished run.
+/// Tallies and failures of a finished run.
 #[derive(Debug, Default)]
 pub struct FuzzOutcome {
     /// Total cases executed.

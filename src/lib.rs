@@ -25,7 +25,7 @@
 //! | [`check`] | `raco-check` | declarative listing invariants — the second correctness oracle |
 //! | [`oa`] | `raco-oa` | offset assignment for scalars (SOA/GOA, refs \[4,5\]) |
 //! | [`kernels`] | `raco-kernels` | DSPstone-style kernel suite |
-//! | [`obs`] | `raco-obs` | dependency-free metrics: counters, latency histograms, spans |
+//! | [`obs`] | `raco-obs` | dependency-free metrics: one registry of named latency histograms |
 //! | [`driver`] | `raco-driver` | batch pipeline: parallel scheduling, allocation cache, reports |
 //! | [`serve`] | `raco-serve` | long-lived compile service: NDJSON protocol over stdio/TCP |
 //! | [`client`] | (this crate) | a spawned `raco serve` child and framed NDJSON connections to it |

@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 
 use raco_driver::json::Json;
 use raco_obs::{Histogram, HistogramSnapshot};
+use raco_serve::histogram_json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -198,19 +199,6 @@ impl LoadgenReport {
     }
 }
 
-/// A latency histogram as JSON (microseconds, like the serve `metrics`
-/// op renders).
-fn histogram_json(snapshot: &HistogramSnapshot) -> Json {
-    let us = |ns: u64| Json::Num(ns as f64 / 1000.0);
-    Json::Obj(vec![
-        ("count".to_owned(), Json::UInt(snapshot.count)),
-        ("p50_us".to_owned(), us(snapshot.quantile(0.50))),
-        ("p95_us".to_owned(), us(snapshot.quantile(0.95))),
-        ("p99_us".to_owned(), us(snapshot.quantile(0.99))),
-        ("max_us".to_owned(), us(snapshot.max)),
-    ])
-}
-
 /// An all-zero snapshot (the type has no `Default`).
 fn empty_snapshot() -> HistogramSnapshot {
     Histogram::new().snapshot()
@@ -291,6 +279,19 @@ struct WorkerStats {
     rejected: BTreeMap<String, u64>,
     transport_errors: u64,
     latency: Histogram,
+}
+
+/// Worker `w`'s share of the request ids `0..requests` split over
+/// `connections` workers, as `(first_id, quota)`: the first
+/// `requests % connections` workers send one extra request, and the
+/// shares are consecutive, so no two workers send the same id.
+fn worker_ids(requests: u64, connections: u64, w: u64) -> (u64, u64) {
+    let base_quota = requests / connections;
+    let remainder = requests % connections;
+    (
+        w * base_quota + w.min(remainder),
+        base_quota + u64::from(w < remainder),
+    )
 }
 
 /// Replays `quota` trace requests over one connection.
@@ -380,16 +381,13 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
 
     let shapes = shape_pool(config.shapes.max(1), config.seed);
     let connections = config.connections.max(1) as u64;
-    let quota = config.requests / connections;
-    let remainder = config.requests % connections;
 
     let started = Instant::now();
     let next_seed = AtomicU64::new(1);
     let results: Vec<WorkerStats> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..connections)
             .map(|w| {
-                let quota = quota + u64::from(w < remainder);
-                let first_id = w * (quota + 1);
+                let (first_id, quota) = worker_ids(config.requests, connections, w);
                 let seed = config.seed ^ next_seed.fetch_add(0x9e37_79b9, Ordering::Relaxed);
                 let addr = &addr;
                 let shapes = &shapes;
@@ -454,6 +452,24 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn worker_ids_cover_every_request_exactly_once() {
+        for (requests, connections) in [(10, 4), (7, 3), (100_000, 8), (3, 5), (0, 2), (9, 1)] {
+            let mut ids: Vec<u64> = (0..connections)
+                .flat_map(|w| {
+                    let (first, quota) = worker_ids(requests, connections, w);
+                    first..first + quota
+                })
+                .collect();
+            ids.sort_unstable();
+            let expected: Vec<u64> = (0..requests).collect();
+            assert_eq!(
+                ids, expected,
+                "{requests} requests over {connections} workers"
+            );
+        }
+    }
 
     #[test]
     fn shape_pool_is_deterministic_and_parses() {

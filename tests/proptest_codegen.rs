@@ -122,16 +122,15 @@ proptest! {
     }
 
     #[test]
-    fn peephole_recovers_injected_slack(
+    fn deoptimized_slack_programs_still_verify(
         spec in random_loop(),
         split in -2i64..=2,
     ) {
         // Take a correct generated program, de-optimize it in
         // semantics-preserving ways (free updates → explicit ADDAs, one
-        // ADDA → two, stray ADDA 0s), then peephole-optimize and check
-        // both the slack and the optimized program still verify — and
-        // that the optimizer never makes things worse.
-        use raco::agu::{peephole, AddressInstr, AddressProgram, Update};
+        // ADDA → two, stray ADDA 0s), and check the slack program still
+        // verifies and never costs less than the generated one.
+        use raco::agu::{AddressInstr, AddressProgram, Update};
         let agu = AguSpec::new(6, 1).unwrap();
         let arrays_used = spec.patterns().len();
         if arrays_used == 0 || arrays_used > 6 {
@@ -182,18 +181,8 @@ proptest! {
         // ADDAs are machine-independent, so it still runs on `agu`.
         let trace = Trace::capture(&spec, &layout, 6);
         let slack_report = sim::run(&slack, &trace, &agu).expect("slack verifies");
-        let (optimized, stats) = peephole::optimize(&slack, &agu);
-        let opt_report = sim::run(&optimized, &trace, &agu).expect("optimized verifies");
         prop_assert!(
-            opt_report.explicit_updates_per_iteration()
-                <= slack_report.explicit_updates_per_iteration()
-        );
-        // Everything injected must be recoverable.
-        prop_assert_eq!(
-            opt_report.explicit_updates_per_iteration(),
-            u64::from(alloc.total_cost()),
-            "peephole must restore the original cost (stats {:?})",
-            stats
+            slack_report.explicit_updates_per_iteration() >= u64::from(alloc.total_cost())
         );
     }
 

@@ -15,7 +15,8 @@
 //!   allocation is byte-identical to the pre-change model (the paper's
 //!   Figure 1 reproduction cannot drift);
 //! * **certified optimality** — the exact oracle, pricing with the same
-//!   model, never exceeds the allocator's cost (MR 0..=2, ADDA 1..=3);
+//!   model, never exceeds the allocator's cost (asymmetric free-update
+//!   windows `[lo, hi]` within `[-2, 2]`, MR 0..=2, ADDA 1..=3);
 //! * **cache-key soundness** — machines differing only in MR count
 //!   never share allocation-cache entries, in memory or through
 //!   snapshots, and pre-bump snapshots are rejected cleanly.
@@ -29,6 +30,7 @@ use raco::driver::{persist, AllocationCache, Pipeline, PipelineConfig};
 use raco::graph::DistanceModel;
 use raco::ir::{
     AccessKind, AccessPattern, AguSpec, CanonicalPattern, LoopSpec, MemoryLayout, Trace,
+    UpdateRange,
 };
 
 /// Strategy: a random access pattern (offsets, stride, modify range).
@@ -252,13 +254,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The exact oracle scores every cover with the allocator's own cost
-    /// model, modify registers and multi-cycle `ADDA` included, so the
-    /// two-phase heuristic can never come in below the optimum.
+    /// model, modify registers, multi-cycle `ADDA` and asymmetric
+    /// free-update windows (bwdsp's `[0, 1]`, saris's `[0, 0]`) included,
+    /// so the two-phase heuristic can never come in below the optimum.
     #[test]
     fn exact_optimum_never_exceeds_the_allocators_cost(
         offsets in prop::collection::vec(-12i64..=12, 2..=8),
         stride in prop_oneof![Just(1i64), Just(-1i64), Just(2i64), Just(-3i64)],
-        m in 0u32..=2,
+        lo in -2i64..=0,
+        hi in 0i64..=2,
         k in 1usize..=3,
         mr in 0usize..=2,
         adda in 1u32..=3,
@@ -266,15 +270,19 @@ proptest! {
         let model = CostModel::steady_state()
             .with_modify_registers(mr)
             .with_adda_cost(adda);
-        let dm = DistanceModel::from_offsets(&offsets, stride, m);
-        let agu = AguSpec::new(k, m).unwrap().with_modify_registers(mr);
+        let range = UpdateRange::new(lo, hi).unwrap();
+        let dm = DistanceModel::from_offsets_range(&offsets, stride, range);
+        let agu = AguSpec::new(k, 0)
+            .unwrap()
+            .with_update_range(range)
+            .with_modify_registers(mr);
         let heuristic = Optimizer::new(agu).cost_model(model).allocate_model(dm.clone()).cost();
         let (optimum, cover) = exact::optimal_allocation(&dm, k, model);
         prop_assert!(cover.register_count() <= k);
         prop_assert!(
             optimum <= heuristic,
-            "optimum {} > heuristic {}: K={} M={} MR={} ADDA={} offsets {:?} stride {}",
-            optimum, heuristic, k, m, mr, adda, &offsets, stride
+            "optimum {} > heuristic {}: K={} window [{}, {}] MR={} ADDA={} offsets {:?} stride {}",
+            optimum, heuristic, k, lo, hi, mr, adda, &offsets, stride
         );
     }
 }
