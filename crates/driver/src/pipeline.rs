@@ -9,9 +9,10 @@
 //!     ──codegen──▶ AddressProgram ──simulate──▶ validated LoopReport
 //! ```
 //!
-//! — fanning independent loops out across a worker pool and assembling
-//! a [`CompilationReport`]. The pipeline is `Sync`: a long-lived server
-//! can share one instance (and thus one warm cache) across requests.
+//! — fanning independent loops out across a worker pool from the
+//! batch's first cache miss on, and assembling a [`CompilationReport`].
+//! The pipeline is `Sync`: a long-lived server can share one instance
+//! (and thus one warm cache) across requests.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -26,7 +27,7 @@ use raco_ir::dsl::{self, ParseError};
 use raco_ir::{AguSpec, CanonicalPattern, LoopSpec, MemoryLayout, Trace, UpdateRange};
 
 use crate::cache::{AllocationCache, CachePolicy, CacheStats};
-use crate::pool::{map_workers, Parallelism};
+use crate::pool::{map_on_demand, FanOut, Parallelism};
 use crate::report::{CompilationReport, LoopFailure, LoopReport, UnitReport};
 use crate::timings::{BatchTimings, Stage};
 
@@ -446,9 +447,11 @@ impl Pipeline {
 
     /// Compiles lowered loops on the worker pool and assembles them
     /// into one report with a unit per entry of `unit_names`; each loop
-    /// of `work` carries the index of its unit. Fails with
-    /// [`DriverError::DeadlineExceeded`] when `deadline` passes before
-    /// every loop has started.
+    /// of `work` carries the index of its unit. The loops run on the
+    /// calling thread until the first cache miss spawns the pool's
+    /// helpers (see [`CacheMemo`]), so a batch of hits spawns no
+    /// thread. Fails with [`DriverError::DeadlineExceeded`] when
+    /// `deadline` passes before every loop has started.
     fn compile_batch(
         &self,
         config: &PipelineConfig,
@@ -459,11 +462,14 @@ impl Pipeline {
         timings: BatchTimings,
     ) -> Result<CompilationReport, DriverError> {
         let workers = config.parallelism.resolve(work.len());
-        let compiled = map_workers(workers, &work, |_, (unit, spec)| {
+        let (compiled, threads) = map_on_demand(workers, &work, |_, (unit, spec), fan_out| {
             if expired(deadline) {
                 return None;
             }
-            Some((*unit, self.compile_loop_timed(config, spec, &timings)))
+            Some((
+                *unit,
+                self.compile_loop_timed(config, spec, &timings, fan_out),
+            ))
         });
         if compiled.iter().any(Option::is_none) {
             return Err(DriverError::DeadlineExceeded);
@@ -494,7 +500,7 @@ impl Pipeline {
         for (unit, listing) in reports.iter_mut().zip(listings) {
             unit.listing = Some(listing.to_string());
         }
-        Ok(self.finish_report(config, reports, workers, started, &timings))
+        Ok(self.finish_report(config, reports, threads, started, &timings))
     }
 
     fn finish_report(
@@ -530,7 +536,7 @@ impl Pipeline {
         // histograms; batch entry points share one BatchTimings across
         // the pool instead.
         let timings = BatchTimings::new();
-        let out = self.compile_loop_timed(&self.config, spec, &timings);
+        let out = self.compile_loop_timed(&self.config, spec, &timings, FanOut::INERT);
         timings.finish();
         out
     }
@@ -540,6 +546,7 @@ impl Pipeline {
         config: &PipelineConfig,
         spec: &LoopSpec,
         timings: &BatchTimings,
+        fan_out: FanOut<'_>,
     ) -> (LoopReport, Option<AddressProgram>) {
         let mut report = LoopReport {
             name: spec.name().to_owned(),
@@ -555,7 +562,7 @@ impl Pipeline {
             failure: None,
         };
 
-        let allocation = match self.allocate(config, spec, timings) {
+        let allocation = match self.allocate(config, spec, timings, fan_out) {
             Ok(allocation) => allocation,
             Err(failure) => {
                 report.failure = Some(failure);
@@ -672,6 +679,7 @@ impl Pipeline {
         config: &PipelineConfig,
         spec: &LoopSpec,
         timings: &BatchTimings,
+        fan_out: FanOut<'_>,
     ) -> Result<LoopAllocation, LoopFailure> {
         // The effective options price the machine's modify registers
         // (and, being part of every cache key, keep machines differing
@@ -685,6 +693,7 @@ impl Pipeline {
             k: config.agu.address_registers(),
             options,
             timings,
+            fan_out,
             mark: Instant::now(),
         };
         Optimizer::with_options(config.agu, options)
@@ -703,12 +712,18 @@ impl Pipeline {
 /// warm loop shares its covers, distance models and phase reports with
 /// the cache instead of copying them.
 ///
+/// A miss spawns the batch's helpers (see [`FanOut::widen`]) before it
+/// computes, so the rest of a cold batch runs in parallel with the
+/// allocation; the cache runs the computation outside its shard lock,
+/// so no lock is held while threads spawn.
+///
 /// Each lookup is timed into its `_hit` or `_miss` stage: the compute
 /// closure runs only on a miss, so a flag set inside it picks the
-/// stage. The curve → partition → allocation stages run back to back,
-/// so they are timed boundary-to-boundary with one shared clock read
-/// per boundary (see `compile_units_with`); the register partition is
-/// the span between the last curve and the first allocation.
+/// stage; the helpers' spawn lands in the first miss's sample. The
+/// curve → partition → allocation stages run back to back, so they are
+/// timed boundary-to-boundary with one shared clock read per boundary
+/// (see `compile_units_with`); the register partition is the span
+/// between the last curve and the first allocation.
 struct CacheMemo<'a> {
     cache: &'a AllocationCache,
     canonicals: Vec<CanonicalPattern>,
@@ -716,6 +731,7 @@ struct CacheMemo<'a> {
     k: usize,
     options: OptimizerOptions,
     timings: &'a BatchTimings,
+    fan_out: FanOut<'a>,
     mark: Instant,
 }
 
@@ -739,6 +755,7 @@ impl AllocationMemo for CacheMemo<'_> {
             &self.options,
             || {
                 missed = true;
+                self.fan_out.widen();
                 compute()
             },
         );
@@ -767,6 +784,7 @@ impl AllocationMemo for CacheMemo<'_> {
             &self.options,
             || {
                 missed = true;
+                self.fan_out.widen();
                 compute()
             },
         );
@@ -787,6 +805,7 @@ fn expired(deadline: Option<Instant>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn pipeline(k: usize) -> Pipeline {
         Pipeline::new(AguSpec::new(k, 1).unwrap())
@@ -841,6 +860,51 @@ mod tests {
         let report = pipeline.compile_units_with(&config, &units).unwrap();
         assert_eq!((report.loop_count(), report.failed()), (2, 0));
         assert_eq!(pipeline.compile_kernels_with(&config).unwrap().failed(), 0);
+    }
+
+    #[test]
+    fn warm_batches_run_on_the_caller() {
+        let mut config = PipelineConfig::new(AguSpec::new(4, 1).unwrap());
+        config.parallelism = Parallelism::Fixed(4);
+        config.listings = true;
+        let pipeline = Pipeline::with_config(config.clone());
+        let three = (
+            "three".to_owned(),
+            "for (i = 1; i < 64; i++) { y[i] = x[i-1] + x[i] + x[i+1]; }
+             for (j = 0; j < 32; j++) { z[j] = y[j] + y[j+3] + w[j+1]; }
+             for (k = 2; k < 48; k++) { s += a[k-2] * b[k] + a[k+5]; }"
+                .to_owned(),
+        );
+        let fresh = (
+            "fresh".to_owned(),
+            "for (i = 0; i < 64; i++) { q[i] = p[i+7] + p[i] + p[i-4]; }
+             for (j = 0; j < 16; j++) { r[j] = u[j] + u[j+9]; }"
+                .to_owned(),
+        );
+        let units =
+            |report: &CompilationReport| report.to_json_value().get("units").map(Json::render);
+
+        // The first loop misses and spawns helpers for the two loops
+        // still unclaimed; the same unit again is all hits.
+        let cold = pipeline
+            .compile_units(std::slice::from_ref(&three))
+            .unwrap();
+        assert_eq!((cold.threads, cold.failed()), (3, 0));
+        let warm = pipeline
+            .compile_units(std::slice::from_ref(&three))
+            .unwrap();
+        assert_eq!(warm.threads, 1);
+        assert_eq!(units(&warm), units(&cold));
+        assert_eq!(warm.units[0].listing, cold.units[0].listing);
+
+        // A cached unit ahead of a new one: the caller compiles the
+        // hits, and the first miss spawns one helper for the loop left.
+        let batch = [three, fresh];
+        let mixed = pipeline.compile_units(&batch).unwrap();
+        assert_eq!((mixed.threads, mixed.failed()), (2, 0));
+        config.parallelism = Parallelism::Sequential;
+        let sequential = Pipeline::with_config(config).compile_units(&batch).unwrap();
+        assert_eq!(units(&mixed), units(&sequential));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! A small scoped worker pool (rayon-style fan-out over std threads).
+//! A small scoped worker pool (rayon-style fan-out over std threads)
+//! that grows on demand.
 //!
 //! The pipeline's unit of work is one loop; loops are independent
 //! allocation problems, so batch compilation is embarrassingly
@@ -8,13 +9,17 @@
 //! input order in the result vector.
 //!
 //! Implemented on `std::thread::scope` so borrowed work items need no
-//! `'static` bound and the crate stays dependency-free. A batch on `n`
-//! workers spawns `n - 1` scoped helpers; the calling thread is the
-//! n-th worker and takes items from the same cursor. The CPU count
-//! behind [`Parallelism::Auto`] is looked up once per process (see
-//! [`available_workers`]), so a warm batch pays neither the lookup nor
-//! an idle waiting thread.
+//! `'static` bound and the crate stays dependency-free. The calling
+//! thread is always a worker: it starts draining the cursor alone, and
+//! helpers join only when the work asks for them through its
+//! `FanOut` handle. The pipeline asks at its first cache miss, so a
+//! batch of cache hits — a few µs of lookup, codegen and simulation per
+//! loop — runs on the caller without spawning a thread, while a cold
+//! batch fans out at its first lookup. [`map_parallel`] asks before its
+//! first item. The CPU count behind [`Parallelism::Auto`] is looked up
+//! once per process (see [`available_workers`]).
 
+use std::cell::OnceCell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -38,11 +43,11 @@ pub fn available_workers() -> usize {
 /// Degree of parallelism for a batch run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// One worker per available CPU (the default; see
+    /// Up to one worker per available CPU (the default; see
     /// [`available_workers`]).
     #[default]
     Auto,
-    /// Exactly this many workers, the calling thread included (clamped
+    /// Up to this many workers, the calling thread included (clamped
     /// to at least one).
     Fixed(usize),
     /// No worker threads: run on the calling thread. Useful for
@@ -51,7 +56,8 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// Resolves to a concrete worker count for `items` work items.
+    /// Resolves to a concrete worker count for `items` work items: the
+    /// most workers a batch may use.
     pub fn resolve(self, items: usize) -> usize {
         let workers = match self {
             Parallelism::Auto => available_workers(),
@@ -65,49 +71,98 @@ impl Parallelism {
 /// Maps `f` over `items` on `parallelism` workers, preserving order.
 ///
 /// `f` must be `Sync` because multiple workers call it concurrently.
-/// The calling thread is one of the workers. Panics in `f` — on a
-/// helper thread or on the caller — propagate to the caller once every
-/// worker has been joined.
+/// The calling thread is one of the workers, and every helper is
+/// spawned before `f` runs on the first item. Panics in `f` — on a helper
+/// thread or on the caller — propagate to the caller once every worker
+/// has been joined.
 pub fn map_parallel<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    map_workers(parallelism.resolve(items.len()), items, f)
+    let workers = parallelism.resolve(items.len());
+    let (results, _) = map_on_demand(workers, items, |index, item, fan_out| {
+        fan_out.widen();
+        f(index, item)
+    });
+    results
 }
 
-/// [`map_parallel`] on an already resolved worker count: the caller
-/// plus `workers - 1` scoped helpers.
-pub(crate) fn map_workers<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
+/// The handle through which a work item of [`map_on_demand`] asks for
+/// the batch's helpers.
+///
+/// Only the calling thread's handle can spawn: helpers get an inert
+/// one, and the handle is neither `Send` nor `Sync`, so it cannot reach
+/// another thread.
+#[derive(Clone, Copy)]
+pub(crate) struct FanOut<'a> {
+    widen: Option<&'a dyn Fn()>,
+}
+
+impl FanOut<'static> {
+    /// A handle whose [`widen`](FanOut::widen) does nothing, for work
+    /// that runs outside a batch.
+    pub(crate) const INERT: Self = FanOut { widen: None };
+}
+
+impl FanOut<'_> {
+    /// Spawns the batch's helpers: `min(workers - 1, unclaimed items)`
+    /// of them, which take the items no worker has claimed yet. Only
+    /// the first call in a batch spawns; later calls, and calls through
+    /// an inert handle, do nothing.
+    pub(crate) fn widen(&self) {
+        if let Some(widen) = self.widen {
+            widen();
+        }
+    }
+}
+
+/// Maps `f` over `items`, preserving order, on the calling thread plus
+/// the up to `workers - 1` scoped helpers that `f` spawns through its
+/// [`FanOut`] handle. Returns the results and the number of threads
+/// that worked: the caller plus the helpers spawned.
+///
+/// Panics in `f` — on a helper or on the caller, before or after the
+/// helpers were spawned — propagate to the caller once every thread
+/// has been joined.
+pub(crate) fn map_on_demand<T, R, F>(workers: usize, items: &[T], f: F) -> (Vec<R>, usize)
 where
     T: Sync,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(usize, &T, FanOut<'_>) -> R + Sync,
 {
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-
     // Each worker claims indices from the shared cursor and keeps its
     // `(index, result)` pairs locally; they meet again after the join.
     let cursor = AtomicUsize::new(0);
-    let work = || {
+    let drain = |fan_out: FanOut<'_>| {
         let mut done = Vec::new();
         loop {
             let index = cursor.fetch_add(1, Ordering::Relaxed);
             if index >= items.len() {
                 return done;
             }
-            done.push((index, f(index, &items[index])));
+            done.push((index, f(index, &items[index], fan_out)));
         }
     };
+    // Borrowed once, so each helper's `move` closure copies a reference.
+    let drain = &drain;
     let batches: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let helpers = OnceCell::new();
+        let widen = || {
+            helpers.get_or_init(|| {
+                let unclaimed = items.len().saturating_sub(cursor.load(Ordering::Relaxed));
+                (0..unclaimed.min(workers.saturating_sub(1)))
+                    .map(|_| scope.spawn(move || drain(FanOut::INERT)))
+                    .collect::<Vec<_>>()
+            });
+        };
         // A panic here unwinds through the scope, which joins the
         // helpers before rethrowing it.
-        let mut batches = vec![work()];
-        for helper in helpers {
+        let mut batches = vec![drain(FanOut {
+            widen: Some(&widen),
+        })];
+        for helper in helpers.into_inner().unwrap_or_default() {
             match helper.join() {
                 Ok(batch) => batches.push(batch),
                 Err(payload) => std::panic::resume_unwind(payload),
@@ -116,15 +171,17 @@ where
         batches
     });
 
+    let threads = batches.len();
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     for (index, result) in batches.into_iter().flatten() {
         slots[index] = Some(result);
     }
-    slots
+    let results = slots
         .into_iter()
         .map(|slot| slot.expect("every index was claimed"))
-        .collect()
+        .collect();
+    (results, threads)
 }
 
 #[cfg(test)]
@@ -261,6 +318,83 @@ mod tests {
         assert!(panic_message(on_caller.unwrap_err()).contains("caller boom"));
         let on_helper = run_batch(4, |_, id| assert!(id == caller, "helper boom"));
         assert!(panic_message(on_helper.unwrap_err()).contains("helper boom"));
+    }
+
+    /// Runs `items` items through [`map_on_demand`] on up to `workers`
+    /// workers. Items before `widen_at` run without asking for helpers;
+    /// from `widen_at` on, every item calls `widen()`, and the first
+    /// `workers` of them meet at a rendezvous, so each helper spawned
+    /// holds one of them while the caller holds the first. `f` may panic
+    /// after the rendezvous. Returns the thread that ran each item and
+    /// the thread count.
+    fn run_widening_batch(
+        workers: usize,
+        items: usize,
+        widen_at: usize,
+        f: impl Fn(usize, ThreadId) + Sync,
+    ) -> std::thread::Result<(Vec<(usize, ThreadId)>, usize)> {
+        let items: Vec<usize> = (0..items).collect();
+        let meeting = widen_at..widen_at + workers;
+        let rendezvous = Rendezvous::new(workers.min(items.len().saturating_sub(widen_at)));
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map_on_demand(workers, &items, |i, _, fan_out| {
+                if i >= widen_at {
+                    fan_out.widen();
+                }
+                if meeting.contains(&i) {
+                    rendezvous.wait();
+                }
+                let id = std::thread::current().id();
+                f(i, id);
+                (i, id)
+            })
+        }))
+    }
+
+    #[test]
+    fn without_widen_every_item_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        let (ran, threads) = run_widening_batch(4, 16, 16, |_, _| {}).unwrap();
+        assert_eq!(threads, 1);
+        assert!(ran.iter().all(|&(_, id)| id == caller));
+    }
+
+    #[test]
+    fn widen_spawns_helpers_for_the_unclaimed_items_once() {
+        // (workers, items, widen_at) → helpers = min(workers - 1,
+        // items - widen_at - 1): the caller holds item `widen_at`.
+        for (workers, items, widen_at, helpers) in [
+            (4, 8, 0, 3),
+            (3, 8, 2, 2),
+            (4, 8, 6, 1),
+            (4, 8, 7, 0),
+            (1, 8, 0, 0),
+        ] {
+            let calls = AtomicUsize::new(0);
+            let (ran, threads) = run_widening_batch(workers, items, widen_at, |_, _| {
+                calls.fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
+            let case = format!("Fixed({workers}) widened at item {widen_at} of {items}");
+            assert_eq!(threads, 1 + helpers, "{case}");
+            let ids: HashSet<ThreadId> = ran.iter().map(|&(_, id)| id).collect();
+            assert_eq!(ids.len(), 1 + helpers, "{case}");
+            assert!(ids.contains(&std::thread::current().id()), "{case}");
+            assert_eq!(calls.load(Ordering::Relaxed), items, "{case}");
+            let order: Vec<usize> = ran.iter().map(|&(i, _)| i).collect();
+            assert_eq!(order, (0..items).collect::<Vec<_>>(), "{case}");
+        }
+    }
+
+    #[test]
+    fn panics_after_widening_propagate_from_helpers_and_the_caller() {
+        let caller = std::thread::current().id();
+        let on_helper = run_widening_batch(4, 12, 4, |_, id| assert!(id == caller, "helper boom"));
+        assert!(panic_message(on_helper.unwrap_err()).contains("helper boom"));
+        let on_caller = run_widening_batch(4, 12, 4, |i, id| {
+            assert!(i < 4 || id != caller, "caller boom");
+        });
+        assert!(panic_message(on_caller.unwrap_err()).contains("caller boom"));
     }
 
     #[test]

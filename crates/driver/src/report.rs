@@ -232,7 +232,8 @@ pub struct CompilationReport {
     /// machine). Allocation prices them, so `predicted_cycles` equals
     /// `measured_cycles` on MR-equipped machines too.
     pub modify_registers: usize,
-    /// Worker threads used.
+    /// Threads that compiled the batch: the caller plus the helpers
+    /// spawned at the first cache miss (so 1 for an all-hit batch).
     pub threads: usize,
     /// End-to-end wall time of the batch.
     pub elapsed: Duration,

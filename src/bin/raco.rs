@@ -21,7 +21,9 @@
 //! -m, --modify <M>       auto-modify range (default 1)
 //!     --modify-regs <N>  modify registers (default 0)
 //! -j, --threads <T>      worker threads (default: all cores; 1 = sequential;
-//!                        serve: 1, since connections supply the concurrency)
+//!                        serve: 1, since connections supply the concurrency);
+//!                        helpers start at a batch's first cache miss, so an
+//!                        all-hit batch runs on one thread
 //!     --iterations <N>   simulated iterations per loop (default 16)
 //!     --no-validate      skip simulator validation
 //!     --cache-load <f>   warm the allocation cache from a snapshot file
@@ -141,7 +143,8 @@ fn usage() -> &'static str {
      \x20 -k, --registers <K>    address registers (default 4)\n\
      \x20 -m, --modify <M>       auto-modify range (default 1)\n\
      \x20     --modify-regs <N>  modify registers (default 0)\n\
-     \x20 -j, --threads <T>      worker threads (default: all cores; serve: 1)\n\
+     \x20 -j, --threads <T>      worker threads (default: all cores; serve: 1);\n\
+     \x20                        an all-hit batch runs on one thread\n\
      \x20     --iterations <N>   simulated iterations per loop (default 16)\n\
      \x20     --no-validate      skip simulator validation\n\
      \x20     --cache-load <f>   warm the allocation cache from a snapshot file\n\
