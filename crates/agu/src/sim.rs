@@ -12,7 +12,7 @@ use std::fmt;
 
 use raco_ir::{AguSpec, Trace, UpdateRange};
 
-use crate::isa::{AddressInstr, AddressProgram, Update};
+use crate::isa::{AddressInstr, AddressProgram, MrId, RegId, Update};
 
 /// Errors detected while simulating.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -205,19 +205,14 @@ pub fn run(program: &AddressProgram, trace: &Trace, agu: &AguSpec) -> Result<Sim
         });
     }
 
-    let mut regs = vec![0i64; program.address_registers()];
-    let mut mrs = vec![0i64; program.modify_values().len()];
+    let mut machine = Machine {
+        agu,
+        regs: vec![0; program.address_registers()],
+        mrs: vec![0; program.modify_values().len()],
+    };
     let mut prologue_cycles = 0;
     for instr in program.prologue() {
-        step(
-            instr,
-            &mut regs,
-            &mut mrs,
-            agu,
-            None,
-            0,
-            &mut prologue_cycles,
-        )?;
+        machine.step(instr, None, &mut prologue_cycles)?;
     }
 
     let per_iter = trace.accesses_per_iteration();
@@ -228,15 +223,8 @@ pub fn run(program: &AddressProgram, trace: &Trace, agu: &AguSpec) -> Result<Sim
         let mut next_position = 0usize;
         let mut explicit_this_iter = 0u64;
         for instr in program.body() {
-            step(
-                instr,
-                &mut regs,
-                &mut mrs,
-                agu,
-                Some((trace, iteration, &mut next_position)),
-                iteration,
-                &mut explicit_this_iter,
-            )?;
+            let serve = Some((trace, iteration, &mut next_position));
+            machine.step(instr, serve, &mut explicit_this_iter)?;
         }
         if next_position != per_iter {
             return Err(SimError::IncompleteIteration {
@@ -255,15 +243,7 @@ pub fn run(program: &AddressProgram, trace: &Trace, agu: &AguSpec) -> Result<Sim
             for block in program.carries() {
                 if block.period > 0 && (iteration + 1) % block.period == 0 {
                     for instr in &block.instrs {
-                        step(
-                            instr,
-                            &mut regs,
-                            &mut mrs,
-                            agu,
-                            None,
-                            iteration,
-                            &mut carry_cycles,
-                        )?;
+                        machine.step(instr, None, &mut carry_cycles)?;
                     }
                 }
             }
@@ -282,94 +262,94 @@ pub fn run(program: &AddressProgram, trace: &Trace, agu: &AguSpec) -> Result<Sim
     })
 }
 
-fn step(
-    instr: &AddressInstr,
-    regs: &mut [i64],
-    mrs: &mut [i64],
-    agu: &AguSpec,
-    trace_ctx: Option<(&Trace, u64, &mut usize)>,
-    iteration: u64,
-    explicit: &mut u64,
-) -> Result<(), SimError> {
-    // Explicit instructions are charged at the machine's per-opcode
-    // price, so measured cycles stay comparable to the (scaled)
-    // allocator prediction on non-unit-cost machines.
-    match instr {
-        AddressInstr::Lda { reg, address } => {
-            let slot = regs
-                .get_mut(usize::from(reg.0))
-                .ok_or(SimError::UnknownRegister { reg: reg.0 })?;
-            *slot = *address;
-            *explicit += instr.cycles_with(&agu.cost_table());
-        }
-        AddressInstr::Ldm { mr, value } => {
-            let slot = mrs
-                .get_mut(usize::from(mr.0))
-                .ok_or(SimError::UnknownModifyRegister { mr: mr.0 })?;
-            *slot = *value;
-            *explicit += instr.cycles_with(&agu.cost_table());
-        }
-        AddressInstr::Adda { reg, delta } => {
-            let slot = regs
-                .get_mut(usize::from(reg.0))
-                .ok_or(SimError::UnknownRegister { reg: reg.0 })?;
-            *slot += delta;
-            *explicit += instr.cycles_with(&agu.cost_table());
-        }
-        AddressInstr::Use {
-            reg,
-            position,
-            update,
-        } => {
-            let value = *regs
-                .get(usize::from(reg.0))
-                .ok_or(SimError::UnknownRegister { reg: reg.0 })?;
-            if let Some((trace, iter, next_position)) = trace_ctx {
-                if *position != *next_position {
-                    return Err(SimError::PositionOrderViolation {
-                        iteration: iter,
-                        expected: *next_position,
-                        got: *position,
-                    });
-                }
-                let entry = trace
-                    .entry(iter, *position)
-                    .ok_or(SimError::IncompleteIteration {
-                        iteration: iter,
-                        served: *next_position,
-                        expected: trace.accesses_per_iteration(),
-                    })?;
-                if entry.address != value {
-                    return Err(SimError::AddressMismatch {
-                        iteration: iter,
-                        position: *position,
-                        expected: entry.address,
-                        got: value,
-                    });
-                }
-                *next_position += 1;
-            }
-            // Apply the free post-modify.
-            let delta = match update {
-                Update::None => 0,
-                Update::Auto { delta } => {
-                    if !agu.is_free_delta(*delta) {
-                        return Err(SimError::FreeDeltaViolation {
-                            delta: *delta,
-                            range: agu.update_range(),
+/// The AGU's register state while a program runs.
+struct Machine<'a> {
+    agu: &'a AguSpec,
+    regs: Vec<i64>,
+    mrs: Vec<i64>,
+}
+
+impl Machine<'_> {
+    /// Executes one instruction and adds its cycles to `cycles`. A `USE`
+    /// is checked against the trace when `serve` holds the trace, the
+    /// iteration and the next position the iteration must serve.
+    fn step(
+        &mut self,
+        instr: &AddressInstr,
+        serve: Option<(&Trace, u64, &mut usize)>,
+        cycles: &mut u64,
+    ) -> Result<(), SimError> {
+        // Explicit instructions are charged at the machine's per-opcode
+        // price, so measured cycles stay comparable to the (scaled)
+        // allocator prediction on non-unit-cost machines.
+        *cycles += instr.cycles_with(&self.agu.cost_table());
+        match instr {
+            AddressInstr::Lda { reg, address } => *self.reg(*reg)? = *address,
+            AddressInstr::Ldm { mr, value } => *self.modify(*mr)? = *value,
+            AddressInstr::Adda { reg, delta } => *self.reg(*reg)? += delta,
+            AddressInstr::Use {
+                reg,
+                position,
+                update,
+            } => {
+                let value = *self.reg(*reg)?;
+                if let Some((trace, iteration, next_position)) = serve {
+                    if *position != *next_position {
+                        return Err(SimError::PositionOrderViolation {
+                            iteration,
+                            expected: *next_position,
+                            got: *position,
                         });
                     }
-                    *delta
+                    let entry =
+                        trace
+                            .entry(iteration, *position)
+                            .ok_or(SimError::IncompleteIteration {
+                                iteration,
+                                served: *next_position,
+                                expected: trace.accesses_per_iteration(),
+                            })?;
+                    if entry.address != value {
+                        return Err(SimError::AddressMismatch {
+                            iteration,
+                            position: *position,
+                            expected: entry.address,
+                            got: value,
+                        });
+                    }
+                    *next_position += 1;
                 }
-                Update::Modify { mr } => *mrs
-                    .get(usize::from(mr.0))
-                    .ok_or(SimError::UnknownModifyRegister { mr: mr.0 })?,
-            };
-            regs[usize::from(reg.0)] += delta;
-            let _ = iteration;
+                // Apply the free post-modify.
+                let delta = match update {
+                    Update::None => 0,
+                    Update::Auto { delta } => {
+                        if !self.agu.is_free_delta(*delta) {
+                            return Err(SimError::FreeDeltaViolation {
+                                delta: *delta,
+                                range: self.agu.update_range(),
+                            });
+                        }
+                        *delta
+                    }
+                    Update::Modify { mr } => *self.modify(*mr)?,
+                };
+                *self.reg(*reg)? += delta;
+            }
         }
+        Ok(())
     }
-    Ok(())
+
+    fn reg(&mut self, reg: RegId) -> Result<&mut i64, SimError> {
+        self.regs
+            .get_mut(usize::from(reg.0))
+            .ok_or(SimError::UnknownRegister { reg: reg.0 })
+    }
+
+    fn modify(&mut self, mr: MrId) -> Result<&mut i64, SimError> {
+        self.mrs
+            .get_mut(usize::from(mr.0))
+            .ok_or(SimError::UnknownModifyRegister { mr: mr.0 })
+    }
 }
 
 #[cfg(test)]

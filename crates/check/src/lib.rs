@@ -1,12 +1,19 @@
 //! Declarative listing invariants — the second correctness oracle.
 //!
 //! The simulator (`raco_agu::sim`) is an *operational* oracle: it runs
-//! the generated address program against a captured access trace and
-//! compares every served address. This crate is the *declarative* one:
-//! each [`Invariant`] re-derives one property of a correct listing
+//! the generated address program against the reference address trace
+//! and compares every served address. This crate is the *declarative*
+//! one: each [`Invariant`] re-derives one property of a correct listing
 //! directly from the instruction rows — without executing them against
 //! a trace — and reports a structured [`Violation`] when the rows break
-//! it. The pipeline runs both oracles on every validated loop; a
+//! it. One walk over the prologue, body and carry rows builds every
+//! fact the invariants consult (per-AR delta ledgers with each chain's
+//! stride and array, prologue loads, served positions, cycles and
+//! words) and flags the violations a single row decides; each invariant
+//! then reports, in registry order, what the walk flagged for it and
+//! what it derives from its part of that derivation.
+//!
+//! The pipeline runs both oracles on every validated loop; a
 //! listing that one oracle accepts and the other rejects is itself a
 //! reportable bug class (an oracle disagreement), because the two
 //! derivations share no code.
@@ -122,7 +129,7 @@ pub struct Invariant {
     pub name: &'static str,
     /// Why the invariant must hold on a correct listing.
     pub why: &'static str,
-    check: fn(&CheckContext<'_>, &mut Vec<Violation>),
+    check: fn(&Derivation<'_>, &mut Vec<Violation>),
 }
 
 impl fmt::Debug for Invariant {
@@ -133,27 +140,36 @@ impl fmt::Debug for Invariant {
     }
 }
 
+// Invariants with rules that a single row (or the program header)
+// decides: the derivation flags those violations during its walk.
+const AR_IN_MACHINE_RANGE: &str = "ar-in-machine-range";
+const MR_IN_MACHINE_RANGE: &str = "mr-in-machine-range";
+const PROLOGUE_LOADS_ONLY: &str = "prologue-loads-only";
+const FREE_UPDATES_IN_RANGE: &str = "free-updates-in-range";
+const DELTA_COVERAGE: &str = "delta-coverage";
+const CARRY_BOUNDARIES: &str = "carry-boundaries";
+
 /// The full invariant inventory, in the order they run.
 pub const INVARIANTS: &[Invariant] = &[
     Invariant {
-        name: "ar-in-machine-range",
+        name: AR_IN_MACHINE_RANGE,
         why: "every address-register index must fit both the program's declared register \
               count and the machine's K; an out-of-range AR encodes to a register the \
               hardware does not have",
-        check: ar_in_machine_range,
+        check: flagged_rows_only,
     },
     Invariant {
-        name: "mr-in-machine-range",
+        name: MR_IN_MACHINE_RANGE,
         why: "every modify-register index must fit the program's modify-value table and \
               the machine's modify-register file; an out-of-range M reads undefined state",
-        check: mr_in_machine_range,
+        check: flagged_rows_only,
     },
     Invariant {
-        name: "prologue-loads-only",
+        name: PROLOGUE_LOADS_ONLY,
         why: "the prologue runs once before the loop and may only establish state (LDA/LDM, \
               each destination exactly once); an ADDA or USE there would execute outside \
               the steady state the body's delta ledger assumes",
-        check: prologue_loads_only,
+        check: flagged_rows_only,
     },
     Invariant {
         name: "registers-initialized",
@@ -170,13 +186,13 @@ pub const INVARIANTS: &[Invariant] = &[
         check: use_sequence,
     },
     Invariant {
-        name: "free-updates-in-range",
+        name: FREE_UPDATES_IN_RANGE,
         why: "an auto post-modify is only free when |delta| <= M; a larger immediate would \
               not encode and must be an explicit ADDA instead",
-        check: free_updates_in_range,
+        check: flagged_rows_only,
     },
     Invariant {
-        name: "delta-coverage",
+        name: DELTA_COVERAGE,
         why: "between consecutive serves of one AR, the applied updates (auto post-modify, \
               modify-register content, explicit ADDAs) must sum exactly to the address \
               distance between the served accesses — including the wrap back to the next \
@@ -190,7 +206,7 @@ pub const INVARIANTS: &[Invariant] = &[
         check: steady_state_advance,
     },
     Invariant {
-        name: "carry-boundaries",
+        name: CARRY_BOUNDARIES,
         why: "carry blocks may appear only at the flattened nest's period boundaries, hold \
               only ADDAs, and per register must sum to the array's carry at that level — \
               carries anywhere else fire mid-sweep and corrupt the inner loop",
@@ -205,11 +221,17 @@ pub const INVARIANTS: &[Invariant] = &[
     },
 ];
 
-/// Runs every invariant in [`INVARIANTS`] over `ctx`.
+/// Runs every invariant in [`INVARIANTS`] over `ctx`: one walk over
+/// the rows builds the derivation, then each invariant reports, in
+/// registry order, the violations the walk flagged for it followed by
+/// those it derives from the walk's aggregates.
 pub fn check(ctx: &CheckContext<'_>) -> CheckReport {
+    let derivation = Derivation::new(ctx);
     let mut violations = Vec::new();
     for invariant in INVARIANTS {
-        (invariant.check)(ctx, &mut violations);
+        let flagged = derivation.flagged.iter();
+        violations.extend(flagged.filter(|v| v.invariant == invariant.name).cloned());
+        (invariant.check)(&derivation, &mut violations);
     }
     CheckReport {
         invariants_checked: INVARIANTS.len(),
@@ -236,7 +258,7 @@ pub fn check_program(
 }
 
 // ---------------------------------------------------------------------
-// Shared row derivations
+// The derivation: one walk over prologue, body and carries
 // ---------------------------------------------------------------------
 
 /// Where a row sits inside the program (for violation messages).
@@ -257,119 +279,304 @@ impl fmt::Display for RowLoc {
     }
 }
 
-/// All rows of the program with their locations.
-fn rows(program: &AddressProgram) -> impl Iterator<Item = (RowLoc, &AddressInstr)> {
-    let prologue = program
-        .prologue()
-        .iter()
-        .enumerate()
-        .map(|(i, instr)| (RowLoc::Prologue(i), instr));
-    let body = program
-        .body()
-        .iter()
-        .enumerate()
-        .map(|(i, instr)| (RowLoc::Body(i), instr));
-    let carries = program.carries().iter().enumerate().flat_map(|(b, block)| {
-        block
-            .instrs
-            .iter()
-            .enumerate()
-            .map(move |(i, instr)| (RowLoc::Carry(b, i), instr))
-    });
-    prologue.chain(body).chain(carries)
+/// The one value every serve of a chain agrees on, if they agree.
+#[derive(Debug, Clone, Copy, Default)]
+enum Agreed<T> {
+    #[default]
+    Empty,
+    One(T),
+    Mixed,
 }
 
-/// Iteration-0, carry-free address of access `position`:
-/// `base + coefficient * start + offset`.
-fn flat_address(ctx: &CheckContext<'_>, position: usize) -> Option<i64> {
-    let access = ctx.spec.accesses().get(position)?;
-    let base = ctx.layout.base(access.array)?;
-    let info = ctx.spec.array_info(access.array)?;
-    Some(base + info.coefficient() * ctx.spec.start() + access.offset)
+impl<T: Copy + PartialEq> Agreed<T> {
+    fn add(&mut self, value: T) {
+        *self = match *self {
+            Agreed::Empty => Agreed::One(value),
+            Agreed::One(seen) if seen == value => Agreed::One(seen),
+            _ => Agreed::Mixed,
+        };
+    }
 }
 
-/// Per-iteration address advance of access `position`:
-/// `coefficient * loop stride`.
-fn flat_stride(ctx: &CheckContext<'_>, position: usize) -> Option<i64> {
-    let access = ctx.spec.accesses().get(position)?;
-    let info = ctx.spec.array_info(access.array)?;
-    Some(info.coefficient() * ctx.spec.stride())
+/// One serve of an AR: its position, the update sum applied since the
+/// register's previous serve (for the first serve, the deltas before it
+/// in the body), and the access's iteration-0, carry-free address
+/// `base + coefficient * start + offset` (`None` when the position or
+/// its array is unknown).
+#[derive(Debug, Clone, Copy)]
+struct Serve {
+    position: usize,
+    gap: i64,
+    address: Option<i64>,
 }
 
-/// The delta ledger of one address register over one body pass,
-/// re-derived purely from the rows.
-#[derive(Debug, Default, Clone)]
+/// The delta ledger of one address register over one body pass.
+#[derive(Debug, Default)]
 struct Ledger {
-    /// Served positions with the update sum applied since the previous
-    /// serve (`gap` of the first entry is the head: deltas before the
-    /// register's first serve of the pass).
-    serves: Vec<(usize, i64)>,
-    /// Update sum accumulated since the last serve (the tail once the
-    /// walk ends).
+    serves: Vec<Serve>,
+    /// Update sum since the last serve (the tail once the walk ends).
     pending: i64,
-    /// Sum of every update applied to the register in one body pass.
-    total: i64,
     /// Set when the body reloads the register absolutely (LDA), which
     /// makes a steady-state ledger underivable.
     poisoned: bool,
+    /// The served accesses' per-iteration advance
+    /// (`coefficient * loop stride`), and their array.
+    stride: Agreed<i64>,
+    array: Agreed<ArrayId>,
 }
 
-/// Walks the body once and returns one [`Ledger`] per declared AR.
-/// Out-of-range register ids (reported by `ar-in-machine-range`) are
-/// skipped.
-fn body_ledgers(ctx: &CheckContext<'_>) -> Vec<Ledger> {
-    let declared = ctx.program.address_registers();
-    let modify_values = ctx.program.modify_values();
-    let mut ledgers = vec![Ledger::default(); declared];
-    for instr in ctx.program.body() {
+/// What the walk learns about one AR index named by any row.
+#[derive(Debug, Default)]
+struct Register {
+    /// First row outside the prologue that names the register.
+    first_use: Option<RowLoc>,
+    ledger: Ledger,
+    /// Carry-block ADDA sums per period.
+    carries: Vec<(u64, i64)>,
+}
+
+/// Every fact the invariants consult, gathered in one walk over the
+/// prologue, body and carry rows.
+struct Derivation<'a> {
+    ctx: &'a CheckContext<'a>,
+    /// Violations that one row (or the program header) decides, in row
+    /// order.
+    flagged: Vec<Violation>,
+    /// Per AR index named by any row, out-of-range indices included.
+    registers: BTreeMap<u16, Register>,
+    /// Per AR and per modify register the prologue loads: the first
+    /// value loaded and the row of the latest load.
+    ar_loads: BTreeMap<u16, (i64, usize)>,
+    mr_loads: BTreeMap<u16, (i64, usize)>,
+    /// The positions the body serves, in order.
+    served: Vec<usize>,
+    /// Body cycles under the machine's cost table; words of every row.
+    body_cycles: u64,
+    words: u64,
+    /// The flattened nest's period per level (empty for a flat loop).
+    periods: Vec<u64>,
+}
+
+impl<'a> Derivation<'a> {
+    fn new(ctx: &'a CheckContext<'a>) -> Self {
+        let (program, agu) = (ctx.program, ctx.agu);
+        let periods = ctx.spec.nest().map(|nest| nest.periods());
+        let mut d = Derivation {
+            ctx,
+            flagged: Vec::new(),
+            registers: BTreeMap::new(),
+            ar_loads: BTreeMap::new(),
+            mr_loads: BTreeMap::new(),
+            served: Vec::new(),
+            body_cycles: 0,
+            words: 0,
+            periods: periods.unwrap_or_default(),
+        };
+        let (ars, mrs) = (program.address_registers(), program.modify_values().len());
+        if ars > agu.address_registers() {
+            d.flag(
+                AR_IN_MACHINE_RANGE,
+                format!(
+                    "program declares {ars} address registers but the machine has {}",
+                    agu.address_registers()
+                ),
+            );
+        }
+        if mrs > agu.modify_registers() {
+            d.flag(
+                MR_IN_MACHINE_RANGE,
+                format!(
+                    "program declares {mrs} modify values but the machine has {} modify registers",
+                    agu.modify_registers()
+                ),
+            );
+        }
+        for (i, instr) in program.prologue().iter().enumerate() {
+            d.visit(RowLoc::Prologue(i), instr);
+        }
+        for (i, instr) in program.body().iter().enumerate() {
+            d.visit(RowLoc::Body(i), instr);
+        }
+        let blocks = program.carries();
+        if ctx.spec.nest().is_none() && !blocks.is_empty() {
+            d.flag(
+                CARRY_BOUNDARIES,
+                format!(
+                    "program has {} carry block(s) but the loop is not a flattened nest",
+                    blocks.len()
+                ),
+            );
+        }
+        for (b, block) in blocks.iter().enumerate() {
+            if ctx.spec.nest().is_some() && !d.periods.contains(&block.period) {
+                d.flag(
+                    CARRY_BOUNDARIES,
+                    format!(
+                        "carry block {b} fires every {} iterations, which is not a nest \
+                         period (periods: {:?})",
+                        block.period, d.periods
+                    ),
+                );
+            }
+            for (i, instr) in block.instrs.iter().enumerate() {
+                d.visit(RowLoc::Carry(b, i), instr);
+            }
+        }
+        d
+    }
+
+    fn flag(&mut self, invariant: &'static str, message: String) {
+        self.flagged.push(Violation { invariant, message });
+    }
+
+    fn visit(&mut self, loc: RowLoc, instr: &AddressInstr) {
+        let ctx = self.ctx;
+        self.words += instr.words();
+        if let Some(reg) = instr.register() {
+            let declared = ctx.program.address_registers();
+            if usize::from(reg.0) >= declared {
+                self.flag(
+                    AR_IN_MACHINE_RANGE,
+                    format!(
+                        "{reg} referenced at {loc} but the program declares only {declared} ARs"
+                    ),
+                );
+            }
+            if !matches!(loc, RowLoc::Prologue(_)) {
+                let register = self.registers.entry(reg.0).or_default();
+                register.first_use.get_or_insert(loc);
+            }
+        }
+        if let Some(mr) = instr.modify_register() {
+            let declared = ctx.program.modify_values().len();
+            if usize::from(mr.0) >= declared {
+                self.flag(MR_IN_MACHINE_RANGE,
+                    format!("{mr} referenced at {loc} but the program declares only {declared} modify values"),
+                );
+            }
+        }
+        if let AddressInstr::Use {
+            update: Update::Auto { delta },
+            ..
+        } = *instr
+        {
+            if !ctx.agu.is_free_delta(delta) {
+                self.flag(
+                    FREE_UPDATES_IN_RANGE,
+                    format!(
+                        "{loc} auto post-modify {delta:+} exceeds the machine's modify range M={}",
+                        ctx.agu.update_range()
+                    ),
+                );
+            }
+        }
+        match (loc, *instr) {
+            (RowLoc::Prologue(row), AddressInstr::Lda { reg, address }) => {
+                let load = self.ar_loads.entry(reg.0).or_insert((address, row));
+                let last = std::mem::replace(&mut load.1, row);
+                if last != row {
+                    self.flag(
+                        PROLOGUE_LOADS_ONLY,
+                        format!("{reg} loaded twice in the prologue (rows {last} and {row})"),
+                    );
+                }
+            }
+            (RowLoc::Prologue(row), AddressInstr::Ldm { mr, value }) => {
+                let load = self.mr_loads.entry(mr.0).or_insert((value, row));
+                let last = std::mem::replace(&mut load.1, row);
+                if last != row {
+                    self.flag(
+                        PROLOGUE_LOADS_ONLY,
+                        format!("{mr} loaded twice in the prologue (rows {last} and {row})"),
+                    );
+                }
+            }
+            (RowLoc::Prologue(_), other) => self.flag(
+                PROLOGUE_LOADS_ONLY,
+                format!("{loc} is `{other}`, not a load"),
+            ),
+            (RowLoc::Body(_), other) => self.body_row(loc, other),
+            (RowLoc::Carry(b, _), AddressInstr::Adda { reg, delta }) => {
+                let period = ctx.program.carries()[b].period;
+                let carries = &mut self.registers.entry(reg.0).or_default().carries;
+                match carries.iter_mut().find(|(p, _)| *p == period) {
+                    Some((_, sum)) => *sum += delta,
+                    None => carries.push((period, delta)),
+                }
+            }
+            (RowLoc::Carry(..), other) => {
+                if ctx.spec.nest().is_some() {
+                    self.flag(CARRY_BOUNDARIES, format!("{loc} is `{other}`, not an ADDA"));
+                }
+            }
+        }
+    }
+
+    fn body_row(&mut self, loc: RowLoc, instr: AddressInstr) {
+        let ctx = self.ctx;
+        self.body_cycles += instr.cycles_with(&ctx.agu.cost_table());
         match instr {
             AddressInstr::Adda { reg, delta } => {
-                if let Some(ledger) = ledgers.get_mut(usize::from(reg.0)) {
-                    ledger.pending += delta;
-                    ledger.total += delta;
-                }
+                self.registers.entry(reg.0).or_default().ledger.pending += delta;
             }
             AddressInstr::Use {
                 reg,
                 position,
                 update,
             } => {
+                self.served.push(position);
                 let applied = match update {
                     Update::None => 0,
-                    Update::Auto { delta } => *delta,
-                    Update::Modify { mr } => modify_values
+                    Update::Auto { delta } => delta,
+                    Update::Modify { mr } => ctx
+                        .program
+                        .modify_values()
                         .get(usize::from(mr.0))
                         .copied()
                         .unwrap_or_default(),
                 };
-                if let Some(ledger) = ledgers.get_mut(usize::from(reg.0)) {
-                    ledger.serves.push((*position, ledger.pending));
-                    ledger.pending = applied;
-                    ledger.total += applied;
+                let access = ctx.spec.accesses().get(position);
+                let info = access.and_then(|a| ctx.spec.array_info(a.array));
+                let ledger = &mut self.registers.entry(reg.0).or_default().ledger;
+                if let Some(access) = access {
+                    ledger.array.add(access.array);
                 }
+                if let Some(info) = info {
+                    ledger.stride.add(info.coefficient() * ctx.spec.stride());
+                }
+                let address = access.zip(info).and_then(|(access, info)| {
+                    let base = ctx.layout.base(access.array)?;
+                    Some(base + info.coefficient() * ctx.spec.start() + access.offset)
+                });
+                ledger.serves.push(Serve {
+                    position,
+                    gap: ledger.pending,
+                    address,
+                });
+                ledger.pending = applied;
             }
             AddressInstr::Lda { reg, .. } => {
-                if let Some(ledger) = ledgers.get_mut(usize::from(reg.0)) {
-                    ledger.poisoned = true;
-                }
+                self.registers.entry(reg.0).or_default().ledger.poisoned = true;
+                self.flag(
+                    DELTA_COVERAGE,
+                    format!("{loc} reloads {reg} absolutely; steady-state deltas are underivable"),
+                );
             }
-            AddressInstr::Ldm { .. } => {}
+            AddressInstr::Ldm { mr, .. } => self.flag(
+                DELTA_COVERAGE,
+                format!("{loc} reloads {mr}; modify registers must be loop-invariant"),
+            ),
         }
     }
-    ledgers
-}
 
-/// The single array a register's serves all belong to, or `None` when
-/// the chain is empty or spans arrays (the latter is reported by
-/// `delta-coverage`).
-fn chain_array(ctx: &CheckContext<'_>, ledger: &Ledger) -> Option<ArrayId> {
-    let accesses = ctx.spec.accesses();
-    let mut arrays = ledger
-        .serves
-        .iter()
-        .filter_map(|&(position, _)| accesses.get(position).map(|a| a.array));
-    let first = arrays.next()?;
-    arrays.all(|a| a == first).then_some(first)
+    /// The ledgers of the program's declared ARs, by index.
+    fn ledgers(&self) -> impl Iterator<Item = (u16, &Ledger)> {
+        let declared = self.ctx.program.address_registers();
+        self.registers
+            .iter()
+            .filter(move |(&reg, _)| usize::from(reg) < declared)
+            .map(|(&reg, register)| (reg, &register.ledger))
+    }
 }
 
 fn push(out: &mut Vec<Violation>, invariant: &'static str, message: String) {
@@ -377,116 +584,26 @@ fn push(out: &mut Vec<Violation>, invariant: &'static str, message: String) {
 }
 
 // ---------------------------------------------------------------------
-// Invariants
+// Invariants: what each derives beyond the rows the walk flagged
 // ---------------------------------------------------------------------
 
-fn ar_in_machine_range(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "ar-in-machine-range";
-    let declared = ctx.program.address_registers();
-    let machine = ctx.agu.address_registers();
-    if declared > machine {
-        push(
-            out,
-            NAME,
-            format!("program declares {declared} address registers but the machine has {machine}"),
-        );
-    }
-    for (loc, instr) in rows(ctx.program) {
-        if let Some(reg) = instr.register() {
-            if usize::from(reg.0) >= declared {
-                push(
-                    out,
-                    NAME,
-                    format!(
-                        "{reg} referenced at {loc} but the program declares only {declared} ARs"
-                    ),
-                );
-            }
-        }
-    }
-}
+/// For invariants whose every rule is decided row by row.
+fn flagged_rows_only(_: &Derivation<'_>, _: &mut Vec<Violation>) {}
 
-fn mr_in_machine_range(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "mr-in-machine-range";
-    let declared = ctx.program.modify_values().len();
-    let machine = ctx.agu.modify_registers();
-    if declared > machine {
-        push(
-            out,
-            NAME,
-            format!("program declares {declared} modify values but the machine has {machine} modify registers"),
-        );
-    }
-    for (loc, instr) in rows(ctx.program) {
-        if let Some(mr) = instr.modify_register() {
-            if usize::from(mr.0) >= declared {
-                push(
-                    out,
-                    NAME,
-                    format!("{mr} referenced at {loc} but the program declares only {declared} modify values"),
-                );
-            }
-        }
-    }
-}
-
-fn prologue_loads_only(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "prologue-loads-only";
-    let mut lda_seen: BTreeMap<u16, usize> = BTreeMap::new();
-    let mut ldm_seen: BTreeMap<u16, usize> = BTreeMap::new();
-    for (i, instr) in ctx.program.prologue().iter().enumerate() {
-        match instr {
-            AddressInstr::Lda { reg, .. } => {
-                if let Some(first) = lda_seen.insert(reg.0, i) {
-                    push(
-                        out,
-                        NAME,
-                        format!("{reg} loaded twice in the prologue (rows {first} and {i})"),
-                    );
-                }
-            }
-            AddressInstr::Ldm { mr, .. } => {
-                if let Some(first) = ldm_seen.insert(mr.0, i) {
-                    push(
-                        out,
-                        NAME,
-                        format!("{mr} loaded twice in the prologue (rows {first} and {i})"),
-                    );
-                }
-            }
-            other => push(out, NAME, format!("prologue[{i}] is `{other}`, not a load")),
-        }
-    }
-}
-
-fn registers_initialized(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
+fn registers_initialized(d: &Derivation<'_>, out: &mut Vec<Violation>) {
     const NAME: &str = "registers-initialized";
-    let mut lda: BTreeMap<u16, i64> = BTreeMap::new();
-    let mut ldm: BTreeMap<u16, i64> = BTreeMap::new();
-    for instr in ctx.program.prologue() {
-        match instr {
-            AddressInstr::Lda { reg, address } => {
-                lda.entry(reg.0).or_insert(*address);
-            }
-            AddressInstr::Ldm { mr, value } => {
-                ldm.entry(mr.0).or_insert(*value);
-            }
-            _ => {}
-        }
-    }
-
     // Every declared modify value must be LDM-ed to exactly that value:
     // the delta ledger (and the hardware) read the register, not the
     // table, so table and load must agree.
-    for (i, &value) in ctx.program.modify_values().iter().enumerate() {
+    for (i, &value) in d.ctx.program.modify_values().iter().enumerate() {
         let mr = u16::try_from(i).unwrap_or(u16::MAX);
-        match ldm.get(&mr) {
+        match d.mr_loads.get(&mr) {
             None => push(
                 out,
                 NAME,
                 format!("M{i} declares value {value} but the prologue never loads it"),
             ),
-            Some(&loaded) if loaded != value => push(
+            Some(&(loaded, _)) if loaded != value => push(
                 out,
                 NAME,
                 format!("M{i} declares value {value} but the prologue loads {loaded}"),
@@ -498,41 +615,33 @@ fn registers_initialized(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
     // Every AR referenced after the prologue must be LDA-ed, and a
     // serving AR must start at its first access's address (adjusted by
     // any deltas the body applies before that first serve).
-    let ledgers = body_ledgers(ctx);
-    let mut referenced: BTreeMap<u16, RowLoc> = BTreeMap::new();
-    for (loc, instr) in rows(ctx.program) {
-        if matches!(loc, RowLoc::Prologue(_)) {
-            continue;
-        }
-        if let Some(reg) = instr.register() {
-            referenced.entry(reg.0).or_insert(loc);
-        }
-    }
-    for (&reg, &loc) in &referenced {
-        if !lda.contains_key(&reg) {
-            push(
-                out,
-                NAME,
-                format!("AR{reg} used at {loc} but never loaded in the prologue"),
-            );
+    for (reg, register) in &d.registers {
+        if let Some(loc) = register.first_use {
+            if !d.ar_loads.contains_key(reg) {
+                push(
+                    out,
+                    NAME,
+                    format!("AR{reg} used at {loc} but never loaded in the prologue"),
+                );
+            }
         }
     }
-    for (idx, ledger) in ledgers.iter().enumerate() {
-        let Some(&(first_position, head)) = ledger.serves.first() else {
+    for (reg, ledger) in d.ledgers() {
+        let Some(first) = ledger.serves.first() else {
             continue;
         };
-        let (Some(&loaded), Some(expected)) =
-            (lda.get(&(idx as u16)), flat_address(ctx, first_position))
-        else {
+        let (Some(&(loaded, _)), Some(expected)) = (d.ar_loads.get(&reg), first.address) else {
             continue; // missing LDA reported above; bad position elsewhere
         };
+        let head = first.gap;
         if loaded + head != expected {
             push(
                 out,
                 NAME,
                 format!(
-                    "AR{idx} is loaded to {loaded} but its first serve (position {first_position}) \
+                    "AR{reg} is loaded to {loaded} but its first serve (position {}) \
                      needs address {expected}{}",
+                    first.position,
                     if head != 0 {
                         format!(" ({head} applied before the first serve)")
                     } else {
@@ -544,105 +653,54 @@ fn registers_initialized(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
     }
 }
 
-fn use_sequence(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
+fn use_sequence(d: &Derivation<'_>, out: &mut Vec<Violation>) {
     const NAME: &str = "use-sequence";
-    let served: Vec<usize> = ctx
-        .program
-        .body()
-        .iter()
-        .filter_map(|instr| match instr {
-            AddressInstr::Use { position, .. } => Some(*position),
-            _ => None,
-        })
-        .collect();
-    let expected = ctx.spec.len();
-    if served.len() != expected {
+    let (served, expected) = (d.served.len(), d.ctx.spec.len());
+    if served != expected {
         push(
             out,
             NAME,
-            format!(
-                "body serves {} accesses but the loop has {expected}",
-                served.len()
-            ),
+            format!("body serves {served} accesses but the loop has {expected}"),
         );
     }
-    for (i, &position) in served.iter().enumerate() {
-        if position != i {
-            push(
-                out,
-                NAME,
-                format!("serve #{i} is position {position}, expected {i}"),
-            );
-            break; // one divergence implies a cascade; report the first
-        }
+    // One divergence implies a cascade; the first is reported.
+    if let Some((i, position)) = d.served.iter().enumerate().find(|&(i, &p)| p != i) {
+        push(
+            out,
+            NAME,
+            format!("serve #{i} is position {position}, expected {i}"),
+        );
     }
 }
 
-fn free_updates_in_range(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "free-updates-in-range";
-    for (loc, instr) in rows(ctx.program) {
-        if let AddressInstr::Use {
-            update: Update::Auto { delta },
-            ..
-        } = instr
-        {
-            if !ctx.agu.is_free_delta(*delta) {
-                push(
-                    out,
-                    NAME,
-                    format!(
-                        "{loc} auto post-modify {delta:+} exceeds the machine's modify range M={}",
-                        ctx.agu.update_range()
-                    ),
-                );
-            }
-        }
-    }
-}
-
-fn delta_coverage(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "delta-coverage";
-    for (i, instr) in ctx.program.body().iter().enumerate() {
-        match instr {
-            AddressInstr::Lda { reg, .. } => push(
-                out,
-                NAME,
-                format!("body[{i}] reloads {reg} absolutely; steady-state deltas are underivable"),
-            ),
-            AddressInstr::Ldm { mr, .. } => push(
-                out,
-                NAME,
-                format!("body[{i}] reloads {mr}; modify registers must be loop-invariant"),
-            ),
-            _ => {}
-        }
-    }
-    for (idx, ledger) in body_ledgers(ctx).iter().enumerate() {
-        if ledger.poisoned || ledger.serves.is_empty() {
+fn delta_coverage(d: &Derivation<'_>, out: &mut Vec<Violation>) {
+    for (reg, ledger) in d.ledgers() {
+        if ledger.poisoned {
             continue;
         }
         // Intra-iteration gaps: updates between serve i-1 and serve i
         // must equal the flat address distance.
         for pair in ledger.serves.windows(2) {
-            let [(from, _), (to, gap)] = pair else {
+            let [from, to] = pair else {
                 continue;
             };
-            let (Some(a), Some(b)) = (flat_address(ctx, *from), flat_address(ctx, *to)) else {
+            let (Some(a), Some(b)) = (from.address, to.address) else {
                 push(
                     out,
-                    NAME,
-                    format!("AR{idx} serves a position outside the loop's access list"),
+                    DELTA_COVERAGE,
+                    format!("AR{reg} serves a position outside the loop's access list"),
                 );
                 continue;
             };
             let distance = b - a;
-            if *gap != distance {
+            if to.gap != distance {
                 push(
                     out,
-                    NAME,
+                    DELTA_COVERAGE,
                     format!(
-                        "AR{idx} moves {gap:+} between positions {from} and {to}, but their \
-                         addresses are {distance:+} apart"
+                        "AR{reg} moves {:+} between positions {} and {}, but their \
+                         addresses are {distance:+} apart",
+                        to.gap, from.position, to.position
                     ),
                 );
             }
@@ -650,206 +708,144 @@ fn delta_coverage(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
         // Wrap: tail + head must carry the register from its last serve
         // to its first serve of the next iteration. That distance is
         // only constant when the chain stays on one effective stride.
-        let strides: Vec<i64> = ledger
-            .serves
-            .iter()
-            .filter_map(|&(position, _)| flat_stride(ctx, position))
-            .collect();
-        let Some(&stride) = strides.first() else {
+        let stride = match ledger.stride {
+            Agreed::Empty => continue,
+            Agreed::Mixed => {
+                push(
+                    out,
+                    DELTA_COVERAGE,
+                    format!(
+                        "AR{reg} serves arrays with different effective strides; its wrap \
+                         delta cannot be constant"
+                    ),
+                );
+                continue;
+            }
+            Agreed::One(stride) => stride,
+        };
+        let (first, last) = (ledger.serves[0], ledger.serves[ledger.serves.len() - 1]);
+        let (Some(first_addr), Some(last_addr)) = (first.address, last.address) else {
             continue;
         };
-        if strides.iter().any(|&s| s != stride) {
-            push(
-                out,
-                NAME,
-                format!(
-                    "AR{idx} serves arrays with different effective strides; its wrap delta \
-                     cannot be constant"
-                ),
-            );
-            continue;
-        }
-        let (first, head) = ledger.serves[0];
-        let (last, _) = *ledger.serves.last().expect("non-empty");
-        let (Some(first_addr), Some(last_addr)) =
-            (flat_address(ctx, first), flat_address(ctx, last))
-        else {
-            continue;
-        };
-        let wrap = ledger.pending + head;
+        let wrap = ledger.pending + first.gap;
         let needed = first_addr + stride - last_addr;
         if wrap != needed {
             push(
                 out,
-                NAME,
+                DELTA_COVERAGE,
                 format!(
-                    "AR{idx} wraps {wrap:+} from position {last} back to position {first}, \
-                     but the next iteration needs {needed:+}"
+                    "AR{reg} wraps {wrap:+} from position {} back to position {}, \
+                     but the next iteration needs {needed:+}",
+                    last.position, first.position
                 ),
             );
         }
     }
 }
 
-fn steady_state_advance(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
+fn steady_state_advance(d: &Derivation<'_>, out: &mut Vec<Violation>) {
     const NAME: &str = "steady-state-advance";
-    for (idx, ledger) in body_ledgers(ctx).iter().enumerate() {
-        if ledger.poisoned || ledger.serves.is_empty() {
-            continue;
-        }
-        let strides: Vec<i64> = ledger
-            .serves
-            .iter()
-            .filter_map(|&(position, _)| flat_stride(ctx, position))
-            .collect();
-        let Some(&stride) = strides.first() else {
+    for (reg, ledger) in d.ledgers() {
+        // Mixed strides are reported by delta-coverage.
+        let Agreed::One(stride) = ledger.stride else {
             continue;
         };
-        if strides.iter().any(|&s| s != stride) {
-            continue; // reported by delta-coverage
-        }
-        if ledger.total != stride {
+        // One body pass applies every gap plus the tail.
+        let total = ledger.pending + ledger.serves.iter().map(|s| s.gap).sum::<i64>();
+        if !ledger.poisoned && total != stride {
             push(
                 out,
                 NAME,
                 format!(
-                    "AR{idx} advances {:+} per iteration but its array strides {stride:+}",
-                    ledger.total
+                    "AR{reg} advances {total:+} per iteration but its array strides {stride:+}"
                 ),
             );
         }
     }
 }
 
-fn carry_boundaries(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "carry-boundaries";
-    let blocks = ctx.program.carries();
-    let Some(nest) = ctx.spec.nest() else {
-        if !blocks.is_empty() {
-            push(
-                out,
-                NAME,
-                format!(
-                    "program has {} carry block(s) but the loop is not a flattened nest",
-                    blocks.len()
-                ),
-            );
-        }
+fn carry_boundaries(d: &Derivation<'_>, out: &mut Vec<Violation>) {
+    let spec = d.ctx.spec;
+    if spec.nest().is_none() {
         return;
-    };
-    let periods = nest.periods();
-    for (b, block) in blocks.iter().enumerate() {
-        if !periods.contains(&block.period) {
-            push(
-                out,
-                NAME,
-                format!(
-                    "carry block {b} fires every {} iterations, which is not a nest period \
-                     (periods: {periods:?})",
-                    block.period
-                ),
-            );
+    }
+    // Per register and period, the ADDA sum across blocks must equal
+    // the summed carries of the register's array at the levels sharing
+    // that period (levels with trip count 1 can share a period). A
+    // declared register whose chain is empty or spans arrays has no
+    // well-defined carry (mixed chains are reported by delta-coverage),
+    // so its sums at nest periods are not compared.
+    let declared = d.ctx.program.address_registers();
+    for (&reg, register) in &d.registers {
+        let chain = (usize::from(reg) < declared).then_some(register.ledger.array);
+        let undefined = matches!(chain, Some(Agreed::Empty | Agreed::Mixed));
+        // (period, rows add, nest requires)
+        let mut sums: Vec<(u64, i64, i64)> = register
+            .carries
+            .iter()
+            .filter(|(period, _)| !(undefined && d.periods.contains(period)))
+            .map(|&(period, got)| (period, got, 0))
+            .collect();
+        if let Some(Agreed::One(array)) = chain {
+            let carries = spec.array_info(array).map(|info| info.carries());
+            for (&period, &carry) in d.periods.iter().zip(carries.unwrap_or_default()) {
+                if carry == 0 {
+                    continue;
+                }
+                match sums.iter_mut().find(|(p, ..)| *p == period) {
+                    Some((.., need)) => *need += carry,
+                    None => sums.push((period, 0, carry)),
+                }
+            }
         }
-        for (i, instr) in block.instrs.iter().enumerate() {
-            if !matches!(instr, AddressInstr::Adda { .. }) {
+        sums.sort_unstable_by_key(|&(period, ..)| period);
+        for (period, got, need) in sums {
+            if got != need {
                 push(
                     out,
-                    NAME,
-                    format!("carry[{b}][{i}] is `{instr}`, not an ADDA"),
+                    CARRY_BOUNDARIES,
+                    format!(
+                        "AR{reg} carry at period {period}: rows add {got:+}, nest requires {need:+}"
+                    ),
                 );
             }
         }
     }
-
-    // Per register and period, the ADDA sum across blocks must equal
-    // the summed carries of the register's array at the levels sharing
-    // that period (levels with trip count 1 can share a period).
-    let ledgers = body_ledgers(ctx);
-    let mut actual: BTreeMap<(usize, u64), i64> = BTreeMap::new();
-    for block in blocks {
-        for instr in &block.instrs {
-            if let AddressInstr::Adda { reg, delta } = instr {
-                *actual
-                    .entry((usize::from(reg.0), block.period))
-                    .or_default() += delta;
-            }
-        }
-    }
-    let mut expected: BTreeMap<(usize, u64), i64> = BTreeMap::new();
-    for (idx, ledger) in ledgers.iter().enumerate() {
-        let Some(array) = chain_array(ctx, ledger) else {
-            // Mixed-array chains are reported by delta-coverage; their
-            // expected carries are not well-defined, so exclude them.
-            for period in &periods {
-                actual.remove(&(idx, *period));
-            }
-            continue;
-        };
-        let Some(info) = ctx.spec.array_info(array) else {
-            continue;
-        };
-        for (k, &period) in periods.iter().enumerate() {
-            let carry = info.carries().get(k).copied().unwrap_or(0);
-            if carry != 0 {
-                *expected.entry((idx, period)).or_default() += carry;
-            }
-        }
-    }
-    let keys: std::collections::BTreeSet<(usize, u64)> =
-        actual.keys().chain(expected.keys()).copied().collect();
-    for key in keys {
-        let got = actual.get(&key).copied().unwrap_or(0);
-        let need = expected.get(&key).copied().unwrap_or(0);
-        if got != need {
-            let (reg, period) = key;
-            push(
-                out,
-                NAME,
-                format!(
-                    "AR{reg} carry at period {period}: rows add {got:+}, nest requires {need:+}"
-                ),
-            );
-        }
-    }
 }
 
-fn cycle_accounting(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
+fn cycle_accounting(d: &Derivation<'_>, out: &mut Vec<Violation>) {
     const NAME: &str = "cycle-accounting";
+    let program = d.ctx.program;
     // Prices come from the *machine's* cost table, so a program whose
     // embedded table disagrees with the target machine is caught here.
-    let costs = ctx.agu.cost_table();
-    if ctx.program.cost_table() != costs {
+    let costs = d.ctx.agu.cost_table();
+    if program.cost_table() != costs {
         push(
             out,
             NAME,
             format!(
                 "program is priced under a different cost table (lda={}, ldm={}, adda={}) than the machine (lda={}, ldm={}, adda={})",
-                ctx.program.cost_table().lda(),
-                ctx.program.cost_table().ldm(),
-                ctx.program.cost_table().adda(),
+                program.cost_table().lda(),
+                program.cost_table().ldm(),
+                program.cost_table().adda(),
                 costs.lda(),
                 costs.ldm(),
                 costs.adda()
             ),
         );
     }
-    let derived: u64 = ctx
-        .program
-        .body()
-        .iter()
-        .map(|i| i.cycles_with(&costs))
-        .sum();
-    if derived != ctx.program.cycles_per_iteration() {
+    let derived = d.body_cycles;
+    if derived != program.cycles_per_iteration() {
         push(
             out,
             NAME,
             format!(
                 "rows give {derived} cycles per iteration but the program claims {}",
-                ctx.program.cycles_per_iteration()
+                program.cycles_per_iteration()
             ),
         );
     }
-    if let Some(expected) = ctx.expected_cycles {
+    if let Some(expected) = d.ctx.expected_cycles {
         if expected != derived {
             push(
                 out,
@@ -860,14 +856,14 @@ fn cycle_accounting(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
             );
         }
     }
-    let words: u64 = rows(ctx.program).map(|(_, instr)| instr.words()).sum();
-    if words != ctx.program.words() {
+    if d.words != program.words() {
         push(
             out,
             NAME,
             format!(
-                "rows occupy {words} instruction words but the program claims {}",
-                ctx.program.words()
+                "rows occupy {} instruction words but the program claims {}",
+                d.words,
+                program.words()
             ),
         );
     }

@@ -1110,16 +1110,6 @@ mod tests {
     }
 
     #[test]
-    fn core_phase_histograms_accumulate() {
-        let opt = Optimizer::new(AguSpec::new(2, 1).unwrap());
-        let before = raco_obs::global().histogram("core.phase1").snapshot().count;
-        let _ = opt.allocate(&paper_pattern());
-        let after = raco_obs::global().histogram("core.phase1").snapshot().count;
-        assert_eq!(after, before + 1, "one Phase-1 run per allocation");
-        assert!(raco_obs::global().histogram("core.phase2").snapshot().count >= 1);
-    }
-
-    #[test]
     fn loop_allocation_rejects_too_many_arrays() {
         let spec = parse_loop("for (i = 0; i < 9; i++) { a[i] = b[i] + c[i] + d[i]; }").unwrap();
         let err = Optimizer::new(AguSpec::new(2, 1).unwrap())

@@ -84,7 +84,10 @@ pub mod timings;
 pub use cache::{AllocationCache, CachePolicy, CacheStats};
 pub use json::{Json, JsonParseError};
 pub use persist::{LoadReport, PersistError, SaveReport};
-pub use pipeline::{DriverError, Pipeline, PipelineConfig, NEST_VALIDATION_CAP, SOURCE_EXTENSIONS};
+pub use pipeline::{
+    DriverError, Pipeline, PipelineConfig, MAX_VALIDATION_ITERATIONS, NEST_VALIDATION_CAP,
+    SOURCE_EXTENSIONS,
+};
 pub use pool::Parallelism;
 pub use report::{CompilationReport, LoopFailure, LoopReport, UnitReport};
 pub use timings::StageTiming;

@@ -89,6 +89,14 @@ pub const SOURCE_EXTENSIONS: &[&str] = &["dsp", "loop", "c"];
 /// validate more of such a nest.
 pub const NEST_VALIDATION_CAP: u64 = 4096;
 
+/// Largest [`PipelineConfig::validation_iterations`] a request or the
+/// CLI may ask for. Simulation time grows with the iteration count and
+/// the compute deadline is only checked between loops, so an unbounded
+/// count would let one request occupy its thread for hours. At least
+/// [`NEST_VALIDATION_CAP`], so every nest up to the cap stays fully
+/// validatable.
+pub const MAX_VALIDATION_ITERATIONS: u64 = 1 << 20;
+
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {

@@ -3,7 +3,10 @@
 //! A trace is the ground truth of what addresses a loop touches, iteration
 //! by iteration, under a concrete [`MemoryLayout`]. The AGU simulator in
 //! `raco-agu` executes generated address code and checks it against a
-//! trace; mismatches indicate a codegen or allocation bug.
+//! trace; mismatches indicate a codegen or allocation bug. A trace is the
+//! loop's address formula, not a list of addresses: each entry is computed
+//! when asked for, so a trace's memory does not depend on its iteration
+//! count.
 
 use std::fmt;
 
@@ -93,11 +96,19 @@ impl fmt::Display for TraceEntry {
     }
 }
 
-/// The sequence of addresses a loop touches over a number of iterations.
+/// The addresses a loop touches over a number of iterations, held as the
+/// loop's address formula rather than as a list: its size depends on the
+/// number of accesses and nest levels only, never on `iterations`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
-    entries: Vec<TraceEntry>,
-    accesses_per_iteration: usize,
+    /// Per access: its iteration-0 entry, its per-iteration advance
+    /// (`coefficient * stride`) and its array's carry per outer level.
+    accesses: Vec<(TraceEntry, i64, Vec<i64>)>,
+    /// Flattened iterations per advance of each outer nest level (empty
+    /// for a plain single loop).
+    periods: Vec<u64>,
+    /// The captured iteration count, clamped to a nest's total.
+    iterations: u64,
 }
 
 impl Trace {
@@ -121,64 +132,70 @@ impl Trace {
             Some(nest) => (nest.periods(), iterations.min(nest.total_iterations())),
             None => (Vec::new(), iterations),
         };
-        let mut entries = Vec::with_capacity(spec.len() * iterations as usize);
-        for t in 0..iterations {
-            let i = spec.start() + t as i64 * spec.stride();
-            for (position, acc) in spec.accesses().iter().enumerate() {
+        let accesses = spec
+            .accesses()
+            .iter()
+            .enumerate()
+            .map(|(position, acc)| {
                 let info = spec
                     .array_info(acc.array)
                     .expect("validated spec has known arrays");
                 let base = layout
                     .base(acc.array)
                     .expect("layout must cover every accessed array");
-                // Accumulated outer-loop carry: level k has advanced
-                // t / periods[k] times by flattened iteration t.
-                let carry: i64 = info
-                    .carries()
-                    .iter()
-                    .zip(&periods)
-                    .map(|(&c, &p)| c * (t / p) as i64)
-                    .sum();
-                entries.push(TraceEntry {
-                    iteration: t,
+                let first = TraceEntry {
+                    iteration: 0,
                     position,
                     array: acc.array,
-                    address: base + info.coefficient() * i + acc.offset + carry,
+                    address: base + info.coefficient() * spec.start() + acc.offset,
                     kind: acc.kind,
-                });
-            }
-        }
+                };
+                let advance = info.coefficient() * spec.stride();
+                (first, advance, info.carries().to_vec())
+            })
+            .collect();
         Trace {
-            entries,
-            accesses_per_iteration: spec.len(),
+            accesses,
+            periods,
+            iterations,
         }
     }
 
     /// All entries, iteration-major then position order.
-    pub fn entries(&self) -> &[TraceEntry] {
-        &self.entries
+    pub fn entries(&self) -> impl Iterator<Item = TraceEntry> + '_ {
+        (0..self.iterations).flat_map(move |t| {
+            (0..self.accesses.len()).filter_map(move |position| self.entry(t, position))
+        })
     }
 
     /// Number of accesses per loop iteration.
     pub fn accesses_per_iteration(&self) -> usize {
-        self.accesses_per_iteration
+        self.accesses.len()
     }
 
     /// Number of captured iterations.
     pub fn iterations(&self) -> u64 {
-        self.entries
-            .len()
-            .checked_div(self.accesses_per_iteration)
-            .unwrap_or(0) as u64
+        self.iterations
     }
 
     /// The entry for `(iteration, position)`, if captured.
-    pub fn entry(&self, iteration: u64, position: usize) -> Option<&TraceEntry> {
-        if position >= self.accesses_per_iteration {
+    pub fn entry(&self, iteration: u64, position: usize) -> Option<TraceEntry> {
+        let (first, advance, carries) = self.accesses.get(position)?;
+        if iteration >= self.iterations {
             return None;
         }
-        self.entries
-            .get(iteration as usize * self.accesses_per_iteration + position)
+        // Accumulated outer-loop carry: level k has advanced
+        // t / periods[k] times by flattened iteration t.
+        let carry: i64 = carries
+            .iter()
+            .zip(&self.periods)
+            .map(|(&c, &p)| c * (iteration / p) as i64)
+            .sum();
+        Some(TraceEntry {
+            iteration,
+            address: first.address + advance * iteration as i64 + carry,
+            ..*first
+        })
     }
 }
 
@@ -212,10 +229,10 @@ mod tests {
         assert_eq!(trace.iterations(), 3);
         assert_eq!(trace.accesses_per_iteration(), 3);
         // iteration 0, i = 2: x[3], x[1], y[2] with x at 0, y at 1000
-        let addrs: Vec<i64> = trace.entries().iter().take(3).map(|e| e.address).collect();
+        let addrs: Vec<i64> = trace.entries().take(3).map(|e| e.address).collect();
         assert_eq!(addrs, vec![3, 1, 1002]);
         // iteration 2, i = 4: x[5], x[3], y[4]
-        let addrs: Vec<i64> = trace.entries().iter().skip(6).map(|e| e.address).collect();
+        let addrs: Vec<i64> = trace.entries().skip(6).map(|e| e.address).collect();
         assert_eq!(addrs, vec![5, 3, 1004]);
     }
 
@@ -235,7 +252,7 @@ mod tests {
         let layout = MemoryLayout::contiguous(&spec, 100, 8);
         let trace = Trace::capture(&spec, &layout, 3);
         // i = 7, 6, 5 → h[0], h[1], h[2]
-        let addrs: Vec<i64> = trace.entries().iter().map(|e| e.address).collect();
+        let addrs: Vec<i64> = trace.entries().map(|e| e.address).collect();
         assert_eq!(addrs, vec![100, 101, 102]);
     }
 
@@ -244,9 +261,9 @@ mod tests {
         let spec = spec();
         let layout = MemoryLayout::contiguous(&spec, 0, 1000);
         let trace = Trace::capture(&spec, &layout, 1);
-        assert_eq!(trace.entries()[0].kind, AccessKind::Read);
-        assert_eq!(trace.entries()[2].kind, AccessKind::Write);
-        let line = trace.entries()[2].to_string();
+        assert_eq!(trace.entries().next().unwrap().kind, AccessKind::Read);
+        assert_eq!(trace.entries().nth(2).unwrap().kind, AccessKind::Write);
+        let line = trace.entries().nth(2).unwrap().to_string();
         assert!(line.contains("write"), "display was `{line}`");
     }
 
@@ -273,7 +290,7 @@ mod tests {
         // Requesting more than 3*4 iterations clamps to the nest total.
         let trace = Trace::capture(&spec, &layout, 99);
         assert_eq!(trace.iterations(), 12);
-        let addrs: Vec<i64> = trace.entries().iter().map(|e| e.address).collect();
+        let addrs: Vec<i64> = trace.entries().map(|e| e.address).collect();
         assert_eq!(
             addrs,
             vec![100, 101, 102, 103, 110, 111, 112, 113, 120, 121, 122, 123],
@@ -282,11 +299,33 @@ mod tests {
     }
 
     #[test]
+    fn huge_iteration_counts_are_computed_not_stored() {
+        // `y[i] = x[i+1] - x[i-1]` from i = 2, stride 1: 2^40 iterations
+        // would be 3 * 2^40 stored entries; the formula needs none.
+        let spec = spec();
+        let layout = MemoryLayout::contiguous(&spec, 0, 1000);
+        let iterations = 1u64 << 40;
+        let trace = Trace::capture(&spec, &layout, iterations);
+        assert_eq!(trace.iterations(), iterations);
+        let t = iterations - 1;
+        for (p, acc) in spec.accesses().iter().enumerate() {
+            let info = spec.array_info(acc.array).unwrap();
+            let base = layout.base(acc.array).unwrap();
+            let i = spec.start() + t as i64 * spec.stride();
+            let entry = trace.entry(t, p).unwrap();
+            assert_eq!(entry.address, base + info.coefficient() * i + acc.offset);
+            assert_eq!((entry.iteration, entry.position), (t, p));
+        }
+        assert_eq!(trace.entry(iterations, 0), None);
+        assert_eq!(trace.entry(t, spec.len()), None);
+    }
+
+    #[test]
     fn zero_iterations_is_empty() {
         let spec = spec();
         let layout = MemoryLayout::contiguous(&spec, 0, 1000);
         let trace = Trace::capture(&spec, &layout, 0);
-        assert!(trace.entries().is_empty());
+        assert!(trace.entries().next().is_none());
         assert_eq!(trace.iterations(), 0);
     }
 }

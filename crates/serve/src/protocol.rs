@@ -89,7 +89,10 @@
 //! ```
 
 use raco_driver::json::Json;
-use raco_driver::{CacheStats, CompilationReport, Parallelism, PipelineConfig, SaveReport};
+use raco_driver::{
+    CacheStats, CompilationReport, Parallelism, PipelineConfig, SaveReport,
+    MAX_VALIDATION_ITERATIONS,
+};
 use raco_ir::{MachineDescription, UpdateRange};
 
 /// A decoded request line: the operation plus its envelope metadata.
@@ -163,7 +166,8 @@ pub struct Knobs {
     pub modify_registers: Option<usize>,
     /// Worker threads for this request (`0`/`1` = sequential).
     pub threads: Option<usize>,
-    /// Simulated iterations per loop.
+    /// Simulated iterations per loop, at most
+    /// [`MAX_VALIDATION_ITERATIONS`].
     pub iterations: Option<u64>,
     /// Validate generated code against a reference trace.
     pub validate: Option<bool>,
@@ -190,7 +194,8 @@ impl Knobs {
     /// invalid (e.g. zero address registers, or register counts beyond
     /// [`MAX_MACHINE_REGISTERS`] — no real AGU comes close, and
     /// unbounded counts would let one request stall the allocator's
-    /// per-`K` sweeps or overflow the u32 counts in cache snapshots).
+    /// per-`K` sweeps or overflow the u32 counts in cache snapshots), or
+    /// when `iterations` exceeds [`MAX_VALIDATION_ITERATIONS`].
     pub fn apply(&self, base: &PipelineConfig) -> Result<PipelineConfig, String> {
         let mut config = base.clone();
         if let Some(machine) = &self.machine {
@@ -232,6 +237,12 @@ impl Knobs {
             };
         }
         if let Some(iterations) = self.iterations {
+            if iterations > MAX_VALIDATION_ITERATIONS {
+                return Err(format!(
+                    "iterations: {iterations} exceeds the supported maximum of \
+                     {MAX_VALIDATION_ITERATIONS}"
+                ));
+            }
             config.validation_iterations = iterations;
         }
         if let Some(validate) = self.validate {
@@ -723,6 +734,25 @@ mod tests {
         assert_eq!(
             edge.apply(&base).unwrap().agu.modify_registers(),
             MAX_MACHINE_REGISTERS
+        );
+    }
+
+    #[test]
+    fn knobs_reject_iterations_past_the_maximum() {
+        let base = PipelineConfig::new(AguSpec::new(4, 1).unwrap());
+        let at = |iterations| Knobs {
+            iterations: Some(iterations),
+            ..Knobs::default()
+        };
+        let edge = at(MAX_VALIDATION_ITERATIONS).apply(&base).unwrap();
+        assert_eq!(edge.validation_iterations, MAX_VALIDATION_ITERATIONS);
+        let err = at(MAX_VALIDATION_ITERATIONS + 1).apply(&base).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "iterations: {} exceeds the supported maximum of {MAX_VALIDATION_ITERATIONS}",
+                MAX_VALIDATION_ITERATIONS + 1
+            )
         );
     }
 

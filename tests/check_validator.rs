@@ -10,13 +10,13 @@
 //! takes on a real failure.
 
 use raco::agu::codegen::CodeGenerator;
-use raco::agu::isa::{AddressInstr, AddressProgram, Update};
+use raco::agu::isa::{AddressInstr, AddressProgram, CarryBlock, MrId, RegId, Update};
 use raco::agu::sim;
 use raco::check;
 use raco::core::Optimizer;
 use raco::fuzz::{gen_unit, shrink_unit, write_failure, GenUnit};
 use raco::ir::dsl;
-use raco::ir::{AguSpec, LoopSpec, MemoryLayout, Trace};
+use raco::ir::{AguSpec, CostTable, LoopSpec, MachineDescription, MemoryLayout, Trace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -231,4 +231,365 @@ fn checker_names_the_violated_invariant_for_a_corrupted_kernel() {
         );
     }
     assert!(corrupted_any, "no kernel had an auto-update to corrupt");
+}
+
+// ---------------------------------------------------------------------
+// Golden violation text
+// ---------------------------------------------------------------------
+
+/// Rebuilds `program` from new parts, keeping its cost table.
+fn reassemble(
+    program: &AddressProgram,
+    prologue: Vec<AddressInstr>,
+    body: Vec<AddressInstr>,
+    carries: Vec<CarryBlock>,
+) -> AddressProgram {
+    AddressProgram::new(
+        prologue,
+        body,
+        program.address_registers(),
+        program.modify_values().to_vec(),
+    )
+    .with_carries(carries)
+    .with_cost_table(program.cost_table())
+}
+
+fn with_prologue(program: &AddressProgram, prologue: Vec<AddressInstr>) -> AddressProgram {
+    reassemble(
+        program,
+        prologue,
+        program.body().to_vec(),
+        program.carries().to_vec(),
+    )
+}
+
+fn with_body(program: &AddressProgram, body: Vec<AddressInstr>) -> AddressProgram {
+    reassemble(
+        program,
+        program.prologue().to_vec(),
+        body,
+        program.carries().to_vec(),
+    )
+}
+
+fn with_carry_blocks(program: &AddressProgram, carries: Vec<CarryBlock>) -> AddressProgram {
+    reassemble(
+        program,
+        program.prologue().to_vec(),
+        program.body().to_vec(),
+        carries,
+    )
+}
+
+fn use_rows(program: &AddressProgram) -> Vec<usize> {
+    program
+        .body()
+        .iter()
+        .enumerate()
+        .filter_map(|(i, instr)| matches!(instr, AddressInstr::Use { .. }).then_some(i))
+        .collect()
+}
+
+/// Replaces the first body serve with `f(reg, position, update)`.
+fn rewrite_first_serve(
+    program: &AddressProgram,
+    f: impl FnOnce(RegId, usize, Update) -> AddressInstr,
+) -> Option<AddressProgram> {
+    let mut body = program.body().to_vec();
+    let row = body
+        .iter_mut()
+        .find(|instr| matches!(instr, AddressInstr::Use { .. }))?;
+    if let AddressInstr::Use {
+        reg,
+        position,
+        update,
+    } = *row
+    {
+        *row = f(reg, position, update);
+    }
+    Some(with_body(program, body))
+}
+
+type Mutation = fn(&AddressProgram, &AguSpec) -> Option<AddressProgram>;
+
+/// One mutation family per invariant (and per distinct message of it).
+const MUTATIONS: &[(&str, Mutation)] = &[
+    ("none", |p, _| Some(p.clone())),
+    ("first-auto-update+1", |p, _| corrupt_first_auto_update(p)),
+    ("declare-more-ars-than-machine", |p, agu| {
+        Some(
+            AddressProgram::new(
+                p.prologue().to_vec(),
+                p.body().to_vec(),
+                agu.address_registers() + 1,
+                p.modify_values().to_vec(),
+            )
+            .with_carries(p.carries().to_vec())
+            .with_cost_table(p.cost_table()),
+        )
+    }),
+    ("serve-from-undeclared-ar", |p, _| {
+        let reg = RegId(u16::try_from(p.address_registers()).ok()?);
+        rewrite_first_serve(p, |_, position, update| AddressInstr::Use {
+            reg,
+            position,
+            update,
+        })
+    }),
+    ("declare-more-mrs-than-machine", |p, agu| {
+        let mut modify_values = p.modify_values().to_vec();
+        let mut prologue = p.prologue().to_vec();
+        while modify_values.len() <= agu.modify_registers() {
+            let mr = MrId(u16::try_from(modify_values.len()).ok()?);
+            prologue.push(AddressInstr::Ldm { mr, value: 1 });
+            modify_values.push(1);
+        }
+        Some(
+            AddressProgram::new(
+                prologue,
+                p.body().to_vec(),
+                p.address_registers(),
+                modify_values,
+            )
+            .with_carries(p.carries().to_vec())
+            .with_cost_table(p.cost_table()),
+        )
+    }),
+    ("ldm-undeclared-mr", |p, _| {
+        let mr = MrId(u16::try_from(p.modify_values().len()).ok()?);
+        let mut prologue = p.prologue().to_vec();
+        prologue.push(AddressInstr::Ldm { mr, value: 1 });
+        Some(with_prologue(p, prologue))
+    }),
+    ("adda-in-prologue", |p, _| {
+        let mut prologue = p.prologue().to_vec();
+        prologue.push(AddressInstr::Adda {
+            reg: RegId(0),
+            delta: 1,
+        });
+        Some(with_prologue(p, prologue))
+    }),
+    ("lda-twice-in-prologue", |p, _| {
+        let first = *p
+            .prologue()
+            .iter()
+            .find(|i| matches!(i, AddressInstr::Lda { .. }))?;
+        let mut prologue = p.prologue().to_vec();
+        prologue.push(first);
+        Some(with_prologue(p, prologue))
+    }),
+    ("ldm-twice-in-prologue", |p, _| {
+        let first = *p
+            .prologue()
+            .iter()
+            .find(|i| matches!(i, AddressInstr::Ldm { .. }))?;
+        let mut prologue = p.prologue().to_vec();
+        prologue.push(first);
+        Some(with_prologue(p, prologue))
+    }),
+    ("bump-first-lda", |p, _| {
+        let mut prologue = p.prologue().to_vec();
+        let address = prologue.iter_mut().find_map(|i| match i {
+            AddressInstr::Lda { address, .. } => Some(address),
+            _ => None,
+        })?;
+        *address += 1;
+        Some(with_prologue(p, prologue))
+    }),
+    ("drop-first-lda", |p, _| {
+        let mut prologue = p.prologue().to_vec();
+        let row = prologue
+            .iter()
+            .position(|i| matches!(i, AddressInstr::Lda { .. }))?;
+        prologue.remove(row);
+        Some(with_prologue(p, prologue))
+    }),
+    ("bump-first-ldm", |p, _| {
+        let mut prologue = p.prologue().to_vec();
+        let value = prologue.iter_mut().find_map(|i| match i {
+            AddressInstr::Ldm { value, .. } => Some(value),
+            _ => None,
+        })?;
+        *value += 1;
+        Some(with_prologue(p, prologue))
+    }),
+    ("drop-first-ldm", |p, _| {
+        let mut prologue = p.prologue().to_vec();
+        let row = prologue
+            .iter()
+            .position(|i| matches!(i, AddressInstr::Ldm { .. }))?;
+        prologue.remove(row);
+        Some(with_prologue(p, prologue))
+    }),
+    ("swap-first-two-serves", |p, _| {
+        let rows = use_rows(p);
+        let (&a, &b) = (rows.first()?, rows.get(1)?);
+        let mut body = p.body().to_vec();
+        body.swap(a, b);
+        Some(with_body(p, body))
+    }),
+    ("drop-last-serve", |p, _| {
+        let row = *use_rows(p).last()?;
+        let mut body = p.body().to_vec();
+        body.remove(row);
+        Some(with_body(p, body))
+    }),
+    ("serve-position-past-the-loop", |p, _| {
+        rewrite_first_serve(p, |reg, position, update| AddressInstr::Use {
+            reg,
+            position: position + 1000,
+            update,
+        })
+    }),
+    ("auto-update-past-the-range", |p, agu| {
+        let delta = agu.update_range().max() + 1;
+        rewrite_first_serve(p, |reg, position, _| AddressInstr::Use {
+            reg,
+            position,
+            update: Update::Auto { delta },
+        })
+    }),
+    ("drop-first-post-modify", |p, _| {
+        let mut body = p.body().to_vec();
+        let update = body.iter_mut().find_map(|i| match i {
+            AddressInstr::Use { update, .. } if *update != Update::None => Some(update),
+            _ => None,
+        })?;
+        *update = Update::None;
+        Some(with_body(p, body))
+    }),
+    ("drop-first-body-adda", |p, _| {
+        let mut body = p.body().to_vec();
+        let row = body
+            .iter()
+            .position(|i| matches!(i, AddressInstr::Adda { .. }))?;
+        body.remove(row);
+        Some(with_body(p, body))
+    }),
+    ("adda-in-body", |p, _| {
+        let mut body = p.body().to_vec();
+        body.push(AddressInstr::Adda {
+            reg: RegId(0),
+            delta: 1,
+        });
+        Some(with_body(p, body))
+    }),
+    ("lda-in-body", |p, _| {
+        let first = *p
+            .prologue()
+            .iter()
+            .find(|i| matches!(i, AddressInstr::Lda { .. }))?;
+        let mut body = p.body().to_vec();
+        body.push(first);
+        Some(with_body(p, body))
+    }),
+    ("ldm-in-body", |p, _| {
+        let first = *p
+            .prologue()
+            .iter()
+            .find(|i| matches!(i, AddressInstr::Ldm { .. }))?;
+        let mut body = p.body().to_vec();
+        body.push(first);
+        Some(with_body(p, body))
+    }),
+    ("bump-first-carry-delta", |p, _| {
+        let mut carries = p.carries().to_vec();
+        let delta = carries
+            .iter_mut()
+            .flat_map(|block| block.instrs.iter_mut())
+            .find_map(|i| match i {
+                AddressInstr::Adda { delta, .. } => Some(delta),
+                _ => None,
+            })?;
+        *delta += 1;
+        Some(with_carry_blocks(p, carries))
+    }),
+    ("bump-first-carry-period", |p, _| {
+        let mut carries = p.carries().to_vec();
+        carries.first_mut()?.period += 1;
+        Some(with_carry_blocks(p, carries))
+    }),
+    ("use-in-carry-block", |p, _| {
+        let mut carries = p.carries().to_vec();
+        let serve = *p
+            .body()
+            .iter()
+            .find(|i| matches!(i, AddressInstr::Use { .. }))?;
+        carries.first_mut()?.instrs.push(serve);
+        Some(with_carry_blocks(p, carries))
+    }),
+    ("add-carry-block", |p, _| {
+        let mut carries = p.carries().to_vec();
+        carries.push(CarryBlock {
+            period: 4,
+            instrs: vec![AddressInstr::Adda {
+                reg: RegId(0),
+                delta: 1,
+            }],
+        });
+        Some(with_carry_blocks(p, carries))
+    }),
+    ("foreign-cost-table", |p, _| {
+        let costs = p.cost_table();
+        let foreign = CostTable::new(costs.lda() + 1, costs.ldm(), costs.adda() + 1).ok()?;
+        Some(p.clone().with_cost_table(foreign))
+    }),
+];
+
+/// Every (built-in machine, kernel, mutation) case, one `CheckReport`
+/// display per line. The display shows the first three violations;
+/// any further violations follow on indented lines, so the whole
+/// report is pinned in order. The checker gets the unmutated
+/// program's cycles as the claimed cost, as the pipeline passes the
+/// allocator's prediction.
+fn violation_cases() -> String {
+    let mut out = String::new();
+    for &machine in MachineDescription::builtin_names() {
+        let agu = *MachineDescription::builtin(machine)
+            .expect("built-in")
+            .spec();
+        for kernel in raco::kernels::suite() {
+            let spec = kernel.spec();
+            let Some((layout, program)) = compile(spec, &agu) else {
+                continue;
+            };
+            let claimed = Some(program.cycles_per_iteration());
+            for (name, mutate) in MUTATIONS {
+                let Some(mutated) = mutate(&program, &agu) else {
+                    continue;
+                };
+                let report = check::check_program(spec, &layout, &agu, &mutated, claimed);
+                out.push_str(&format!("{machine}/{}/{name}: {report}\n", kernel.name()));
+                for violation in report.violations().iter().skip(3) {
+                    out.push_str(&format!("    {violation}\n"));
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn checker_violation_text_matches_the_golden_fixture() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/check_violations.txt");
+    let expected =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let actual = violation_cases();
+    if let Some((line, (want, got))) = expected
+        .lines()
+        .zip(actual.lines())
+        .enumerate()
+        .find(|(_, (want, got))| want != got)
+    {
+        panic!("line {}: expected\n  {want}\ngot\n  {got}", line + 1);
+    }
+    assert_eq!(actual, expected, "violation text drifted from the fixture");
+    for invariant in check::INVARIANTS {
+        assert!(
+            expected.contains(&format!("{}: ", invariant.name)),
+            "no case in the fixture trips `{}`",
+            invariant.name
+        );
+    }
 }

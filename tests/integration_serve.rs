@@ -188,6 +188,32 @@ fn malformed_requests_get_error_responses_and_do_not_kill_the_session() {
 }
 
 #[test]
+fn over_maximum_iterations_fail_one_request_and_the_session_continues() {
+    use raco::driver::MAX_VALIDATION_ITERATIONS;
+    let server = default_server();
+    let source = "for (i = 0; i < 64; i++) { y[i] = x[i] + x[i+1]; }";
+    let too_many = MAX_VALIDATION_ITERATIONS + 1;
+    let requests = format!(
+        "{{\"id\": 1, \"op\": \"compile\", \"source\": \"{source}\", \"iterations\": {too_many}}}\n\
+         {{\"id\": 2, \"op\": \"compile\", \"source\": \"{source}\", \"iterations\": 16}}\n"
+    );
+    let responses = round_trip(&server, &requests);
+    assert_eq!(responses.len(), 2, "one reply per request");
+    assert!(!ok(&responses[0]));
+    assert_eq!(responses[0].get("id").and_then(Json::as_u64), Some(1));
+    let error = responses[0].get("error").and_then(Json::as_str).unwrap();
+    assert!(
+        error.contains("iterations") && error.contains(&MAX_VALIDATION_ITERATIONS.to_string()),
+        "{error}"
+    );
+    assert!(
+        ok(&responses[1]),
+        "the next request on the session compiles"
+    );
+    assert_eq!(responses[1].get("id").and_then(Json::as_u64), Some(2));
+}
+
+#[test]
 fn oversized_request_lines_error_without_killing_the_session() {
     use raco::serve::MAX_REQUEST_LINE;
     let server = default_server();

@@ -315,7 +315,7 @@ proptest! {
         );
 
         let trace = Trace::capture(&spec, &layout, u64::MAX);
-        let got: Vec<i64> = trace.entries().iter().map(|e| e.address).collect();
+        let got: Vec<i64> = trace.entries().map(|e| e.address).collect();
         prop_assert_eq!(got, expected, "flattened trace diverges for\n{}", source);
     }
 
