@@ -79,6 +79,16 @@ pub enum SimError {
         /// Accesses expected.
         expected: usize,
     },
+    /// An iteration served a position past the last access the trace
+    /// holds per iteration.
+    ExcessAccess {
+        /// Iteration that served the extra access.
+        iteration: u64,
+        /// The extra position served.
+        position: usize,
+        /// Accesses per iteration in the trace.
+        per_iteration: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -127,6 +137,15 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "iteration {iteration} served {served} of {expected} accesses"
+            ),
+            SimError::ExcessAccess {
+                iteration,
+                position,
+                per_iteration,
+            } => write!(
+                f,
+                "iteration {iteration} served access a_{}, but the loop has {per_iteration} access(es) per iteration",
+                position + 1
             ),
         }
     }
@@ -304,10 +323,10 @@ impl Machine<'_> {
                     let entry =
                         trace
                             .entry(iteration, *position)
-                            .ok_or(SimError::IncompleteIteration {
+                            .ok_or(SimError::ExcessAccess {
                                 iteration,
-                                served: *next_position,
-                                expected: trace.accesses_per_iteration(),
+                                position: *position,
+                                per_iteration: trace.accesses_per_iteration(),
                             })?;
                     if entry.address != value {
                         return Err(SimError::AddressMismatch {
@@ -515,6 +534,49 @@ mod tests {
                 served: 1,
                 expected: 7
             }
+        );
+    }
+
+    #[test]
+    fn excess_accesses_are_detected() {
+        let spec = raco_ir::dsl::parse_loop("for (i = 0; i < 8; i++) { s = A[i]; }").unwrap();
+        let agu = AguSpec::new(1, 1).unwrap();
+        let layout = MemoryLayout::contiguous(&spec, 0, 64);
+        let trace = Trace::capture(&spec, &layout, 1);
+        assert_eq!(trace.accesses_per_iteration(), 1);
+        // Body serves position 0, then a position the loop does not have.
+        let program = AddressProgram::new(
+            vec![AddressInstr::Lda {
+                reg: RegId(0),
+                address: 0,
+            }],
+            vec![
+                AddressInstr::Use {
+                    reg: RegId(0),
+                    position: 0,
+                    update: Update::None,
+                },
+                AddressInstr::Use {
+                    reg: RegId(0),
+                    position: 1,
+                    update: Update::None,
+                },
+            ],
+            1,
+            vec![],
+        );
+        let err = run(&program, &trace, &agu).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::ExcessAccess {
+                iteration: 0,
+                position: 1,
+                per_iteration: 1
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "iteration 0 served access a_2, but the loop has 1 access(es) per iteration"
         );
     }
 

@@ -1,12 +1,11 @@
 //! E2 — the worked example of Sections 2–3: Phase 1 (`K̃`), Phase 2
-//! (merging) and generated, simulation-verified address code for the
-//! paper's running loop.
+//! (merging) and the address code the pipeline generates and validates
+//! with both oracles for the paper's running loop.
 
-use raco_agu::codegen::CodeGenerator;
-use raco_agu::sim;
 use raco_bench::table::Table;
 use raco_core::{Optimizer, Phase1Outcome};
-use raco_ir::{examples, AguSpec, MemoryLayout, Trace};
+use raco_driver::PipelineConfig;
+use raco_ir::{examples, AguSpec};
 
 fn main() {
     let spec = examples::paper_loop();
@@ -59,26 +58,19 @@ fn main() {
     }
     table.emit("e2_example_sweep");
 
-    // Code generation for K = 2 (one merge forced), verified by simulation.
-    let agu = AguSpec::new(2, 1).unwrap();
-    let alloc = Optimizer::new(agu).allocate_loop(&spec).unwrap();
-    let layout = MemoryLayout::contiguous(&spec, 0x100, 256);
-    let program = CodeGenerator::new(agu)
-        .generate(&spec, &alloc, &layout)
-        .unwrap();
-    println!("address code for K = 2 (cost {}):\n", alloc.total_cost());
+    // Code generation for K = 2 (one merge forced), validated by both
+    // oracles over 64 iterations.
+    let mut config = PipelineConfig::new(AguSpec::new(2, 1).unwrap());
+    config.layout_origin = 0x100;
+    config.array_words = 256;
+    config.validation_iterations = 64;
+    let (report, program) = raco_bench::compile_validated("paper_loop", config, &spec);
+    println!("address code for K = 2 (cost {}):\n", report.cost);
     println!("{program}");
-
-    let trace = Trace::capture(&spec, &layout, 64);
-    let report = sim::run(&program, &trace, &agu).expect("verified run");
     println!(
         "simulated {} iterations, {} accesses checked, {} explicit update(s)/iteration ✓",
-        report.iterations(),
-        report.accesses_checked(),
-        report.explicit_updates_per_iteration()
-    );
-    assert_eq!(
-        report.explicit_updates_per_iteration(),
-        u64::from(alloc.total_cost())
+        report.addresses_checked / report.accesses as u64,
+        report.addresses_checked,
+        report.measured_cost.expect("validation is on")
     );
 }

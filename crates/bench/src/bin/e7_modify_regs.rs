@@ -9,21 +9,21 @@
 //!
 //! Usage: `e7_modify_regs [--samples N]` (default 100).
 
-use raco_agu::codegen::CodeGenerator;
-use raco_agu::sim;
+use raco_bench::compile_validated;
 use raco_bench::stats::Summary;
 use raco_bench::sweep::{sample_seed, CellKey};
 use raco_bench::table::{f1, f2, Table};
 use raco_core::random::{PatternGenerator, Spread};
-use raco_core::{Optimizer, OptimizerOptions};
-use raco_graph::PathCover;
-use raco_ir::{AguSpec, MemoryLayout, Trace};
+use raco_core::{CostModel, Optimizer, OptimizerOptions};
+use raco_driver::{LoopReport, PipelineConfig};
+use raco_ir::AguSpec;
+use raco_kernels::Kernel;
 
 fn main() {
     let samples = raco_bench::samples_arg(100);
     println!("E7 — modify-register extension (ref [2] machine model)\n");
 
-    // Kernels: generated code, verified by simulation.
+    // Kernels: generated code, validated by both oracles.
     let mut table = Table::new(
         "Explicit updates per iteration by modify-register count (K = 4, M = 1)",
         &["kernel", "L = 0", "L = 1", "L = 2", "L = 4"],
@@ -32,32 +32,23 @@ fn main() {
         if kernel.spec().patterns().len() > 4 {
             continue;
         }
-        let mut cells = Vec::new();
+        let mut row = vec![kernel.name().to_owned()];
         for l in [0usize, 1, 2, 4] {
-            let agu = AguSpec::new(4, 1).unwrap().with_modify_registers(l);
-            let alloc = Optimizer::new(agu).allocate_loop(kernel.spec()).unwrap();
-            let layout = MemoryLayout::contiguous(kernel.spec(), 0x800, 0x400);
-            let program = CodeGenerator::new(agu)
-                .generate(kernel.spec(), &alloc, &layout)
-                .unwrap();
-            let trace = Trace::capture(kernel.spec(), &layout, 32);
-            let report = sim::run(&program, &trace, &agu).expect("verified");
-            cells.push(report.explicit_updates_per_iteration().to_string());
+            let report = compile(
+                AguSpec::new(4, 1).unwrap().with_modify_registers(l),
+                &kernel,
+            );
+            row.push(report.measured_cost.expect("validation is on").to_string());
         }
-        table.push_row(vec![
-            kernel.name().to_owned(),
-            cells[0].clone(),
-            cells[1].clone(),
-            cells[2].clone(),
-            cells[3].clone(),
-        ]);
+        table.push_row(row);
     }
     table.emit("e7_kernels");
 
     // Measured vs predicted on an MR-equipped machine: the MR-blind
     // model (pre-change allocator) vs the MR-aware model vs simulated
-    // ground truth. The aware column must equal the measured column on
-    // every kernel — the gap the cost model closes.
+    // ground truth. The pipeline rejects any loop whose aware
+    // prediction differs from the measured cost — the gap the cost
+    // model closes.
     let mut gap = Table::new(
         "Measured vs predicted per iteration (K = 4, M = 1, L = 2)",
         &[
@@ -76,25 +67,12 @@ fn main() {
         let blind = Optimizer::with_options(agu, OptimizerOptions::default())
             .allocate_loop(kernel.spec())
             .unwrap();
-        let aware = Optimizer::new(agu).allocate_loop(kernel.spec()).unwrap();
-        let layout = MemoryLayout::contiguous(kernel.spec(), 0x800, 0x400);
-        let program = CodeGenerator::new(agu)
-            .generate(kernel.spec(), &aware, &layout)
-            .unwrap();
-        let trace = Trace::capture(kernel.spec(), &layout, 32);
-        let measured = sim::run(&program, &trace, &agu)
-            .expect("verified")
-            .explicit_updates_per_iteration();
-        assert_eq!(
-            u64::from(aware.total_cost()),
-            measured,
-            "{}: the MR-aware prediction must match the simulator",
-            kernel.name()
-        );
+        let aware = compile(agu, &kernel);
+        let measured = aware.measured_cost.expect("validation is on");
         gap.push_row(vec![
             kernel.name().to_owned(),
             blind.total_cost().to_string(),
-            aware.total_cost().to_string(),
+            aware.cost.to_string(),
             measured.to_string(),
             u64::from(blind.total_cost())
                 .saturating_sub(measured)
@@ -125,13 +103,9 @@ fn main() {
                 for (i, l) in [0usize, 1, 2].into_iter().enumerate() {
                     // Residual = paths' over-range deltas not absorbed by
                     // the L most frequent values.
-                    let modif = raco_agu::ModifyAllocation::for_cover(
-                        alloc.cover(),
-                        alloc.distance_model(),
-                        l,
-                    );
-                    let residual =
-                        cover_cost_with_modify(alloc.cover(), alloc.distance_model(), &modif);
+                    let residual = CostModel::steady_state()
+                        .with_modify_registers(l)
+                        .cover_cost(alloc.cover(), alloc.distance_model());
                     by_l[i].push(f64::from(residual));
                 }
             }
@@ -154,24 +128,11 @@ fn main() {
     rnd.emit("e7_random");
 }
 
-/// Steady-state explicit updates of a cover when deltas held in modify
-/// registers are free.
-fn cover_cost_with_modify(
-    cover: &PathCover,
-    dm: &raco_graph::DistanceModel,
-    modify: &raco_agu::ModifyAllocation,
-) -> u32 {
-    let mut cost = 0;
-    for path in cover.paths() {
-        for delta in path.intra_steps(dm) {
-            if !dm.is_free(delta) && !modify.is_free_delta(delta) {
-                cost += 1;
-            }
-        }
-        let wrap = path.wrap_step(dm);
-        if !dm.is_free(wrap) && !modify.is_free_delta(wrap) {
-            cost += 1;
-        }
-    }
-    cost
+/// Compiles a kernel through the pipeline at the experiment's layout
+/// (arrays from `0x800`), validated over 32 iterations.
+fn compile(agu: AguSpec, kernel: &Kernel) -> LoopReport {
+    let mut config = PipelineConfig::new(agu);
+    config.layout_origin = 0x800;
+    config.validation_iterations = 32;
+    compile_validated(kernel.name(), config, kernel.spec()).0
 }

@@ -9,15 +9,16 @@
 //!    per array), each serving its array's accesses in original order
 //!    with no allocation intelligence;
 //! 3. **optimized** — the paper's two-phase allocation on `K` registers
-//!    (optionally with modify registers), emitted by `raco-agu` and
-//!    *verified by simulation* before being reported.
+//!    (optionally with modify registers), compiled through
+//!    [`Pipeline::compile_loop`](raco_driver::Pipeline::compile_loop):
+//!    the listing passes both oracles (simulator and listing checker)
+//!    and its predicted cost equals the measured one before it is
+//!    reported.
 
-use raco_agu::codegen::CodeGenerator;
 use raco_agu::metrics::{improvement_percent, ProgramMetrics};
-use raco_agu::sim;
-use raco_core::Optimizer;
+use raco_driver::PipelineConfig;
 use raco_graph::{DistanceModel, PathCover};
-use raco_ir::{AguSpec, MemoryLayout, Trace};
+use raco_ir::AguSpec;
 use raco_kernels::Kernel;
 
 /// The comparison row of one kernel.
@@ -49,14 +50,14 @@ pub struct KernelRow {
 
 /// Compares the three compilation models on one kernel.
 ///
-/// The optimized program is generated and simulated against the reference
-/// trace; a mismatch panics (it would be a codegen bug, and silently
-/// reporting numbers from broken code would be worse).
+/// The optimized program is compiled through the pipeline, validated
+/// over `iterations` iterations.
 ///
 /// # Panics
 ///
 /// Panics if the kernel needs more arrays than `k` registers, or if the
-/// generated code fails simulation.
+/// pipeline rejects the generated code (see
+/// [`compile_validated`](crate::compile_validated)).
 pub fn compare_kernel(kernel: &Kernel, agu: AguSpec, iterations: u64) -> KernelRow {
     let spec = kernel.spec();
     let compute = kernel.compute_ops();
@@ -77,22 +78,10 @@ pub fn compare_kernel(kernel: &Kernel, agu: AguSpec, iterations: u64) -> KernelR
         .sum();
     let chain = ProgramMetrics::synthetic(arrays.len() as u64, chain_cost, n as u64);
 
-    // Model 3: the paper's optimizer, emitted and verified.
-    let alloc = Optimizer::new(agu)
-        .allocate_loop(spec)
-        .unwrap_or_else(|e| panic!("kernel {} does not allocate: {e}", kernel.name()));
-    let layout = MemoryLayout::contiguous(spec, 0x1000, 0x400);
-    let program = CodeGenerator::new(agu)
-        .generate(spec, &alloc, &layout)
-        .unwrap_or_else(|e| panic!("kernel {} does not emit: {e}", kernel.name()));
-    let trace = Trace::capture(spec, &layout, iterations);
-    let report = sim::run(&program, &trace, &agu)
-        .unwrap_or_else(|e| panic!("kernel {} fails simulation: {e}", kernel.name()));
-    assert_eq!(
-        report.explicit_updates_per_iteration(),
-        program.cycles_per_iteration(),
-        "simulation and static accounting must agree"
-    );
+    // Model 3: the paper's optimizer, compiled through the pipeline.
+    let mut config = PipelineConfig::new(agu);
+    config.validation_iterations = iterations;
+    let (_, program) = crate::compile_validated(kernel.name(), config, spec);
     let opt = ProgramMetrics::of(&program);
 
     let explicit_words = explicit.code_words(compute);

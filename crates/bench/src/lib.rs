@@ -32,6 +32,10 @@ pub mod trajectory;
 
 use std::path::PathBuf;
 
+use raco_agu::AddressProgram;
+use raco_driver::{LoopReport, Pipeline, PipelineConfig};
+use raco_ir::LoopSpec;
+
 /// Directory where experiment CSVs are written
 /// (`<workspace>/target/experiments`).
 pub fn experiments_dir() -> PathBuf {
@@ -42,6 +46,28 @@ pub fn experiments_dir() -> PathBuf {
     dir.push("experiments");
     std::fs::create_dir_all(&dir).expect("can create target/experiments");
     dir
+}
+
+/// Compiles the loop `name` through [`Pipeline::compile_loop`]: allocation,
+/// code generation and, with `config.validate` on (the default), both
+/// oracles — the simulator and the listing checker — plus the
+/// predicted == measured cost check.
+///
+/// # Panics
+///
+/// Panics with the [`LoopFailure`](raco_driver::LoopFailure) text if
+/// the pipeline rejects the loop: reporting numbers from code that
+/// failed validation would be worse than stopping.
+pub fn compile_validated(
+    name: &str,
+    config: PipelineConfig,
+    spec: &LoopSpec,
+) -> (LoopReport, AddressProgram) {
+    let (report, program) = Pipeline::with_config(config).compile_loop(spec);
+    if let Some(failure) = &report.failure {
+        panic!("{name} fails the pipeline: {failure}");
+    }
+    (report, program.expect("a loop that compiled has a program"))
 }
 
 /// Parses `--key value` style options from `std::env::args`, returning
@@ -65,9 +91,20 @@ pub fn samples_arg(default: usize) -> usize {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "fir_4 fails the pipeline: allocation")]
+    fn rejected_loops_panic_with_the_failure() {
+        // Two arrays on one address register cannot allocate.
+        let config = PipelineConfig::new(raco_ir::AguSpec::new(1, 1).unwrap());
+        let kernel = raco_kernels::fir(4);
+        compile_validated(kernel.name(), config, kernel.spec());
+    }
+
     #[test]
     fn experiments_dir_exists_after_call() {
-        let dir = super::experiments_dir();
+        let dir = experiments_dir();
         assert!(dir.ends_with("target/experiments"));
         assert!(dir.is_dir());
     }

@@ -392,44 +392,7 @@ impl CompilationReport {
                 ]
             })
             .collect();
-        let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-        for row in &rows {
-            for (w, cell) in widths.iter_mut().zip(row.iter()) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let write_row = |out: &mut String, cells: &[String]| {
-            for (i, (cell, width)) in cells.iter().zip(&widths).enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                // Right-align numeric columns, left-align the stage name.
-                if i == 0 {
-                    out.push_str(cell);
-                    out.extend(std::iter::repeat_n(' ', width - cell.len()));
-                } else {
-                    out.extend(std::iter::repeat_n(' ', width - cell.len()));
-                    out.push_str(cell);
-                }
-            }
-            while out.ends_with(' ') {
-                out.pop();
-            }
-            out.push('\n');
-        };
-        write_row(
-            &mut out,
-            &headers.iter().map(|h| (*h).to_owned()).collect::<Vec<_>>(),
-        );
-        write_row(
-            &mut out,
-            &widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>(),
-        );
-        for row in &rows {
-            write_row(&mut out, row.as_slice());
-        }
-        out
+        aligned_table(headers, &rows, true)
     }
 
     /// Human-readable aligned table rendering.
@@ -459,38 +422,7 @@ impl CompilationReport {
                 ]);
             }
         }
-        let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-        for row in &rows {
-            for (w, cell) in widths.iter_mut().zip(row.iter()) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let write_row = |out: &mut String, cells: &[String]| {
-            for (i, (cell, width)) in cells.iter().zip(&widths).enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                out.push_str(cell);
-                out.extend(std::iter::repeat_n(' ', width - cell.len()));
-            }
-            // No trailing spaces.
-            while out.ends_with(' ') {
-                out.pop();
-            }
-            out.push('\n');
-        };
-        write_row(
-            &mut out,
-            &headers.iter().map(|h| (*h).to_owned()).collect::<Vec<_>>(),
-        );
-        write_row(
-            &mut out,
-            &widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>(),
-        );
-        for row in &rows {
-            write_row(&mut out, row.as_slice());
-        }
+        let mut out = aligned_table(headers, &rows, false);
         out.push('\n');
         // Symmetric ranges display as the plain radius, so the footer
         // is byte-identical to the pre-description format on
@@ -525,6 +457,48 @@ impl CompilationReport {
         ));
         out
     }
+}
+
+/// `headers` and `rows` as an aligned table: a dash rule under the
+/// header, two spaces between columns and no trailing spaces. The first
+/// column is left-aligned; the others are right-aligned when
+/// `right_align_numbers` is set, left-aligned otherwise.
+fn aligned_table<const N: usize>(
+    headers: [&str; N],
+    rows: &[[String; N]],
+    right_align_numbers: bool,
+) -> String {
+    let mut widths = headers.map(str::len);
+    for row in rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
+        }
+    }
+    let rule = widths.map(|w| "-".repeat(w));
+    let lines = [headers, rule.each_ref().map(String::as_str)]
+        .into_iter()
+        .chain(rows.iter().map(|row| row.each_ref().map(String::as_str)));
+    let mut out = String::new();
+    for cells in lines {
+        for (i, (cell, width)) in cells.iter().zip(widths).enumerate() {
+            if i > 0 {
+                out.push_str("  ");
+            }
+            let pad = std::iter::repeat_n(' ', width - cell.len());
+            if right_align_numbers && i > 0 {
+                out.extend(pad);
+                out.push_str(cell);
+            } else {
+                out.push_str(cell);
+                out.extend(pad);
+            }
+        }
+        while out.ends_with(' ') {
+            out.pop();
+        }
+        out.push('\n');
+    }
+    out
 }
 
 /// One [`StageTiming`] as a JSON object. Durations convert from the
@@ -646,6 +620,12 @@ mod tests {
     #[test]
     fn timings_table_renders_per_stage_rows() {
         let table = sample_report().render_timings_table();
+        assert_eq!(
+            table,
+            "stage  calls  total_us  p50_us  p95_us  p99_us  max_us\n\
+             -----  -----  --------  ------  ------  ------  ------\n\
+             parse      2       4.0     1.0     3.0     3.0     3.0\n"
+        );
         let lines: Vec<&str> = table.lines().collect();
         assert!(lines[0].starts_with("stage"));
         assert!(lines[0].contains("p99_us"));
@@ -661,6 +641,17 @@ mod tests {
     #[test]
     fn table_is_aligned_and_summarized() {
         let table = sample_report().render_table();
+        assert_eq!(
+            table,
+            "unit   loop   arrays  accesses  K used  K~  cost  words  status\n\
+             -----  -----  ------  --------  ------  --  ----  -----  ---------------------------\n\
+             a.dsp  loop0  2       5         3       4   1     7      ok (validated)\n\
+             a.dsp  loop1  2       5         3       4   0     7      ok (validated)\n\
+             b.dsp  loop0  2       5         3       4   0     7      allocation: too many arrays\n\
+             \n\
+             3 loop(s) in 2 unit(s): 2 ok, 1 failed  |  K = 4, M = 1, MR = 0  |  \
+             300.0 loops/s on 2 thread(s)  |  cache: 4 hit(s), 6 miss(es) (40% hit rate)\n"
+        );
         assert!(table.contains("unit"));
         assert!(table.contains("ok (validated)"));
         assert!(table.contains("3 loop(s) in 2 unit(s): 2 ok, 1 failed"));

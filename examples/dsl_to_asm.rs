@@ -1,16 +1,14 @@
 //! From C-like source to verified AGU assembly.
 //!
-//! Parses a loop written in the `raco-ir` DSL, allocates address
-//! registers with the paper's two-phase algorithm, emits the address
-//! program, and proves it correct by simulating it against the reference
-//! address trace.
+//! Parses a loop written in the `raco-ir` DSL and compiles it through
+//! the pipeline: the paper's two-phase register allocation, the address
+//! program, and its validation by both oracles — simulation against the
+//! reference address trace and the declarative listing checker.
 //!
 //! Run with: `cargo run --example dsl_to_asm`
 
-use raco::agu::codegen::CodeGenerator;
-use raco::agu::sim;
-use raco::core::Optimizer;
-use raco::ir::{dsl, AguSpec, MemoryLayout, Trace};
+use raco::driver::{Pipeline, PipelineConfig};
+use raco::ir::{dsl, AguSpec};
 
 const SOURCE: &str = "
 for (i = 1; i < 255; i++) {
@@ -22,26 +20,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("source:\n{SOURCE}\n");
     let spec = dsl::parse_loop(SOURCE)?;
 
-    let agu = AguSpec::new(3, 1)?;
-    let allocation = Optimizer::new(agu).allocate_loop(&spec)?;
+    // Arrays from 0x400, 0x100 words apart; prove the program serves
+    // every access of 100 iterations correctly.
+    let mut config = PipelineConfig::new(AguSpec::new(3, 1)?);
+    config.layout_origin = 0x0400;
+    config.array_words = 0x0100;
+    config.validation_iterations = 100;
+    let (report, program) = Pipeline::with_config(config).compile_loop(&spec);
+    if let Some(failure) = &report.failure {
+        panic!("{}: {failure}", report.name);
+    }
+    let program = program.expect("a loop that compiled has a program");
     println!(
         "allocation: {} register(s), {} unit-cost update(s)/iteration",
-        allocation.total_registers(),
-        allocation.total_cost()
+        report.registers_used, report.cost
     );
-
-    let layout = MemoryLayout::contiguous(&spec, 0x0400, 0x0100);
-    let program = CodeGenerator::new(agu).generate(&spec, &allocation, &layout)?;
     println!("\n{program}");
-
-    // Prove the program serves every access of 100 iterations correctly.
-    let trace = Trace::capture(&spec, &layout, 100);
-    let report = sim::run(&program, &trace, &agu)?;
     println!(
         "simulation: {} iterations, {} accesses checked, {} explicit update(s)/iteration ✓",
-        report.iterations(),
-        report.accesses_checked(),
-        report.explicit_updates_per_iteration()
+        report.addresses_checked / report.accesses as u64,
+        report.addresses_checked,
+        report.measured_cost.expect("validation is on")
     );
     Ok(())
 }

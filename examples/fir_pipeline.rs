@@ -3,77 +3,53 @@
 //!
 //! Compares three compilation models on an 8-tap FIR — explicit
 //! addressing ("regular C compiler"), naive per-array chaining, and the
-//! paper's two-phase allocation — then shows the optimized assembly.
+//! paper's two-phase allocation — then shows the optimized assembly,
+//! compiled and validated by the pipeline.
 //!
 //! Run with: `cargo run --example fir_pipeline`
 
-use raco::agu::codegen::CodeGenerator;
-use raco::agu::metrics::{improvement_percent, ProgramMetrics};
-use raco::agu::sim;
-use raco::core::Optimizer;
-use raco::graph::PathCover;
-use raco::ir::{AguSpec, MemoryLayout, Trace};
+use raco::driver::PipelineConfig;
+use raco::ir::AguSpec;
+use raco_bench::compile_validated;
+use raco_bench::kernels_exp::compare_kernel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let kernel = raco::kernels::fir(8);
-    let spec = kernel.spec();
     println!("kernel: {} — {}\n", kernel.name(), kernel.description());
     println!("{}\n", kernel.source());
 
     let iterations = 256;
     let agu = AguSpec::new(4, 1)?;
-
-    // Model 1: explicit addressing, two instructions per access.
-    let explicit = ProgramMetrics::explicit_addressing(spec.len());
-
-    // Model 2: naive chaining, one register per array in program order.
-    let chain_cost: u64 = spec
-        .patterns()
-        .iter()
-        .map(|p| {
-            let dm = raco::graph::DistanceModel::new(p, agu.modify_range());
-            u64::from(PathCover::single_chain(p.len()).total_cost(&dm, true))
-        })
-        .sum();
-    let chain =
-        ProgramMetrics::synthetic(spec.patterns().len() as u64, chain_cost, spec.len() as u64);
-
-    // Model 3: the paper's allocator, emitted and verified.
-    let alloc = Optimizer::new(agu).allocate_loop(spec)?;
-    let layout = MemoryLayout::contiguous(spec, 0x2000, 0x400);
-    let program = CodeGenerator::new(agu).generate(spec, &alloc, &layout)?;
-    let trace = Trace::capture(spec, &layout, iterations);
-    let report = sim::run(&program, &trace, &agu)?;
-    let optimized = ProgramMetrics::of(&program);
-
-    let compute = kernel.compute_ops();
+    let row = compare_kernel(&kernel, agu, iterations);
     println!(
         "{:<22} {:>12} {:>14}",
         "model", "code words", "total cycles"
     );
-    for (name, m) in [
-        ("explicit addressing", explicit),
-        ("naive chaining", chain),
-        ("two-phase optimized", optimized),
+    for (name, words, cycles) in [
+        (
+            "explicit addressing",
+            row.explicit_words,
+            row.explicit_cycles,
+        ),
+        ("naive chaining", row.chain_words, row.chain_cycles),
+        ("two-phase optimized", row.opt_words, row.opt_cycles),
     ] {
-        println!(
-            "{name:<22} {:>12} {:>14}",
-            m.code_words(compute),
-            m.cycles(compute, iterations)
-        );
+        println!("{name:<22} {words:>12} {cycles:>14}");
     }
     println!(
         "\noptimized vs explicit: code size -{:.1} %, speed -{:.1} %",
-        improvement_percent(explicit.code_words(compute), optimized.code_words(compute)),
-        improvement_percent(
-            explicit.cycles(compute, iterations),
-            optimized.cycles(compute, iterations)
-        ),
+        row.size_improvement_pct, row.speed_improvement_pct
     );
+
+    // The listing, compiled with the arrays from 0x2000.
+    let mut config = PipelineConfig::new(agu);
+    config.layout_origin = 0x2000;
+    config.validation_iterations = iterations;
+    let (report, program) = compile_validated(kernel.name(), config, kernel.spec());
     println!(
         "simulation: {} accesses verified, {} explicit update(s)/iteration ✓\n",
-        report.accesses_checked(),
-        report.explicit_updates_per_iteration()
+        report.addresses_checked,
+        report.measured_cost.expect("validation is on")
     );
     println!("{program}");
     Ok(())

@@ -1,84 +1,6 @@
-//! `raco` — the batch compilation CLI.
-//!
-//! ```text
-//! raco compile <path>… [options]   compile DSL files / directories
-//! raco kernels [options]           compile the built-in kernel suite
-//! raco serve [options]             long-lived NDJSON compile service
-//! raco loadgen [options]           replay a mixed-machine trace against `raco serve`
-//! raco fuzz [options]              adversarial long-runner against `raco serve`
-//! raco bench-trajectory [options]  append a benchmark point to BENCH_pipeline.json
-//! raco help                        this text
-//! ```
-//!
-//! Options:
-//!
-//! ```text
-//!     --machine <name|file>  built-in machine description (paper,
-//!                        tms320c2x, dsp56k, adsp210x, bwdsp, saris), a
-//!                        path to a `key = value` description file, or an
-//!                        inline description string
-//! -k, --registers <K>    address registers (default 4)
-//! -m, --modify <M>       auto-modify range (default 1)
-//!     --modify-regs <N>  modify registers (default 0)
-//! -j, --threads <T>      worker threads (default: all cores; 1 = sequential;
-//!                        serve: 1, since connections supply the concurrency);
-//!                        helpers start at a batch's first cache miss, so an
-//!                        all-hit batch runs on one thread
-//!     --iterations <N>   simulated iterations per loop (default 16)
-//!     --no-validate      skip simulator validation
-//!     --cache-load <f>   warm the allocation cache from a snapshot file
-//!     --cache-save <f>   snapshot the warm cache when done (serve: on
-//!                        graceful shutdown and on `save_cache` requests)
-//!     --cache-max <N>    bound the allocation cache at ~N entries (FIFO eviction)
-//!     --listing          print assembled per-unit listings
-//!     --timings          print the per-stage pipeline timing table
-//!     --json             print the JSON report to stdout
-//! -o, --output <file>    write the JSON report to a file
-//!     --quiet            suppress the table (useful with --json)
-//!
-//! serve-only:
-//!     --stdio            serve stdin/stdout (the default transport)
-//!     --tcp <addr>       serve TCP connections on <addr> (e.g. 127.0.0.1:4750)
-//!     --queue-depth <N>  compiles in flight at once, across all
-//!                        connections, before shedding (default 256)
-//!     --read-deadline <ms>     reap connections with no complete request
-//!                              within <ms> (default 10000; 0 disables)
-//!     --compute-deadline <ms>  answer `compute_deadline` when <ms> pass
-//!                              before every loop of a compile has started;
-//!                              finished loops stay cached (default 30000;
-//!                              0 disables)
-//!     --max-connections <N>    refuse connections past N with `busy` (default 1024)
-//!
-//! loadgen-only (plus the serve knobs above, forwarded to the spawned server):
-//!     --tcp <addr>       attack a running server instead of spawning one
-//!     --requests <N>     total requests to replay (default 100000)
-//!     --connections <N>  concurrent client connections (default 8)
-//!     --shapes <N>       distinct loop shapes in the trace (default 64)
-//!     --seed <N>         trace seed (fully deterministic per seed)
-//!     --label <s>        label stamped into BENCH_serve.json
-//! -o, --output <file>    artifact path (default BENCH_serve.json)
-//!
-//! fuzz-only:
-//!     --budget <dur>     wall-clock budget, e.g. 45s, 2m, 500ms (default 45s)
-//!     --seed <N>         master seed (default: derived from the clock)
-//!     --max-cases <N>    stop after N cases even if budget remains
-//!     --failures-dir <d> where minimal repros go (default fuzz-failures/)
-//!     --transport <t>    stdio (default) or tcp
-//!
-//! bench-trajectory-only (run from the repository root; runs
-//! `python3 perfbench/run.py` once per BENCHMARK.json workload and
-//! appends one point, or nothing if a run fails or the file is foreign):
-//! -o, --output <file>    trajectory file (default ./BENCH_pipeline.json)
-//!     --quick            3 s per workload instead of BENCHMARK.json's run_seconds
-//!     --label <s>        label stamped into the point (default "local")
-//! ```
-//!
-//! Exit status (uniform across subcommands):
-//!
-//! * `0` — success: every loop compiled (and validated); for `serve`,
-//!   a clean shutdown or end of input.
-//! * `1` — at least one loop failed to compile or validate.
-//! * `2` — usage, parse or I/O errors (nothing was compiled).
+//! `raco` — the batch compilation CLI: `compile`, `kernels`, `serve`,
+//! `loadgen`, `fuzz` and `bench-trajectory`. `raco help` prints the
+//! subcommands, every option and the exit statuses.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -723,6 +645,41 @@ fn main() -> ExitCode {
         Err(message) => {
             eprintln!("{message}");
             ExitCode::from(2)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SUBCOMMANDS: &[&str] = &[
+        "compile",
+        "kernels",
+        "serve",
+        "loadgen",
+        "fuzz",
+        "bench-trajectory",
+        "help",
+    ];
+
+    #[test]
+    fn usage_names_every_flag_and_subcommand() {
+        let text = usage();
+        for (flag, readers) in FLAG_READERS {
+            assert!(text.contains(flag), "usage() lacks {flag}");
+            for reader in readers.split(' ') {
+                assert!(
+                    SUBCOMMANDS.contains(&reader),
+                    "{flag}: unknown reader {reader}"
+                );
+            }
+        }
+        for subcommand in SUBCOMMANDS {
+            assert!(
+                text.contains(&format!("raco {subcommand} ")),
+                "usage() lacks `raco {subcommand}`"
+            );
         }
     }
 }

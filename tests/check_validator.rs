@@ -120,8 +120,42 @@ fn corrupt_first_auto_update(program: &AddressProgram) -> Option<AddressProgram>
             program.address_registers(),
             program.modify_values().to_vec(),
         )
-        .with_carries(program.carries().to_vec()),
+        .with_carries(program.carries().to_vec())
+        .with_cost_table(program.cost_table()),
     )
+}
+
+#[test]
+fn corrupted_auto_update_keeps_the_cost_table() {
+    // Only the delta changes: a mutant priced under the unit table
+    // would also trip `cycle-accounting` on non-unit machines.
+    let mut non_unit_mutants = 0;
+    for &machine in MachineDescription::builtin_names() {
+        let agu = *MachineDescription::builtin(machine)
+            .expect("built-in")
+            .spec();
+        for kernel in raco::kernels::suite() {
+            let Some((_, program)) = compile(kernel.spec(), &agu) else {
+                continue;
+            };
+            let Some(mutant) = corrupt_first_auto_update(&program) else {
+                continue;
+            };
+            if !program.cost_table().is_unit() {
+                non_unit_mutants += 1;
+            }
+            assert_eq!(
+                mutant.cost_table(),
+                program.cost_table(),
+                "{machine}/{}",
+                kernel.name()
+            );
+        }
+    }
+    assert!(
+        non_unit_mutants > 0,
+        "no non-unit built-in machine produced a mutant"
+    );
 }
 
 /// The mutation predicate `raco fuzz` would shrink against: compile
