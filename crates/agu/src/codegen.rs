@@ -170,47 +170,6 @@ impl CodeGenerator {
         blocks
     }
 
-    /// Generates the address program of a single pattern under an
-    /// existing allocation.
-    ///
-    /// `origin` is the address of offset `0` at the first iteration
-    /// (`base + coefficient * loop_start`); `USE` positions are the
-    /// pattern's global positions.
-    ///
-    /// # Errors
-    ///
-    /// See [`CodeGenError`].
-    pub fn generate_pattern(
-        &self,
-        pattern: &AccessPattern,
-        allocation: &Allocation,
-        origin: i64,
-    ) -> Result<AddressProgram, CodeGenError> {
-        if allocation.cover().accesses() != pattern.len() {
-            return Err(CodeGenError::CoverMismatch {
-                pattern_len: pattern.len(),
-                cover_len: allocation.cover().accesses(),
-            });
-        }
-        let modify = ModifyAllocation::for_cover(
-            allocation.cover(),
-            allocation.distance_model(),
-            self.agu.modify_registers(),
-        );
-        let total = pattern.position(pattern.len() - 1) + 1;
-        let (program, _) = self.assemble(
-            &[(
-                pattern,
-                allocation.cover(),
-                allocation.distance_model(),
-                origin,
-            )],
-            total,
-            &modify,
-        )?;
-        Ok(program)
-    }
-
     /// Assembles prologue and body; also returns, per cover, the
     /// address registers assigned to its paths (in path order), so
     /// callers that emit extra per-register code (carry blocks) share
@@ -445,20 +404,6 @@ mod tests {
             .prologue()
             .iter()
             .any(|i| matches!(i, AddressInstr::Ldm { .. })));
-    }
-
-    #[test]
-    fn generate_pattern_matches_loop_generation_for_single_array() {
-        let spec = examples::paper_loop();
-        let agu = AguSpec::new(2, 1).unwrap();
-        let opt = Optimizer::new(agu);
-        let pattern = spec.patterns().remove(0);
-        let allocation = opt.allocate(&pattern);
-        let program = CodeGenerator::new(agu)
-            .generate_pattern(&pattern, &allocation, 0x200)
-            .unwrap();
-        assert_eq!(program.uses_per_iteration(), 7);
-        assert_eq!(program.cycles_per_iteration(), u64::from(allocation.cost()));
     }
 
     #[test]

@@ -13,11 +13,10 @@ fn main() {
 
     for k in [2usize, 4, 6] {
         let agu = AguSpec::new(k, 1).unwrap();
-        let kernels: Vec<_> = raco_kernels::suite()
-            .into_iter()
-            .filter(|kernel| kernel.spec().patterns().len() <= k)
-            .collect();
-        let rows = compare_suite(&kernels, agu, iterations);
+        let kernels = raco_kernels::suite()
+            .iter()
+            .filter(|kernel| kernel.spec().patterns().len() <= k);
+        let rows = compare_suite(kernels, agu, iterations);
 
         let mut table = Table::new(
             &format!("Kernel comparison, K = {k}, M = 1"),

@@ -34,10 +34,7 @@ fn main() {
         }
         let mut row = vec![kernel.name().to_owned()];
         for l in [0usize, 1, 2, 4] {
-            let report = compile(
-                AguSpec::new(4, 1).unwrap().with_modify_registers(l),
-                &kernel,
-            );
+            let report = compile(AguSpec::new(4, 1).unwrap().with_modify_registers(l), kernel);
             row.push(report.measured_cost.expect("validation is on").to_string());
         }
         table.push_row(row);
@@ -67,7 +64,7 @@ fn main() {
         let blind = Optimizer::with_options(agu, OptimizerOptions::default())
             .allocate_loop(kernel.spec())
             .unwrap();
-        let aware = compile(agu, &kernel);
+        let aware = compile(agu, kernel);
         let measured = aware.measured_cost.expect("validation is on");
         gap.push_row(vec![
             kernel.name().to_owned(),

@@ -104,9 +104,13 @@ pub fn compare_kernel(kernel: &Kernel, agu: AguSpec, iterations: u64) -> KernelR
 }
 
 /// Runs the comparison over a whole suite.
-pub fn compare_suite(kernels: &[Kernel], agu: AguSpec, iterations: u64) -> Vec<KernelRow> {
+pub fn compare_suite<'k>(
+    kernels: impl IntoIterator<Item = &'k Kernel>,
+    agu: AguSpec,
+    iterations: u64,
+) -> Vec<KernelRow> {
     kernels
-        .iter()
+        .into_iter()
         .map(|k| compare_kernel(k, agu, iterations))
         .collect()
 }
@@ -131,7 +135,7 @@ mod tests {
             if kernel.spec().patterns().len() > agu.address_registers() {
                 continue;
             }
-            let row = compare_kernel(&kernel, agu, 64);
+            let row = compare_kernel(kernel, agu, 64);
             assert!(
                 row.opt_cycles <= row.chain_cycles,
                 "{}: optimized {} vs chain {}",

@@ -146,11 +146,6 @@ impl Json {
         }
     }
 
-    /// An object builder starting empty.
-    pub fn obj() -> Vec<(String, Json)> {
-        Vec::new()
-    }
-
     /// Renders compact single-line JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -977,7 +977,11 @@ mod tests {
         // A bwdsp-style post-increment machine: the [0, 1] range and
         // the machine-forced ADDA cost must survive the snapshot and
         // answer only to the exactly-matching key.
-        let agu = raco_ir::AguSpec::bwdsp_like();
+        let agu = raco_ir::AguSpec::new(8, 1)
+            .unwrap()
+            .with_update_range(UpdateRange::new(0, 1).unwrap())
+            .with_modify_registers(2)
+            .with_cost_table(raco_ir::CostTable::new(2, 1, 1).unwrap());
         let config = crate::PipelineConfig::new(agu);
         let options = config.effective_options();
         let optimizer = Optimizer::with_options(agu, options);

@@ -29,7 +29,7 @@ use raco_ir::{AguSpec, CanonicalPattern, LoopSpec, MemoryLayout, Trace, UpdateRa
 use crate::cache::{AllocationCache, CachePolicy, CacheStats};
 use crate::pool::{map_on_demand, FanOut, Parallelism};
 use crate::report::{CompilationReport, LoopFailure, LoopReport, UnitReport};
-use crate::timings::{BatchTimings, Stage};
+use crate::timings::{BatchTimings, Stage, StageClock};
 
 /// Errors that abort a whole batch (per-loop problems are reported in
 /// the [`CompilationReport`] instead).
@@ -418,19 +418,14 @@ impl Pipeline {
         // Parse up front: parse errors abort the batch, and parsing is
         // cheap relative to allocation. Parsing and lowering are timed
         // as separate stages (this is `dsl::parse_program` split at its
-        // two halves, with identical naming and error mapping). The
-        // stages are timed boundary-to-boundary with one shared clock
-        // read per boundary — reading the clock is not free on every
-        // host, so the glue between stages lands in the following
-        // stage's sample instead of paying an extra read to exclude it.
+        // two halves, with identical naming and error mapping) on one
+        // boundary-to-boundary clock.
         let mut work: Vec<(usize, LoopSpec)> = Vec::new();
         let mut unit_names: Vec<String> = Vec::with_capacity(units.len());
-        let mut mark = started;
+        let mut clock = StageClock::starting_at(&timings, started);
         for (index, (name, source)) in units.iter().enumerate() {
             let parsed = dsl::parse_unit(source);
-            let now = Instant::now();
-            timings.record_ns(Stage::Parse, now.duration_since(mark).as_nanos() as u64);
-            mark = now;
+            clock.lap(Stage::Parse);
             let (decls, asts) = parsed.map_err(|error| DriverError::Parse {
                 unit: name.clone(),
                 error,
@@ -438,9 +433,7 @@ impl Pipeline {
             unit_names.push(name.clone());
             for (i, ast) in asts.iter().enumerate() {
                 let lowered = dsl::lower_unit_loop(&decls, ast);
-                let now = Instant::now();
-                timings.record_ns(Stage::Lower, now.duration_since(mark).as_nanos() as u64);
-                mark = now;
+                clock.lap(Stage::Lower);
                 let mut spec = lowered.map_err(|e| DriverError::Parse {
                     unit: name.clone(),
                     error: e.attach_source(source),
@@ -590,14 +583,10 @@ impl Pipeline {
         let generator = CodeGenerator::new(config.agu);
         // Codegen and simulate are timed boundary-to-boundary: the
         // clock read that ends the codegen sample starts the simulate
-        // one (see compile_units_with on why reads are rationed).
-        let codegen_started = Instant::now();
+        // one.
+        let mut clock = StageClock::starting_at(timings, Instant::now());
         let generated = generator.generate(spec, &allocation, &layout);
-        let codegen_done = Instant::now();
-        timings.record_ns(
-            Stage::Codegen,
-            codegen_done.duration_since(codegen_started).as_nanos() as u64,
-        );
+        clock.lap(Stage::Codegen);
         let program = match generated {
             Ok(program) => program,
             Err(error) => {
@@ -622,7 +611,7 @@ impl Pipeline {
                 let trace = Trace::capture(spec, &layout, iterations);
                 sim::run(&program, &trace, &config.agu)
             };
-            timings.record_ns(Stage::Simulate, codegen_done.elapsed().as_nanos() as u64);
+            clock.lap(Stage::Simulate);
             // Second oracle: the declarative listing checker re-derives
             // correctness from the rows alone. Both oracles must pass;
             // a listing exactly one of them rejects is an oracle
@@ -700,9 +689,8 @@ impl Pipeline {
             range: config.agu.update_range(),
             k: config.agu.address_registers(),
             options,
-            timings,
+            clock: StageClock::starting_at(timings, Instant::now()),
             fan_out,
-            mark: Instant::now(),
         };
         Optimizer::with_options(config.agu, options)
             .allocate_patterns(&patterns, &mut memo)
@@ -729,8 +717,7 @@ impl Pipeline {
 /// closure runs only on a miss, so a flag set inside it picks the
 /// stage; the helpers' spawn lands in the first miss's sample. The
 /// curve → partition → allocation stages run back to back, so they are
-/// timed boundary-to-boundary with one shared clock read per boundary
-/// (see `compile_units_with`); the register partition is the span
+/// timed on one [`StageClock`]; the register partition is the span
 /// between the last curve and the first allocation.
 struct CacheMemo<'a> {
     cache: &'a AllocationCache,
@@ -738,19 +725,8 @@ struct CacheMemo<'a> {
     range: UpdateRange,
     k: usize,
     options: OptimizerOptions,
-    timings: &'a BatchTimings,
+    clock: StageClock<'a>,
     fan_out: FanOut<'a>,
-    mark: Instant,
-}
-
-impl CacheMemo<'_> {
-    /// Records the time since the previous boundary under `stage`.
-    fn lap(&mut self, stage: Stage) {
-        let now = Instant::now();
-        self.timings
-            .record_ns(stage, now.duration_since(self.mark).as_nanos() as u64);
-        self.mark = now;
-    }
 }
 
 impl AllocationMemo for CacheMemo<'_> {
@@ -767,7 +743,7 @@ impl AllocationMemo for CacheMemo<'_> {
                 compute()
             },
         );
-        self.lap(if missed {
+        self.clock.lap(if missed {
             Stage::CurveMiss
         } else {
             Stage::CurveHit
@@ -782,7 +758,7 @@ impl AllocationMemo for CacheMemo<'_> {
         compute: impl FnOnce() -> Allocation,
     ) -> Arc<Allocation> {
         if index == 0 {
-            self.lap(Stage::Partition);
+            self.clock.lap(Stage::Partition);
         }
         let mut missed = false;
         let allocation = self.cache.allocation(
@@ -796,7 +772,7 @@ impl AllocationMemo for CacheMemo<'_> {
                 compute()
             },
         );
-        self.lap(if missed {
+        self.clock.lap(if missed {
             Stage::AllocMiss
         } else {
             Stage::AllocHit

@@ -5,6 +5,8 @@
 
 use std::fmt;
 
+use super::parser::ParseErrorKind;
+
 /// A half-open byte range into the source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Span {
@@ -111,21 +113,9 @@ pub(crate) struct Token {
     pub(crate) span: Span,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum LexErrorKind {
-    UnexpectedChar(char),
-    UnterminatedBlockComment,
-    IntegerOverflow,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct LexError {
-    pub(crate) kind: LexErrorKind,
-    pub(crate) span: Span,
-}
-
-/// Tokenizes the whole source, appending a trailing `Eof` token.
-pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, LexError> {
+/// Tokenizes the whole source, appending a trailing `Eof` token. A
+/// lexical error is a parse error: its kind and the offending span.
+pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, (ParseErrorKind, Span)> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;
@@ -150,10 +140,10 @@ pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, LexError> {
                     i += 2;
                     loop {
                         if i + 1 >= bytes.len() {
-                            return Err(LexError {
-                                kind: LexErrorKind::UnterminatedBlockComment,
-                                span: Span::new(start, bytes.len()),
-                            });
+                            return Err((
+                                ParseErrorKind::UnterminatedComment,
+                                Span::new(start, bytes.len()),
+                            ));
                         }
                         if bytes[i] as char == '*' && bytes[i + 1] as char == '/' {
                             i += 2;
@@ -192,10 +182,9 @@ pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, LexError> {
                 i += 1;
             }
             let text = &source[start..i];
-            let value: i64 = text.parse().map_err(|_| LexError {
-                kind: LexErrorKind::IntegerOverflow,
-                span: Span::new(start, i),
-            })?;
+            let value: i64 = text
+                .parse()
+                .map_err(|_| (ParseErrorKind::IntegerOverflow, Span::new(start, i)))?;
             tokens.push(Token {
                 kind: TokenKind::Int(value),
                 span: Span::new(start, i),
@@ -234,10 +223,10 @@ pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, LexError> {
                 '<' => (TokenKind::Lt, 1),
                 '>' => (TokenKind::Gt, 1),
                 other => {
-                    return Err(LexError {
-                        kind: LexErrorKind::UnexpectedChar(other),
-                        span: Span::new(start, start + other.len_utf8()),
-                    })
+                    return Err((
+                        ParseErrorKind::UnexpectedChar(other),
+                        Span::new(start, start + other.len_utf8()),
+                    ))
                 }
             },
         };
@@ -311,21 +300,21 @@ mod tests {
 
     #[test]
     fn reports_unterminated_block_comment() {
-        let err = tokenize("x /* oops").unwrap_err();
-        assert_eq!(err.kind, LexErrorKind::UnterminatedBlockComment);
+        let (kind, _) = tokenize("x /* oops").unwrap_err();
+        assert_eq!(kind, ParseErrorKind::UnterminatedComment);
     }
 
     #[test]
     fn reports_unexpected_character_with_span() {
-        let err = tokenize("a ? b").unwrap_err();
-        assert_eq!(err.kind, LexErrorKind::UnexpectedChar('?'));
-        assert_eq!(err.span, Span::new(2, 3));
+        let (kind, span) = tokenize("a ? b").unwrap_err();
+        assert_eq!(kind, ParseErrorKind::UnexpectedChar('?'));
+        assert_eq!(span, Span::new(2, 3));
     }
 
     #[test]
     fn reports_integer_overflow() {
-        let err = tokenize("99999999999999999999999999").unwrap_err();
-        assert_eq!(err.kind, LexErrorKind::IntegerOverflow);
+        let (kind, _) = tokenize("99999999999999999999999999").unwrap_err();
+        assert_eq!(kind, ParseErrorKind::IntegerOverflow);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use super::ast::{AssignOp, BinOp, CmpOp, Cond, Expr, ForLoop, LValue, Stmt, Update};
-use super::lexer::{self, LexErrorKind, Span, Token, TokenKind};
+use super::lexer::{self, Span, Token, TokenKind};
 
 /// The different ways parsing or lowering can fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -271,14 +271,8 @@ pub(crate) struct Parser<'s> {
 
 impl<'s> Parser<'s> {
     pub(crate) fn new(source: &'s str) -> Result<Self, ParseError> {
-        let tokens = lexer::tokenize(source).map_err(|e| {
-            let kind = match e.kind {
-                LexErrorKind::UnexpectedChar(c) => ParseErrorKind::UnexpectedChar(c),
-                LexErrorKind::UnterminatedBlockComment => ParseErrorKind::UnterminatedComment,
-                LexErrorKind::IntegerOverflow => ParseErrorKind::IntegerOverflow,
-            };
-            ParseError::new(kind, e.span, source)
-        })?;
+        let tokens =
+            lexer::tokenize(source).map_err(|(kind, span)| ParseError::new(kind, span, source))?;
         Ok(Parser {
             source,
             tokens,

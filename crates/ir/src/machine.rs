@@ -21,9 +21,14 @@
 //!
 //! A [`MachineDescription`] names a validated [`AguSpec`] and can be
 //! parsed from a small TOML-like text format or looked up from the
-//! built-in registry ([`MachineDescription::builtin`]).
+//! built-in registry ([`MachineDescription::builtin`]). The built-ins
+//! are themselves description texts in one table, parsed once per
+//! process by the same [`MachineDescription::parse`]; [`AguSpec`] has
+//! no machine-specific constructor besides [`AguSpec::default`], the
+//! paper machine.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Hard cap on register-class sizes accepted by machine descriptions.
 ///
@@ -334,72 +339,6 @@ impl AguSpec {
         self.update_range.contains(delta)
     }
 
-    /// A machine in the spirit of the TI TMS320C2x family: eight address
-    /// (auxiliary) registers, auto-increment/decrement by one.
-    pub fn tms320c2x_like() -> Self {
-        AguSpec {
-            address_registers: 8,
-            update_range: UpdateRange::symmetric(1),
-            modify_registers: 0,
-            costs: CostTable::UNIT,
-        }
-    }
-
-    /// A machine in the spirit of the Motorola DSP56002: eight address
-    /// registers, auto-modify by one, with offset (modify) registers.
-    pub fn dsp56k_like() -> Self {
-        AguSpec {
-            address_registers: 8,
-            update_range: UpdateRange::symmetric(1),
-            modify_registers: 4,
-            costs: CostTable::UNIT,
-        }
-    }
-
-    /// A machine in the spirit of the Analog Devices ADSP-210x: four
-    /// address registers per DAG with four modify registers.
-    pub fn adsp210x_like() -> Self {
-        AguSpec {
-            address_registers: 4,
-            update_range: UpdateRange::symmetric(1),
-            modify_registers: 4,
-            costs: CostTable::UNIT,
-        }
-    }
-
-    /// A BWDSP-style clustered-VLIW AGU: MAC post-modify addressing frees
-    /// only post-*increments* (`[0, 1]`), two modify registers pick up
-    /// repeated strides, and a pointer load takes two cycles.
-    pub fn bwdsp_like() -> Self {
-        AguSpec {
-            address_registers: 8,
-            update_range: UpdateRange { min: 0, max: 1 },
-            modify_registers: 2,
-            costs: CostTable {
-                lda: 2,
-                ldm: 1,
-                adda: 1,
-            },
-        }
-    }
-
-    /// A SARIS-style stream-register machine: no immediate auto-modify at
-    /// all (`[0, 0]`) — every advance goes through one of eight stream
-    /// registers, which generalize modify registers; configuring a stream
-    /// register takes two cycles.
-    pub fn saris_like() -> Self {
-        AguSpec {
-            address_registers: 8,
-            update_range: UpdateRange { min: 0, max: 0 },
-            modify_registers: 8,
-            costs: CostTable {
-                lda: 1,
-                ldm: 2,
-                adda: 1,
-            },
-        }
-    }
-
     /// Returns a copy with a different register count, keeping the other
     /// parameters — convenient for register-constraint sweeps.
     ///
@@ -488,7 +427,7 @@ impl std::error::Error for MachineParseError {}
 /// serve protocol's `machine` knob, and the built-in registry.
 ///
 /// Descriptions are *data*: the text format below fully determines the
-/// machine, and every built-in is expressible in it.
+/// machine, and every built-in is written in it.
 ///
 /// ```text
 /// name = "bwdsp"
@@ -540,22 +479,17 @@ impl MachineDescription {
 
     /// Canonical names of the built-in machines, in presentation order.
     pub fn builtin_names() -> &'static [&'static str] {
-        &["paper", "tms320c2x", "dsp56k", "adsp210x", "bwdsp", "saris"]
+        &builtins().names
     }
 
     /// Looks up a built-in machine by name (aliases: `ti` for
     /// `tms320c2x`, `motorola` for `dsp56k`, `adsp` for `adsp210x`).
+    /// The built-in table is parsed once per process, on first use.
     pub fn builtin(name: &str) -> Option<Self> {
-        let (canonical, spec) = match name {
-            "paper" => ("paper", AguSpec::default()),
-            "tms320c2x" | "ti" => ("tms320c2x", AguSpec::tms320c2x_like()),
-            "dsp56k" | "motorola" => ("dsp56k", AguSpec::dsp56k_like()),
-            "adsp210x" | "adsp" => ("adsp210x", AguSpec::adsp210x_like()),
-            "bwdsp" => ("bwdsp", AguSpec::bwdsp_like()),
-            "saris" => ("saris", AguSpec::saris_like()),
-            _ => return None,
-        };
-        Some(MachineDescription::new(canonical, spec))
+        let index = BUILTINS
+            .iter()
+            .position(|b| b.name == name || b.aliases.contains(&name))?;
+        Some(builtins().machines[index].clone())
     }
 
     /// Resolves a machine argument the way front ends (CLI flag, serve
@@ -646,40 +580,14 @@ impl MachineDescription {
                     }
                     name = Some(v.to_string());
                 }
-                "address_registers" => {
-                    set_field(
-                        &mut registers,
-                        parse_usize(key, value, lineno)?,
-                        key,
-                        lineno,
-                    )?;
-                }
-                "update_range" => {
-                    set_field(&mut sym_range, parse_u32(key, value, lineno)?, key, lineno)?;
-                }
-                "update_min" => {
-                    set_field(&mut update_min, parse_i64(key, value, lineno)?, key, lineno)?;
-                }
-                "update_max" => {
-                    set_field(&mut update_max, parse_i64(key, value, lineno)?, key, lineno)?;
-                }
-                "modify_registers" => {
-                    set_field(
-                        &mut modify_registers,
-                        parse_usize(key, value, lineno)?,
-                        key,
-                        lineno,
-                    )?;
-                }
-                "lda_cost" => {
-                    set_field(&mut lda_cost, parse_u32(key, value, lineno)?, key, lineno)?;
-                }
-                "ldm_cost" => {
-                    set_field(&mut ldm_cost, parse_u32(key, value, lineno)?, key, lineno)?;
-                }
-                "adda_cost" => {
-                    set_field(&mut adda_cost, parse_u32(key, value, lineno)?, key, lineno)?;
-                }
+                "address_registers" => set_field(&mut registers, key, value, lineno)?,
+                "update_range" => set_field(&mut sym_range, key, value, lineno)?,
+                "update_min" => set_field(&mut update_min, key, value, lineno)?,
+                "update_max" => set_field(&mut update_max, key, value, lineno)?,
+                "modify_registers" => set_field(&mut modify_registers, key, value, lineno)?,
+                "lda_cost" => set_field(&mut lda_cost, key, value, lineno)?,
+                "ldm_cost" => set_field(&mut ldm_cost, key, value, lineno)?,
+                "adda_cost" => set_field(&mut adda_cost, key, value, lineno)?,
                 _ => {
                     return Err(MachineParseError::at(
                         lineno,
@@ -798,49 +706,144 @@ impl fmt::Display for MachineDescription {
     }
 }
 
-fn set_field<T>(
+/// One built-in machine: its canonical name, the other names
+/// [`MachineDescription::builtin`] accepts, and its description text.
+struct Builtin {
+    name: &'static str,
+    aliases: &'static [&'static str],
+    text: &'static str,
+}
+
+/// The built-in machines, in presentation order. Each text is what the
+/// parsed machine's [`MachineDescription::to_text`] prints, so a
+/// built-in is exactly as expressible as a user's description file.
+const BUILTINS: [Builtin; 6] = [
+    // The paper's running example (Section 2).
+    Builtin {
+        name: "paper",
+        aliases: &[],
+        text: "name = \"paper\"\naddress_registers = 4\nupdate_range = 1\nmodify_registers = 0\n",
+    },
+    // After the TI TMS320C2x: eight auxiliary registers, |d| <= 1.
+    Builtin {
+        name: "tms320c2x",
+        aliases: &["ti"],
+        text: "name = \"tms320c2x\"\naddress_registers = 8\nupdate_range = 1\n\
+               modify_registers = 0\n",
+    },
+    // After the Motorola DSP56002: as above, plus four offset registers.
+    Builtin {
+        name: "dsp56k",
+        aliases: &["motorola"],
+        text: "name = \"dsp56k\"\naddress_registers = 8\nupdate_range = 1\n\
+               modify_registers = 4\n",
+    },
+    // After the ADSP-210x: four address and four modify registers per DAG.
+    Builtin {
+        name: "adsp210x",
+        aliases: &["adsp"],
+        text: "name = \"adsp210x\"\naddress_registers = 4\nupdate_range = 1\n\
+               modify_registers = 4\n",
+    },
+    // A BWDSP-style clustered-VLIW AGU: MAC post-modify addressing frees
+    // only post-increments, and a pointer load takes two cycles.
+    Builtin {
+        name: "bwdsp",
+        aliases: &[],
+        text: "name = \"bwdsp\"\naddress_registers = 8\nupdate_min = 0\nupdate_max = 1\n\
+               modify_registers = 2\nlda_cost = 2\nldm_cost = 1\nadda_cost = 1\n",
+    },
+    // A SARIS-style stream-register machine: no free auto-modify at all;
+    // every advance goes through one of eight stream (modify) registers,
+    // and configuring one takes two cycles.
+    Builtin {
+        name: "saris",
+        aliases: &[],
+        text: "name = \"saris\"\naddress_registers = 8\nupdate_range = 0\n\
+               modify_registers = 8\nlda_cost = 1\nldm_cost = 2\nadda_cost = 1\n",
+    },
+];
+
+/// [`BUILTINS`] parsed, in table order.
+struct Builtins {
+    names: Vec<&'static str>,
+    machines: Vec<MachineDescription>,
+}
+
+/// Parses [`BUILTINS`] on first use; every later lookup reads the
+/// parsed table (serve resolves a `machine` knob on every request).
+fn builtins() -> &'static Builtins {
+    static PARSED: OnceLock<Builtins> = OnceLock::new();
+    PARSED.get_or_init(|| Builtins {
+        names: BUILTINS.iter().map(|b| b.name).collect(),
+        machines: BUILTINS
+            .iter()
+            .map(|b| {
+                MachineDescription::parse(b.text)
+                    .unwrap_or_else(|e| panic!("built-in machine `{}`: {e}", b.name))
+            })
+            .collect(),
+    })
+}
+
+/// Parses `value` into the empty `slot` for `key`, remembering `line`.
+/// A malformed value is reported before a duplicate key.
+fn set_field<T: std::str::FromStr>(
     slot: &mut Option<(T, usize)>,
-    value: (T, usize),
     key: &str,
+    value: &str,
     line: usize,
 ) -> Result<(), MachineParseError> {
+    let parsed = value.parse::<T>().map_err(|_| {
+        // Only the signed fields (`update_min`/`update_max`) accept `-1`.
+        let expects = match "-1".parse::<T>() {
+            Ok(_) => "an integer",
+            Err(_) => "a non-negative integer",
+        };
+        MachineParseError::at(line, format!("`{key}` expects {expects}, got {value:?}"))
+    })?;
     if slot.is_some() {
         return Err(MachineParseError::at(
             line,
             format!("duplicate key `{key}`"),
         ));
     }
-    *slot = Some(value);
+    *slot = Some((parsed, line));
     Ok(())
-}
-
-fn parse_usize(key: &str, value: &str, line: usize) -> Result<(usize, usize), MachineParseError> {
-    value.parse::<usize>().map(|v| (v, line)).map_err(|_| {
-        MachineParseError::at(
-            line,
-            format!("`{key}` expects a non-negative integer, got {value:?}"),
-        )
-    })
-}
-
-fn parse_u32(key: &str, value: &str, line: usize) -> Result<(u32, usize), MachineParseError> {
-    value.parse::<u32>().map(|v| (v, line)).map_err(|_| {
-        MachineParseError::at(
-            line,
-            format!("`{key}` expects a non-negative integer, got {value:?}"),
-        )
-    })
-}
-
-fn parse_i64(key: &str, value: &str, line: usize) -> Result<(i64, usize), MachineParseError> {
-    value.parse::<i64>().map(|v| (v, line)).map_err(|_| {
-        MachineParseError::at(line, format!("`{key}` expects an integer, got {value:?}"))
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The six built-ins as literal builders, in table order — the
+    /// shapes the description texts must parse to.
+    fn documented_builtins() -> [(&'static str, AguSpec); 6] {
+        let agu = |k, m| AguSpec::new(k, m).unwrap();
+        [
+            ("paper", agu(4, 1)),
+            ("tms320c2x", agu(8, 1)),
+            ("dsp56k", agu(8, 1).with_modify_registers(4)),
+            ("adsp210x", agu(4, 1).with_modify_registers(4)),
+            (
+                "bwdsp",
+                agu(8, 1)
+                    .with_update_range(UpdateRange::new(0, 1).unwrap())
+                    .with_modify_registers(2)
+                    .with_cost_table(CostTable::new(2, 1, 1).unwrap()),
+            ),
+            (
+                "saris",
+                agu(8, 0)
+                    .with_modify_registers(8)
+                    .with_cost_table(CostTable::new(1, 2, 1).unwrap()),
+            ),
+        ]
+    }
+
+    fn builtin_spec(name: &str) -> AguSpec {
+        *MachineDescription::builtin(name).expect(name).spec()
+    }
 
     #[test]
     fn new_rejects_zero_registers() {
@@ -871,18 +874,18 @@ mod tests {
 
     #[test]
     fn builder_and_presets() {
-        let agu = AguSpec::tms320c2x_like();
+        let agu = builtin_spec("tms320c2x");
         assert_eq!((agu.address_registers(), agu.modify_range()), (8, 1));
         assert_eq!(agu.modify_registers(), 0);
-        assert_eq!(AguSpec::dsp56k_like().modify_registers(), 4);
-        assert_eq!(AguSpec::adsp210x_like().address_registers(), 4);
+        assert_eq!(builtin_spec("dsp56k").modify_registers(), 4);
+        assert_eq!(builtin_spec("adsp210x").address_registers(), 4);
         let agu = AguSpec::new(2, 1).unwrap().with_modify_registers(3);
         assert_eq!(agu.modify_registers(), 3);
     }
 
     #[test]
     fn with_address_registers_replaces_k_only() {
-        let agu = AguSpec::dsp56k_like().with_address_registers(2).unwrap();
+        let agu = builtin_spec("dsp56k").with_address_registers(2).unwrap();
         assert_eq!(agu.address_registers(), 2);
         assert_eq!(agu.modify_registers(), 4);
         assert!(AguSpec::default().with_address_registers(0).is_err());
@@ -896,12 +899,12 @@ mod tests {
 
     #[test]
     fn display_extends_for_asymmetric_ranges_and_costs() {
-        let agu = AguSpec::bwdsp_like();
+        let agu = builtin_spec("bwdsp");
         assert_eq!(
             agu.to_string(),
             "AGU(K=8, M=[0..1], MR=2) costs(lda=2, ldm=1, adda=1)"
         );
-        let agu = AguSpec::saris_like();
+        let agu = builtin_spec("saris");
         assert_eq!(
             agu.to_string(),
             "AGU(K=8, M=0, MR=8) costs(lda=1, ldm=2, adda=1)"
@@ -970,22 +973,19 @@ mod tests {
 
     #[test]
     fn builtin_registry_resolves_names_and_aliases() {
-        for name in MachineDescription::builtin_names() {
+        let names: Vec<&str> = documented_builtins().iter().map(|(n, _)| *n).collect();
+        assert_eq!(MachineDescription::builtin_names(), names);
+        for (name, spec) in documented_builtins() {
             let m = MachineDescription::builtin(name).expect(name);
-            assert_eq!(m.name(), *name);
+            assert_eq!((m.name(), m.spec()), (name, &spec));
+            assert_eq!(MachineDescription::resolve(&format!(" {name}\n")), Ok(m));
         }
-        assert_eq!(
-            MachineDescription::builtin("ti").unwrap().spec(),
-            &AguSpec::tms320c2x_like()
-        );
+        assert_eq!(builtin_spec("ti"), documented_builtins()[1].1);
         assert_eq!(
             MachineDescription::builtin("motorola").unwrap().name(),
             "dsp56k"
         );
-        assert_eq!(
-            MachineDescription::builtin("adsp").unwrap().spec(),
-            &AguSpec::adsp210x_like()
-        );
+        assert_eq!(builtin_spec("adsp"), documented_builtins()[3].1);
         assert!(MachineDescription::builtin("vax").is_none());
         assert_eq!(
             MachineDescription::builtin("paper").unwrap().spec(),
@@ -995,14 +995,16 @@ mod tests {
 
     #[test]
     fn new_backends_have_the_documented_shapes() {
-        let bwdsp = AguSpec::bwdsp_like();
+        let bwdsp = builtin_spec("bwdsp");
+        assert_eq!(bwdsp, documented_builtins()[4].1);
         assert_eq!(bwdsp.address_registers(), 8);
         assert_eq!(bwdsp.update_range(), UpdateRange::new(0, 1).unwrap());
         assert_eq!(bwdsp.modify_registers(), 2);
         assert_eq!(bwdsp.cost_table().lda(), 2);
         assert_eq!(bwdsp.modify_range(), 0, "asymmetric [0,1] summarizes to 0");
 
-        let saris = AguSpec::saris_like();
+        let saris = builtin_spec("saris");
+        assert_eq!(saris, documented_builtins()[5].1);
         assert_eq!(saris.address_registers(), 8);
         assert_eq!(saris.update_range(), UpdateRange::new(0, 0).unwrap());
         assert_eq!(saris.modify_registers(), 8);
@@ -1012,10 +1014,17 @@ mod tests {
 
     #[test]
     fn parse_round_trips_every_builtin() {
-        for name in MachineDescription::builtin_names() {
-            let m = MachineDescription::builtin(name).unwrap();
-            let parsed = MachineDescription::parse(&m.to_text()).expect(name);
-            assert_eq!(&parsed, &m, "round-trip of {name}");
+        for entry in &BUILTINS {
+            let m = MachineDescription::parse(entry.text).expect(entry.name);
+            assert_eq!(m.name(), entry.name);
+            assert_eq!(
+                m.to_text(),
+                entry.text,
+                "{} is not its own to_text",
+                entry.name
+            );
+            let parsed = MachineDescription::parse(&m.to_text()).expect(entry.name);
+            assert_eq!(parsed, m, "round-trip of {}", entry.name);
         }
     }
 

@@ -8,6 +8,10 @@
 //! its own AST) so that experiments can report whole-loop code-size and
 //! cycle improvements, not just addressing overhead.
 //!
+//! [`suite()`] is built once per process: the first call parses and
+//! lowers every kernel, and later calls return the same `&'static`
+//! slice.
+//!
 //! ## Example
 //!
 //! ```
@@ -20,6 +24,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+
+use std::sync::OnceLock;
 
 use raco_ir::dsl::{self, Expr, ForLoop};
 use raco_ir::LoopSpec;
@@ -399,28 +405,34 @@ pub fn suite_program() -> String {
 }
 
 /// The full default suite, FIR variants included.
-pub fn suite() -> Vec<Kernel> {
-    vec![
-        fir(4),
-        fir(8),
-        biquad(),
-        convolution(),
-        correlation(),
-        dot_product(),
-        vector_add(),
-        n_real_updates(),
-        n_complex_updates(),
-        matmul_inner(8),
-        lms(),
-        lattice(),
-        fft_butterfly(),
-        iir_df1(),
-        decimator(),
-        conv2d(),
-        transpose(),
-        stencil5(),
-        paper_example(),
-    ]
+///
+/// Built once per process, on first use: every later call returns the
+/// same slice without lexing, parsing or lowering any kernel again.
+pub fn suite() -> &'static [Kernel] {
+    static SUITE: OnceLock<Vec<Kernel>> = OnceLock::new();
+    SUITE.get_or_init(|| {
+        vec![
+            fir(4),
+            fir(8),
+            biquad(),
+            convolution(),
+            correlation(),
+            dot_product(),
+            vector_add(),
+            n_real_updates(),
+            n_complex_updates(),
+            matmul_inner(8),
+            lms(),
+            lattice(),
+            fft_butterfly(),
+            iir_df1(),
+            decimator(),
+            conv2d(),
+            transpose(),
+            stencil5(),
+            paper_example(),
+        ]
+    })
 }
 
 #[cfg(test)]
@@ -436,6 +448,11 @@ mod tests {
             assert!(k.compute_ops() > 0, "{} has no compute", k.name());
             assert!(k.spec().validate().is_ok(), "{} invalid", k.name());
         }
+    }
+
+    #[test]
+    fn suite_is_built_once() {
+        assert!(std::ptr::eq(suite(), suite()));
     }
 
     #[test]

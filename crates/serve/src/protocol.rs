@@ -664,7 +664,12 @@ mod tests {
         let envelope = parse_line(r#"{"op":"kernels","machine":"bwdsp"}"#).unwrap();
         assert_eq!(envelope.knobs.machine.as_deref(), Some("bwdsp"));
         let config = envelope.knobs.apply(&base).unwrap();
-        assert_eq!(config.agu, raco_ir::AguSpec::bwdsp_like());
+        let bwdsp = raco_ir::AguSpec::new(8, 1)
+            .unwrap()
+            .with_update_range(UpdateRange::new(0, 1).unwrap())
+            .with_modify_registers(2)
+            .with_cost_table(raco_ir::CostTable::new(2, 1, 1).unwrap());
+        assert_eq!(config.agu, bwdsp);
 
         // Inline description text.
         let knobs = Knobs {
@@ -688,7 +693,7 @@ mod tests {
         assert_eq!(config.agu.address_registers(), 2);
         assert_eq!(
             config.agu.cost_table(),
-            raco_ir::AguSpec::saris_like().cost_table()
+            raco_ir::CostTable::new(1, 2, 1).unwrap()
         );
 
         // Unknown machines and malformed descriptions are positioned,

@@ -1050,6 +1050,30 @@ mod tests {
     }
 
     #[test]
+    fn a_named_kernel_replies_like_a_compile_of_its_source() {
+        let server = server();
+        for kernel in raco_kernels::suite() {
+            for machine in ["paper", "bwdsp"] {
+                let named = parsed(&server.handle_line(&format!(
+                    r#"{{"op":"kernels","kernel":"{}","machine":"{machine}"}}"#,
+                    kernel.name()
+                )));
+                let compiled = parsed(&server.handle_line(&format!(
+                    r#"{{"op":"compile","name":{},"source":{},"machine":"{machine}"}}"#,
+                    Json::Str(kernel.name().to_owned()).render(),
+                    Json::Str(kernel.source().to_owned()).render()
+                )));
+                let what = format!("{} on {machine}", kernel.name());
+                assert_eq!(named.get("ok"), Some(&Json::Bool(true)), "{what}");
+                assert_eq!(units(&named), units(&compiled), "{what}");
+                let machine_of =
+                    |reply: &Json| reply.get("report").and_then(|r| r.get("machine")).cloned();
+                assert_eq!(machine_of(&named), machine_of(&compiled), "{what}");
+            }
+        }
+    }
+
+    #[test]
     fn read_limited_line_caps_and_resynchronizes() {
         let input = format!("short\n{}\nafter\n", "x".repeat(100));
         let mut reader = std::io::BufReader::with_capacity(16, input.as_bytes());

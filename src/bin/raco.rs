@@ -682,4 +682,12 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn usage_names_every_builtin_machine() {
+        let text = usage();
+        for name in raco::ir::MachineDescription::builtin_names() {
+            assert!(text.contains(name), "usage() lacks the built-in `{name}`");
+        }
+    }
 }

@@ -32,10 +32,11 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::LazyLock;
 use std::time::{Duration, Instant};
 
 use raco_driver::{Json, Pipeline, PipelineConfig};
-use raco_ir::AguSpec;
+use raco_ir::{AguSpec, MachineDescription};
 use raco_serve::protocol;
 use raco_serve::Request;
 use rand::rngs::SmallRng;
@@ -321,19 +322,19 @@ pub fn gen_unit(rng: &mut SmallRng) -> GenUnit {
     GenUnit { loops }
 }
 
-/// The machine-description pool random requests draw from: built-in
-/// names plus valid inline `key = value` descriptions (asymmetric
-/// ranges, non-unit cost tables). Every entry must resolve.
-pub const MACHINE_POOL: &[&str] = &[
-    "paper",
-    "tms320c2x",
-    "dsp56k",
-    "adsp210x",
-    "bwdsp",
-    "saris",
-    "address_registers = 3\nupdate_min = 0\nupdate_max = 2\nmodify_registers = 1",
-    "address_registers = 5\nupdate_range = 2\nlda_cost = 3\nadda_cost = 2",
-];
+/// The machine-description pool random requests draw from: the
+/// built-in names ([`MachineDescription::builtin_names`], in their
+/// order) followed by two valid inline `key = value` descriptions
+/// (an asymmetric range, a non-unit cost table). Every entry must
+/// resolve.
+pub static MACHINE_POOL: LazyLock<Vec<&'static str>> = LazyLock::new(|| {
+    let inline = [
+        "address_registers = 3\nupdate_min = 0\nupdate_max = 2\nmodify_registers = 1",
+        "address_registers = 5\nupdate_range = 2\nlda_cost = 3\nadda_cost = 2",
+    ];
+    let builtins = MachineDescription::builtin_names().iter().copied();
+    builtins.chain(inline).collect()
+});
 
 /// Random machine knobs attached to a compile request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1073,8 +1074,12 @@ mod tests {
 
     #[test]
     fn machine_pool_entries_all_resolve() {
-        for entry in MACHINE_POOL {
-            raco_ir::MachineDescription::resolve(entry)
+        // Seeded draws index the pool, so its order and length are
+        // part of every replayable seed.
+        assert_eq!(&MACHINE_POOL[..6], MachineDescription::builtin_names());
+        assert_eq!(MACHINE_POOL.len(), 8);
+        for entry in MACHINE_POOL.iter() {
+            MachineDescription::resolve(entry)
                 .unwrap_or_else(|e| panic!("pool entry {entry:?} must resolve: {e}"));
         }
     }

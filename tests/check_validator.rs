@@ -64,7 +64,7 @@ fn every_kernel_passes_both_oracles_across_machines() {
     let suite = raco::kernels::suite();
     assert!(suite.len() >= 12, "kernel suite shrank to {}", suite.len());
     let mut combinations = 0usize;
-    for kernel in &suite {
+    for kernel in suite {
         for agu in &machines {
             let spec = kernel.spec();
             let Some((layout, program)) = compile(spec, agu) else {
@@ -237,7 +237,7 @@ fn checker_names_the_violated_invariant_for_a_corrupted_kernel() {
     let agu = AguSpec::new(4, 1).unwrap();
     let suite = raco::kernels::suite();
     let mut corrupted_any = false;
-    for kernel in &suite {
+    for kernel in suite {
         let spec = kernel.spec();
         let (layout, program) = compile(spec, &agu).expect("K = 4 fits every kernel");
         let Some(corrupted) = corrupt_first_auto_update(&program) else {

@@ -38,7 +38,7 @@ fn suite_verifies_on_plain_machines() {
                 continue;
             }
             let agu = AguSpec::new(k, 1).unwrap();
-            verify_kernel(&kernel, agu, 16);
+            verify_kernel(kernel, agu, 16);
         }
     }
 }
@@ -50,7 +50,7 @@ fn suite_verifies_with_modify_registers() {
             continue;
         }
         let agu = AguSpec::new(4, 1).unwrap().with_modify_registers(2);
-        verify_kernel(&kernel, agu, 16);
+        verify_kernel(kernel, agu, 16);
     }
 }
 
@@ -63,7 +63,7 @@ fn more_registers_never_cost_more_on_kernels() {
             if arrays > k {
                 continue;
             }
-            let cost = verify_kernel(&kernel, AguSpec::new(k, 1).unwrap(), 8);
+            let cost = verify_kernel(kernel, AguSpec::new(k, 1).unwrap(), 8);
             assert!(
                 cost <= last,
                 "{}: K = {k} costs {cost} > previous {last}",
@@ -101,16 +101,24 @@ fn optimizer_never_loses_to_naive_chaining() {
 
 #[test]
 fn presets_handle_the_suite() {
-    for agu in [
-        AguSpec::tms320c2x_like(),
-        AguSpec::dsp56k_like(),
-        AguSpec::adsp210x_like(),
+    for (name, agu) in [
+        ("tms320c2x", AguSpec::new(8, 1).unwrap()),
+        (
+            "dsp56k",
+            AguSpec::new(8, 1).unwrap().with_modify_registers(4),
+        ),
+        (
+            "adsp210x",
+            AguSpec::new(4, 1).unwrap().with_modify_registers(4),
+        ),
     ] {
+        let builtin = raco::ir::MachineDescription::builtin(name).unwrap();
+        assert_eq!(builtin.spec(), &agu, "{name}");
         for kernel in raco::kernels::suite() {
             if kernel.spec().patterns().len() > agu.address_registers() {
                 continue;
             }
-            verify_kernel(&kernel, agu, 8);
+            verify_kernel(kernel, agu, 8);
         }
     }
 }
