@@ -1,6 +1,7 @@
 //! The end-to-end optimizer: Phase 1 + Phase 2 behind one call.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::sync::{Arc, OnceLock};
 
 use raco_graph::{BbOptions, DistanceModel, PathCover};
@@ -19,9 +20,10 @@ fn phase1_histogram() -> &'static Arc<Histogram> {
     HISTOGRAM.get_or_init(|| raco_obs::global().histogram("core.phase1"))
 }
 
-/// Global latency histogram for Phase-2 merge runs (one observation per
-/// [`Optimizer::best_phase2`] call, so MR selection sweeps record each
-/// register count they evaluate; metric `core.phase2`, nanoseconds).
+/// Global latency histogram for Phase 2 (one observation per
+/// [`Optimizer::best_phase2`] call: a whole cost curve's register range
+/// is one observation, as is one allocation; metric `core.phase2`,
+/// nanoseconds).
 fn phase2_histogram() -> &'static Arc<Histogram> {
     static HISTOGRAM: OnceLock<Arc<Histogram>> = OnceLock::new();
     HISTOGRAM.get_or_init(|| raco_obs::global().histogram("core.phase2"))
@@ -244,7 +246,8 @@ impl Optimizer {
 
     fn allocate_model_with_registers(&self, dm: DistanceModel, k: usize) -> Allocation {
         let prepared = self.prepare_model(dm);
-        let phase2 = self.best_phase2(&prepared.phase1, &prepared.dm, k);
+        let mut reports = self.best_phase2(&prepared.phase1, &prepared.dm, k..=k);
+        let phase2 = reports.pop().expect("one report per count");
         self.finish_allocation(prepared, phase2)
     }
 
@@ -270,56 +273,62 @@ impl Optimizer {
         }
     }
 
-    /// Runs Phase 2 down to `k` registers under the configured cost
-    /// model.
+    /// Runs Phase 2 under the configured cost model and returns the
+    /// report for every register count in `counts` (indexed by
+    /// `k - counts.start()`).
     ///
     /// On machines with modify registers the greedy merge *selection*
-    /// is swept across pricing aggressiveness — each `m' ∈ 0..=MR`
-    /// ranks candidates as if `m'` modify registers were available —
-    /// and every resulting cover is judged under the one true MR-aware
-    /// model; the cheapest wins (ties to the smallest `m'`, i.e. the
-    /// paper's plain greedy). The sweep makes the predicted cost
+    /// runs once per pricing aggressiveness — each `m' ∈ 0..=MR` ranks
+    /// candidates as if `m'` modify registers were available — and
+    /// every resulting cover is judged under the one true MR-aware
+    /// model; per count the cheapest wins (ties to the smallest `m'`,
+    /// i.e. the paper's plain greedy). This makes the predicted cost
     /// monotone in the machine's MR count by construction: the
     /// candidate set only grows with MR, and a fixed cover never gets
     /// more expensive when another modify register appears. With zero
-    /// modify registers (or a non-greedy strategy, where selection
-    /// ignores the model) this is a single plain [`phase2::merge_until`]
-    /// run, byte-identical to the pre-MR behaviour.
-    fn best_phase2(&self, phase1: &Phase1Report, dm: &DistanceModel, k: usize) -> Phase2Report {
-        phase2_histogram().time(|| self.best_phase2_inner(phase1, dm, k))
-    }
-
-    fn best_phase2_inner(
+    /// modify registers this is a single plain run, byte-identical to
+    /// the pre-MR behaviour; a non-greedy strategy is not swept either
+    /// and selects under the machine's own model. Each selection is one
+    /// [`phase2::merge_down`] run over the whole range.
+    fn best_phase2(
         &self,
         phase1: &Phase1Report,
         dm: &DistanceModel,
-        k: usize,
-    ) -> Phase2Report {
+        counts: RangeInclusive<usize>,
+    ) -> Vec<Phase2Report> {
         let model = self.options.cost_model;
-        let mr = model.modify_registers();
-        if mr == 0 || self.options.strategy != MergeStrategy::GreedyMinCost {
-            return phase2::merge_until(phase1.cover(), k, dm, model, self.options.strategy);
-        }
+        let strategy = self.options.strategy;
         // A cover has exactly one step per access, so selection pricing
         // beyond `len` distinct deltas cannot change any ranking.
-        let cap = mr.min(dm.len());
-        let mut best: Option<(u32, Phase2Report)> = None;
-        for priced in 0..=cap {
-            let selection = model.with_modify_registers(priced);
-            let report = phase2::merge_until_with_selection(
-                phase1.cover(),
-                k,
-                dm,
-                model,
-                selection,
-                self.options.strategy,
-            );
-            let cost = model.cover_cost(report.cover(), dm);
-            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                best = Some((cost, report));
-            }
-        }
-        best.expect("sweep runs at least once").1
+        let selections: Vec<CostModel> = match strategy {
+            MergeStrategy::GreedyMinCost => (0..=model.modify_registers().min(dm.len()))
+                .map(|priced| model.with_modify_registers(priced))
+                .collect(),
+            _ => vec![model],
+        };
+        phase2_histogram().time(|| {
+            selections
+                .into_iter()
+                .map(|selection| {
+                    phase2::merge_down(
+                        phase1.cover(),
+                        counts.clone(),
+                        dm,
+                        model,
+                        selection,
+                        strategy,
+                    )
+                })
+                .reduce(|mut best, reports| {
+                    for (kept, report) in best.iter_mut().zip(reports) {
+                        if report.final_cost() < kept.final_cost() {
+                            *kept = report;
+                        }
+                    }
+                    best
+                })
+                .expect("at least one selection")
+        })
     }
 
     /// Allocates every array of a loop, distributing the `K` registers
@@ -345,13 +354,12 @@ impl Optimizer {
     /// its granted register count — asking `memo` for every curve and
     /// every allocation before computing it.
     ///
-    /// Phase 1 runs at most once per pattern: a curve miss keeps its
-    /// prepared Phase-1 state (and, on machines with modify registers,
-    /// the selection sweep's Phase-2 report for every register count),
-    /// and an allocation miss for the same pattern reuses it. A memo
-    /// that answers correctly leaves the result unchanged: it equals
-    /// [`allocate_loop`](Self::allocate_loop) on a loop with these
-    /// patterns.
+    /// Phase 1 and Phase 2 run at most once per pattern: a curve miss
+    /// keeps its prepared Phase-1 state and its Phase-2 report for every
+    /// register count, and an allocation miss for the same pattern takes
+    /// the report at its count. A memo that answers correctly leaves the
+    /// result unchanged: it equals [`allocate_loop`](Self::allocate_loop)
+    /// on a loop with these patterns.
     ///
     /// # Errors
     ///
@@ -373,7 +381,8 @@ impl Optimizer {
             });
         }
         // What each curve miss computed on the way — Phase-1 state and
-        // the MR sweep's reports — kept for that pattern's allocation.
+        // the report per register count — kept for that pattern's
+        // allocation.
         let mut kept: Vec<Option<(PreparedPattern, Vec<Phase2Report>)>> =
             std::iter::repeat_with(|| None)
                 .take(patterns.len())
@@ -402,12 +411,7 @@ impl Optimizer {
             .map(|(i, ((p, slot), &ka))| {
                 let allocation = memo.allocation(i, ka, || match slot {
                     Some((prep, mut reports)) => {
-                        let phase2 = if ka <= reports.len() {
-                            reports.swap_remove(ka - 1)
-                        } else {
-                            self.best_phase2(&prep.phase1, &prep.dm, ka)
-                        };
-                        self.finish_allocation(prep, phase2)
+                        self.finish_allocation(prep, reports.swap_remove(ka - 1))
                     }
                     None => self.allocate_with_registers(p, ka),
                 });
@@ -433,11 +437,11 @@ impl Optimizer {
     /// The cost of allocating `pattern` with `1..=k_max` registers, as a
     /// vector indexed by `k - 1`.
     ///
-    /// Computed from a single merge trajectory (merging from `K̃` all the
-    /// way down to one register), so a whole register sweep costs one
-    /// allocation. A budget of `k` registers admits any allocation with
-    /// **at most** `k` paths, so the value at `k` is the minimum
-    /// trajectory cost over register counts `<= k` — this matters when
+    /// Computed from one merge run per selection (see
+    /// [`phase2::merge_down`]), so a whole register sweep costs about
+    /// one allocation. A budget of `k` registers admits any allocation
+    /// with **at most** `k` paths, so the value at `k` is the minimum
+    /// allocation cost over register counts `<= k` — this matters when
     /// Phase 1 fell back to a relaxed cover, where merging can *reduce*
     /// cost (paths that individually pay their wraps combine into a
     /// cheaper chain). The curve is therefore non-increasing in `k` by
@@ -448,55 +452,25 @@ impl Optimizer {
         self.curve_from(&prepared, k_max).0
     }
 
-    /// Computes the cost curve from prepared Phase-1 state. The MR
-    /// selection sweep's per-`k` Phase-2 reports are returned alongside
-    /// the curve (indexed by `k - 1`) so a caller that goes on to
-    /// allocate at one of the swept counts can reuse the report instead
-    /// of re-running the sweep; on the single-trajectory path the
-    /// report vector is empty.
+    /// Computes the cost curve from prepared Phase-1 state, with the
+    /// Phase-2 report behind each entry (indexed by `k - 1`) so a caller
+    /// that goes on to allocate at one of these counts takes the report
+    /// instead of merging again.
     fn curve_from(
         &self,
         prepared: &PreparedPattern,
         k_max: usize,
     ) -> (Vec<u32>, Vec<Phase2Report>) {
-        let PreparedPattern { dm, phase1 } = prepared;
-        if self.options.cost_model.modify_registers() > 0
-            && self.options.strategy == MergeStrategy::GreedyMinCost
-        {
-            // MR-aware greedy allocations come out of a selection sweep
-            // (see best_phase2), whose result a single merge trajectory
-            // cannot reproduce — run the sweep per register count so
-            // curve entries equal what allocation at that count costs.
-            let mut reports = Vec::with_capacity(k_max);
-            let mut running_min = u32::MAX;
-            let curve = (1..=k_max)
-                .map(|k| {
-                    let phase2 = self.best_phase2(phase1, dm, k);
-                    let at_k = self.options.cost_model.cover_cost(phase2.cover(), dm);
-                    reports.push(phase2);
-                    running_min = running_min.min(at_k);
-                    running_min
-                })
-                .collect();
-            return (curve, reports);
-        }
-        let base_cost = self.options.cost_model.cover_cost(phase1.cover(), dm);
-        let phase2 = phase2::merge_until(
-            phase1.cover(),
-            1,
-            dm,
-            self.options.cost_model,
-            self.options.strategy,
-        );
+        let reports = self.best_phase2(&prepared.phase1, &prepared.dm, 1..=k_max);
         let mut running_min = u32::MAX;
-        let curve = (1..=k_max)
-            .map(|k| {
-                let at_k = phase2.cost_at(k).unwrap_or(base_cost);
-                running_min = running_min.min(at_k);
+        let curve = reports
+            .iter()
+            .map(|report| {
+                running_min = running_min.min(report.final_cost());
                 running_min
             })
             .collect();
-        (curve, Vec::new())
+        (curve, reports)
     }
 }
 

@@ -9,6 +9,8 @@
 //! [`MergeStrategy`] variants, together with a deliberately bad
 //! worst-case strategy for ablation studies.
 
+use std::ops::RangeInclusive;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -103,15 +105,6 @@ impl Phase2Report {
         &self.cost_trajectory
     }
 
-    /// The cost the trajectory reports for `k` registers, if the
-    /// trajectory passed through `k`.
-    pub fn cost_at(&self, k: usize) -> Option<u32> {
-        self.cost_trajectory
-            .iter()
-            .find(|&&(count, _)| count == k)
-            .map(|&(_, cost)| cost)
-    }
-
     /// The predicted cost of the final cover — the last trajectory
     /// entry, evaluated under the accounting cost model the merge ran
     /// with (MR-aware on machines with modify registers).
@@ -120,6 +113,27 @@ impl Phase2Report {
             .last()
             .map(|&(_, cost)| cost)
             .unwrap_or(0)
+    }
+
+    /// Merges paths `i` and `j` of the cover, recording the step under
+    /// `account`.
+    fn merge(&mut self, (i, j): (usize, usize), dm: &DistanceModel, account: CostModel) {
+        let (pi, pj) = (&self.cover.paths()[i], &self.cover.paths()[j]);
+        let paths_before = self.cover.register_count();
+        let merged_lengths = (pi.len(), pj.len());
+        let merged_path_cost = account.merged_path_cost(pi, pj, dm);
+        self.cover
+            .merge_pair(i, j)
+            .expect("cover paths are disjoint");
+        let total_cost_after = account.cover_cost(&self.cover, dm);
+        self.records.push(MergeRecord {
+            paths_before,
+            merged_lengths,
+            merged_path_cost,
+            total_cost_after,
+        });
+        self.cost_trajectory
+            .push((self.cover.register_count(), total_cost_after));
     }
 }
 
@@ -136,6 +150,9 @@ impl Phase2Report {
 /// for zero-cost Phase-1 covers every merge costs at least one update, so
 /// the greedy result uses exactly `min(k, K̃)` registers. The baseline
 /// strategies stop at `k` paths, faithful to the paper's naive allocator.
+///
+/// This is [`merge_down`] over the single count `k`, with one model in
+/// both roles.
 ///
 /// # Panics
 ///
@@ -157,7 +174,7 @@ impl Phase2Report {
 ///     MergeStrategy::GreedyMinCost,
 /// );
 /// assert_eq!(report.cover().register_count(), 2);
-/// assert!(report.cost_at(2).unwrap() >= 1); // every merge costs ≥ 1
+/// assert!(report.final_cost() >= 1); // every merge costs ≥ 1
 /// ```
 pub fn merge_until(
     cover: &PathCover,
@@ -166,10 +183,21 @@ pub fn merge_until(
     cost_model: CostModel,
     strategy: MergeStrategy,
 ) -> Phase2Report {
-    merge_until_with_selection(cover, k, dm, cost_model, cost_model, strategy)
+    let mut reports = merge_down(cover, k..=k, dm, cost_model, cost_model, strategy);
+    reports.pop().expect("one report per count")
 }
 
-/// [`merge_until`] with the cost model split into two roles:
+/// The [`merge_until`] report for every register count in `counts`
+/// (indexed by `k - counts.start()`), from one merge run.
+///
+/// The main loop picks its pair without reading the target count, so
+/// the run to `k - 1` is the run to `k` plus one step: it runs once,
+/// from `cover` down to the smallest count. At each count it passes,
+/// the greedy strategy's opportunistic phase continues from a copy of
+/// the state reached there; its first candidate scan is the one the
+/// main loop's next step ranks too.
+///
+/// The cost model has two roles:
 ///
 /// * `account` prices every recorded cost — merge records, the cost
 ///   trajectory, and therefore the final predicted cost. On machines
@@ -181,216 +209,186 @@ pub fn merge_until(
 ///   zero cycles when one of `selection`'s modify registers would hold
 ///   it, steering merges toward covers whose over-range deltas repeat.
 ///
-/// Splitting the roles lets `Optimizer` sweep selection aggressiveness
-/// (`0..=MR` priced registers) while every candidate is judged under
-/// the one true machine model — which is what makes the final predicted
-/// cost monotone in the machine's modify-register count.
+/// Splitting the roles lets `Optimizer` run one trajectory per
+/// selection aggressiveness (`0..=MR` priced registers) while every
+/// candidate is judged under the one true machine model — which is what
+/// makes the final predicted cost monotone in the machine's
+/// modify-register count.
 ///
 /// # Panics
 ///
-/// Panics if `k == 0`.
-pub fn merge_until_with_selection(
+/// Panics if `counts` starts at zero.
+pub fn merge_down(
     cover: &PathCover,
-    k: usize,
+    counts: RangeInclusive<usize>,
     dm: &DistanceModel,
     account: CostModel,
     selection: CostModel,
     strategy: MergeStrategy,
-) -> Phase2Report {
-    assert!(k > 0, "cannot allocate to zero registers");
-    let mut cover = cover.clone();
-    let mut records = Vec::new();
-    let mut trajectory = vec![(cover.register_count(), account.cover_cost(&cover, dm))];
+) -> Vec<Phase2Report> {
+    assert!(*counts.start() > 0, "cannot allocate to zero registers");
+    let mut run = Run {
+        report: Phase2Report {
+            cover: cover.clone(),
+            records: Vec::new(),
+            cost_trajectory: vec![(cover.register_count(), account.cover_cost(cover, dm))],
+        },
+        candidates: None,
+    };
     let mut rng = match strategy {
         MergeStrategy::Random { seed } => Some(SmallRng::seed_from_u64(seed)),
         _ => None,
     };
-    while cover.register_count() > k {
-        let paths_before = cover.register_count();
-        let (i, j) = select_pair(&cover, dm, selection, strategy, rng.as_mut());
-        let merged_lengths = (cover.paths()[i].len(), cover.paths()[j].len());
-        let merged_path_cost = account.merged_path_cost(&cover.paths()[i], &cover.paths()[j], dm);
-        cover.merge_pair(i, j).expect("cover paths are disjoint");
-        let total_cost_after = account.cover_cost(&cover, dm);
-        records.push(MergeRecord {
-            paths_before,
-            merged_lengths,
-            merged_path_cost,
-            total_cost_after,
-        });
-        trajectory.push((cover.register_count(), total_cost_after));
-    }
-    // Opportunistic phase: keep merging while it strictly pays off
-    // (relaxed Phase-1 covers only; see the function docs). A cover that
-    // pays no step at all cannot get cheaper, so it skips the scan.
-    if strategy == MergeStrategy::GreedyMinCost {
-        while cover.register_count() >= 2 && cover.total_cost(dm, selection.includes_wrap()) > 0 {
-            let Some((i, j, marginal)) = best_marginal_pair(&cover, dm, selection) else {
-                break;
+    let mut reports: Vec<Phase2Report> = Vec::with_capacity(counts.clone().count());
+    for k in counts.rev() {
+        let steps = run.report.records.len();
+        while run.report.cover.register_count() > k {
+            let pair = match strategy {
+                MergeStrategy::FirstPair => (0, 1),
+                MergeStrategy::Random { .. } => {
+                    let rng = rng.as_mut().expect("random strategy carries an RNG");
+                    let p = run.report.cover.register_count();
+                    let i = rng.gen_range(0..p);
+                    let j = rng.gen_range(0..p - 1);
+                    let j = if j >= i { j + 1 } else { j };
+                    (i.min(j), i.max(j))
+                }
+                MergeStrategy::GreedyMinCost => best(run.candidates(dm, selection), |&c| c).3,
+                // Invert the primary criterion; tie-breaks stay
+                // deterministic.
+                MergeStrategy::WorstCost => {
+                    let candidates = run.candidates(dm, selection);
+                    best(candidates, |&(c, m, l, pair)| (u32::MAX - c, -m, l, pair)).3
+                }
             };
+            run.merge(pair, dm, account);
+        }
+        let report = match reports.last() {
+            // No merge since the previous count: same state, same report.
+            Some(previous) if run.report.records.len() == steps => previous.clone(),
+            _ if strategy == MergeStrategy::GreedyMinCost => {
+                run.merge_while_it_pays(dm, account, selection)
+            }
+            _ => run.report.clone(),
+        };
+        reports.push(report);
+    }
+    reports.reverse();
+    reports
+}
+
+/// A merge candidate `P_i ⊕ P_j` priced under the selection model:
+/// `(cost, marginal cost, merged length, (i, j))` — the greedy rank.
+///
+/// Without modify registers the costs are the paper's path-local
+/// `C(P_i ⊕ P_j)` and `C(P_i ⊕ P_j) - C(P_i) - C(P_j)`. With modify
+/// registers a delta is free when one of the model's registers would
+/// hold it, and which deltas those are depends on every path's step
+/// frequencies. So the cost is the whole cover's cost after the merge,
+/// and the marginal cost is that less the cost before, which ranks
+/// exactly as the cost does.
+type Candidate = (u32, i64, usize, (usize, usize));
+
+/// Prices every merge candidate of `cover` under `model`, in `(i, j)`
+/// order.
+fn price_candidates(cover: &PathCover, dm: &DistanceModel, model: CostModel) -> Vec<Candidate> {
+    let paths = cover.paths();
+    let pairs = (0..paths.len()).flat_map(|i| (i + 1..paths.len()).map(move |j| (i, j)));
+    let candidate = |(i, j): (usize, usize), cost: u32, marginal: i64| {
+        (cost, marginal, paths[i].len() + paths[j].len(), (i, j))
+    };
+    if model.modify_registers() > 0 {
+        let before = i64::from(model.cover_cost(cover, dm));
+        return pairs
+            .map(|(i, j)| {
+                let mut merged_cover = cover.clone();
+                merged_cover
+                    .merge_pair(i, j)
+                    .expect("cover paths are disjoint");
+                let cost = model.cover_cost(&merged_cover, dm);
+                candidate((i, j), cost, i64::from(cost) - before)
+            })
+            .collect();
+    }
+    let path_costs: Vec<i64> = paths
+        .iter()
+        .map(|path| i64::from(model.path_cost(path, dm)))
+        .collect();
+    pairs
+        .map(|(i, j)| {
+            let cost = model.merged_path_cost(&paths[i], &paths[j], dm);
+            candidate(
+                (i, j),
+                cost,
+                i64::from(cost) - path_costs[i] - path_costs[j],
+            )
+        })
+        .collect()
+}
+
+/// The candidate with the smallest `rank`. Every rank ends in the pair
+/// `(i, j)`, so no two candidates tie and selection is deterministic.
+fn best<R: Ord>(candidates: &[Candidate], rank: impl Fn(&Candidate) -> R) -> Candidate {
+    *candidates
+        .iter()
+        .min_by_key(|c| rank(c))
+        .expect("at least one pair exists")
+}
+
+/// A merge in progress: the report so far and, once priced, the merge
+/// candidates of its cover. The candidates are priced at most once per
+/// state, so the opportunistic phase at a count and the main loop's
+/// next step share one scan.
+struct Run {
+    report: Phase2Report,
+    candidates: Option<Vec<Candidate>>,
+}
+
+impl Run {
+    fn candidates(&mut self, dm: &DistanceModel, selection: CostModel) -> &[Candidate] {
+        let cover = &self.report.cover;
+        self.candidates
+            .get_or_insert_with(|| price_candidates(cover, dm, selection))
+    }
+
+    fn merge(&mut self, pair: (usize, usize), dm: &DistanceModel, account: CostModel) {
+        self.candidates = None;
+        self.report.merge(pair, dm, account);
+    }
+
+    /// The greedy strategy's opportunistic phase, run on a copy of this
+    /// state: keep merging the pair with the smallest marginal cost
+    /// while that strictly pays off (relaxed Phase-1 covers only; see
+    /// [`merge_until`]). A cover that pays no step at all cannot get
+    /// cheaper, so it skips the scan.
+    fn merge_while_it_pays(
+        &mut self,
+        dm: &DistanceModel,
+        account: CostModel,
+        selection: CostModel,
+    ) -> Phase2Report {
+        // The copy is made at the first merge that pays; until then the
+        // scan is this state's own.
+        let mut copy: Option<Run> = None;
+        loop {
+            let run = copy.as_mut().unwrap_or(&mut *self);
+            let cover = &run.report.cover;
+            if cover.register_count() < 2 || cover.total_cost(dm, selection.includes_wrap()) == 0 {
+                break;
+            }
+            let (_, marginal, _, pair) = best(run.candidates(dm, selection), |&(_, m, l, pair)| {
+                (m, l, pair)
+            });
             if marginal >= 0 {
                 break;
             }
-            let paths_before = cover.register_count();
-            let merged_lengths = (cover.paths()[i].len(), cover.paths()[j].len());
-            let merged_path_cost =
-                account.merged_path_cost(&cover.paths()[i], &cover.paths()[j], dm);
-            cover.merge_pair(i, j).expect("cover paths are disjoint");
-            let total_cost_after = account.cover_cost(&cover, dm);
-            records.push(MergeRecord {
-                paths_before,
-                merged_lengths,
-                merged_path_cost,
-                total_cost_after,
-            });
-            trajectory.push((cover.register_count(), total_cost_after));
+            copy.get_or_insert_with(|| Run {
+                report: self.report.clone(),
+                candidates: None,
+            })
+            .merge(pair, dm, account);
         }
-    }
-    Phase2Report {
-        cover,
-        records,
-        cost_trajectory: trajectory,
-    }
-}
-
-/// The pair with the smallest marginal merge cost
-/// (`C(P_i ⊕ P_j) - C(P_i) - C(P_j)`), or `None` for single-path covers.
-/// Ranking key of a merge candidate in the opportunistic phase.
-type MarginalRank = (i64, usize, usize, usize);
-
-fn best_marginal_pair(
-    cover: &PathCover,
-    dm: &DistanceModel,
-    cost_model: CostModel,
-) -> Option<(usize, usize, i64)> {
-    let p = cover.register_count();
-    if p < 2 {
-        return None;
-    }
-    if cost_model.modify_registers() > 0 {
-        let before = i64::from(cost_model.cover_cost(cover, dm));
-        let (i, j, cost_after) = best_mr_aware_pair(cover, dm, cost_model, false);
-        return Some((i, j, i64::from(cost_after) - before));
-    }
-    let path_costs: Vec<i64> = cover
-        .paths()
-        .iter()
-        .map(|path| i64::from(cost_model.path_cost(path, dm)))
-        .collect();
-    let mut best: Option<(MarginalRank, (usize, usize))> = None;
-    for i in 0..p {
-        for j in (i + 1)..p {
-            let (pi, pj) = (&cover.paths()[i], &cover.paths()[j]);
-            let marginal =
-                i64::from(cost_model.merged_path_cost(pi, pj, dm)) - path_costs[i] - path_costs[j];
-            let rank = (marginal, pi.len() + pj.len(), i, j);
-            if best.as_ref().is_none_or(|(r, _)| rank < *r) {
-                best = Some((rank, (i, j)));
-            }
-        }
-    }
-    best.map(|((marginal, _, _, _), (i, j))| (i, j, marginal))
-}
-
-/// The MR-aware merge candidate scan shared by greedy selection and the
-/// opportunistic marginal search: with modify registers, a candidate is
-/// judged by the cost of the *whole cover after the merge* — a delta is
-/// free when one of the model's registers would hold it, and which
-/// deltas those are depends on every path's step frequencies, not just
-/// the merged pair's. Returns the selected `(i, j)` plus the cover cost
-/// after that merge; `worst` inverts the primary criterion (ablation).
-/// Ties break toward shorter merged paths, then smaller indices, so
-/// selection stays deterministic.
-///
-/// # Panics
-///
-/// Panics if the cover has fewer than two paths (callers check).
-fn best_mr_aware_pair(
-    cover: &PathCover,
-    dm: &DistanceModel,
-    cost_model: CostModel,
-    worst: bool,
-) -> (usize, usize, u32) {
-    /// Ranking key of an MR-aware candidate: primary criterion, merged
-    /// length, then the pair indices.
-    type MrAwareRank = (u32, usize, usize, usize);
-    let p = cover.register_count();
-    let mut best: Option<(MrAwareRank, (usize, usize, u32))> = None;
-    for i in 0..p {
-        for j in (i + 1)..p {
-            let mut merged_cover = cover.clone();
-            merged_cover
-                .merge_pair(i, j)
-                .expect("cover paths are disjoint");
-            let cost = cost_model.cover_cost(&merged_cover, dm);
-            let primary = if worst { u32::MAX - cost } else { cost };
-            let merged_len = cover.paths()[i].len() + cover.paths()[j].len();
-            let rank = (primary, merged_len, i, j);
-            if best.as_ref().is_none_or(|(r, _)| rank < *r) {
-                best = Some((rank, (i, j, cost)));
-            }
-        }
-    }
-    best.expect("at least one pair exists").1
-}
-
-/// Ranking key of a merge candidate in the greedy/worst strategies.
-type GreedyRank = (u32, i64, usize, usize, usize);
-
-fn select_pair(
-    cover: &PathCover,
-    dm: &DistanceModel,
-    cost_model: CostModel,
-    strategy: MergeStrategy,
-    rng: Option<&mut SmallRng>,
-) -> (usize, usize) {
-    let p = cover.register_count();
-    debug_assert!(p >= 2);
-    match strategy {
-        MergeStrategy::FirstPair => (0, 1),
-        MergeStrategy::Random { .. } => {
-            let rng = rng.expect("random strategy carries an RNG");
-            let i = rng.gen_range(0..p);
-            let mut j = rng.gen_range(0..p - 1);
-            if j >= i {
-                j += 1;
-            }
-            (i.min(j), i.max(j))
-        }
-        MergeStrategy::GreedyMinCost | MergeStrategy::WorstCost
-            if cost_model.modify_registers() > 0 =>
-        {
-            let (i, j, _) =
-                best_mr_aware_pair(cover, dm, cost_model, strategy == MergeStrategy::WorstCost);
-            (i, j)
-        }
-        MergeStrategy::GreedyMinCost | MergeStrategy::WorstCost => {
-            let path_costs: Vec<i64> = cover
-                .paths()
-                .iter()
-                .map(|p| i64::from(cost_model.path_cost(p, dm)))
-                .collect();
-            let mut best: Option<(GreedyRank, (usize, usize))> = None;
-            for i in 0..p {
-                for j in (i + 1)..p {
-                    let (pi, pj) = (&cover.paths()[i], &cover.paths()[j]);
-                    let merged_len = pi.len() + pj.len();
-                    let cost = cost_model.merged_path_cost(pi, pj, dm);
-                    let marginal = i64::from(cost) - path_costs[i] - path_costs[j];
-                    let rank = if strategy == MergeStrategy::WorstCost {
-                        // Invert the primary criterion; tie-breaks stay
-                        // deterministic.
-                        (u32::MAX - cost, -marginal, merged_len, i, j)
-                    } else {
-                        (cost, marginal, merged_len, i, j)
-                    };
-                    if best.as_ref().is_none_or(|(r, _)| rank < *r) {
-                        best = Some((rank, (i, j)));
-                    }
-                }
-            }
-            best.expect("at least one pair exists").1
-        }
+        copy.map_or_else(|| self.report.clone(), |run| run.report)
     }
 }
 
@@ -462,10 +460,12 @@ mod tests {
             CostModel::steady_state(),
             MergeStrategy::GreedyMinCost,
         );
-        assert_eq!(r.cost_at(3), Some(0));
-        assert!(r.cost_at(2).unwrap() >= 1);
-        assert!(r.cost_at(1).unwrap() >= r.cost_at(2).unwrap());
-        assert_eq!(r.cost_at(7), None);
+        let trajectory = r.cost_trajectory();
+        let counts: Vec<usize> = trajectory.iter().map(|&(k, _)| k).collect();
+        assert_eq!(counts, [3, 2, 1]);
+        assert_eq!(trajectory[0].1, 0);
+        assert!(trajectory[1].1 >= 1);
+        assert!(trajectory[2].1 >= trajectory[1].1);
     }
 
     #[test]
@@ -486,10 +486,10 @@ mod tests {
             MergeStrategy::WorstCost,
         );
         assert!(
-            greedy.cost_at(1).unwrap() <= worst.cost_at(1).unwrap(),
+            greedy.final_cost() <= worst.final_cost(),
             "greedy {} vs worst {}",
-            greedy.cost_at(1).unwrap(),
-            worst.cost_at(1).unwrap()
+            greedy.final_cost(),
+            worst.final_cost()
         );
     }
 
@@ -608,6 +608,43 @@ mod tests {
             MergeStrategy::FirstPair,
         );
         assert_eq!(naive.cover().register_count(), 2);
+    }
+
+    #[test]
+    fn one_run_reports_every_count_as_a_run_to_that_count() {
+        // Relaxed (stride 3) and zero-cost Phase-1 covers, with selection
+        // priced with and without modify registers: the report at each
+        // count equals a separate run to that count.
+        for (offsets, stride, relaxed) in [
+            (&[1, 0, 2, -1, 1, 0, -2][..], 1, false),
+            (&[0, 4, -3, 9, 1, 2], 3, true),
+        ] {
+            let dm = DistanceModel::from_offsets(offsets, stride, 1);
+            let phase1 = crate::phase1::run(&dm, raco_graph::BbOptions::default());
+            let outcome_is_relaxed = phase1.outcome() == crate::Phase1Outcome::Relaxed;
+            assert_eq!(outcome_is_relaxed, relaxed, "precondition");
+            let account = CostModel::steady_state().with_modify_registers(2);
+            for selection in [account.with_modify_registers(0), account] {
+                for strategy in [
+                    MergeStrategy::GreedyMinCost,
+                    MergeStrategy::FirstPair,
+                    MergeStrategy::Random { seed: 7 },
+                    MergeStrategy::WorstCost,
+                ] {
+                    let all = merge_down(phase1.cover(), 1..=8, &dm, account, selection, strategy);
+                    assert_eq!(all.len(), 8);
+                    for (k, report) in (1..=8).zip(&all) {
+                        let alone =
+                            merge_down(phase1.cover(), k..=k, &dm, account, selection, strategy);
+                        assert_eq!(
+                            alone.as_slice(),
+                            std::slice::from_ref(report),
+                            "{strategy:?} k = {k}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,17 +1,30 @@
 //! The allocator's phase histograms in the process-global metrics
 //! registry. This is its own test binary so that no other test in the
-//! process runs Phase 1 while the exact count is asserted.
+//! process runs Phase 1 or Phase 2 while the exact counts are asserted.
 
 use raco_core::Optimizer;
 use raco_ir::{AccessPattern, AguSpec};
 
 #[test]
 fn core_phase_histograms_accumulate() {
-    let opt = Optimizer::new(AguSpec::new(2, 1).unwrap());
+    let counts = || {
+        let registry = raco_obs::global();
+        let phase1 = registry.histogram("core.phase1").snapshot().count;
+        let phase2 = registry.histogram("core.phase2").snapshot().count;
+        (phase1, phase2)
+    };
     let paper_pattern = AccessPattern::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1);
-    let before = raco_obs::global().histogram("core.phase1").snapshot().count;
-    let _ = opt.allocate(&paper_pattern);
-    let after = raco_obs::global().histogram("core.phase1").snapshot().count;
-    assert_eq!(after, before + 1, "one Phase-1 run per allocation");
-    assert!(raco_obs::global().histogram("core.phase2").snapshot().count >= 1);
+    let before = counts();
+    let _ = Optimizer::new(AguSpec::new(2, 1).unwrap()).allocate(&paper_pattern);
+    assert_eq!(
+        counts(),
+        (before.0 + 1, before.1 + 1),
+        "one run of each phase per allocation"
+    );
+    // A whole cost curve is one Phase-2 observation, modify registers
+    // (one merge run per priced count) included.
+    let before = counts();
+    let mr = Optimizer::new(AguSpec::new(4, 1).unwrap().with_modify_registers(2));
+    let _ = mr.cost_curve(&paper_pattern, 4);
+    assert_eq!(counts(), (before.0 + 1, before.1 + 1), "one run per curve");
 }

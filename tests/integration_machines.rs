@@ -5,7 +5,9 @@
 //! toolchain: every kernel compiles with predicted == measured under
 //! both validation oracles, the three nested kernels pin byte-identical
 //! golden listings, and a corrupted post-modify / stream update is
-//! caught by a *named* checker invariant per description.
+//! caught by a *named* checker invariant per description. On all six
+//! built-ins, a seeded pattern set pins every cost curve and every
+//! Phase-2 report byte for byte (`tests/fixtures/phase2_reports.txt`).
 
 use raco::agu::codegen::CodeGenerator;
 use raco::agu::isa::{AddressInstr, AddressProgram, Update};
@@ -13,7 +15,9 @@ use raco::agu::sim;
 use raco::check;
 use raco::core::Optimizer;
 use raco::driver::{Parallelism, Pipeline, PipelineConfig};
-use raco::ir::{AguSpec, LoopSpec, MachineDescription, MemoryLayout, Trace};
+use raco::ir::{AccessPattern, AguSpec, LoopSpec, MachineDescription, MemoryLayout, Trace};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 const NEW_MACHINES: [&str; 2] = ["bwdsp", "saris"];
 
@@ -268,4 +272,80 @@ fn corrupted_bwdsp_post_modify_trips_a_named_invariant() {
 #[test]
 fn corrupted_saris_stream_update_trips_a_named_invariant() {
     mutation_is_caught("saris", corrupt_stream_update);
+}
+
+/// The seeded pattern set of the Phase-2 fixture: 1–12 accesses at
+/// offsets −4..=4, strides 1, −1, 2 and 3 (2 and 3 leave no zero-cost
+/// cover on unit-range machines, so Phase 1 falls back to relaxed covers).
+fn phase2_fixture_patterns() -> Vec<(Vec<i64>, i64)> {
+    let mut rng = SmallRng::seed_from_u64(26);
+    (0..40)
+        .map(|_| {
+            let len = rng.gen_range(1..=12usize);
+            let offsets = (0..len).map(|_| rng.gen_range(-4..=4i64)).collect();
+            let stride = [1, -1, 2, 3][rng.gen_range(0..4usize)];
+            (offsets, stride)
+        })
+        .collect()
+}
+
+/// Every (built-in machine, pattern) case: the cost curve for
+/// `1..=K`, then for each `k` the allocation at `k` registers — its
+/// cost, final cover, merge records (`paths before: merged lengths ->
+/// merged path cost / total after`) and cost trajectory.
+fn phase2_report_cases() -> String {
+    let mut out = String::new();
+    for &machine in MachineDescription::builtin_names() {
+        let agu = spec_for(machine);
+        let k_max = agu.address_registers();
+        let optimizer = Optimizer::new(agu);
+        for (offsets, stride) in phase2_fixture_patterns() {
+            let pattern = AccessPattern::from_offsets(&offsets, stride);
+            let curve = optimizer.cost_curve(&pattern, k_max);
+            out.push_str(&format!(
+                "{machine} {offsets:?} stride {stride}: curve {curve:?}\n"
+            ));
+            for k in 1..=k_max {
+                let alloc = optimizer.allocate_with_registers(&pattern, k);
+                let phase2 = alloc.phase2();
+                let records: Vec<String> = phase2
+                    .records()
+                    .iter()
+                    .map(|r| {
+                        format!(
+                            "{}:{}+{}->{}/{}",
+                            r.paths_before,
+                            r.merged_lengths.0,
+                            r.merged_lengths.1,
+                            r.merged_path_cost,
+                            r.total_cost_after
+                        )
+                    })
+                    .collect();
+                out.push_str(&format!(
+                    "  k={k} cost {} cover {} records [{}] trajectory {:?}\n",
+                    alloc.cost(),
+                    alloc.cover(),
+                    records.join(" "),
+                    phase2.cost_trajectory()
+                ));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn phase2_reports_match_the_golden_fixture() {
+    let expected = fixture("phase2_reports.txt");
+    let actual = phase2_report_cases();
+    if let Some((line, (want, got))) = expected
+        .lines()
+        .zip(actual.lines())
+        .enumerate()
+        .find(|(_, (want, got))| want != got)
+    {
+        panic!("line {}: expected\n  {want}\ngot\n  {got}", line + 1);
+    }
+    assert_eq!(actual, expected, "Phase-2 reports drifted from the fixture");
 }

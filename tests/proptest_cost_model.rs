@@ -14,9 +14,12 @@
 //! * **zero-MR identity** — on machines without modify registers the
 //!   allocation is byte-identical to the pre-change model (the paper's
 //!   Figure 1 reproduction cannot drift);
+//! * **curve ≡ allocation** — on every built-in machine, the cost curve
+//!   at `k` is the cheapest allocation with at most `k` registers;
 //! * **certified optimality** — the exact oracle, pricing with the same
-//!   model, never exceeds the allocator's cost (asymmetric free-update
-//!   windows `[lo, hi]` within `[-2, 2]`, MR 0..=2, ADDA 1..=3);
+//!   model, never exceeds the allocator's cost nor any cost-curve entry
+//!   (asymmetric free-update windows `[lo, hi]` within `[-2, 2]`,
+//!   MR 0..=2, ADDA 1..=3);
 //! * **cache-key soundness** — machines differing only in MR count
 //!   never share allocation-cache entries, in memory or through
 //!   snapshots, and pre-bump snapshots are rejected cleanly.
@@ -29,8 +32,8 @@ use raco::core::{exact, CostModel, Optimizer, OptimizerOptions};
 use raco::driver::{persist, AllocationCache, Pipeline, PipelineConfig};
 use raco::graph::DistanceModel;
 use raco::ir::{
-    AccessKind, AccessPattern, AguSpec, CanonicalPattern, LoopSpec, MemoryLayout, Trace,
-    UpdateRange,
+    AccessKind, AccessPattern, AguSpec, CanonicalPattern, LoopSpec, MachineDescription,
+    MemoryLayout, Trace, UpdateRange,
 };
 
 /// Strategy: a random access pattern (offsets, stride, modify range).
@@ -185,6 +188,38 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On every built-in machine, the cost curve at `k` is the cheapest
+    /// allocation with at most `k` registers: a budget of `k` admits any
+    /// cover with fewer paths. Strides 2, 3 and 5 leave unit-range
+    /// machines no zero-cost cover, so Phase 1 falls back to relaxed
+    /// covers that merging below the constraint can make cheaper.
+    #[test]
+    fn cost_curve_is_the_running_minimum_of_allocation_costs(
+        offsets in prop::collection::vec(-6i64..=6, 1..=9),
+        stride in prop_oneof![Just(1i64), Just(-1i64), Just(2i64), Just(3i64), Just(-5i64)],
+    ) {
+        let pattern = AccessPattern::from_offsets(&offsets, stride);
+        for &machine in MachineDescription::builtin_names() {
+            let agu = *MachineDescription::builtin(machine).expect("built-in").spec();
+            let k_max = agu.address_registers();
+            let optimizer = Optimizer::new(agu);
+            let curve = optimizer.cost_curve(&pattern, k_max);
+            let mut running_min = u32::MAX;
+            for k in 1..=k_max {
+                running_min = running_min.min(optimizer.allocate_with_registers(&pattern, k).cost());
+                prop_assert_eq!(
+                    curve[k - 1], running_min,
+                    "{} K={} curve {:?} offsets {:?} stride {}",
+                    machine, k, &curve, &offsets, stride
+                );
+            }
+        }
+    }
+}
+
 /// Machines differing only in modify-register count must produce
 /// distinct allocation-cache keys: the cost model's MR count is part of
 /// the optimizer options, which are part of every key.
@@ -276,7 +311,8 @@ proptest! {
             .unwrap()
             .with_update_range(range)
             .with_modify_registers(mr);
-        let heuristic = Optimizer::new(agu).cost_model(model).allocate_model(dm.clone()).cost();
+        let optimizer = Optimizer::new(agu).cost_model(model);
+        let heuristic = optimizer.allocate_model(dm.clone()).cost();
         let (optimum, cover) = exact::optimal_allocation(&dm, k, model);
         prop_assert!(cover.register_count() <= k);
         prop_assert!(
@@ -284,6 +320,18 @@ proptest! {
             "optimum {} > heuristic {}: K={} window [{}, {}] MR={} ADDA={} offsets {:?} stride {}",
             optimum, heuristic, k, lo, hi, mr, adda, &offsets, stride
         );
+        // Every curve entry is the cost of some allocation with at most
+        // that many registers, so the optimum bounds it too.
+        let curve = optimizer.cost_curve(&AccessPattern::from_offsets(&offsets, stride), k);
+        for (registers, &entry) in (1..=k).zip(&curve) {
+            let (optimum, _) = exact::optimal_allocation(&dm, registers, model);
+            prop_assert!(
+                optimum <= entry,
+                "optimum {} > curve entry {} at {} registers: window [{}, {}] MR={} ADDA={} \
+                 offsets {:?} stride {}",
+                optimum, entry, registers, lo, hi, mr, adda, &offsets, stride
+            );
+        }
     }
 }
 
