@@ -119,11 +119,13 @@ impl CodeGenerator {
             parts.push((pattern, allocation, origin));
         }
         let total_accesses = spec.len();
-        let modify = ModifyAllocation::for_covers(
-            parts
-                .iter()
-                .map(|(_, a, _)| (a.cover(), a.distance_model())),
+        let modify = ModifyAllocation::new(
+            parts.iter().flat_map(|(_, a, _)| {
+                let dm = a.distance_model();
+                a.cover().paths().iter().map(move |path| (path, dm))
+            }),
             self.agu.modify_registers(),
+            true, // the body applies every register's wrap step
         );
         let covers: Vec<(&AccessPattern, &PathCover, &DistanceModel, i64)> = parts
             .iter()

@@ -11,7 +11,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use raco_graph::{DistanceModel, Path, PathCover};
+use raco_graph::{DistanceModel, PathCover};
 
 use crate::cost::CostModel;
 
@@ -70,39 +70,13 @@ impl AnnealResult {
     }
 }
 
-fn assignment_cost(
-    assignment: &[usize],
-    k: usize,
-    dm: &DistanceModel,
-    cost_model: CostModel,
-) -> u32 {
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (i, &r) in assignment.iter().enumerate() {
-        groups[r].push(i);
-    }
-    groups
-        .into_iter()
-        .filter(|g| !g.is_empty())
-        .map(|g| cost_model.path_cost(&Path::new(g).expect("grouped indices are increasing"), dm))
-        .sum()
-}
-
-fn assignment_to_cover(assignment: &[usize], k: usize, n: usize) -> PathCover {
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (i, &r) in assignment.iter().enumerate() {
-        groups[r].push(i);
-    }
-    let paths: Vec<Path> = groups
-        .into_iter()
-        .filter(|g| !g.is_empty())
-        .map(|g| Path::new(g).expect("grouped indices are increasing"))
-        .collect();
-    PathCover::new(paths, n).expect("assignment partitions accesses")
-}
-
 /// Anneals an allocation of the accesses of `dm` onto at most `k`
 /// registers, starting from `seed_cover` (typically the two-phase
 /// result). The returned cover is never worse than the seed.
+///
+/// Every assignment is priced by [`CostModel::cover_cost`], so under a
+/// modify-register model the search optimises the machine's own cost,
+/// and [`AnnealResult::cost`] is the returned cover's price.
 ///
 /// # Panics
 ///
@@ -144,15 +118,12 @@ pub fn anneal(
         "seed cover must satisfy the register constraint"
     );
     let n = dm.len();
-    let mut assignment = vec![0usize; n];
-    for (r, path) in seed_cover.paths().iter().enumerate() {
-        for &i in path.indices() {
-            assignment[i] = r;
-        }
-    }
+    let mut assignment = seed_cover.assignment();
+    let cost =
+        |assignment: &[usize]| cost_model.cover_cost(&PathCover::from_assignment(assignment), dm);
 
     let mut rng = SmallRng::seed_from_u64(options.seed);
-    let mut current_cost = assignment_cost(&assignment, k, dm, cost_model);
+    let mut current_cost = cost(&assignment);
     let mut best_assignment = assignment.clone();
     let mut best_cost = current_cost;
     let mut temperature = options.initial_temperature;
@@ -171,7 +142,7 @@ pub fn anneal(
                 new_register += 1;
             }
             assignment[access] = new_register;
-            let candidate = assignment_cost(&assignment, k, dm, cost_model);
+            let candidate = cost(&assignment);
             let delta = f64::from(candidate) - f64::from(current_cost);
             let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature.max(1e-9)).exp();
             if accept {
@@ -190,7 +161,7 @@ pub fn anneal(
     }
 
     AnnealResult {
-        cover: assignment_to_cover(&best_assignment, k, n),
+        cover: PathCover::from_assignment(&best_assignment),
         cost: best_cost,
         accepted_moves: accepted,
         improving_moves: improving,
@@ -203,42 +174,54 @@ mod tests {
     use crate::{exact, Optimizer};
     use raco_ir::{AccessPattern, AguSpec};
 
-    fn run(offsets: &[i64], k: usize, seed: u64) -> (u32, u32) {
+    /// Anneals the two-phase allocation of `offsets` on `k` address and
+    /// `mr` modify registers, under that machine's cost model; returns
+    /// `(seed cost, annealed cost)`.
+    fn run(offsets: &[i64], k: usize, mr: usize, seed: u64) -> (u32, u32) {
         let pattern = AccessPattern::from_offsets(offsets, 1);
-        let two_phase = Optimizer::new(AguSpec::new(k, 1).unwrap()).allocate(&pattern);
+        let agu = AguSpec::new(k, 1).unwrap().with_modify_registers(mr);
+        let two_phase = Optimizer::new(agu).allocate(&pattern);
+        let model = CostModel::steady_state().with_modify_registers(mr);
         let result = anneal(
             two_phase.distance_model(),
             k,
             two_phase.cover().clone(),
-            CostModel::steady_state(),
+            model,
             AnnealOptions {
                 seed,
                 ..AnnealOptions::default()
             },
+        );
+        assert_eq!(
+            result.cost(),
+            model.cover_cost(result.cover(), two_phase.distance_model()),
+            "MR {mr}: the reported cost is the cover's price"
         );
         (two_phase.cost(), result.cost())
     }
 
     #[test]
     fn never_worse_than_the_two_phase_seed() {
-        for (offsets, k) in [
-            (vec![1i64, 0, 2, -1, 1, 0, -2], 2usize),
-            (vec![0, 3, 1, 4, 2, 5], 2),
-            (vec![5, -5, 5, -5, 0, 0], 3),
-            (vec![0, 7, 1, 6, 2, 5, 3, 4], 2),
-        ] {
-            let (greedy, annealed) = run(&offsets, k, 17);
-            assert!(
-                annealed <= greedy,
-                "annealing regressed on {offsets:?}: {annealed} > {greedy}"
-            );
+        for mr in 0..=2 {
+            for (offsets, k) in [
+                (vec![1i64, 0, 2, -1, 1, 0, -2], 2usize),
+                (vec![0, 3, 1, 4, 2, 5], 2),
+                (vec![5, -5, 5, -5, 0, 0], 3),
+                (vec![0, 7, 1, 6, 2, 5, 3, 4], 2),
+            ] {
+                let (greedy, annealed) = run(&offsets, k, mr, 17);
+                assert!(
+                    annealed <= greedy,
+                    "annealing regressed on {offsets:?}, MR {mr}: {annealed} > {greedy}"
+                );
+            }
         }
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let (_, a) = run(&[0, 3, 1, 4, 2, 5, 0, 3], 2, 7);
-        let (_, b) = run(&[0, 3, 1, 4, 2, 5, 0, 3], 2, 7);
+        let (_, a) = run(&[0, 3, 1, 4, 2, 5, 0, 3], 2, 0, 7);
+        let (_, b) = run(&[0, 3, 1, 4, 2, 5, 0, 3], 2, 0, 7);
         assert_eq!(a, b);
     }
 
@@ -267,29 +250,35 @@ mod tests {
     #[test]
     fn result_is_a_valid_cover_within_the_constraint() {
         let pattern = AccessPattern::from_offsets(&[0, 9, 1, 8, 2, 7, 3, 6, 4, 5], 1);
-        let two_phase = Optimizer::new(AguSpec::new(3, 1).unwrap()).allocate(&pattern);
-        let result = anneal(
-            two_phase.distance_model(),
-            3,
-            two_phase.cover().clone(),
-            CostModel::steady_state(),
-            AnnealOptions::default(),
-        );
-        assert!(result.cover().register_count() <= 3);
-        assert_eq!(result.cover().accesses(), 10);
-        assert_eq!(
-            result
-                .cover()
-                .paths()
-                .iter()
-                .map(|p| p.len())
-                .sum::<usize>(),
-            10
-        );
-        assert_eq!(
-            result.cost(),
-            CostModel::steady_state().cover_cost(result.cover(), two_phase.distance_model())
-        );
+        for mr in 0..=2 {
+            let agu = AguSpec::new(3, 1).unwrap().with_modify_registers(mr);
+            let two_phase = Optimizer::new(agu).allocate(&pattern);
+            let model = CostModel::steady_state().with_modify_registers(mr);
+            let result = anneal(
+                two_phase.distance_model(),
+                3,
+                two_phase.cover().clone(),
+                model,
+                AnnealOptions::default(),
+            );
+            assert!(result.cover().register_count() <= 3);
+            assert_eq!(result.cover().accesses(), 10);
+            assert_eq!(
+                result
+                    .cover()
+                    .paths()
+                    .iter()
+                    .map(|p| p.len())
+                    .sum::<usize>(),
+                10
+            );
+            assert_eq!(
+                result.cost(),
+                model.cover_cost(result.cover(), two_phase.distance_model()),
+                "MR {mr}"
+            );
+            assert!(result.cost() <= two_phase.cost(), "MR {mr}");
+        }
     }
 
     #[test]

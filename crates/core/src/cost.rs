@@ -1,6 +1,7 @@
 //! The cost model configuration.
 
 use raco_graph::{DistanceModel, ModifyAllocation, Path, PathCover};
+use raco_ir::AguSpec;
 
 /// Selects how path costs are measured.
 ///
@@ -17,12 +18,12 @@ use raco_graph::{DistanceModel, ModifyAllocation, Path, PathCover};
 ///
 /// Real AGUs (DSP56k, ADSP-210x) add *modify registers*: a post-update by
 /// the content of a modify register is as free as an in-range auto-modify.
-/// [`CostModel::with_modify_registers`] prices that machine: a cover's
-/// cost charges a delta **zero** cycles when one of the machine's modify
-/// registers would hold it — ranked by per-iteration frequency, exactly
-/// the ranking code generation uses ([`ModifyAllocation`]) — so the
-/// allocator's predicted cost equals the simulator's measured cost on
-/// MR-equipped machines. With zero modify registers (the default, the
+/// [`CostModel::with_modify_registers`] (or [`CostModel::for_machine`])
+/// prices that machine: [`CostModel::paths_cost`] charges a delta
+/// **zero** cycles when one of the machine's modify registers would
+/// hold it — ranked by per-iteration frequency, exactly the ranking code
+/// generation uses ([`ModifyAllocation`]) — so the allocator's predicted
+/// cost equals the simulator's measured cost on MR-equipped machines. With zero modify registers (the default, the
 /// plain paper machine) every cost is byte-identical to the base model.
 ///
 /// # Examples
@@ -91,6 +92,16 @@ impl CostModel {
         self
     }
 
+    /// Prices `agu` (builder style): its modify-register count and its
+    /// `ADDA` cost replace this model's, and the wrap flag stays. Every
+    /// model that must agree with the code generated for `agu` is made
+    /// here, so predicted and measured costs cannot drift apart.
+    #[must_use]
+    pub fn for_machine(self, agu: &AguSpec) -> Self {
+        self.with_modify_registers(agu.modify_registers())
+            .with_adda_cost(agu.cost_table().adda())
+    }
+
     /// Whether wrap (back-edge) steps are charged.
     pub fn includes_wrap(&self) -> bool {
         self.include_wrap
@@ -110,10 +121,10 @@ impl CostModel {
     /// Cost of a single path under this model.
     ///
     /// Path costs are deliberately **modify-register-unaware**: which
-    /// deltas a modify register absorbs is a property of the whole cover
-    /// (registers are a machine-wide resource ranked by global delta
-    /// frequency), so only [`cover_cost`](Self::cover_cost) and
-    /// [`covers_cost`](Self::covers_cost) price them.
+    /// deltas a modify register absorbs is a property of every path on
+    /// the machine (registers are a machine-wide resource ranked by
+    /// global delta frequency), so only [`paths_cost`](Self::paths_cost)
+    /// prices them.
     pub fn path_cost(&self, path: &Path, dm: &DistanceModel) -> u32 {
         path.cost(dm, self.include_wrap)
             .saturating_mul(self.adda_cost)
@@ -126,51 +137,41 @@ impl CostModel {
             .saturating_mul(self.adda_cost)
     }
 
-    /// Total cost of a cover under this model.
+    /// The cost of a set of paths sharing one machine, each stepping
+    /// through its own distance model — the one modify-register-aware
+    /// price every other cost here is built on.
     ///
-    /// With modify registers, the `count` most frequent over-range deltas
-    /// of the cover (the ones [`ModifyAllocation`] would load) are charged
-    /// zero cycles.
-    pub fn cover_cost(&self, cover: &PathCover, dm: &DistanceModel) -> u32 {
-        let raw = cover.total_cost(dm, self.include_wrap);
-        let count = if self.modify_registers == 0 {
-            raw
-        } else {
-            let modify = ModifyAllocation::for_covers_with_wrap(
-                [(cover, dm)],
-                self.modify_registers,
-                self.include_wrap,
-            );
-            raw - modify.savings()
-        };
-        count.saturating_mul(self.adda_cost)
+    /// It is the paid steps of all paths, less the steps the machine's
+    /// modify registers absorb, times the `ADDA` cost. Modify registers
+    /// are machine-wide, so the ranking ([`ModifyAllocation`], the one
+    /// code generation loads) pools the over-range deltas of *every*
+    /// path before picking the most frequent values. With zero modify
+    /// registers no frequency map is built.
+    pub fn paths_cost<'a>(
+        &self,
+        paths: impl IntoIterator<Item = (&'a Path, &'a DistanceModel)>,
+    ) -> u32 {
+        ModifyAllocation::new(paths, self.modify_registers, self.include_wrap)
+            .charged()
+            .saturating_mul(self.adda_cost)
     }
 
-    /// Total cost of several covers sharing one machine — the cost of a
-    /// whole loop whose arrays were allocated independently.
-    ///
-    /// Modify registers are a machine-wide resource: the ranking pools
-    /// the over-range deltas of *every* cover before picking the most
-    /// frequent values, exactly as code generation does. Summing
-    /// per-cover [`cover_cost`](Self::cover_cost)s instead would let
-    /// each array claim the full modify-register budget for itself and
-    /// under-predict multi-array loops.
+    /// [`paths_cost`](Self::paths_cost) of one cover.
+    pub fn cover_cost(&self, cover: &PathCover, dm: &DistanceModel) -> u32 {
+        self.paths_cost(cover.paths().iter().map(|path| (path, dm)))
+    }
+
+    /// [`paths_cost`](Self::paths_cost) of several covers sharing one
+    /// machine — the cost of a whole loop whose arrays were allocated
+    /// independently. Summing per-cover [`cover_cost`](Self::cover_cost)s
+    /// instead would let each array claim the full modify-register budget
+    /// for itself and under-predict multi-array loops.
     pub fn covers_cost(&self, items: &[(&PathCover, &DistanceModel)]) -> u32 {
-        let raw: u32 = items
-            .iter()
-            .map(|(cover, dm)| cover.total_cost(dm, self.include_wrap))
-            .sum();
-        let count = if self.modify_registers == 0 {
-            raw
-        } else {
-            let modify = ModifyAllocation::for_covers_with_wrap(
-                items.iter().copied(),
-                self.modify_registers,
-                self.include_wrap,
-            );
-            raw - modify.savings()
-        };
-        count.saturating_mul(self.adda_cost)
+        self.paths_cost(
+            items
+                .iter()
+                .flat_map(|&(cover, dm)| cover.paths().iter().map(move |path| (path, dm))),
+        )
     }
 }
 

@@ -41,8 +41,8 @@ pub fn optimal_allocation(dm: &DistanceModel, k: usize, cost_model: CostModel) -
     assert!(n <= 12, "exact oracle limited to n <= 12");
     assert!(k > 0, "need at least one register");
     let mut best: Option<(u32, PathCover)> = None;
-    brute::for_each_partition(n, k, |assignment, blocks| {
-        let cover = brute::assignment_to_cover(assignment, blocks);
+    brute::for_each_partition(n, k, |assignment, _| {
+        let cover = PathCover::from_assignment(assignment);
         let cost = cost_model.cover_cost(&cover, dm);
         if best.as_ref().is_none_or(|(c, _)| cost < *c) {
             best = Some((cost, cover));

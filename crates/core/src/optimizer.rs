@@ -164,15 +164,14 @@ impl Optimizer {
     /// Creates an optimizer for the given machine with default options
     /// (steady-state cost model, greedy merging).
     ///
-    /// The cost model prices the *whole* machine: when `agu` has modify
-    /// registers, the model charges zero cycles for deltas a modify
-    /// register would absorb, so predicted costs match what generated
-    /// code measures on that machine.
+    /// The cost model prices the *whole* machine
+    /// ([`CostModel::for_machine`]): deltas a modify register would
+    /// absorb cost zero cycles and an explicit update costs the
+    /// machine's `ADDA`, so predicted costs match what generated code
+    /// measures on that machine.
     pub fn new(agu: AguSpec) -> Self {
         let mut options = OptimizerOptions::default();
-        options.cost_model = options
-            .cost_model
-            .with_modify_registers(agu.modify_registers());
+        options.cost_model = options.cost_model.for_machine(&agu);
         Optimizer { agu, options }
     }
 
@@ -417,21 +416,12 @@ impl Optimizer {
                 });
                 (p.array(), allocation)
             })
-            .collect::<Vec<_>>();
-        // Modify registers are machine-wide: the loop's total is priced
-        // over the pooled covers (see CostModel::covers_cost), not as a
-        // sum of per-array costs that would each claim the full budget.
-        let covers: Vec<_> = per_array
-            .iter()
-            .map(|(_, a)| (a.cover(), a.distance_model()))
             .collect();
-        let total_cost = self.options.cost_model.covers_cost(&covers);
-        drop(covers);
-        Ok(LoopAllocation {
+        Ok(LoopAllocation::from_parts(
             per_array,
-            registers: assignment,
-            total_cost,
-        })
+            assignment,
+            self.options.cost_model,
+        ))
     }
 
     /// The cost of allocating `pattern` with `1..=k_max` registers, as a
@@ -611,12 +601,12 @@ impl LoopAllocation {
     /// Assembles a loop allocation from per-array parts.
     ///
     /// `registers` is the per-array register grant, parallel to
-    /// `per_array`. This is the constructor a compilation driver uses
-    /// when the per-array allocations were obtained from a cache
-    /// instead of [`Optimizer::allocate_loop`]: the cache hands out
-    /// `Arc<Allocation>`s, and this constructor stores them as-is —
-    /// no allocation data is cloned. The total cost is recomputed from
-    /// the parts under `cost_model` — over the *pooled* covers, so on a
+    /// `per_array`. [`Optimizer::allocate_patterns`] ends here, and so
+    /// does a compilation driver whose per-array allocations came from
+    /// a cache: the cache hands out `Arc<Allocation>`s, and this
+    /// constructor stores them as-is — no allocation data is cloned.
+    /// The total cost is recomputed from the parts under `cost_model`
+    /// ([`CostModel::covers_cost`] over every array's cover), so on a
     /// machine with modify registers the machine-wide budget is priced
     /// once for the whole loop, never once per array.
     ///
@@ -638,7 +628,6 @@ impl LoopAllocation {
             .map(|(_, a)| (a.cover(), a.distance_model()))
             .collect();
         let total_cost = cost_model.covers_cost(&covers);
-        drop(covers);
         LoopAllocation {
             per_array,
             registers,

@@ -301,11 +301,10 @@ fn price_candidates(cover: &PathCover, dm: &DistanceModel, model: CostModel) -> 
         let before = i64::from(model.cover_cost(cover, dm));
         return pairs
             .map(|(i, j)| {
-                let mut merged_cover = cover.clone();
-                merged_cover
-                    .merge_pair(i, j)
-                    .expect("cover paths are disjoint");
-                let cost = model.cover_cost(&merged_cover, dm);
+                let merged = paths[i].merge(&paths[j]).expect("cover paths are disjoint");
+                let others = (0..paths.len()).filter(|&p| p != i && p != j);
+                let after = others.map(|p| &paths[p]).chain([&merged]);
+                let cost = model.paths_cost(after.map(|path| (path, dm)));
                 candidate((i, j), cost, i64::from(cost) - before)
             })
             .collect();

@@ -137,13 +137,11 @@ pub struct PipelineConfig {
 
 impl PipelineConfig {
     /// Defaults for `agu`: parallel, validating, no listings.
-    /// The optimizer options price the machine's modify registers (see
-    /// [`PipelineConfig::effective_options`]).
+    /// The optimizer options price the machine's modify registers and
+    /// `ADDA` cost (see [`PipelineConfig::effective_options`]).
     pub fn new(agu: AguSpec) -> Self {
         let mut options = OptimizerOptions::default();
-        options.cost_model = options
-            .cost_model
-            .with_modify_registers(agu.modify_registers());
+        options.cost_model = options.cost_model.for_machine(&agu);
         PipelineConfig {
             agu,
             options,
@@ -173,10 +171,7 @@ impl PipelineConfig {
     /// and ADDA cost.
     pub fn effective_options(&self) -> OptimizerOptions {
         let mut options = self.options;
-        options.cost_model = options
-            .cost_model
-            .with_modify_registers(self.agu.modify_registers())
-            .with_adda_cost(self.agu.cost_table().adda());
+        options.cost_model = options.cost_model.for_machine(&self.agu);
         options
     }
 }

@@ -29,7 +29,7 @@ use std::fmt;
 use crate::bounds;
 use crate::distance::DistanceModel;
 use crate::matching;
-use crate::path::{Path, PathCover};
+use crate::path::PathCover;
 
 /// Tuning knobs for the branch-and-bound search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -168,7 +168,7 @@ pub fn min_zero_cost_cover_with(
         n,
         lb,
         best_count: heuristic_count.unwrap_or(usize::MAX),
-        best_assign: heuristic.as_ref().map(cover_to_assignment),
+        best_assign: heuristic.as_ref().map(PathCover::assignment),
         nodes: 0,
         node_limit: options.node_limit,
         memoize: options.memoize,
@@ -183,7 +183,7 @@ pub fn min_zero_cost_cover_with(
 
     match search.best_assign {
         Some(assignment) => {
-            let cover = assignment_to_cover(&assignment, n);
+            let cover = PathCover::from_assignment(&assignment);
             let optimal = !search.aborted || cover.register_count() == lb;
             Ok(BbResult {
                 cover,
@@ -241,30 +241,6 @@ fn closable_later_table(dm: &DistanceModel) -> Vec<Vec<bool>> {
             suffix
         })
         .collect()
-}
-
-fn cover_to_assignment(cover: &PathCover) -> Vec<usize> {
-    let mut assign = vec![usize::MAX; cover.accesses()];
-    for (id, path) in cover.paths().iter().enumerate() {
-        for &i in path.indices() {
-            assign[i] = id;
-        }
-    }
-    assign
-}
-
-fn assignment_to_cover(assign: &[usize], n: usize) -> PathCover {
-    let count = assign.iter().copied().max().map_or(0, |m| m + 1);
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); count];
-    for (i, &id) in assign.iter().enumerate() {
-        groups[id].push(i);
-    }
-    let paths = groups
-        .into_iter()
-        .filter(|g| !g.is_empty())
-        .map(|g| Path::new(g).expect("grouped indices are increasing"))
-        .collect();
-    PathCover::new(paths, n).expect("assignment partitions accesses")
 }
 
 impl Search<'_> {

@@ -10,14 +10,15 @@
 //! Complexity is the Bell number `B(n)` — keep `n <= 12`.
 
 use crate::distance::DistanceModel;
-use crate::path::{Path, PathCover};
+use crate::path::PathCover;
 
 /// Calls `f(assignment, block_count)` for every partition of `0..n` into
 /// at most `max_blocks` non-empty blocks.
 ///
 /// `assignment[i]` is the block id of element `i`; ids form a restricted
 /// growth string (block ids appear in first-use order), so every set
-/// partition is visited exactly once.
+/// partition is visited exactly once. [`PathCover::from_assignment`]
+/// turns a visit into its cover.
 ///
 /// # Examples
 ///
@@ -57,25 +58,6 @@ fn recurse(
     }
 }
 
-/// The cover a [`for_each_partition`] visit describes: one path per
-/// block, each path listing its accesses in order.
-///
-/// # Panics
-///
-/// Panics if `assignment` is not a restricted growth string over
-/// exactly `blocks` block ids.
-pub fn assignment_to_cover(assignment: &[usize], blocks: usize) -> PathCover {
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); blocks];
-    for (i, &b) in assignment.iter().enumerate() {
-        groups[b].push(i);
-    }
-    let paths = groups
-        .into_iter()
-        .map(|g| Path::new(g).expect("restricted growth keeps blocks increasing and non-empty"))
-        .collect();
-    PathCover::new(paths, assignment.len()).expect("partition covers all accesses")
-}
-
 /// Exhaustive minimum zero-cost cover: the true `K̃`, or `None` if no
 /// zero-cost cover exists.
 ///
@@ -93,7 +75,7 @@ pub fn min_zero_cost_cover_brute(dm: &DistanceModel) -> Option<PathCover> {
                 return;
             }
         }
-        let cover = assignment_to_cover(assignment, blocks);
+        let cover = PathCover::from_assignment(assignment);
         if cover.is_zero_cost(dm) {
             best = Some(cover);
         }

@@ -7,19 +7,21 @@
 //! classic heuristic (in the spirit of the paper's ref \[2\]) loads the most
 //! *frequent* over-range deltas of the steady-state iteration.
 //!
-//! This lives in `raco-graph` — next to [`Path`](crate::Path) and
-//! [`PathCover`] — because *both* ends of the stack consume it: the
-//! allocator's cost model (`raco_core::CostModel`) prices a delta at zero
-//! cycles when a modify register can hold it, and code generation
-//! (`raco_agu::codegen`) loads exactly the same values into the machine's
-//! modify registers. One shared ranking is what makes the allocator's
-//! predicted cost equal the simulator's measured cost on MR-equipped
-//! machines.
+//! This lives in `raco-graph` — next to [`Path`] and
+//! [`PathCover`](crate::PathCover) — because *both* ends of the stack
+//! consume it: the allocator's one modify-register-aware price
+//! (`raco_core::CostModel::paths_cost`) charges a set of paths their
+//! [`ModifyAllocation::charged`] steps, and code generation
+//! (`raco_agu::codegen`) loads the same ranking's values into the
+//! machine's modify registers. One constructor,
+//! [`ModifyAllocation::new`], over `(path, distance model)` pairs is
+//! what makes the allocator's predicted cost equal the simulator's
+//! measured cost on MR-equipped machines.
 
 use std::collections::HashMap;
 
 use crate::distance::DistanceModel;
-use crate::path::PathCover;
+use crate::path::Path;
 
 /// Values assigned to modify registers.
 ///
@@ -32,8 +34,9 @@ use crate::path::PathCover;
 /// // dominates and is worth a modify register.
 /// let dm = DistanceModel::from_offsets(&[0, 7, 14, 21], 22, 1);
 /// let cover = PathCover::single_chain(4);
-/// let alloc = ModifyAllocation::for_cover(&cover, &dm, 1);
+/// let alloc = ModifyAllocation::new(cover.paths().iter().map(|p| (p, &dm)), 1, true);
 /// assert_eq!(alloc.values(), &[7]);
+/// assert_eq!(alloc.charged(), 0); // three +7 steps absorbed, wrap free
 /// assert!(alloc.is_free_delta(7));
 /// assert!(!alloc.is_free_delta(3));
 /// ```
@@ -41,67 +44,44 @@ use crate::path::PathCover;
 pub struct ModifyAllocation {
     values: Vec<i64>,
     savings: u32,
+    paid: u32,
 }
 
 impl ModifyAllocation {
-    /// No modify registers (the plain paper machine).
-    pub fn none() -> Self {
-        ModifyAllocation {
-            values: Vec::new(),
-            savings: 0,
-        }
-    }
-
     /// Allocates at most `count` modify registers for the steady-state
-    /// execution of `cover`, picking the over-range deltas (intra steps
-    /// and wrap steps) with the highest per-iteration frequency.
+    /// execution of `paths`, each stepping through its own distance
+    /// model, picking the over-range deltas with the highest
+    /// per-iteration frequency. The pairs may come from several covers
+    /// (one per array of a loop): modify registers are a machine-wide
+    /// resource, so one ranking pools them all.
+    ///
+    /// `include_wrap` says whether the back-edge (wrap) steps take part.
+    /// Code generation always includes them (the generated body applies
+    /// a wrap delta to every register once per iteration); the
+    /// paper-literal cost model excludes them, and a cost model must
+    /// rank exactly the steps it charges for, or predicted and measured
+    /// costs drift apart.
     ///
     /// Ties are broken toward smaller `|delta|`, then smaller `delta`, so
-    /// the result is deterministic.
-    pub fn for_cover(cover: &PathCover, dm: &DistanceModel, count: usize) -> Self {
-        Self::for_covers([(cover, dm)], count)
-    }
-
-    /// Like [`ModifyAllocation::for_cover`], but pooling the over-range
-    /// deltas of several covers (one per array of a loop) into one global
-    /// ranking — modify registers are a machine-wide resource.
-    pub fn for_covers<'a>(
-        items: impl IntoIterator<Item = (&'a PathCover, &'a DistanceModel)>,
-        count: usize,
-    ) -> Self {
-        Self::for_covers_with_wrap(items, count, true)
-    }
-
-    /// Like [`ModifyAllocation::for_covers`], but with explicit control
-    /// over whether the back-edge (wrap) steps participate in the
-    /// frequency ranking.
-    ///
-    /// Code generation always includes wraps (`true` — the generated
-    /// body applies a wrap delta to every register once per iteration);
-    /// the paper-literal cost model excludes them, and a cost model
-    /// pricing modify registers must rank over exactly the steps it
-    /// charges for, or predicted and measured costs drift apart.
-    pub fn for_covers_with_wrap<'a>(
-        items: impl IntoIterator<Item = (&'a PathCover, &'a DistanceModel)>,
+    /// the result is deterministic and independent of the pairs' order.
+    /// With `count == 0` no frequency map is built.
+    pub fn new<'a>(
+        paths: impl IntoIterator<Item = (&'a Path, &'a DistanceModel)>,
         count: usize,
         include_wrap: bool,
     ) -> Self {
-        if count == 0 {
-            return Self::none();
-        }
         let mut freq: HashMap<i64, u32> = HashMap::new();
-        for (cover, dm) in items {
-            for path in cover.paths() {
-                for delta in path.intra_steps(dm) {
-                    if !dm.is_free(delta) {
-                        *freq.entry(delta).or_insert(0) += 1;
-                    }
-                }
-                if include_wrap {
-                    let wrap = path.wrap_step(dm);
-                    if !dm.is_free(wrap) {
-                        *freq.entry(wrap).or_insert(0) += 1;
-                    }
+        let mut paid = 0;
+        for (path, dm) in paths {
+            let intra = path
+                .indices()
+                .windows(2)
+                .map(|w| dm.intra_distance(w[0], w[1]));
+            let wrap = include_wrap.then(|| path.wrap_step(dm));
+            for delta in intra.chain(wrap).filter(|&delta| !dm.is_free(delta)) {
+                paid += 1;
+                if count > 0 {
+                    *freq.entry(delta).or_insert(0) += 1;
                 }
             }
         }
@@ -111,7 +91,11 @@ impl ModifyAllocation {
         ranked.truncate(count);
         let savings = ranked.iter().map(|&(_, c)| c).sum();
         let values = ranked.into_iter().map(|(delta, _)| delta).collect();
-        ModifyAllocation { values, savings }
+        ModifyAllocation {
+            values,
+            savings,
+            paid,
+        }
     }
 
     /// The values held in modify registers, most valuable first
@@ -123,6 +107,12 @@ impl ModifyAllocation {
     /// Unit-cost updates per iteration eliminated by this allocation.
     pub fn savings(&self) -> u32 {
         self.savings
+    }
+
+    /// Unit-cost updates per iteration the ranked paths still pay: their
+    /// over-range steps less the [`savings`](Self::savings).
+    pub fn charged(&self) -> u32 {
+        self.paid - self.savings
     }
 
     /// The modify register holding `delta`, if any.
@@ -139,21 +129,30 @@ impl ModifyAllocation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::Path;
+    use crate::path::PathCover;
+
+    /// The ranking code generation loads for `cover`: wraps included.
+    fn rank(cover: &PathCover, dm: &DistanceModel, count: usize) -> ModifyAllocation {
+        ModifyAllocation::new(cover.paths().iter().map(|p| (p, dm)), count, true)
+    }
 
     #[test]
     fn none_allocates_nothing() {
-        let a = ModifyAllocation::none();
+        let a = ModifyAllocation::new(std::iter::empty(), 4, true);
         assert!(a.values().is_empty());
         assert_eq!(a.savings(), 0);
+        assert_eq!(a.charged(), 0);
         assert_eq!(a.register_for(3), None);
     }
 
     #[test]
     fn zero_count_behaves_like_none() {
         let dm = DistanceModel::from_offsets(&[0, 7], 1, 1);
-        let a = ModifyAllocation::for_cover(&PathCover::single_chain(2), &dm, 0);
-        assert_eq!(a, ModifyAllocation::none());
+        let a = rank(&PathCover::single_chain(2), &dm, 0);
+        assert!(a.values().is_empty());
+        assert_eq!(a.savings(), 0);
+        // +7 and the wrap 0 + 1 - 7 = -6 are both still paid.
+        assert_eq!(a.charged(), 2);
     }
 
     #[test]
@@ -161,7 +160,7 @@ mod tests {
         // Steps: +5, -9, +5, +5 → over-range freq {5: 3, -9: 1}.
         let dm = DistanceModel::from_offsets(&[0, 5, -4, 1, 6], 1, 1);
         let cover = PathCover::single_chain(5);
-        let a = ModifyAllocation::for_cover(&cover, &dm, 1);
+        let a = rank(&cover, &dm, 1);
         assert_eq!(a.values(), &[5]);
         assert_eq!(a.savings(), 3);
         assert_eq!(a.register_for(5), Some(0));
@@ -172,7 +171,7 @@ mod tests {
         // Single path 0 → 1 with stride 9: wrap = 0 + 9 - 1 = 8.
         let dm = DistanceModel::from_offsets(&[0, 1], 9, 1);
         let cover = PathCover::single_chain(2);
-        let a = ModifyAllocation::for_cover(&cover, &dm, 2);
+        let a = rank(&cover, &dm, 2);
         assert_eq!(a.values(), &[8]);
         assert_eq!(a.savings(), 1);
     }
@@ -183,7 +182,7 @@ mod tests {
         // left to allocate (the only intra step is +1, in range).
         let dm = DistanceModel::from_offsets(&[0, 1], 9, 1);
         let cover = PathCover::single_chain(2);
-        let a = ModifyAllocation::for_covers_with_wrap([(&cover, &dm)], 2, false);
+        let a = ModifyAllocation::new(cover.paths().iter().map(|p| (p, &dm)), 2, false);
         assert!(a.values().is_empty());
         assert_eq!(a.savings(), 0);
     }
@@ -194,7 +193,7 @@ mod tests {
         // chain — intra and wrap — is in range.
         let dm = DistanceModel::from_offsets(&[0, 1, 2, 3], 4, 1);
         let cover = PathCover::single_chain(4);
-        let a = ModifyAllocation::for_cover(&cover, &dm, 4);
+        let a = rank(&cover, &dm, 4);
         assert!(a.values().is_empty(), "all steps are in range");
     }
 
@@ -208,7 +207,7 @@ mod tests {
         // wrap p1: 0 + 0 - 9 = -9, p2: 9 + 0 - 0 = 9; they tie with the
         // intra steps.
         let cover = PathCover::new(vec![p1, p2], 4).unwrap();
-        let a = ModifyAllocation::for_cover(&cover, &dm, 1);
+        let a = rank(&cover, &dm, 1);
         assert_eq!(a.values(), &[-9]);
         assert_eq!(a.savings(), 2);
     }
@@ -217,7 +216,7 @@ mod tests {
     fn count_caps_the_number_of_values() {
         let dm = DistanceModel::from_offsets(&[0, 10, 30, 60, 100], 1, 1);
         let cover = PathCover::single_chain(5);
-        let a = ModifyAllocation::for_cover(&cover, &dm, 2);
+        let a = rank(&cover, &dm, 2);
         assert_eq!(a.values().len(), 2);
         assert!(a.savings() >= 2);
     }
@@ -288,7 +287,7 @@ mod tests {
         for case in cases {
             let dm = DistanceModel::from_offsets(case.offsets, case.stride, case.modify_range);
             let cover = PathCover::single_chain(case.offsets.len());
-            let a = ModifyAllocation::for_cover(&cover, &dm, case.count);
+            let a = rank(&cover, &dm, case.count);
             assert_eq!(a.values(), case.expect_values, "{}", case.name);
             assert_eq!(a.savings(), case.expect_savings, "{}", case.name);
             for &v in a.values() {

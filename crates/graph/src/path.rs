@@ -349,6 +349,40 @@ impl PathCover {
         }
     }
 
+    /// The cover an assignment describes: `assignment[i]` is the id of
+    /// the register serving access `i`. Accesses with one id form one
+    /// path, in order; ids that serve nothing give no path. Ids index a
+    /// table of groups, so they should stay below the access count.
+    pub fn from_assignment(assignment: &[usize]) -> Self {
+        let ids = assignment.iter().max().map_or(0, |&id| id + 1);
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); ids];
+        for (i, &id) in assignment.iter().enumerate() {
+            groups[id].push(i);
+        }
+        let mut cover = PathCover {
+            paths: groups
+                .into_iter()
+                .filter(|g| !g.is_empty())
+                .map(|indices| Path { indices })
+                .collect(),
+            n: assignment.len(),
+        };
+        cover.canonicalize();
+        cover
+    }
+
+    /// The inverse of [`from_assignment`](Self::from_assignment): the
+    /// index of the path serving each access.
+    pub fn assignment(&self) -> Vec<usize> {
+        let mut assignment = vec![0; self.n];
+        for (id, path) in self.paths.iter().enumerate() {
+            for &i in path.indices() {
+                assignment[i] = id;
+            }
+        }
+        assignment
+    }
+
     fn canonicalize(&mut self) {
         self.paths.sort_by_key(Path::head);
     }
@@ -437,7 +471,7 @@ mod tests {
             if blocks < 2 {
                 return;
             }
-            let cover = crate::brute::assignment_to_cover(assignment, blocks);
+            let cover = PathCover::from_assignment(assignment);
             let (p, q) = (&cover.paths()[0], &cover.paths()[1]);
             let merged = p.merge(q).unwrap();
             for wrap in [false, true] {
@@ -560,6 +594,16 @@ mod tests {
         let c = PathCover::single_chain(3);
         assert_eq!(c.register_count(), 1);
         assert_eq!(c.paths()[0].indices(), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn assignments_and_covers_round_trip() {
+        // Ids 2, 0, 2, 0, 5: id 1 and ids 3–4 serve nothing.
+        let cover = PathCover::from_assignment(&[2, 0, 2, 0, 5]);
+        assert_eq!(cover.to_string(), "{(a_1, a_3), (a_2, a_4), (a_5)}");
+        assert_eq!(cover.accesses(), 5);
+        assert_eq!(cover.assignment(), vec![0, 1, 0, 1, 2]);
+        assert_eq!(PathCover::from_assignment(&cover.assignment()), cover);
     }
 
     #[test]

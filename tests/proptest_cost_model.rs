@@ -6,7 +6,8 @@
 //! including MR-equipped ones. These properties pin that end to end:
 //!
 //! * **differential** — random patterns × machines with 0..=4 modify
-//!   registers: allocate, generate code, simulate, and require
+//!   registers (and, for single arrays, an `ADDA` of 1..=3 cycles):
+//!   allocate, generate code, simulate, and require
 //!   `predicted == measured` exactly (single- and multi-array loops,
 //!   directly and through the pipeline with its cache);
 //! * **monotonicity** — more modify registers never increase the
@@ -32,7 +33,7 @@ use raco::core::{exact, CostModel, Optimizer, OptimizerOptions};
 use raco::driver::{persist, AllocationCache, Pipeline, PipelineConfig};
 use raco::graph::DistanceModel;
 use raco::ir::{
-    AccessKind, AccessPattern, AguSpec, CanonicalPattern, LoopSpec, MachineDescription,
+    AccessKind, AccessPattern, AguSpec, CanonicalPattern, CostTable, LoopSpec, MachineDescription,
     MemoryLayout, Trace, UpdateRange,
 };
 
@@ -76,20 +77,24 @@ proptest! {
 
     /// The core differential: predicted address-update cycles equal the
     /// simulator's measured cycles for every machine in 0..=4 modify
-    /// registers.
+    /// registers and an `ADDA` of 1..=3 cycles.
     #[test]
     fn predicted_equals_measured_across_modify_register_counts(
         (offsets, stride, m) in pattern(),
         k in 1usize..=4,
         mr in 0usize..=4,
+        adda in 1u32..=3,
     ) {
         let spec = single_array_loop(&offsets, stride);
-        let agu = AguSpec::new(k, m).unwrap().with_modify_registers(mr);
+        let agu = AguSpec::new(k, m)
+            .unwrap()
+            .with_modify_registers(mr)
+            .with_cost_table(CostTable::new(1, 1, adda).unwrap());
         let (predicted, measured) = predict_and_measure(&spec, agu, 8);
         prop_assert_eq!(
             predicted, measured,
-            "K={} M={} MR={} offsets {:?} stride {}",
-            k, m, mr, &offsets, stride
+            "K={} M={} MR={} ADDA={} offsets {:?} stride {}",
+            k, m, mr, adda, &offsets, stride
         );
     }
 
