@@ -1,6 +1,6 @@
 //! The cost model configuration.
 
-use raco_graph::{DistanceModel, ModifyAllocation, Path, PathCover};
+use raco_graph::{DeltaHistogram, DistanceModel, ModifyAllocation, Path, PathCover};
 use raco_ir::AguSpec;
 
 /// Selects how path costs are measured.
@@ -23,8 +23,11 @@ use raco_ir::AguSpec;
 /// **zero** cycles when one of the machine's modify registers would
 /// hold it — ranked by per-iteration frequency, exactly the ranking code
 /// generation uses ([`ModifyAllocation`]) — so the allocator's predicted
-/// cost equals the simulator's measured cost on MR-equipped machines. With zero modify registers (the default, the
-/// plain paper machine) every cost is byte-identical to the base model.
+/// cost equals the simulator's measured cost on MR-equipped machines.
+/// Phase 2 prices the same steps from a running [`DeltaHistogram`]
+/// ([`CostModel::histogram_cost`]). With zero modify registers (the
+/// default, the plain paper machine) every cost is byte-identical to the
+/// base model.
 ///
 /// # Examples
 ///
@@ -118,6 +121,12 @@ impl CostModel {
         self.adda_cost
     }
 
+    /// The cycles of `steps` explicit updates: every cost here is paid
+    /// steps priced through this.
+    pub fn steps_cost(&self, steps: u32) -> u32 {
+        steps.saturating_mul(self.adda_cost)
+    }
+
     /// Cost of a single path under this model.
     ///
     /// Path costs are deliberately **modify-register-unaware**: which
@@ -126,15 +135,7 @@ impl CostModel {
     /// global delta frequency), so only [`paths_cost`](Self::paths_cost)
     /// prices them.
     pub fn path_cost(&self, path: &Path, dm: &DistanceModel) -> u32 {
-        path.cost(dm, self.include_wrap)
-            .saturating_mul(self.adda_cost)
-    }
-
-    /// [`path_cost`](Self::path_cost) of the merge `a ⊕ b` of two
-    /// disjoint paths, without building it.
-    pub fn merged_path_cost(&self, a: &Path, b: &Path, dm: &DistanceModel) -> u32 {
-        a.merged_cost(b, dm, self.include_wrap)
-            .saturating_mul(self.adda_cost)
+        self.steps_cost(path.cost(dm, self.include_wrap))
     }
 
     /// The cost of a set of paths sharing one machine, each stepping
@@ -146,14 +147,24 @@ impl CostModel {
     /// are machine-wide, so the ranking ([`ModifyAllocation`], the one
     /// code generation loads) pools the over-range deltas of *every*
     /// path before picking the most frequent values. With zero modify
-    /// registers no frequency map is built.
+    /// registers no delta is told apart from another.
     pub fn paths_cost<'a>(
         &self,
         paths: impl IntoIterator<Item = (&'a Path, &'a DistanceModel)>,
     ) -> u32 {
-        ModifyAllocation::new(paths, self.modify_registers, self.include_wrap)
-            .charged()
-            .saturating_mul(self.adda_cost)
+        self.steps_cost(
+            ModifyAllocation::new(paths, self.modify_registers, self.include_wrap).charged(),
+        )
+    }
+
+    /// [`paths_cost`](Self::paths_cost) of the paths whose paid steps
+    /// `histogram` counts, one key per distinct delta (wrap steps
+    /// counted exactly when this model [includes
+    /// them](Self::includes_wrap)): the paid steps less the
+    /// [`top`](DeltaHistogram::top) counts this model's modify
+    /// registers absorb, times `ADDA`.
+    pub fn histogram_cost(&self, histogram: &DeltaHistogram) -> u32 {
+        self.steps_cost(histogram.charged(self.modify_registers))
     }
 
     /// [`paths_cost`](Self::paths_cost) of one cover.

@@ -21,9 +21,10 @@ fn phase1_histogram() -> &'static Arc<Histogram> {
 }
 
 /// Global latency histogram for Phase 2 (one observation per
-/// [`Optimizer::best_phase2`] call: a whole cost curve's register range
-/// is one observation, as is one allocation; metric `core.phase2`,
-/// nanoseconds).
+/// [`Optimizer::best_phase2`] sweep: a whole cost curve's register
+/// range is one observation, as is one allocation; building an
+/// allocation's report from a curve's sweep is not one; metric
+/// `core.phase2`, nanoseconds).
 fn phase2_histogram() -> &'static Arc<Histogram> {
     static HISTOGRAM: OnceLock<Arc<Histogram>> = OnceLock::new();
     HISTOGRAM.get_or_init(|| raco_obs::global().histogram("core.phase2"))
@@ -245,8 +246,9 @@ impl Optimizer {
 
     fn allocate_model_with_registers(&self, dm: DistanceModel, k: usize) -> Allocation {
         let prepared = self.prepare_model(dm);
-        let mut reports = self.best_phase2(&prepared.phase1, &prepared.dm, k..=k);
-        let phase2 = reports.pop().expect("one report per count");
+        let phase2 = self
+            .best_phase2(&prepared.phase1, &prepared.dm, k..=k)
+            .report(k);
         self.finish_allocation(prepared, phase2)
     }
 
@@ -272,62 +274,40 @@ impl Optimizer {
         }
     }
 
-    /// Runs Phase 2 under the configured cost model and returns the
-    /// report for every register count in `counts` (indexed by
-    /// `k - counts.start()`).
+    /// Runs Phase 2 under the configured cost model for every register
+    /// count in `counts`: one [`phase2::sweep`], which keeps per count
+    /// the cheapest cost and the merges behind it.
     ///
     /// On machines with modify registers the greedy merge *selection*
-    /// runs once per pricing aggressiveness — each `m' ∈ 0..=MR` ranks
-    /// candidates as if `m'` modify registers were available — and
-    /// every resulting cover is judged under the one true MR-aware
-    /// model; per count the cheapest wins (ties to the smallest `m'`,
-    /// i.e. the paper's plain greedy). This makes the predicted cost
-    /// monotone in the machine's MR count by construction: the
-    /// candidate set only grows with MR, and a fixed cover never gets
-    /// more expensive when another modify register appears. With zero
-    /// modify registers this is a single plain run, byte-identical to
-    /// the pre-MR behaviour; a non-greedy strategy is not swept either
-    /// and selects under the machine's own model. Each selection is one
-    /// [`phase2::merge_down`] run over the whole range.
+    /// is swept over every pricing aggressiveness — each
+    /// `m' ∈ 0..=MR` ranks candidates as if `m'` modify registers were
+    /// available — and every resulting cover is judged under the one
+    /// true MR-aware model; per count the cheapest wins (ties to the
+    /// smallest `m'`, i.e. the paper's plain greedy). This makes the
+    /// predicted cost monotone in the machine's MR count by
+    /// construction: the candidate set only grows with MR, and a fixed
+    /// cover never gets more expensive when another modify register
+    /// appears. The selections share one merge tree, splitting only
+    /// where they pick different pairs. With zero modify registers
+    /// this is a single plain selection, byte-identical to the pre-MR
+    /// behaviour; a non-greedy strategy is not swept either and
+    /// selects under the machine's own model.
     fn best_phase2(
         &self,
         phase1: &Phase1Report,
         dm: &DistanceModel,
         counts: RangeInclusive<usize>,
-    ) -> Vec<Phase2Report> {
+    ) -> phase2::Sweep {
         let model = self.options.cost_model;
         let strategy = self.options.strategy;
         // A cover has exactly one step per access, so selection pricing
         // beyond `len` distinct deltas cannot change any ranking.
-        let selections: Vec<CostModel> = match strategy {
-            MergeStrategy::GreedyMinCost => (0..=model.modify_registers().min(dm.len()))
-                .map(|priced| model.with_modify_registers(priced))
-                .collect(),
-            _ => vec![model],
+        let priced: Vec<usize> = match strategy {
+            MergeStrategy::GreedyMinCost => (0..=model.modify_registers().min(dm.len())).collect(),
+            _ => vec![model.modify_registers()],
         };
-        phase2_histogram().time(|| {
-            selections
-                .into_iter()
-                .map(|selection| {
-                    phase2::merge_down(
-                        phase1.cover(),
-                        counts.clone(),
-                        dm,
-                        model,
-                        selection,
-                        strategy,
-                    )
-                })
-                .reduce(|mut best, reports| {
-                    for (kept, report) in best.iter_mut().zip(reports) {
-                        if report.final_cost() < kept.final_cost() {
-                            *kept = report;
-                        }
-                    }
-                    best
-                })
-                .expect("at least one selection")
-        })
+        phase2_histogram()
+            .time(|| phase2::sweep(phase1.cover(), counts, dm, model, &priced, strategy))
     }
 
     /// Allocates every array of a loop, distributing the `K` registers
@@ -354,11 +334,12 @@ impl Optimizer {
     /// every allocation before computing it.
     ///
     /// Phase 1 and Phase 2 run at most once per pattern: a curve miss
-    /// keeps its prepared Phase-1 state and its Phase-2 report for every
-    /// register count, and an allocation miss for the same pattern takes
-    /// the report at its count. A memo that answers correctly leaves the
-    /// result unchanged: it equals [`allocate_loop`](Self::allocate_loop)
-    /// on a loop with these patterns.
+    /// keeps its prepared Phase-1 state and its Phase-2 sweep, and an
+    /// allocation miss for the same pattern builds its report from the
+    /// sweep at its count (the only report built). A memo that answers
+    /// correctly leaves the result unchanged: it equals
+    /// [`allocate_loop`](Self::allocate_loop) on a loop with these
+    /// patterns.
     ///
     /// # Errors
     ///
@@ -380,9 +361,8 @@ impl Optimizer {
             });
         }
         // What each curve miss computed on the way — Phase-1 state and
-        // the report per register count — kept for that pattern's
-        // allocation.
-        let mut kept: Vec<Option<(PreparedPattern, Vec<Phase2Report>)>> =
+        // the Phase-2 sweep — kept for that pattern's allocation.
+        let mut kept: Vec<Option<(PreparedPattern, phase2::Sweep)>> =
             std::iter::repeat_with(|| None)
                 .take(patterns.len())
                 .collect();
@@ -394,8 +374,8 @@ impl Optimizer {
                 memo.cost_curve(i, || {
                     let prep =
                         self.prepare_model(DistanceModel::with_range(p, self.agu.update_range()));
-                    let (curve, reports) = self.curve_from(&prep, k);
-                    *slot = Some((prep, reports));
+                    let (curve, sweep) = self.curve_from(&prep, k);
+                    *slot = Some((prep, sweep));
                     curve
                 })
             })
@@ -409,9 +389,7 @@ impl Optimizer {
             .enumerate()
             .map(|(i, ((p, slot), &ka))| {
                 let allocation = memo.allocation(i, ka, || match slot {
-                    Some((prep, mut reports)) => {
-                        self.finish_allocation(prep, reports.swap_remove(ka - 1))
-                    }
+                    Some((prep, sweep)) => self.finish_allocation(prep, sweep.report(ka)),
                     None => self.allocate_with_registers(p, ka),
                 });
                 (p.array(), allocation)
@@ -427,40 +405,34 @@ impl Optimizer {
     /// The cost of allocating `pattern` with `1..=k_max` registers, as a
     /// vector indexed by `k - 1`.
     ///
-    /// Computed from one merge run per selection (see
-    /// [`phase2::merge_down`]), so a whole register sweep costs about
-    /// one allocation. A budget of `k` registers admits any allocation
-    /// with **at most** `k` paths, so the value at `k` is the minimum
-    /// allocation cost over register counts `<= k` — this matters when
-    /// Phase 1 fell back to a relaxed cover, where merging can *reduce*
-    /// cost (paths that individually pay their wraps combine into a
-    /// cheaper chain). The curve is therefore non-increasing in `k` by
-    /// construction.
+    /// Computed from one [`phase2::sweep`] over `1..=k_max`, so a whole
+    /// register sweep costs about one allocation. A budget of `k`
+    /// registers admits any allocation with **at most** `k` paths, so
+    /// the value at `k` is the minimum allocation cost over register
+    /// counts `<= k` — this matters when Phase 1 fell back to a relaxed
+    /// cover, where merging can *reduce* cost (paths that individually
+    /// pay their wraps combine into a cheaper chain). The curve is
+    /// therefore non-increasing in `k` by construction.
     pub fn cost_curve(&self, pattern: &AccessPattern, k_max: usize) -> Vec<u32> {
         let prepared =
             self.prepare_model(DistanceModel::with_range(pattern, self.agu.update_range()));
         self.curve_from(&prepared, k_max).0
     }
 
-    /// Computes the cost curve from prepared Phase-1 state, with the
-    /// Phase-2 report behind each entry (indexed by `k - 1`) so a caller
-    /// that goes on to allocate at one of these counts takes the report
-    /// instead of merging again.
-    fn curve_from(
-        &self,
-        prepared: &PreparedPattern,
-        k_max: usize,
-    ) -> (Vec<u32>, Vec<Phase2Report>) {
-        let reports = self.best_phase2(&prepared.phase1, &prepared.dm, 1..=k_max);
+    /// Computes the cost curve from prepared Phase-1 state, reading
+    /// each count's cost off one Phase-2 sweep; the sweep is returned
+    /// too, so a caller that goes on to allocate at one of these counts
+    /// builds that report instead of merging again.
+    fn curve_from(&self, prepared: &PreparedPattern, k_max: usize) -> (Vec<u32>, phase2::Sweep) {
+        let sweep = self.best_phase2(&prepared.phase1, &prepared.dm, 1..=k_max);
         let mut running_min = u32::MAX;
-        let curve = reports
-            .iter()
-            .map(|report| {
-                running_min = running_min.min(report.final_cost());
+        let curve = (1..=k_max)
+            .map(|k| {
+                running_min = running_min.min(sweep.cost(k));
                 running_min
             })
             .collect();
-        (curve, reports)
+        (curve, sweep)
     }
 }
 

@@ -8,13 +8,24 @@
 //! two *arbitrary* paths instead; both are implemented here as
 //! [`MergeStrategy`] variants, together with a deliberately bad
 //! worst-case strategy for ablation studies.
+//!
+//! [`sweep`] runs the merge for a range of register counts and several
+//! candidate rankings (*selections*) at once, as one merge tree: states
+//! are shared until selections pick different pairs, and each state
+//! prices every candidate for all of its selections in one scan of an
+//! over-range delta histogram. A [`Sweep`] keeps the cheapest cost per
+//! count and builds the [`Phase2Report`] of a count only when asked.
+//! [`merge_until`] is its one-selection, one-count case.
 
+use std::cell::{Cell, RefCell};
+use std::cmp;
 use std::ops::RangeInclusive;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use raco_graph::{DistanceModel, PathCover};
+use raco_graph::modify::paid_delta;
+use raco_graph::{DeltaHistogram, DistanceModel, PathCover};
 
 use crate::cost::CostModel;
 
@@ -114,27 +125,6 @@ impl Phase2Report {
             .map(|&(_, cost)| cost)
             .unwrap_or(0)
     }
-
-    /// Merges paths `i` and `j` of the cover, recording the step under
-    /// `account`.
-    fn merge(&mut self, (i, j): (usize, usize), dm: &DistanceModel, account: CostModel) {
-        let (pi, pj) = (&self.cover.paths()[i], &self.cover.paths()[j]);
-        let paths_before = self.cover.register_count();
-        let merged_lengths = (pi.len(), pj.len());
-        let merged_path_cost = account.merged_path_cost(pi, pj, dm);
-        self.cover
-            .merge_pair(i, j)
-            .expect("cover paths are disjoint");
-        let total_cost_after = account.cover_cost(&self.cover, dm);
-        self.records.push(MergeRecord {
-            paths_before,
-            merged_lengths,
-            merged_path_cost,
-            total_cost_after,
-        });
-        self.cost_trajectory
-            .push((self.cover.register_count(), total_cost_after));
-    }
 }
 
 /// Merges paths of `cover` until at most `k` remain.
@@ -151,8 +141,8 @@ impl Phase2Report {
 /// the greedy result uses exactly `min(k, K̃)` registers. The baseline
 /// strategies stop at `k` paths, faithful to the paper's naive allocator.
 ///
-/// This is [`merge_down`] over the single count `k`, with one model in
-/// both roles.
+/// This is a [`sweep`] over the single count `k` with one selection,
+/// which prices exactly the modify registers `cost_model` prices.
 ///
 /// # Panics
 ///
@@ -183,19 +173,13 @@ pub fn merge_until(
     cost_model: CostModel,
     strategy: MergeStrategy,
 ) -> Phase2Report {
-    let mut reports = merge_down(cover, k..=k, dm, cost_model, cost_model, strategy);
-    reports.pop().expect("one report per count")
+    let priced = [cost_model.modify_registers()];
+    sweep(cover, k..=k, dm, cost_model, &priced, strategy).report(k)
 }
 
-/// The [`merge_until`] report for every register count in `counts`
-/// (indexed by `k - counts.start()`), from one merge run.
-///
-/// The main loop picks its pair without reading the target count, so
-/// the run to `k - 1` is the run to `k` plus one step: it runs once,
-/// from `cover` down to the smallest count. At each count it passes,
-/// the greedy strategy's opportunistic phase continues from a copy of
-/// the state reached there; its first candidate scan is the one the
-/// main loop's next step ranks too.
+/// Phase 2 for every register count in `counts` and every selection in
+/// `priced` at once: the [`merge_until`] result of each selection at
+/// each count, of which [`Sweep`] keeps the cheapest.
 ///
 /// The cost model has two roles:
 ///
@@ -203,191 +187,711 @@ pub fn merge_until(
 ///   trajectory, and therefore the final predicted cost. On machines
 ///   with modify registers this is the MR-aware model, so Phase 2
 ///   reports the same number the simulator measures.
-/// * `selection` ranks merge candidates. With zero modify registers the
-///   ranking is the paper's (minimal merged-path cost, byte-identical
-///   to the pre-MR behaviour); with modify registers it charges a delta
-///   zero cycles when one of `selection`'s modify registers would hold
-///   it, steering merges toward covers whose over-range deltas repeat.
+/// * A *selection* ranks merge candidates as `account` would with
+///   `priced[s]` modify registers. With zero the ranking is the paper's
+///   (minimal merged-path cost `C(P_i ⊕ P_j)`, then the marginal cost
+///   `C(P_i ⊕ P_j) - C(P_i) - C(P_j)`); with more, a candidate costs the
+///   whole cover after the merge, a delta being free when one of those
+///   registers would hold it, which steers merges toward covers whose
+///   over-range deltas repeat.
 ///
-/// Splitting the roles lets `Optimizer` run one trajectory per
-/// selection aggressiveness (`0..=MR` priced registers) while every
-/// candidate is judged under the one true machine model — which is what
-/// makes the final predicted cost monotone in the machine's
-/// modify-register count.
+/// Running every selection aggressiveness (`0..=MR`) and judging each
+/// cover under the one true model is what makes `Optimizer`'s predicted
+/// cost monotone in the machine's modify-register count.
+///
+/// **One merge tree.** The main loop picks its pair without reading the
+/// target count, so the run to `k - 1` is the run to `k` plus one step,
+/// and it runs once, from `cover` down to the smallest count. All
+/// selections start from `cover` and advance in lockstep; selections
+/// that pick the same pair share one state, and a state splits (its
+/// cover is cloned) only when its selections pick different pairs. Each
+/// state prices its candidates once for all of its selections: it keeps
+/// the over-range delta histogram of its paths ([`DeltaHistogram`]),
+/// and a candidate `(i, j)` moves the paid steps of `P_i` and `P_j` out
+/// and those of `P_i ⊕ P_j` in, reads the cost for every priced count
+/// off the largest counts, and moves them back. At each count, the
+/// greedy strategy's opportunistic phase (merges below the count that
+/// still pay; see [`merge_until`]) grows from each state the same way,
+/// and its first scan is the one the next main step ranks.
+///
+/// No report is built during the sweep: [`Sweep::report`] replays the
+/// merges behind one count.
 ///
 /// # Panics
 ///
-/// Panics if `counts` starts at zero.
-pub fn merge_down(
+/// Panics if `counts` starts at zero or `priced` is empty.
+pub fn sweep(
     cover: &PathCover,
     counts: RangeInclusive<usize>,
     dm: &DistanceModel,
     account: CostModel,
-    selection: CostModel,
+    priced: &[usize],
     strategy: MergeStrategy,
-) -> Vec<Phase2Report> {
+) -> Sweep {
     assert!(*counts.start() > 0, "cannot allocate to zero registers");
-    let mut run = Run {
-        report: Phase2Report {
-            cover: cover.clone(),
-            records: Vec::new(),
-            cost_trajectory: vec![(cover.register_count(), account.cover_cost(cover, dm))],
-        },
-        candidates: None,
-    };
-    let mut rng = match strategy {
-        MergeStrategy::Random { seed } => Some(SmallRng::seed_from_u64(seed)),
-        _ => None,
-    };
-    let mut reports: Vec<Phase2Report> = Vec::with_capacity(counts.clone().count());
-    for k in counts.rev() {
-        let steps = run.report.records.len();
-        while run.report.cover.register_count() > k {
-            let pair = match strategy {
-                MergeStrategy::FirstPair => (0, 1),
-                MergeStrategy::Random { .. } => {
-                    let rng = rng.as_mut().expect("random strategy carries an RNG");
-                    let p = run.report.cover.register_count();
-                    let i = rng.gen_range(0..p);
-                    let j = rng.gen_range(0..p - 1);
-                    let j = if j >= i { j + 1 } else { j };
-                    (i.min(j), i.max(j))
-                }
-                MergeStrategy::GreedyMinCost => best(run.candidates(dm, selection), |&c| c).3,
-                // Invert the primary criterion; tie-breaks stay
-                // deterministic.
-                MergeStrategy::WorstCost => {
-                    let candidates = run.candidates(dm, selection);
-                    best(candidates, |&(c, m, l, pair)| (u32::MAX - c, -m, l, pair)).3
-                }
-            };
-            run.merge(pair, dm, account);
-        }
-        let report = match reports.last() {
-            // No merge since the previous count: same state, same report.
-            Some(previous) if run.report.records.len() == steps => previous.clone(),
-            _ if strategy == MergeStrategy::GreedyMinCost => {
-                run.merge_while_it_pays(dm, account, selection)
+    assert!(!priced.is_empty(), "a sweep needs a selection");
+    let mut tree = Tree::new(dm, account, priced, strategy);
+    let mut states = vec![tree.root(cover)];
+    let mut next = Vec::new();
+    let initial_cost = states[0].cost;
+    let mut outcomes: Vec<Outcome> = Vec::with_capacity(counts.clone().count());
+    for k in counts.clone().rev() {
+        let stepped = states[0].paths.len() > k;
+        while states[0].paths.len() > k {
+            for state in states.drain(..) {
+                tree.step(state, &mut next);
             }
-            _ => run.report.clone(),
+            std::mem::swap(&mut states, &mut next);
+        }
+        let outcome = match outcomes.last() {
+            // No merge since the previous count: same states, same outcome.
+            Some(&previous) if !stepped => previous,
+            _ => states
+                .iter_mut()
+                .map(|state| tree.settle(state))
+                .min_by_key(Outcome::rank)
+                .expect("a sweep has a state"),
         };
-        reports.push(report);
+        outcomes.push(outcome);
     }
-    reports.reverse();
-    reports
+    outcomes.reverse();
+    Sweep {
+        cover: cover.clone(),
+        initial_cost,
+        start: *counts.start(),
+        merges: tree.merges,
+        outcomes,
+    }
 }
 
-/// A merge candidate `P_i ⊕ P_j` priced under the selection model:
+/// The result of [`sweep`]: per register count, the cheapest cost any
+/// selection reached (ties to the earliest selection, i.e. the smallest
+/// priced count), and the merges behind it.
+#[derive(Debug, Clone)]
+pub struct Sweep {
+    /// The Phase-1 cover the merges replay on.
+    cover: PathCover,
+    initial_cost: u32,
+    start: usize,
+    merges: Vec<Merge>,
+    outcomes: Vec<Outcome>,
+}
+
+impl Sweep {
+    /// The register counts swept.
+    pub fn counts(&self) -> RangeInclusive<usize> {
+        self.start..=self.start + self.outcomes.len() - 1
+    }
+
+    /// The cheapest predicted cost with `k` registers under the
+    /// accounting model — the [`final_cost`](Phase2Report::final_cost)
+    /// of [`report(k)`](Self::report).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is outside [`counts`](Self::counts).
+    pub fn cost(&self, k: usize) -> u32 {
+        self.outcome(k).cost
+    }
+
+    /// The Phase-2 report behind [`cost(k)`](Self::cost), built by
+    /// replaying its merges on the Phase-1 cover.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is outside [`counts`](Self::counts).
+    pub fn report(&self, k: usize) -> Phase2Report {
+        let mut chain = Vec::new();
+        let mut at = self.outcome(k).last;
+        while let Some(index) = at {
+            chain.push(index);
+            at = self.merges[index].parent;
+        }
+        let mut cover = self.cover.clone();
+        let mut records = Vec::with_capacity(chain.len());
+        let mut cost_trajectory = Vec::with_capacity(chain.len() + 1);
+        cost_trajectory.push((cover.register_count(), self.initial_cost));
+        for &index in chain.iter().rev() {
+            let Merge { pair, record, .. } = self.merges[index];
+            cover
+                .merge_pair(pair.0, pair.1)
+                .expect("cover paths are disjoint");
+            records.push(record);
+            cost_trajectory.push((cover.register_count(), record.total_cost_after));
+        }
+        Phase2Report {
+            cover,
+            records,
+            cost_trajectory,
+        }
+    }
+
+    fn outcome(&self, k: usize) -> &Outcome {
+        let counts = self.counts();
+        assert!(
+            counts.contains(&k),
+            "{k} registers is outside the swept {counts:?}"
+        );
+        &self.outcomes[k - self.start]
+    }
+}
+
+/// One merge of the tree: the pair merged in its parent's cover and
+/// the record of the step.
+#[derive(Debug, Clone, Copy)]
+struct Merge {
+    parent: Option<usize>,
+    pair: (usize, usize),
+    record: MergeRecord,
+}
+
+/// Where one selection settled at one count: its cost under the
+/// accounting model, the selection (an index into the priced counts),
+/// and the last merge on its way there.
+#[derive(Debug, Clone, Copy)]
+struct Outcome {
+    cost: u32,
+    selection: usize,
+    last: Option<usize>,
+}
+
+impl Outcome {
+    fn rank(&self) -> (u32, usize) {
+        (self.cost, self.selection)
+    }
+}
+
+/// A merge candidate `P_i ⊕ P_j` priced under one selection:
 /// `(cost, marginal cost, merged length, (i, j))` — the greedy rank.
 ///
-/// Without modify registers the costs are the paper's path-local
-/// `C(P_i ⊕ P_j)` and `C(P_i ⊕ P_j) - C(P_i) - C(P_j)`. With modify
-/// registers a delta is free when one of the model's registers would
-/// hold it, and which deltas those are depends on every path's step
-/// frequencies. So the cost is the whole cover's cost after the merge,
+/// Priced with zero modify registers the costs are the paper's
+/// path-local `C(P_i ⊕ P_j)` and `C(P_i ⊕ P_j) - C(P_i) - C(P_j)`. With
+/// more, which deltas are free depends on every path's step
+/// frequencies, so the cost is the whole cover's cost after the merge,
 /// and the marginal cost is that less the cost before, which ranks
 /// exactly as the cost does.
 type Candidate = (u32, i64, usize, (usize, usize));
 
-/// Prices every merge candidate of `cover` under `model`, in `(i, j)`
-/// order.
-fn price_candidates(cover: &PathCover, dm: &DistanceModel, model: CostModel) -> Vec<Candidate> {
-    let paths = cover.paths();
-    let pairs = (0..paths.len()).flat_map(|i| (i + 1..paths.len()).map(move |j| (i, j)));
-    let candidate = |(i, j): (usize, usize), cost: u32, marginal: i64| {
-        (cost, marginal, paths[i].len() + paths[j].len(), (i, j))
-    };
-    if model.modify_registers() > 0 {
-        let before = i64::from(model.cover_cost(cover, dm));
-        return pairs
-            .map(|(i, j)| {
-                let merged = paths[i].merge(&paths[j]).expect("cover paths are disjoint");
-                let others = (0..paths.len()).filter(|&p| p != i && p != j);
-                let after = others.map(|p| &paths[p]).chain([&merged]);
-                let cost = model.paths_cost(after.map(|path| (path, dm)));
-                candidate((i, j), cost, i64::from(cost) - before)
-            })
-            .collect();
-    }
-    let path_costs: Vec<i64> = paths
-        .iter()
-        .map(|path| i64::from(model.path_cost(path, dm)))
-        .collect();
-    pairs
-        .map(|(i, j)| {
-            let cost = model.merged_path_cost(&paths[i], &paths[j], dm);
-            candidate(
-                (i, j),
-                cost,
-                i64::from(cost) - path_costs[i] - path_costs[j],
-            )
-        })
-        .collect()
+/// The candidates one selection ranks first in a state: `main` for the
+/// strategy's next merge, `pays` for the opportunistic phase (smallest
+/// marginal cost).
+#[derive(Debug, Clone, Copy)]
+struct Picks {
+    selection: usize,
+    main: Candidate,
+    pays: Candidate,
 }
 
-/// The candidate with the smallest `rank`. Every rank ends in the pair
-/// `(i, j)`, so no two candidates tie and selection is deterministic.
-fn best<R: Ord>(candidates: &[Candidate], rank: impl Fn(&Candidate) -> R) -> Candidate {
-    *candidates
-        .iter()
-        .min_by_key(|c| rank(c))
-        .expect("at least one pair exists")
-}
-
-/// A merge in progress: the report so far and, once priced, the merge
-/// candidates of its cover. The candidates are priced at most once per
-/// state, so the opportunistic phase at a count and the main loop's
-/// next step share one scan.
-struct Run {
-    report: Phase2Report,
-    candidates: Option<Vec<Candidate>>,
-}
-
-impl Run {
-    fn candidates(&mut self, dm: &DistanceModel, selection: CostModel) -> &[Candidate] {
-        let cover = &self.report.cover;
-        self.candidates
-            .get_or_insert_with(|| price_candidates(cover, dm, selection))
-    }
-
-    fn merge(&mut self, pair: (usize, usize), dm: &DistanceModel, account: CostModel) {
-        self.candidates = None;
-        self.report.merge(pair, dm, account);
-    }
-
-    /// The greedy strategy's opportunistic phase, run on a copy of this
-    /// state: keep merging the pair with the smallest marginal cost
-    /// while that strictly pays off (relaxed Phase-1 covers only; see
-    /// [`merge_until`]). A cover that pays no step at all cannot get
-    /// cheaper, so it skips the scan.
-    fn merge_while_it_pays(
-        &mut self,
-        dm: &DistanceModel,
-        account: CostModel,
-        selection: CostModel,
-    ) -> Phase2Report {
-        // The copy is made at the first merge that pays; until then the
-        // scan is this state's own.
-        let mut copy: Option<Run> = None;
-        loop {
-            let run = copy.as_mut().unwrap_or(&mut *self);
-            let cover = &run.report.cover;
-            if cover.register_count() < 2 || cover.total_cost(dm, selection.includes_wrap()) == 0 {
-                break;
-            }
-            let (_, marginal, _, pair) = best(run.candidates(dm, selection), |&(_, m, l, pair)| {
-                (m, l, pair)
-            });
-            if marginal >= 0 {
-                break;
-            }
-            copy.get_or_insert_with(|| Run {
-                report: self.report.clone(),
-                candidates: None,
-            })
-            .merge(pair, dm, account);
+impl Picks {
+    /// Keeps `candidate` where it ranks before the current pick. Every
+    /// rank ends in the pair `(i, j)`, so no two candidates tie.
+    fn offer(&mut self, candidate: Candidate, strategy: MergeStrategy) {
+        let main_rank = |&(cost, marginal, len, pair): &Candidate| match strategy {
+            // Invert the primary criterion; tie-breaks stay
+            // deterministic.
+            MergeStrategy::WorstCost => (u32::MAX - cost, -marginal, len, pair),
+            _ => (cost, marginal, len, pair),
+        };
+        if main_rank(&candidate) < main_rank(&self.main) {
+            self.main = candidate;
         }
-        copy.map_or_else(|| self.report.clone(), |run| run.report)
+        let pays_rank = |&(_, marginal, len, pair): &Candidate| (marginal, len, pair);
+        if pays_rank(&candidate) < pays_rank(&self.pays) {
+            self.pays = candidate;
+        }
+    }
+}
+
+/// The [`DeltaHistogram`] key of every step between two accesses of one
+/// distance model (see [`steps`](raco_graph::modify::steps)). Equal
+/// deltas share a key, worked out the first time a step is asked for (a
+/// sweep that merges nothing reads only the steps of its paths).
+/// Without `distinct` keys every paid step has key 0 and nothing is
+/// remembered: only paid totals are read then.
+struct StepKeys<'d> {
+    dm: &'d DistanceModel,
+    include_wrap: bool,
+    distinct: bool,
+    /// With `distinct` keys, per step `(from, to)` at `from * n + to`: 0
+    /// until asked for, then 1 if the step is free, else its key plus 2.
+    keys: Vec<Cell<u32>>,
+    /// The delta of each key handed out, by key.
+    deltas: RefCell<Vec<i64>>,
+}
+
+impl<'d> StepKeys<'d> {
+    fn new(dm: &'d DistanceModel, include_wrap: bool, distinct: bool) -> Self {
+        let steps = if distinct { dm.len() * dm.len() } else { 0 };
+        StepKeys {
+            dm,
+            include_wrap,
+            distinct,
+            keys: vec![Cell::new(0); steps],
+            deltas: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// The key of the step `(from, to)`, `None` if it is free.
+    fn key(&self, (from, to): (usize, usize)) -> Option<usize> {
+        if !self.distinct {
+            return paid_delta(self.dm, (from, to), self.include_wrap).map(|_| 0);
+        }
+        let cell = &self.keys[from * self.dm.len() + to];
+        if cell.get() == 0 {
+            let key = paid_delta(self.dm, (from, to), self.include_wrap).map_or(1, |delta| {
+                let mut deltas = self.deltas.borrow_mut();
+                let key = deltas.iter().position(|&d| d == delta).unwrap_or_else(|| {
+                    deltas.push(delta);
+                    deltas.len() - 1
+                });
+                key as u32 + 2
+            });
+            cell.set(key);
+        }
+        (cell.get() > 1).then(|| cell.get() as usize - 2)
+    }
+
+    /// Calls `paid` with the key of every paid step of a register
+    /// serving the accesses of `a` and `b` (ascending, disjoint, `b`
+    /// possibly empty) in one ascending order: the steps that
+    /// [`steps`](raco_graph::modify::steps) walks for `P_a ⊕ P_b`,
+    /// without building the path. This is a scan's inner loop; walking
+    /// the pairs here rather than through `steps` measured faster on
+    /// the machines without modify registers.
+    fn each(&self, a: &[usize], b: &[usize], mut paid: impl FnMut(usize)) {
+        let mut accesses = interleave(a, b);
+        let head = accesses.next().expect("paths are non-empty");
+        let mut from = head;
+        for to in accesses.chain([head]) {
+            if let Some(key) = self.key((from, to)) {
+                paid(key);
+            }
+            from = to;
+        }
+    }
+}
+
+/// One list per path of a cover — its accesses, or the keys of its paid
+/// steps — back to back, in the order of [`PathCover::paths`] (by
+/// head).
+#[derive(Debug, Clone, Default)]
+struct Lists {
+    items: Vec<usize>,
+    /// Where each list starts in `items`, and the end.
+    bounds: Vec<usize>,
+}
+
+impl Lists {
+    fn new() -> Self {
+        Lists {
+            items: Vec::new(),
+            bounds: vec![0],
+        }
+    }
+
+    /// The accesses of each path of `cover`.
+    fn paths(cover: &PathCover) -> Self {
+        let mut paths = Lists::new();
+        for path in cover.paths() {
+            paths.items.extend_from_slice(path.indices());
+            paths.end();
+        }
+        paths
+    }
+
+    /// Ends the list being built: it holds the items pushed since the
+    /// previous end.
+    fn end(&mut self) {
+        self.bounds.push(self.items.len());
+    }
+
+    fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    fn get(&self, p: usize) -> &[usize] {
+        &self.items[self.bounds[p]..self.bounds[p + 1]]
+    }
+
+    /// Writes to `out` these lists after paths `i < j` merge, as
+    /// [`PathCover::merge_pair`] orders them: `merged` takes the place
+    /// of list `i` (the merged path keeps the head of `P_i`), and list
+    /// `j` goes.
+    fn merged(
+        &self,
+        (i, j): (usize, usize),
+        merged: impl IntoIterator<Item = usize>,
+        out: &mut Lists,
+    ) {
+        out.items.clear();
+        out.bounds.clear();
+        out.bounds.push(0);
+        out.items.extend_from_slice(&self.items[..self.bounds[i]]);
+        out.bounds.extend_from_slice(&self.bounds[1..=i]);
+        out.items.extend(merged);
+        out.end();
+        for p in (i + 1..self.len()).filter(|&p| p != j) {
+            out.items.extend_from_slice(self.get(p));
+            out.end();
+        }
+    }
+}
+
+/// A cover on its way down, shared by the selections that picked the
+/// same pairs so far.
+#[derive(Debug)]
+struct State {
+    /// The accesses of each path.
+    paths: Lists,
+    /// The [`StepKeys`] keys of each path's paid steps.
+    keys: Lists,
+    /// All paid steps of the cover, by key.
+    histogram: DeltaHistogram,
+    /// The cover's cost under the accounting model.
+    cost: u32,
+    /// The merge that made this state.
+    last: Option<usize>,
+    /// The selections here, as indices into the priced counts,
+    /// ascending.
+    selections: Vec<usize>,
+    /// Per selection, its picks in this state, once scanned: the
+    /// opportunistic phase at a count and the next main step share
+    /// the scan.
+    picks: Option<Vec<Picks>>,
+}
+
+impl State {
+    /// A copy of this state for `selections`.
+    fn fork(&self, selections: Vec<usize>) -> State {
+        State {
+            paths: self.paths.clone(),
+            keys: self.keys.clone(),
+            histogram: self.histogram.clone(),
+            cost: self.cost,
+            last: self.last,
+            selections,
+            picks: None,
+        }
+    }
+}
+
+/// Buffers reused from one candidate, and one merge, to the next.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Per selection of the state: its priced count and its cost of
+    /// the cover as it is.
+    priced: Vec<(usize, i64)>,
+    /// The paid-step keys of the merged path.
+    merged: Vec<usize>,
+    /// Sums of the largest counts after the candidate's merge.
+    tops: Vec<u32>,
+    /// Where a merge builds a state's new lists.
+    spare: Lists,
+}
+
+/// What every state of one sweep shares.
+struct Tree<'a> {
+    keys: StepKeys<'a>,
+    account: CostModel,
+    priced: &'a [usize],
+    strategy: MergeStrategy,
+    rng: Option<SmallRng>,
+    merges: Vec<Merge>,
+    scratch: Scratch,
+}
+
+impl<'a> Tree<'a> {
+    fn new(
+        dm: &'a DistanceModel,
+        account: CostModel,
+        priced: &'a [usize],
+        strategy: MergeStrategy,
+    ) -> Self {
+        let distinct = account.modify_registers() > 0 || priced.iter().any(|&m| m > 0);
+        Tree {
+            keys: StepKeys::new(dm, account.includes_wrap(), distinct),
+            account,
+            priced,
+            strategy,
+            rng: match strategy {
+                MergeStrategy::Random { seed } => Some(SmallRng::seed_from_u64(seed)),
+                _ => None,
+            },
+            merges: Vec::new(),
+            scratch: Scratch::default(),
+        }
+    }
+
+    fn root(&self, cover: &PathCover) -> State {
+        let mut keys = Lists::new();
+        for path in cover.paths() {
+            self.keys
+                .each(path.indices(), &[], |key| keys.items.push(key));
+            keys.end();
+        }
+        let mut histogram = DeltaHistogram::default();
+        for &key in &keys.items {
+            histogram.add(key);
+        }
+        State {
+            paths: Lists::paths(cover),
+            keys,
+            cost: self.account.histogram_cost(&histogram),
+            histogram,
+            last: None,
+            selections: (0..self.priced.len()).collect(),
+            picks: None,
+        }
+    }
+
+    /// One main-loop merge of `state`: each group of its selections
+    /// that picks the same pair goes on in its own state.
+    fn step(&mut self, mut state: State, out: &mut Vec<State>) {
+        let pair = match self.strategy {
+            MergeStrategy::FirstPair => (0, 1),
+            MergeStrategy::Random { .. } => {
+                let rng = self.rng.as_mut().expect("random strategy carries an RNG");
+                let p = state.paths.len();
+                let i = rng.gen_range(0..p);
+                let j = rng.gen_range(0..p - 1);
+                let j = if j >= i { j + 1 } else { j };
+                (i.min(j), i.max(j))
+            }
+            MergeStrategy::GreedyMinCost | MergeStrategy::WorstCost => {
+                let picks = self.picks(&mut state);
+                let pair = picks[0].main.3;
+                if picks.iter().all(|pick| pick.main.3 == pair) {
+                    pair
+                } else {
+                    let mut groups = group(picks.iter().map(|pick| (pick.main.3, pick.selection)));
+                    let (pair, selections) = groups.pop().expect("a state has a selection");
+                    for (pair, selections) in groups {
+                        let mut fork = state.fork(selections);
+                        self.merge(&mut fork, pair);
+                        out.push(fork);
+                    }
+                    state.selections = selections;
+                    pair
+                }
+            }
+        };
+        self.merge(&mut state, pair);
+        out.push(state);
+    }
+
+    /// Where the selections of `state` settle at its register count —
+    /// the state itself, or for the greedy strategy the end of its
+    /// opportunistic phase: keep merging the pair with the smallest
+    /// marginal cost while that strictly pays off (relaxed Phase-1
+    /// covers only; see [`merge_until`]). A cover that pays no step at
+    /// all cannot get cheaper, so it skips the scan. Returns the
+    /// cheapest outcome.
+    fn settle(&mut self, state: &mut State) -> Outcome {
+        let here = Outcome {
+            cost: state.cost,
+            selection: state.selections[0],
+            last: state.last,
+        };
+        if self.strategy != MergeStrategy::GreedyMinCost
+            || state.paths.len() < 2
+            || state.histogram.paid() == 0
+        {
+            return here;
+        }
+        let picks = self.picks(state);
+        let stays = picks.iter().find(|pick| pick.pays.1 >= 0);
+        let mut best = stays.map(|pick| Outcome {
+            selection: pick.selection,
+            ..here
+        });
+        let paying = picks.iter().filter(|pick| pick.pays.1 < 0);
+        for (pair, selections) in group(paying.map(|pick| (pick.pays.3, pick.selection))) {
+            let mut fork = state.fork(selections);
+            self.merge(&mut fork, pair);
+            let outcome = self.settle(&mut fork);
+            best = Some(best.map_or(outcome, |best| {
+                cmp::min_by_key(best, outcome, Outcome::rank)
+            }));
+        }
+        best.expect("every selection settles")
+    }
+
+    /// The picks of every selection of `state`, scanned once.
+    fn picks<'s>(&mut self, state: &'s mut State) -> &'s [Picks] {
+        let State {
+            paths,
+            keys,
+            histogram,
+            selections,
+            picks,
+            ..
+        } = state;
+        picks.get_or_insert_with(|| self.scan(paths, keys, histogram, selections))
+    }
+
+    /// Prices every merge candidate of `paths` (whose paid steps have
+    /// `keys`) for every selection in one pass, in `(i, j)` order, and
+    /// returns each selection's picks.
+    fn scan(
+        &mut self,
+        paths: &Lists,
+        keys: &Lists,
+        histogram: &mut DeltaHistogram,
+        selections: &[usize],
+    ) -> Vec<Picks> {
+        let Scratch {
+            priced,
+            merged,
+            tops,
+            ..
+        } = &mut self.scratch;
+        let account = self.account;
+        // Per selection: its priced count, and for a count above zero
+        // the cost of the cover as it is.
+        priced.clear();
+        priced.extend(selections.iter().map(|&s| {
+            let m = self.priced[s];
+            (m, i64::from(account.steps_cost(histogram.charged(m))))
+        }));
+        let limit = priced.iter().map(|&(m, _)| m).max().unwrap_or(0);
+        let paid = histogram.paid() as usize;
+        let mut picks: Vec<Picks> = Vec::with_capacity(priced.len());
+        for i in 0..paths.len() {
+            for j in i + 1..paths.len() {
+                let (pi, pj) = (paths.get(i), paths.get(j));
+                let (ki, kj) = (keys.get(i), keys.get(j));
+                let merged_paid = if limit > 0 {
+                    merged.clear();
+                    self.keys.each(pi, pj, |key| merged.push(key));
+                    price(histogram, [ki, kj], merged, limit, tops);
+                    merged.len()
+                } else {
+                    let mut paid = 0;
+                    self.keys.each(pi, pj, |_| paid += 1);
+                    paid
+                };
+                let paid_after = (paid - ki.len() - kj.len() + merged_paid) as u32;
+                let len = pi.len() + pj.len();
+                for (at, &(m, before)) in priced.iter().enumerate() {
+                    let (cost, marginal) = if m == 0 {
+                        let cost = account.steps_cost(merged_paid as u32);
+                        let parts = [ki, kj].map(|k| i64::from(account.steps_cost(k.len() as u32)));
+                        (cost, i64::from(cost) - parts[0] - parts[1])
+                    } else {
+                        let cost = account.steps_cost(paid_after - tops[m.min(tops.len() - 1)]);
+                        (cost, i64::from(cost) - before)
+                    };
+                    let candidate = (cost, marginal, len, (i, j));
+                    match picks.get_mut(at) {
+                        Some(pick) => pick.offer(candidate, self.strategy),
+                        None => picks.push(Picks {
+                            selection: selections[at],
+                            main: candidate,
+                            pays: candidate,
+                        }),
+                    }
+                }
+            }
+        }
+        picks
+    }
+
+    /// Merges `pair` in `state`, recording the step under the
+    /// accounting model.
+    fn merge(&mut self, state: &mut State, (i, j): (usize, usize)) {
+        let Scratch { merged, spare, .. } = &mut self.scratch;
+        let (pi, pj) = (state.paths.get(i), state.paths.get(j));
+        let histogram = &mut state.histogram;
+        for &key in state.keys.get(i).iter().chain(state.keys.get(j)) {
+            histogram.remove(key);
+        }
+        merged.clear();
+        self.keys.each(pi, pj, |key| merged.push(key));
+        for &key in merged.iter() {
+            histogram.add(key);
+        }
+        let record = MergeRecord {
+            paths_before: state.paths.len(),
+            merged_lengths: (pi.len(), pj.len()),
+            merged_path_cost: self.account.steps_cost(merged.len() as u32),
+            total_cost_after: self.account.histogram_cost(histogram),
+        };
+        state.cost = record.total_cost_after;
+        state.keys.merged((i, j), merged.iter().copied(), spare);
+        std::mem::swap(&mut state.keys, spare);
+        state.paths.merged((i, j), interleave(pi, pj), spare);
+        std::mem::swap(&mut state.paths, spare);
+        self.merges.push(Merge {
+            parent: state.last,
+            pair: (i, j),
+            record,
+        });
+        state.last = Some(self.merges.len() - 1);
+        state.picks = None;
+    }
+}
+
+/// Groups selections by the pair they pick, in order of first pick;
+/// each group keeps its selections in order.
+fn group(
+    picks: impl Iterator<Item = ((usize, usize), usize)>,
+) -> Vec<((usize, usize), Vec<usize>)> {
+    let mut groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
+    for (pair, selection) in picks {
+        match groups.iter_mut().find(|(p, _)| *p == pair) {
+            Some((_, selections)) => selections.push(selection),
+            None => groups.push((pair, vec![selection])),
+        }
+    }
+    groups
+}
+
+/// The accesses of two disjoint ascending index lists in one ascending
+/// order — the accesses of the merged path `P_i ⊕ P_j`, without
+/// building it.
+///
+fn interleave<'a>(a: &'a [usize], b: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
+    let (mut x, mut y) = (0, 0);
+    std::iter::from_fn(move || match (a.get(x), b.get(y)) {
+        (Some(&p), Some(&q)) if p < q => {
+            x += 1;
+            Some(p)
+        }
+        (Some(&p), None) => {
+            x += 1;
+            Some(p)
+        }
+        (_, Some(&q)) => {
+            y += 1;
+            Some(q)
+        }
+        (None, None) => None,
+    })
+}
+
+/// Fills `tops` with the sums of the largest counts of `histogram` with
+/// the paid steps `removed` taken out and `added` put in — `tops[m]` is
+/// the sum of the `m` largest, for `m` up to `limit` or the number of
+/// nonzero counts — and leaves `histogram` as it was.
+fn price(
+    histogram: &mut DeltaHistogram,
+    removed: [&[usize]; 2],
+    added: &[usize],
+    limit: usize,
+    tops: &mut Vec<u32>,
+) {
+    for &key in removed.iter().copied().flatten() {
+        histogram.remove(key);
+    }
+    for &key in added {
+        histogram.add(key);
+    }
+    histogram.top_sums(limit, tops);
+    for &key in added {
+        histogram.remove(key);
+    }
+    for &key in removed.iter().copied().flatten() {
+        histogram.add(key);
     }
 }
 
@@ -395,6 +899,7 @@ impl Run {
 mod tests {
     use super::*;
     use raco_graph::Path;
+    use rand::Rng;
 
     fn paper_dm() -> DistanceModel {
         DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1)
@@ -610,10 +1115,11 @@ mod tests {
     }
 
     #[test]
-    fn one_run_reports_every_count_as_a_run_to_that_count() {
-        // Relaxed (stride 3) and zero-cost Phase-1 covers, with selection
-        // priced with and without modify registers: the report at each
-        // count equals a separate run to that count.
+    fn one_sweep_reports_every_count_as_a_sweep_to_that_count() {
+        // Relaxed (stride 3) and zero-cost Phase-1 covers, with one
+        // selection priced with and without modify registers and with
+        // both at once: the report at each count equals a separate
+        // sweep to that count.
         for (offsets, stride, relaxed) in [
             (&[1, 0, 2, -1, 1, 0, -2][..], 1, false),
             (&[0, 4, -3, 9, 1, 2], 3, true),
@@ -623,23 +1129,111 @@ mod tests {
             let outcome_is_relaxed = phase1.outcome() == crate::Phase1Outcome::Relaxed;
             assert_eq!(outcome_is_relaxed, relaxed, "precondition");
             let account = CostModel::steady_state().with_modify_registers(2);
-            for selection in [account.with_modify_registers(0), account] {
+            for priced in [&[0][..], &[2], &[0, 1, 2]] {
                 for strategy in [
                     MergeStrategy::GreedyMinCost,
                     MergeStrategy::FirstPair,
                     MergeStrategy::Random { seed: 7 },
                     MergeStrategy::WorstCost,
                 ] {
-                    let all = merge_down(phase1.cover(), 1..=8, &dm, account, selection, strategy);
-                    assert_eq!(all.len(), 8);
-                    for (k, report) in (1..=8).zip(&all) {
-                        let alone =
-                            merge_down(phase1.cover(), k..=k, &dm, account, selection, strategy);
-                        assert_eq!(
-                            alone.as_slice(),
-                            std::slice::from_ref(report),
-                            "{strategy:?} k = {k}"
-                        );
+                    let all = sweep(phase1.cover(), 1..=8, &dm, account, priced, strategy);
+                    assert_eq!(all.counts(), 1..=8);
+                    for k in 1..=8 {
+                        let alone = sweep(phase1.cover(), k..=k, &dm, account, priced, strategy);
+                        assert_eq!(all.cost(k), alone.cost(k), "{strategy:?} k = {k}");
+                        assert_eq!(all.report(k), alone.report(k), "{strategy:?} k = {k}");
+                        assert_eq!(all.cost(k), all.report(k).final_cost());
+                    }
+                }
+            }
+        }
+    }
+
+    /// The histogram's observable state: paid steps, counts largest
+    /// first, and the count of every key handed out.
+    fn snapshot(histogram: &DeltaHistogram, keys: usize) -> (u32, Vec<u32>, Vec<u32>) {
+        let counts = (0..keys).map(|key| histogram.count(key)).collect();
+        (histogram.paid(), histogram.largest().collect(), counts)
+    }
+
+    #[test]
+    fn histogram_prices_every_candidate_as_paths_cost_does() {
+        // Random covers of random patterns, plus tie-heavy deltas (+7
+        // and -7 alternating) and deltas on the update-range boundary
+        // (steps of exactly M = 3, free, and M + 1 = 4, paid): moving a
+        // candidate's steps through its state's histogram prices the
+        // merge, under every priced count, as `paths_cost` prices the
+        // materialised cover, and leaves the histogram as it was.
+        let mut rng = SmallRng::seed_from_u64(28);
+        let mut patterns: Vec<(Vec<i64>, i64, u32)> = vec![
+            (vec![0, 7, 0, 7, 0, 7, 0, 7], 2, 2),
+            (vec![0, -7, 0, 7, 14, 7, 0, -7], 7, 1),
+            (vec![0, 3, 7, 10, 14, 17, 21, 24], 1, 3),
+            (vec![0, 4, 1, 5, 2, 6, 3], -4, 3),
+        ];
+        patterns.extend((0..60).map(|_| {
+            let n = rng.gen_range(2..=10);
+            let offsets = (0..n).map(|_| rng.gen_range(-9i64..=9)).collect();
+            (
+                offsets,
+                [1, -1, 2, 3, 7][rng.gen_range(0..5)],
+                rng.gen_range(0..=3),
+            )
+        }));
+        for (offsets, stride, range) in &patterns {
+            let dm = DistanceModel::from_offsets(offsets, *stride, *range);
+            for _ in 0..4 {
+                let groups = rng.gen_range(2..=dm.len());
+                let assignment: Vec<usize> =
+                    (0..dm.len()).map(|_| rng.gen_range(0..groups)).collect();
+                let cover = PathCover::from_assignment(&assignment);
+                for account in [
+                    CostModel::steady_state(),
+                    CostModel::paper_literal().with_adda_cost(3),
+                ] {
+                    let priced = [1];
+                    let tree = Tree::new(&dm, account, &priced, MergeStrategy::GreedyMinCost);
+                    let mut state = tree.root(&cover);
+                    let paths = cover.paths();
+                    let mut merged = Vec::new();
+                    let mut tops = Vec::new();
+                    for i in 0..paths.len() {
+                        for j in i + 1..paths.len() {
+                            let (ki, kj) = (state.keys.get(i), state.keys.get(j));
+                            merged.clear();
+                            tree.keys
+                                .each(paths[i].indices(), paths[j].indices(), |key| {
+                                    merged.push(key)
+                                });
+                            let keys = tree.keys.deltas.borrow().len();
+                            let before = snapshot(&state.histogram, keys);
+                            price(&mut state.histogram, [ki, kj], &merged, 6, &mut tops);
+                            assert_eq!(snapshot(&state.histogram, keys), before);
+                            let paid = state.histogram.paid() as usize;
+                            let paid_after = (paid - ki.len() - kj.len() + merged.len()) as u32;
+                            let merged_path = paths[i].merge(&paths[j]).unwrap();
+                            assert_eq!(
+                                account.steps_cost(merged.len() as u32),
+                                account.path_cost(&merged_path, &dm),
+                                "the path-local price of {merged_path} in {cover}"
+                            );
+                            let others = (0..paths.len()).filter(|&p| p != i && p != j);
+                            for m in 0..=6 {
+                                let after = others
+                                    .clone()
+                                    .map(|p| &paths[p])
+                                    .chain([&merged_path])
+                                    .map(|path| (path, &dm));
+                                let expected = account.with_modify_registers(m).paths_cost(after);
+                                let top = tops[m.min(tops.len() - 1)];
+                                assert_eq!(
+                                    account.steps_cost(paid_after - top),
+                                    expected,
+                                    "m' = {m}: ({i}, {j}) of {cover}, offsets {offsets:?} \
+                                     stride {stride} range {range}"
+                                );
+                            }
+                        }
                     }
                 }
             }

@@ -25,7 +25,9 @@
 //! * [`ModifyAllocation`] — frequency-ranked assignment of over-range
 //!   deltas to modify registers, shared by the allocator's cost model
 //!   (`raco-core`) and code generation (`raco-agu`) so both price the
-//!   same machine.
+//!   same machine; its [`modify`] module also holds the
+//!   [`DeltaHistogram`] that counts the paid steps, and Phase 2 prices
+//!   merge candidates through it.
 //!
 //! ## Example: Figure 1 of the paper
 //!
@@ -51,11 +53,11 @@ pub mod brute;
 mod distance;
 mod graph;
 pub mod matching;
-mod modify;
+pub mod modify;
 mod path;
 
 pub use bb::{BbOptions, BbResult, CoverSearchError};
 pub use distance::DistanceModel;
 pub use graph::AccessGraph;
-pub use modify::ModifyAllocation;
+pub use modify::{DeltaHistogram, ModifyAllocation};
 pub use path::{CoverError, Path, PathCover, PathError};

@@ -18,10 +18,178 @@
 //! what makes the allocator's predicted cost equal the simulator's
 //! measured cost on MR-equipped machines.
 
-use std::collections::HashMap;
-
 use crate::distance::DistanceModel;
 use crate::path::Path;
+
+/// The steps of a register serving `indices` (ascending) in one
+/// iteration, as `(from, to)` access pairs: each consecutive pair, then
+/// the wrap `(tail, head)` into the next iteration. A step is the wrap
+/// exactly when `from >= to` (see [`paid_delta`]).
+///
+/// ```
+/// let steps: Vec<_> = raco_graph::modify::steps([1, 4, 6]).collect();
+/// assert_eq!(steps, [(1, 4), (4, 6), (6, 1)]);
+/// ```
+#[inline]
+pub fn steps(indices: impl IntoIterator<Item = usize>) -> impl Iterator<Item = (usize, usize)> {
+    let mut indices = indices.into_iter();
+    let head = indices.next();
+    let mut from = head;
+    std::iter::from_fn(move || {
+        let step_from = from?;
+        let to = indices.next();
+        from = to;
+        Some((step_from, to.or(head)?))
+    })
+}
+
+/// The post-modify delta of the step `(from, to)` (see [`steps`]) if it
+/// needs an explicit update; `None` if it is free — inside the update
+/// range, or a wrap while `include_wrap` is off.
+#[inline]
+pub fn paid_delta(
+    dm: &DistanceModel,
+    (from, to): (usize, usize),
+    include_wrap: bool,
+) -> Option<i64> {
+    let delta = if from < to {
+        dm.intra_distance(from, to)
+    } else if include_wrap {
+        dm.wrap_distance(from, to)
+    } else {
+        return None;
+    };
+    (!dm.is_free(delta)).then_some(delta)
+}
+
+/// The paid steps of a set of paths, counted per over-range delta.
+///
+/// Deltas are known by small integer keys the caller assigns, one per
+/// distinct value. Next to the count per key the histogram keeps how
+/// many keys share each count, so a step moves in or out in constant
+/// time and the sum of the `m` largest counts ([`top`](Self::top)) is a
+/// walk over those counts, not a sort.
+///
+/// ```
+/// use raco_graph::DeltaHistogram;
+///
+/// let mut h = DeltaHistogram::default();
+/// for key in [0, 1, 0, 2, 0, 1] {
+///     h.add(key);
+/// }
+/// assert_eq!(h.paid(), 6);
+/// assert_eq!(h.largest().collect::<Vec<_>>(), [3, 2, 1]);
+/// assert_eq!(h.top(2), 5);
+/// h.remove(0);
+/// assert_eq!(h.top(1), 2); // keys 0 and 1 tie at two steps
+/// assert_eq!(h.charged(1), 3);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct DeltaHistogram {
+    counts: Vec<u32>,
+    /// `by_count[c]` is the number of keys counted `c` times, for
+    /// `1 <= c <= max`.
+    by_count: Vec<u32>,
+    /// The largest count.
+    max: usize,
+    paid: u32,
+}
+
+impl DeltaHistogram {
+    /// Counts one more step of the delta `key`.
+    #[inline]
+    pub fn add(&mut self, key: usize) {
+        if key >= self.counts.len() {
+            self.counts.resize(key + 1, 0);
+        }
+        self.counts[key] += 1;
+        let count = self.counts[key] as usize;
+        if count > self.max {
+            self.max = count;
+            if count >= self.by_count.len() {
+                self.by_count.resize(count + 1, 0);
+            }
+        }
+        if count > 1 {
+            self.by_count[count - 1] -= 1;
+        }
+        self.by_count[count] += 1;
+        self.paid += 1;
+    }
+
+    /// Counts one step of the delta `key` less.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` has no step.
+    #[inline]
+    pub fn remove(&mut self, key: usize) {
+        let count = self.count(key) as usize;
+        assert!(count > 0, "delta key {key} has no step to remove");
+        self.counts[key] -= 1;
+        self.by_count[count] -= 1;
+        if count > 1 {
+            self.by_count[count - 1] += 1;
+        }
+        if count == self.max && self.by_count[count] == 0 {
+            self.max -= 1;
+        }
+        self.paid -= 1;
+    }
+
+    /// All counted steps.
+    #[inline]
+    pub fn paid(&self) -> u32 {
+        self.paid
+    }
+
+    /// The steps counted for `key`.
+    #[inline]
+    pub fn count(&self, key: usize) -> u32 {
+        self.counts.get(key).copied().unwrap_or(0)
+    }
+
+    /// The nonzero counts, largest first.
+    #[inline]
+    pub fn largest(&self) -> impl Iterator<Item = u32> + '_ {
+        let counts = (1..=self.max).rev();
+        counts.flat_map(|count| std::iter::repeat_n(count as u32, self.by_count[count] as usize))
+    }
+
+    /// The sum of the `m` largest counts: the steps `m` modify
+    /// registers absorb. Which of several equal counts is taken does
+    /// not change the sum.
+    #[inline]
+    pub fn top(&self, m: usize) -> u32 {
+        self.largest().take(m).sum()
+    }
+
+    /// Fills `sums` with [`top(m)`](Self::top) for every `m` from zero
+    /// up to `limit` or the number of keys with a step, whichever is
+    /// smaller; a larger `m` absorbs no more than the last entry.
+    #[inline]
+    pub fn top_sums(&self, limit: usize, sums: &mut Vec<u32>) {
+        sums.clear();
+        sums.push(0);
+        let mut sum = 0;
+        for count in (1..=self.max).rev() {
+            for _ in 0..self.by_count[count] {
+                if sums.len() > limit {
+                    return;
+                }
+                sum += count as u32;
+                sums.push(sum);
+            }
+        }
+    }
+
+    /// The steps still paid with `m` modify registers: all counted
+    /// steps less the [`top(m)`](Self::top) they absorb.
+    #[inline]
+    pub fn charged(&self, m: usize) -> u32 {
+        self.paid - self.top(m)
+    }
+}
 
 /// Values assigned to modify registers.
 ///
@@ -64,37 +232,41 @@ impl ModifyAllocation {
     ///
     /// Ties are broken toward smaller `|delta|`, then smaller `delta`, so
     /// the result is deterministic and independent of the pairs' order.
-    /// With `count == 0` no frequency map is built.
+    /// With `count == 0` no delta is told apart from another: only the
+    /// paid steps are counted.
     pub fn new<'a>(
         paths: impl IntoIterator<Item = (&'a Path, &'a DistanceModel)>,
         count: usize,
         include_wrap: bool,
     ) -> Self {
-        let mut freq: HashMap<i64, u32> = HashMap::new();
-        let mut paid = 0;
+        let mut deltas: Vec<i64> = Vec::new();
+        let mut histogram = DeltaHistogram::default();
         for (path, dm) in paths {
-            let intra = path
-                .indices()
-                .windows(2)
-                .map(|w| dm.intra_distance(w[0], w[1]));
-            let wrap = include_wrap.then(|| path.wrap_step(dm));
-            for delta in intra.chain(wrap).filter(|&delta| !dm.is_free(delta)) {
-                paid += 1;
-                if count > 0 {
-                    *freq.entry(delta).or_insert(0) += 1;
-                }
+            for step in steps(path.indices().iter().copied()) {
+                let Some(delta) = paid_delta(dm, step, include_wrap) else {
+                    continue;
+                };
+                let key = if count == 0 {
+                    0
+                } else if let Some(key) = deltas.iter().position(|&d| d == delta) {
+                    key
+                } else {
+                    deltas.push(delta);
+                    deltas.len() - 1
+                };
+                histogram.add(key);
             }
         }
-        let mut ranked: Vec<(i64, u32)> = freq.into_iter().collect();
+        let mut ranked: Vec<(i64, u32)> = (deltas.iter().enumerate())
+            .map(|(key, &delta)| (delta, histogram.count(key)))
+            .collect();
         ranked
             .sort_by_key(|&(delta, count)| (std::cmp::Reverse(count), delta.unsigned_abs(), delta));
         ranked.truncate(count);
-        let savings = ranked.iter().map(|&(_, c)| c).sum();
-        let values = ranked.into_iter().map(|(delta, _)| delta).collect();
         ModifyAllocation {
-            values,
-            savings,
-            paid,
+            values: ranked.into_iter().map(|(delta, _)| delta).collect(),
+            savings: histogram.top(count),
+            paid: histogram.paid(),
         }
     }
 
@@ -134,6 +306,53 @@ mod tests {
     /// The ranking code generation loads for `cover`: wraps included.
     fn rank(cover: &PathCover, dm: &DistanceModel, count: usize) -> ModifyAllocation {
         ModifyAllocation::new(cover.paths().iter().map(|p| (p, dm)), count, true)
+    }
+
+    #[test]
+    fn histogram_tops_match_a_sorted_recount() {
+        // A fixed pseudo-random walk of adds and removes over six keys:
+        // after every move, the largest counts, every top sum and the
+        // charged steps equal a plain recount, sorted.
+        let mut histogram = DeltaHistogram::default();
+        let mut counts = [0u32; 6];
+        let mut state = 0x2545_f491_u64;
+        for _ in 0..2000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let key = (state >> 33) as usize % counts.len();
+            if (state >> 40) % 3 == 0 && counts[key] > 0 {
+                histogram.remove(key);
+                counts[key] -= 1;
+            } else {
+                histogram.add(key);
+                counts[key] += 1;
+            }
+            let mut sorted: Vec<u32> = counts.iter().copied().filter(|&c| c > 0).collect();
+            sorted.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(histogram.largest().collect::<Vec<_>>(), sorted);
+            let mut sums = Vec::new();
+            histogram.top_sums(4, &mut sums);
+            for m in 0..=7 {
+                let top: u32 = sorted.iter().take(m).sum();
+                assert_eq!(histogram.top(m), top);
+                assert_eq!(histogram.charged(m), counts.iter().sum::<u32>() - top);
+                if m < sums.len() {
+                    assert_eq!(sums[m], top);
+                }
+            }
+            assert_eq!(sums.len(), 1 + sorted.len().min(4));
+        }
+    }
+
+    #[test]
+    fn steps_walk_each_pair_then_the_wrap() {
+        assert_eq!(steps([5]).collect::<Vec<_>>(), [(5, 5)]);
+        assert_eq!(
+            steps([0, 2, 3]).collect::<Vec<_>>(),
+            [(0, 2), (2, 3), (3, 0)]
+        );
+        assert_eq!(steps(std::iter::empty()).count(), 0);
     }
 
     #[test]

@@ -156,28 +156,6 @@ impl Path {
         Ok(Path { indices: merged })
     }
 
-    /// The [`cost`](Self::cost) of `self ⊕ other` without building the
-    /// merged path: merge candidates are priced by the thousand, so this
-    /// walks both index lists in merged order instead of allocating.
-    /// The paths must be disjoint (as the paths of a cover are).
-    pub fn merged_cost(&self, other: &Path, dm: &DistanceModel, include_wrap: bool) -> u32 {
-        let (mut a, mut b) = (
-            self.indices.iter().peekable(),
-            other.indices.iter().peekable(),
-        );
-        let mut merged = std::iter::from_fn(|| match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) if x < y => a.next(),
-            (Some(_), None) => a.next(),
-            _ => b.next(),
-        })
-        .copied();
-        let head = merged.next().expect("paths are non-empty");
-        let (intra, tail) = merged.fold((0, head), |(cost, from), to| {
-            (cost + u32::from(!dm.free_intra(from, to)), to)
-        });
-        intra + u32::from(include_wrap && !dm.free_wrap(tail, head))
-    }
-
     /// Number of unit-cost updates *inside* the path: consecutive pairs
     /// whose intra-iteration distance exceeds `M`. This is the paper's
     /// `C(P)` in its literal form (Section 3.2).
@@ -461,26 +439,6 @@ mod tests {
 
     fn paper_dm() -> DistanceModel {
         DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1)
-    }
-
-    #[test]
-    fn merged_cost_prices_the_merge_without_building_it() {
-        let dm = paper_dm();
-        let mut pairs = 0;
-        crate::brute::for_each_partition(7, 2, |assignment, blocks| {
-            if blocks < 2 {
-                return;
-            }
-            let cover = PathCover::from_assignment(assignment);
-            let (p, q) = (&cover.paths()[0], &cover.paths()[1]);
-            let merged = p.merge(q).unwrap();
-            for wrap in [false, true] {
-                assert_eq!(p.merged_cost(q, &dm, wrap), merged.cost(&dm, wrap));
-                assert_eq!(q.merged_cost(p, &dm, wrap), merged.cost(&dm, wrap));
-            }
-            pairs += 1;
-        });
-        assert_eq!(pairs, 63, "S(7, 2)");
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!   Figure 1 reproduction cannot drift);
 //! * **curve ≡ allocation** — on every built-in machine, the cost curve
 //!   at `k` is the cheapest allocation with at most `k` registers;
+//! * **shared merge tree ≡ independent runs** — Phase 2's one sweep
+//!   over every selection (MR 0..=4 and 8, `ADDA` 1..=3, both cost
+//!   models, every strategy) gives at every count the cost, cover and
+//!   merge steps of the cheapest per-selection `merge_until` run;
 //! * **certified optimality** — the exact oracle, pricing with the same
 //!   model, never exceeds the allocator's cost nor any cost-curve entry
 //!   (asymmetric free-update windows `[lo, hi]` within `[-2, 2]`,
@@ -29,9 +33,9 @@ use proptest::prelude::*;
 
 use raco::agu::codegen::CodeGenerator;
 use raco::agu::sim;
-use raco::core::{exact, CostModel, Optimizer, OptimizerOptions};
+use raco::core::{exact, phase1, phase2, CostModel, MergeStrategy, Optimizer, OptimizerOptions};
 use raco::driver::{persist, AllocationCache, Pipeline, PipelineConfig};
-use raco::graph::DistanceModel;
+use raco::graph::{BbOptions, DistanceModel};
 use raco::ir::{
     AccessKind, AccessPattern, AguSpec, CanonicalPattern, CostTable, LoopSpec, MachineDescription,
     MemoryLayout, Trace, UpdateRange,
@@ -220,6 +224,77 @@ proptest! {
                     "{} K={} curve {:?} offsets {:?} stride {}",
                     machine, k, &curve, &offsets, stride
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One shared merge tree gives, at every register count, what
+    /// independent runs give: `merge_until` once per selection and count
+    /// (each prices its candidates with `priced` modify registers), the
+    /// cheapest under the machine's own model kept, ties to the smallest
+    /// priced count. The report the sweep builds is that run's, with its
+    /// costs under the machine's model: whole when the run priced the
+    /// machine's own count, else its cover, its merge steps and its
+    /// register counts.
+    #[test]
+    fn shared_sweep_matches_independent_selection_runs(
+        offsets in prop::collection::vec(-8i64..=8, 1..=12),
+        stride in prop_oneof![Just(1i64), Just(-1i64), Just(2i64), Just(3i64), Just(5i64)],
+        range in 0u32..=2,
+        mr in prop_oneof![0usize..=4, Just(8usize)],
+        adda in 1u32..=3,
+        paper_literal in prop::bool::ANY,
+        strategy in prop_oneof![
+            Just(MergeStrategy::GreedyMinCost),
+            Just(MergeStrategy::FirstPair),
+            Just(MergeStrategy::WorstCost),
+            (0u64..4).prop_map(|seed| MergeStrategy::Random { seed }),
+        ],
+        k_max in 1usize..=8,
+    ) {
+        let base = if paper_literal { CostModel::paper_literal() } else { CostModel::steady_state() };
+        let account = base.with_modify_registers(mr).with_adda_cost(adda);
+        let dm = DistanceModel::from_offsets(&offsets, stride, range);
+        let phase1 = phase1::run(&dm, BbOptions::default());
+        let cover = phase1.cover();
+        let priced: Vec<usize> = match strategy {
+            MergeStrategy::GreedyMinCost => (0..=mr.min(dm.len())).collect(),
+            _ => vec![mr],
+        };
+        let sweep = phase2::sweep(cover, 1..=k_max, &dm, account, &priced, strategy);
+        for k in 1..=k_max {
+            let (cost, m, reference) = priced
+                .iter()
+                .map(|&m| {
+                    let run = phase2::merge_until(cover, k, &dm, account.with_modify_registers(m), strategy);
+                    (account.cover_cost(run.cover(), &dm), m, run)
+                })
+                .min_by_key(|&(cost, m, _)| (cost, m))
+                .expect("a selection");
+            let context = format!(
+                "k={k} MR={mr} ADDA={adda} literal={paper_literal} {strategy:?} range {range} \
+                 offsets {offsets:?} stride {stride} winner m'={m}"
+            );
+            prop_assert_eq!(sweep.cost(k), cost, "{}", &context);
+            let report = sweep.report(k);
+            prop_assert_eq!(report.final_cost(), cost, "{}", &context);
+            if m == mr {
+                prop_assert_eq!(&report, &reference, "{}", &context);
+            } else {
+                prop_assert_eq!(report.cover(), reference.cover(), "{}", &context);
+                let steps = |r: &phase2::Phase2Report| -> Vec<_> {
+                    r.records().iter().map(|s| (s.paths_before, s.merged_lengths, s.merged_path_cost)).collect()
+                };
+                prop_assert_eq!(steps(&report), steps(&reference), "{}", &context);
+                let counts = |r: &phase2::Phase2Report| -> Vec<usize> {
+                    r.cost_trajectory().iter().map(|&(registers, _)| registers).collect()
+                };
+                prop_assert_eq!(counts(&report), counts(&reference), "{}", &context);
+                prop_assert_eq!(report.cost_trajectory()[0].1, account.cover_cost(cover, &dm));
             }
         }
     }
