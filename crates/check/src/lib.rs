@@ -24,8 +24,7 @@
 //! mean for generated code. See ARCHITECTURE.md § "Listing invariants"
 //! for the prose version.
 //!
-//! Entry point: [`check_program`] (or [`check`] with a prepared
-//! [`CheckContext`]).
+//! Entry point: [`check_program`].
 
 #![forbid(unsafe_code)]
 
@@ -39,18 +38,18 @@ use raco_ir::{AguSpec, ArrayId, LoopSpec, MemoryLayout};
 /// memory layout codegen targeted, the generated program, and (when
 /// the caller has one) the cost model's claimed cycles per iteration.
 #[derive(Debug, Clone, Copy)]
-pub struct CheckContext<'a> {
+struct CheckContext<'a> {
     /// The loop the program was generated for.
-    pub spec: &'a LoopSpec,
+    spec: &'a LoopSpec,
     /// The memory layout the program's absolute addresses target.
-    pub layout: &'a MemoryLayout,
+    layout: &'a MemoryLayout,
     /// The machine the program must fit.
-    pub agu: &'a AguSpec,
+    agu: &'a AguSpec,
     /// The generated address program under check.
-    pub program: &'a AddressProgram,
+    program: &'a AddressProgram,
     /// Externally claimed addressing cycles per iteration (the cost
     /// model's prediction), compared by `cycle-accounting` when given.
-    pub expected_cycles: Option<u64>,
+    expected_cycles: Option<u64>,
 }
 
 /// One violated invariant instance.
@@ -221,12 +220,28 @@ pub const INVARIANTS: &[Invariant] = &[
     },
 ];
 
-/// Runs every invariant in [`INVARIANTS`] over `ctx`: one walk over
-/// the rows builds the derivation, then each invariant reports, in
-/// registry order, the violations the walk flagged for it followed by
-/// those it derives from the walk's aggregates.
-pub fn check(ctx: &CheckContext<'_>) -> CheckReport {
-    let derivation = Derivation::new(ctx);
+/// Checks `program`, generated for `spec` on `agu` with `layout`,
+/// against every invariant in [`INVARIANTS`]; `expected_cycles` is the
+/// cost model's claimed addressing cycles per iteration, compared by
+/// `cycle-accounting` when given. One walk over the rows builds the
+/// derivation, then each invariant reports, in registry order, the
+/// violations the walk flagged for it followed by those it derives
+/// from the walk's aggregates.
+pub fn check_program(
+    spec: &LoopSpec,
+    layout: &MemoryLayout,
+    agu: &AguSpec,
+    program: &AddressProgram,
+    expected_cycles: Option<u64>,
+) -> CheckReport {
+    let ctx = CheckContext {
+        spec,
+        layout,
+        agu,
+        program,
+        expected_cycles,
+    };
+    let derivation = Derivation::new(&ctx);
     let mut violations = Vec::new();
     for invariant in INVARIANTS {
         let flagged = derivation.flagged.iter();
@@ -237,24 +252,6 @@ pub fn check(ctx: &CheckContext<'_>) -> CheckReport {
         invariants_checked: INVARIANTS.len(),
         violations,
     }
-}
-
-/// Convenience entry point: builds the [`CheckContext`] and runs
-/// [`check`].
-pub fn check_program(
-    spec: &LoopSpec,
-    layout: &MemoryLayout,
-    agu: &AguSpec,
-    program: &AddressProgram,
-    expected_cycles: Option<u64>,
-) -> CheckReport {
-    check(&CheckContext {
-        spec,
-        layout,
-        agu,
-        program,
-        expected_cycles,
-    })
 }
 
 // ---------------------------------------------------------------------

@@ -105,8 +105,10 @@ impl std::error::Error for AllocError {}
 /// The optimizer calls [`cost_curve`](Self::cost_curve) for every
 /// pattern in index order, partitions the registers, then calls
 /// [`allocation`](Self::allocation) for every pattern in index order.
-/// An answer must equal what `compute` returns; the optimizer takes it
-/// on trust.
+/// An answer must equal what `compute` returns, except that an
+/// allocation may hold a shifted twin of its distance model (offsets
+/// moved by a constant, as a cache keyed by canonical pattern hands
+/// out); the optimizer takes it on trust.
 pub trait AllocationMemo {
     /// The cost curve of pattern `index` for `1..=K` registers (what
     /// [`Optimizer::cost_curve`] returns with `k_max = K`).
@@ -249,29 +251,13 @@ impl Optimizer {
         let phase2 = self
             .best_phase2(&prepared.phase1, &prepared.dm, k..=k)
             .report(k);
-        self.finish_allocation(prepared, phase2)
+        Allocation::from_parts(prepared.dm, prepared.phase1, phase2)
     }
 
     /// Runs Phase 1 on a distance model, recording its latency.
     fn prepare_model(&self, dm: DistanceModel) -> PreparedPattern {
         let phase1 = phase1_histogram().time(|| phase1::run(&dm, self.options.bb));
         PreparedPattern { dm, phase1 }
-    }
-
-    /// Assembles an [`Allocation`] from prepared Phase-1 state and a
-    /// Phase-2 result, pricing the final cover. Moves both parts — no
-    /// clones on this path.
-    fn finish_allocation(&self, prepared: PreparedPattern, phase2: Phase2Report) -> Allocation {
-        let cost = self
-            .options
-            .cost_model
-            .cover_cost(phase2.cover(), &prepared.dm);
-        Allocation {
-            dm: prepared.dm,
-            cost,
-            phase1: prepared.phase1,
-            phase2,
-        }
     }
 
     /// Runs Phase 2 under the configured cost model for every register
@@ -389,7 +375,9 @@ impl Optimizer {
             .enumerate()
             .map(|(i, ((p, slot), &ka))| {
                 let allocation = memo.allocation(i, ka, || match slot {
-                    Some((prep, sweep)) => self.finish_allocation(prep, sweep.report(ka)),
+                    Some((prep, sweep)) => {
+                        Allocation::from_parts(prep.dm, prep.phase1, sweep.report(ka))
+                    }
                     None => self.allocate_with_registers(p, ka),
                 });
                 (p.array(), allocation)
@@ -440,7 +428,6 @@ impl Optimizer {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     dm: DistanceModel,
-    cost: u32,
     phase1: Phase1Report,
     phase2: Phase2Report,
 }
@@ -450,12 +437,15 @@ impl Allocation {
     ///
     /// This is the constructor a snapshot decoder (see
     /// `raco_driver::persist`) uses to rebuild a cached allocation that
-    /// was computed in an earlier process. The parts are taken at face
-    /// value — `cost` is *not* recomputed — so callers are expected to
-    /// have validated structural invariants (covers partition their
-    /// accesses; the decoder's checksum guards the rest). An allocation
-    /// rebuilt from the parts of [`Allocation`] accessors compares
-    /// equal to the original:
+    /// was computed in an earlier process, and the one the optimizer
+    /// ends every allocation with. The parts are taken at face value:
+    /// the cost is the Phase-2 report's
+    /// [`final_cost`](Phase2Report::final_cost), which the merge priced
+    /// under the accounting cost model, so callers are expected to have
+    /// validated structural invariants (covers partition their
+    /// accesses; the decoder's checksum guards the rest) and that
+    /// price. An allocation rebuilt from the parts of [`Allocation`]
+    /// accessors compares equal to the original:
     ///
     /// ```
     /// use raco_core::{Allocation, Optimizer};
@@ -465,24 +455,13 @@ impl Allocation {
     /// let original = Optimizer::new(AguSpec::new(2, 1).unwrap()).allocate(&pattern);
     /// let rebuilt = Allocation::from_parts(
     ///     original.distance_model().clone(),
-    ///     original.cost(),
     ///     original.phase1().clone(),
     ///     original.phase2().clone(),
     /// );
     /// assert_eq!(rebuilt, original);
     /// ```
-    pub fn from_parts(
-        dm: DistanceModel,
-        cost: u32,
-        phase1: Phase1Report,
-        phase2: Phase2Report,
-    ) -> Self {
-        Allocation {
-            dm,
-            cost,
-            phase1,
-            phase2,
-        }
+    pub fn from_parts(dm: DistanceModel, phase1: Phase1Report, phase2: Phase2Report) -> Self {
+        Allocation { dm, phase1, phase2 }
     }
 
     /// The final path cover: one path per used address register.
@@ -491,9 +470,10 @@ impl Allocation {
     }
 
     /// Unit-cost address computations per steady-state iteration under the
-    /// configured cost model.
+    /// configured cost model: the Phase-2 report's
+    /// [`final_cost`](Phase2Report::final_cost).
     pub fn cost(&self) -> u32 {
-        self.cost
+        self.phase2.final_cost()
     }
 
     /// Number of address registers actually used.
@@ -508,7 +488,7 @@ impl Allocation {
 
     /// `true` if the allocation incurs no unit-cost computations.
     pub fn is_zero_cost(&self) -> bool {
-        self.cost == 0
+        self.cost() == 0
     }
 
     /// The Phase-1 report (cover, bounds, search statistics).

@@ -13,18 +13,19 @@
 //! candidate rankings (*selections*) at once, as one merge tree: states
 //! are shared until selections pick different pairs, and each state
 //! prices every candidate for all of its selections in one scan of an
-//! over-range delta histogram. A [`Sweep`] keeps the cheapest cost per
-//! count and builds the [`Phase2Report`] of a count only when asked.
-//! [`merge_until`] is its one-selection, one-count case.
+//! over-range delta histogram. A state is a [`PathCover`], merged by
+//! [`PathCover::merge_pair`], plus the histogram keys of each path's
+//! paid steps. A [`Sweep`] keeps the cheapest cost per count and builds
+//! the [`Phase2Report`] of a count only when asked. [`merge_until`] is
+//! its one-selection, one-count case.
 
-use std::cell::{Cell, RefCell};
 use std::cmp;
 use std::ops::RangeInclusive;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use raco_graph::modify::paid_delta;
+use raco_graph::modify::{paid_delta, steps};
 use raco_graph::{DeltaHistogram, DistanceModel, PathCover};
 
 use crate::cost::CostModel;
@@ -204,15 +205,20 @@ pub fn merge_until(
 /// and it runs once, from `cover` down to the smallest count. All
 /// selections start from `cover` and advance in lockstep; selections
 /// that pick the same pair share one state, and a state splits (its
-/// cover is cloned) only when its selections pick different pairs. Each
-/// state prices its candidates once for all of its selections: it keeps
-/// the over-range delta histogram of its paths ([`DeltaHistogram`]),
-/// and a candidate `(i, j)` moves the paid steps of `P_i` and `P_j` out
-/// and those of `P_i ⊕ P_j` in, reads the cost for every priced count
-/// off the largest counts, and moves them back. At each count, the
-/// greedy strategy's opportunistic phase (merges below the count that
-/// still pay; see [`merge_until`]) grows from each state the same way,
-/// and its first scan is the one the next main step ranks.
+/// cover is cloned) only when its selections pick different pairs. A
+/// state is a cover, merged with [`PathCover::merge_pair`], and one list
+/// per path of the keys of its paid steps; every step of `dm` gets its
+/// key once, in a table built when the sweep starts. Each state prices
+/// its candidates once for all of its selections: it keeps the
+/// over-range delta histogram of its paths ([`DeltaHistogram`]), and a
+/// candidate `(i, j)` moves the paid steps of `P_i` and `P_j` out and
+/// those of `P_i ⊕ P_j`
+/// ([`merged_indices`](raco_graph::Path::merged_indices)) in, reads the
+/// cost for every priced count off the largest counts, and moves them
+/// back. At each count, the greedy strategy's opportunistic phase
+/// (merges below the count that still pay; see [`merge_until`]) grows
+/// from each state the same way, and its first scan is the one the next
+/// main step ranks.
 ///
 /// No report is built during the sweep: [`Sweep::report`] replays the
 /// merges behind one count.
@@ -236,8 +242,8 @@ pub fn sweep(
     let initial_cost = states[0].cost;
     let mut outcomes: Vec<Outcome> = Vec::with_capacity(counts.clone().count());
     for k in counts.clone().rev() {
-        let stepped = states[0].paths.len() > k;
-        while states[0].paths.len() > k {
+        let stepped = states[0].cover.register_count() > k;
+        while states[0].cover.register_count() > k {
             for state in states.drain(..) {
                 tree.step(state, &mut next);
             }
@@ -403,136 +409,59 @@ impl Picks {
 }
 
 /// The [`DeltaHistogram`] key of every step between two accesses of one
-/// distance model (see [`steps`](raco_graph::modify::steps)). Equal
-/// deltas share a key, worked out the first time a step is asked for (a
-/// sweep that merges nothing reads only the steps of its paths).
-/// Without `distinct` keys every paid step has key 0 and nothing is
-/// remembered: only paid totals are read then.
-struct StepKeys<'d> {
-    dm: &'d DistanceModel,
-    include_wrap: bool,
-    distinct: bool,
-    /// With `distinct` keys, per step `(from, to)` at `from * n + to`: 0
-    /// until asked for, then 1 if the step is free, else its key plus 2.
-    keys: Vec<Cell<u32>>,
-    /// The delta of each key handed out, by key.
-    deltas: RefCell<Vec<i64>>,
+/// distance model (see [`steps`]), worked out when the table is built:
+/// equal paid deltas share a key, numbered in ascending delta order.
+/// Without `distinct` keys every paid step has key 0, and only paid
+/// totals are read.
+struct StepTable {
+    n: usize,
+    /// Per step `(from, to)` at `from * n + to`: its key, or [`FREE`].
+    keys: Vec<u32>,
 }
 
-impl<'d> StepKeys<'d> {
-    fn new(dm: &'d DistanceModel, include_wrap: bool, distinct: bool) -> Self {
-        let steps = if distinct { dm.len() * dm.len() } else { 0 };
-        StepKeys {
-            dm,
-            include_wrap,
-            distinct,
-            keys: vec![Cell::new(0); steps],
-            deltas: RefCell::new(Vec::new()),
-        }
-    }
+/// The [`StepTable`] entry of a step that pays nothing.
+const FREE: u32 = u32::MAX;
 
-    /// The key of the step `(from, to)`, `None` if it is free.
-    fn key(&self, (from, to): (usize, usize)) -> Option<usize> {
-        if !self.distinct {
-            return paid_delta(self.dm, (from, to), self.include_wrap).map(|_| 0);
+impl StepTable {
+    fn new(dm: &DistanceModel, include_wrap: bool, distinct: bool) -> Self {
+        let n = dm.len();
+        let mut keys = vec![FREE; n * n];
+        // Distinct keys: each paid step's delta and place, sorted by
+        // delta. Key 0 is written directly: collecting and sorting
+        // all-zero deltas measured 5 % of a cost curve on the machines
+        // without modify registers.
+        let mut paid: Vec<(i64, usize)> = Vec::with_capacity(if distinct { n * n } else { 0 });
+        for from in 0..n {
+            for to in 0..n {
+                if let Some(delta) = paid_delta(dm, (from, to), include_wrap) {
+                    if distinct {
+                        paid.push((delta, from * n + to));
+                    } else {
+                        keys[from * n + to] = 0;
+                    }
+                }
+            }
         }
-        let cell = &self.keys[from * self.dm.len() + to];
-        if cell.get() == 0 {
-            let key = paid_delta(self.dm, (from, to), self.include_wrap).map_or(1, |delta| {
-                let mut deltas = self.deltas.borrow_mut();
-                let key = deltas.iter().position(|&d| d == delta).unwrap_or_else(|| {
-                    deltas.push(delta);
-                    deltas.len() - 1
-                });
-                key as u32 + 2
-            });
-            cell.set(key);
+        paid.sort_unstable();
+        let mut key = 0;
+        for (at, &(delta, step)) in paid.iter().enumerate() {
+            if at > 0 && delta != paid[at - 1].0 {
+                key += 1;
+            }
+            keys[step] = key;
         }
-        (cell.get() > 1).then(|| cell.get() as usize - 2)
+        StepTable { n, keys }
     }
 
     /// Calls `paid` with the key of every paid step of a register
-    /// serving the accesses of `a` and `b` (ascending, disjoint, `b`
-    /// possibly empty) in one ascending order: the steps that
-    /// [`steps`](raco_graph::modify::steps) walks for `P_a ⊕ P_b`,
-    /// without building the path. This is a scan's inner loop; walking
-    /// the pairs here rather than through `steps` measured faster on
-    /// the machines without modify registers.
-    fn each(&self, a: &[usize], b: &[usize], mut paid: impl FnMut(usize)) {
-        let mut accesses = interleave(a, b);
-        let head = accesses.next().expect("paths are non-empty");
-        let mut from = head;
-        for to in accesses.chain([head]) {
-            if let Some(key) = self.key((from, to)) {
-                paid(key);
+    /// serving `accesses` (ascending): the steps [`steps`] walks. This is
+    /// a scan's inner loop.
+    fn each(&self, accesses: impl IntoIterator<Item = usize>, mut paid: impl FnMut(usize)) {
+        for (from, to) in steps(accesses) {
+            let key = self.keys[from * self.n + to];
+            if key != FREE {
+                paid(key as usize);
             }
-            from = to;
-        }
-    }
-}
-
-/// One list per path of a cover — its accesses, or the keys of its paid
-/// steps — back to back, in the order of [`PathCover::paths`] (by
-/// head).
-#[derive(Debug, Clone, Default)]
-struct Lists {
-    items: Vec<usize>,
-    /// Where each list starts in `items`, and the end.
-    bounds: Vec<usize>,
-}
-
-impl Lists {
-    fn new() -> Self {
-        Lists {
-            items: Vec::new(),
-            bounds: vec![0],
-        }
-    }
-
-    /// The accesses of each path of `cover`.
-    fn paths(cover: &PathCover) -> Self {
-        let mut paths = Lists::new();
-        for path in cover.paths() {
-            paths.items.extend_from_slice(path.indices());
-            paths.end();
-        }
-        paths
-    }
-
-    /// Ends the list being built: it holds the items pushed since the
-    /// previous end.
-    fn end(&mut self) {
-        self.bounds.push(self.items.len());
-    }
-
-    fn len(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    fn get(&self, p: usize) -> &[usize] {
-        &self.items[self.bounds[p]..self.bounds[p + 1]]
-    }
-
-    /// Writes to `out` these lists after paths `i < j` merge, as
-    /// [`PathCover::merge_pair`] orders them: `merged` takes the place
-    /// of list `i` (the merged path keeps the head of `P_i`), and list
-    /// `j` goes.
-    fn merged(
-        &self,
-        (i, j): (usize, usize),
-        merged: impl IntoIterator<Item = usize>,
-        out: &mut Lists,
-    ) {
-        out.items.clear();
-        out.bounds.clear();
-        out.bounds.push(0);
-        out.items.extend_from_slice(&self.items[..self.bounds[i]]);
-        out.bounds.extend_from_slice(&self.bounds[1..=i]);
-        out.items.extend(merged);
-        out.end();
-        for p in (i + 1..self.len()).filter(|&p| p != j) {
-            out.items.extend_from_slice(self.get(p));
-            out.end();
         }
     }
 }
@@ -541,10 +470,10 @@ impl Lists {
 /// same pairs so far.
 #[derive(Debug)]
 struct State {
-    /// The accesses of each path.
-    paths: Lists,
-    /// The [`StepKeys`] keys of each path's paid steps.
-    keys: Lists,
+    cover: PathCover,
+    /// The [`StepTable`] keys of each path's paid steps, at the path's
+    /// head access.
+    keys: Vec<Vec<usize>>,
     /// All paid steps of the cover, by key.
     histogram: DeltaHistogram,
     /// The cover's cost under the accounting model.
@@ -564,7 +493,7 @@ impl State {
     /// A copy of this state for `selections`.
     fn fork(&self, selections: Vec<usize>) -> State {
         State {
-            paths: self.paths.clone(),
+            cover: self.cover.clone(),
             keys: self.keys.clone(),
             histogram: self.histogram.clone(),
             cost: self.cost,
@@ -585,13 +514,11 @@ struct Scratch {
     merged: Vec<usize>,
     /// Sums of the largest counts after the candidate's merge.
     tops: Vec<u32>,
-    /// Where a merge builds a state's new lists.
-    spare: Lists,
 }
 
 /// What every state of one sweep shares.
 struct Tree<'a> {
-    keys: StepKeys<'a>,
+    steps: StepTable,
     account: CostModel,
     priced: &'a [usize],
     strategy: MergeStrategy,
@@ -602,14 +529,14 @@ struct Tree<'a> {
 
 impl<'a> Tree<'a> {
     fn new(
-        dm: &'a DistanceModel,
+        dm: &DistanceModel,
         account: CostModel,
         priced: &'a [usize],
         strategy: MergeStrategy,
     ) -> Self {
         let distinct = account.modify_registers() > 0 || priced.iter().any(|&m| m > 0);
         Tree {
-            keys: StepKeys::new(dm, account.includes_wrap(), distinct),
+            steps: StepTable::new(dm, account.includes_wrap(), distinct),
             account,
             priced,
             strategy,
@@ -623,18 +550,17 @@ impl<'a> Tree<'a> {
     }
 
     fn root(&self, cover: &PathCover) -> State {
-        let mut keys = Lists::new();
-        for path in cover.paths() {
-            self.keys
-                .each(path.indices(), &[], |key| keys.items.push(key));
-            keys.end();
-        }
+        let mut keys = vec![Vec::new(); cover.accesses()];
         let mut histogram = DeltaHistogram::default();
-        for &key in &keys.items {
-            histogram.add(key);
+        for path in cover.paths() {
+            let path_keys = &mut keys[path.head()];
+            self.steps.each(path.indices().iter().copied(), |key| {
+                path_keys.push(key);
+                histogram.add(key);
+            });
         }
         State {
-            paths: Lists::paths(cover),
+            cover: cover.clone(),
             keys,
             cost: self.account.histogram_cost(&histogram),
             histogram,
@@ -651,7 +577,7 @@ impl<'a> Tree<'a> {
             MergeStrategy::FirstPair => (0, 1),
             MergeStrategy::Random { .. } => {
                 let rng = self.rng.as_mut().expect("random strategy carries an RNG");
-                let p = state.paths.len();
+                let p = state.cover.register_count();
                 let i = rng.gen_range(0..p);
                 let j = rng.gen_range(0..p - 1);
                 let j = if j >= i { j + 1 } else { j };
@@ -693,7 +619,7 @@ impl<'a> Tree<'a> {
             last: state.last,
         };
         if self.strategy != MergeStrategy::GreedyMinCost
-            || state.paths.len() < 2
+            || state.cover.register_count() < 2
             || state.histogram.paid() == 0
         {
             return here;
@@ -718,63 +644,48 @@ impl<'a> Tree<'a> {
 
     /// The picks of every selection of `state`, scanned once.
     fn picks<'s>(&mut self, state: &'s mut State) -> &'s [Picks] {
-        let State {
-            paths,
-            keys,
-            histogram,
-            selections,
-            picks,
-            ..
-        } = state;
-        picks.get_or_insert_with(|| self.scan(paths, keys, histogram, selections))
+        if state.picks.is_none() {
+            state.picks = Some(self.scan(state));
+        }
+        state.picks.as_deref().expect("scanned above")
     }
 
-    /// Prices every merge candidate of `paths` (whose paid steps have
-    /// `keys`) for every selection in one pass, in `(i, j)` order, and
-    /// returns each selection's picks.
-    fn scan(
-        &mut self,
-        paths: &Lists,
-        keys: &Lists,
-        histogram: &mut DeltaHistogram,
-        selections: &[usize],
-    ) -> Vec<Picks> {
+    /// Prices every merge candidate of `state` for every selection in
+    /// one pass, in `(i, j)` order, and returns each selection's picks.
+    fn scan(&mut self, state: &mut State) -> Vec<Picks> {
         let Scratch {
             priced,
             merged,
             tops,
-            ..
         } = &mut self.scratch;
         let account = self.account;
+        let histogram = &mut state.histogram;
         // Per selection: its priced count, and for a count above zero
         // the cost of the cover as it is.
         priced.clear();
-        priced.extend(selections.iter().map(|&s| {
+        priced.extend(state.selections.iter().map(|&s| {
             let m = self.priced[s];
             (m, i64::from(account.steps_cost(histogram.charged(m))))
         }));
         let limit = priced.iter().map(|&(m, _)| m).max().unwrap_or(0);
         let paid = histogram.paid() as usize;
+        let paths = state.cover.paths();
         let mut picks: Vec<Picks> = Vec::with_capacity(priced.len());
         for i in 0..paths.len() {
             for j in i + 1..paths.len() {
-                let (pi, pj) = (paths.get(i), paths.get(j));
-                let (ki, kj) = (keys.get(i), keys.get(j));
-                let merged_paid = if limit > 0 {
-                    merged.clear();
-                    self.keys.each(pi, pj, |key| merged.push(key));
+                let (pi, pj) = (&paths[i], &paths[j]);
+                let (ki, kj) = (&state.keys[pi.head()], &state.keys[pj.head()]);
+                merged.clear();
+                self.steps
+                    .each(pi.merged_indices(pj), |key| merged.push(key));
+                if limit > 0 {
                     price(histogram, [ki, kj], merged, limit, tops);
-                    merged.len()
-                } else {
-                    let mut paid = 0;
-                    self.keys.each(pi, pj, |_| paid += 1);
-                    paid
-                };
-                let paid_after = (paid - ki.len() - kj.len() + merged_paid) as u32;
+                }
+                let paid_after = (paid - ki.len() - kj.len() + merged.len()) as u32;
                 let len = pi.len() + pj.len();
                 for (at, &(m, before)) in priced.iter().enumerate() {
                     let (cost, marginal) = if m == 0 {
-                        let cost = account.steps_cost(merged_paid as u32);
+                        let cost = account.steps_cost(merged.len() as u32);
                         let parts = [ki, kj].map(|k| i64::from(account.steps_cost(k.len() as u32)));
                         (cost, i64::from(cost) - parts[0] - parts[1])
                     } else {
@@ -785,7 +696,7 @@ impl<'a> Tree<'a> {
                     match picks.get_mut(at) {
                         Some(pick) => pick.offer(candidate, self.strategy),
                         None => picks.push(Picks {
-                            selection: selections[at],
+                            selection: state.selections[at],
                             main: candidate,
                             pays: candidate,
                         }),
@@ -799,28 +710,34 @@ impl<'a> Tree<'a> {
     /// Merges `pair` in `state`, recording the step under the
     /// accounting model.
     fn merge(&mut self, state: &mut State, (i, j): (usize, usize)) {
-        let Scratch { merged, spare, .. } = &mut self.scratch;
-        let (pi, pj) = (state.paths.get(i), state.paths.get(j));
+        let merged = &mut self.scratch.merged;
+        let paths = state.cover.paths();
+        let (pi, pj) = (&paths[i], &paths[j]);
+        let (hi, hj) = (pi.head(), pj.head());
         let histogram = &mut state.histogram;
-        for &key in state.keys.get(i).iter().chain(state.keys.get(j)) {
+        for &key in state.keys[hi].iter().chain(&state.keys[hj]) {
             histogram.remove(key);
         }
         merged.clear();
-        self.keys.each(pi, pj, |key| merged.push(key));
+        self.steps
+            .each(pi.merged_indices(pj), |key| merged.push(key));
         for &key in merged.iter() {
             histogram.add(key);
         }
         let record = MergeRecord {
-            paths_before: state.paths.len(),
+            paths_before: paths.len(),
             merged_lengths: (pi.len(), pj.len()),
             merged_path_cost: self.account.steps_cost(merged.len() as u32),
             total_cost_after: self.account.histogram_cost(histogram),
         };
+        // `P_i ⊕ P_j` starts at the smaller head.
+        state.keys[hi.max(hj)].clear();
+        state.keys[hi.min(hj)].clone_from(merged);
+        state
+            .cover
+            .merge_pair(i, j)
+            .expect("cover paths are disjoint");
         state.cost = record.total_cost_after;
-        state.keys.merged((i, j), merged.iter().copied(), spare);
-        std::mem::swap(&mut state.keys, spare);
-        state.paths.merged((i, j), interleave(pi, pj), spare);
-        std::mem::swap(&mut state.paths, spare);
         self.merges.push(Merge {
             parent: state.last,
             pair: (i, j),
@@ -844,29 +761,6 @@ fn group(
         }
     }
     groups
-}
-
-/// The accesses of two disjoint ascending index lists in one ascending
-/// order — the accesses of the merged path `P_i ⊕ P_j`, without
-/// building it.
-///
-fn interleave<'a>(a: &'a [usize], b: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
-    let (mut x, mut y) = (0, 0);
-    std::iter::from_fn(move || match (a.get(x), b.get(y)) {
-        (Some(&p), Some(&q)) if p < q => {
-            x += 1;
-            Some(p)
-        }
-        (Some(&p), None) => {
-            x += 1;
-            Some(p)
-        }
-        (_, Some(&q)) => {
-            y += 1;
-            Some(q)
-        }
-        (None, None) => None,
-    })
 }
 
 /// Fills `tops` with the sums of the largest counts of `histogram` with
@@ -1195,17 +1089,17 @@ mod tests {
                     let tree = Tree::new(&dm, account, &priced, MergeStrategy::GreedyMinCost);
                     let mut state = tree.root(&cover);
                     let paths = cover.paths();
+                    let keys = tree.steps.keys.iter().filter(|&&key| key != FREE);
+                    let keys = keys.max().map_or(0, |&key| key as usize + 1);
                     let mut merged = Vec::new();
                     let mut tops = Vec::new();
                     for i in 0..paths.len() {
                         for j in i + 1..paths.len() {
-                            let (ki, kj) = (state.keys.get(i), state.keys.get(j));
+                            let ki = &state.keys[paths[i].head()];
+                            let kj = &state.keys[paths[j].head()];
                             merged.clear();
-                            tree.keys
-                                .each(paths[i].indices(), paths[j].indices(), |key| {
-                                    merged.push(key)
-                                });
-                            let keys = tree.keys.deltas.borrow().len();
+                            let accesses = paths[i].merged_indices(&paths[j]);
+                            tree.steps.each(accesses, |key| merged.push(key));
                             let before = snapshot(&state.histogram, keys);
                             price(&mut state.histogram, [ki, kj], &merged, 6, &mut tops);
                             assert_eq!(snapshot(&state.histogram, keys), before);

@@ -22,7 +22,7 @@ fn core_phase_histograms_accumulate() {
         "one run of each phase per allocation"
     );
     // A whole cost curve is one Phase-2 observation, modify registers
-    // (one merge run per priced count) included.
+    // included: one sweep prices every selection and every count.
     let before = counts();
     let mr = Optimizer::new(AguSpec::new(4, 1).unwrap().with_modify_registers(2));
     let _ = mr.cost_curve(&paper_pattern, 4);

@@ -611,8 +611,9 @@ fn decode_allocation_record(payload: &[u8]) -> Decoded<(AllocationKey, Allocatio
 
     // Cross-field validation: the covers must describe exactly the
     // distance model's accesses, the key must agree with the model,
-    // and the stored cost must be reproducible from the final cover —
-    // a snapshot that lies about any of these is rejected here rather
+    // and the stored cost must be reproducible from the final cover
+    // and equal the Phase-2 report's final cost (the cost the rebuilt
+    // allocation reports) — a snapshot that lies about any of these is rejected here rather
     // than poisoning downstream codegen.
     if phase1.cover().accesses() != dm.len() || phase2.cover().accesses() != dm.len() {
         return Err("cover does not match the distance model");
@@ -629,6 +630,9 @@ fn decode_allocation_record(payload: &[u8]) -> Decoded<(AllocationKey, Allocatio
     if options.cost_model.cover_cost(phase2.cover(), &dm) != cost {
         return Err("stored cost does not match the cover");
     }
+    if phase2.final_cost() != cost {
+        return Err("stored cost does not match the phase-2 report");
+    }
 
     let key = AllocationKey {
         canonical,
@@ -636,7 +640,7 @@ fn decode_allocation_record(payload: &[u8]) -> Decoded<(AllocationKey, Allocatio
         registers,
         options,
     };
-    Ok((key, Allocation::from_parts(dm, cost, phase1, phase2)))
+    Ok((key, Allocation::from_parts(dm, phase1, phase2)))
 }
 
 fn decode_curve_record(payload: &[u8]) -> Decoded<(CurveKey, Vec<u32>)> {
@@ -1122,6 +1126,56 @@ mod tests {
             assert_eq!(report.skipped, 1);
             assert!(report.warnings[0].contains("register grant"));
         }
+    }
+
+    #[test]
+    fn records_whose_cost_disagrees_with_their_report_are_rejected() {
+        // A rebuilt allocation reports its Phase-2 report's final cost,
+        // so a record whose trajectory ends off its stored cost — which
+        // still prices its cover right — must be refused during load.
+        let cache = warm_cache();
+        let (allocations, _) = cache.export();
+        let (key, value) = &allocations[0];
+        let report = value.phase2();
+        let mut trajectory = report.cost_trajectory().to_vec();
+        trajectory.last_mut().expect("a trajectory has a start").1 += 1;
+        let lying = Allocation::from_parts(
+            value.distance_model().clone(),
+            value.phase1().clone(),
+            Phase2Report::from_parts(
+                report.cover().clone(),
+                report.records().to_vec(),
+                trajectory,
+            ),
+        );
+        // The stored cost follows the key and the distance model; put
+        // the cover's true price back there.
+        let mut record = encode_allocation_record(key, &lying);
+        let mut prefix = Vec::new();
+        put_offsets(&mut prefix, key.canonical.offsets(), key.canonical.stride());
+        put_range(&mut prefix, key.range);
+        put_count(&mut prefix, key.registers);
+        put_options(&mut prefix, &key.options);
+        let dm = value.distance_model();
+        put_offsets(&mut prefix, dm.offsets(), dm.stride());
+        put_range(&mut prefix, dm.range());
+        record[prefix.len()..prefix.len() + 4].copy_from_slice(&value.cost().to_le_bytes());
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&SNAPSHOT_MAGIC);
+        put_u32(&mut buf, SNAPSHOT_VERSION);
+        put_u32(&mut buf, 0);
+        buf.push(TAG_ALLOCATION);
+        put_count(&mut buf, record.len());
+        buf.extend_from_slice(&record);
+        buf.push(TAG_END);
+        let sum = checksum(&buf);
+        put_u64(&mut buf, sum);
+
+        let restored = AllocationCache::new();
+        let report = decode_into(&restored, &buf);
+        assert_eq!(report.loaded(), 0, "{report:?}");
+        assert_eq!(report.skipped, 1);
+        assert!(report.warnings[0].contains("phase-2 report"), "{report:?}");
     }
 
     #[test]

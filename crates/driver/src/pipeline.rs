@@ -23,6 +23,7 @@ use raco_agu::isa::AddressProgram;
 use raco_agu::listing::ProgramListing;
 use raco_agu::sim;
 use raco_core::{Allocation, AllocationMemo, LoopAllocation, Optimizer, OptimizerOptions};
+use raco_graph::DistanceModel;
 use raco_ir::dsl::{self, ParseError};
 use raco_ir::{AguSpec, CanonicalPattern, LoopSpec, MemoryLayout, Trace, UpdateRange};
 
@@ -102,9 +103,6 @@ pub const MAX_VALIDATION_ITERATIONS: u64 = 1 << 20;
 pub struct PipelineConfig {
     /// The target machine.
     pub agu: AguSpec,
-    /// Allocator options (cost model, branch-and-bound budget, merge
-    /// strategy); part of every cache key.
-    pub options: OptimizerOptions,
     /// Worker-pool sizing.
     pub parallelism: Parallelism,
     /// Simulate every generated program against a reference trace.
@@ -137,14 +135,9 @@ pub struct PipelineConfig {
 
 impl PipelineConfig {
     /// Defaults for `agu`: parallel, validating, no listings.
-    /// The optimizer options price the machine's modify registers and
-    /// `ADDA` cost (see [`PipelineConfig::effective_options`]).
     pub fn new(agu: AguSpec) -> Self {
-        let mut options = OptimizerOptions::default();
-        options.cost_model = options.cost_model.for_machine(&agu);
         PipelineConfig {
             agu,
-            options,
             parallelism: Parallelism::Auto,
             validate: true,
             validation_iterations: 16,
@@ -156,21 +149,20 @@ impl PipelineConfig {
         }
     }
 
-    /// The optimizer options this configuration actually allocates
-    /// with: [`PipelineConfig::options`] with the cost model's
-    /// modify-register count and explicit-update cost forced to the
-    /// machine's.
+    /// The optimizer options this configuration allocates with: the
+    /// default options (steady-state cost model, branch-and-bound
+    /// budget, greedy merging) with the cost model priced for
+    /// [`agu`](Self::agu) — its modify-register count and
+    /// explicit-update cost.
     ///
     /// Allocation must price the same machine code generation emits
-    /// for, or predicted and measured costs drift apart — so the
-    /// pipeline never lets the two disagree, even for configurations
-    /// assembled by hand or overridden per request (`raco serve`
-    /// builds the request machine from knobs without touching the
-    /// options). Since the options are part of every allocation-cache
-    /// key, this is also what keys machines by modify-register count
-    /// and ADDA cost.
+    /// for, or predicted and measured costs drift apart, so the options
+    /// follow the machine, also for one overridden per request
+    /// (`raco serve` builds the request machine from knobs). Since the
+    /// options are part of every allocation-cache key, this is also
+    /// what keys machines by modify-register count and ADDA cost.
     pub fn effective_options(&self) -> OptimizerOptions {
-        let mut options = self.options;
+        let mut options = OptimizerOptions::default();
         options.cost_model = options.cost_model.for_machine(&self.agu);
         options
     }
@@ -699,9 +691,10 @@ impl Pipeline {
 /// Curves are looked up by curve class (the mirror-invariant cost
 /// class on symmetric machines, the exact canonical form otherwise),
 /// allocations by exact canonical form, so hits reuse covers *and*
-/// concrete update deltas. A hit hands out the cache's `Arc`, so a
-/// warm loop shares its covers, distance models and phase reports with
-/// the cache instead of copying them.
+/// concrete update deltas. A missed allocation enters the cache in its
+/// shift-normalized form (see [`shift_normalized`]). A hit hands out
+/// the cache's `Arc`, so a warm loop shares its covers, distance models
+/// and phase reports with the cache instead of copying them.
 ///
 /// A miss spawns the batch's helpers (see [`FanOut::widen`]) before it
 /// computes, so the rest of a cold batch runs in parallel with the
@@ -756,17 +749,14 @@ impl AllocationMemo for CacheMemo<'_> {
             self.clock.lap(Stage::Partition);
         }
         let mut missed = false;
-        let allocation = self.cache.allocation(
-            &self.canonicals[index],
-            self.range,
-            registers,
-            &self.options,
-            || {
-                missed = true;
-                self.fan_out.widen();
-                compute()
-            },
-        );
+        let canonical = &self.canonicals[index];
+        let allocation =
+            self.cache
+                .allocation(canonical, self.range, registers, &self.options, || {
+                    missed = true;
+                    self.fan_out.widen();
+                    shift_normalized(compute(), canonical)
+                });
         self.clock.lap(if missed {
             Stage::AllocMiss
         } else {
@@ -774,6 +764,21 @@ impl AllocationMemo for CacheMemo<'_> {
         });
         allocation
     }
+}
+
+/// `allocation` on the shift-normalized form of its pattern
+/// (`canonical`, whose first offset is zero). Shifted twins share one
+/// cache key, and an allocation uses its distance model's offsets only
+/// through their differences, so this is the same allocation; storing
+/// it this way makes a cache entry, and so a snapshot's bytes, a
+/// function of the key rather than of which twin missed first.
+fn shift_normalized(allocation: Allocation, canonical: &CanonicalPattern) -> Allocation {
+    let dm = allocation.distance_model();
+    if dm.offsets() == canonical.offsets() {
+        return allocation;
+    }
+    let dm = DistanceModel::from_offsets_range(canonical.offsets(), dm.stride(), dm.range());
+    Allocation::from_parts(dm, allocation.phase1().clone(), allocation.phase2().clone())
 }
 
 /// `true` once `deadline` has passed; `None` never expires.
@@ -963,6 +968,29 @@ mod tests {
         let replay = pipeline.compile_units(&units).unwrap();
         assert_eq!(replay.failed(), 0, "{}", replay.render_table());
         assert_eq!(pipeline.cache_stats().allocation_misses, misses);
+    }
+
+    #[test]
+    fn snapshot_bytes_do_not_depend_on_which_shifted_twin_missed_first() {
+        // Two shifted twins of one tap chain share every cache key, so
+        // pipelines that compile them in opposite orders hold equal
+        // caches, and their snapshots must be byte-identical.
+        let twins = [
+            "for (j = 10; j < 250; j++) { w[j] = x[j + 6] + x[j + 5] + x[j + 4] + x[j + 3]; }",
+            "for (j = 10; j < 250; j++) { w[j] = x[j] + x[j - 1] + x[j - 2] + x[j - 3]; }",
+        ];
+        let snapshot = |order: [usize; 2]| {
+            let mut config = PipelineConfig::new(AguSpec::new(2, 1).unwrap());
+            config.parallelism = Parallelism::Sequential;
+            let pipeline = Pipeline::with_config(config);
+            for twin in order {
+                let report = pipeline.compile_str("twin", twins[twin]).unwrap();
+                assert_eq!(report.failed(), 0, "{}", report.render_table());
+            }
+            assert_eq!(pipeline.cache_stats().allocation_hits, 2);
+            crate::persist::encode(pipeline.cache())
+        };
+        assert_eq!(snapshot([0, 1]), snapshot([1, 0]));
     }
 
     #[test]

@@ -136,24 +136,43 @@ impl Path {
     ///
     /// Returns [`PathError::Overlapping`] if the paths share an access.
     pub fn merge(&self, other: &Path) -> Result<Path, PathError> {
-        let mut merged = Vec::with_capacity(self.len() + other.len());
-        let (mut a, mut b) = (0, 0);
-        while a < self.len() && b < other.len() {
-            let (x, y) = (self.indices[a], other.indices[b]);
-            if x == y {
-                return Err(PathError::Overlapping { index: x });
-            }
-            if x < y {
-                merged.push(x);
-                a += 1;
-            } else {
-                merged.push(y);
-                b += 1;
-            }
+        let mut indices = Vec::with_capacity(self.len() + other.len());
+        indices.extend(self.merged_indices(other));
+        match indices.windows(2).find(|w| w[0] == w[1]) {
+            Some(w) => Err(PathError::Overlapping { index: w[0] }),
+            None => Ok(Path { indices }),
         }
-        merged.extend_from_slice(&self.indices[a..]);
-        merged.extend_from_slice(&other.indices[b..]);
-        Ok(Path { indices: merged })
+    }
+
+    /// The accesses of [`merge`](Self::merge)'s `P_i ⊕ P_j` in pattern
+    /// order, without building the path. An access on both paths comes
+    /// twice, back to back.
+    ///
+    /// ```
+    /// use raco_graph::Path;
+    ///
+    /// let p1 = Path::new(vec![0, 3, 5]).unwrap();
+    /// let p2 = Path::new(vec![2, 4]).unwrap();
+    /// assert!(p1.merged_indices(&p2).eq([0, 2, 3, 4, 5]));
+    /// ```
+    pub fn merged_indices<'a>(&'a self, other: &'a Path) -> impl Iterator<Item = usize> + 'a {
+        let (a, b) = (self.indices(), other.indices());
+        let (mut x, mut y) = (0, 0);
+        std::iter::from_fn(move || match (a.get(x), b.get(y)) {
+            (Some(&p), Some(&q)) if p < q => {
+                x += 1;
+                Some(p)
+            }
+            (Some(&p), None) => {
+                x += 1;
+                Some(p)
+            }
+            (_, Some(&q)) => {
+                y += 1;
+                Some(q)
+            }
+            (None, None) => None,
+        })
     }
 
     /// Number of unit-cost updates *inside* the path: consecutive pairs
