@@ -11,6 +11,7 @@
 use std::fmt;
 
 use raco_core::{Allocation, LoopAllocation};
+use raco_graph::modify::{step_delta, steps};
 use raco_graph::{DistanceModel, ModifyAllocation, PathCover};
 use raco_ir::{AccessPattern, AguSpec, ArrayId, LoopSpec, MemoryLayout};
 
@@ -213,14 +214,8 @@ impl CodeGenerator {
                     reg,
                     address: origin + pattern.offset(path.head()),
                 });
-                let idx = path.indices();
-                for (k, &local) in idx.iter().enumerate() {
-                    let delta = if k + 1 < idx.len() {
-                        dm.intra_distance(local, idx[k + 1])
-                    } else {
-                        dm.wrap_distance(local, path.head())
-                    };
-                    slots[pattern.position(local)] = Some((reg, delta));
+                for step in steps(path.indices()) {
+                    slots[pattern.position(step.0)] = Some((reg, step_delta(dm, step)));
                 }
             }
             registers.push(cover_regs);

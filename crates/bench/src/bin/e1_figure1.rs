@@ -7,6 +7,7 @@
 //! rendering written to `target/experiments/figure1.dot`.
 
 use raco_bench::table::Table;
+use raco_graph::modify::{step_delta, steps};
 use raco_graph::AccessGraph;
 use raco_ir::{examples, pretty};
 
@@ -70,11 +71,9 @@ fn main() {
 
     // The paper's example path (a_1, a_3, a_5, a_6) is zero-cost.
     let path = raco_graph::Path::new(vec![0, 2, 4, 5]).unwrap();
-    println!(
-        "paper path {} : intra steps {:?} — all within M = 1 ✓",
-        path,
-        path.intra_steps(dm)
-    );
+    let mut deltas: Vec<i64> = steps(path.indices()).map(|s| step_delta(dm, s)).collect();
+    deltas.pop(); // the wrap into the next iteration
+    println!("paper path {path} : intra steps {deltas:?} — all within M = 1 ✓");
 
     let dot = graph.to_dot();
     let dot_path = raco_bench::experiments_dir().join("figure1.dot");

@@ -16,6 +16,7 @@
 //!    reported.
 
 use raco_agu::metrics::{improvement_percent, ProgramMetrics};
+use raco_core::CostModel;
 use raco_driver::PipelineConfig;
 use raco_graph::{DistanceModel, PathCover};
 use raco_ir::AguSpec;
@@ -67,13 +68,16 @@ pub fn compare_kernel(kernel: &Kernel, agu: AguSpec, iterations: u64) -> KernelR
     let explicit = ProgramMetrics::explicit_addressing(n);
 
     // Model 2: naive chaining — one register per array, accesses served
-    // in original order (single chain per array).
+    // in original order (single chain per array). Its body words are
+    // its paid steps: the plain steady-state count, one `ADDA` word per
+    // step whatever the machine's `ADDA` cycles or modify registers.
     let arrays = spec.patterns();
     let chain_cost: u64 = arrays
         .iter()
         .map(|p| {
             let dm = DistanceModel::with_range(p, agu.update_range());
-            u64::from(PathCover::single_chain(p.len()).total_cost(&dm, true))
+            let chain = PathCover::single_chain(p.len());
+            u64::from(CostModel::steady_state().cover_cost(&chain, &dm))
         })
         .sum();
     let chain = ProgramMetrics::synthetic(arrays.len() as u64, chain_cost, n as u64);

@@ -37,8 +37,8 @@ use raco_ir::AguSpec;
 ///
 /// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
 /// let p = Path::new(vec![0, 2, 4, 5]).unwrap(); // (a_1, a_3, a_5, a_6)
-/// assert_eq!(CostModel::paper_literal().path_cost(&p, &dm), 0);
-/// assert_eq!(CostModel::steady_state().path_cost(&p, &dm), 1); // wrap = 2
+/// assert_eq!(CostModel::paper_literal().paths_cost([(&p, &dm)]), 0);
+/// assert_eq!(CostModel::steady_state().paths_cost([(&p, &dm)]), 1); // wrap = 2
 ///
 /// // A repeated over-range delta becomes free once an MR holds it:
 /// let dm = DistanceModel::from_offsets(&[0, 7, 14, 21], 22, 1);
@@ -127,17 +127,6 @@ impl CostModel {
         steps.saturating_mul(self.adda_cost)
     }
 
-    /// Cost of a single path under this model.
-    ///
-    /// Path costs are deliberately **modify-register-unaware**: which
-    /// deltas a modify register absorbs is a property of every path on
-    /// the machine (registers are a machine-wide resource ranked by
-    /// global delta frequency), so only [`paths_cost`](Self::paths_cost)
-    /// prices them.
-    pub fn path_cost(&self, path: &Path, dm: &DistanceModel) -> u32 {
-        self.steps_cost(path.cost(dm, self.include_wrap))
-    }
-
     /// The cost of a set of paths sharing one machine, each stepping
     /// through its own distance model — the one modify-register-aware
     /// price every other cost here is built on.
@@ -215,7 +204,11 @@ mod tests {
         let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
         let cover = PathCover::single_chain(7);
         let model = CostModel::steady_state();
-        let by_paths: u32 = cover.paths().iter().map(|p| model.path_cost(p, &dm)).sum();
+        let by_paths: u32 = cover
+            .paths()
+            .iter()
+            .map(|p| model.paths_cost([(p, &dm)]))
+            .sum();
         assert_eq!(model.cover_cost(&cover, &dm), by_paths);
         assert_eq!(model.cover_cost(&cover, &dm), 5);
         assert_eq!(CostModel::paper_literal().cover_cost(&cover, &dm), 4);
@@ -269,7 +262,8 @@ mod tests {
             3 * base.cover_cost(&cover, &dm)
         );
         for p in cover.paths() {
-            assert_eq!(scaled.path_cost(p, &dm), 3 * base.path_cost(p, &dm));
+            let path = [(p, &dm)];
+            assert_eq!(scaled.paths_cost(path), 3 * base.paths_cost(path));
         }
         // MR savings are applied before scaling.
         let dm = DistanceModel::from_offsets(&[0, 7, 14, 21], 22, 1);

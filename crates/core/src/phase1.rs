@@ -95,9 +95,10 @@ impl Phase1Report {
 /// assert_eq!(report.virtual_registers(), 3);
 /// ```
 pub fn run(dm: &DistanceModel, options: BbOptions) -> Phase1Report {
-    match bb::min_zero_cost_cover_with(dm, options) {
+    let matched = matching::min_path_cover(dm);
+    match bb::min_zero_cost_cover_from(dm, &matched, options) {
         Ok(result) => Phase1Report {
-            cover: result.cover.clone(),
+            cover: result.cover,
             outcome: Phase1Outcome::ZeroCost {
                 proved_minimal: result.optimal,
             },
@@ -107,22 +108,19 @@ pub fn run(dm: &DistanceModel, options: BbOptions) -> Phase1Report {
         // `CoverSearchError` is non-exhaustive; every failure mode —
         // infeasibility or an exhausted budget — degrades to the relaxed
         // matching cover.
-        Err(_) => {
-            let cover = matching::min_path_cover(dm);
-            let lower_bound = cover.register_count();
-            Phase1Report {
-                cover,
-                outcome: Phase1Outcome::Relaxed,
-                lower_bound,
-                nodes: 0,
-            }
-        }
+        Err(_) => Phase1Report {
+            lower_bound: matched.register_count(),
+            cover: matched,
+            outcome: Phase1Outcome::Relaxed,
+            nodes: 0,
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CostModel;
 
     #[test]
     fn paper_example_is_zero_cost_with_three_registers() {
@@ -146,11 +144,12 @@ mod tests {
         let r = run(&dm, BbOptions::default());
         assert_eq!(r.outcome(), Phase1Outcome::Relaxed);
         // Relaxed cover still has zero intra cost …
-        assert_eq!(r.cover().total_cost(&dm, false), 0);
+        let cover = r.cover();
+        assert_eq!(CostModel::paper_literal().cover_cost(cover, &dm), 0);
         // … and pays for every wrap.
         assert_eq!(
-            r.cover().total_cost(&dm, true),
-            r.cover().register_count() as u32
+            CostModel::steady_state().cover_cost(cover, &dm),
+            cover.register_count() as u32
         );
     }
 

@@ -1108,7 +1108,7 @@ mod tests {
                             let merged_path = paths[i].merge(&paths[j]).unwrap();
                             assert_eq!(
                                 account.steps_cost(merged.len() as u32),
-                                account.path_cost(&merged_path, &dm),
+                                account.paths_cost([(&merged_path, &dm)]),
                                 "the path-local price of {merged_path} in {cover}"
                             );
                             let others = (0..paths.len()).filter(|&p| p != i && p != j);

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use raco_graph::modify::{step_delta, steps};
+
 use crate::optimizer::Allocation;
 use crate::phase1::Phase1Outcome;
 
@@ -95,16 +97,14 @@ impl fmt::Display for AllocationReport<'_> {
         }
         writeln!(f, "register paths:")?;
         for (i, path) in alloc.cover().paths().iter().enumerate() {
-            let steps: Vec<String> = path
-                .intra_steps(dm)
-                .into_iter()
-                .map(|d| format!("{d:+}"))
+            let mut deltas: Vec<String> = steps(path.indices())
+                .map(|step| format!("{:+}", step_delta(dm, step)))
                 .collect();
+            let wrap = deltas.pop().expect("a path's steps end with its wrap");
             writeln!(
                 f,
-                "    AR{i}: {path}  steps [{}]  wrap {:+}",
-                steps.join(", "),
-                path.wrap_step(dm)
+                "    AR{i}: {path}  steps [{}]  wrap {wrap}",
+                deltas.join(", ")
             )?;
         }
         Ok(())

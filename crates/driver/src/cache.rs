@@ -10,10 +10,11 @@
 //! Two memo tables, keyed at different strengths:
 //!
 //! * **allocations** — keyed by the *exact* (shift-normalized)
-//!   canonical form plus `(M, k, options)`. A hit returns an
-//!   [`Allocation`] whose distance model is identical to the one the
-//!   optimizer would have built, so covers, costs and generated update
-//!   deltas are all bit-for-bit reusable.
+//!   canonical form plus `(M, k, options)`. Entries are stored
+//!   shift-normalized too, so a hit returns an [`Allocation`] whose
+//!   distance model is the one the optimizer would have built, up to a
+//!   shift of every offset: covers, costs and generated update deltas
+//!   are all bit-for-bit reusable.
 //! * **cost curves** — keyed by the weaker *cost class* (sign
 //!   normalized) plus `(M, k_max, options)`. Curves only carry costs,
 //!   which are mirror-invariant **on symmetric machines**, so mirrored
@@ -39,6 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use raco_core::{Allocation, OptimizerOptions};
+use raco_graph::DistanceModel;
 use raco_ir::{CanonicalPattern, UpdateRange};
 
 const SHARDS: usize = 16;
@@ -400,6 +402,14 @@ impl AllocationCache {
     /// Returns the cached allocation for the canonical pattern under
     /// `(range, registers, options)`, computing it with `compute` on a
     /// miss.
+    ///
+    /// A computed allocation is stored shift-normalized: its distance
+    /// model takes `canonical`'s offsets (first offset zero), whichever
+    /// shifted twin of the pattern `compute` allocated. Shifted twins
+    /// share one key, and an allocation reads its offsets only through
+    /// their differences, so this is the same allocation; storing it
+    /// this way makes an entry, and so a snapshot's bytes, a function
+    /// of the key rather than of which twin missed first.
     pub fn allocation(
         &self,
         canonical: &CanonicalPattern,
@@ -415,7 +425,7 @@ impl AllocationCache {
                 registers,
                 options: *options,
             },
-            compute,
+            || shift_normalized(compute(), canonical),
         )
     }
 
@@ -497,6 +507,17 @@ impl AllocationCache {
     }
 }
 
+/// `allocation` with `canonical`'s offsets in its distance model (see
+/// [`AllocationCache::allocation`]).
+fn shift_normalized(allocation: Allocation, canonical: &CanonicalPattern) -> Allocation {
+    let dm = allocation.distance_model();
+    if dm.offsets() == canonical.offsets() {
+        return allocation;
+    }
+    let dm = DistanceModel::from_offsets_range(canonical.offsets(), dm.stride(), dm.range());
+    Allocation::from_parts(dm, allocation.phase1().clone(), allocation.phase2().clone())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,6 +554,27 @@ mod tests {
         assert_eq!(stats.allocation_misses, 1);
         assert_eq!(stats.allocation_entries, 1);
         assert!(stats.hit_rate() > 0.49 && stats.hit_rate() < 0.51);
+    }
+
+    #[test]
+    fn entries_do_not_depend_on_which_shifted_twin_missed_first() {
+        // Two shifted twins share one key; caches that allocate them in
+        // opposite orders must hold the same entry and encode the same
+        // snapshot bytes.
+        let twins: [&[i64]; 2] = [&[6, 5, 4, 3], &[0, -1, -2, -3]];
+        let optimizer = Optimizer::new(AguSpec::new(2, 1).unwrap());
+        let snapshot = |order: [usize; 2]| {
+            let cache = AllocationCache::new();
+            for twin in order {
+                let pattern = AccessPattern::from_offsets(twins[twin], 1);
+                let key = canonical(twins[twin]);
+                let options = OptimizerOptions::default();
+                cache.allocation(&key, sym(1), 2, &options, || optimizer.allocate(&pattern));
+            }
+            assert_eq!(cache.stats().allocation_hits, 1);
+            crate::persist::encode(&cache)
+        };
+        assert_eq!(snapshot([0, 1]), snapshot([1, 0]));
     }
 
     #[test]

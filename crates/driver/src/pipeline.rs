@@ -23,7 +23,6 @@ use raco_agu::isa::AddressProgram;
 use raco_agu::listing::ProgramListing;
 use raco_agu::sim;
 use raco_core::{Allocation, AllocationMemo, LoopAllocation, Optimizer, OptimizerOptions};
-use raco_graph::DistanceModel;
 use raco_ir::dsl::{self, ParseError};
 use raco_ir::{AguSpec, CanonicalPattern, LoopSpec, MemoryLayout, Trace, UpdateRange};
 
@@ -692,7 +691,9 @@ impl Pipeline {
 /// class on symmetric machines, the exact canonical form otherwise),
 /// allocations by exact canonical form, so hits reuse covers *and*
 /// concrete update deltas. A missed allocation enters the cache in its
-/// shift-normalized form (see [`shift_normalized`]). A hit hands out
+/// shift-normalized form (see [`AllocationCache::allocation`]), so an
+/// answer may hold a shifted twin of the loop's own distance model; its
+/// steps' deltas are the same. A hit hands out
 /// the cache's `Arc`, so a warm loop shares its covers, distance models
 /// and phase reports with the cache instead of copying them.
 ///
@@ -749,14 +750,17 @@ impl AllocationMemo for CacheMemo<'_> {
             self.clock.lap(Stage::Partition);
         }
         let mut missed = false;
-        let canonical = &self.canonicals[index];
-        let allocation =
-            self.cache
-                .allocation(canonical, self.range, registers, &self.options, || {
-                    missed = true;
-                    self.fan_out.widen();
-                    shift_normalized(compute(), canonical)
-                });
+        let allocation = self.cache.allocation(
+            &self.canonicals[index],
+            self.range,
+            registers,
+            &self.options,
+            || {
+                missed = true;
+                self.fan_out.widen();
+                compute()
+            },
+        );
         self.clock.lap(if missed {
             Stage::AllocMiss
         } else {
@@ -764,21 +768,6 @@ impl AllocationMemo for CacheMemo<'_> {
         });
         allocation
     }
-}
-
-/// `allocation` on the shift-normalized form of its pattern
-/// (`canonical`, whose first offset is zero). Shifted twins share one
-/// cache key, and an allocation uses its distance model's offsets only
-/// through their differences, so this is the same allocation; storing
-/// it this way makes a cache entry, and so a snapshot's bytes, a
-/// function of the key rather than of which twin missed first.
-fn shift_normalized(allocation: Allocation, canonical: &CanonicalPattern) -> Allocation {
-    let dm = allocation.distance_model();
-    if dm.offsets() == canonical.offsets() {
-        return allocation;
-    }
-    let dm = DistanceModel::from_offsets_range(canonical.offsets(), dm.stride(), dm.range());
-    Allocation::from_parts(dm, allocation.phase1().clone(), allocation.phase2().clone())
 }
 
 /// `true` once `deadline` has passed; `None` never expires.

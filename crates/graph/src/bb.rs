@@ -64,8 +64,6 @@ pub struct BbResult {
     pub nodes: u64,
     /// The matching lower bound.
     pub lower_bound: usize,
-    /// Register count of the heuristic upper-bound cover, if one existed.
-    pub heuristic_upper_bound: Option<usize>,
 }
 
 impl BbResult {
@@ -143,31 +141,42 @@ pub fn min_zero_cost_cover_with(
     dm: &DistanceModel,
     options: BbOptions,
 ) -> Result<BbResult, CoverSearchError> {
-    let n = dm.len();
-    // One matching serves both bounds: its path count is the lower
-    // bound, its split repair the heuristic upper bound.
-    let matched = matching::min_path_cover(dm);
-    let lb = matched.register_count();
-    let heuristic = bounds::split_repair_cover(&matched, dm);
-    let heuristic_count = heuristic.as_ref().map(PathCover::register_count);
+    min_zero_cost_cover_from(dm, &matching::min_path_cover(dm), options)
+}
 
-    if let Some(cover) = &heuristic {
-        if cover.register_count() == lb {
-            return Ok(BbResult {
-                cover: cover.clone(),
-                optimal: true,
-                nodes: 0,
-                lower_bound: lb,
-                heuristic_upper_bound: heuristic_count,
-            });
-        }
+/// [`min_zero_cost_cover_with`] from an already computed
+/// [`matching::min_path_cover`] of `dm`, for callers that keep the
+/// matching cover (Phase 1 falls back to it when this search fails).
+/// One matching serves both bounds: its path count is the lower bound,
+/// its split repair the heuristic upper bound.
+///
+/// # Errors
+///
+/// See [`CoverSearchError`].
+pub fn min_zero_cost_cover_from(
+    dm: &DistanceModel,
+    matched: &PathCover,
+    options: BbOptions,
+) -> Result<BbResult, CoverSearchError> {
+    let n = dm.len();
+    let lb = matched.register_count();
+    let heuristic = bounds::split_repair_cover(matched, dm);
+    if let Some(cover) = heuristic.as_ref().filter(|c| c.register_count() == lb) {
+        return Ok(BbResult {
+            cover: cover.clone(),
+            optimal: true,
+            nodes: 0,
+            lower_bound: lb,
+        });
     }
 
     let mut search = Search {
         dm,
         n,
         lb,
-        best_count: heuristic_count.unwrap_or(usize::MAX),
+        best_count: heuristic
+            .as_ref()
+            .map_or(usize::MAX, PathCover::register_count),
         best_assign: heuristic.as_ref().map(PathCover::assignment),
         nodes: 0,
         node_limit: options.node_limit,
@@ -190,7 +199,6 @@ pub fn min_zero_cost_cover_with(
                 optimal,
                 nodes: search.nodes,
                 lower_bound: lb,
-                heuristic_upper_bound: heuristic_count,
             })
         }
         None => {

@@ -31,13 +31,6 @@ impl Bounds {
     }
 }
 
-/// Matching lower bound on `K̃`: the minimum path cover of the
-/// intra-iteration graph ignoring wrap constraints
-/// (see [`matching::min_path_cover_size`]).
-pub fn lower_bound(dm: &DistanceModel) -> usize {
-    matching::min_path_cover_size(dm)
-}
-
 /// Heuristic upper bound: take the matching cover (zero intra cost,
 /// minimum path count) and *split-repair* every path whose wrap step is
 /// not free.
@@ -84,7 +77,7 @@ pub fn bounds(dm: &DistanceModel) -> Bounds {
 fn split_repair(path: &Path, dm: &DistanceModel) -> Option<Vec<Path>> {
     let idx = path.indices();
     let len = idx.len();
-    if path.wrap_cost(dm) == 0 {
+    if dm.free_wrap(path.tail(), path.head()) {
         return Some(vec![path.clone()]);
     }
     // seg[i] = minimum segments covering idx[i..], usize::MAX = impossible.
@@ -182,7 +175,7 @@ mod tests {
     #[test]
     fn lower_bound_counts_isolated_nodes() {
         let dm = DistanceModel::from_offsets(&[0, 100, 200], 1, 1);
-        assert_eq!(lower_bound(&dm), 3);
+        assert_eq!(bounds(&dm).lower, 3);
         let cover = upper_bound_cover(&dm).expect("singletons close with stride 1");
         assert_eq!(cover.register_count(), 3);
     }

@@ -163,12 +163,6 @@ impl DistanceModel {
     pub fn free_wrap(&self, from: usize, to: usize) -> bool {
         self.is_free(self.wrap_distance(from, to))
     }
-
-    /// `true` iff a register serving only access `i` needs no explicit
-    /// update (its wrap distance is the stride itself).
-    pub fn singleton_is_free(&self) -> bool {
-        self.is_free(self.stride)
-    }
 }
 
 fn clamp_i128(v: i128) -> i64 {
@@ -215,9 +209,10 @@ mod tests {
 
     #[test]
     fn singleton_freeness_tracks_stride() {
-        assert!(DistanceModel::from_offsets(&[0], 1, 1).singleton_is_free());
-        assert!(!DistanceModel::from_offsets(&[0], 3, 1).singleton_is_free());
-        assert!(DistanceModel::from_offsets(&[0], -1, 1).singleton_is_free());
+        // A register serving one access wraps by the stride itself.
+        assert!(DistanceModel::from_offsets(&[0], 1, 1).free_wrap(0, 0));
+        assert!(!DistanceModel::from_offsets(&[0], 3, 1).free_wrap(0, 0));
+        assert!(DistanceModel::from_offsets(&[0], -1, 1).free_wrap(0, 0));
     }
 
     #[test]

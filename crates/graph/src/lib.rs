@@ -22,10 +22,17 @@
 //!   (their ref \[3\]), i.e. the paper's Phase 1;
 //! * [`brute`] — exhaustive oracles used by tests and ablation
 //!   experiments;
+//! * [`modify`] — the one step model: [`modify::steps`] walks a
+//!   register's `(from, to)` steps (each consecutive pair, then the
+//!   wrap into the next iteration), [`modify::step_delta`] gives a
+//!   step's post-modify delta and [`modify::paid_delta`] the delta of
+//!   a step that needs an explicit update. Every price, every
+//!   generated update and every printed delta reads steps through
+//!   them; [`Path`] and [`PathCover`] carry no cost of their own;
 //! * [`ModifyAllocation`] — frequency-ranked assignment of over-range
 //!   deltas to modify registers, shared by the allocator's cost model
 //!   (`raco-core`) and code generation (`raco-agu`) so both price the
-//!   same machine; its [`modify`] module also holds the
+//!   same machine; the [`modify`] module also holds the
 //!   [`DeltaHistogram`] that counts the paid steps, and Phase 2 prices
 //!   merge candidates through it.
 //!

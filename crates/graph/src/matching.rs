@@ -168,11 +168,13 @@ pub fn min_path_cover_size(dm: &DistanceModel) -> usize {
 /// # Examples
 ///
 /// ```
-/// use raco_graph::{matching, DistanceModel};
+/// use raco_graph::{matching, DistanceModel, ModifyAllocation};
 /// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
 /// let cover = matching::min_path_cover(&dm);
 /// assert_eq!(cover.register_count(), 2);
-/// assert_eq!(cover.total_cost(&dm, false), 0);
+/// // No paid step inside an iteration (wraps left out):
+/// let paths = cover.paths().iter().map(|p| (p, &dm));
+/// assert_eq!(ModifyAllocation::new(paths, 0, false).charged(), 0);
 /// ```
 pub fn min_path_cover(dm: &DistanceModel) -> PathCover {
     let n = dm.len();
@@ -196,6 +198,12 @@ pub fn min_path_cover(dm: &DistanceModel) -> PathCover {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModifyAllocation;
+
+    /// The paid steps of `cover` inside one iteration (wraps left out).
+    fn intra_paid(cover: &PathCover, dm: &DistanceModel) -> u32 {
+        ModifyAllocation::new(cover.paths().iter().map(|p| (p, dm)), 0, false).charged()
+    }
 
     #[test]
     fn hopcroft_karp_on_small_graphs() {
@@ -235,7 +243,7 @@ mod tests {
         assert_eq!(min_path_cover_size(&dm), 2);
         let cover = min_path_cover(&dm);
         assert_eq!(cover.register_count(), 2);
-        assert!(cover.total_cost(&dm, false) == 0);
+        assert!(intra_paid(&cover, &dm) == 0);
     }
 
     #[test]
@@ -271,7 +279,7 @@ mod tests {
                 let dm = DistanceModel::from_offsets(&offsets, 1, m);
                 let cover = min_path_cover(&dm);
                 assert_eq!(cover.register_count(), min_path_cover_size(&dm));
-                assert_eq!(cover.total_cost(&dm, false), 0, "offsets {offsets:?} m {m}");
+                assert_eq!(intra_paid(&cover, &dm), 0, "offsets {offsets:?} m {m}");
             }
         }
     }

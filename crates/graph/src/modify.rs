@@ -1,4 +1,11 @@
-//! Modify-register allocation.
+//! The step model and modify-register allocation.
+//!
+//! A register's cost is a sum over its *steps*: the move from each
+//! access it serves to the next, then the wrap into the next iteration
+//! (the paper's Section 3.2). [`steps`], [`step_delta`] and
+//! [`paid_delta`] define those steps and their deltas once; the
+//! allocator's prices, code generation and the allocation report all
+//! read steps through them.
 //!
 //! Machines like the Motorola DSP56k or ADSP-210x add *modify registers*:
 //! an address register can be post-updated by the content of a modify
@@ -18,21 +25,28 @@
 //! what makes the allocator's predicted cost equal the simulator's
 //! measured cost on MR-equipped machines.
 
+use std::borrow::Borrow;
+
 use crate::distance::DistanceModel;
 use crate::path::Path;
 
 /// The steps of a register serving `indices` (ascending) in one
 /// iteration, as `(from, to)` access pairs: each consecutive pair, then
 /// the wrap `(tail, head)` into the next iteration. A step is the wrap
-/// exactly when `from >= to` (see [`paid_delta`]).
+/// exactly when `from >= to` (see [`step_delta`]). The indices may come
+/// by value or by reference, as from [`Path::indices`].
 ///
 /// ```
 /// let steps: Vec<_> = raco_graph::modify::steps([1, 4, 6]).collect();
 /// assert_eq!(steps, [(1, 4), (4, 6), (6, 1)]);
 /// ```
 #[inline]
-pub fn steps(indices: impl IntoIterator<Item = usize>) -> impl Iterator<Item = (usize, usize)> {
-    let mut indices = indices.into_iter();
+pub fn steps<I>(indices: I) -> impl Iterator<Item = (usize, usize)>
+where
+    I: IntoIterator,
+    I::Item: Borrow<usize>,
+{
+    let mut indices = indices.into_iter().map(|index| *index.borrow());
     let head = indices.next();
     let mut from = head;
     std::iter::from_fn(move || {
@@ -43,22 +57,36 @@ pub fn steps(indices: impl IntoIterator<Item = usize>) -> impl Iterator<Item = (
     })
 }
 
-/// The post-modify delta of the step `(from, to)` (see [`steps`]) if it
-/// needs an explicit update; `None` if it is free — inside the update
-/// range, or a wrap while `include_wrap` is off.
+/// The post-modify delta of the step `(from, to)` (see [`steps`]): the
+/// intra-iteration distance when `from < to`, else the wrap distance
+/// into the next iteration.
+///
+/// ```
+/// use raco_graph::modify::{step_delta, steps};
+/// use raco_graph::DistanceModel;
+///
+/// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
+/// let deltas: Vec<i64> = steps([0, 2, 4, 5]).map(|s| step_delta(&dm, s)).collect();
+/// assert_eq!(deltas, [1, -1, -1, 2]); // the wrap 0 → 1 adds the stride
+/// ```
 #[inline]
-pub fn paid_delta(
-    dm: &DistanceModel,
-    (from, to): (usize, usize),
-    include_wrap: bool,
-) -> Option<i64> {
-    let delta = if from < to {
+pub fn step_delta(dm: &DistanceModel, (from, to): (usize, usize)) -> i64 {
+    if from < to {
         dm.intra_distance(from, to)
-    } else if include_wrap {
-        dm.wrap_distance(from, to)
     } else {
+        dm.wrap_distance(from, to)
+    }
+}
+
+/// The [`step_delta`] of `step` if it needs an explicit update; `None`
+/// if it is free — inside the update range, or a wrap while
+/// `include_wrap` is off.
+#[inline]
+pub fn paid_delta(dm: &DistanceModel, step: (usize, usize), include_wrap: bool) -> Option<i64> {
+    if !include_wrap && step.0 >= step.1 {
         return None;
-    };
+    }
+    let delta = step_delta(dm, step);
     (!dm.is_free(delta)).then_some(delta)
 }
 
@@ -242,7 +270,7 @@ impl ModifyAllocation {
         let mut deltas: Vec<i64> = Vec::new();
         let mut histogram = DeltaHistogram::default();
         for (path, dm) in paths {
-            for step in steps(path.indices().iter().copied()) {
+            for step in steps(path.indices()) {
                 let Some(delta) = paid_delta(dm, step, include_wrap) else {
                     continue;
                 };
@@ -352,7 +380,7 @@ mod tests {
             steps([0, 2, 3]).collect::<Vec<_>>(),
             [(0, 2), (2, 3), (3, 0)]
         );
-        assert_eq!(steps(std::iter::empty()).count(), 0);
+        assert_eq!(steps(std::iter::empty::<usize>()).count(), 0);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use std::fmt;
 
 use crate::distance::DistanceModel;
+use crate::modify::{paid_delta, steps};
 
 /// Errors produced when constructing a [`Path`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,11 +60,13 @@ impl std::error::Error for PathError {}
 /// the example graph realizable with auto-increment/decrement only:
 ///
 /// ```
+/// use raco_graph::modify::{paid_delta, steps};
 /// use raco_graph::{DistanceModel, Path};
 ///
 /// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
 /// let p = Path::new(vec![0, 2, 4, 5]).unwrap(); // a_1, a_3, a_5, a_6
-/// assert_eq!(p.intra_cost(&dm), 0);
+/// let paid = steps(p.indices()).filter_map(|s| paid_delta(&dm, s, false));
+/// assert_eq!(paid.count(), 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Path {
@@ -174,48 +177,6 @@ impl Path {
             (None, None) => None,
         })
     }
-
-    /// Number of unit-cost updates *inside* the path: consecutive pairs
-    /// whose intra-iteration distance exceeds `M`. This is the paper's
-    /// `C(P)` in its literal form (Section 3.2).
-    pub fn intra_cost(&self, dm: &DistanceModel) -> u32 {
-        self.indices
-            .windows(2)
-            .filter(|w| !dm.free_intra(w[0], w[1]))
-            .count() as u32
-    }
-
-    /// `1` if the back-edge step (tail of iteration `t` to head of
-    /// iteration `t+1`) exceeds `M`, else `0`.
-    pub fn wrap_cost(&self, dm: &DistanceModel) -> u32 {
-        u32::from(!dm.free_wrap(self.tail(), self.head()))
-    }
-
-    /// Steady-state unit-cost updates per iteration for this path:
-    /// [`intra_cost`](Self::intra_cost) plus, when `include_wrap` is set,
-    /// [`wrap_cost`](Self::wrap_cost).
-    ///
-    /// `include_wrap = true` is the faithful steady-state model (the
-    /// paper's Phase 1 requires the wrap step of every virtual register to
-    /// be free, so merged-path costs are measured the same way);
-    /// `include_wrap = false` is the paper-literal `C(P)`.
-    pub fn cost(&self, dm: &DistanceModel, include_wrap: bool) -> u32 {
-        self.intra_cost(dm) + if include_wrap { self.wrap_cost(dm) } else { 0 }
-    }
-
-    /// The post-modify deltas along the path within one iteration
-    /// (`len() - 1` entries).
-    pub fn intra_steps(&self, dm: &DistanceModel) -> Vec<i64> {
-        self.indices
-            .windows(2)
-            .map(|w| dm.intra_distance(w[0], w[1]))
-            .collect()
-    }
-
-    /// The back-edge post-modify delta (tail → head, next iteration).
-    pub fn wrap_step(&self, dm: &DistanceModel) -> i64 {
-        dm.wrap_distance(self.tail(), self.head())
-    }
 }
 
 impl fmt::Display for Path {
@@ -276,7 +237,7 @@ impl std::error::Error for CoverError {}
 /// # Examples
 ///
 /// ```
-/// use raco_graph::{DistanceModel, Path, PathCover};
+/// use raco_graph::{DistanceModel, ModifyAllocation, Path, PathCover};
 ///
 /// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
 /// let cover = PathCover::new(
@@ -288,7 +249,9 @@ impl std::error::Error for CoverError {}
 /// )
 /// .unwrap();
 /// assert_eq!(cover.register_count(), 2);
-/// assert_eq!(cover.total_cost(&dm, false), 0);
+/// // No paid step inside an iteration (wraps left out):
+/// let paths = cover.paths().iter().map(|p| (p, &dm));
+/// assert_eq!(ModifyAllocation::new(paths, 0, false).charged(), 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathCover {
@@ -400,17 +363,12 @@ impl PathCover {
         self.paths.len()
     }
 
-    /// Total steady-state unit-cost updates per iteration, summed over all
-    /// paths (see [`Path::cost`] for `include_wrap`).
-    pub fn total_cost(&self, dm: &DistanceModel, include_wrap: bool) -> u32 {
-        self.paths.iter().map(|p| p.cost(dm, include_wrap)).sum()
-    }
-
     /// `true` if every step of every path — including every back-edge
     /// step — is free. Phase 1 of the paper computes the minimum cover
     /// with this property.
     pub fn is_zero_cost(&self, dm: &DistanceModel) -> bool {
-        self.total_cost(dm, true) == 0
+        let mut steps = self.paths.iter().flat_map(|p| steps(&p.indices));
+        steps.all(|step| paid_delta(dm, step, true).is_none())
     }
 
     /// Replaces paths `i` and `j` by their merge `P_i ⊕ P_j`.
@@ -455,6 +413,7 @@ impl fmt::Display for PathCover {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modify::step_delta;
 
     fn paper_dm() -> DistanceModel {
         DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1)
@@ -498,27 +457,43 @@ mod tests {
         );
     }
 
+    /// The deltas of `path`'s steps, the wrap last.
+    fn deltas(path: &Path, dm: &DistanceModel) -> Vec<i64> {
+        steps(path.indices())
+            .map(|step| step_delta(dm, step))
+            .collect()
+    }
+
+    /// The paid steps of `paths`, wraps counted when `include_wrap` is set.
+    fn paid<'a>(
+        paths: impl IntoIterator<Item = &'a Path>,
+        dm: &DistanceModel,
+        include_wrap: bool,
+    ) -> usize {
+        let steps = paths.into_iter().flat_map(|p| steps(p.indices()));
+        steps
+            .filter_map(|step| paid_delta(dm, step, include_wrap))
+            .count()
+    }
+
     #[test]
     fn paper_zero_cost_path() {
         let dm = paper_dm();
         // (a_1, a_3, a_5, a_6): offsets 1 → 2 → 1 → 0, all steps |d| <= 1.
         let p = Path::new(vec![0, 2, 4, 5]).unwrap();
-        assert_eq!(p.intra_cost(&dm), 0);
-        assert_eq!(p.intra_steps(&dm), vec![1, -1, -1]);
         // Wrap: offset 0 tail → offset 1 head next iteration: 1 + 1 - 0 = 2.
-        assert_eq!(p.wrap_step(&dm), 2);
-        assert_eq!(p.wrap_cost(&dm), 1);
-        assert_eq!(p.cost(&dm, false), 0);
-        assert_eq!(p.cost(&dm, true), 1);
+        assert_eq!(deltas(&p, &dm), vec![1, -1, -1, 2]);
+        assert_eq!(paid([&p], &dm, false), 0);
+        assert_eq!(paid([&p], &dm, true), 1);
     }
 
     #[test]
     fn singleton_wrap_cost_is_stride_freeness() {
         let dm = paper_dm();
         let p = Path::singleton(3);
-        assert_eq!(p.intra_cost(&dm), 0);
-        assert_eq!(p.wrap_step(&dm), 1);
-        assert_eq!(p.wrap_cost(&dm), 0);
+        assert_eq!(deltas(&p, &dm), vec![1]);
+        assert_eq!(paid([&p], &dm, false), 0);
+        assert_eq!(paid([&p], &dm, true), 0);
     }
 
     #[test]
@@ -593,13 +568,13 @@ mod tests {
     }
 
     #[test]
-    fn total_cost_sums_paths() {
+    fn paid_steps_sum_over_paths() {
         let dm = paper_dm();
         // Chain everything: offsets 1,0,2,-1,1,0,-2 → steps -1,2,-3,2,-1,-2
         // → intra cost 4; wrap: 1 + 1 - (-2) = 4 → +1.
         let chain = PathCover::single_chain(7);
-        assert_eq!(chain.total_cost(&dm, false), 4);
-        assert_eq!(chain.total_cost(&dm, true), 5);
+        assert_eq!(paid(chain.paths(), &dm, false), 4);
+        assert_eq!(paid(chain.paths(), &dm, true), 5);
         assert!(!chain.is_zero_cost(&dm));
     }
 

@@ -438,11 +438,6 @@ pub fn report_line(id: &Option<Json>, report: &CompilationReport) -> String {
     )
 }
 
-/// A success response carrying cache statistics.
-pub fn stats_line(id: &Option<Json>, stats: &CacheStats) -> String {
-    envelope(id, true, vec![("stats".to_owned(), stats_json(stats))])
-}
-
 /// A success response whose payload fields are supplied by the caller
 /// (the server assembles the extended `stats` and `metrics` payloads).
 pub fn payload_line(id: &Option<Json>, fields: Vec<(String, Json)>) -> String {
@@ -765,7 +760,10 @@ mod tests {
     fn response_lines_are_single_line_json() {
         let stats = CacheStats::default();
         for line in [
-            stats_line(&Some(Json::Int(1)), &stats),
+            payload_line(
+                &Some(Json::Int(1)),
+                vec![("stats".to_owned(), stats_json(&stats))],
+            ),
             ack_line(&None, "pong"),
             error_line(&Some(Json::str("x")), "boom\nboom"),
         ] {

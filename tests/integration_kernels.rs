@@ -3,7 +3,7 @@
 
 use raco::agu::codegen::CodeGenerator;
 use raco::agu::sim;
-use raco::core::Optimizer;
+use raco::core::{CostModel, Optimizer};
 use raco::graph::{DistanceModel, PathCover};
 use raco::ir::{AguSpec, MemoryLayout, Trace};
 
@@ -86,7 +86,7 @@ fn optimizer_never_loses_to_naive_chaining() {
             .iter()
             .map(|p| {
                 let dm = DistanceModel::new(p, 1);
-                PathCover::single_chain(p.len()).total_cost(&dm, true)
+                CostModel::steady_state().cover_cost(&PathCover::single_chain(p.len()), &dm)
             })
             .sum();
         assert!(

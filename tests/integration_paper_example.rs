@@ -4,6 +4,7 @@
 use raco::agu::codegen::CodeGenerator;
 use raco::agu::sim;
 use raco::core::{exact, CostModel, Optimizer, Phase1Outcome};
+use raco::graph::modify::{step_delta, steps};
 use raco::graph::{AccessGraph, Path};
 use raco::ir::{examples, AguSpec, MemoryLayout, Trace};
 
@@ -34,9 +35,14 @@ fn section2_subsequence_is_a_zero_cost_path() {
     //  auto-decrement operations on R."
     let spec = examples::paper_loop();
     let graph = AccessGraph::build(&spec.patterns()[0], 1);
+    let dm = graph.distance_model();
     let path = Path::new(vec![0, 2, 4, 5]).unwrap();
-    assert_eq!(path.intra_cost(graph.distance_model()), 0);
-    for step in path.intra_steps(graph.distance_model()) {
+    assert_eq!(CostModel::paper_literal().paths_cost([(&path, dm)]), 0);
+    let mut deltas: Vec<i64> = steps(path.indices())
+        .map(|step| step_delta(dm, step))
+        .collect();
+    deltas.pop(); // the wrap into the next iteration
+    for step in deltas {
         assert!(step.abs() <= 1, "step {step} must be auto-inc/dec");
     }
 }

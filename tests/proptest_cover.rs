@@ -36,7 +36,7 @@ proptest! {
             cover.paths().iter().map(|p| p.len()).sum::<usize>(),
             offsets.len()
         );
-        prop_assert_eq!(cover.total_cost(&dm, false), 0);
+        prop_assert_eq!(CostModel::paper_literal().cover_cost(&cover, &dm), 0);
         prop_assert_eq!(cover.register_count(), matching::min_path_cover_size(&dm));
     }
 
@@ -96,7 +96,7 @@ proptest! {
                 prop_assert!(cover.is_zero_cost(&dm));
             }
             Phase1Outcome::Relaxed => {
-                prop_assert_eq!(cover.total_cost(&dm, false), 0);
+                prop_assert_eq!(CostModel::paper_literal().cover_cost(cover, &dm), 0);
             }
             // `Phase1Outcome` is non-exhaustive; any future outcome must
             // still produce a partition (checked above).
