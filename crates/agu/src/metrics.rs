@@ -46,16 +46,19 @@ impl ProgramMetrics {
 
     /// Builds metrics from explicit counts, for compilation models that
     /// are costed analytically instead of through generated code (e.g.
-    /// the naive per-array chaining baseline of experiment E4).
+    /// the naive per-array chaining baseline of experiment E4). Words and
+    /// cycles are separate counts: an `ADDA` word may take several
+    /// cycles, and a modify register absorbs a step's cycles.
     pub fn synthetic(
         prologue_words: u64,
         body_addressing_words: u64,
+        addressing_cycles_per_iteration: u64,
         accesses_per_iteration: u64,
     ) -> Self {
         ProgramMetrics {
             prologue_words,
             body_addressing_words,
-            addressing_cycles_per_iteration: body_addressing_words,
+            addressing_cycles_per_iteration,
             accesses_per_iteration,
         }
     }

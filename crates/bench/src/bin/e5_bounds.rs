@@ -8,7 +8,7 @@ use raco_bench::stats::Summary;
 use raco_bench::sweep::{sample_seed, CellKey};
 use raco_bench::table::{f1, f2, Table};
 use raco_core::random::{PatternGenerator, Spread};
-use raco_graph::{bb, bounds, BbOptions, DistanceModel};
+use raco_graph::{bb, bounds, matching, BbOptions, DistanceModel};
 
 fn main() {
     let samples = raco_bench::samples_arg(100);
@@ -46,9 +46,11 @@ fn main() {
             for s in 0..samples {
                 let pattern = generator.generate(sample_seed(0xB0_07ED, &key, s));
                 let dm = DistanceModel::new(&pattern, 1);
-                let b = bounds::bounds(&dm);
-                let result = bb::min_zero_cost_cover_with(
+                let matched = matching::min_path_cover(&dm);
+                let b = bounds::bounds(&dm, &matched);
+                let result = bb::min_zero_cost_cover_from(
                     &dm,
+                    &matched,
                     BbOptions {
                         node_limit: 2_000_000,
                         memoize: true,

@@ -63,12 +63,14 @@ pub(crate) fn split_repair_cover(base: &PathCover, dm: &DistanceModel) -> Option
     Some(PathCover::new(repaired, dm.len()).expect("splits preserve the partition"))
 }
 
-/// Computes both bounds.
-pub fn bounds(dm: &DistanceModel) -> Bounds {
-    let matched = matching::min_path_cover(dm);
+/// Computes both bounds from `matched`, the [`matching::min_path_cover`]
+/// of `dm`, which a caller can share with
+/// [`bb::min_zero_cost_cover_from`](crate::bb::min_zero_cost_cover_from)
+/// so that one matching serves the bounds and the search.
+pub fn bounds(dm: &DistanceModel, matched: &PathCover) -> Bounds {
     Bounds {
         lower: matched.register_count(),
-        upper: split_repair_cover(&matched, dm),
+        upper: split_repair_cover(matched, dm),
     }
 }
 
@@ -116,7 +118,7 @@ mod tests {
     #[test]
     fn paper_example_bounds_are_tight_at_two() {
         let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-        let b = bounds(&dm);
+        let b = bounds(&dm, &matching::min_path_cover(&dm));
         assert_eq!(b.lower, 2);
         // The heuristic must find some zero-cost cover; with luck it is
         // tight, but at minimum it must be feasible and >= lower.
@@ -130,7 +132,7 @@ mod tests {
         // 0,1,2,3 with stride 1: chain is free and the wrap 0+1-3 = -2 is
         // not free, so the chain must split; stride 4 would close it.
         let dm = DistanceModel::from_offsets(&[0, 1, 2, 3], 4, 1);
-        let b = bounds(&dm);
+        let b = bounds(&dm, &matching::min_path_cover(&dm));
         assert_eq!(b.lower, 1);
         assert!(b.is_tight(), "wrap 0+4-3 = 1 is free: single register");
     }
@@ -166,7 +168,7 @@ mod tests {
     #[test]
     fn bounds_upper_value_and_tightness() {
         let dm = DistanceModel::from_offsets(&[0, 1, 2], 3, 1);
-        let b = bounds(&dm);
+        let b = bounds(&dm, &matching::min_path_cover(&dm));
         assert_eq!(b.lower, 1);
         assert_eq!(b.upper_value(), Some(1)); // wrap 0+3-2 = 1 free
         assert!(b.is_tight());
@@ -175,7 +177,7 @@ mod tests {
     #[test]
     fn lower_bound_counts_isolated_nodes() {
         let dm = DistanceModel::from_offsets(&[0, 100, 200], 1, 1);
-        assert_eq!(bounds(&dm).lower, 3);
+        assert_eq!(bounds(&dm, &matching::min_path_cover(&dm)).lower, 3);
         let cover = upper_bound_cover(&dm).expect("singletons close with stride 1");
         assert_eq!(cover.register_count(), 3);
     }

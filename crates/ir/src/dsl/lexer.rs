@@ -1,9 +1,9 @@
 //! Hand-written lexer for the loop DSL.
 //!
-//! Produces a flat token vector with byte spans. Comments (`// …` and
-//! `/* … */`) and whitespace are skipped.
-
-use std::fmt;
+//! Produces a flat vector of `Copy` tokens: a kind plus a byte span.
+//! No token owns text — an identifier's name is `&source[span]`, sliced
+//! when the parser stores it — so lexing allocates the vector only.
+//! Comments (`// …` and `/* … */`) and whitespace are skipped.
 
 use super::parser::ParseErrorKind;
 
@@ -40,9 +40,10 @@ impl Span {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TokenKind {
-    Ident(String),
+    /// An identifier; its text is the token's span of the source.
+    Ident,
     Int(i64),
     KwFor,
     KwArray,
@@ -72,52 +73,61 @@ pub(crate) enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
-            TokenKind::Int(n) => write!(f, "integer `{n}`"),
-            TokenKind::KwFor => f.write_str("`for`"),
-            TokenKind::KwArray => f.write_str("`array`"),
-            TokenKind::LParen => f.write_str("`(`"),
-            TokenKind::RParen => f.write_str("`)`"),
-            TokenKind::LBrace => f.write_str("`{`"),
-            TokenKind::RBrace => f.write_str("`}`"),
-            TokenKind::LBracket => f.write_str("`[`"),
-            TokenKind::RBracket => f.write_str("`]`"),
-            TokenKind::Semi => f.write_str("`;`"),
-            TokenKind::Plus => f.write_str("`+`"),
-            TokenKind::Minus => f.write_str("`-`"),
-            TokenKind::Star => f.write_str("`*`"),
-            TokenKind::Slash => f.write_str("`/`"),
-            TokenKind::Assign => f.write_str("`=`"),
-            TokenKind::PlusAssign => f.write_str("`+=`"),
-            TokenKind::MinusAssign => f.write_str("`-=`"),
-            TokenKind::StarAssign => f.write_str("`*=`"),
-            TokenKind::PlusPlus => f.write_str("`++`"),
-            TokenKind::MinusMinus => f.write_str("`--`"),
-            TokenKind::Lt => f.write_str("`<`"),
-            TokenKind::Le => f.write_str("`<=`"),
-            TokenKind::Gt => f.write_str("`>`"),
-            TokenKind::Ge => f.write_str("`>=`"),
-            TokenKind::Ne => f.write_str("`!=`"),
-            TokenKind::EqEq => f.write_str("`==`"),
-            TokenKind::Eof => f.write_str("end of input"),
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Token {
     pub(crate) kind: TokenKind,
     pub(crate) span: Span,
+}
+
+impl Token {
+    /// The token's source text.
+    pub(crate) fn text(self, source: &str) -> &str {
+        &source[self.span.start..self.span.end]
+    }
+
+    /// Describes the token for an error message, e.g. ``identifier `foo` ``.
+    pub(crate) fn describe(self, source: &str) -> String {
+        let fixed = match self.kind {
+            TokenKind::Ident => return format!("identifier `{}`", self.text(source)),
+            TokenKind::Int(n) => return format!("integer `{n}`"),
+            TokenKind::KwFor => "`for`",
+            TokenKind::KwArray => "`array`",
+            TokenKind::LParen => "`(`",
+            TokenKind::RParen => "`)`",
+            TokenKind::LBrace => "`{`",
+            TokenKind::RBrace => "`}`",
+            TokenKind::LBracket => "`[`",
+            TokenKind::RBracket => "`]`",
+            TokenKind::Semi => "`;`",
+            TokenKind::Plus => "`+`",
+            TokenKind::Minus => "`-`",
+            TokenKind::Star => "`*`",
+            TokenKind::Slash => "`/`",
+            TokenKind::Assign => "`=`",
+            TokenKind::PlusAssign => "`+=`",
+            TokenKind::MinusAssign => "`-=`",
+            TokenKind::StarAssign => "`*=`",
+            TokenKind::PlusPlus => "`++`",
+            TokenKind::MinusMinus => "`--`",
+            TokenKind::Lt => "`<`",
+            TokenKind::Le => "`<=`",
+            TokenKind::Gt => "`>`",
+            TokenKind::Ge => "`>=`",
+            TokenKind::Ne => "`!=`",
+            TokenKind::EqEq => "`==`",
+            TokenKind::Eof => "end of input",
+        };
+        fixed.to_owned()
+    }
 }
 
 /// Tokenizes the whole source, appending a trailing `Eof` token. A
 /// lexical error is a parse error: its kind and the offending span.
 pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, (ParseErrorKind, Span)> {
     let bytes = source.as_bytes();
-    let mut tokens = Vec::new();
+    // Every token but the trailing `Eof` spans at least one byte, so the
+    // vector is allocated once and never grows.
+    let mut tokens = Vec::with_capacity(source.len() + 1);
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -164,11 +174,10 @@ pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, (ParseErrorKind, Span
             {
                 i += 1;
             }
-            let text = &source[start..i];
-            let kind = match text {
+            let kind = match &source[start..i] {
                 "for" => TokenKind::KwFor,
                 "array" => TokenKind::KwArray,
-                _ => TokenKind::Ident(text.to_owned()),
+                _ => TokenKind::Ident,
             };
             tokens.push(Token {
                 kind,
@@ -255,17 +264,27 @@ mod tests {
             .collect()
     }
 
+    /// Every token's error-message description, identifiers with the
+    /// text their span slices from the source.
+    fn described(src: &str) -> Vec<String> {
+        tokenize(src)
+            .expect("lex")
+            .into_iter()
+            .map(|t| t.describe(src))
+            .collect()
+    }
+
     #[test]
     fn lexes_keywords_and_identifiers() {
         assert_eq!(
-            kinds("for fortune _x9 array arrays"),
-            vec![
-                TokenKind::KwFor,
-                TokenKind::Ident("fortune".into()),
-                TokenKind::Ident("_x9".into()),
-                TokenKind::KwArray,
-                TokenKind::Ident("arrays".into()),
-                TokenKind::Eof
+            described("for fortune _x9 array arrays"),
+            [
+                "`for`",
+                "identifier `fortune`",
+                "identifier `_x9`",
+                "`array`",
+                "identifier `arrays`",
+                "end of input"
             ]
         );
     }
@@ -289,12 +308,8 @@ mod tests {
     #[test]
     fn skips_line_and_block_comments() {
         assert_eq!(
-            kinds("a // comment\n /* multi\nline */ b"),
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Eof
-            ]
+            described("a // comment\n /* multi\nline */ b"),
+            ["identifier `a`", "identifier `b`", "end of input"]
         );
     }
 
@@ -330,9 +345,9 @@ mod tests {
         assert_eq!(
             kinds("a / b"),
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident,
                 TokenKind::Slash,
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident,
                 TokenKind::Eof
             ]
         );

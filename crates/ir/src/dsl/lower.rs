@@ -60,13 +60,6 @@ pub fn lower_unit_loop(decls: &[Decl], ast: &ForLoop) -> Result<LoopSpec, LowerE
     Lowerer::new(decls, ast)?.lower()
 }
 
-/// Affine form of an expression: `Σ coeffs[k] * var_k + constant`,
-/// aligned with the nest's induction variables, outermost first.
-struct Affine {
-    coeffs: Vec<i64>,
-    constant: i64,
-}
-
 /// Per-level loop shape of one nest level (including the innermost).
 struct Level<'a> {
     ast: &'a ForLoop,
@@ -75,53 +68,72 @@ struct Level<'a> {
     trips: u64,
 }
 
+/// Lowers one loop (nest). Its buffers are sized by the nest depth and
+/// the declarations and reused by every access, so an access allocates
+/// only what the returned [`LoopSpec`] keeps.
 struct Lowerer<'a> {
     decls: &'a [Decl],
+    /// Row-major strides of every declaration, flat in declaration
+    /// order; `None` where the product overflows `i128`, an error only
+    /// once an access to that array is linearized.
+    row_strides: Vec<Option<i128>>,
     levels: Vec<Level<'a>>,
-    vars: Vec<&'a str>,
     spec: LoopSpec,
-    /// Full per-level coefficient vector of each registered array, in
-    /// [`ArrayId`] order (the spec itself only stores the innermost
-    /// coefficient).
-    coeff_vectors: Vec<Vec<i64>>,
+    /// Per-level coefficients of each registered array, one
+    /// `levels.len()`-wide row per [`ArrayId`] (the spec itself only
+    /// stores the innermost coefficient).
+    coeff_rows: Vec<i64>,
+    /// The affine-folding stack: one frame per pending subexpression,
+    /// each frame `Σ c_k * var_k + d` stored as the `levels.len()`
+    /// coefficients (outermost first) followed by `d`. After
+    /// [`Lowerer::linearize`] it holds the one frame of the access.
+    frames: Vec<i64>,
+    /// A subscript chain's linearization, summed at `i128` in the frame
+    /// layout.
+    linear: Vec<i128>,
+    /// Right-hand-side array references of the statement being lowered.
+    rhs_refs: Vec<(&'a str, &'a [Expr])>,
 }
 
 impl<'a> Lowerer<'a> {
     fn new(decls: &'a [Decl], ast: &'a ForLoop) -> Result<Self, LowerError> {
         // Collect the nest chain, outermost first, and check variables.
-        let mut chain: Vec<&ForLoop> = vec![ast];
-        let mut current = ast;
-        while let Some(inner) = &current.nested {
-            current = inner;
-            chain.push(current);
-        }
-        let vars: Vec<&str> = chain.iter().map(|l| l.var.as_str()).collect();
-        for (k, var) in vars.iter().enumerate() {
-            if vars[..k].contains(var) {
+        // Plain single loops keep symbolic bounds (the trip count is
+        // never consulted); a nest's levels need constant shapes.
+        let mut levels: Vec<Level<'a>> = Vec::new();
+        let mut current = Some(ast);
+        while let Some(level) = current {
+            if levels.iter().any(|outer| outer.ast.var == level.var) {
                 return Err(LowerError::new(
-                    ParseErrorKind::DuplicateInductionVariable((*var).to_owned()),
-                    chain[k].span,
+                    ParseErrorKind::DuplicateInductionVariable(level.var.clone()),
+                    level.span,
                 ));
             }
+            levels.push(Level {
+                ast: level,
+                start: level.start.unwrap_or(0),
+                stride: level.update.stride(),
+                trips: 1,
+            });
+            current = level.nested.as_deref();
         }
-        let nested = chain.len() > 1;
-        let levels: Vec<Level<'a>> = chain
-            .iter()
-            .map(|level| {
-                if nested {
-                    level_shape(level)
-                } else {
-                    // Plain single loops keep symbolic bounds; the trip
-                    // count is never consulted.
-                    Ok(Level {
-                        ast: level,
-                        start: level.start.unwrap_or(0),
-                        stride: level.update.stride(),
-                        trips: 1,
-                    })
-                }
-            })
-            .collect::<Result<_, _>>()?;
+        if levels.len() > 1 {
+            for level in &mut levels {
+                *level = level_shape(level.ast)?;
+            }
+        }
+
+        // Row-major: the stride of dimension k is the product of all
+        // dimensions after it; the outermost extent only checks rank.
+        let mut row_strides = Vec::with_capacity(decls.iter().map(|d| d.dims.len()).sum());
+        for decl in decls {
+            let base = row_strides.len();
+            row_strides.resize(base + decl.dims.len(), Some(1));
+            for k in (1..decl.dims.len()).rev() {
+                row_strides[base + k - 1] = row_strides[base + k]
+                    .and_then(|stride: i128| stride.checked_mul(i128::from(decl.dims[k])));
+            }
+        }
 
         let inner = levels.last().expect("a nest has at least one level");
         let mut spec = LoopSpec::try_new("loop", &inner.ast.var, inner.stride).map_err(|_| {
@@ -130,12 +142,16 @@ impl<'a> Lowerer<'a> {
             LowerError::new(ParseErrorKind::ZeroStride, inner.ast.span)
         })?;
         spec.set_start(inner.start);
+        let width = levels.len() + 1;
         Ok(Lowerer {
             decls,
+            row_strides,
             levels,
-            vars,
             spec,
-            coeff_vectors: Vec::new(),
+            coeff_rows: Vec::new(),
+            frames: Vec::with_capacity(4 * width),
+            linear: Vec::with_capacity(width),
+            rhs_refs: Vec::new(),
         })
     }
 
@@ -150,12 +166,14 @@ impl<'a> Lowerer<'a> {
         Ok(self.spec)
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt) -> Result<(), LowerError> {
+    fn lower_stmt(&mut self, stmt: &'a Stmt) -> Result<(), LowerError> {
         // Right-hand-side reads, in evaluation order.
-        let mut rhs_refs: Vec<(&str, &[Expr])> = Vec::new();
+        self.rhs_refs.clear();
+        let rhs_refs = &mut self.rhs_refs;
         stmt.rhs
             .visit_indices(&mut |name, indices| rhs_refs.push((name, indices)));
-        for (name, indices) in rhs_refs {
+        for k in 0..self.rhs_refs.len() {
+            let (name, indices) = self.rhs_refs[k];
             self.push(name, indices, AccessKind::Read, stmt.span)?;
         }
         // Left-hand side.
@@ -175,17 +193,14 @@ impl<'a> Lowerer<'a> {
         kind: AccessKind,
         span: Span,
     ) -> Result<(), LowerError> {
-        let lowered = self
-            .linearize(array, indices)
+        self.linearize(array, indices)
             .map_err(|kind| LowerError::new(kind, span))?;
-        let id = self.resolve_array(array, &lowered.coeffs, span)?;
+        let id = self.resolve_array(array, span)?;
         // Fold outer-level starts into the constant: the flat spec only
         // tracks the innermost variable.
-        let mut offset = i128::from(lowered.constant);
-        for (level, &coeff) in self.levels[..self.levels.len() - 1]
-            .iter()
-            .zip(&lowered.coeffs)
-        {
+        let depth = self.levels.len();
+        let mut offset = i128::from(self.frames[depth]);
+        for (level, &coeff) in self.levels[..depth - 1].iter().zip(&self.frames) {
             offset += i128::from(coeff) * i128::from(level.start);
         }
         let offset = narrow(offset).map_err(|kind| LowerError::new(kind, span))?;
@@ -197,40 +212,43 @@ impl<'a> Lowerer<'a> {
 
     /// Folds a subscript chain into one affine form over the nest
     /// variables, linearizing multi-dimensional subscripts row-major
-    /// against the array's declaration.
-    fn linearize(&self, array: &str, indices: &[Expr]) -> Result<Affine, ParseErrorKind> {
-        let row_strides = match self.decls.iter().find(|d| d.name == array) {
-            Some(decl) => {
-                if indices.len() != decl.dims.len() {
+    /// against the array's declaration, and leaves it as the one frame
+    /// on the folding stack.
+    fn linearize(&mut self, array: &str, indices: &[Expr]) -> Result<(), ParseErrorKind> {
+        // The offset of the array's strides in `row_strides`, or `None`
+        // for an undeclared (one-dimensional, unit-stride) array.
+        let strides_at = match self.decls.iter().position(|d| d.name == array) {
+            Some(pos) => {
+                let rank = self.decls[pos].dims.len();
+                if indices.len() != rank {
                     return Err(ParseErrorKind::RankMismatch {
                         array: array.to_owned(),
-                        expected: decl.dims.len(),
+                        expected: rank,
                         found: indices.len(),
                     });
                 }
-                // Row-major: the stride of dimension k is the product of
-                // all dimensions after it; the outermost extent only
-                // checks rank.
-                let mut strides = vec![1i128; decl.dims.len()];
-                for k in (0..decl.dims.len() - 1).rev() {
-                    strides[k] = strides[k + 1]
-                        .checked_mul(i128::from(decl.dims[k + 1]))
-                        .ok_or(ParseErrorKind::IndexOverflow)?;
+                let base = self.decls[..pos].iter().map(|d| d.dims.len()).sum();
+                if self.row_strides[base..base + rank].contains(&None) {
+                    return Err(ParseErrorKind::IndexOverflow);
                 }
-                strides
+                Some(base)
             }
             None => {
                 if indices.len() != 1 {
                     return Err(ParseErrorKind::UndeclaredArray(array.to_owned()));
                 }
-                vec![1i128]
+                None
             }
         };
-        let mut coeffs = vec![0i128; self.vars.len()];
-        let mut constant = 0i128;
-        for (index, &stride) in indices.iter().zip(&row_strides) {
-            let affine = self.affine(index)?;
-            for (total, &c) in coeffs.iter_mut().zip(&affine.coeffs) {
+        self.linear.clear();
+        self.linear.resize(self.levels.len() + 1, 0);
+        for (k, index) in indices.iter().enumerate() {
+            let stride = strides_at.map_or(1, |base| {
+                self.row_strides[base + k].expect("overflow is rejected above")
+            });
+            self.frames.clear();
+            self.fold(index)?;
+            for (total, &c) in self.linear.iter_mut().zip(&self.frames) {
                 *total = total
                     .checked_add(
                         stride
@@ -239,122 +257,94 @@ impl<'a> Lowerer<'a> {
                     )
                     .ok_or(ParseErrorKind::IndexOverflow)?;
             }
-            constant = constant
-                .checked_add(
-                    stride
-                        .checked_mul(i128::from(affine.constant))
-                        .ok_or(ParseErrorKind::IndexOverflow)?,
-                )
-                .ok_or(ParseErrorKind::IndexOverflow)?;
         }
-        Ok(Affine {
-            coeffs: coeffs.into_iter().map(narrow).collect::<Result<_, _>>()?,
-            constant: narrow(constant)?,
-        })
+        self.frames.clear();
+        for &total in &self.linear {
+            self.frames.push(narrow(total)?);
+        }
+        Ok(())
     }
 
-    /// Folds one index expression into `Σ c_k * var_k + d`.
-    fn affine(&self, e: &Expr) -> Result<Affine, ParseErrorKind> {
-        let zero = || Affine {
-            coeffs: vec![0; self.vars.len()],
-            constant: 0,
-        };
+    /// Folds one index expression into `Σ c_k * var_k + d` and pushes it
+    /// as a frame onto the folding stack. Every node checks its `i64`
+    /// arithmetic.
+    fn fold(&mut self, e: &Expr) -> Result<(), ParseErrorKind> {
+        let width = self.levels.len() + 1;
+        let top = self.frames.len();
         match e {
             Expr::Num(n) => {
-                let mut a = zero();
-                a.constant = *n;
-                Ok(a)
+                self.frames.resize(top + width, 0);
+                self.frames[top + width - 1] = *n;
             }
-            Expr::Var(v) => match self.vars.iter().position(|var| var == v) {
+            Expr::Var(v) => match self.levels.iter().position(|level| level.ast.var == *v) {
                 Some(k) => {
-                    let mut a = zero();
-                    a.coeffs[k] = 1;
-                    Ok(a)
+                    self.frames.resize(top + width, 0);
+                    self.frames[top + k] = 1;
                 }
-                None => Err(ParseErrorKind::SymbolicIndex(v.clone())),
+                None => return Err(ParseErrorKind::SymbolicIndex(v.clone())),
             },
-            Expr::Index { array, .. } => Err(ParseErrorKind::ArrayInIndex(array.clone())),
+            Expr::Index { array, .. } => return Err(ParseErrorKind::ArrayInIndex(array.clone())),
             Expr::Neg(inner) => {
-                let a = self.affine(inner)?;
-                Ok(Affine {
-                    coeffs: a
-                        .coeffs
-                        .iter()
-                        .map(|c| c.checked_neg().ok_or(ParseErrorKind::IndexOverflow))
-                        .collect::<Result<_, _>>()?,
-                    constant: a
-                        .constant
-                        .checked_neg()
-                        .ok_or(ParseErrorKind::IndexOverflow)?,
-                })
+                self.fold(inner)?;
+                for c in &mut self.frames[top..] {
+                    *c = c.checked_neg().ok_or(ParseErrorKind::IndexOverflow)?;
+                }
             }
             Expr::Binary { op, lhs, rhs } => {
                 use super::ast::BinOp;
-                let l = self.affine(lhs)?;
-                let r = self.affine(rhs)?;
-                let zip = |f: fn(i64, i64) -> Option<i64>| -> Result<Affine, ParseErrorKind> {
-                    Ok(Affine {
-                        coeffs: l
-                            .coeffs
-                            .iter()
-                            .zip(&r.coeffs)
-                            .map(|(&a, &b)| f(a, b).ok_or(ParseErrorKind::IndexOverflow))
-                            .collect::<Result<_, _>>()?,
-                        constant: f(l.constant, r.constant).ok_or(ParseErrorKind::IndexOverflow)?,
-                    })
+                self.fold(lhs)?;
+                self.fold(rhs)?;
+                let (l, r) = self.frames[top..].split_at_mut(width);
+                let combine = |l: &mut [i64], f: fn(i64, i64) -> Option<i64>| {
+                    for (a, &b) in l.iter_mut().zip(&*r) {
+                        *a = f(*a, b).ok_or(ParseErrorKind::IndexOverflow)?;
+                    }
+                    Ok(())
                 };
                 match op {
-                    BinOp::Add => zip(i64::checked_add),
-                    BinOp::Sub => zip(i64::checked_sub),
+                    BinOp::Add => combine(l, i64::checked_add)?,
+                    BinOp::Sub => combine(l, i64::checked_sub)?,
+                    // A product is affine only when one factor is a
+                    // constant (every coefficient zero): scale the other.
                     BinOp::Mul => {
-                        let scale = |a: &Affine, k: i64| -> Result<Affine, ParseErrorKind> {
-                            Ok(Affine {
-                                coeffs: a
-                                    .coeffs
-                                    .iter()
-                                    .map(|&c| c.checked_mul(k).ok_or(ParseErrorKind::IndexOverflow))
-                                    .collect::<Result<_, _>>()?,
-                                constant: a
-                                    .constant
-                                    .checked_mul(k)
-                                    .ok_or(ParseErrorKind::IndexOverflow)?,
-                            })
-                        };
-                        if l.coeffs.iter().all(|&c| c == 0) {
-                            scale(&r, l.constant)
-                        } else if r.coeffs.iter().all(|&c| c == 0) {
-                            scale(&l, r.constant)
+                        if l[..width - 1].iter().all(|&c| c == 0) {
+                            let k = l[width - 1];
+                            for (a, &b) in l.iter_mut().zip(&*r) {
+                                *a = b.checked_mul(k).ok_or(ParseErrorKind::IndexOverflow)?;
+                            }
+                        } else if r[..width - 1].iter().all(|&c| c == 0) {
+                            let k = r[width - 1];
+                            for a in l.iter_mut() {
+                                *a = a.checked_mul(k).ok_or(ParseErrorKind::IndexOverflow)?;
+                            }
                         } else {
-                            Err(ParseErrorKind::NonAffineIndex)
+                            return Err(ParseErrorKind::NonAffineIndex);
                         }
                     }
-                    BinOp::Div => Err(ParseErrorKind::DivisionInIndex),
+                    BinOp::Div => return Err(ParseErrorKind::DivisionInIndex),
                 }
+                self.frames.truncate(top + width);
             }
         }
+        Ok(())
     }
 
-    fn resolve_array(
-        &mut self,
-        name: &str,
-        coeffs: &[i64],
-        span: Span,
-    ) -> Result<ArrayId, LowerError> {
+    /// Resolves (or registers) the array of the access whose frame is on
+    /// the folding stack, checking its coefficients against the first
+    /// access's.
+    fn resolve_array(&mut self, name: &str, span: Span) -> Result<ArrayId, LowerError> {
+        let depth = self.levels.len();
+        let coeffs = &self.frames[..depth];
         match self.spec.array_id(name) {
             Some(id) => {
-                let first = &self.coeff_vectors[id.index()];
-                if first != coeffs {
-                    // Report the first differing level's coefficients.
-                    let (a, b) = first
-                        .iter()
-                        .zip(coeffs)
-                        .find(|(a, b)| a != b)
-                        .expect("vectors differ");
+                let first = &self.coeff_rows[id.index() * depth..][..depth];
+                // Report the first differing level's coefficients.
+                if let Some((&a, &b)) = first.iter().zip(coeffs).find(|(a, b)| a != b) {
                     return Err(LowerError::new(
                         ParseErrorKind::MixedCoefficients {
                             array: name.to_owned(),
-                            first: *a,
-                            second: *b,
+                            first: a,
+                            second: b,
                         },
                         span,
                     ));
@@ -362,10 +352,9 @@ impl<'a> Lowerer<'a> {
                 Ok(id)
             }
             None => {
-                let inner_coeff = *coeffs.last().expect("at least the innermost level");
-                let id = self.spec.add_array(name, inner_coeff);
-                debug_assert_eq!(id.index(), self.coeff_vectors.len());
-                self.coeff_vectors.push(coeffs.to_vec());
+                let id = self.spec.add_array(name, coeffs[depth - 1]);
+                debug_assert_eq!(id.index() * depth, self.coeff_rows.len());
+                self.coeff_rows.extend_from_slice(coeffs);
                 Ok(id)
             }
         }
@@ -373,7 +362,8 @@ impl<'a> Lowerer<'a> {
 
     /// Attaches [`LoopNest`] metadata and per-array carries to the spec.
     fn attach_nest(&mut self) -> Result<(), LowerError> {
-        let outer = &self.levels[..self.levels.len() - 1];
+        let depth = self.levels.len();
+        let outer = &self.levels[..depth - 1];
         let nest = LoopNest::new(
             outer
                 .iter()
@@ -389,7 +379,7 @@ impl<'a> Lowerer<'a> {
         // carry_k = c_k*s_k − c_{k+1}*s_{k+1}*T_{k+1}: how far the flat
         // model drifts from the true address each time level k advances
         // (the level below it wraps back to its start).
-        for (index, coeffs) in self.coeff_vectors.iter().enumerate() {
+        for (index, coeffs) in self.coeff_rows.chunks(depth).enumerate() {
             let mut carries = Vec::with_capacity(outer.len());
             for k in 0..outer.len() {
                 let here = i128::from(coeffs[k]) * i128::from(self.levels[k].stride);

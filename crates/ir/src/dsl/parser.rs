@@ -280,12 +280,12 @@ impl<'s> Parser<'s> {
         })
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+    fn peek(&self) -> Token {
+        self.tokens[self.pos]
     }
 
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+        let t = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -300,32 +300,26 @@ impl<'s> Parser<'s> {
         let t = self.peek();
         self.error(
             ParseErrorKind::UnexpectedToken {
-                found: t.kind.to_string(),
+                found: t.describe(self.source),
                 expected: expected.to_owned(),
             },
             t.span,
         )
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<Token, ParseError> {
-        if &self.peek().kind == kind {
+    fn expect(&mut self, kind: TokenKind, what: &str) -> Result<Token, ParseError> {
+        if self.peek().kind == kind {
             Ok(self.bump())
         } else {
             Err(self.unexpected(what))
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<(String, Span), ParseError> {
-        match &self.peek().kind {
-            TokenKind::Ident(_) => {
-                let t = self.bump();
-                match t.kind {
-                    TokenKind::Ident(name) => Ok((name, t.span)),
-                    _ => unreachable!("peeked an identifier"),
-                }
-            }
-            _ => Err(self.unexpected(what)),
-        }
+    /// Consumes an identifier and returns its text, borrowed from the
+    /// source (the caller allocates the name only to store it), and span.
+    fn expect_ident(&mut self, what: &str) -> Result<(&'s str, Span), ParseError> {
+        let t = self.expect(TokenKind::Ident, what)?;
+        Ok((t.text(self.source), t.span))
     }
 
     /// Parses a complete `for` loop (possibly a nest); trailing tokens
@@ -370,13 +364,14 @@ impl<'s> Parser<'s> {
 
     /// Parses `array name[d1][d2]…;`.
     fn parse_decl(&mut self) -> Result<super::ast::Decl, ParseError> {
-        let start = self.expect(&TokenKind::KwArray, "`array`")?.span;
+        let start = self.expect(TokenKind::KwArray, "`array`")?.span;
         let (name, _) = self.expect_ident("array name")?;
+        let name = name.to_owned();
         let mut dims = Vec::new();
         while self.peek().kind == TokenKind::LBracket {
             self.bump();
             let dim_expr = self.parse_expr()?;
-            let close = self.expect(&TokenKind::RBracket, "`]`")?;
+            let close = self.expect(TokenKind::RBracket, "`]`")?;
             let span = Span::new(start.start, close.span.end);
             match const_eval(&dim_expr) {
                 Some(d) if d > 0 => dims.push(d),
@@ -386,7 +381,7 @@ impl<'s> Parser<'s> {
         if dims.is_empty() {
             return Err(self.unexpected("`[` (array declarations need dimensions)"));
         }
-        let end = self.expect(&TokenKind::Semi, "`;` after array declaration")?;
+        let end = self.expect(TokenKind::Semi, "`;` after array declaration")?;
         Ok(super::ast::Decl {
             name,
             dims,
@@ -395,23 +390,23 @@ impl<'s> Parser<'s> {
     }
 
     fn parse_one_for(&mut self) -> Result<ForLoop, ParseError> {
-        let for_span = self.expect(&TokenKind::KwFor, "`for`")?.span;
-        self.expect(&TokenKind::LParen, "`(`")?;
+        let for_span = self.expect(TokenKind::KwFor, "`for`")?.span;
+        self.expect(TokenKind::LParen, "`(`")?;
 
         // init: var = expr
         let (var, _) = self.expect_ident("loop variable")?;
-        self.expect(&TokenKind::Assign, "`=` in loop init")?;
+        self.expect(TokenKind::Assign, "`=` in loop init")?;
         let init = self.parse_expr()?;
         let start = const_eval(&init);
-        self.expect(&TokenKind::Semi, "`;` after loop init")?;
+        self.expect(TokenKind::Semi, "`;` after loop init")?;
 
         // cond: var <cmp> expr
         let (cond_var, cond_span) = self.expect_ident("loop variable in condition")?;
         if cond_var != var {
             return Err(self.error(
                 ParseErrorKind::CondVarMismatch {
-                    expected: var,
-                    found: cond_var,
+                    expected: var.to_owned(),
+                    found: cond_var.to_owned(),
                 },
                 cond_span,
             ));
@@ -428,15 +423,15 @@ impl<'s> Parser<'s> {
         self.bump();
         let bound = self.parse_expr()?;
         let cond = Cond { op, bound };
-        self.expect(&TokenKind::Semi, "`;` after loop condition")?;
+        self.expect(TokenKind::Semi, "`;` after loop condition")?;
 
         // update
-        let update = self.parse_update(&var)?;
-        let header_end = self.expect(&TokenKind::RParen, "`)` after loop header")?;
+        let update = self.parse_update(var)?;
+        let header_end = self.expect(TokenKind::RParen, "`)` after loop header")?;
         let span = Span::new(for_span.start, header_end.span.end);
 
         // body: either statements or exactly one nested for.
-        self.expect(&TokenKind::LBrace, "`{`")?;
+        self.expect(TokenKind::LBrace, "`{`")?;
         let mut body = Vec::new();
         let mut nested: Option<Box<ForLoop>> = None;
         while self.peek().kind != TokenKind::RBrace {
@@ -458,9 +453,9 @@ impl<'s> Parser<'s> {
                 }
             }
         }
-        self.expect(&TokenKind::RBrace, "`}`")?;
+        self.expect(TokenKind::RBrace, "`}`")?;
         Ok(ForLoop {
-            var,
+            var: var.to_owned(),
             start,
             init,
             cond,
@@ -473,15 +468,7 @@ impl<'s> Parser<'s> {
 
     fn parse_update(&mut self, var: &str) -> Result<Update, ParseError> {
         let (name, span) = self.expect_ident("loop variable in update")?;
-        if name != var {
-            return Err(self.error(
-                ParseErrorKind::UpdateVarMismatch {
-                    expected: var.to_owned(),
-                    found: name,
-                },
-                span,
-            ));
-        }
+        self.expect_loop_var(name, span, var)?;
         let step = match self.peek().kind {
             TokenKind::PlusPlus => {
                 self.bump();
@@ -505,15 +492,7 @@ impl<'s> Parser<'s> {
                 // i = i + k  |  i = i - k
                 self.bump();
                 let (name2, span2) = self.expect_ident("loop variable")?;
-                if name2 != var {
-                    return Err(self.error(
-                        ParseErrorKind::UpdateVarMismatch {
-                            expected: var.to_owned(),
-                            found: name2,
-                        },
-                        span2,
-                    ));
-                }
+                self.expect_loop_var(name2, span2, var)?;
                 let negate = match self.peek().kind {
                     TokenKind::Plus => false,
                     TokenKind::Minus => true,
@@ -537,20 +516,35 @@ impl<'s> Parser<'s> {
         }
     }
 
+    /// Checks that the update clause's identifier `found` (at `span`) is
+    /// the loop variable `var`.
+    fn expect_loop_var(&self, found: &str, span: Span, var: &str) -> Result<(), ParseError> {
+        if found == var {
+            return Ok(());
+        }
+        Err(self.error(
+            ParseErrorKind::UpdateVarMismatch {
+                expected: var.to_owned(),
+                found: found.to_owned(),
+            },
+            span,
+        ))
+    }
+
     /// Parses a (possibly multi-dimensional) `[e1][e2]…` subscript chain.
     fn parse_subscripts(&mut self) -> Result<Vec<Expr>, ParseError> {
         let mut indices = Vec::new();
         while self.peek().kind == TokenKind::LBracket {
             self.bump();
             indices.push(self.parse_expr()?);
-            self.expect(&TokenKind::RBracket, "`]`")?;
+            self.expect(TokenKind::RBracket, "`]`")?;
         }
         Ok(indices)
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
-        let start_span = self.peek().span;
-        let (name, _) = self.expect_ident("a statement")?;
+        let (name, start_span) = self.expect_ident("a statement")?;
+        let name = name.to_owned();
         let lhs = if self.peek().kind == TokenKind::LBracket {
             let indices = self.parse_subscripts()?;
             LValue::Element {
@@ -569,7 +563,7 @@ impl<'s> Parser<'s> {
         };
         self.bump();
         let rhs = self.parse_expr()?;
-        let end = self.expect(&TokenKind::Semi, "`;` after statement")?;
+        let end = self.expect(TokenKind::Semi, "`;` after statement")?;
         Ok(Stmt {
             lhs,
             op,
@@ -609,7 +603,8 @@ impl<'s> Parser<'s> {
     }
 
     fn parse_factor(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().kind.clone() {
+        let t = self.peek();
+        match t.kind {
             TokenKind::Int(n) => {
                 self.bump();
                 Ok(Expr::Num(n))
@@ -621,11 +616,12 @@ impl<'s> Parser<'s> {
             TokenKind::LParen => {
                 self.bump();
                 let e = self.parse_expr()?;
-                self.expect(&TokenKind::RParen, "`)`")?;
+                self.expect(TokenKind::RParen, "`)`")?;
                 Ok(e)
             }
-            TokenKind::Ident(_) => {
-                let (name, _) = self.expect_ident("identifier")?;
+            TokenKind::Ident => {
+                self.bump();
+                let name = t.text(self.source).to_owned();
                 if self.peek().kind == TokenKind::LBracket {
                     let indices = self.parse_subscripts()?;
                     Ok(Expr::Index {

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use raco::core::{phase1, phase2, CostModel, MergeStrategy, Phase1Outcome};
-use raco::graph::{bb, bounds, brute, matching, BbOptions, DistanceModel};
+use raco::graph::{bb, bounds, brute, matching, BbOptions, DistanceModel, PathCover};
 
 /// Strategy: a small random pattern (offsets, stride, modify range).
 fn pattern() -> impl Strategy<Value = (Vec<i64>, i64, u32)> {
@@ -37,13 +37,24 @@ proptest! {
             offsets.len()
         );
         prop_assert_eq!(CostModel::paper_literal().cover_cost(&cover, &dm), 0);
-        prop_assert_eq!(cover.register_count(), matching::min_path_cover_size(&dm));
+        // Minimal: no cover with fewer paths is intra-free (exhaustive,
+        // so only up to 8 accesses).
+        if offsets.len() <= 8 {
+            let mut smaller = None;
+            brute::for_each_partition(offsets.len(), cover.register_count() - 1, |assignment, _| {
+                let candidate = PathCover::from_assignment(assignment);
+                if smaller.is_none() && CostModel::paper_literal().cover_cost(&candidate, &dm) == 0 {
+                    smaller = Some(candidate.register_count());
+                }
+            });
+            prop_assert_eq!(smaller, None, "matching cover has {} paths", cover.register_count());
+        }
     }
 
     #[test]
     fn bounds_sandwich_the_exact_answer((offsets, stride, m) in pattern()) {
         let dm = DistanceModel::from_offsets(&offsets, stride, m);
-        let b = bounds::bounds(&dm);
+        let b = bounds::bounds(&dm, &matching::min_path_cover(&dm));
         if let Ok(result) = bb::min_zero_cost_cover(&dm) {
             let exact = result.virtual_registers();
             prop_assert!(b.lower <= exact, "LB {} > exact {exact}", b.lower);
