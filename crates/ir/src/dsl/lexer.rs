@@ -200,44 +200,39 @@ pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, (ParseErrorKind, Span
             });
             continue;
         }
-        // Operators and punctuation (longest match first).
-        let two = if i + 1 < bytes.len() {
-            &source[i..i + 2]
-        } else {
-            ""
-        };
-        let (kind, len) = match two {
-            "+=" => (TokenKind::PlusAssign, 2),
-            "-=" => (TokenKind::MinusAssign, 2),
-            "*=" => (TokenKind::StarAssign, 2),
-            "++" => (TokenKind::PlusPlus, 2),
-            "--" => (TokenKind::MinusMinus, 2),
-            "<=" => (TokenKind::Le, 2),
-            ">=" => (TokenKind::Ge, 2),
-            "!=" => (TokenKind::Ne, 2),
-            "==" => (TokenKind::EqEq, 2),
-            _ => match c {
-                '(' => (TokenKind::LParen, 1),
-                ')' => (TokenKind::RParen, 1),
-                '{' => (TokenKind::LBrace, 1),
-                '}' => (TokenKind::RBrace, 1),
-                '[' => (TokenKind::LBracket, 1),
-                ']' => (TokenKind::RBracket, 1),
-                ';' => (TokenKind::Semi, 1),
-                '+' => (TokenKind::Plus, 1),
-                '-' => (TokenKind::Minus, 1),
-                '*' => (TokenKind::Star, 1),
-                '/' => (TokenKind::Slash, 1),
-                '=' => (TokenKind::Assign, 1),
-                '<' => (TokenKind::Lt, 1),
-                '>' => (TokenKind::Gt, 1),
-                other => {
-                    return Err((
-                        ParseErrorKind::UnexpectedChar(other),
-                        Span::new(start, start + other.len_utf8()),
-                    ))
-                }
-            },
+        // Operators and punctuation (longest match first). Bytes, not
+        // string slices: the byte after an operator may begin a
+        // multi-byte character.
+        let (kind, len) = match (c, bytes.get(i + 1)) {
+            ('+', Some(b'=')) => (TokenKind::PlusAssign, 2),
+            ('-', Some(b'=')) => (TokenKind::MinusAssign, 2),
+            ('*', Some(b'=')) => (TokenKind::StarAssign, 2),
+            ('+', Some(b'+')) => (TokenKind::PlusPlus, 2),
+            ('-', Some(b'-')) => (TokenKind::MinusMinus, 2),
+            ('<', Some(b'=')) => (TokenKind::Le, 2),
+            ('>', Some(b'=')) => (TokenKind::Ge, 2),
+            ('!', Some(b'=')) => (TokenKind::Ne, 2),
+            ('=', Some(b'=')) => (TokenKind::EqEq, 2),
+            ('(', _) => (TokenKind::LParen, 1),
+            (')', _) => (TokenKind::RParen, 1),
+            ('{', _) => (TokenKind::LBrace, 1),
+            ('}', _) => (TokenKind::RBrace, 1),
+            ('[', _) => (TokenKind::LBracket, 1),
+            (']', _) => (TokenKind::RBracket, 1),
+            (';', _) => (TokenKind::Semi, 1),
+            ('+', _) => (TokenKind::Plus, 1),
+            ('-', _) => (TokenKind::Minus, 1),
+            ('*', _) => (TokenKind::Star, 1),
+            ('/', _) => (TokenKind::Slash, 1),
+            ('=', _) => (TokenKind::Assign, 1),
+            ('<', _) => (TokenKind::Lt, 1),
+            ('>', _) => (TokenKind::Gt, 1),
+            (other, _) => {
+                return Err((
+                    ParseErrorKind::UnexpectedChar(other),
+                    Span::new(start, start + other.len_utf8()),
+                ))
+            }
         };
         tokens.push(Token {
             kind,
@@ -324,6 +319,16 @@ mod tests {
         let (kind, span) = tokenize("a ? b").unwrap_err();
         assert_eq!(kind, ParseErrorKind::UnexpectedChar('?'));
         assert_eq!(span, Span::new(2, 3));
+    }
+
+    #[test]
+    fn a_multibyte_character_after_an_operator_is_an_error_not_a_panic() {
+        let (kind, span) = tokenize("s = 1 +é;").unwrap_err();
+        assert!(
+            matches!(kind, ParseErrorKind::UnexpectedChar(_)),
+            "{kind:?}"
+        );
+        assert_eq!(span.start, 7);
     }
 
     #[test]

@@ -365,8 +365,7 @@ impl<'s> Parser<'s> {
     /// Parses `array name[d1][d2]…;`.
     fn parse_decl(&mut self) -> Result<super::ast::Decl, ParseError> {
         let start = self.expect(TokenKind::KwArray, "`array`")?.span;
-        let (name, _) = self.expect_ident("array name")?;
-        let name = name.to_owned();
+        let name = self.expect_ident("array name")?.0.to_owned();
         let mut dims = Vec::new();
         while self.peek().kind == TokenKind::LBracket {
             self.bump();
@@ -544,15 +543,14 @@ impl<'s> Parser<'s> {
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
         let (name, start_span) = self.expect_ident("a statement")?;
-        let name = name.to_owned();
         let lhs = if self.peek().kind == TokenKind::LBracket {
             let indices = self.parse_subscripts()?;
             LValue::Element {
-                array: name,
+                array: name.to_owned(),
                 indices,
             }
         } else {
-            LValue::Scalar(name)
+            LValue::Scalar(name.to_owned())
         };
         let op = match self.peek().kind {
             TokenKind::Assign => AssignOp::Assign,
