@@ -197,13 +197,18 @@ impl<'a> Lowerer<'a> {
             .map_err(|kind| LowerError::new(kind, span))?;
         let id = self.resolve_array(array, span)?;
         // Fold outer-level starts into the constant: the flat spec only
-        // tracks the innermost variable.
+        // tracks the innermost variable. One product fits `i128`; three
+        // or more outer levels can overflow their sum.
         let depth = self.levels.len();
-        let mut offset = i128::from(self.frames[depth]);
-        for (level, &coeff) in self.levels[..depth - 1].iter().zip(&self.frames) {
-            offset += i128::from(coeff) * i128::from(level.start);
-        }
-        let offset = narrow(offset).map_err(|kind| LowerError::new(kind, span))?;
+        let offset = self.levels[..depth - 1]
+            .iter()
+            .zip(&self.frames)
+            .try_fold(i128::from(self.frames[depth]), |sum, (level, &coeff)| {
+                sum.checked_add(i128::from(coeff) * i128::from(level.start))
+            })
+            .ok_or(ParseErrorKind::IndexOverflow)
+            .and_then(narrow)
+            .map_err(|kind| LowerError::new(kind, span))?;
         self.spec
             .push_access(id, offset, kind)
             .expect("id resolved against this spec");
@@ -382,14 +387,17 @@ impl<'a> Lowerer<'a> {
         for (index, coeffs) in self.coeff_rows.chunks(depth).enumerate() {
             let mut carries = Vec::with_capacity(outer.len());
             for k in 0..outer.len() {
+                // One `i64` product fits `i128`; times a trip count it
+                // may not.
                 let here = i128::from(coeffs[k]) * i128::from(self.levels[k].stride);
-                let below = i128::from(coeffs[k + 1])
-                    * i128::from(self.levels[k + 1].stride)
-                    * i128::from(self.levels[k + 1].trips);
-                carries.push(
-                    narrow(here - below)
-                        .map_err(|kind| LowerError::new(kind, self.levels[k].ast.span))?,
-                );
+                let below = (i128::from(coeffs[k + 1]) * i128::from(self.levels[k + 1].stride))
+                    .checked_mul(i128::from(self.levels[k + 1].trips));
+                let carry = below
+                    .and_then(|below| here.checked_sub(below))
+                    .ok_or(ParseErrorKind::IndexOverflow)
+                    .and_then(narrow)
+                    .map_err(|kind| LowerError::new(kind, self.levels[k].ast.span))?;
+                carries.push(carry);
             }
             self.spec
                 .set_array_carries(ArrayId::from_index(index as u32), carries)
@@ -697,6 +705,37 @@ mod tests {
         assert_eq!(
             err("for (i = 0; i < 4; i++) { for (i = 0; i < 4; i++) { s += y[i]; } }"),
             ParseErrorKind::DuplicateInductionVariable("i".into())
+        );
+    }
+
+    #[test]
+    fn i128_sums_of_outer_starts_and_carries_overflow_to_an_error() {
+        let err = |src: &str| crate::dsl::parse_loop(src).unwrap_err().kind().clone();
+        // Three outer starts near `i64::MAX` times coefficients near
+        // `i64::MAX`: each product fits `i128`, their sum does not.
+        let near_max =
+            |v: &str| format!("for ({v} = 9223372036854775806; {v} < 9223372036854775807; {v}++)");
+        assert_eq!(
+            err(&format!(
+                "{} {{ {} {{ {} {{ for (l = 0; l < 2; l++) {{
+                   s += A[9223372036854775807 * i + 9223372036854775807 * j
+                          + 9223372036854775807 * k + l];
+                 }} }} }} }}",
+                near_max("i"),
+                near_max("j"),
+                near_max("k")
+            )),
+            ParseErrorKind::IndexOverflow
+        );
+        // The inner level's coefficient times its stride times its trip
+        // count does not fit `i128`.
+        assert_eq!(
+            err("for (i = 0; i < 2; i++) {
+                   for (j = -9223372036854775807 - 1; j < 9223372036854775807; j += 6917529027641081856) {
+                     s += A[9223372036854775807 * j];
+                   }
+                 }"),
+            ParseErrorKind::IndexOverflow
         );
     }
 
