@@ -74,7 +74,7 @@ pub fn compare_kernel(kernel: &Kernel, agu: AguSpec, iterations: u64) -> KernelR
     // `ADDA` may take several cycles and whose modify registers absorb
     // the most frequent over-range steps of all chains together.
     let arrays = spec.patterns();
-    let chains: Vec<(PathCover, DistanceModel)> = arrays
+    let covers: Vec<(PathCover, DistanceModel)> = arrays
         .iter()
         .map(|p| {
             (
@@ -83,7 +83,7 @@ pub fn compare_kernel(kernel: &Kernel, agu: AguSpec, iterations: u64) -> KernelR
             )
         })
         .collect();
-    let chains: Vec<(&PathCover, &DistanceModel)> = chains.iter().map(|(c, dm)| (c, dm)).collect();
+    let chains: Vec<(&PathCover, &DistanceModel)> = covers.iter().map(|(c, dm)| (c, dm)).collect();
     let chain = ProgramMetrics::synthetic(
         arrays.len() as u64,
         u64::from(CostModel::steady_state().covers_cost(&chains)),
