@@ -18,7 +18,7 @@
 use raco_agu::metrics::{improvement_percent, ProgramMetrics};
 use raco_core::CostModel;
 use raco_driver::PipelineConfig;
-use raco_graph::{DistanceModel, PathCover};
+use raco_graph::{DistanceModel, ModifyAllocation, PathCover};
 use raco_ir::AguSpec;
 use raco_kernels::Kernel;
 
@@ -72,7 +72,9 @@ pub fn compare_kernel(kernel: &Kernel, agu: AguSpec, iterations: u64) -> KernelR
     // its paid steps, one `ADDA` word each (the plain steady-state
     // count); its cycles are the same chains priced on `agu`, whose
     // `ADDA` may take several cycles and whose modify registers absorb
-    // the most frequent over-range steps of all chains together.
+    // the most frequent over-range steps of all chains together. Its
+    // prologue loads each array's register and each value those modify
+    // registers hold, as code generation would.
     let arrays = spec.patterns();
     let covers: Vec<(PathCover, DistanceModel)> = arrays
         .iter()
@@ -84,8 +86,13 @@ pub fn compare_kernel(kernel: &Kernel, agu: AguSpec, iterations: u64) -> KernelR
         })
         .collect();
     let chains: Vec<(&PathCover, &DistanceModel)> = covers.iter().map(|(c, dm)| (c, dm)).collect();
+    let modify = ModifyAllocation::new(
+        (covers.iter()).flat_map(|(c, dm)| c.paths().iter().map(move |path| (path, dm))),
+        agu.modify_registers(),
+        CostModel::steady_state().includes_wrap(),
+    );
     let chain = ProgramMetrics::synthetic(
-        arrays.len() as u64,
+        (arrays.len() + modify.values().len()) as u64,
         u64::from(CostModel::steady_state().covers_cost(&chains)),
         u64::from(
             CostModel::steady_state()
@@ -173,10 +180,11 @@ mod tests {
     }
 
     /// The chain baseline's body `ADDA` words and its addressing cycles
-    /// per iteration, read back from a row.
-    fn chain_words_and_cycles(row: &KernelRow, arrays: u64, iterations: u64) -> (u64, u64) {
-        let body_words = row.chain_words - arrays - row.compute;
-        let cycles = (row.chain_cycles - arrays) / iterations - row.compute;
+    /// per iteration, read back from a row whose chains load `prologue`
+    /// registers.
+    fn chain_words_and_cycles(row: &KernelRow, prologue: u64, iterations: u64) -> (u64, u64) {
+        let body_words = row.chain_words - prologue - row.compute;
+        let cycles = (row.chain_cycles - prologue) / iterations - row.compute;
         (body_words, cycles)
     }
 
@@ -199,11 +207,31 @@ mod tests {
         let kernel = raco_kernels::matmul_inner(8);
         let arrays = kernel.spec().patterns().len() as u64;
         let row = compare_kernel(&kernel, agu, 64);
-        let (words, cycles) = chain_words_and_cycles(&row, arrays, 64);
+        // One address register per array and one modify register (+8).
+        let (words, cycles) = chain_words_and_cycles(&row, arrays + 1, 64);
         assert!(words > 0, "{row:?}");
         assert!(
             cycles < words,
             "modify registers absorb the stride-8 wraps: {cycles} cycles for {words} words"
+        );
+    }
+
+    #[test]
+    fn chain_prologue_loads_the_modify_registers_its_cycles_use() {
+        // matmul's chains are `a[i]` (wrap +1, free) and `b[8 * i]`
+        // (wrap +8, paid): with modify registers the +8 is absorbed, so
+        // its cycles rely on one `LDM`, which the prologue now counts
+        // next to one register load per array.
+        let plain = AguSpec::new(4, 1).unwrap();
+        let kernel = raco_kernels::matmul_inner(8);
+        let arrays = kernel.spec().patterns().len() as u64;
+        let without = compare_kernel(&kernel, plain, 64);
+        let with = compare_kernel(&kernel, plain.with_modify_registers(2), 64);
+        assert_eq!(with.chain_words, without.chain_words + 1, "{with:?}");
+        assert_eq!(
+            with.chain_cycles,
+            arrays + 1 + 64 * with.compute,
+            "every step absorbed: {with:?}"
         );
     }
 

@@ -13,11 +13,13 @@
 //! candidate rankings (*selections*) at once, as one merge tree: states
 //! are shared until selections pick different pairs, and each state
 //! prices every candidate for all of its selections in one scan of an
-//! over-range delta histogram. A state is a [`PathCover`], merged by
-//! [`PathCover::merge_pair`], plus the histogram keys of each path's
-//! paid steps. A [`Sweep`] keeps the cheapest cost per count and builds
-//! the [`Phase2Report`] of a count only when asked. [`merge_until`] is
-//! its one-selection, one-count case.
+//! over-range delta histogram. A state is flat per-access arrays — each
+//! access's successor on its path and the histogram key of its step —
+//! relinked in place by a merge; no [`PathCover`] is built until a
+//! report is asked for. A [`Sweep`] keeps the cheapest cost per count
+//! and builds the [`Phase2Report`] of a count only when asked, by
+//! replaying its merges with [`PathCover::merge_pair`]. [`merge_until`]
+//! is its one-selection, one-count case.
 
 use std::cmp;
 use std::ops::RangeInclusive;
@@ -205,15 +207,17 @@ pub fn merge_until(
 /// and it runs once, from `cover` down to the smallest count. All
 /// selections start from `cover` and advance in lockstep; selections
 /// that pick the same pair share one state, and a state splits (its
-/// cover is cloned) only when its selections pick different pairs. A
-/// state is a cover, merged with [`PathCover::merge_pair`], and one list
-/// per path of the keys of its paid steps; every step of `dm` gets its
-/// key once, in a table built when the sweep starts. Each state prices
-/// its candidates once for all of its selections: it keeps the
-/// over-range delta histogram of its paths ([`DeltaHistogram`]), and a
-/// candidate `(i, j)` moves the paid steps of `P_i` and `P_j` out and
-/// those of `P_i ⊕ P_j`
-/// ([`merged_indices`](raco_graph::Path::merged_indices)) in, reads the
+/// flat arrays are copied) only when its selections pick different
+/// pairs. A state holds its paths' heads in ascending order (the
+/// cover's canonical order, in which pairs are numbered) and, per
+/// access, its successor on its path and the key of its step (to the
+/// successor, or the wrap to the head); every step of `dm` gets its key
+/// once, in a table built when the sweep starts. A merge relinks the
+/// successors of `P_i ⊕ P_j` in place. Each state prices its candidates
+/// once for all of its selections: it keeps the over-range delta
+/// histogram of its paths ([`DeltaHistogram`]), and a candidate
+/// `(i, j)` walks `P_i ⊕ P_j` over the successors, moves only the steps
+/// whose key the merge changes out of and into the histogram, reads the
 /// cost for every priced count off the largest counts, and moves them
 /// back. At each count, the greedy strategy's opportunistic phase
 /// (merges below the count that still pay; see [`merge_until`]) grows
@@ -242,8 +246,8 @@ pub fn sweep(
     let initial_cost = states[0].cost;
     let mut outcomes: Vec<Outcome> = Vec::with_capacity(counts.clone().count());
     for k in counts.clone().rev() {
-        let stepped = states[0].cover.register_count() > k;
-        while states[0].cover.register_count() > k {
+        let stepped = states[0].paths() > k;
+        while states[0].paths() > k {
             for state in states.drain(..) {
                 tree.step(state, &mut next);
             }
@@ -410,70 +414,145 @@ impl Picks {
 
 /// The [`DeltaHistogram`] key of every step between two accesses of one
 /// distance model (see [`steps`]), worked out when the table is built:
-/// equal paid deltas share a key, numbered in ascending delta order.
-/// Without `distinct` keys every paid step has key 0, and only paid
-/// totals are read.
+/// a paid step's key is its delta less the smallest paid delta, so equal
+/// deltas share a key and keys ascend with the delta without a sort. A
+/// span of paid deltas as wide as [`dense_span`] (far-apart offsets)
+/// would give a histogram that large, so its distinct deltas are
+/// numbered densely, in ascending order, instead. Without `distinct`
+/// keys every paid step has key 0, and only paid totals are read.
 struct StepTable {
     n: usize,
     /// Per step `(from, to)` at `from * n + to`: its key, or [`FREE`].
     keys: Vec<u32>,
+    /// One more than the largest key.
+    len: usize,
 }
 
 /// The [`StepTable`] entry of a step that pays nothing.
 const FREE: u32 = u32::MAX;
 
+/// The widest span of paid deltas, for `n` accesses, that a
+/// [`StepTable`] keys by offset from the smallest: a histogram over it
+/// stays within the `n * n` steps there are, or 64 keys.
+fn dense_span(n: usize) -> usize {
+    (n * n).max(64)
+}
+
 impl StepTable {
     fn new(dm: &DistanceModel, include_wrap: bool, distinct: bool) -> Self {
         let n = dm.len();
         let mut keys = vec![FREE; n * n];
-        // Distinct keys: each paid step's delta and place, sorted by
-        // delta. Key 0 is written directly: collecting and sorting
-        // all-zero deltas measured 5 % of a cost curve on the machines
-        // without modify registers.
-        let mut paid: Vec<(i64, usize)> = Vec::with_capacity(if distinct { n * n } else { 0 });
-        for from in 0..n {
-            for to in 0..n {
-                if let Some(delta) = paid_delta(dm, (from, to), include_wrap) {
-                    if distinct {
-                        paid.push((delta, from * n + to));
-                    } else {
-                        keys[from * n + to] = 0;
-                    }
+        let paid = |step: usize| paid_delta(dm, (step / n, step % n), include_wrap);
+        if !distinct {
+            // Key 0 is written directly: every paid step shares it.
+            for (step, key) in keys.iter_mut().enumerate() {
+                if paid(step).is_some() {
+                    *key = 0;
                 }
             }
+            let len = usize::from(keys.contains(&0));
+            return StepTable { n, keys, len };
         }
-        paid.sort_unstable();
+        let (mut least, mut most) = (i64::MAX, i64::MIN);
+        for step in 0..n * n {
+            if let Some(delta) = paid(step) {
+                (least, most) = (least.min(delta), most.max(delta));
+            }
+        }
+        if least > most {
+            return StepTable { n, keys, len: 0 };
+        }
+        let span = most.abs_diff(least);
+        if span < dense_span(n) as u64 {
+            for (step, key) in keys.iter_mut().enumerate() {
+                if let Some(delta) = paid(step) {
+                    *key = delta.abs_diff(least) as u32;
+                }
+            }
+            return StepTable {
+                n,
+                keys,
+                len: span as usize + 1,
+            };
+        }
+        let mut deltas: Vec<(i64, usize)> = (0..n * n)
+            .filter_map(|step| Some((paid(step)?, step)))
+            .collect();
+        deltas.sort_unstable();
         let mut key = 0;
-        for (at, &(delta, step)) in paid.iter().enumerate() {
-            if at > 0 && delta != paid[at - 1].0 {
+        for (at, &(delta, step)) in deltas.iter().enumerate() {
+            if at > 0 && delta != deltas[at - 1].0 {
                 key += 1;
             }
             keys[step] = key;
         }
-        StepTable { n, keys }
+        StepTable {
+            n,
+            keys,
+            len: key as usize + 1,
+        }
     }
 
-    /// Calls `paid` with the key of every paid step of a register
-    /// serving `accesses` (ascending): the steps [`steps`] walks. This is
-    /// a scan's inner loop.
-    fn each(&self, accesses: impl IntoIterator<Item = usize>, mut paid: impl FnMut(usize)) {
-        for (from, to) in steps(accesses) {
-            let key = self.keys[from * self.n + to];
-            if key != FREE {
-                paid(key as usize);
-            }
-        }
+    /// The key of the step `(from, to)`, or [`FREE`].
+    #[inline]
+    fn key(&self, from: u32, to: u32) -> u32 {
+        self.keys[from as usize * self.n + to as usize]
     }
 }
 
+/// The [`Link::next`] of a path's tail.
+const END: u32 = u32::MAX;
+
+/// One access of a [`State`]: where its register steps next, and at a
+/// path's head the size of the path.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// The next access on the path, or [`END`] at its tail.
+    next: u32,
+    /// The [`StepTable`] key of the step out of this access: to `next`,
+    /// or from the tail the wrap to the head.
+    key: u32,
+    /// At a path's head: the path's accesses.
+    len: u32,
+    /// At a path's head: the path's paid steps.
+    paid: u32,
+}
+
+/// Calls `visit(access, successor)` for every access of `P_i ⊕ P_j`, the
+/// paths with heads `hi` and `hj`, in pattern order; the last access's
+/// successor is [`END`].
+#[inline]
+fn walk(links: &[Link], hi: u32, hj: u32, mut visit: impl FnMut(u32, u32)) {
+    let (mut a, mut b) = (hi, hj);
+    let mut from = END;
+    loop {
+        let at = a.min(b);
+        if at == END {
+            break;
+        }
+        let next = links[at as usize].next;
+        if at == a {
+            a = next;
+        } else {
+            b = next;
+        }
+        if from != END {
+            visit(from, at);
+        }
+        from = at;
+    }
+    visit(from, END);
+}
+
 /// A cover on its way down, shared by the selections that picked the
-/// same pairs so far.
+/// same pairs so far, as flat per-access arrays.
 #[derive(Debug)]
 struct State {
-    cover: PathCover,
-    /// The [`StepTable`] keys of each path's paid steps, at the path's
-    /// head access.
-    keys: Vec<Vec<usize>>,
+    /// The head of each path, ascending: the cover's canonical order,
+    /// in which candidate pairs are numbered.
+    heads: Vec<u32>,
+    /// Per access, its successor and step; per head, its path's size.
+    links: Vec<Link>,
     /// All paid steps of the cover, by key.
     histogram: DeltaHistogram,
     /// The cover's cost under the accounting model.
@@ -483,24 +562,83 @@ struct State {
     /// The selections here, as indices into the priced counts,
     /// ascending.
     selections: Vec<usize>,
-    /// Per selection, its picks in this state, once scanned: the
-    /// opportunistic phase at a count and the next main step share
-    /// the scan.
-    picks: Option<Vec<Picks>>,
+    /// Per selection, its picks in this state once `scanned`: the
+    /// opportunistic phase at a count and the next main step share the
+    /// scan. The buffer is reused from one scan to the next.
+    picks: Vec<Picks>,
+    scanned: bool,
 }
 
 impl State {
     /// A copy of this state for `selections`.
     fn fork(&self, selections: Vec<usize>) -> State {
         State {
-            cover: self.cover.clone(),
-            keys: self.keys.clone(),
+            heads: self.heads.clone(),
+            links: self.links.clone(),
             histogram: self.histogram.clone(),
             cost: self.cost,
             last: self.last,
             selections,
-            picks: None,
+            picks: Vec::new(),
+            scanned: false,
         }
+    }
+
+    /// The number of paths.
+    fn paths(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Prices merging the paths with heads `hi` and `hj`: returns the
+    /// paid steps of `P_i ⊕ P_j` and, for `limit > 0`, fills `tops` with
+    /// the sums of the largest counts of the histogram after the merge
+    /// (`tops[m]` for `m` up to `limit` or the number of keys with a
+    /// step; see [`DeltaHistogram::top_sums`]). Only the steps whose key
+    /// the merge changes move out of and into the histogram, and back.
+    fn price(
+        &mut self,
+        steps: &StepTable,
+        (hi, hj): (u32, u32),
+        limit: usize,
+        changes: &mut Vec<(u32, u32)>,
+        tops: &mut Vec<u32>,
+    ) -> u32 {
+        let links = &self.links;
+        changes.clear();
+        walk(links, hi, hj, |from, to| {
+            let key = steps.key(from, if to == END { hi.min(hj) } else { to });
+            let old = links[from as usize].key;
+            if key != old {
+                changes.push((old, key));
+            }
+        });
+        let mut paid = links[hi as usize].paid + links[hj as usize].paid;
+        for &(old, key) in changes.iter() {
+            paid = paid + u32::from(key != FREE) - u32::from(old != FREE);
+        }
+        if limit > 0 {
+            let histogram = &mut self.histogram;
+            for &(old, key) in changes.iter() {
+                move_step(histogram, old, key);
+            }
+            histogram.top_sums(limit, tops);
+            for &(old, key) in changes.iter() {
+                move_step(histogram, key, old);
+            }
+        }
+        paid
+    }
+}
+
+/// Moves one step of `histogram` from key `from` to key `to`; [`FREE`]
+/// is no key.
+#[inline]
+fn move_step(histogram: &mut DeltaHistogram, from: u32, to: u32) {
+    if from != FREE {
+        histogram.remove(from as usize);
+    }
+    if to != FREE {
+        histogram.add(to as usize);
     }
 }
 
@@ -510,8 +648,10 @@ struct Scratch {
     /// Per selection of the state: its priced count and its cost of
     /// the cover as it is.
     priced: Vec<(usize, i64)>,
-    /// The paid-step keys of the merged path.
-    merged: Vec<usize>,
+    /// The `(old, new)` keys of the steps a merge changes.
+    changes: Vec<(u32, u32)>,
+    /// The accesses of a merged path with their new successors.
+    relinks: Vec<(u32, u32)>,
     /// Sums of the largest counts after the candidate's merge.
     tops: Vec<u32>,
 }
@@ -535,6 +675,8 @@ impl<'a> Tree<'a> {
         strategy: MergeStrategy,
     ) -> Self {
         let distinct = account.modify_registers() > 0 || priced.iter().any(|&m| m > 0);
+        let n = dm.len();
+        let limit = priced.iter().copied().max().unwrap_or(0);
         Tree {
             steps: StepTable::new(dm, account.includes_wrap(), distinct),
             account,
@@ -544,29 +686,59 @@ impl<'a> Tree<'a> {
                 MergeStrategy::Random { seed } => Some(SmallRng::seed_from_u64(seed)),
                 _ => None,
             },
-            merges: Vec::new(),
-            scratch: Scratch::default(),
+            // One lineage merges at most `n - 1` times.
+            merges: Vec::with_capacity(n),
+            scratch: Scratch {
+                priced: Vec::with_capacity(priced.len()),
+                changes: Vec::with_capacity(n),
+                relinks: Vec::with_capacity(n),
+                tops: Vec::with_capacity(limit + 1),
+            },
         }
     }
 
     fn root(&self, cover: &PathCover) -> State {
-        let mut keys = vec![Vec::new(); cover.accesses()];
-        let mut histogram = DeltaHistogram::default();
+        let n = cover.accesses();
+        assert!(u32::try_from(n).is_ok_and(|n| n < END), "too many accesses");
+        let mut links = vec![
+            Link {
+                next: END,
+                key: FREE,
+                len: 0,
+                paid: 0,
+            };
+            n
+        ];
+        let mut histogram = DeltaHistogram::with_capacity(self.steps.len, n);
         for path in cover.paths() {
-            let path_keys = &mut keys[path.head()];
-            self.steps.each(path.indices().iter().copied(), |key| {
-                path_keys.push(key);
-                histogram.add(key);
-            });
+            let mut paid = 0;
+            for (from, to) in steps(path.indices()) {
+                let (from, to) = (from as u32, to as u32);
+                let link = &mut links[from as usize];
+                link.key = self.steps.key(from, to);
+                // The step from the tail is the wrap: `from >= to`.
+                link.next = if from < to { to } else { END };
+                if link.key != FREE {
+                    histogram.add(link.key as usize);
+                    paid += 1;
+                }
+            }
+            let head = &mut links[path.head()];
+            (head.len, head.paid) = (path.len() as u32, paid);
         }
         State {
-            cover: cover.clone(),
-            keys,
+            heads: cover
+                .paths()
+                .iter()
+                .map(|path| path.head() as u32)
+                .collect(),
+            links,
             cost: self.account.histogram_cost(&histogram),
             histogram,
             last: None,
             selections: (0..self.priced.len()).collect(),
-            picks: None,
+            picks: Vec::with_capacity(self.priced.len()),
+            scanned: false,
         }
     }
 
@@ -577,7 +749,7 @@ impl<'a> Tree<'a> {
             MergeStrategy::FirstPair => (0, 1),
             MergeStrategy::Random { .. } => {
                 let rng = self.rng.as_mut().expect("random strategy carries an RNG");
-                let p = state.cover.register_count();
+                let p = state.paths();
                 let i = rng.gen_range(0..p);
                 let j = rng.gen_range(0..p - 1);
                 let j = if j >= i { j + 1 } else { j };
@@ -619,7 +791,7 @@ impl<'a> Tree<'a> {
             last: state.last,
         };
         if self.strategy != MergeStrategy::GreedyMinCost
-            || state.cover.register_count() < 2
+            || state.paths() < 2
             || state.histogram.paid() == 0
         {
             return here;
@@ -644,49 +816,45 @@ impl<'a> Tree<'a> {
 
     /// The picks of every selection of `state`, scanned once.
     fn picks<'s>(&mut self, state: &'s mut State) -> &'s [Picks] {
-        if state.picks.is_none() {
-            state.picks = Some(self.scan(state));
+        if !state.scanned {
+            self.scan(state);
+            state.scanned = true;
         }
-        state.picks.as_deref().expect("scanned above")
+        &state.picks
     }
 
     /// Prices every merge candidate of `state` for every selection in
-    /// one pass, in `(i, j)` order, and returns each selection's picks.
-    fn scan(&mut self, state: &mut State) -> Vec<Picks> {
+    /// one pass, in `(i, j)` order, into each selection's picks.
+    fn scan(&mut self, state: &mut State) {
         let Scratch {
             priced,
-            merged,
+            changes,
             tops,
+            ..
         } = &mut self.scratch;
         let account = self.account;
-        let histogram = &mut state.histogram;
         // Per selection: its priced count, and for a count above zero
         // the cost of the cover as it is.
         priced.clear();
         priced.extend(state.selections.iter().map(|&s| {
             let m = self.priced[s];
-            (m, i64::from(account.steps_cost(histogram.charged(m))))
+            (m, i64::from(account.steps_cost(state.histogram.charged(m))))
         }));
         let limit = priced.iter().map(|&(m, _)| m).max().unwrap_or(0);
-        let paid = histogram.paid() as usize;
-        let paths = state.cover.paths();
-        let mut picks: Vec<Picks> = Vec::with_capacity(priced.len());
-        for i in 0..paths.len() {
-            for j in i + 1..paths.len() {
-                let (pi, pj) = (&paths[i], &paths[j]);
-                let (ki, kj) = (&state.keys[pi.head()], &state.keys[pj.head()]);
-                merged.clear();
-                self.steps
-                    .each(pi.merged_indices(pj), |key| merged.push(key));
-                if limit > 0 {
-                    price(histogram, [ki, kj], merged, limit, tops);
-                }
-                let paid_after = (paid - ki.len() - kj.len() + merged.len()) as u32;
-                let len = pi.len() + pj.len();
+        let paid = state.histogram.paid();
+        let mut picks = std::mem::take(&mut state.picks);
+        picks.clear();
+        for i in 0..state.paths() {
+            for j in i + 1..state.paths() {
+                let (hi, hj) = (state.heads[i], state.heads[j]);
+                let merged = state.price(&self.steps, (hi, hj), limit, changes, tops);
+                let (li, lj) = (state.links[hi as usize], state.links[hj as usize]);
+                let paid_after = paid - li.paid - lj.paid + merged;
+                let len = (li.len + lj.len) as usize;
                 for (at, &(m, before)) in priced.iter().enumerate() {
                     let (cost, marginal) = if m == 0 {
-                        let cost = account.steps_cost(merged.len() as u32);
-                        let parts = [ki, kj].map(|k| i64::from(account.steps_cost(k.len() as u32)));
+                        let cost = account.steps_cost(merged);
+                        let parts = [li, lj].map(|l| i64::from(account.steps_cost(l.paid)));
                         (cost, i64::from(cost) - parts[0] - parts[1])
                     } else {
                         let cost = account.steps_cost(paid_after - tops[m.min(tops.len() - 1)]);
@@ -704,39 +872,37 @@ impl<'a> Tree<'a> {
                 }
             }
         }
-        picks
+        state.picks = picks;
     }
 
-    /// Merges `pair` in `state`, recording the step under the
-    /// accounting model.
+    /// Merges `pair` in `state`, relinking its accesses in place and
+    /// recording the step under the accounting model.
     fn merge(&mut self, state: &mut State, (i, j): (usize, usize)) {
-        let merged = &mut self.scratch.merged;
-        let paths = state.cover.paths();
-        let (pi, pj) = (&paths[i], &paths[j]);
-        let (hi, hj) = (pi.head(), pj.head());
-        let histogram = &mut state.histogram;
-        for &key in state.keys[hi].iter().chain(&state.keys[hj]) {
-            histogram.remove(key);
+        let Scratch { relinks, .. } = &mut self.scratch;
+        // `P_i ⊕ P_j` starts at the smaller head, `hi`.
+        let (hi, hj) = (state.heads[i], state.heads[j]);
+        let (li, lj) = (state.links[hi as usize], state.links[hj as usize]);
+        relinks.clear();
+        walk(&state.links, hi, hj, |from, to| relinks.push((from, to)));
+        let mut paid = 0;
+        for &(from, to) in relinks.iter() {
+            let key = self.steps.key(from, if to == END { hi } else { to });
+            let link = &mut state.links[from as usize];
+            if key != link.key {
+                move_step(&mut state.histogram, link.key, key);
+            }
+            (link.next, link.key) = (to, key);
+            paid += u32::from(key != FREE);
         }
-        merged.clear();
-        self.steps
-            .each(pi.merged_indices(pj), |key| merged.push(key));
-        for &key in merged.iter() {
-            histogram.add(key);
-        }
+        let head = &mut state.links[hi as usize];
+        (head.len, head.paid) = (li.len + lj.len, paid);
         let record = MergeRecord {
-            paths_before: paths.len(),
-            merged_lengths: (pi.len(), pj.len()),
-            merged_path_cost: self.account.steps_cost(merged.len() as u32),
-            total_cost_after: self.account.histogram_cost(histogram),
+            paths_before: state.paths(),
+            merged_lengths: (li.len as usize, lj.len as usize),
+            merged_path_cost: self.account.steps_cost(paid),
+            total_cost_after: self.account.histogram_cost(&state.histogram),
         };
-        // `P_i ⊕ P_j` starts at the smaller head.
-        state.keys[hi.max(hj)].clear();
-        state.keys[hi.min(hj)].clone_from(merged);
-        state
-            .cover
-            .merge_pair(i, j)
-            .expect("cover paths are disjoint");
+        state.heads.remove(j);
         state.cost = record.total_cost_after;
         self.merges.push(Merge {
             parent: state.last,
@@ -744,7 +910,7 @@ impl<'a> Tree<'a> {
             record,
         });
         state.last = Some(self.merges.len() - 1);
-        state.picks = None;
+        state.scanned = false;
     }
 }
 
@@ -761,32 +927,6 @@ fn group(
         }
     }
     groups
-}
-
-/// Fills `tops` with the sums of the largest counts of `histogram` with
-/// the paid steps `removed` taken out and `added` put in — `tops[m]` is
-/// the sum of the `m` largest, for `m` up to `limit` or the number of
-/// nonzero counts — and leaves `histogram` as it was.
-fn price(
-    histogram: &mut DeltaHistogram,
-    removed: [&[usize]; 2],
-    added: &[usize],
-    limit: usize,
-    tops: &mut Vec<u32>,
-) {
-    for &key in removed.iter().copied().flatten() {
-        histogram.remove(key);
-    }
-    for &key in added {
-        histogram.add(key);
-    }
-    histogram.top_sums(limit, tops);
-    for &key in added {
-        histogram.remove(key);
-    }
-    for &key in removed.iter().copied().flatten() {
-        histogram.add(key);
-    }
 }
 
 #[cfg(test)]
@@ -1054,10 +1194,11 @@ mod tests {
     fn histogram_prices_every_candidate_as_paths_cost_does() {
         // Random covers of random patterns, plus tie-heavy deltas (+7
         // and -7 alternating) and deltas on the update-range boundary
-        // (steps of exactly M = 3, free, and M + 1 = 4, paid): moving a
-        // candidate's steps through its state's histogram prices the
-        // merge, under every priced count, as `paths_cost` prices the
-        // materialised cover, and leaves the histogram as it was.
+        // (steps of exactly M = 3, free, and M + 1 = 4, paid): moving
+        // the steps a candidate changes through its state's histogram
+        // prices the merge, under every priced count, as `paths_cost`
+        // prices the materialised cover, and leaves the histogram as it
+        // was.
         let mut rng = SmallRng::seed_from_u64(28);
         let mut patterns: Vec<(Vec<i64>, i64, u32)> = vec![
             (vec![0, 7, 0, 7, 0, 7, 0, 7], 2, 2),
@@ -1089,25 +1230,23 @@ mod tests {
                     let tree = Tree::new(&dm, account, &priced, MergeStrategy::GreedyMinCost);
                     let mut state = tree.root(&cover);
                     let paths = cover.paths();
-                    let keys = tree.steps.keys.iter().filter(|&&key| key != FREE);
-                    let keys = keys.max().map_or(0, |&key| key as usize + 1);
-                    let mut merged = Vec::new();
+                    let mut changes = Vec::new();
                     let mut tops = Vec::new();
                     for i in 0..paths.len() {
                         for j in i + 1..paths.len() {
-                            let ki = &state.keys[paths[i].head()];
-                            let kj = &state.keys[paths[j].head()];
-                            merged.clear();
-                            let accesses = paths[i].merged_indices(&paths[j]);
-                            tree.steps.each(accesses, |key| merged.push(key));
-                            let before = snapshot(&state.histogram, keys);
-                            price(&mut state.histogram, [ki, kj], &merged, 6, &mut tops);
-                            assert_eq!(snapshot(&state.histogram, keys), before);
-                            let paid = state.histogram.paid() as usize;
-                            let paid_after = (paid - ki.len() - kj.len() + merged.len()) as u32;
+                            let heads = (state.heads[i], state.heads[j]);
+                            assert_eq!(heads, (paths[i].head() as u32, paths[j].head() as u32));
+                            let (li, lj) =
+                                (state.links[heads.0 as usize], state.links[heads.1 as usize]);
+                            let before = snapshot(&state.histogram, tree.steps.len);
+                            let merged =
+                                state.price(&tree.steps, heads, 6, &mut changes, &mut tops);
+                            assert_eq!(snapshot(&state.histogram, tree.steps.len), before);
+                            let paid = state.histogram.paid();
+                            let paid_after = paid - li.paid - lj.paid + merged;
                             let merged_path = paths[i].merge(&paths[j]).unwrap();
                             assert_eq!(
-                                account.steps_cost(merged.len() as u32),
+                                account.steps_cost(merged),
                                 account.paths_cost([(&merged_path, &dm)]),
                                 "the path-local price of {merged_path} in {cover}"
                             );

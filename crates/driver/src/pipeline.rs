@@ -437,7 +437,8 @@ impl Pipeline {
     /// of `work` carries the index of its unit. The loops run on the
     /// calling thread until the first cache miss spawns the pool's
     /// helpers (see [`CacheMemo`]), so a batch of hits spawns no
-    /// thread. Fails with [`DriverError::DeadlineExceeded`] when
+    /// thread, and neither does a miss with too few loops left for a
+    /// helper to pay for itself. Fails with [`DriverError::DeadlineExceeded`] when
     /// `deadline` passes before every loop has started.
     fn compile_batch(
         &self,
@@ -697,10 +698,12 @@ impl Pipeline {
 /// the cache's `Arc`, so a warm loop shares its covers, distance models
 /// and phase reports with the cache instead of copying them.
 ///
-/// A miss spawns the batch's helpers (see [`FanOut::widen`]) before it
-/// computes, so the rest of a cold batch runs in parallel with the
-/// allocation; the cache runs the computation outside its shard lock,
-/// so no lock is held while threads spawn.
+/// The batch's first miss spawns its helpers (see [`FanOut::widen`])
+/// before it computes, when enough loops are left for each helper to
+/// expect two, so the rest of a large cold batch runs in parallel with
+/// the allocation while a small one stays on the caller; the cache runs
+/// the computation outside its shard lock, so no lock is held while
+/// threads spawn.
 ///
 /// Each lookup is timed into its `_hit` or `_miss` stage: the compute
 /// closure runs only on a miss, so a flag set inside it picks the
@@ -851,18 +854,22 @@ mod tests {
         let fresh = (
             "fresh".to_owned(),
             "for (i = 0; i < 64; i++) { q[i] = p[i+7] + p[i] + p[i-4]; }
-             for (j = 0; j < 16; j++) { r[j] = u[j] + u[j+9]; }"
+             for (j = 0; j < 16; j++) { r[j] = u[j] + u[j+9]; }
+             for (k = 0; k < 16; k++) { t[k] = v[k+2] + v[k-3]; }
+             for (l = 0; l < 16; l++) { d[l] = e[l+5] + e[l] + e[l-6]; }
+             for (m = 0; m < 16; m++) { f[m] = g[m-1] + g[m+8]; }"
                 .to_owned(),
         );
         let units =
             |report: &CompilationReport| report.to_json_value().get("units").map(Json::render);
 
-        // The first loop misses and spawns helpers for the two loops
-        // still unclaimed; the same unit again is all hits.
+        // The first loop misses, but two unclaimed loops are too few
+        // for a helper to pay for itself; the same unit again is all
+        // hits.
         let cold = pipeline
             .compile_units(std::slice::from_ref(&three))
             .unwrap();
-        assert_eq!((cold.threads, cold.failed()), (3, 0));
+        assert_eq!((cold.threads, cold.failed()), (1, 0));
         let warm = pipeline
             .compile_units(std::slice::from_ref(&three))
             .unwrap();
@@ -871,13 +878,45 @@ mod tests {
         assert_eq!(warm.units[0].listing, cold.units[0].listing);
 
         // A cached unit ahead of a new one: the caller compiles the
-        // hits, and the first miss spawns one helper for the loop left.
+        // hits, and the first miss leaves four loops unclaimed, enough
+        // for one helper.
         let batch = [three, fresh];
         let mixed = pipeline.compile_units(&batch).unwrap();
         assert_eq!((mixed.threads, mixed.failed()), (2, 0));
         config.parallelism = Parallelism::Sequential;
         let sequential = Pipeline::with_config(config).compile_units(&batch).unwrap();
         assert_eq!(units(&mixed), units(&sequential));
+    }
+
+    #[test]
+    fn fan_out_keeps_a_cold_three_loop_unit_on_the_caller() {
+        // Two loops are left unclaimed at the first miss: a helper
+        // could expect only one, which does not pay for its spawn.
+        let unit = (
+            "three".to_owned(),
+            "for (i = 1; i < 64; i++) { y[i] = x[i-1] + x[i] + x[i+1]; }
+             for (j = 0; j < 32; j++) { z[j] = y[j] + y[j+3] + w[j+1]; }
+             for (k = 2; k < 48; k++) { s += a[k-2] * b[k] + a[k+5]; }"
+                .to_owned(),
+        );
+        for parallelism in [Parallelism::Fixed(2), Parallelism::Auto] {
+            let mut config = PipelineConfig::new(AguSpec::new(4, 1).unwrap());
+            config.parallelism = parallelism;
+            let report = Pipeline::with_config(config)
+                .compile_units(std::slice::from_ref(&unit))
+                .unwrap();
+            assert_eq!((report.threads, report.failed()), (1, 0), "{parallelism:?}");
+        }
+    }
+
+    #[test]
+    fn fan_out_gives_the_cold_kernel_suite_a_helper() {
+        // The suite's first miss leaves its other 18 loops unclaimed.
+        let mut config = PipelineConfig::new(AguSpec::new(4, 1).unwrap());
+        config.parallelism = Parallelism::Fixed(2);
+        let report = Pipeline::with_config(config).compile_kernels();
+        assert!(report.loop_count() >= 6, "the suite has enough loops");
+        assert_eq!((report.threads, report.failed()), (2, 0));
     }
 
     #[test]

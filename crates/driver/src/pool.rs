@@ -15,9 +15,16 @@
 //! `FanOut` handle. The pipeline asks at its first cache miss, so a
 //! batch of cache hits — a few µs of lookup, codegen and simulation per
 //! loop — runs on the caller without spawning a thread, while a cold
-//! batch fans out at its first lookup. [`map_parallel`] asks before its
-//! first item. The CPU count behind [`Parallelism::Auto`] is looked up
-//! once per process (see [`available_workers`]).
+//! batch may fan out at its first lookup. [`map_parallel`] asks before
+//! its first item.
+//!
+//! A helper is started only when it can expect at least two items: a
+//! scoped spawn and join cost about as much as one cold loop, so a
+//! helper with one item does not pay for itself (see
+//! `FanOut::widen`). A cold three-loop unit therefore runs on the
+//! caller, while the nineteen-loop kernel suite still fans out. The CPU
+//! count behind [`Parallelism::Auto`] is looked up once per process
+//! (see [`available_workers`]).
 
 use std::cell::OnceCell;
 use std::num::NonZeroUsize;
@@ -68,11 +75,13 @@ impl Parallelism {
     }
 }
 
-/// Maps `f` over `items` on `parallelism` workers, preserving order.
+/// Maps `f` over `items` on up to `parallelism` workers, preserving
+/// order.
 ///
 /// `f` must be `Sync` because multiple workers call it concurrently.
 /// The calling thread is one of the workers, and every helper is
-/// spawned before `f` runs on the first item. Panics in `f` — on a helper
+/// spawned before `f` runs on the first item: only as many as can each
+/// expect at least two items, as at a pipeline batch's first miss. Panics in `f` — on a helper
 /// thread or on the caller — propagate to the caller once every worker
 /// has been joined.
 pub fn map_parallel<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
@@ -107,10 +116,10 @@ impl FanOut<'static> {
 }
 
 impl FanOut<'_> {
-    /// Spawns the batch's helpers: `min(workers - 1, unclaimed items)`
-    /// of them, which take the items no worker has claimed yet. Only
-    /// the first call in a batch spawns; later calls, and calls through
-    /// an inert handle, do nothing.
+    /// Spawns the batch's helpers, which take the items no worker has
+    /// claimed yet: [`helper_count`] of them, so that each can expect at
+    /// least two items. Only the first call in a batch spawns; later
+    /// calls, and calls through an inert handle, do nothing.
     pub(crate) fn widen(&self) {
         if let Some(widen) = self.widen {
             widen();
@@ -118,10 +127,23 @@ impl FanOut<'_> {
     }
 }
 
+/// The helpers worth starting for `unclaimed` items on up to `workers`
+/// workers: `min(workers - 1, unclaimed / 2 - 1)`, or none when that is
+/// below one. The caller keeps the item it holds and shares the
+/// unclaimed ones with the helpers, so each of them can expect at least
+/// two; starting a helper costs about one cold loop, so a helper with
+/// one item does not pay for itself.
+fn helper_count(workers: usize, unclaimed: usize) -> usize {
+    (unclaimed / 2)
+        .saturating_sub(1)
+        .min(workers.saturating_sub(1))
+}
+
 /// Maps `f` over `items`, preserving order, on the calling thread plus
 /// the up to `workers - 1` scoped helpers that `f` spawns through its
-/// [`FanOut`] handle. Returns the results and the number of threads
-/// that worked: the caller plus the helpers spawned.
+/// [`FanOut`] handle ([`helper_count`] of them, counted at the first
+/// widening). Returns the results and the number of threads that worked:
+/// the caller plus the helpers spawned.
 ///
 /// Panics in `f` — on a helper or on the caller, before or after the
 /// helpers were spawned — propagate to the caller once every thread
@@ -152,7 +174,7 @@ where
         let widen = || {
             helpers.get_or_init(|| {
                 let unclaimed = items.len().saturating_sub(cursor.load(Ordering::Relaxed));
-                (0..unclaimed.min(workers.saturating_sub(1)))
+                (0..helper_count(workers, unclaimed))
                     .map(|_| scope.spawn(move || drain(FanOut::INERT)))
                     .collect::<Vec<_>>()
             });
@@ -249,9 +271,11 @@ mod tests {
         }
     }
 
-    /// Runs `2 * workers` items under `Fixed(workers)` (`Sequential` for
-    /// one worker). The first `workers` items meet at a rendezvous, so
-    /// every worker holds one item at the same time: each claims one and
+    /// Runs `2 * workers + 1` items under `Fixed(workers)` (`Sequential`
+    /// for one worker): enough that each of the `workers - 1` helpers
+    /// can expect two of the `2 * workers` left unclaimed at the first
+    /// item. The first `workers` items meet at a rendezvous, so every
+    /// worker holds one item at the same time: each claims one and
     /// blocks until all have. `f` may panic after the rendezvous.
     fn run_batch(
         workers: usize,
@@ -261,7 +285,7 @@ mod tests {
             1 => Parallelism::Sequential,
             n => Parallelism::Fixed(n),
         };
-        let items: Vec<usize> = (0..2 * workers).collect();
+        let items: Vec<usize> = (0..2 * workers + 1).collect();
         let rendezvous = Rendezvous::new(workers);
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             map_parallel(parallelism, &items, |i, _| {
@@ -304,7 +328,7 @@ mod tests {
 
     #[test]
     fn panics_at_the_first_and_last_index_propagate() {
-        for at in [0, 7] {
+        for at in [0, 8] {
             let payload = run_batch(4, |i, _| assert_ne!(i, at, "boom at {i}"))
                 .expect_err("the panic must reach the caller");
             assert!(panic_message(payload).contains(&format!("boom at {at}")));
@@ -322,20 +346,21 @@ mod tests {
 
     /// Runs `items` items through [`map_on_demand`] on up to `workers`
     /// workers. Items before `widen_at` run without asking for helpers;
-    /// from `widen_at` on, every item calls `widen()`, and the first
-    /// `workers` of them meet at a rendezvous, so each helper spawned
-    /// holds one of them while the caller holds the first. `f` may panic
-    /// after the rendezvous. Returns the thread that ran each item and
-    /// the thread count.
+    /// from `widen_at` on, every item calls `widen()`, and as many of
+    /// them as the widening starts threads meet at a rendezvous, so each
+    /// helper spawned holds one of them while the caller holds the
+    /// first. `f` may panic after the rendezvous. Returns the thread
+    /// that ran each item and the thread count.
     fn run_widening_batch(
         workers: usize,
         items: usize,
         widen_at: usize,
         f: impl Fn(usize, ThreadId) + Sync,
     ) -> std::thread::Result<(Vec<(usize, ThreadId)>, usize)> {
+        let threads = 1 + helper_count(workers, items.saturating_sub(widen_at + 1));
         let items: Vec<usize> = (0..items).collect();
-        let meeting = widen_at..widen_at + workers;
-        let rendezvous = Rendezvous::new(workers.min(items.len().saturating_sub(widen_at)));
+        let meeting = widen_at..widen_at + threads;
+        let rendezvous = Rendezvous::new(threads.min(items.len().saturating_sub(widen_at)));
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             map_on_demand(workers, &items, |i, _, fan_out| {
                 if i >= widen_at {
@@ -362,11 +387,16 @@ mod tests {
     #[test]
     fn widen_spawns_helpers_for_the_unclaimed_items_once() {
         // (workers, items, widen_at) → helpers = min(workers - 1,
-        // items - widen_at - 1): the caller holds item `widen_at`.
+        // unclaimed / 2 - 1), none below one, where the caller holds
+        // item `widen_at` and unclaimed = items - widen_at - 1: each
+        // helper can expect at least two items.
         for (workers, items, widen_at, helpers) in [
-            (4, 8, 0, 3),
-            (3, 8, 2, 2),
-            (4, 8, 6, 1),
+            (4, 16, 0, 3),
+            (4, 8, 0, 2),
+            (3, 12, 2, 2),
+            (4, 8, 3, 1),
+            (4, 8, 4, 0),
+            (4, 3, 0, 0),
             (4, 8, 7, 0),
             (1, 8, 0, 0),
         ] {

@@ -124,6 +124,18 @@ pub struct DeltaHistogram {
 }
 
 impl DeltaHistogram {
+    /// An empty histogram with room for the keys below `keys` and up to
+    /// `steps` steps, so counting within those never allocates (and
+    /// neither does a clone's counting).
+    pub fn with_capacity(keys: usize, steps: usize) -> Self {
+        DeltaHistogram {
+            counts: vec![0; keys],
+            by_count: vec![0; steps + 1],
+            max: 0,
+            paid: 0,
+        }
+    }
+
     /// Counts one more step of the delta `key`.
     #[inline]
     pub fn add(&mut self, key: usize) {

@@ -227,11 +227,15 @@ pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, (ParseErrorKind, Span
             ('=', _) => (TokenKind::Assign, 1),
             ('<', _) => (TokenKind::Lt, 1),
             ('>', _) => (TokenKind::Gt, 1),
-            (other, _) => {
+            _ => {
+                // Named by the whole character, not its first byte: `i`
+                // is on a character boundary, since every byte consumed
+                // so far was ASCII or a whole character.
+                let other = source[start..].chars().next().expect("a byte is left");
                 return Err((
                     ParseErrorKind::UnexpectedChar(other),
                     Span::new(start, start + other.len_utf8()),
-                ))
+                ));
             }
         };
         tokens.push(Token {
@@ -329,6 +333,22 @@ mod tests {
             "{kind:?}"
         );
         assert_eq!(span.start, 7);
+    }
+
+    #[test]
+    fn a_non_ascii_character_is_named_and_spanned_whole() {
+        // Two-, three- and four-byte characters where a token may begin.
+        for (source, c, start) in [
+            ("s += Ä[i];", 'Ä', 5),
+            ("s = 1 +é;", 'é', 7),
+            ("y[i] = x[i] € 2;", '€', 12),
+            ("🦀", '🦀', 0),
+        ] {
+            let (kind, span) = tokenize(source).unwrap_err();
+            assert_eq!(kind, ParseErrorKind::UnexpectedChar(c), "{source}");
+            assert_eq!(span, Span::new(start, start + c.len_utf8()), "{source}");
+            assert_eq!(&source[span.start..span.end], c.to_string(), "{source}");
+        }
     }
 
     #[test]
