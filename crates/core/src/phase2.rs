@@ -643,12 +643,12 @@ fn move_step(histogram: &mut DeltaHistogram, from: u32, to: u32) {
 }
 
 /// Buffers reused from one candidate, and one merge, to the next.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Scratch {
     /// Per selection of the state: its priced count and its cost of
     /// the cover as it is.
     priced: Vec<(usize, i64)>,
-    /// The `(old, new)` keys of the steps a merge changes.
+    /// The `(old, new)` keys of the steps a candidate's merge changes.
     changes: Vec<(u32, u32)>,
     /// The accesses of a merged path with their new successors.
     relinks: Vec<(u32, u32)>,
@@ -1270,6 +1270,24 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn far_apart_offsets_keep_the_step_table_dense() {
+        // Paid deltas 2^40 apart: keyed by their offset from the
+        // smallest, a state's histogram would hold 2^40 counts. Numbered
+        // densely, it holds one per distinct delta and prices the same.
+        let dm = DistanceModel::from_offsets(&[0, 1 << 40, 3, 1 << 40, 0], 1, 1);
+        let account = CostModel::steady_state().with_modify_registers(1);
+        let (priced, greedy) = ([0, 1], MergeStrategy::GreedyMinCost);
+        let keys = Tree::new(&dm, account, &priced, greedy).steps.len;
+        assert!(keys <= dm.len() * dm.len(), "{keys} keys");
+        let cover = PathCover::singletons(dm.len());
+        let all = sweep(&cover, 1..=5, &dm, account, &priced, greedy);
+        for k in 1..=5 {
+            let cost = account.cover_cost(all.report(k).cover(), &dm);
+            assert_eq!(all.cost(k), cost, "k = {k}");
         }
     }
 

@@ -81,9 +81,9 @@ impl Parallelism {
 /// `f` must be `Sync` because multiple workers call it concurrently.
 /// The calling thread is one of the workers, and every helper is
 /// spawned before `f` runs on the first item: only as many as can each
-/// expect at least two items, as at a pipeline batch's first miss. Panics in `f` — on a helper
-/// thread or on the caller — propagate to the caller once every worker
-/// has been joined.
+/// expect at least two items, as at a pipeline batch's first miss.
+/// Panics in `f` — on a helper thread or on the caller — propagate to
+/// the caller once every worker has been joined.
 pub fn map_parallel<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -130,9 +130,9 @@ impl FanOut<'_> {
 /// The helpers worth starting for `unclaimed` items on up to `workers`
 /// workers: `min(workers - 1, unclaimed / 2 - 1)`, or none when that is
 /// below one. The caller keeps the item it holds and shares the
-/// unclaimed ones with the helpers, so each of them can expect at least
-/// two; starting a helper costs about one cold loop, so a helper with
-/// one item does not pay for itself.
+/// unclaimed ones with the helpers, so each of them, the caller
+/// included, can expect at least two; starting a helper costs about
+/// one cold loop, so a helper with one item does not pay for itself.
 fn helper_count(workers: usize, unclaimed: usize) -> usize {
     (unclaimed / 2)
         .saturating_sub(1)
