@@ -450,8 +450,7 @@ impl StepTable {
                     *key = 0;
                 }
             }
-            let len = usize::from(keys.contains(&0));
-            return StepTable { n, keys, len };
+            return StepTable { n, keys, len: 1 };
         }
         let (mut least, mut most) = (i64::MAX, i64::MIN);
         for step in 0..n * n {
