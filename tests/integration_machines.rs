@@ -7,14 +7,19 @@
 //! golden listings, and a corrupted post-modify / stream update is
 //! caught by a *named* checker invariant per description. On all six
 //! built-ins, a seeded pattern set pins every cost curve and every
-//! Phase-2 report byte for byte (`tests/fixtures/phase2_reports.txt`).
+//! Phase-2 report byte for byte (`tests/fixtures/phase2_reports.txt`),
+//! and two seeded pattern sets pin every Phase-1 report — cover,
+//! outcome, lower bound and search nodes
+//! (`tests/fixtures/phase1_reports.txt`).
 
 use raco::agu::codegen::CodeGenerator;
 use raco::agu::isa::{AddressInstr, AddressProgram, Update};
 use raco::agu::sim;
 use raco::check;
-use raco::core::Optimizer;
+use raco::core::random::PatternGenerator;
+use raco::core::{phase1, Optimizer};
 use raco::driver::{Parallelism, Pipeline, PipelineConfig};
+use raco::graph::{BbOptions, DistanceModel};
 use raco::ir::{AccessPattern, AguSpec, LoopSpec, MachineDescription, MemoryLayout, Trace};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -348,4 +353,82 @@ fn phase2_reports_match_the_golden_fixture() {
         panic!("line {}: expected\n  {want}\ngot\n  {got}", line + 1);
     }
     assert_eq!(actual, expected, "Phase-2 reports drifted from the fixture");
+}
+
+/// The pattern sets of the Phase-1 fixture, stride 1: the 300 patterns
+/// of the ROADMAP's Table 1 (`PatternGenerator::new(1 + s % 12)`, offsets
+/// −8..=8, seed `s`), then 60 seeded patterns shaped like a
+/// `batch_cold` loop's one-dimensional arrays (1–12 accesses at offsets
+/// −6..=6).
+fn phase1_fixture_patterns() -> Vec<Vec<i64>> {
+    let table1 = (0..300u64).map(|s| {
+        PatternGenerator::new(1 + s as usize % 12)
+            .offset_span(8)
+            .generate_offsets(s)
+    });
+    let mut rng = SmallRng::seed_from_u64(33);
+    let batch_cold: Vec<Vec<i64>> = (0..60)
+        .map(|_| {
+            let len = rng.gen_range(1..=12usize);
+            (0..len).map(|_| rng.gen_range(-6..=6i64)).collect()
+        })
+        .collect();
+    table1.chain(batch_cold).collect()
+}
+
+/// Every (built-in machine, pattern) case's Phase-1 report — cover,
+/// outcome, lower bound and nodes — under the default search options,
+/// then under a 12-node budget and without the dominance memo, which
+/// pin the order in which the search explores.
+fn phase1_report_cases() -> String {
+    let budgets = [
+        ("default", BbOptions::default()),
+        (
+            "12 nodes",
+            BbOptions {
+                node_limit: 12,
+                memoize: true,
+            },
+        ),
+        (
+            "no memo",
+            BbOptions {
+                memoize: false,
+                ..BbOptions::default()
+            },
+        ),
+    ];
+    let mut out = String::new();
+    for (label, options) in budgets {
+        for &machine in MachineDescription::builtin_names() {
+            let range = spec_for(machine).update_range();
+            for offsets in phase1_fixture_patterns() {
+                let dm = DistanceModel::from_offsets_range(&offsets, 1, range);
+                let report = phase1::run(&dm, options);
+                out.push_str(&format!(
+                    "{label} {machine} {offsets:?}: cover {} {:?} lower {} nodes {}\n",
+                    report.cover(),
+                    report.outcome(),
+                    report.lower_bound(),
+                    report.nodes()
+                ));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn phase1_reports_match_the_golden_fixture() {
+    let expected = fixture("phase1_reports.txt");
+    let actual = phase1_report_cases();
+    if let Some((line, (want, got))) = expected
+        .lines()
+        .zip(actual.lines())
+        .enumerate()
+        .find(|(_, (want, got))| want != got)
+    {
+        panic!("line {}: expected\n  {want}\ngot\n  {got}", line + 1);
+    }
+    assert_eq!(actual, expected, "Phase-1 reports drifted from the fixture");
 }
