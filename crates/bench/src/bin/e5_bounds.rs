@@ -8,7 +8,8 @@ use raco_bench::stats::Summary;
 use raco_bench::sweep::{sample_seed, CellKey};
 use raco_bench::table::{f1, f2, Table};
 use raco_core::random::{PatternGenerator, Spread};
-use raco_graph::{bb, bounds, matching, BbOptions, DistanceModel};
+use raco_graph::matching::MatchingCover;
+use raco_graph::{bb, bounds, BbOptions, DistanceModel, StepMatrix};
 
 fn main() {
     let samples = raco_bench::samples_arg(100);
@@ -46,10 +47,11 @@ fn main() {
             for s in 0..samples {
                 let pattern = generator.generate(sample_seed(0xB0_07ED, &key, s));
                 let dm = DistanceModel::new(&pattern, 1);
-                let matched = matching::min_path_cover(&dm);
-                let b = bounds::bounds(&dm, &matched);
+                let steps = StepMatrix::new(&dm);
+                let matched = MatchingCover::new(&steps);
+                let b = bounds::bounds(&steps, &matched);
                 let result = bb::min_zero_cost_cover_from(
-                    &dm,
+                    &steps,
                     &matched,
                     BbOptions {
                         node_limit: 2_000_000,

@@ -4,7 +4,7 @@ use std::fmt;
 use std::ops::RangeInclusive;
 use std::sync::{Arc, OnceLock};
 
-use raco_graph::{BbOptions, DistanceModel, PathCover};
+use raco_graph::{BbOptions, DistanceModel, PathCover, StepMatrix};
 use raco_ir::{AccessPattern, AguSpec, ArrayId, LoopSpec};
 use raco_obs::Histogram;
 
@@ -30,14 +30,17 @@ fn phase2_histogram() -> &'static Arc<Histogram> {
     HISTOGRAM.get_or_init(|| raco_obs::global().histogram("core.phase2"))
 }
 
-/// Phase-1 output bundled with the distance model it ran on.
+/// Phase-1 output bundled with the distance model it ran on and the
+/// model's [`StepMatrix`].
 ///
 /// Prepared once per pattern and shared by the cost curve and the final
 /// allocation, so the branch-and-bound search — the cycle sink of the
 /// whole allocator — runs at most once per pattern in
-/// [`Optimizer::allocate_patterns`].
+/// [`Optimizer::allocate_patterns`], and Phase 2 reads the steps Phase 1
+/// read.
 struct PreparedPattern {
     dm: DistanceModel,
+    steps: StepMatrix,
     phase1: Phase1Report,
 }
 
@@ -249,15 +252,20 @@ impl Optimizer {
     fn allocate_model_with_registers(&self, dm: DistanceModel, k: usize) -> Allocation {
         let prepared = self.prepare_model(dm);
         let phase2 = self
-            .best_phase2(&prepared.phase1, &prepared.dm, k..=k)
-            .report(k);
+            .best_phase2(&prepared, k..=k)
+            .report(prepared.phase1.cover(), k);
         Allocation::from_parts(prepared.dm, prepared.phase1, phase2)
     }
 
-    /// Runs Phase 1 on a distance model, recording its latency.
+    /// Builds the step matrix of a distance model and runs Phase 1 on
+    /// it, recording the latency of both.
     fn prepare_model(&self, dm: DistanceModel) -> PreparedPattern {
-        let phase1 = phase1_histogram().time(|| phase1::run(&dm, self.options.bb));
-        PreparedPattern { dm, phase1 }
+        let (steps, phase1) = phase1_histogram().time(|| {
+            let steps = StepMatrix::new(&dm);
+            let phase1 = phase1::run_on(&steps, self.options.bb);
+            (steps, phase1)
+        });
+        PreparedPattern { dm, steps, phase1 }
     }
 
     /// Runs Phase 2 under the configured cost model for every register
@@ -280,20 +288,21 @@ impl Optimizer {
     /// selects under the machine's own model.
     fn best_phase2(
         &self,
-        phase1: &Phase1Report,
-        dm: &DistanceModel,
+        prepared: &PreparedPattern,
         counts: RangeInclusive<usize>,
     ) -> phase2::Sweep {
+        let (steps, cover) = (&prepared.steps, prepared.phase1.cover());
         let model = self.options.cost_model;
         let strategy = self.options.strategy;
         // A cover has exactly one step per access, so selection pricing
         // beyond `len` distinct deltas cannot change any ranking.
         let priced: Vec<usize> = match strategy {
-            MergeStrategy::GreedyMinCost => (0..=model.modify_registers().min(dm.len())).collect(),
+            MergeStrategy::GreedyMinCost => {
+                (0..=model.modify_registers().min(steps.len())).collect()
+            }
             _ => vec![model.modify_registers()],
         };
-        phase2_histogram()
-            .time(|| phase2::sweep(phase1.cover(), counts, dm, model, &priced, strategy))
+        phase2_histogram().time(|| phase2::sweep(cover, counts, steps, model, &priced, strategy))
     }
 
     /// Allocates every array of a loop, distributing the `K` registers
@@ -376,7 +385,8 @@ impl Optimizer {
             .map(|(i, ((p, slot), &ka))| {
                 let allocation = memo.allocation(i, ka, || match slot {
                     Some((prep, sweep)) => {
-                        Allocation::from_parts(prep.dm, prep.phase1, sweep.report(ka))
+                        let phase2 = sweep.report(prep.phase1.cover(), ka);
+                        Allocation::from_parts(prep.dm, prep.phase1, phase2)
                     }
                     None => self.allocate_with_registers(p, ka),
                 });
@@ -412,7 +422,7 @@ impl Optimizer {
     /// too, so a caller that goes on to allocate at one of these counts
     /// builds that report instead of merging again.
     fn curve_from(&self, prepared: &PreparedPattern, k_max: usize) -> (Vec<u32>, phase2::Sweep) {
-        let sweep = self.best_phase2(&prepared.phase1, &prepared.dm, 1..=k_max);
+        let sweep = self.best_phase2(prepared, 1..=k_max);
         let mut running_min = u32::MAX;
         let curve = (1..=k_max)
             .map(|k| {
@@ -462,6 +472,12 @@ impl Allocation {
     /// ```
     pub fn from_parts(dm: DistanceModel, phase1: Phase1Report, phase2: Phase2Report) -> Self {
         Allocation { dm, phase1, phase2 }
+    }
+
+    /// The parts [`from_parts`](Self::from_parts) takes, moved out: the
+    /// distance model and both phase reports.
+    pub fn into_parts(self) -> (DistanceModel, Phase1Report, Phase2Report) {
+        (self.dm, self.phase1, self.phase2)
     }
 
     /// The final path cover: one path per used address register.

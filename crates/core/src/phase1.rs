@@ -7,7 +7,8 @@
 //! intra-iteration cost, wrap steps paid — so that Phase 2 can still
 //! proceed; the outcome records which case occurred.
 
-use raco_graph::{bb, matching, BbOptions, DistanceModel, PathCover};
+use raco_graph::matching::MatchingCover;
+use raco_graph::{bb, BbOptions, DistanceModel, PathCover, StepMatrix};
 
 /// How Phase 1 obtained its cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,8 +96,14 @@ impl Phase1Report {
 /// assert_eq!(report.virtual_registers(), 3);
 /// ```
 pub fn run(dm: &DistanceModel, options: BbOptions) -> Phase1Report {
-    let matched = matching::min_path_cover(dm);
-    match bb::min_zero_cost_cover_from(dm, &matched, options) {
+    run_on(&StepMatrix::new(dm), options)
+}
+
+/// Runs Phase 1 on the [`StepMatrix`] of a distance model, which the
+/// caller keeps for Phase 2.
+pub fn run_on(steps: &StepMatrix, options: BbOptions) -> Phase1Report {
+    let matched = MatchingCover::new(steps);
+    match bb::min_zero_cost_cover_from(steps, &matched, options) {
         Ok(result) => Phase1Report {
             cover: result.cover,
             outcome: Phase1Outcome::ZeroCost {
@@ -110,7 +117,7 @@ pub fn run(dm: &DistanceModel, options: BbOptions) -> Phase1Report {
         // matching cover.
         Err(_) => Phase1Report {
             lower_bound: matched.register_count(),
-            cover: matched,
+            cover: matched.cover(),
             outcome: Phase1Outcome::Relaxed,
             nodes: 0,
         },

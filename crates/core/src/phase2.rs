@@ -27,8 +27,8 @@ use std::ops::RangeInclusive;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use raco_graph::modify::{paid_delta, steps};
-use raco_graph::{DeltaHistogram, DistanceModel, PathCover};
+use raco_graph::modify::steps;
+use raco_graph::{DeltaHistogram, DistanceModel, PathCover, StepMatrix};
 
 use crate::cost::CostModel;
 
@@ -177,12 +177,14 @@ pub fn merge_until(
     strategy: MergeStrategy,
 ) -> Phase2Report {
     let priced = [cost_model.modify_registers()];
-    sweep(cover, k..=k, dm, cost_model, &priced, strategy).report(k)
+    let steps = StepMatrix::new(dm);
+    sweep(cover, k..=k, &steps, cost_model, &priced, strategy).report(cover, k)
 }
 
 /// Phase 2 for every register count in `counts` and every selection in
 /// `priced` at once: the [`merge_until`] result of each selection at
-/// each count, of which [`Sweep`] keeps the cheapest.
+/// each count, of which [`Sweep`] keeps the cheapest. `steps` is the
+/// [`StepMatrix`] of the distance model `cover` covers.
 ///
 /// The cost model has two roles:
 ///
@@ -211,8 +213,8 @@ pub fn merge_until(
 /// pairs. A state holds its paths' heads in ascending order (the
 /// cover's canonical order, in which pairs are numbered) and, per
 /// access, its successor on its path and the key of its step (to the
-/// successor, or the wrap to the head); every step of `dm` gets its key
-/// once, in a table built when the sweep starts. A merge relinks the
+/// successor, or the wrap to the head); every step gets its key once,
+/// from `steps`, in a table built when the sweep starts. A merge relinks the
 /// successors of `P_i ⊕ P_j` in place. Each state prices its candidates
 /// once for all of its selections: it keeps the over-range delta
 /// histogram of its paths ([`DeltaHistogram`]), and a candidate
@@ -224,8 +226,9 @@ pub fn merge_until(
 /// from each state the same way, and its first scan is the one the next
 /// main step ranks.
 ///
-/// No report is built during the sweep: [`Sweep::report`] replays the
-/// merges behind one count.
+/// No report is built during the sweep, and the sweep keeps no copy of
+/// `cover`: [`Sweep::report`] replays the merges behind one count on
+/// the cover its caller passes.
 ///
 /// # Panics
 ///
@@ -233,14 +236,14 @@ pub fn merge_until(
 pub fn sweep(
     cover: &PathCover,
     counts: RangeInclusive<usize>,
-    dm: &DistanceModel,
+    steps: &StepMatrix,
     account: CostModel,
     priced: &[usize],
     strategy: MergeStrategy,
 ) -> Sweep {
     assert!(*counts.start() > 0, "cannot allocate to zero registers");
     assert!(!priced.is_empty(), "a sweep needs a selection");
-    let mut tree = Tree::new(dm, account, priced, strategy);
+    let mut tree = Tree::new(steps, account, priced, strategy);
     let mut states = vec![tree.root(cover)];
     let mut next = Vec::new();
     let initial_cost = states[0].cost;
@@ -266,7 +269,6 @@ pub fn sweep(
     }
     outcomes.reverse();
     Sweep {
-        cover: cover.clone(),
         initial_cost,
         start: *counts.start(),
         merges: tree.merges,
@@ -279,8 +281,6 @@ pub fn sweep(
 /// priced count), and the merges behind it.
 #[derive(Debug, Clone)]
 pub struct Sweep {
-    /// The Phase-1 cover the merges replay on.
-    cover: PathCover,
     initial_cost: u32,
     start: usize,
     merges: Vec<Merge>,
@@ -305,19 +305,21 @@ impl Sweep {
     }
 
     /// The Phase-2 report behind [`cost(k)`](Self::cost), built by
-    /// replaying its merges on the Phase-1 cover.
+    /// replaying its merges on `cover`, the Phase-1 cover the sweep
+    /// started from.
     ///
     /// # Panics
     ///
-    /// Panics if `k` is outside [`counts`](Self::counts).
-    pub fn report(&self, k: usize) -> Phase2Report {
+    /// Panics if `k` is outside [`counts`](Self::counts), or if `cover`
+    /// has fewer paths than a replayed merge names.
+    pub fn report(&self, cover: &PathCover, k: usize) -> Phase2Report {
         let mut chain = Vec::new();
         let mut at = self.outcome(k).last;
         while let Some(index) = at {
             chain.push(index);
             at = self.merges[index].parent;
         }
-        let mut cover = self.cover.clone();
+        let mut cover = cover.clone();
         let mut records = Vec::with_capacity(chain.len());
         let mut cost_trajectory = Vec::with_capacity(chain.len() + 1);
         cost_trajectory.push((cover.register_count(), self.initial_cost));
@@ -430,8 +432,8 @@ struct StepTable {
 const FREE: u32 = u32::MAX;
 
 impl StepTable {
-    fn new(dm: &DistanceModel, include_wrap: bool, distinct: bool) -> Self {
-        let n = dm.len();
+    fn new(steps: &StepMatrix, include_wrap: bool, distinct: bool) -> Self {
+        let n = steps.len();
         let mut keys = vec![FREE; n * n];
         // Distinct keys: each paid step's delta and place, sorted by
         // delta. Key 0 is written directly: collecting and sorting
@@ -440,7 +442,7 @@ impl StepTable {
         let mut paid: Vec<(i64, usize)> = Vec::with_capacity(if distinct { n * n } else { 0 });
         for from in 0..n {
             for to in 0..n {
-                if let Some(delta) = paid_delta(dm, (from, to), include_wrap) {
+                if let Some(delta) = steps.paid_delta((from, to), include_wrap) {
                     if distinct {
                         paid.push((delta, from * n + to));
                     } else {
@@ -640,16 +642,16 @@ struct Tree<'a> {
 
 impl<'a> Tree<'a> {
     fn new(
-        dm: &DistanceModel,
+        steps: &StepMatrix,
         account: CostModel,
         priced: &'a [usize],
         strategy: MergeStrategy,
     ) -> Self {
         let distinct = account.modify_registers() > 0 || priced.iter().any(|&m| m > 0);
-        let n = dm.len();
+        let n = steps.len();
         let limit = priced.iter().copied().max().unwrap_or(0);
         Tree {
-            steps: StepTable::new(dm, account.includes_wrap(), distinct),
+            steps: StepTable::new(steps, account.includes_wrap(), distinct),
             account,
             priced,
             strategy,
@@ -1135,6 +1137,7 @@ mod tests {
             let outcome_is_relaxed = phase1.outcome() == crate::Phase1Outcome::Relaxed;
             assert_eq!(outcome_is_relaxed, relaxed, "precondition");
             let account = CostModel::steady_state().with_modify_registers(2);
+            let steps = StepMatrix::new(&dm);
             for priced in [&[0][..], &[2], &[0, 1, 2]] {
                 for strategy in [
                     MergeStrategy::GreedyMinCost,
@@ -1142,13 +1145,15 @@ mod tests {
                     MergeStrategy::Random { seed: 7 },
                     MergeStrategy::WorstCost,
                 ] {
-                    let all = sweep(phase1.cover(), 1..=8, &dm, account, priced, strategy);
+                    let cover = phase1.cover();
+                    let all = sweep(cover, 1..=8, &steps, account, priced, strategy);
                     assert_eq!(all.counts(), 1..=8);
                     for k in 1..=8 {
-                        let alone = sweep(phase1.cover(), k..=k, &dm, account, priced, strategy);
+                        let alone = sweep(cover, k..=k, &steps, account, priced, strategy);
                         assert_eq!(all.cost(k), alone.cost(k), "{strategy:?} k = {k}");
-                        assert_eq!(all.report(k), alone.report(k), "{strategy:?} k = {k}");
-                        assert_eq!(all.cost(k), all.report(k).final_cost());
+                        let report = all.report(cover, k);
+                        assert_eq!(report, alone.report(cover, k), "{strategy:?} k = {k}");
+                        assert_eq!(all.cost(k), report.final_cost());
                     }
                 }
             }
@@ -1199,7 +1204,12 @@ mod tests {
                     CostModel::paper_literal().with_adda_cost(3),
                 ] {
                     let priced = [1];
-                    let tree = Tree::new(&dm, account, &priced, MergeStrategy::GreedyMinCost);
+                    let tree = Tree::new(
+                        &StepMatrix::new(&dm),
+                        account,
+                        &priced,
+                        MergeStrategy::GreedyMinCost,
+                    );
                     let mut state = tree.root(&cover);
                     let paths = cover.paths();
                     let mut changes = Vec::new();
@@ -1253,12 +1263,13 @@ mod tests {
         let dm = DistanceModel::from_offsets(&[0, 1 << 40, 3, 1 << 40, 0], 1, 1);
         let account = CostModel::steady_state().with_modify_registers(1);
         let (priced, greedy) = ([0, 1], MergeStrategy::GreedyMinCost);
-        let keys = Tree::new(&dm, account, &priced, greedy).steps.len;
+        let steps = StepMatrix::new(&dm);
+        let keys = Tree::new(&steps, account, &priced, greedy).steps.len;
         assert!(keys <= dm.len() * dm.len(), "{keys} keys");
         let cover = PathCover::singletons(dm.len());
-        let all = sweep(&cover, 1..=5, &dm, account, &priced, greedy);
+        let all = sweep(&cover, 1..=5, &steps, account, &priced, greedy);
         for k in 1..=5 {
-            let cost = account.cover_cost(all.report(k).cover(), &dm);
+            let cost = account.cover_cost(all.report(&cover, k).cover(), &dm);
             assert_eq!(all.cost(k), cost, "k = {k}");
         }
     }

@@ -515,7 +515,8 @@ fn shift_normalized(allocation: Allocation, canonical: &CanonicalPattern) -> All
         return allocation;
     }
     let dm = DistanceModel::from_offsets_range(canonical.offsets(), dm.stride(), dm.range());
-    Allocation::from_parts(dm, allocation.phase1().clone(), allocation.phase2().clone())
+    let (_, phase1, phase2) = allocation.into_parts();
+    Allocation::from_parts(dm, phase1, phase2)
 }
 
 #[cfg(test)]

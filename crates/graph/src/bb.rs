@@ -22,13 +22,18 @@
 //! * *symmetry*: appending to two open paths with identical
 //!   `(head offset, tail offset)` is equivalent — only one branch is
 //!   explored.
+//!
+//! Every step is read from the pattern's [`StepMatrix`], and the search
+//! runs on buffers sized when it starts: one stack of candidate slots
+//! shared by all nodes, one memo key rebuilt in place, and a memo whose
+//! keys lie end to end in one buffer. So expanding a node allocates
+//! nothing, and the memo allocates only when it grows.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::bounds;
-use crate::distance::DistanceModel;
-use crate::matching;
+use crate::distance::{DistanceModel, StepMatrix};
+use crate::matching::MatchingCover;
 use crate::path::PathCover;
 
 /// Tuning knobs for the branch-and-bound search.
@@ -141,11 +146,12 @@ pub fn min_zero_cost_cover_with(
     dm: &DistanceModel,
     options: BbOptions,
 ) -> Result<BbResult, CoverSearchError> {
-    min_zero_cost_cover_from(dm, &matching::min_path_cover(dm), options)
+    let steps = StepMatrix::new(dm);
+    min_zero_cost_cover_from(&steps, &MatchingCover::new(&steps), options)
 }
 
-/// [`min_zero_cost_cover_with`] from an already computed
-/// [`matching::min_path_cover`] of `dm`, for callers that keep the
+/// [`min_zero_cost_cover_with`] on the steps of a pattern and their
+/// already computed [`MatchingCover`], for callers that keep the
 /// matching cover (Phase 1 falls back to it when this search fails).
 /// One matching serves both bounds: its path count is the lower bound,
 /// its split repair the heuristic upper bound.
@@ -154,41 +160,46 @@ pub fn min_zero_cost_cover_with(
 ///
 /// See [`CoverSearchError`].
 pub fn min_zero_cost_cover_from(
-    dm: &DistanceModel,
-    matched: &PathCover,
+    steps: &StepMatrix,
+    matched: &MatchingCover,
     options: BbOptions,
 ) -> Result<BbResult, CoverSearchError> {
-    let n = dm.len();
+    let n = steps.len();
     let lb = matched.register_count();
-    let heuristic = bounds::split_repair_cover(matched, dm);
-    if let Some(cover) = heuristic.as_ref().filter(|c| c.register_count() == lb) {
+    let heuristic = bounds::split_repair(steps, matched);
+    if let Some((assignment, _)) = heuristic.as_ref().filter(|&&(_, paths)| paths == lb) {
         return Ok(BbResult {
-            cover: cover.clone(),
+            cover: PathCover::from_assignment(assignment),
             optimal: true,
             nodes: 0,
             lower_bound: lb,
         });
     }
 
+    let (best_assign, best_count) = match heuristic {
+        Some((assignment, paths)) => (Some(assignment), paths),
+        None => (None, usize::MAX),
+    };
     let mut search = Search {
-        dm,
+        steps,
         n,
         lb,
-        best_count: heuristic
-            .as_ref()
-            .map_or(usize::MAX, PathCover::register_count),
-        best_assign: heuristic.as_ref().map(PathCover::assignment),
+        best_count,
+        best_assign,
         nodes: 0,
         node_limit: options.node_limit,
-        memoize: options.memoize,
-        memo: HashMap::new(),
-        closable_later: closable_later_table(dm),
+        memo: options.memoize.then(Memo::default),
+        closable_later: closable_later_table(steps),
+        class: (0..n)
+            .map(|i| (0..i).find(|&j| steps.delta(j, i) == 0).unwrap_or(i) as u32)
+            .collect(),
+        open: Vec::with_capacity(n),
+        assign: vec![usize::MAX; n],
+        candidates: Vec::with_capacity(n * (n + 1) / 2),
         aborted: false,
         proved: false,
     };
-    let mut open: Vec<OpenPath> = Vec::new();
-    let mut assign: Vec<usize> = vec![usize::MAX; n];
-    search.dfs(0, &mut open, &mut assign, 0);
+    search.dfs(0, 0);
 
     match search.best_assign {
         Some(assignment) => {
@@ -221,38 +232,62 @@ struct OpenPath {
 }
 
 struct Search<'a> {
-    dm: &'a DistanceModel,
+    steps: &'a StepMatrix,
     n: usize,
     lb: usize,
     best_count: usize,
     best_assign: Option<Vec<usize>>,
     nodes: u64,
     node_limit: u64,
-    memoize: bool,
-    memo: HashMap<(usize, Vec<(i64, i64)>), usize>,
-    /// `closable_later[h][p]` — does any access `x >= p` close a wrap onto
-    /// head `h` (`free_wrap(x, h)`)?
-    closable_later: Vec<Vec<bool>>,
+    /// The dominance memo, when memoizing.
+    memo: Option<Memo>,
+    /// `closable_later[h * (n + 1) + p]` — does any access `x >= p > h`
+    /// close a wrap onto head `h`?
+    closable_later: Vec<bool>,
+    /// Per access, the first access at its offset: two open paths are
+    /// interchangeable, and two states equal, exactly when their heads
+    /// and tails match by offset, so by class.
+    class: Vec<u32>,
+    /// The open paths of the current node.
+    open: Vec<OpenPath>,
+    /// The path id of every access placed so far.
+    assign: Vec<usize>,
+    /// Every node's candidates as `(|delta|, slot)`, stacked: a node
+    /// pushes its own above its parent's and pops them before it
+    /// returns.
+    candidates: Vec<(u64, u32)>,
     aborted: bool,
     proved: bool,
 }
 
-/// Builds the suffix table used by the closability prune.
-fn closable_later_table(dm: &DistanceModel) -> Vec<Vec<bool>> {
-    let n = dm.len();
-    (0..n)
-        .map(|h| {
-            let mut suffix = vec![false; n + 1];
-            for p in (0..n).rev() {
-                suffix[p] = suffix[p + 1] || dm.free_wrap(p, h);
-            }
-            suffix
-        })
-        .collect()
+/// Builds the suffix table used by the closability prune. The search
+/// asks only about accesses after the head, so only those are filled.
+fn closable_later_table(steps: &StepMatrix) -> Vec<bool> {
+    let n = steps.len();
+    let mut table = vec![false; n * (n + 1)];
+    for h in 0..n {
+        let suffix = &mut table[h * (n + 1)..(h + 1) * (n + 1)];
+        for p in (h + 1..n).rev() {
+            suffix[p] = suffix[p + 1] || steps.is_free(p, h);
+        }
+    }
+    table
+}
+
+/// The memo word of an open path: its head's and tail's classes.
+#[inline]
+fn signature(class: &[u32], path: OpenPath) -> u64 {
+    u64::from(class[path.head]) << 32 | u64::from(class[path.tail])
 }
 
 impl Search<'_> {
-    fn dfs(&mut self, pos: usize, open: &mut Vec<OpenPath>, assign: &mut Vec<usize>, count: usize) {
+    /// `true` iff some access at or after `pos` closes a wrap onto `head`.
+    #[inline]
+    fn closable_later(&self, head: usize, pos: usize) -> bool {
+        self.closable_later[head * (self.n + 1) + pos]
+    }
+
+    fn dfs(&mut self, pos: usize, count: usize) {
         if self.aborted || self.proved {
             return;
         }
@@ -264,10 +299,14 @@ impl Search<'_> {
         if count >= self.best_count {
             return; // incumbent prune: count never decreases
         }
+        let steps = self.steps;
         if pos == self.n {
-            if open.iter().all(|p| self.dm.free_wrap(p.tail, p.head)) {
+            if self.open.iter().all(|p| steps.is_free(p.tail, p.head)) {
                 self.best_count = count;
-                self.best_assign = Some(assign.clone());
+                match &mut self.best_assign {
+                    Some(best) => best.copy_from_slice(&self.assign),
+                    None => self.best_assign = Some(self.assign.clone()),
+                }
                 if count == self.lb {
                     self.proved = true;
                 }
@@ -276,76 +315,179 @@ impl Search<'_> {
         }
         // Closability prune: every open path must either already close or
         // still have a potential closing tail among the remaining accesses.
-        for p in open.iter() {
-            if !self.dm.free_wrap(p.tail, p.head) && !self.closable_later[p.head][pos] {
+        for p in &self.open {
+            if !steps.is_free(p.tail, p.head) && !self.closable_later(p.head, pos) {
                 return;
             }
         }
         // Dominance memoization.
-        if self.memoize {
-            let mut key: Vec<(i64, i64)> = open
-                .iter()
-                .map(|p| (self.dm.offset(p.head), self.dm.offset(p.tail)))
-                .collect();
-            key.sort_unstable();
-            match self.memo.get_mut(&(pos, key.clone())) {
-                Some(best_seen) if *best_seen <= count => return,
-                Some(best_seen) => *best_seen = count,
-                None => {
-                    self.memo.insert((pos, key), count);
-                }
+        if let Some(memo) = &mut self.memo {
+            let class = &self.class;
+            let signatures = self.open.iter().map(|&p| signature(class, p));
+            if memo.seen(signatures, pos, count) {
+                return;
             }
         }
 
         // Branch 1: append `pos` to a compatible open path (deduplicated
         // by (head offset, tail offset), nearest tail first).
-        let mut candidates: Vec<usize> = Vec::new();
-        let mut seen: Vec<(i64, i64)> = Vec::new();
-        for (slot, p) in open.iter().enumerate() {
-            if !self.dm.free_intra(p.tail, pos) {
+        let start = self.candidates.len();
+        for (slot, &p) in self.open.iter().enumerate() {
+            if !steps.is_free(p.tail, pos) {
                 continue;
             }
             // After appending, the path must remain closable.
-            if !self.dm.free_wrap(pos, p.head) && !self.closable_later[p.head][pos + 1] {
+            if !steps.is_free(pos, p.head) && !self.closable_later(p.head, pos + 1) {
                 continue;
             }
-            let sig = (self.dm.offset(p.head), self.dm.offset(p.tail));
-            if seen.contains(&sig) {
-                continue; // symmetric branch
+            let sig = signature(&self.class, p);
+            let symmetric = self.candidates[start..]
+                .iter()
+                .any(|&(_, other)| signature(&self.class, self.open[other as usize]) == sig);
+            if !symmetric {
+                let distance = steps.delta(p.tail, pos).unsigned_abs();
+                self.candidates.push((distance, slot as u32));
             }
-            seen.push(sig);
-            candidates.push(slot);
         }
-        candidates.sort_by_key(|&slot| self.dm.intra_distance(open[slot].tail, pos).unsigned_abs());
-        for slot in candidates {
-            let saved_tail = open[slot].tail;
-            let id = open[slot].id;
-            open[slot].tail = pos;
-            assign[pos] = id;
-            self.dfs(pos + 1, open, assign, count);
-            open[slot].tail = saved_tail;
-            assign[pos] = usize::MAX;
+        // Ties keep slot order, as a stable sort by distance would.
+        self.candidates[start..].sort_unstable();
+        for at in start..self.candidates.len() {
+            let slot = self.candidates[at].1 as usize;
+            let saved_tail = self.open[slot].tail;
+            let id = self.open[slot].id;
+            self.open[slot].tail = pos;
+            self.assign[pos] = id;
+            self.dfs(pos + 1, count);
+            self.open[slot].tail = saved_tail;
+            self.assign[pos] = usize::MAX;
             if self.aborted || self.proved {
-                return;
+                break;
             }
+        }
+        self.candidates.truncate(start);
+        if self.aborted || self.proved {
+            return;
         }
 
         // Branch 2: open a new path at `pos` (if a fresh singleton can
         // still close eventually).
         if count + 1 < self.best_count
-            && (self.dm.free_wrap(pos, pos) || self.closable_later[pos][pos + 1])
+            && (steps.is_free(pos, pos) || self.closable_later(pos, pos + 1))
         {
-            open.push(OpenPath {
+            self.open.push(OpenPath {
                 head: pos,
                 tail: pos,
                 id: count,
             });
-            assign[pos] = count;
-            self.dfs(pos + 1, open, assign, count + 1);
-            open.pop();
-            assign[pos] = usize::MAX;
+            self.assign[pos] = count;
+            self.dfs(pos + 1, count + 1);
+            self.open.pop();
+            self.assign[pos] = usize::MAX;
         }
     }
+}
+
+/// The dominance memo: for every state visited — its memo key — the
+/// fewest paths it was reached with. The keys lie end to end in one
+/// buffer, indexed by an open-addressing table, so a lookup allocates
+/// nothing and an insert allocates only when the memo grows.
+#[derive(Debug, Default)]
+struct Memo {
+    /// The entries by hash; a power of two long, at most half full.
+    table: Vec<MemoEntry>,
+    entries: usize,
+    /// Every entry's key, then the key being looked up.
+    words: Vec<u64>,
+}
+
+/// One [`Memo`] slot; empty while `len` is 0 (a key holds at least its
+/// position).
+#[derive(Debug, Clone, Copy, Default)]
+struct MemoEntry {
+    hash: u64,
+    /// The key is `words[start..start + len]`.
+    start: usize,
+    len: usize,
+    best: usize,
+}
+
+impl Memo {
+    /// `true` if the state at `pos` whose open paths have `signatures`
+    /// was reached before with at most `count` paths; otherwise records
+    /// `count` for it. The key — the signatures sorted, then `pos` — is
+    /// built at the end of the key buffer and stays there only when it
+    /// is new.
+    fn seen(
+        &mut self,
+        signatures: impl ExactSizeIterator<Item = u64>,
+        pos: usize,
+        count: usize,
+    ) -> bool {
+        if 2 * (self.entries + 1) > self.table.len() {
+            self.grow(signatures.len() + 1);
+        }
+        let start = self.words.len();
+        self.words.extend(signatures);
+        self.words[start..].sort_unstable();
+        self.words.push(pos as u64);
+        let key = &self.words[start..];
+        let hash = hash_words(key);
+        let mask = self.table.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let entry = self.table[at];
+            if entry.len == 0 {
+                break;
+            }
+            if entry.hash == hash && self.words[entry.start..entry.start + entry.len] == *key {
+                self.words.truncate(start);
+                if entry.best <= count {
+                    return true;
+                }
+                self.table[at].best = count;
+                return false;
+            }
+            at = (at + 1) & mask;
+        }
+        self.table[at] = MemoEntry {
+            hash,
+            start,
+            len: self.words.len() - start,
+            best: count,
+        };
+        self.entries += 1;
+        false
+    }
+
+    /// Doubles the table (64 slots at first) and makes room in the key
+    /// buffer for keys up to the table's capacity, each as long as the
+    /// longest so far or `key_len`.
+    fn grow(&mut self, key_len: usize) {
+        let len = (2 * self.table.len()).max(64);
+        let mut table = vec![MemoEntry::default(); len];
+        let mask = len - 1;
+        let mut longest = key_len;
+        for entry in self.table.iter().filter(|entry| entry.len > 0) {
+            let mut at = entry.hash as usize & mask;
+            while table[at].len > 0 {
+                at = (at + 1) & mask;
+            }
+            table[at] = *entry;
+            longest = longest.max(entry.len);
+        }
+        self.table = table;
+        self.words.reserve((len / 2 - self.entries + 1) * longest);
+    }
+}
+
+/// A fast hash of memo key words (multiply-rotate per word, then the
+/// high half folded into the low bits the table indexes by).
+#[inline]
+fn hash_words(words: &[u64]) -> u64 {
+    let hash = words.iter().fold(0u64, |hash, &word| {
+        (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+    });
+    hash ^ hash >> 32
 }
 
 #[cfg(test)]

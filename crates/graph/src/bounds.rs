@@ -4,9 +4,9 @@
 //! matching-based lower bound (their ref \[2\]) and a fast heuristic upper
 //! bound; when the two coincide the search is skipped entirely.
 
-use crate::distance::DistanceModel;
-use crate::matching;
-use crate::path::{Path, PathCover};
+use crate::distance::{DistanceModel, StepMatrix};
+use crate::matching::MatchingCover;
+use crate::path::PathCover;
 
 /// Bounds on the minimum number of zero-cost paths (virtual registers).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,74 +51,106 @@ impl Bounds {
 /// assert!(cover.is_zero_cost(&dm));
 /// ```
 pub fn upper_bound_cover(dm: &DistanceModel) -> Option<PathCover> {
-    split_repair_cover(&matching::min_path_cover(dm), dm)
+    let steps = StepMatrix::new(dm);
+    bounds(&steps, &MatchingCover::new(&steps)).upper
 }
 
-/// [`upper_bound_cover`] from an already computed matching cover `base`.
-pub(crate) fn split_repair_cover(base: &PathCover, dm: &DistanceModel) -> Option<PathCover> {
-    let mut repaired: Vec<Path> = Vec::new();
-    for path in base.paths() {
-        repaired.extend(split_repair(path, dm)?);
-    }
-    Some(PathCover::new(repaired, dm.len()).expect("splits preserve the partition"))
-}
-
-/// Computes both bounds from `matched`, the [`matching::min_path_cover`]
-/// of `dm`, which a caller can share with
+/// Computes both bounds from `matched`, the [`MatchingCover`] of
+/// `steps`, which a caller can share with
 /// [`bb::min_zero_cost_cover_from`](crate::bb::min_zero_cost_cover_from)
 /// so that one matching serves the bounds and the search.
-pub fn bounds(dm: &DistanceModel, matched: &PathCover) -> Bounds {
+pub fn bounds(steps: &StepMatrix, matched: &MatchingCover) -> Bounds {
     Bounds {
         lower: matched.register_count(),
-        upper: split_repair_cover(matched, dm),
+        upper: split_repair(steps, matched)
+            .map(|(assignment, _)| PathCover::from_assignment(&assignment)),
     }
 }
 
-/// Splits `path` into the minimum number of contiguous segments such that
-/// every segment's wrap step is free. Returns `None` if impossible.
-fn split_repair(path: &Path, dm: &DistanceModel) -> Option<Vec<Path>> {
-    let idx = path.indices();
-    let len = idx.len();
-    if dm.free_wrap(path.tail(), path.head()) {
-        return Some(vec![path.clone()]);
-    }
-    // seg[i] = minimum segments covering idx[i..], usize::MAX = impossible.
-    let mut seg = vec![usize::MAX; len + 1];
-    let mut cut = vec![len; len + 1]; // cut[i] = end (exclusive) of the segment starting at i
-    seg[len] = 0;
-    for i in (0..len).rev() {
-        for j in i..len {
-            // Segment idx[i..=j]: head idx[i], tail idx[j].
-            if dm.free_wrap(idx[j], idx[i]) && seg[j + 1] != usize::MAX {
-                let candidate = 1 + seg[j + 1];
-                if candidate < seg[i] {
-                    seg[i] = candidate;
-                    cut[i] = j + 1;
+/// One position of a chain in [`split_repair`]'s DP.
+#[derive(Debug, Clone, Copy)]
+struct Cut {
+    access: usize,
+    segments: usize,
+    end: usize,
+}
+
+/// The split repair of `matched`: every chain cut into the fewest
+/// contiguous segments whose wraps are free, as a path id per access
+/// and the number of paths. `None` if some chain cannot be cut so.
+pub(crate) fn split_repair(
+    steps: &StepMatrix,
+    matched: &MatchingCover,
+) -> Option<(Vec<usize>, usize)> {
+    let n = steps.len();
+    let mut assignment = vec![0; n];
+    let mut paths = 0;
+    // A chain that must split: per position `i`, its access and the
+    // fewest segments covering `chain[i..]` (`usize::MAX`: impossible)
+    // with the end of the first; one more entry ends the chain.
+    let mut chain: Vec<Cut> = Vec::new();
+    for head in (0..n).filter(|&head| matched.is_head(head)) {
+        let tail = matched.chain(head).last().expect("a chain has its head");
+        if steps.is_free(tail, head) {
+            for at in matched.chain(head) {
+                assignment[at] = paths;
+            }
+            paths += 1;
+            continue;
+        }
+        chain.clear();
+        chain.extend(matched.chain(head).map(|access| Cut {
+            access,
+            segments: usize::MAX,
+            end: 0,
+        }));
+        let len = chain.len();
+        chain.push(Cut {
+            access: usize::MAX,
+            segments: 0,
+            end: len,
+        });
+        for i in (0..len).rev() {
+            for j in i..len {
+                // Segment chain[i..=j]: head chain[i], tail chain[j].
+                let rest = chain[j + 1].segments;
+                if steps.is_free(chain[j].access, chain[i].access)
+                    && rest != usize::MAX
+                    && 1 + rest < chain[i].segments
+                {
+                    (chain[i].segments, chain[i].end) = (1 + rest, j + 1);
                 }
             }
         }
+        if chain[0].segments == usize::MAX {
+            return None;
+        }
+        let mut i = 0;
+        while i < len {
+            let end = chain[i].end;
+            for cut in &chain[i..end] {
+                assignment[cut.access] = paths;
+            }
+            paths += 1;
+            i = end;
+        }
     }
-    if seg[0] == usize::MAX {
-        return None;
-    }
-    let mut out = Vec::with_capacity(seg[0]);
-    let mut i = 0;
-    while i < len {
-        let j = cut[i];
-        out.push(Path::new(idx[i..j].to_vec()).expect("contiguous slice stays increasing"));
-        i = j;
-    }
-    Some(out)
+    Some((assignment, paths))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn bounds_of(dm: &DistanceModel) -> Bounds {
+        let steps = StepMatrix::new(dm);
+        bounds(&steps, &MatchingCover::new(&steps))
+    }
+
     #[test]
     fn paper_example_bounds_are_tight_at_two() {
         let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-        let b = bounds(&dm, &matching::min_path_cover(&dm));
+        let b = bounds_of(&dm);
         assert_eq!(b.lower, 2);
         // The heuristic must find some zero-cost cover; with luck it is
         // tight, but at minimum it must be feasible and >= lower.
@@ -132,7 +164,7 @@ mod tests {
         // 0,1,2,3 with stride 1: chain is free and the wrap 0+1-3 = -2 is
         // not free, so the chain must split; stride 4 would close it.
         let dm = DistanceModel::from_offsets(&[0, 1, 2, 3], 4, 1);
-        let b = bounds(&dm, &matching::min_path_cover(&dm));
+        let b = bounds_of(&dm);
         assert_eq!(b.lower, 1);
         assert!(b.is_tight(), "wrap 0+4-3 = 1 is free: single register");
     }
@@ -168,7 +200,7 @@ mod tests {
     #[test]
     fn bounds_upper_value_and_tightness() {
         let dm = DistanceModel::from_offsets(&[0, 1, 2], 3, 1);
-        let b = bounds(&dm, &matching::min_path_cover(&dm));
+        let b = bounds_of(&dm);
         assert_eq!(b.lower, 1);
         assert_eq!(b.upper_value(), Some(1)); // wrap 0+3-2 = 1 free
         assert!(b.is_tight());
@@ -177,7 +209,7 @@ mod tests {
     #[test]
     fn lower_bound_counts_isolated_nodes() {
         let dm = DistanceModel::from_offsets(&[0, 100, 200], 1, 1);
-        assert_eq!(bounds(&dm, &matching::min_path_cover(&dm)).lower, 3);
+        assert_eq!(bounds_of(&dm).lower, 3);
         let cover = upper_bound_cover(&dm).expect("singletons close with stride 1");
         assert_eq!(cover.register_count(), 3);
     }

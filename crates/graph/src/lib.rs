@@ -64,7 +64,7 @@ pub mod modify;
 mod path;
 
 pub use bb::{BbOptions, BbResult, CoverSearchError};
-pub use distance::DistanceModel;
+pub use distance::{DistanceModel, StepMatrix};
 pub use graph::AccessGraph;
 pub use modify::{DeltaHistogram, ModifyAllocation};
 pub use path::{CoverError, Path, PathCover, PathError};

@@ -11,83 +11,148 @@
 //! The matching is computed with Hopcroft–Karp in
 //! `O(E sqrt(V))`.
 
-use crate::distance::DistanceModel;
+use crate::distance::{DistanceModel, StepMatrix};
 use crate::path::{Path, PathCover};
+
+/// No partner: an unmatched vertex, or a chain's end.
+const NONE: u32 = u32::MAX;
+
+/// A bipartite graph's adjacency, flat: the right neighbours of left
+/// vertex `i` are `words[words[i]..words[i + 1]]`, after the `n + 1`
+/// bounds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Adjacency {
+    words: Vec<u32>,
+}
+
+impl Adjacency {
+    /// The adjacency with `edges` right vertices per left vertex, in
+    /// order, in one allocation when `edges` fits `capacity`.
+    fn build<I: IntoIterator<Item = u32>>(
+        left: usize,
+        capacity: usize,
+        mut edges: impl FnMut(usize) -> I,
+    ) -> Self {
+        let mut words = Vec::with_capacity(left + 1 + capacity);
+        words.resize(left + 1, 0);
+        for i in 0..left {
+            words[i] = words.len() as u32;
+            words.extend(edges(i));
+        }
+        words[left] = words.len() as u32;
+        Adjacency { words }
+    }
+
+    /// The intra-iteration zero-cost relation of `steps`: left vertex `i`
+    /// connects to right vertex `j` iff `i < j` and the step `i → j` is
+    /// free, in ascending `j`.
+    pub(crate) fn intra(steps: &StepMatrix) -> Self {
+        let n = steps.len();
+        Adjacency::build(n, n * n.saturating_sub(1) / 2, |i| {
+            ((i + 1)..n)
+                .filter(move |&j| steps.is_free(i, j))
+                .map(|j| j as u32)
+        })
+    }
+
+    /// The number of left vertices.
+    fn left(&self) -> usize {
+        self.words.first().map_or(0, |&first| first as usize - 1)
+    }
+
+    /// The right neighbours of left vertex `i`.
+    fn neighbours(&self, i: usize) -> &[u32] {
+        &self.words[self.words[i] as usize..self.words[i + 1] as usize]
+    }
+}
+
+#[cfg(test)]
+impl Adjacency {
+    /// The flat form of adjacency lists.
+    pub(crate) fn from_lists(lists: &[Vec<usize>]) -> Self {
+        Adjacency::build(lists.len(), 0, |i| lists[i].iter().map(|&j| j as u32))
+    }
+}
 
 /// A maximum matching between left and right vertex copies.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Matching {
-    pair_left: Vec<Option<usize>>,
-    pair_right: Vec<Option<usize>>,
+pub(crate) struct Matching {
+    /// The partner of each left vertex, then of each right vertex, or
+    /// [`NONE`]; then the search's scratch, kept to save an allocation.
+    pairs: Vec<u32>,
+    left: usize,
+    right: usize,
     size: usize,
 }
 
 impl Matching {
     /// The right partner matched to left vertex `i`, if any.
-    pub fn partner_of_left(&self, i: usize) -> Option<usize> {
-        self.pair_left.get(i).copied().flatten()
+    pub(crate) fn partner_of_left(&self, i: usize) -> Option<usize> {
+        self.pairs[..self.left]
+            .get(i)
+            .filter(|&&j| j != NONE)
+            .map(|&j| j as usize)
     }
 
     /// The left partner matched to right vertex `j`, if any.
-    pub fn partner_of_right(&self, j: usize) -> Option<usize> {
-        self.pair_right.get(j).copied().flatten()
+    pub(crate) fn partner_of_right(&self, j: usize) -> Option<usize> {
+        self.pairs[self.left..self.left + self.right]
+            .get(j)
+            .filter(|&&i| i != NONE)
+            .map(|&i| i as usize)
     }
 
     /// Number of matched pairs.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size
     }
 }
 
 /// Computes a maximum bipartite matching with Hopcroft–Karp.
 ///
-/// `adjacency[i]` lists the right vertices reachable from left vertex `i`.
-/// Runs in `O(E sqrt(V))`.
-///
-/// # Examples
-///
-/// ```
-/// use raco_graph::matching::hopcroft_karp;
-/// // Perfect matching on a 2x2 biclique:
-/// let m = hopcroft_karp(2, 2, &[vec![0, 1], vec![0, 1]]);
-/// assert_eq!(m.size(), 2);
-/// ```
-pub fn hopcroft_karp(n_left: usize, n_right: usize, adjacency: &[Vec<usize>]) -> Matching {
+/// Left vertex `i` reaches the right vertices
+/// `adjacency.neighbours(i)`, tried in that order. Runs in
+/// `O(E sqrt(V))`.
+pub(crate) fn hopcroft_karp(n_left: usize, n_right: usize, adjacency: &Adjacency) -> Matching {
     assert_eq!(
-        adjacency.len(),
+        adjacency.left(),
         n_left,
         "adjacency list must have one entry per left vertex"
     );
     const INF: u32 = u32::MAX;
-    let mut pair_left: Vec<Option<usize>> = vec![None; n_left];
-    let mut pair_right: Vec<Option<usize>> = vec![None; n_right];
-    let mut dist: Vec<u32> = vec![INF; n_left];
-    let mut queue: Vec<usize> = Vec::with_capacity(n_left);
+    // The partners, then the BFS layers and queue.
+    let mut pairs = vec![NONE; n_left + n_right + 2 * n_left];
+    let (pair_left, rest) = pairs.split_at_mut(n_left);
+    let (pair_right, rest) = rest.split_at_mut(n_right);
+    let (dist, queue) = rest.split_at_mut(n_left);
     let mut size = 0usize;
 
     loop {
         // BFS phase: layer the graph from unmatched left vertices.
-        queue.clear();
+        let mut tail = 0;
         for u in 0..n_left {
-            if pair_left[u].is_none() {
+            if pair_left[u] == NONE {
                 dist[u] = 0;
-                queue.push(u);
+                queue[tail] = u as u32;
+                tail += 1;
             } else {
                 dist[u] = INF;
             }
         }
         let mut found_augmenting_layer = false;
         let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
+        while head < tail {
+            let u = queue[head] as usize;
             head += 1;
-            for &v in &adjacency[u] {
-                match pair_right[v] {
-                    None => found_augmenting_layer = true,
-                    Some(u2) => {
+            for &v in adjacency.neighbours(u) {
+                match pair_right[v as usize] {
+                    NONE => found_augmenting_layer = true,
+                    u2 => {
+                        let u2 = u2 as usize;
                         if dist[u2] == INF {
                             dist[u2] = dist[u] + 1;
-                            queue.push(u2);
+                            queue[tail] = u2 as u32;
+                            tail += 1;
                         }
                     }
                 }
@@ -100,56 +165,116 @@ pub fn hopcroft_karp(n_left: usize, n_right: usize, adjacency: &[Vec<usize>]) ->
         // augmenting paths.
         fn dfs(
             u: usize,
-            adjacency: &[Vec<usize>],
-            pair_left: &mut [Option<usize>],
-            pair_right: &mut [Option<usize>],
+            adjacency: &Adjacency,
+            pair_left: &mut [u32],
+            pair_right: &mut [u32],
             dist: &mut [u32],
         ) -> bool {
-            for idx in 0..adjacency[u].len() {
-                let v = adjacency[u][idx];
-                let ok = match pair_right[v] {
-                    None => true,
-                    Some(u2) => {
+            for &v in adjacency.neighbours(u) {
+                let ok = match pair_right[v as usize] {
+                    NONE => true,
+                    u2 => {
+                        let u2 = u2 as usize;
                         dist[u2] == dist[u].saturating_add(1)
                             && dfs(u2, adjacency, pair_left, pair_right, dist)
                     }
                 };
                 if ok {
-                    pair_left[u] = Some(v);
-                    pair_right[v] = Some(u);
+                    pair_left[u] = v;
+                    pair_right[v as usize] = u as u32;
                     return true;
                 }
             }
-            dist[u] = u32::MAX;
+            dist[u] = INF;
             false
         }
         for u in 0..n_left {
-            if pair_left[u].is_none()
-                && dfs(u, adjacency, &mut pair_left, &mut pair_right, &mut dist)
-            {
+            if pair_left[u] == NONE && dfs(u, adjacency, pair_left, pair_right, dist) {
                 size += 1;
             }
         }
     }
     Matching {
-        pair_left,
-        pair_right,
+        pairs,
+        left: n_left,
+        right: n_right,
         size,
     }
 }
 
-/// The bipartite adjacency of the intra-iteration zero-cost relation:
-/// left vertex `i` connects to right vertex `j` iff `i < j` and the step
-/// `i → j` is free.
-pub fn intra_adjacency(dm: &DistanceModel) -> Vec<Vec<usize>> {
-    let n = dm.len();
-    (0..n)
-        .map(|i| ((i + 1)..n).filter(|&j| dm.free_intra(i, j)).collect())
-        .collect()
+/// A minimum path cover of the intra-iteration graph (wrap constraints
+/// ignored), kept as the maximum matching it comes from: every access's
+/// successor on its chain. Phase 1's lower bound is its path count, its
+/// split repair the heuristic upper bound, and its
+/// [`cover`](Self::cover) the relaxed fallback.
+///
+/// ```
+/// use raco_graph::matching::MatchingCover;
+/// use raco_graph::{matching, DistanceModel, StepMatrix};
+///
+/// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
+/// let matched = MatchingCover::new(&StepMatrix::new(&dm));
+/// assert_eq!(matched.register_count(), 2);
+/// assert_eq!(matched.cover(), matching::min_path_cover(&dm));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MatchingCover {
+    matching: Matching,
+}
+
+impl MatchingCover {
+    /// The matching cover of `steps`' free intra steps.
+    pub fn new(steps: &StepMatrix) -> Self {
+        let n = steps.len();
+        MatchingCover {
+            matching: hopcroft_karp(n, n, &Adjacency::intra(steps)),
+        }
+    }
+
+    /// Number of accesses.
+    pub fn accesses(&self) -> usize {
+        self.matching.left
+    }
+
+    /// The number of chains: the lower bound on `K̃`.
+    pub fn register_count(&self) -> usize {
+        self.accesses() - self.matching.size()
+    }
+
+    /// `true` iff nothing precedes `access` on its chain.
+    pub(crate) fn is_head(&self, access: usize) -> bool {
+        self.matching.partner_of_right(access).is_none()
+    }
+
+    /// The access after `access` on its chain, if any.
+    pub(crate) fn next(&self, access: usize) -> Option<usize> {
+        self.matching.partner_of_left(access)
+    }
+
+    /// The chain starting at `head`, in order.
+    pub(crate) fn chain(&self, head: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(head), |&at| self.next(at))
+    }
+
+    /// The chains as a [`PathCover`]. Every intra step of every path is
+    /// free; back-edge (wrap) steps may not be.
+    pub fn cover(&self) -> PathCover {
+        let n = self.accesses();
+        let mut paths = Vec::with_capacity(self.register_count());
+        for head in (0..n).filter(|&head| self.is_head(head)) {
+            let len = self.chain(head).count();
+            let mut chain = Vec::with_capacity(len);
+            chain.extend(self.chain(head));
+            paths.push(Path::new(chain).expect("chains are strictly increasing"));
+        }
+        // Heads were taken in ascending order: the canonical order.
+        PathCover::from_canonical(paths, n)
+    }
 }
 
 /// An explicit minimum path cover of the intra-iteration graph (wrap
-/// constraints ignored), extracted from a maximum matching.
+/// constraints ignored), extracted from a maximum matching: the
+/// [`MatchingCover`] of `dm` as a [`PathCover`].
 ///
 /// Every intra step of every returned path is free; back-edge (wrap) steps
 /// may not be.
@@ -166,22 +291,7 @@ pub fn intra_adjacency(dm: &DistanceModel) -> Vec<Vec<usize>> {
 /// assert_eq!(ModifyAllocation::new(paths, 0, false).charged(), 0);
 /// ```
 pub fn min_path_cover(dm: &DistanceModel) -> PathCover {
-    let n = dm.len();
-    let m = hopcroft_karp(n, n, &intra_adjacency(dm));
-    let mut paths = Vec::new();
-    for head in 0..n {
-        if m.partner_of_right(head).is_some() {
-            continue; // not a chain head: something precedes it
-        }
-        let mut chain = vec![head];
-        let mut cur = head;
-        while let Some(next) = m.partner_of_left(cur) {
-            chain.push(next);
-            cur = next;
-        }
-        paths.push(Path::new(chain).expect("chains are strictly increasing"));
-    }
-    PathCover::new(paths, n).expect("matching chains partition the nodes")
+    MatchingCover::new(&StepMatrix::new(dm)).cover()
 }
 
 #[cfg(test)]
@@ -207,13 +317,21 @@ mod tests {
     #[test]
     fn hopcroft_karp_on_small_graphs() {
         // Empty graph.
-        let m = hopcroft_karp(3, 3, &[vec![], vec![], vec![]]);
+        let m = hopcroft_karp(3, 3, &Adjacency::from_lists(&[vec![], vec![], vec![]]));
         assert_eq!(m.size(), 0);
         // A path graph needs alternating choices.
-        let m = hopcroft_karp(3, 3, &[vec![0], vec![0, 1], vec![1]]);
+        let m = hopcroft_karp(
+            3,
+            3,
+            &Adjacency::from_lists(&[vec![0], vec![0, 1], vec![1]]),
+        );
         assert_eq!(m.size(), 2);
         // Perfect matching exists (uniquely 0→1, 1→2, 2→0).
-        let m = hopcroft_karp(3, 3, &[vec![0, 1], vec![1, 2], vec![0]]);
+        let m = hopcroft_karp(
+            3,
+            3,
+            &Adjacency::from_lists(&[vec![0, 1], vec![1, 2], vec![0]]),
+        );
         assert_eq!(m.size(), 3);
         for left in 0..3 {
             let right = m.partner_of_left(left).expect("perfect matching");
@@ -224,16 +342,17 @@ mod tests {
 
     #[test]
     fn hopcroft_karp_handles_asymmetric_sides() {
-        let m = hopcroft_karp(2, 4, &[vec![3], vec![3]]);
+        let m = hopcroft_karp(2, 4, &Adjacency::from_lists(&[vec![3], vec![3]]));
         assert_eq!(m.size(), 1);
-        let m = hopcroft_karp(4, 1, &[vec![0], vec![0], vec![0], vec![0]]);
+        let adjacency = Adjacency::from_lists(&[vec![0], vec![0], vec![0], vec![0]]);
+        let m = hopcroft_karp(4, 1, &adjacency);
         assert_eq!(m.size(), 1);
     }
 
     #[test]
     #[should_panic(expected = "one entry per left vertex")]
     fn hopcroft_karp_validates_adjacency_len() {
-        let _ = hopcroft_karp(2, 2, &[vec![0]]);
+        let _ = hopcroft_karp(2, 2, &Adjacency::from_lists(&[vec![0]]));
     }
 
     #[test]

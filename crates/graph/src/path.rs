@@ -309,6 +309,14 @@ impl PathCover {
         }
     }
 
+    /// A cover of `n` accesses from `paths` that partition them and are
+    /// already in canonical order (ascending heads); unchecked in
+    /// release builds.
+    pub(crate) fn from_canonical(paths: Vec<Path>, n: usize) -> Self {
+        debug_assert!(PathCover::new(paths.clone(), n).is_ok_and(|cover| cover.paths == paths));
+        PathCover { paths, n }
+    }
+
     /// The cover an assignment describes: `assignment[i]` is the id of
     /// the register serving access `i`. Accesses with one id form one
     /// path, in order; ids that serve nothing give no path. Ids index a

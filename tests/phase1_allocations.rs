@@ -1,0 +1,149 @@
+//! Heap allocations of Phase 1, counted by this binary's own global
+//! allocator, so the bounds hold on any host: the branch-and-bound
+//! search allocates nothing per node, and Phase 1 over the ROADMAP's
+//! Table 1 patterns on the six built-ins allocates at most a third of
+//! what it did when the bounds, the search and every search node built
+//! their own vectors.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use raco::core::phase1;
+use raco::core::random::PatternGenerator;
+use raco::graph::{BbOptions, DistanceModel};
+use raco::ir::MachineDescription;
+
+/// Counts the allocations made on the current thread (the test harness
+/// runs tests on parallel threads; each counts only its own).
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counter is a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made on this thread while `f` runs.
+fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    let after = ALLOCATIONS.with(Cell::get);
+    drop(out);
+    after - before
+}
+
+/// Table 3's offsets (ROADMAP): a 64-bit LCG (multiplier
+/// 6364136223846793005, increment 1442695040888963407, seed 12345),
+/// `(s >> 33) % 17 − 8`; the first 32 take the paper machine's search
+/// 6394 nodes.
+fn table3_prefix(len: usize) -> Vec<i64> {
+    let mut state: u64 = 12345;
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as i64 % 17 - 8
+        })
+        .collect()
+}
+
+/// The allocations and the report of Phase 1 on `dm` within
+/// `node_limit` nodes.
+fn searched(dm: &DistanceModel, node_limit: u64, memoize: bool) -> (u64, phase1::Phase1Report) {
+    let options = BbOptions {
+        node_limit,
+        memoize,
+    };
+    let report = phase1::run(dm, options);
+    (allocations(|| phase1::run(dm, options)), report)
+}
+
+#[test]
+fn a_search_allocates_nothing_per_node() {
+    let dm = DistanceModel::from_offsets(&table3_prefix(32), 1, 1);
+    for memoize in [false, true] {
+        let (small, ten) = searched(&dm, 10, memoize);
+        let (large, thousand) = searched(&dm, 1000, memoize);
+        assert_eq!(
+            (ten.nodes(), thousand.nodes()),
+            (11, 1001),
+            "both searches stop at their budget"
+        );
+        // Both return the heuristic cover, so the report costs the same.
+        assert_eq!(ten.cover(), thousand.cover());
+        if memoize {
+            // Only the memo grows: its table doubles from 64 slots to at
+            // most 2048 for 1001 states (five doublings), each a new
+            // table and a key-buffer reservation, and the key buffer may
+            // outgrow one reservation per doubling.
+            assert!(
+                large <= small + 3 * 5,
+                "10 nodes made {small} allocations, 1000 nodes made {large}"
+            );
+        } else {
+            assert_eq!(
+                small, large,
+                "10 nodes made {small} allocations, 1000 nodes made {large}"
+            );
+        }
+    }
+}
+
+/// The allocations of `phase1::run` over Table 1's 300 patterns
+/// (`PatternGenerator::new(1 + s % 12).offset_span(8)`, seed `s`) on
+/// each of the six built-ins.
+fn table1_allocations() -> u64 {
+    let mut total = 0;
+    for &name in MachineDescription::builtin_names() {
+        let range = MachineDescription::builtin(name)
+            .expect("built-in machine")
+            .spec()
+            .update_range();
+        for s in 0..300u64 {
+            let pattern = PatternGenerator::new(1 + s as usize % 12)
+                .offset_span(8)
+                .generate(s);
+            let dm = DistanceModel::with_range(&pattern, range);
+            total += allocations(|| phase1::run(&dm, BbOptions::default()));
+        }
+    }
+    total
+}
+
+#[test]
+fn table1_phase1_allocates_at_most_a_third_of_the_per_node_search() {
+    // Measured when the matching built adjacency lists, the split repair
+    // a path per segment, and every search node its candidate, symmetry
+    // and memo-key vectors.
+    const PER_NODE_SEARCH: u64 = 88_207;
+    let total = table1_allocations();
+    assert!(
+        3 * total <= PER_NODE_SEARCH,
+        "Phase 1 made {total} allocations, more than a third of {PER_NODE_SEARCH}"
+    );
+}

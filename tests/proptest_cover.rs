@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 
 use raco::core::{phase1, phase2, CostModel, MergeStrategy, Phase1Outcome};
-use raco::graph::{bb, bounds, brute, matching, BbOptions, DistanceModel, PathCover};
+use raco::graph::matching::MatchingCover;
+use raco::graph::{bb, bounds, brute, matching, BbOptions, DistanceModel, PathCover, StepMatrix};
 
 /// Strategy: a small random pattern (offsets, stride, modify range).
 fn pattern() -> impl Strategy<Value = (Vec<i64>, i64, u32)> {
@@ -54,7 +55,8 @@ proptest! {
     #[test]
     fn bounds_sandwich_the_exact_answer((offsets, stride, m) in pattern()) {
         let dm = DistanceModel::from_offsets(&offsets, stride, m);
-        let b = bounds::bounds(&dm, &matching::min_path_cover(&dm));
+        let steps = StepMatrix::new(&dm);
+        let b = bounds::bounds(&steps, &MatchingCover::new(&steps));
         if let Ok(result) = bb::min_zero_cost_cover(&dm) {
             let exact = result.virtual_registers();
             prop_assert!(b.lower <= exact, "LB {} > exact {exact}", b.lower);
