@@ -7,7 +7,9 @@
 //! * [`DistanceModel`] — address distances between accesses of one
 //!   [`AccessPattern`](raco_ir::AccessPattern), inside an iteration and
 //!   across the loop back-edge, and the zero-/unit-cost classification
-//!   induced by the AGU auto-modify range `M`;
+//!   induced by the AGU auto-modify range `M`, and [`StepMatrix`],
+//!   every step's delta and freeness worked out once per pattern, which
+//!   Phase 1 and Phase 2 (`raco-core`) read;
 //! * [`AccessGraph`] — the paper's graph `G = (V, E)` (Figure 1), with
 //!   intra-iteration and inter-iteration zero-cost edges, exportable to
 //!   Graphviz DOT;

@@ -20,7 +20,7 @@ const NONE: u32 = u32::MAX;
 /// A bipartite graph's adjacency, flat: the right neighbours of left
 /// vertex `i` are `words[words[i]..words[i + 1]]`, after the `n + 1`
 /// bounds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) struct Adjacency {
     words: Vec<u32>,
 }
@@ -75,10 +75,11 @@ impl Adjacency {
 }
 
 /// A maximum matching between left and right vertex copies.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) struct Matching {
     /// The partner of each left vertex, then of each right vertex, or
-    /// [`NONE`]; then the search's scratch, kept to save an allocation.
+    /// [`NONE`]; then Hopcroft–Karp's BFS layers and queue, kept to save
+    /// an allocation.
     pairs: Vec<u32>,
     left: usize,
     right: usize,
@@ -217,7 +218,7 @@ pub(crate) fn hopcroft_karp(n_left: usize, n_right: usize, adjacency: &Adjacency
 /// assert_eq!(matched.register_count(), 2);
 /// assert_eq!(matched.cover(), matching::min_path_cover(&dm));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct MatchingCover {
     matching: Matching,
 }
@@ -232,7 +233,7 @@ impl MatchingCover {
     }
 
     /// Number of accesses.
-    pub fn accesses(&self) -> usize {
+    fn accesses(&self) -> usize {
         self.matching.left
     }
 
