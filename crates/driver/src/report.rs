@@ -618,6 +618,107 @@ mod tests {
     }
 
     #[test]
+    fn json_rendering_is_pinned() {
+        assert_eq!(sample_report().to_json(), SAMPLE_JSON);
+    }
+
+    /// `sample_report().to_json()`, byte for byte.
+    const SAMPLE_JSON: &str = r#"{
+  "machine": {
+    "address_registers": 4,
+    "modify_range": 1,
+    "update_min": -1,
+    "update_max": 1,
+    "modify_registers": 0,
+    "lda_cost": 1,
+    "ldm_cost": 1,
+    "adda_cost": 1
+  },
+  "threads": 2,
+  "elapsed_us": 10000,
+  "loops": 3,
+  "succeeded": 2,
+  "failed": 1,
+  "loops_per_second": 300,
+  "cache": {
+    "allocation_hits": 3,
+    "allocation_misses": 2,
+    "curve_hits": 1,
+    "curve_misses": 4,
+    "loaded": 0,
+    "persisted": 0,
+    "hit_rate": 0.4
+  },
+  "timings": [
+    {
+      "stage": "parse",
+      "calls": 2,
+      "total_us": 4,
+      "p50_us": 1,
+      "p95_us": 3,
+      "p99_us": 3,
+      "max_us": 3
+    }
+  ],
+  "units": [
+    {
+      "name": "a.dsp",
+      "loops": [
+        {
+          "name": "loop0",
+          "arrays": 2,
+          "accesses": 5,
+          "registers_used": 3,
+          "virtual_registers": 4,
+          "cost": 1,
+          "code_words": 7,
+          "measured_cost": 1,
+          "predicted_cycles": 1,
+          "measured_cycles": 1,
+          "addresses_checked": 40,
+          "status": "ok"
+        },
+        {
+          "name": "loop1",
+          "arrays": 2,
+          "accesses": 5,
+          "registers_used": 3,
+          "virtual_registers": 4,
+          "cost": 0,
+          "code_words": 7,
+          "measured_cost": 0,
+          "predicted_cycles": 0,
+          "measured_cycles": 0,
+          "addresses_checked": 40,
+          "status": "ok"
+        }
+      ]
+    },
+    {
+      "name": "b.dsp",
+      "loops": [
+        {
+          "name": "loop0",
+          "arrays": 2,
+          "accesses": 5,
+          "registers_used": 3,
+          "virtual_registers": 4,
+          "cost": 0,
+          "code_words": 7,
+          "measured_cost": null,
+          "predicted_cycles": 0,
+          "measured_cycles": null,
+          "addresses_checked": 40,
+          "status": "failed",
+          "failure": "allocation: too many arrays"
+        }
+      ]
+    }
+  ]
+}
+"#;
+
+    #[test]
     fn timings_table_renders_per_stage_rows() {
         let table = sample_report().render_timings_table();
         assert_eq!(

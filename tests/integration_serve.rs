@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use raco::driver::json::Json;
-use raco::driver::{CachePolicy, PipelineConfig};
+use raco::driver::{CachePolicy, Parallelism, PipelineConfig};
 use raco::ir::AguSpec;
 use raco::serve::{ServeOptions, Server};
 
@@ -341,6 +341,101 @@ fn stdio_and_tcp_sessions_reply_identically() {
     let tcp: Vec<String> = tcp.lines().map(without_wall_clock).collect();
     assert_eq!(stdio.len(), 6, "one reply per non-blank line: {stdio:#?}");
     assert_eq!(stdio, tcp);
+}
+
+/// Replaces the value of every field that varies between runs with `#`:
+/// `elapsed_us` (the envelope's and the report's), `uptime_ms`,
+/// `loops_per_second` and the timing numbers of `timings` rows. Every
+/// other byte of the line is kept.
+fn mask_run_dependent(line: &str) -> String {
+    const VARYING: [&str; 8] = [
+        "elapsed_us",
+        "uptime_ms",
+        "loops_per_second",
+        "total_us",
+        "p50_us",
+        "p95_us",
+        "p99_us",
+        "max_us",
+    ];
+    let mut line = line.to_owned();
+    for key in VARYING {
+        let needle = format!("\"{key}\":");
+        let mut from = 0;
+        while let Some(at) = line[from..].find(&needle) {
+            let value = from + at + needle.len();
+            let len = line[value..]
+                .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
+                .unwrap_or(line.len() - value);
+            line.replace_range(value..value + len, "#");
+            from = value + 1;
+        }
+    }
+    line
+}
+
+/// One request per reply shape: a compile on each of the benchmark's
+/// eight serve machine selections, listings (escaped newlines), timings,
+/// a loop failure, a DSL error whose message carries a quote, a
+/// backslash and a control character, an unknown op, a wrongly-typed
+/// knob, a named kernel and the control ops, with ids of every scalar
+/// type.
+const GOLDEN_REQUESTS: &[&str] = &[
+    r#"{"id":1,"op":"compile","name":"tap3","source":"for (i = 1; i < 64; i++) { y[i] = x[i-1] + x[i] + x[i+1] + h[i]; }","registers":4,"modify":1}"#,
+    r#"{"id":2,"op":"compile","name":"tap3","source":"for (i = 1; i < 64; i++) { y[i] = x[i-1] + x[i] + x[i+1] + h[i]; }","registers":4,"modify":2}"#,
+    r#"{"id":3,"op":"compile","name":"tap3","source":"for (i = 1; i < 64; i++) { y[i] = x[i-1] + x[i] + x[i+1] + h[i]; }","registers":6,"modify":1}"#,
+    r#"{"id":4,"op":"compile","name":"tap3","source":"for (i = 1; i < 64; i++) { y[i] = x[i-1] + x[i] + x[i+1] + h[i]; }","registers":8,"modify":2}"#,
+    r#"{"id":5,"op":"compile","name":"tap3","source":"for (i = 1; i < 64; i++) { y[i] = x[i-1] + x[i] + x[i+1] + h[i]; }","machine":"paper"}"#,
+    r#"{"id":6,"op":"compile","name":"tap3","source":"for (i = 1; i < 64; i++) { y[i] = x[i-1] + x[i] + x[i+1] + h[i]; }","machine":"dsp56k"}"#,
+    r#"{"id":7,"op":"compile","name":"tap3","source":"for (i = 1; i < 64; i++) { y[i] = x[i-1] + x[i] + x[i+1] + h[i]; }","machine":"bwdsp"}"#,
+    r#"{"id":8,"op":"compile","name":"tap3","source":"for (i = 1; i < 64; i++) { y[i] = x[i-1] + x[i] + x[i+1] + h[i]; }","machine":"saris"}"#,
+    r#"{"id":"listed","op":"compile","name":"two loops","source":"for (i = 0; i < 16; i++) { y[i] = x[i] + x[i+2]; } for (j = 2; j < 16; j++) { z[j] = w[j-2] * w[j]; }","listings":true}"#,
+    r#"{"id":10,"op":"compile","source":"for (i = 2; i < 40; i++) { y[i] = x[i-2] + x[i+2] + x[i+5]; }","timings":true}"#,
+    r#"{"id":11,"op":"compile","name":"too few","source":"for (i = 0; i < 8; i++) { y[i] = x[i] + h[i]; }","registers":1}"#,
+    r#"{"id":"q\"\\","op":"compile","name":"a\"b\\c\u0001d","source":"for (i = 0; i < 8; i++) { y[i] = x[i] @ 1; }"}"#,
+    r#"{"id":-13,"op":"warp"}"#,
+    r#"{"id":14,"op":"compile","source":"for (i = 0; i < 8; i++) { s += x[i]; }","registers":"four"}"#,
+    r#"{"id":15,"op":"kernels","kernel":"paper_example"}"#,
+    r#"{"id":2.5,"op":"ping"}"#,
+    r#"{"id":true,"op":"save_cache"}"#,
+    r#"{"op":"stats"}"#,
+    r#"{"id":19,"op":"clear_cache"}"#,
+    r#"{"id":20,"op":"stats"}"#,
+    r#"{"id":21,"op":"shutdown"}"#,
+];
+
+/// The golden requests' reply lines from one stdio session, masked.
+fn golden_replies() -> String {
+    let mut config = config();
+    config.parallelism = Parallelism::Sequential;
+    let mut output = Vec::new();
+    Server::new(config)
+        .serve(GOLDEN_REQUESTS.join("\n").as_bytes(), &mut output)
+        .expect("in-memory transport cannot fail");
+    String::from_utf8(output)
+        .expect("replies are UTF-8")
+        .lines()
+        .map(|line| mask_run_dependent(line) + "\n")
+        .collect()
+}
+
+#[test]
+fn serve_replies_match_the_golden_fixture() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/serve_replies.txt");
+    let expected =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let actual = golden_replies();
+    assert_eq!(actual.lines().count(), GOLDEN_REQUESTS.len(), "{actual}");
+    if let Some((line, (want, got))) = expected
+        .lines()
+        .zip(actual.lines())
+        .enumerate()
+        .find(|(_, (want, got))| want != got)
+    {
+        panic!("line {}: expected\n  {want}\ngot\n  {got}", line + 1);
+    }
+    assert_eq!(actual, expected, "serve replies drifted from the fixture");
 }
 
 #[test]
