@@ -4,10 +4,11 @@
 //! serve front end (`raco-serve`) reads newline-delimited JSON
 //! requests; a full serde dependency is not warranted (and not
 //! available offline) for either direction, so this module provides an
-//! order-preserving value tree, a spec-compliant renderer (string
-//! escaping, no trailing commas, `null` for absent fields) and a
-//! recursive-descent parser ([`Json::parse`]) with the accessors a
-//! protocol handler needs ([`Json::get`], [`Json::as_str`], …).
+//! order-preserving value tree, one streaming [`Writer`] that every
+//! rendering goes through (string escaping, no trailing commas, `null`
+//! for absent fields, compact or indented) and a recursive-descent
+//! parser ([`Json::parse`]) with the accessors a protocol handler needs
+//! ([`Json::get`], [`Json::as_str`], …).
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -149,85 +150,216 @@ impl Json {
     /// Renders compact single-line JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        Writer::compact(&mut out).value(self);
         out
     }
 
     /// Renders human-readable JSON indented by two spaces.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        Writer::pretty(&mut out).value(self);
         out.push('\n');
         out
     }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Json::Num(n) => {
-                if n.is_finite() {
-                    let _ = write!(out, "{n}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                write_sequence(out, indent, level, '[', ']', items.len(), |out, i| {
-                    items[i].write(out, indent, level + 1);
-                });
-            }
-            Json::Obj(fields) => {
-                write_sequence(out, indent, level, '{', '}', fields.len(), |out, i| {
-                    let (key, value) = &fields[i];
-                    write_escaped(out, key);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    value.write(out, indent, level + 1);
-                });
-            }
-        }
-    }
 }
 
-fn write_sequence(
-    out: &mut String,
+/// A streaming JSON writer that appends one value to a `String`.
+///
+/// It is the one place that owns separators, indentation and string
+/// escaping: [`Json::render`] walks its tree through it, and reports and
+/// serve replies write their fields straight into it without building a
+/// tree. Containers take a closure that writes their contents; inside
+/// an object every value follows a [`key`](Self::key).
+///
+/// ```
+/// use raco_driver::json::Writer;
+///
+/// let mut out = String::new();
+/// Writer::compact(&mut out).object(|w| {
+///     w.key("op").str("ping");
+///     w.key("ids").array(|w| {
+///         w.uint(1);
+///         w.int(-2);
+///     });
+/// });
+/// assert_eq!(out, r#"{"op":"ping","ids":[1,-2]}"#);
+/// ```
+#[derive(Debug)]
+pub struct Writer<'a> {
+    out: &'a mut String,
+    /// Spaces per nesting level; `None` writes compact JSON.
     indent: Option<usize>,
+    /// Containers open around the next value.
     level: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
+    /// The innermost open container already holds a value.
+    has_items: bool,
+    /// A key was just written, so its value takes no separator.
+    after_key: bool,
+}
+
+impl<'a> Writer<'a> {
+    /// A writer of compact single-line JSON.
+    pub fn compact(out: &'a mut String) -> Self {
+        Self::with_indent(out, None)
     }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
+
+    /// A writer of JSON indented by two spaces per level.
+    pub fn pretty(out: &'a mut String) -> Self {
+        Self::with_indent(out, Some(2))
+    }
+
+    fn with_indent(out: &'a mut String, indent: Option<usize>) -> Self {
+        Writer {
+            out,
+            indent,
+            level: 0,
+            has_items: false,
+            after_key: false,
         }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', width * (level + 1)));
+    }
+
+    /// Writes an object whose fields `body` writes.
+    pub fn object(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container('{', '}', body);
+    }
+
+    /// Writes an array whose items `body` writes.
+    pub fn array(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container('[', ']', body);
+    }
+
+    /// Writes an object key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        debug_assert!(
+            self.level > 0 && !self.after_key,
+            "a key needs an open object"
+        );
+        self.separate();
+        write_escaped(self.out, key);
+        self.out.push(':');
+        if self.indent.is_some() {
+            self.out.push(' ');
         }
-        item(out, i);
+        self.after_key = true;
+        self
     }
-    if let Some(width) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', width * level));
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.begin_value();
+        self.out.push_str("null");
     }
-    out.push(close);
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, value: bool) {
+        self.begin_value();
+        self.out.push_str(if value { "true" } else { "false" });
+    }
+
+    /// Writes a signed integer.
+    pub fn int(&mut self, value: i64) {
+        self.begin_value();
+        if value < 0 {
+            self.out.push('-');
+        }
+        push_decimal(self.out, value.unsigned_abs());
+    }
+
+    /// Writes an unsigned integer.
+    pub fn uint(&mut self, value: u64) {
+        self.begin_value();
+        push_decimal(self.out, value);
+    }
+
+    /// Writes a float; non-finite values write `null` per RFC 8259.
+    pub fn num(&mut self, value: f64) {
+        self.begin_value();
+        if value.is_finite() {
+            let _ = write!(self.out, "{value}");
+        } else {
+            self.out.push_str("null");
+        }
+    }
+
+    /// Writes `thousandths / 1000` with exactly three fraction digits
+    /// (`12.345`, `0.070`). Integer formatting: a float render costs
+    /// several times as much.
+    pub fn thousandths(&mut self, thousandths: u64) {
+        self.begin_value();
+        push_decimal(self.out, thousandths / 1000);
+        let fraction = thousandths % 1000;
+        self.out.push('.');
+        for digit in [fraction / 100, fraction / 10 % 10, fraction % 10] {
+            self.out.push(char::from(b'0' + digit as u8));
+        }
+    }
+
+    /// Writes an escaped string.
+    pub fn str(&mut self, value: &str) {
+        self.begin_value();
+        write_escaped(self.out, value);
+    }
+
+    /// Writes a value tree.
+    pub fn value(&mut self, value: &Json) {
+        match value {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Int(i) => self.int(*i),
+            Json::UInt(u) => self.uint(*u),
+            Json::Num(n) => self.num(*n),
+            Json::Str(s) => self.str(s),
+            Json::Arr(items) => self.array(|w| items.iter().for_each(|item| w.value(item))),
+            Json::Obj(fields) => self.object(|w| {
+                for (key, value) in fields {
+                    w.key(key).value(value);
+                }
+            }),
+        }
+    }
+
+    fn container(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) {
+        self.begin_value();
+        self.out.push(open);
+        self.level += 1;
+        self.has_items = false;
+        body(self);
+        debug_assert!(!self.after_key, "a key without a value");
+        self.level -= 1;
+        if self.has_items {
+            self.newline();
+        }
+        self.out.push(close);
+        // The container is itself a value of the one around it.
+        self.has_items = true;
+    }
+
+    /// Separates the next value from the one before it: nothing after
+    /// a key or at the top level, a comma (after the first item) and
+    /// the indentation inside a container.
+    fn begin_value(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.level > 0 {
+            self.separate();
+        }
+    }
+
+    fn separate(&mut self) {
+        if self.has_items {
+            self.out.push(',');
+        }
+        self.has_items = true;
+        self.newline();
+    }
+
+    fn newline(&mut self) {
+        if let Some(width) = self.indent {
+            self.out.push('\n');
+            self.out
+                .extend(std::iter::repeat_n(' ', width * self.level));
+        }
+    }
 }
 
 /// Recursion guard: JSON this deep is hostile, not a report.
@@ -475,21 +607,47 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Appends `value` in decimal: the digits into a stack buffer, then one
+/// copy (a report holds dozens of integers, and `write!` goes through
+/// the formatting machinery for each).
+fn push_decimal(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    // Copy unescaped runs in one shot. Every byte that needs an escape
+    // is ASCII, so the run boundaries are character boundaries.
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -510,6 +668,52 @@ mod tests {
         assert_eq!(Json::Num(f64::NAN).render(), "null");
         assert_eq!(Json::str("a\"b\\c\nd").render(), r#""a\"b\\c\nd""#);
         assert_eq!(Json::Str("\u{1}".into()).render(), r#""\u0001""#);
+    }
+
+    #[test]
+    fn writer_streams_what_the_tree_renders() {
+        let tree = Json::Obj(vec![
+            ("a".into(), Json::Arr(vec![])),
+            (
+                "b".into(),
+                Json::Arr(vec![Json::Obj(vec![]), Json::Int(i64::MIN), Json::Null]),
+            ),
+            ("c\n".into(), Json::Obj(vec![("d".into(), Json::Num(0.25))])),
+        ]);
+        let stream = |w: &mut Writer<'_>| {
+            w.object(|w| {
+                w.key("a").array(|_| {});
+                w.key("b").array(|w| {
+                    w.object(|_| {});
+                    w.int(i64::MIN);
+                    w.null();
+                });
+                w.key("c\n").object(|w| w.key("d").num(0.25));
+            })
+        };
+        let (mut compact, mut pretty) = (String::new(), String::new());
+        stream(&mut Writer::compact(&mut compact));
+        stream(&mut Writer::pretty(&mut pretty));
+        assert_eq!(compact, tree.render());
+        assert_eq!(pretty + "\n", tree.render_pretty());
+        assert_eq!(
+            compact,
+            r#"{"a":[],"b":[{},-9223372036854775808,null],"c\n":{"d":0.25}}"#
+        );
+    }
+
+    #[test]
+    fn thousandths_keep_three_fraction_digits() {
+        for (value, text) in [
+            (0, "0.000"),
+            (70, "0.070"),
+            (12_345, "12.345"),
+            (1_000, "1.000"),
+        ] {
+            let mut out = String::new();
+            Writer::compact(&mut out).thousandths(value);
+            assert_eq!(out, text);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::time::Duration;
 use raco_ir::{CostTable, UpdateRange};
 
 use crate::cache::CacheStats;
-use crate::json::Json;
+use crate::json::{Json, Writer};
 use crate::timings::StageTiming;
 
 /// Why a loop failed to compile.
@@ -121,50 +121,37 @@ impl LoopReport {
         self.failure.is_none()
     }
 
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("name".to_owned(), Json::str(&self.name)),
-            ("arrays".to_owned(), Json::UInt(self.arrays as u64)),
-            ("accesses".to_owned(), Json::UInt(self.accesses as u64)),
-            (
-                "registers_used".to_owned(),
-                Json::UInt(self.registers_used as u64),
-            ),
-            (
-                "virtual_registers".to_owned(),
-                Json::UInt(self.virtual_registers as u64),
-            ),
-            ("cost".to_owned(), Json::UInt(self.cost)),
-            ("code_words".to_owned(), Json::UInt(self.code_words)),
-            (
-                "measured_cost".to_owned(),
-                self.measured_cost.map_or(Json::Null, Json::UInt),
-            ),
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.key("name").str(&self.name);
+            w.key("arrays").uint(self.arrays as u64);
+            w.key("accesses").uint(self.accesses as u64);
+            w.key("registers_used").uint(self.registers_used as u64);
+            w.key("virtual_registers")
+                .uint(self.virtual_registers as u64);
+            w.key("cost").uint(self.cost);
+            w.key("code_words").uint(self.code_words);
+            let measured = |w: &mut Writer<'_>| match self.measured_cost {
+                Some(cost) => w.uint(cost),
+                None => w.null(),
+            };
+            measured(w.key("measured_cost"));
             // Explicit predicted-vs-measured pair: the allocator's
             // MR-aware prediction and the simulator's ground truth.
             // `cost` / `measured_cost` above carry the same values and
             // stay for pre-existing JSON consumers.
-            ("predicted_cycles".to_owned(), Json::UInt(self.cost)),
-            (
-                "measured_cycles".to_owned(),
-                self.measured_cost.map_or(Json::Null, Json::UInt),
-            ),
-            (
-                "addresses_checked".to_owned(),
-                Json::UInt(self.addresses_checked),
-            ),
-            (
-                "status".to_owned(),
-                Json::str(if self.succeeded() { "ok" } else { "failed" }),
-            ),
-        ];
-        if let Some(failure) = &self.failure {
-            fields.push(("failure".to_owned(), Json::str(failure.to_string())));
-        }
-        if let Some(listing) = &self.listing {
-            fields.push(("listing".to_owned(), Json::str(listing)));
-        }
-        Json::Obj(fields)
+            w.key("predicted_cycles").uint(self.cost);
+            measured(w.key("measured_cycles"));
+            w.key("addresses_checked").uint(self.addresses_checked);
+            w.key("status")
+                .str(if self.succeeded() { "ok" } else { "failed" });
+            if let Some(failure) = &self.failure {
+                w.key("failure").str(&failure.to_string());
+            }
+            if let Some(listing) = &self.listing {
+                w.key("listing").str(listing);
+            }
+        });
     }
 }
 
@@ -196,18 +183,15 @@ impl UnitReport {
         self.loops.iter().map(|l| l.cost).sum()
     }
 
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("name".to_owned(), Json::str(&self.name)),
-            (
-                "loops".to_owned(),
-                Json::Arr(self.loops.iter().map(LoopReport::to_json).collect()),
-            ),
-        ];
-        if let Some(listing) = &self.listing {
-            fields.push(("listing".to_owned(), Json::str(listing)));
-        }
-        Json::Obj(fields)
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.key("name").str(&self.name);
+            w.key("loops")
+                .array(|w| self.loops.iter().for_each(|l| l.write_json(w)));
+            if let Some(listing) = &self.listing {
+                w.key("listing").str(listing);
+            }
+        });
     }
 }
 
@@ -276,94 +260,64 @@ impl CompilationReport {
         }
     }
 
-    /// Machine-readable JSON rendering of the whole report.
+    /// Machine-readable JSON rendering of the whole report, indented.
     pub fn to_json(&self) -> String {
-        self.to_json_value().render_pretty()
+        let mut out = String::new();
+        self.write_json(&mut Writer::pretty(&mut out));
+        out.push('\n');
+        out
     }
 
-    /// The report as a [`Json`] value tree, for callers that embed
-    /// reports in larger documents (the serve protocol wraps them in
-    /// response envelopes). The `timings` key is present only when
-    /// stage timings exist (the serve path strips them per request —
-    /// see the protocol's `timings` knob).
+    /// The report as a [`Json`] value tree, for callers that inspect or
+    /// embed parts of it. It is parsed back from the compact rendering,
+    /// so [`write_json`](Self::write_json) stays the only list of fields.
     pub fn to_json_value(&self) -> Json {
-        let mut fields = vec![
-            (
-                "machine".to_owned(),
-                Json::Obj(vec![
-                    (
-                        "address_registers".to_owned(),
-                        Json::UInt(self.address_registers as u64),
-                    ),
-                    (
-                        "modify_range".to_owned(),
-                        Json::UInt(u64::from(self.modify_range)),
-                    ),
-                    ("update_min".to_owned(), Json::Int(self.update_range.min())),
-                    ("update_max".to_owned(), Json::Int(self.update_range.max())),
-                    (
-                        "modify_registers".to_owned(),
-                        Json::UInt(self.modify_registers as u64),
-                    ),
-                    (
-                        "lda_cost".to_owned(),
-                        Json::UInt(u64::from(self.costs.lda())),
-                    ),
-                    (
-                        "ldm_cost".to_owned(),
-                        Json::UInt(u64::from(self.costs.ldm())),
-                    ),
-                    (
-                        "adda_cost".to_owned(),
-                        Json::UInt(u64::from(self.costs.adda())),
-                    ),
-                ]),
-            ),
-            ("threads".to_owned(), Json::UInt(self.threads as u64)),
-            (
-                "elapsed_us".to_owned(),
-                Json::UInt(self.elapsed.as_micros() as u64),
-            ),
-            ("loops".to_owned(), Json::UInt(self.loop_count() as u64)),
-            ("succeeded".to_owned(), Json::UInt(self.succeeded() as u64)),
-            ("failed".to_owned(), Json::UInt(self.failed() as u64)),
-            (
-                "loops_per_second".to_owned(),
-                Json::Num(self.loops_per_second()),
-            ),
-            (
-                "cache".to_owned(),
-                Json::Obj(vec![
-                    (
-                        "allocation_hits".to_owned(),
-                        Json::UInt(self.cache.allocation_hits),
-                    ),
-                    (
-                        "allocation_misses".to_owned(),
-                        Json::UInt(self.cache.allocation_misses),
-                    ),
-                    ("curve_hits".to_owned(), Json::UInt(self.cache.curve_hits)),
-                    (
-                        "curve_misses".to_owned(),
-                        Json::UInt(self.cache.curve_misses),
-                    ),
-                    ("loaded".to_owned(), Json::UInt(self.cache.loaded)),
-                    ("persisted".to_owned(), Json::UInt(self.cache.persisted)),
-                    ("hit_rate".to_owned(), Json::Num(self.cache.hit_rate())),
-                ]),
-            ),
-        ];
-        if !self.timings.is_empty() {
-            fields.push((
-                "timings".to_owned(),
-                Json::Arr(self.timings.iter().map(stage_timing_json).collect()),
-            ));
-        }
-        fields.push((
-            "units".to_owned(),
-            Json::Arr(self.units.iter().map(UnitReport::to_json).collect()),
-        ));
-        Json::Obj(fields)
+        let mut out = String::new();
+        self.write_json(&mut Writer::compact(&mut out));
+        Json::parse(&out).expect("a rendered report is valid JSON")
+    }
+
+    /// Writes the report as one JSON object into `w`: the serve protocol
+    /// writes it straight into a reply line, [`to_json`](Self::to_json)
+    /// into an indented document. The `timings` key is present only when
+    /// stage timings exist (the serve path strips them per request — see
+    /// the protocol's `timings` knob).
+    pub fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.key("machine").object(|w| {
+                w.key("address_registers")
+                    .uint(self.address_registers as u64);
+                w.key("modify_range").uint(u64::from(self.modify_range));
+                w.key("update_min").int(self.update_range.min());
+                w.key("update_max").int(self.update_range.max());
+                w.key("modify_registers").uint(self.modify_registers as u64);
+                w.key("lda_cost").uint(u64::from(self.costs.lda()));
+                w.key("ldm_cost").uint(u64::from(self.costs.ldm()));
+                w.key("adda_cost").uint(u64::from(self.costs.adda()));
+            });
+            w.key("threads").uint(self.threads as u64);
+            w.key("elapsed_us").uint(self.elapsed.as_micros() as u64);
+            w.key("loops").uint(self.loop_count() as u64);
+            w.key("succeeded").uint(self.succeeded() as u64);
+            w.key("failed").uint(self.failed() as u64);
+            w.key("loops_per_second").num(self.loops_per_second());
+            w.key("cache").object(|w| {
+                w.key("allocation_hits").uint(self.cache.allocation_hits);
+                w.key("allocation_misses")
+                    .uint(self.cache.allocation_misses);
+                w.key("curve_hits").uint(self.cache.curve_hits);
+                w.key("curve_misses").uint(self.cache.curve_misses);
+                w.key("loaded").uint(self.cache.loaded);
+                w.key("persisted").uint(self.cache.persisted);
+                w.key("hit_rate").num(self.cache.hit_rate());
+            });
+            if !self.timings.is_empty() {
+                w.key("timings")
+                    .array(|w| self.timings.iter().for_each(|t| write_stage_timing(w, t)));
+            }
+            w.key("units")
+                .array(|w| self.units.iter().for_each(|u| u.write_json(w)));
+        });
     }
 
     /// Aligned per-stage timing table (the `--timings` view). Durations
@@ -501,19 +455,19 @@ fn aligned_table<const N: usize>(
     out
 }
 
-/// One [`StageTiming`] as a JSON object. Durations convert from the
-/// recorded nanoseconds to fractional microseconds.
-fn stage_timing_json(timing: &StageTiming) -> Json {
-    let us = |ns: u64| Json::Num(ns as f64 / 1000.0);
-    Json::Obj(vec![
-        ("stage".to_owned(), Json::str(timing.stage)),
-        ("calls".to_owned(), Json::UInt(timing.calls)),
-        ("total_us".to_owned(), us(timing.total_ns)),
-        ("p50_us".to_owned(), us(timing.p50_ns)),
-        ("p95_us".to_owned(), us(timing.p95_ns)),
-        ("p99_us".to_owned(), us(timing.p99_ns)),
-        ("max_us".to_owned(), us(timing.max_ns)),
-    ])
+/// Writes one [`StageTiming`] as a JSON object. Durations convert from
+/// the recorded nanoseconds to fractional microseconds.
+fn write_stage_timing(w: &mut Writer<'_>, timing: &StageTiming) {
+    let us = |ns: u64| ns as f64 / 1000.0;
+    w.object(|w| {
+        w.key("stage").str(timing.stage);
+        w.key("calls").uint(timing.calls);
+        w.key("total_us").num(us(timing.total_ns));
+        w.key("p50_us").num(us(timing.p50_ns));
+        w.key("p95_us").num(us(timing.p95_ns));
+        w.key("p99_us").num(us(timing.p99_ns));
+        w.key("max_us").num(us(timing.max_ns));
+    });
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use raco_driver::json::Json;
+use raco_driver::json::{Json, Writer};
 use raco_driver::{CompilationReport, DriverError, Pipeline, PipelineConfig};
 
 use crate::metrics::{Op, ServiceMetrics};
@@ -357,19 +357,41 @@ impl Server {
     /// metrics (see the `metrics` op), and every response line gets an
     /// `elapsed_us` field with its end-to-end wall time.
     pub fn handle_line(&self, line: &str) -> Reply {
-        self.accounted(|| self.dispatch(line))
+        let mut out = String::new();
+        let shutdown = self.handle_into(line, &mut out);
+        Reply {
+            line: out,
+            shutdown,
+        }
     }
 
-    /// Counts and times one request under the op `respond` returns, and
-    /// stamps its `elapsed_us` onto the reply line.
-    fn accounted(&self, respond: impl FnOnce() -> (Op, Reply)) -> Reply {
+    /// [`handle_line`](Self::handle_line) into a caller's buffer: appends
+    /// the reply line to `out` and returns whether the client asked this
+    /// connection to close.
+    fn handle_into(&self, line: &str, out: &mut String) -> bool {
+        self.accounted(out, |w| self.dispatch(line, w))
+    }
+
+    /// Counts and times one request under the op `respond` returns.
+    /// `respond` writes the reply's fields and returns the op and whether
+    /// the client asked to close; the reply's last field is its
+    /// `elapsed_us`, stamped once the rest is written.
+    fn accounted(
+        &self,
+        out: &mut String,
+        respond: impl FnOnce(&mut Writer<'_>) -> (Op, bool),
+    ) -> bool {
         let started = Instant::now();
         self.metrics.begin();
-        let (op, mut reply) = respond();
-        let elapsed_ns = started.elapsed().as_nanos() as u64;
-        self.metrics.finish(op, elapsed_ns);
-        reply.line = attach_elapsed(reply.line, elapsed_ns);
-        reply
+        let mut shutdown = false;
+        protocol::write_reply(out, |w| {
+            let (op, asked) = respond(w);
+            shutdown = asked;
+            let elapsed_ns = started.elapsed().as_nanos() as u64;
+            self.metrics.finish(op, elapsed_ns);
+            w.key("elapsed_us").thousandths(elapsed_ns);
+        });
+        shutdown
     }
 
     /// Runs one compile on the calling thread: sheds it when
@@ -422,14 +444,15 @@ impl Server {
         }
     }
 
-    /// Renders a compile's failure, counting sheds, deadline hits and
+    /// Writes a compile's failure, counting sheds, deadline hits and
     /// internal errors into the service metrics.
-    fn compute_error_line(&self, id: &Option<Json>, error: &ComputeError) -> String {
+    fn write_compute_error(&self, w: &mut Writer<'_>, id: &Option<Json>, error: &ComputeError) {
         match error {
-            ComputeError::Driver(message) => protocol::error_line(id, message),
+            ComputeError::Driver(message) => protocol::write_error(w, id, message),
             ComputeError::Shed => {
                 self.metrics.note_shed_queue();
-                protocol::error_kind_line(
+                protocol::write_error_kind(
+                    w,
                     id,
                     "shed",
                     &format!(
@@ -440,7 +463,8 @@ impl Server {
             }
             ComputeError::Deadline => {
                 self.metrics.note_compute_deadline();
-                protocol::error_kind_line(
+                protocol::write_error_kind(
+                    w,
                     id,
                     "compute_deadline",
                     &format!(
@@ -455,7 +479,8 @@ impl Server {
             }
             ComputeError::Internal(message) => {
                 self.metrics.note_internal();
-                protocol::error_kind_line(
+                protocol::write_error_kind(
+                    w,
                     id,
                     "internal",
                     &format!("internal error while compiling: {message}"),
@@ -464,77 +489,23 @@ impl Server {
         }
     }
 
-    /// Decodes and executes one request; returns the op the request is
-    /// accounted under plus the raw (un-timed) reply.
-    fn dispatch(&self, line: &str) -> (Op, Reply) {
+    /// Decodes and executes one request, writing the reply's fields
+    /// into `w`; returns the op the request is accounted under and
+    /// whether the client asked to close.
+    fn dispatch(&self, line: &str, w: &mut Writer<'_>) -> (Op, bool) {
         let Envelope { id, request, knobs } = match protocol::parse_line(line) {
             Ok(envelope) => envelope,
             Err(e) => {
-                return (
-                    Op::Invalid,
-                    Reply {
-                        line: protocol::error_line(&e.id, &e.message),
-                        shutdown: false,
-                    },
-                )
+                protocol::write_error(w, &e.id, &e.message);
+                return (Op::Invalid, false);
             }
         };
         let op = Op::of(&request);
-        let reply = |line: String| Reply {
-            line,
-            shutdown: false,
-        };
-        // Serve responses omit the per-stage `timings` array unless the
-        // request opts in: rendering it costs more than a warm compile,
-        // and the `metrics` op serves accumulated stage timings anyway.
-        let report_reply = |mut report: raco_driver::CompilationReport| {
-            if knobs.timings != Some(true) {
-                report.timings.clear();
-            }
-            reply(protocol::report_line(&id, &report))
-        };
         let base_config = self.pipeline.config();
-        let out = match request {
-            Request::Compile { name, source } => {
-                let config = match knobs.apply(base_config) {
-                    Ok(config) => config,
-                    Err(message) => return (op, reply(protocol::error_line(&id, &message))),
-                };
-                match self.execute(config, ComputeWork::Units(vec![(name, source)])) {
-                    Ok(report) => report_reply(report),
-                    Err(e) => reply(self.compute_error_line(&id, &e)),
-                }
-            }
-            Request::Kernels { kernel } => {
-                let config = match knobs.apply(base_config) {
-                    Ok(config) => config,
-                    Err(message) => return (op, reply(protocol::error_line(&id, &message))),
-                };
-                let work = match kernel {
-                    None => ComputeWork::KernelSuite,
-                    Some(name) => {
-                        let suite = raco_kernels::suite();
-                        let Some(kernel) = suite.iter().find(|k| k.name() == name) else {
-                            let known: Vec<&str> = suite.iter().map(|k| k.name()).collect();
-                            return (
-                                op,
-                                reply(protocol::error_line(
-                                    &id,
-                                    &format!(
-                                        "unknown kernel `{name}` (known: {})",
-                                        known.join(", ")
-                                    ),
-                                )),
-                            );
-                        };
-                        ComputeWork::Units(vec![(name.clone(), kernel.source().to_owned())])
-                    }
-                };
-                match self.execute(config, work) {
-                    Ok(report) => report_reply(report),
-                    Err(e) => reply(self.compute_error_line(&id, &e)),
-                }
-            }
+        let work = match request {
+            Request::Compile { name, source } => Ok(ComputeWork::Units(vec![(name, source)])),
+            Request::Kernels { kernel: None } => Ok(ComputeWork::KernelSuite),
+            Request::Kernels { kernel: Some(name) } => named_kernel(name),
             Request::Stats => {
                 // Cache counters first (their layout is load-bearing
                 // for scripted clients), then the service fields.
@@ -543,49 +514,69 @@ impl Server {
                     unreachable!("stats_json returns an object")
                 };
                 fields.extend(self.metrics.stats_fields());
-                reply(protocol::payload_line(
-                    &id,
-                    vec![("stats".to_owned(), Json::Obj(fields))],
-                ))
+                protocol::write_payload(w, &id, "stats", &Json::Obj(fields));
+                return (op, false);
             }
             Request::Metrics => {
                 let payload = self.metrics.payload(&self.pipeline.cache_stats());
-                reply(protocol::payload_line(
-                    &id,
-                    vec![("metrics".to_owned(), payload)],
-                ))
+                protocol::write_payload(w, &id, "metrics", &payload);
+                return (op, false);
             }
             Request::ClearCache => {
                 self.pipeline.clear_cache();
-                reply(protocol::ack_line(&id, "cleared"))
+                protocol::write_ack(w, &id, "cleared");
+                return (op, false);
             }
             Request::SaveCache { path } => {
                 let target = match (&path, &self.cache_save_path) {
                     (Some(path), _) => PathBuf::from(path),
                     (None, Some(default)) => default.clone(),
                     (None, None) => {
-                        return (
-                            op,
-                            reply(protocol::error_line(
-                                &id,
-                                "save_cache needs a `path` (the server has no --cache-save \
-                                 default)",
-                            )),
-                        )
+                        protocol::write_error(
+                            w,
+                            &id,
+                            "save_cache needs a `path` (the server has no --cache-save default)",
+                        );
+                        return (op, false);
                     }
                 };
                 match self.pipeline.save_cache(&target) {
-                    Ok(report) => reply(protocol::saved_line(&id, &target, &report)),
-                    Err(error) => reply(protocol::error_line(&id, &error.to_string())),
+                    Ok(report) => protocol::write_saved(w, &id, &target, &report),
+                    Err(error) => protocol::write_error(w, &id, &error.to_string()),
                 }
+                return (op, false);
             }
-            Request::Ping => reply(protocol::ack_line(&id, "pong")),
-            Request::Shutdown => Reply {
-                line: protocol::ack_line(&id, "shutdown"),
-                shutdown: true,
-            },
+            Request::Ping => {
+                protocol::write_ack(w, &id, "pong");
+                return (op, false);
+            }
+            Request::Shutdown => {
+                protocol::write_ack(w, &id, "shutdown");
+                return (op, true);
+            }
         };
-        (op, out)
+        // A bad knob is reported before an unknown kernel name.
+        let config = knobs.apply(base_config);
+        let (config, work) = match (config, work) {
+            (Ok(config), Ok(work)) => (config, work),
+            (Err(message), _) | (_, Err(message)) => {
+                protocol::write_error(w, &id, &message);
+                return (op, false);
+            }
+        };
+        match self.execute(config, work) {
+            Ok(mut report) => {
+                // Serve responses omit the per-stage `timings` array
+                // unless the request opts in: the `metrics` op serves
+                // accumulated stage timings anyway.
+                if knobs.timings != Some(true) {
+                    report.timings.clear();
+                }
+                protocol::write_report(w, &id, &report);
+            }
+            Err(e) => self.write_compute_error(w, &id, &e),
+        }
+        (op, false)
     }
 
     /// Serves NDJSON requests from `input`, writing responses to
@@ -630,23 +621,28 @@ impl Server {
         stop: Option<&AtomicBool>,
         read_deadline: Option<Duration>,
     ) -> io::Result<bool> {
+        // One reply buffer for the connection's lifetime: every reply is
+        // written straight into it, then framed and sent.
+        let mut reply = String::new();
         while let Some(read) =
             read_limited_line(&mut reader, MAX_REQUEST_LINE, stop, read_deadline)?
         {
-            let (mut framed, shutdown, ends) = match read {
+            reply.clear();
+            let (shutdown, ends) = match read {
                 ReadOutcome::Line(line) if line.trim().is_empty() => continue,
                 ReadOutcome::Line(line) => {
-                    let Reply { line, shutdown } = self.handle_line(&line);
-                    (line, shutdown, shutdown)
+                    let shutdown = self.handle_into(&line, &mut reply);
+                    (shutdown, shutdown)
                 }
                 ReadOutcome::Oversized(total) => {
                     let message = format!(
                         "request line of {total} bytes exceeds the {MAX_REQUEST_LINE}-byte limit"
                     );
-                    let line = protocol::error_line(&None, &message);
-                    let shutdown = false;
-                    let reply = self.accounted(|| (Op::Invalid, Reply { line, shutdown }));
-                    (reply.line, false, false)
+                    self.accounted(&mut reply, |w| {
+                        protocol::write_error(w, &None, &message);
+                        (Op::Invalid, false)
+                    });
+                    (false, false)
                 }
                 ReadOutcome::IdleTimeout => {
                     // Answer, then close: after a mid-line stall the
@@ -657,14 +653,16 @@ impl Server {
                         "no complete request within the {} ms read deadline; closing",
                         read_deadline.unwrap_or_default().as_millis()
                     );
-                    let line = protocol::error_kind_line(&None, "read_deadline", &message);
-                    (line, false, true)
+                    protocol::write_reply(&mut reply, |w| {
+                        protocol::write_error_kind(w, &None, "read_deadline", &message)
+                    });
+                    (false, true)
                 }
             };
             // One framed write per reply: a reply split across writes
             // would interact with Nagle and delayed ACKs on TCP.
-            framed.push('\n');
-            writer.write_all(framed.as_bytes())?;
+            reply.push('\n');
+            writer.write_all(reply.as_bytes())?;
             writer.flush()?;
             if ends {
                 return Ok(shutdown);
@@ -760,19 +758,35 @@ impl Server {
         let _ = stream.set_nonblocking(false);
         let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-        let mut line = protocol::error_kind_line(
-            &None,
-            "busy",
-            &format!(
-                "server is at its connection limit ({}); retry with backoff",
-                self.options.max_connections
-            ),
+        let message = format!(
+            "server is at its connection limit ({}); retry with backoff",
+            self.options.max_connections
         );
+        let mut line = String::new();
+        protocol::write_reply(&mut line, |w| {
+            protocol::write_error_kind(w, &None, "busy", &message)
+        });
         line.push('\n');
         let mut writer = stream;
         let _ = writer
             .write_all(line.as_bytes())
             .and_then(|()| writer.flush());
+    }
+}
+
+/// The work of a `kernels` request naming one kernel, or the error
+/// that lists the known names.
+fn named_kernel(name: String) -> Result<ComputeWork, String> {
+    let suite = raco_kernels::suite();
+    match suite.iter().find(|k| k.name() == name) {
+        Some(kernel) => Ok(ComputeWork::Units(vec![(name, kernel.source().to_owned())])),
+        None => {
+            let known: Vec<&str> = suite.iter().map(|k| k.name()).collect();
+            Err(format!(
+                "unknown kernel `{name}` (known: {})",
+                known.join(", ")
+            ))
+        }
     }
 }
 
@@ -802,25 +816,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
         (_, Some(message)) => message.clone(),
         _ => "panic with a non-text payload".to_owned(),
     }
-}
-
-/// Appends `"elapsed_us":…` as the final field of a rendered response
-/// object. String surgery instead of a reparse: response lines are
-/// always single-line JSON objects, so the closing `}` is the last byte.
-fn attach_elapsed(mut line: String, elapsed_ns: u64) -> String {
-    use std::fmt::Write;
-    debug_assert!(line.ends_with('}'), "response must be a JSON object");
-    line.pop();
-    // Integer formatting (µs + fixed three fractional digits) rather
-    // than an f64 render: this runs on every response, and float
-    // formatting costs several times an integer write.
-    let _ = write!(
-        line,
-        ",\"elapsed_us\":{}.{:03}}}",
-        elapsed_ns / 1_000,
-        elapsed_ns % 1_000
-    );
-    line
 }
 
 #[cfg(test)]

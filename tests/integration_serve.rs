@@ -421,8 +421,8 @@ fn golden_replies() -> String {
 
 #[test]
 fn serve_replies_match_the_golden_fixture() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/serve_replies.txt");
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/serve_replies.txt");
     let expected =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     let actual = golden_replies();
