@@ -325,7 +325,13 @@ impl PathCover {
         let ids = assignment.iter().max().map_or(0, |&id| id + 1);
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); ids];
         for (i, &id) in assignment.iter().enumerate() {
-            groups[id].push(i);
+            let group = &mut groups[id];
+            if group.capacity() == 0 {
+                // A path's first access: count the rest of it, so the
+                // path is allocated once at its full length.
+                group.reserve_exact(assignment[i..].iter().filter(|&&a| a == id).count());
+            }
+            group.push(i);
         }
         let mut cover = PathCover {
             paths: groups
