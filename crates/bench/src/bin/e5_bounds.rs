@@ -50,9 +50,10 @@ fn main() {
                 let steps = StepMatrix::new(&dm);
                 let matched = MatchingCover::new(&steps);
                 let b = bounds::bounds(&steps, &matched);
+                let (lower, upper) = (b.lower, b.upper_value());
                 let result = bb::min_zero_cost_cover_from(
                     &steps,
-                    &matched,
+                    b,
                     BbOptions {
                         node_limit: 2_000_000,
                         memoize: true,
@@ -60,13 +61,13 @@ fn main() {
                 )
                 .expect("stride-1 patterns always admit singleton covers");
                 let exact = result.virtual_registers();
-                lbs.push(b.lower as f64);
+                lbs.push(lower as f64);
                 exacts.push(exact as f64);
                 nodes.push(result.nodes as f64);
-                if b.lower == exact {
+                if lower == exact {
                     lb_tight += 1;
                 }
-                if let Some(ub) = b.upper_value() {
+                if let Some(ub) = upper {
                     ubs.push(ub as f64);
                     if ub == exact {
                         ub_tight += 1;

@@ -8,7 +8,7 @@
 //! proceed; the outcome records which case occurred.
 
 use raco_graph::matching::MatchingCover;
-use raco_graph::{bb, BbOptions, DistanceModel, PathCover, StepMatrix};
+use raco_graph::{bb, bounds, BbOptions, DistanceModel, PathCover, StepMatrix};
 
 /// How Phase 1 obtained its cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +103,7 @@ pub fn run(dm: &DistanceModel, options: BbOptions) -> Phase1Report {
 /// caller keeps for Phase 2.
 pub fn run_on(steps: &StepMatrix, options: BbOptions) -> Phase1Report {
     let matched = MatchingCover::new(steps);
-    match bb::min_zero_cost_cover_from(steps, &matched, options) {
+    match bb::min_zero_cost_cover_from(steps, bounds::bounds(steps, &matched), options) {
         Ok(result) => Phase1Report {
             cover: result.cover,
             outcome: Phase1Outcome::ZeroCost {

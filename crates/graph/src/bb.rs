@@ -31,7 +31,7 @@
 
 use std::fmt;
 
-use crate::bounds;
+use crate::bounds::{self, Bounds};
 use crate::distance::{DistanceModel, StepMatrix};
 use crate::matching::MatchingCover;
 use crate::path::PathCover;
@@ -147,26 +147,28 @@ pub fn min_zero_cost_cover_with(
     options: BbOptions,
 ) -> Result<BbResult, CoverSearchError> {
     let steps = StepMatrix::new(dm);
-    min_zero_cost_cover_from(&steps, &MatchingCover::new(&steps), options)
+    let bounds = bounds::bounds(&steps, &MatchingCover::new(&steps));
+    min_zero_cost_cover_from(&steps, bounds, options)
 }
 
 /// [`min_zero_cost_cover_with`] on the steps of a pattern and their
-/// already computed [`MatchingCover`], for callers that keep the
-/// matching cover (Phase 1 falls back to it when this search fails).
-/// One matching serves both bounds: its path count is the lower bound,
-/// its split repair the heuristic upper bound.
+/// already computed [`Bounds`], for callers that keep the matching cover
+/// (Phase 1 falls back to it when this search fails) or report the
+/// bounds. One matching serves both bounds: its path count is the lower
+/// bound, its split repair the heuristic upper bound and the search's
+/// first incumbent.
 ///
 /// # Errors
 ///
 /// See [`CoverSearchError`].
 pub fn min_zero_cost_cover_from(
     steps: &StepMatrix,
-    matched: &MatchingCover,
+    bounds: Bounds,
     options: BbOptions,
 ) -> Result<BbResult, CoverSearchError> {
     let n = steps.len();
-    let lb = matched.register_count();
-    let heuristic = bounds::split_repair(steps, matched);
+    let lb = bounds.lower;
+    let heuristic = bounds.repair;
     if let Some((assignment, _)) = heuristic.as_ref().filter(|&&(_, paths)| paths == lb) {
         return Ok(BbResult {
             cover: PathCover::from_assignment(assignment),

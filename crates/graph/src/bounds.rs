@@ -13,15 +13,24 @@ use crate::path::PathCover;
 pub struct Bounds {
     /// Matching lower bound (always sound).
     pub lower: usize,
-    /// Heuristic zero-cost cover, if the heuristic found one. Its
-    /// register count is an upper bound on `K̃`.
-    pub upper: Option<PathCover>,
+    /// The split repair, if it found a zero-cost cover: a path id per
+    /// access and the number of paths. The search starts from it as
+    /// its incumbent, so the repair runs once per pattern.
+    pub(crate) repair: Option<(Vec<usize>, usize)>,
 }
 
 impl Bounds {
     /// The upper bound value, if a feasible cover was found.
     pub fn upper_value(&self) -> Option<usize> {
-        self.upper.as_ref().map(PathCover::register_count)
+        self.repair.as_ref().map(|&(_, paths)| paths)
+    }
+
+    /// The heuristic zero-cost cover, if the heuristic found one. Its
+    /// register count is [`upper_value`](Self::upper_value).
+    pub fn upper_cover(&self) -> Option<PathCover> {
+        self.repair
+            .as_ref()
+            .map(|(assignment, _)| PathCover::from_assignment(assignment))
     }
 
     /// `true` when lower and upper bound coincide, i.e. the heuristic
@@ -52,18 +61,18 @@ impl Bounds {
 /// ```
 pub fn upper_bound_cover(dm: &DistanceModel) -> Option<PathCover> {
     let steps = StepMatrix::new(dm);
-    bounds(&steps, &MatchingCover::new(&steps)).upper
+    bounds(&steps, &MatchingCover::new(&steps)).upper_cover()
 }
 
 /// Computes both bounds from `matched`, the [`MatchingCover`] of
-/// `steps`, which a caller can share with
+/// `steps`. Pass them on to
 /// [`bb::min_zero_cost_cover_from`](crate::bb::min_zero_cost_cover_from)
-/// so that one matching serves the bounds and the search.
+/// so that one matching and one split repair serve the bounds and the
+/// search.
 pub fn bounds(steps: &StepMatrix, matched: &MatchingCover) -> Bounds {
     Bounds {
         lower: matched.register_count(),
-        upper: split_repair(steps, matched)
-            .map(|(assignment, _)| PathCover::from_assignment(&assignment)),
+        repair: split_repair(steps, matched),
     }
 }
 
@@ -78,10 +87,7 @@ struct Cut {
 /// The split repair of `matched`: every chain cut into the fewest
 /// contiguous segments whose wraps are free, as a path id per access
 /// and the number of paths. `None` if some chain cannot be cut so.
-pub(crate) fn split_repair(
-    steps: &StepMatrix,
-    matched: &MatchingCover,
-) -> Option<(Vec<usize>, usize)> {
+fn split_repair(steps: &StepMatrix, matched: &MatchingCover) -> Option<(Vec<usize>, usize)> {
     let n = steps.len();
     let mut assignment = vec![0; n];
     let mut paths = 0;
@@ -154,7 +160,7 @@ mod tests {
         assert_eq!(b.lower, 2);
         // The heuristic must find some zero-cost cover; with luck it is
         // tight, but at minimum it must be feasible and >= lower.
-        let cover = b.upper.expect("upper bound exists");
+        let cover = b.upper_cover().expect("upper bound exists");
         assert!(cover.is_zero_cost(&dm));
         assert!(cover.register_count() >= b.lower);
     }

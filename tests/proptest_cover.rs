@@ -64,7 +64,7 @@ proptest! {
                 prop_assert!(exact <= ub, "exact {exact} > UB {ub}");
             }
             prop_assert!(result.cover.is_zero_cost(&dm));
-        } else if let Some(ub_cover) = &b.upper {
+        } else if let Some(ub_cover) = b.upper_cover() {
             // If the heuristic found a zero-cost cover, the exact search
             // cannot have failed.
             prop_assert!(
