@@ -43,7 +43,7 @@
 //! mixed-machine traffic is safe.
 //! `timings: true` keeps the per-stage `timings` array in the
 //! response's report; serve responses omit it by default (its ten-odd
-//! rows of floats add about 4.5 µs to a warm compile's reply, measured
+//! rows of floats add about 5 µs to a warm compile's reply, measured
 //! in-process on a 2-vCPU host, and accumulated stage timings are
 //! always available through the `metrics` op).
 //!
@@ -56,11 +56,11 @@
 //! response. The server appends an `elapsed_us` field (end-to-end
 //! request wall time, microseconds) to every response to a request.
 //!
-//! Replies are written, never built: [`write_reply`] opens one object
-//! in a caller's buffer and the `write_*` functions write its fields
-//! through [`raco_driver::json::Writer`], the report included
+//! Replies are written, never built: the server opens one reply object
+//! in its connection's buffer and writes the fields through
+//! [`raco_driver::json::Writer`], the report included
 //! ([`CompilationReport::write_json`]), so no value tree is built per
-//! reply.
+//! compile reply.
 //!
 //! Operational failures of the serve tier additionally carry a
 //! machine-readable `error_kind`: `busy` (the `--max-connections`
@@ -181,7 +181,7 @@ pub struct Knobs {
     /// Attach listings to the report.
     pub listings: Option<bool>,
     /// Include the per-stage `timings` array in this response's report.
-    /// Serve responses omit it by default: it adds about 4.5 µs to a
+    /// Serve responses omit it by default: it adds about 5 µs to a
     /// warm compile's reply (ten-odd rows of floats), and accumulated
     /// stage timings are always available through the `metrics` op.
     pub timings: Option<bool>,
@@ -429,7 +429,7 @@ pub fn parse_line(line: &str) -> Result<Envelope, ProtocolError> {
 /// Writes one compact reply object into `out` (no newline); `fields`
 /// writes its fields, starting with one of the `write_*` functions
 /// below. The server keeps one such buffer per connection.
-pub fn write_reply(out: &mut String, fields: impl FnOnce(&mut Writer<'_>)) {
+pub(crate) fn write_reply(out: &mut String, fields: impl FnOnce(&mut Writer<'_>)) {
     Writer::compact(out).object(fields);
 }
 
@@ -449,31 +449,35 @@ fn write_head(w: &mut Writer<'_>, id: &Option<Json>, ok: bool) {
 }
 
 /// Writes a success reply's fields carrying a compilation report.
-pub fn write_report(w: &mut Writer<'_>, id: &Option<Json>, report: &CompilationReport) {
+pub(crate) fn write_report(w: &mut Writer<'_>, id: &Option<Json>, report: &CompilationReport) {
     write_head(w, id, true);
     report.write_json(w.key("report"));
 }
 
 /// A success response carrying a compilation report.
 pub fn report_line(id: &Option<Json>, report: &CompilationReport) -> String {
-    line(|w| write_report(w, id, report))
+    // A single-loop compile reply is about 650 bytes: one allocation
+    // instead of a doubling series.
+    let mut out = String::with_capacity(1024);
+    write_reply(&mut out, |w| write_report(w, id, report));
+    out
 }
 
 /// Writes a success reply's fields whose payload the caller assembles
 /// (the server's extended `stats` and `metrics` payloads).
-pub fn write_payload(w: &mut Writer<'_>, id: &Option<Json>, key: &str, payload: &Json) {
+pub(crate) fn write_payload(w: &mut Writer<'_>, id: &Option<Json>, key: &str, payload: &Json) {
     write_head(w, id, true);
     w.key(key).value(payload);
 }
 
 /// Writes a success acknowledgement's fields: `"ok":true,"<flag>":true`.
-pub fn write_ack(w: &mut Writer<'_>, id: &Option<Json>, flag: &str) {
+pub(crate) fn write_ack(w: &mut Writer<'_>, id: &Option<Json>, flag: &str) {
     write_head(w, id, true);
     w.key(flag).bool(true);
 }
 
 /// Writes an error reply's fields.
-pub fn write_error(w: &mut Writer<'_>, id: &Option<Json>, message: &str) {
+pub(crate) fn write_error(w: &mut Writer<'_>, id: &Option<Json>, message: &str) {
     write_head(w, id, false);
     w.key("error").str(message);
 }
@@ -491,7 +495,7 @@ pub fn error_line(id: &Option<Json>, message: &str) -> String {
 /// (in-flight compile bound reached), `read_deadline` (no complete
 /// request in time), `compute_deadline` (the compile outran its
 /// budget) and `internal` (the compile panicked).
-pub fn write_error_kind(w: &mut Writer<'_>, id: &Option<Json>, kind: &str, message: &str) {
+pub(crate) fn write_error_kind(w: &mut Writer<'_>, id: &Option<Json>, kind: &str, message: &str) {
     write_head(w, id, false);
     w.key("error_kind").str(kind);
     w.key("error").str(message);
@@ -534,7 +538,7 @@ pub fn stats_json(stats: &CacheStats) -> Json {
 
 /// Writes the fields of a `save_cache` success reply: where the
 /// snapshot went and what it holds.
-pub fn write_saved(
+pub(crate) fn write_saved(
     w: &mut Writer<'_>,
     id: &Option<Json>,
     path: &std::path::Path,
