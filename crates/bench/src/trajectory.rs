@@ -327,6 +327,19 @@ raw {\"latency_p50_us\":{\"value\":135.47318708050076,\"unit\":\"us\"},\"addr_cy
     }
 
     #[test]
+    fn a_point_line_is_pinned() {
+        let fresh = append(None, &sample_point("a")).unwrap();
+        assert_eq!(fresh.lines().nth(1), Some(PINNED_POINT));
+        assert_eq!(
+            fresh,
+            format!("{{\"schema\":\"raco-bench-trajectory\",\"version\":2,\"points\":[\n{PINNED_POINT}\n]}}\n")
+        );
+    }
+
+    /// `sample_point("a")`'s line in the trajectory file.
+    const PINNED_POINT: &str = "{\"label\":\"a\",\"commit\":\"0123abc\",\"seconds\":3,\"workloads\":{\"library_warm\":{\"correct\":true,\"attempted\":16890,\"failed\":0,\"metrics\":{\"latency_p50_us\":{\"value\":159.34604949816807,\"unit\":\"us\"},\"addr_cycles\":{\"value\":907,\"unit\":\"cycles\"}},\"raw\":{\"latency_p50_us\":135.47318708050076,\"addr_cycles\":907}}}}";
+
+    #[test]
     fn appending_keeps_earlier_points_byte_identical() {
         let first = append(None, &sample_point("a")).unwrap();
         let second = append(Some(&first), &sample_point("b")).unwrap();

@@ -1129,6 +1129,53 @@ mod tests {
     }
 
     #[test]
+    fn compile_request_lines_are_pinned() {
+        let source = "for (i = 0; i < 4; i++) {\n  s += x[i]; // \"tab\"\t\n}\n";
+        let knobs = GenKnobs {
+            machine: None,
+            registers: 3,
+            modify: 2,
+            modify_registers: 1,
+        };
+        assert_eq!(compile_request(7, source, &knobs), PINNED_KNOB_REQUEST);
+        let described = GenKnobs {
+            machine: Some(MACHINE_POOL[6]),
+            ..knobs
+        };
+        assert_eq!(
+            compile_request(8, source, &described),
+            PINNED_MACHINE_REQUEST
+        );
+    }
+
+    /// `compile_request`'s lines in `compile_request_lines_are_pinned`.
+    const PINNED_KNOB_REQUEST: &str = "{\"id\":7,\"op\":\"compile\",\"name\":\"fuzz\",\"source\":\"for (i = 0; i < 4; i++) {\\n  s += x[i]; // \\\"tab\\\"\\t\\n}\\n\",\"registers\":3,\"modify\":2,\"modify_registers\":1,\"validate\":true}";
+    const PINNED_MACHINE_REQUEST: &str = "{\"id\":8,\"op\":\"compile\",\"name\":\"fuzz\",\"source\":\"for (i = 0; i < 4; i++) {\\n  s += x[i]; // \\\"tab\\\"\\t\\n}\\n\",\"machine\":\"address_registers = 3\\nupdate_min = 0\\nupdate_max = 2\\nmodify_registers = 1\",\"validate\":true}";
+
+    #[test]
+    fn failure_sidecars_are_pinned() {
+        let dir = std::env::temp_dir().join(format!("raco-fuzz-pin-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let path = write_failure(
+            &dir,
+            "compile-mismatch",
+            0xabc,
+            7,
+            None,
+            r#"{"op":"compile","source":"s\n"}"#,
+            "units mismatch:\n  server:    [1]\n  reference: [2]",
+        )
+        .unwrap();
+        let sidecar = fs::read_to_string(&path).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(path.file_name().unwrap(), "compile-mismatch-0xabc-7.json");
+        assert_eq!(sidecar, PINNED_SIDECAR);
+    }
+
+    /// The sidecar `failure_sidecars_are_pinned` writes.
+    const PINNED_SIDECAR: &str = "{\n  \"kind\": \"compile-mismatch\",\n  \"seed\": 2748,\n  \"case\": 7,\n  \"detail\": \"units mismatch:\\n  server:    [1]\\n  reference: [2]\",\n  \"request\": \"{\\\"op\\\":\\\"compile\\\",\\\"source\\\":\\\"s\\\\n\\\"}\"\n}\n";
+
+    #[test]
     fn failure_files_carry_source_request_and_seed() {
         let dir = std::env::temp_dir().join(format!("raco-fuzz-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);

@@ -154,6 +154,14 @@ impl LoadgenReport {
         )
     }
 
+    /// The artifact file's text: the indented JSON of
+    /// [`to_json`](Self::to_json) and a blank line.
+    pub fn artifact(&self, config: &LoadgenConfig) -> String {
+        let mut rendered = self.to_json(config).render_pretty();
+        rendered.push('\n');
+        rendered
+    }
+
     /// Renders the schema-versioned artifact.
     pub fn to_json(&self, config: &LoadgenConfig) -> Json {
         let rejected: Vec<(String, Json)> = self
@@ -442,9 +450,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
             .map_err(|e| format!("loadgen: server shutdown failed: {e}"))?;
     }
 
-    let mut rendered = report.to_json(config).render_pretty();
-    rendered.push('\n');
-    std::fs::write(&config.output, rendered)
+    std::fs::write(&config.output, report.artifact(config))
         .map_err(|e| format!("{}: {e}", config.output.display()))?;
     Ok(report)
 }
@@ -523,34 +529,34 @@ mod tests {
     #[test]
     fn report_json_is_schema_versioned() {
         let config = LoadgenConfig::new(PathBuf::from("raco"));
+        let latency = Histogram::new();
+        for ns in [1_500, 2_000, 80_000] {
+            latency.record(ns);
+        }
+        let server = r#"{"uptime_ms":12,"requests":{"total":3,"in_flight":1,"by_op":{"compile":2,"metrics":1}},"latency_us":{},"pipeline_us":{"pipeline.parse":{"count":2,"total_us":3.25}},"errors":[],"cache":{"hit_rate":0.5,"delta":-4,"name":"a\"b"}}"#;
         let report = LoadgenReport {
             sent: 10,
             ok: 9,
             rejected: BTreeMap::from([("shed".to_owned(), 1)]),
             transport_errors: 0,
             elapsed: Duration::from_millis(500),
-            latency: empty_snapshot(),
+            latency: latency.snapshot(),
             connect: empty_snapshot(),
-            server_metrics: None,
+            server_metrics: Some(Json::parse(server).unwrap()),
         };
-        let json = report.to_json(&config);
+        let artifact = report.artifact(&config);
+        assert_eq!(artifact, PINNED_ARTIFACT);
+        let json = Json::parse(&artifact).expect("the artifact parses");
         assert_eq!(json.get("schema").and_then(Json::as_str), Some(SCHEMA));
         assert_eq!(
             json.get("version").and_then(Json::as_u64),
             Some(SCHEMA_VERSION)
         );
-        assert_eq!(json.get("requests").and_then(Json::as_u64), Some(10));
-        let errors = json.get("errors").expect("errors object");
-        assert_eq!(errors.get("rejected").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            errors
-                .get("by_kind")
-                .and_then(|k| k.get("shed"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-        // Round-trips through the parser.
-        assert!(Json::parse(&json.render_pretty()).is_ok());
         assert_eq!(report.throughput_rps(), 20.0);
+        assert_eq!(report.aggregate_hit_rate(), Some(0.5));
     }
+
+    /// The artifact of `report_json_is_schema_versioned`'s report, byte
+    /// for byte.
+    const PINNED_ARTIFACT: &str = "{\n  \"schema\": \"raco-bench-serve\",\n  \"version\": 2,\n  \"label\": \"local\",\n  \"seed\": 279813710,\n  \"requests\": 10,\n  \"connections\": 8,\n  \"shapes\": 64,\n  \"elapsed_ms\": 500,\n  \"throughput_rps\": 20,\n  \"ok\": 9,\n  \"errors\": {\n    \"transport\": 0,\n    \"rejected\": 1,\n    \"by_kind\": {\n      \"shed\": 1\n    }\n  },\n  \"latency_us\": {\n    \"count\": 3,\n    \"total_us\": 83.5,\n    \"p50_us\": 2.047,\n    \"p95_us\": 80,\n    \"p99_us\": 80,\n    \"max_us\": 80\n  },\n  \"connect_us\": {\n    \"count\": 0,\n    \"total_us\": 0,\n    \"p50_us\": 0,\n    \"p95_us\": 0,\n    \"p99_us\": 0,\n    \"max_us\": 0\n  },\n  \"server\": {\n    \"uptime_ms\": 12,\n    \"requests\": {\n      \"total\": 3,\n      \"in_flight\": 1,\n      \"by_op\": {\n        \"compile\": 2,\n        \"metrics\": 1\n      }\n    },\n    \"latency_us\": {},\n    \"pipeline_us\": {\n      \"pipeline.parse\": {\n        \"count\": 2,\n        \"total_us\": 3.25\n      }\n    },\n    \"errors\": [],\n    \"cache\": {\n      \"hit_rate\": 0.5,\n      \"delta\": -4,\n      \"name\": \"a\\\"b\"\n    }\n  }\n}\n\n";
 }

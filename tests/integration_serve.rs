@@ -345,8 +345,10 @@ fn stdio_and_tcp_sessions_reply_identically() {
 
 /// Replaces the value of every field that varies between runs with `#`:
 /// `elapsed_us` (the envelope's and the report's), `uptime_ms`,
-/// `loops_per_second` and the timing numbers of `timings` rows. Every
-/// other byte of the line is kept.
+/// `loops_per_second`, the timing numbers of `timings` rows and latency
+/// histograms, and the whole `pipeline_us` object (it reads the
+/// process-wide stage registry, which other tests in this binary also
+/// feed). Every other byte of the line is kept.
 fn mask_run_dependent(line: &str) -> String {
     const VARYING: [&str; 8] = [
         "elapsed_us",
@@ -370,6 +372,17 @@ fn mask_run_dependent(line: &str) -> String {
             line.replace_range(value..value + len, "#");
             from = value + 1;
         }
+    }
+    if let Some(at) = line.find("\"pipeline_us\":{") {
+        let value = at + "\"pipeline_us\":".len();
+        let mut depth = 0;
+        let len = line[value..]
+            .find(|c: char| {
+                depth += i32::from(c == '{') - i32::from(c == '}');
+                depth == 0
+            })
+            .expect("a closed object");
+        line.replace_range(value..=value + len, "#");
     }
     line
 }
@@ -401,7 +414,8 @@ const GOLDEN_REQUESTS: &[&str] = &[
     r#"{"op":"stats"}"#,
     r#"{"id":19,"op":"clear_cache"}"#,
     r#"{"id":20,"op":"stats"}"#,
-    r#"{"id":21,"op":"shutdown"}"#,
+    r#"{"id":21,"op":"metrics"}"#,
+    r#"{"id":22,"op":"shutdown"}"#,
 ];
 
 /// The golden requests' reply lines from one stdio session, masked.
@@ -437,6 +451,31 @@ fn serve_replies_match_the_golden_fixture() {
     }
     assert_eq!(actual, expected, "serve replies drifted from the fixture");
 }
+
+#[test]
+fn invalid_utf8_request_bytes_are_replaced_in_the_reply() {
+    // Invalid bytes become U+FFFD before the line is parsed, so an id and
+    // an error message carry the replacement character.
+    let mut input = Vec::new();
+    input.extend_from_slice(b"{\"id\":\"a\xffb\",\"op\":\"ping\"}\n");
+    input.extend_from_slice(
+        b"{\"id\":2,\"op\":\"compile\",\"source\":\"for (i = 0; i < 4; i++) { s += x[i] \xc3\x28; }\"}\n",
+    );
+    input.extend_from_slice(b"{\"id\":3,\"op\":\"ping\"\xfe}\n");
+    let mut output = Vec::new();
+    default_server()
+        .serve(input.as_slice(), &mut output)
+        .expect("in-memory transport cannot fail");
+    let replies: String = String::from_utf8(output)
+        .expect("replies are UTF-8")
+        .lines()
+        .map(|line| mask_run_dependent(line) + "\n")
+        .collect();
+    assert_eq!(replies, INVALID_UTF8_REPLIES);
+}
+
+/// The replies of `invalid_utf8_request_bytes_are_replaced_in_the_reply`.
+const INVALID_UTF8_REPLIES: &str = "{\"id\":\"a�b\",\"ok\":true,\"pong\":true,\"elapsed_us\":#}\n{\"id\":2,\"ok\":false,\"error\":\"request: error at 1:37: unexpected character `�`\",\"elapsed_us\":#}\n{\"ok\":false,\"error\":\"invalid JSON at byte 19: expected `,` or `}` in object\",\"elapsed_us\":#}\n";
 
 #[test]
 fn second_identical_request_is_a_cache_hit() {
