@@ -23,7 +23,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-use raco_driver::json::Json;
+use raco_driver::json::{Json, Writer};
 
 const SCHEMA: &str = "raco-bench-trajectory";
 const VERSION: u64 = 2;
@@ -53,12 +53,40 @@ fn declared_workloads(text: &str) -> Result<(Vec<String>, u64), String> {
     Ok((names, run_seconds))
 }
 
-/// Turns one perfbench run's stdout into a point's workload entry:
-/// `correct`, `attempted`, `failed`, the calibrated `metrics` of the
-/// last line as printed, and `raw`, each metric's value from the
-/// `raw {…}` line. Rejects a run that reports `correct:false` or a
-/// failed op, and a stdout without a final JSON line or a `raw` line.
-fn parse_run(stdout: &str) -> Result<Json, String> {
+/// One perfbench run, as a point's workload entry records it.
+#[derive(Debug)]
+struct Run {
+    /// Ops attempted (none failed: [`parse_run`] rejects failed ops).
+    attempted: u64,
+    /// The calibrated `metrics` object of the result line, as printed.
+    metrics: Json,
+    /// Each metric's value from the `raw {…}` line.
+    raw: Vec<(String, Json)>,
+}
+
+impl Run {
+    /// Writes the entry: `correct`, `attempted`, `failed`, `metrics` and
+    /// `raw`.
+    fn write(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.key("correct").bool(true);
+            w.key("attempted").uint(self.attempted);
+            w.key("failed").uint(0);
+            w.key("metrics").value(&self.metrics);
+            w.key("raw").object(|w| {
+                for (name, value) in &self.raw {
+                    w.key(name).value(value);
+                }
+            });
+        });
+    }
+}
+
+/// Reads one perfbench run's stdout: the calibrated `metrics` of the
+/// last line as printed, and each metric's value from the `raw {…}`
+/// line. Rejects a run that reports `correct:false` or a failed op, and
+/// a stdout without a final JSON line or a `raw` line.
+fn parse_run(stdout: &str) -> Result<Run, String> {
     let last = stdout
         .lines()
         .rev()
@@ -95,25 +123,32 @@ fn parse_run(stdout: &str) -> Result<Json, String> {
             _ => Err(format!("`raw` metric `{name}` has no numeric value")),
         })
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(Json::Obj(vec![
-        ("correct".to_owned(), Json::Bool(correct)),
-        ("attempted".to_owned(), Json::UInt(attempted)),
-        ("failed".to_owned(), Json::UInt(failed)),
-        ("metrics".to_owned(), metrics.clone()),
-        ("raw".to_owned(), Json::Obj(raw)),
-    ]))
+    Ok(Run {
+        attempted,
+        metrics: metrics.clone(),
+        raw,
+    })
 }
 
-/// One point: `label`, the `commit` it was recorded at (`null` outside
-/// a git checkout), the `seconds` each workload ran, and each
-/// workload's entry from [`parse_run`].
-fn point(label: &str, commit: Option<&str>, seconds: u64, workloads: Vec<(String, Json)>) -> Json {
-    Json::Obj(vec![
-        ("label".to_owned(), Json::str(label)),
-        ("commit".to_owned(), commit.map_or(Json::Null, Json::str)),
-        ("seconds".to_owned(), Json::UInt(seconds)),
-        ("workloads".to_owned(), Json::Obj(workloads)),
-    ])
+/// One point as its line in the file: `label`, the `commit` it was
+/// recorded at (`null` outside a git checkout), the `seconds` each
+/// workload ran, and each workload's [`Run`] entry.
+fn point(label: &str, commit: Option<&str>, seconds: u64, workloads: &[(String, Run)]) -> String {
+    let mut line = String::new();
+    Writer::compact(&mut line).object(|w| {
+        w.key("label").str(label);
+        match commit {
+            Some(commit) => w.key("commit").str(commit),
+            None => w.key("commit").null(),
+        }
+        w.key("seconds").uint(seconds);
+        w.key("workloads").object(|w| {
+            for (name, run) in workloads {
+                run.write(w.key(name));
+            }
+        });
+    });
+    line
 }
 
 /// Checks that `text` is a trajectory file of this schema and version
@@ -142,13 +177,14 @@ fn points_head(text: &str) -> Result<&str, String> {
     Ok(head.trim_end())
 }
 
-/// Appends `point` to the trajectory file text `existing` (`None`: no
-/// file yet), keeping every byte of `existing` before the closing `]}`.
-fn append(existing: Option<&str>, point: &Json) -> Result<String, String> {
+/// Appends the `point` line to the trajectory file text `existing`
+/// (`None`: no file yet), keeping every byte of `existing` before the
+/// closing `]}`.
+fn append(existing: Option<&str>, point: &str) -> Result<String, String> {
     let fresh = format!("{{\"schema\":\"{SCHEMA}\",\"version\":{VERSION},\"points\":[]}}");
     let head = points_head(existing.unwrap_or(&fresh))?;
     let separator = if head.ends_with('[') { "" } else { "," };
-    Ok(format!("{head}{separator}\n{}\n]}}\n", point.render()))
+    Ok(format!("{head}{separator}\n{point}\n]}}\n"))
 }
 
 fn read_existing(path: &Path) -> Result<Option<String>, String> {
@@ -159,16 +195,16 @@ fn read_existing(path: &Path) -> Result<Option<String>, String> {
     }
 }
 
-/// Appends `point` to the file at `path`, creating it if missing; a
-/// file of another schema or version is left untouched.
-fn write_point(path: &Path, point: &Json) -> Result<(), String> {
+/// Appends the `point` line to the file at `path`, creating it if
+/// missing; a file of another schema or version is left untouched.
+fn write_point(path: &Path, point: &str) -> Result<(), String> {
     let in_file = |e: String| format!("{}: {e}", path.display());
     let text = append(read_existing(path)?.as_deref(), point).map_err(in_file)?;
     std::fs::write(path, text).map_err(|e| in_file(e.to_string()))
 }
 
 /// Runs one workload, forwarding perfbench's own table to stderr.
-fn run_workload(name: &str, seconds: u64) -> Result<Json, String> {
+fn run_workload(name: &str, seconds: u64) -> Result<Run, String> {
     let output = Command::new("python3")
         .args([RUNNER, "--workload", name, "--seed", &SEED.to_string()])
         .args(["--seconds", &seconds.to_string(), "--trace", "0"])
@@ -199,14 +235,14 @@ fn head_commit() -> Option<String> {
 /// Runs every workload of `BENCHMARK.json` through perfbench (its
 /// `run_seconds` each, 3 s with `quick`) and appends the resulting
 /// point, labelled `label`, to the trajectory file at `path`. Returns
-/// the appended point.
+/// the appended point's line.
 ///
 /// # Errors
 ///
 /// Returns a message, having appended nothing, when `BENCHMARK.json`
 /// cannot be read, the existing file has another schema or version, or
 /// a run fails or reports an output mismatch or a failed op.
-pub fn record(quick: bool, label: &str, path: &Path) -> Result<Json, String> {
+pub fn record(quick: bool, label: &str, path: &Path) -> Result<String, String> {
     let declared = std::fs::read_to_string(BENCHMARK_FILE)
         .map_err(|e| format!("{BENCHMARK_FILE}: {e} (run from the repository root)"))?;
     let (workloads, run_seconds) =
@@ -223,7 +259,7 @@ pub fn record(quick: bool, label: &str, path: &Path) -> Result<Json, String> {
             Err(e) => Err(format!("{name}: {e}")),
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let point = point(label, head_commit().as_deref(), seconds, runs);
+    let point = point(label, head_commit().as_deref(), seconds, &runs);
     write_point(path, &point)?;
     Ok(point)
 }
@@ -250,13 +286,13 @@ raw {\"latency_p50_us\":{\"value\":135.47318708050076,\"unit\":\"us\"},\"addr_cy
 {\"correct\":true,\"attempted\":16890,\"failed\":0,\"metrics\":{\"latency_p50_us\":{\"value\":159.34604949816807,\"unit\":\"us\"},\"addr_cycles\":{\"value\":907,\"unit\":\"cycles\"}}}
 ";
 
-    fn sample_point(label: &str) -> Json {
+    fn sample_point(label: &str) -> String {
         let run = parse_run(STDOUT).expect("sample run parses");
         point(
             label,
             Some("0123abc"),
             3,
-            vec![("library_warm".to_owned(), run)],
+            &[("library_warm".to_owned(), run)],
         )
     }
 
@@ -274,9 +310,12 @@ raw {\"latency_p50_us\":{\"value\":135.47318708050076,\"unit\":\"us\"},\"addr_cy
 
     #[test]
     fn parse_run_keeps_calibrated_metrics_and_raw_values() {
-        let run = parse_run(STDOUT).unwrap();
+        let mut rendered = String::new();
+        parse_run(STDOUT)
+            .unwrap()
+            .write(&mut Writer::compact(&mut rendered));
         assert_eq!(
-            run.render(),
+            rendered,
             "{\"correct\":true,\"attempted\":16890,\"failed\":0,\"metrics\":\
              {\"latency_p50_us\":{\"value\":159.34604949816807,\"unit\":\"us\"},\
              \"addr_cycles\":{\"value\":907,\"unit\":\"cycles\"}},\
@@ -321,7 +360,7 @@ raw {\"latency_p50_us\":{\"value\":135.47318708050076,\"unit\":\"us\"},\"addr_cy
         std::fs::remove_file(&path).unwrap();
         let expected = format!(
             "{{\"schema\":\"raco-bench-trajectory\",\"version\":2,\"points\":[\n{}\n]}}\n",
-            sample_point("a").render()
+            sample_point("a")
         );
         assert_eq!(text, expected);
     }

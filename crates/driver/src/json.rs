@@ -3,12 +3,14 @@
 //! The pipeline emits machine-readable `CompilationReport`s and the
 //! serve front end (`raco-serve`) reads newline-delimited JSON
 //! requests; a full serde dependency is not warranted (and not
-//! available offline) for either direction, so this module provides an
-//! order-preserving value tree, one streaming [`Writer`] that every
-//! rendering goes through (string escaping, no trailing commas, `null`
-//! for absent fields, compact or indented) and a recursive-descent
-//! parser ([`Json::parse`]) with the accessors a protocol handler needs
-//! ([`Json::get`], [`Json::as_str`], …).
+//! available offline) for either direction. Every document raco writes
+//! goes through one streaming [`Writer`], which owns the output format:
+//! field order is the order of the calls, strings are escaped, there
+//! are no trailing commas, and the output is compact or indented. The
+//! order-preserving value tree [`Json`] is what the recursive-descent
+//! parser ([`Json::parse`]) returns, with the accessors a protocol
+//! handler needs ([`Json::get`], [`Json::as_str`], …); a parsed value
+//! that is forwarded into a document goes through [`Writer::value`].
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -153,23 +155,16 @@ impl Json {
         Writer::compact(&mut out).value(self);
         out
     }
-
-    /// Renders human-readable JSON indented by two spaces.
-    pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        Writer::pretty(&mut out).value(self);
-        out.push('\n');
-        out
-    }
 }
 
 /// A streaming JSON writer that appends one value to a `String`.
 ///
-/// It is the one place that owns separators, indentation and string
-/// escaping: [`Json::render`] walks its tree through it, and reports and
-/// serve replies write their fields straight into it without building a
-/// tree. Containers take a closure that writes their contents; inside
-/// an object every value follows a [`key`](Self::key).
+/// It is the one place that owns separators, indentation, number format
+/// and string escaping: reports, serve replies and payloads, and the
+/// loadgen, fuzz and trajectory files write their fields straight into
+/// it, and [`Json::render`] walks a parsed tree through it. Containers
+/// take a closure that writes their contents; inside an object every
+/// value follows a [`key`](Self::key).
 ///
 /// ```
 /// use raco_driver::json::Writer;
@@ -300,7 +295,7 @@ impl<'a> Writer<'a> {
         write_escaped(self.out, value);
     }
 
-    /// Writes a value tree.
+    /// Writes a value tree (a parsed value forwarded into a document).
     pub fn value(&mut self, value: &Json) {
         match value {
             Json::Null => self.null(),
@@ -655,6 +650,13 @@ fn write_escaped(out: &mut String, s: &str) {
 mod tests {
     use super::*;
 
+    /// `value` indented by two spaces.
+    fn pretty(value: &Json) -> String {
+        let mut out = String::new();
+        Writer::pretty(&mut out).value(value);
+        out
+    }
+
     #[test]
     fn scalars_render_per_spec() {
         assert_eq!(Json::Null.render(), "null");
@@ -691,11 +693,11 @@ mod tests {
                 w.key("c\n").object(|w| w.key("d").num(0.25));
             })
         };
-        let (mut compact, mut pretty) = (String::new(), String::new());
+        let (mut compact, mut indented) = (String::new(), String::new());
         stream(&mut Writer::compact(&mut compact));
-        stream(&mut Writer::pretty(&mut pretty));
+        stream(&mut Writer::pretty(&mut indented));
         assert_eq!(compact, tree.render());
-        assert_eq!(pretty + "\n", tree.render_pretty());
+        assert_eq!(indented, pretty(&tree));
         assert_eq!(
             compact,
             r#"{"a":[],"b":[{},-9223372036854775808,null],"c\n":{"d":0.25}}"#
@@ -740,7 +742,7 @@ mod tests {
             ("empty".into(), Json::Obj(vec![])),
         ]);
         assert_eq!(Json::parse(&value.render()).unwrap(), value);
-        assert_eq!(Json::parse(&value.render_pretty()).unwrap(), value);
+        assert_eq!(Json::parse(&pretty(&value)).unwrap(), value);
     }
 
     #[test]
@@ -840,9 +842,9 @@ mod tests {
             ("empty_arr".into(), Json::Arr(vec![])),
             ("nested".into(), Json::Arr(vec![Json::Bool(false)])),
         ]);
-        let pretty = value.render_pretty();
-        assert!(pretty.contains("\"empty_obj\": {}"));
-        assert!(pretty.contains("  \"nested\": [\n    false\n  ]"));
-        assert!(pretty.ends_with("}\n"));
+        let text = pretty(&value);
+        assert!(text.contains("\"empty_obj\": {}"));
+        assert!(text.contains("  \"nested\": [\n    false\n  ]"));
+        assert!(text.starts_with("{\n  \"empty_obj\"") && text.ends_with("\n}"));
     }
 }

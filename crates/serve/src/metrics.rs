@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use raco_driver::json::Json;
+use raco_driver::json::Writer;
 use raco_driver::CacheStats;
 use raco_obs::{Histogram, HistogramSnapshot};
 
@@ -166,17 +166,12 @@ impl ServiceMetrics {
         self.started.elapsed().as_millis() as u64
     }
 
-    /// Requests finished so far per op, every op listed, in label order.
-    fn by_op(&self) -> Vec<(String, Json)> {
-        Op::ALL
-            .iter()
-            .map(|&op| {
-                (
-                    op.label().to_owned(),
-                    Json::UInt(self.ops[op as usize].count()),
-                )
-            })
-            .collect()
+    /// Writes the requests finished so far per op into an open object,
+    /// every op listed, in label order.
+    fn write_by_op(&self, w: &mut Writer<'_>) {
+        for op in Op::ALL {
+            w.key(op.label()).uint(self.ops[op as usize].count());
+        }
     }
 
     /// Requests finished so far, across every op.
@@ -184,108 +179,82 @@ impl ServiceMetrics {
         self.ops.iter().map(Histogram::count).sum()
     }
 
-    /// The service fields appended to the `stats` response, after the
-    /// cache counters.
-    pub(crate) fn stats_fields(&self) -> Vec<(String, Json)> {
-        vec![
-            ("uptime_ms".to_owned(), Json::UInt(self.uptime_ms())),
-            (
-                "requests_total".to_owned(),
-                Json::UInt(self.total_requests()),
-            ),
-            ("requests_by_op".to_owned(), Json::Obj(self.by_op())),
-        ]
+    /// Writes the service fields of the `stats` payload, which follow
+    /// the cache counters.
+    pub(crate) fn write_stats_fields(&self, w: &mut Writer<'_>) {
+        w.key("uptime_ms").uint(self.uptime_ms());
+        w.key("requests_total").uint(self.total_requests());
+        w.key("requests_by_op").object(|w| self.write_by_op(w));
     }
 
-    /// The full `metrics` response payload: uptime, request counts,
-    /// per-op latency quantiles, accumulated pipeline stage timings
-    /// (from [`raco_obs::global()`]), shed/deadline/internal-error
+    /// Writes the fields of the `metrics` payload: uptime, request
+    /// counts, per-op latency quantiles, accumulated pipeline stage
+    /// timings (from [`raco_obs::global()`]), shed/deadline/internal-error
     /// counters and the cache's hit/eviction rates.
-    pub(crate) fn payload(&self, cache: &CacheStats) -> Json {
-        let latency: Vec<(String, Json)> = Op::ALL
-            .iter()
-            .map(|&op| (op, self.ops[op as usize].snapshot()))
-            .filter(|(_, snapshot)| snapshot.count > 0)
-            .map(|(op, snapshot)| (op.label().to_owned(), histogram_json(&snapshot)))
-            .collect();
-        let pipeline: Vec<(String, Json)> = raco_obs::global()
-            .histograms()
-            .into_iter()
-            .filter(|(_, snapshot)| snapshot.count > 0)
-            .map(|(name, snapshot)| (name, histogram_json(&snapshot)))
-            .collect();
-        Json::Obj(vec![
-            ("uptime_ms".to_owned(), Json::UInt(self.uptime_ms())),
-            (
-                "requests".to_owned(),
-                Json::Obj(vec![
-                    ("total".to_owned(), Json::UInt(self.total_requests())),
-                    (
-                        "in_flight".to_owned(),
-                        Json::UInt(self.in_flight.load(Ordering::Relaxed)),
-                    ),
-                    ("by_op".to_owned(), Json::Obj(self.by_op())),
-                ]),
-            ),
-            ("latency_us".to_owned(), Json::Obj(latency)),
-            ("pipeline_us".to_owned(), Json::Obj(pipeline)),
-            (
-                "shed".to_owned(),
-                Json::Obj(vec![
-                    (
-                        "connections".to_owned(),
-                        Json::UInt(self.shed_connections.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "queue".to_owned(),
-                        Json::UInt(self.shed_queue.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "deadlines".to_owned(),
-                Json::Obj(vec![
-                    (
-                        "read".to_owned(),
-                        Json::UInt(self.read_deadlines.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "compute".to_owned(),
-                        Json::UInt(self.compute_deadlines.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "errors".to_owned(),
-                Json::Obj(vec![(
-                    "internal".to_owned(),
-                    Json::UInt(self.internal_errors.load(Ordering::Relaxed)),
-                )]),
-            ),
-            ("cache".to_owned(), protocol::stats_json(cache)),
-        ])
+    pub(crate) fn write_metrics(&self, w: &mut Writer<'_>, cache: &CacheStats) {
+        let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        w.key("uptime_ms").uint(self.uptime_ms());
+        w.key("requests").object(|w| {
+            w.key("total").uint(self.total_requests());
+            w.key("in_flight").uint(count(&self.in_flight));
+            w.key("by_op").object(|w| self.write_by_op(w));
+        });
+        w.key("latency_us").object(|w| {
+            for op in Op::ALL {
+                let snapshot = self.ops[op as usize].snapshot();
+                if snapshot.count > 0 {
+                    write_histogram(w.key(op.label()), &snapshot);
+                }
+            }
+        });
+        w.key("pipeline_us").object(|w| {
+            for (name, snapshot) in raco_obs::global().histograms() {
+                if snapshot.count > 0 {
+                    write_histogram(w.key(&name), &snapshot);
+                }
+            }
+        });
+        w.key("shed").object(|w| {
+            w.key("connections").uint(count(&self.shed_connections));
+            w.key("queue").uint(count(&self.shed_queue));
+        });
+        w.key("deadlines").object(|w| {
+            w.key("read").uint(count(&self.read_deadlines));
+            w.key("compute").uint(count(&self.compute_deadlines));
+        });
+        w.key("errors")
+            .object(|w| w.key("internal").uint(count(&self.internal_errors)));
+        w.key("cache").object(|w| protocol::write_stats(w, cache));
     }
 }
 
-/// One latency histogram as JSON: exact count/total plus estimated
-/// quantiles, durations converted from nanoseconds to microseconds.
-/// The serve `metrics` op and `raco loadgen`'s artifact both render
-/// histograms through this.
-pub fn histogram_json(snapshot: &HistogramSnapshot) -> Json {
-    let us = |ns: u64| Json::Num(ns as f64 / 1000.0);
-    Json::Obj(vec![
-        ("count".to_owned(), Json::UInt(snapshot.count)),
-        ("total_us".to_owned(), us(snapshot.sum)),
-        ("p50_us".to_owned(), us(snapshot.quantile(0.50))),
-        ("p95_us".to_owned(), us(snapshot.quantile(0.95))),
-        ("p99_us".to_owned(), us(snapshot.quantile(0.99))),
-        ("max_us".to_owned(), us(snapshot.max)),
-    ])
+/// Writes one latency histogram as an object: exact count/total plus
+/// estimated quantiles, durations converted from nanoseconds to
+/// microseconds. The serve `metrics` op and `raco loadgen`'s artifact
+/// both write histograms through this.
+pub fn write_histogram(w: &mut Writer<'_>, snapshot: &HistogramSnapshot) {
+    let us = |ns: u64| ns as f64 / 1000.0;
+    w.object(|w| {
+        w.key("count").uint(snapshot.count);
+        w.key("total_us").num(us(snapshot.sum));
+        w.key("p50_us").num(us(snapshot.quantile(0.50)));
+        w.key("p95_us").num(us(snapshot.quantile(0.95)));
+        w.key("p99_us").num(us(snapshot.quantile(0.99)));
+        w.key("max_us").num(us(snapshot.max));
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raco_driver::json::Json;
+
+    /// The `metrics` payload, parsed back.
+    fn payload(metrics: &ServiceMetrics) -> Json {
+        let mut out = String::new();
+        Writer::compact(&mut out).object(|w| metrics.write_metrics(w, &CacheStats::default()));
+        Json::parse(&out).expect("the payload is valid JSON")
+    }
 
     #[test]
     fn finish_counts_and_times_per_op() {
@@ -296,7 +265,7 @@ mod tests {
         metrics.finish(Op::Compile, 5_000);
         assert_eq!(metrics.total_requests(), 2);
         assert_eq!(metrics.in_flight.load(Ordering::Relaxed), 0);
-        let payload = metrics.payload(&CacheStats::default());
+        let payload = payload(&metrics);
         let requests = payload.get("requests").unwrap();
         assert_eq!(requests.get("total").and_then(Json::as_u64), Some(2));
         assert_eq!(
@@ -311,7 +280,7 @@ mod tests {
             .and_then(|l| l.get("compile"))
             .unwrap();
         assert_eq!(compile.get("count").and_then(Json::as_u64), Some(1));
-        assert_eq!(compile.get("total_us"), Some(&Json::Num(5.0)));
+        assert_eq!(compile.get("total_us").and_then(Json::as_u64), Some(5));
     }
 
     #[test]
@@ -326,7 +295,7 @@ mod tests {
         // Sheds and deadline reaps never became requests.
         assert_eq!(metrics.total_requests(), 0);
         assert_eq!(metrics.total_shed(), 3);
-        let payload = metrics.payload(&CacheStats::default());
+        let payload = payload(&metrics);
         let shed = payload.get("shed").expect("shed object");
         assert_eq!(shed.get("connections").and_then(Json::as_u64), Some(1));
         assert_eq!(shed.get("queue").and_then(Json::as_u64), Some(2));
@@ -342,7 +311,7 @@ mod tests {
         let metrics = ServiceMetrics::new();
         metrics.begin();
         metrics.finish(Op::Invalid, 10);
-        let payload = metrics.payload(&CacheStats::default());
+        let payload = payload(&metrics);
         let Some(Json::Obj(by_op)) = payload.get("requests").and_then(|r| r.get("by_op")) else {
             panic!("by_op object");
         };
@@ -376,9 +345,13 @@ mod tests {
         let metrics = ServiceMetrics::new();
         metrics.begin();
         metrics.finish(Op::Stats, 100);
-        let fields = metrics.stats_fields();
+        let mut out = String::new();
+        Writer::compact(&mut out).object(|w| metrics.write_stats_fields(w));
+        let Json::Obj(fields) = Json::parse(&out).expect("valid JSON") else {
+            panic!("an object: {out}");
+        };
         let names: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["uptime_ms", "requests_total", "requests_by_op"]);
-        assert_eq!(fields[1].1, Json::UInt(1));
+        assert_eq!(fields[1].1.as_u64(), Some(1));
     }
 }

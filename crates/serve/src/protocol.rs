@@ -57,10 +57,12 @@
 //! request wall time, microseconds) to every response to a request.
 //!
 //! Replies are written, never built: the server opens one reply object
-//! in its connection's buffer and writes the fields through
-//! [`raco_driver::json::Writer`], the report included
-//! ([`CompilationReport::write_json`]), so no value tree is built per
-//! compile reply.
+//! in its connection's buffer and writes every field through
+//! [`raco_driver::json::Writer`], the report
+//! ([`CompilationReport::write_json`]) and the `stats` and `metrics`
+//! payloads included, so no value tree is built for any reply. The
+//! [`Json`] values here are parsed ones: a request, and its `id`, which
+//! a reply echoes verbatim.
 //!
 //! Operational failures of the serve tier additionally carry a
 //! machine-readable `error_kind`: `busy` (the `--max-connections`
@@ -440,8 +442,9 @@ fn line(fields: impl FnOnce(&mut Writer<'_>)) -> String {
     out
 }
 
-/// The fields every reply leads with: the echoed `id`, then `ok`.
-fn write_head(w: &mut Writer<'_>, id: &Option<Json>, ok: bool) {
+/// Writes the fields every reply leads with: the echoed `id`, then
+/// `ok`.
+pub(crate) fn write_head(w: &mut Writer<'_>, id: &Option<Json>, ok: bool) {
     if let Some(id) = id {
         w.key("id").value(id);
     }
@@ -461,13 +464,6 @@ pub fn report_line(id: &Option<Json>, report: &CompilationReport) -> String {
     let mut out = String::with_capacity(1024);
     write_reply(&mut out, |w| write_report(w, id, report));
     out
-}
-
-/// Writes a success reply's fields whose payload the caller assembles
-/// (the server's extended `stats` and `metrics` payloads).
-pub(crate) fn write_payload(w: &mut Writer<'_>, id: &Option<Json>, key: &str, payload: &Json) {
-    write_head(w, id, true);
-    w.key(key).value(payload);
 }
 
 /// Writes a success acknowledgement's fields: `"ok":true,"<flag>":true`.
@@ -501,39 +497,22 @@ pub(crate) fn write_error_kind(w: &mut Writer<'_>, id: &Option<Json>, kind: &str
     w.key("error").str(message);
 }
 
-/// [`CacheStats`] as a JSON object (the `stats` response payload).
-pub fn stats_json(stats: &CacheStats) -> Json {
-    Json::Obj(vec![
-        (
-            "allocation_hits".to_owned(),
-            Json::UInt(stats.allocation_hits),
-        ),
-        (
-            "allocation_misses".to_owned(),
-            Json::UInt(stats.allocation_misses),
-        ),
-        (
-            "allocation_entries".to_owned(),
-            Json::UInt(stats.allocation_entries as u64),
-        ),
-        (
-            "allocation_evictions".to_owned(),
-            Json::UInt(stats.allocation_evictions),
-        ),
-        ("curve_hits".to_owned(), Json::UInt(stats.curve_hits)),
-        ("curve_misses".to_owned(), Json::UInt(stats.curve_misses)),
-        (
-            "curve_entries".to_owned(),
-            Json::UInt(stats.curve_entries as u64),
-        ),
-        (
-            "curve_evictions".to_owned(),
-            Json::UInt(stats.curve_evictions),
-        ),
-        ("loaded".to_owned(), Json::UInt(stats.loaded)),
-        ("persisted".to_owned(), Json::UInt(stats.persisted)),
-        ("hit_rate".to_owned(), Json::Num(stats.hit_rate())),
-    ])
+/// Writes the [`CacheStats`] counters into an open object: the leading
+/// fields of the `stats` payload and the `metrics` payload's `cache`.
+pub(crate) fn write_stats(w: &mut Writer<'_>, stats: &CacheStats) {
+    w.key("allocation_hits").uint(stats.allocation_hits);
+    w.key("allocation_misses").uint(stats.allocation_misses);
+    w.key("allocation_entries")
+        .uint(stats.allocation_entries as u64);
+    w.key("allocation_evictions")
+        .uint(stats.allocation_evictions);
+    w.key("curve_hits").uint(stats.curve_hits);
+    w.key("curve_misses").uint(stats.curve_misses);
+    w.key("curve_entries").uint(stats.curve_entries as u64);
+    w.key("curve_evictions").uint(stats.curve_evictions);
+    w.key("loaded").uint(stats.loaded);
+    w.key("persisted").uint(stats.persisted);
+    w.key("hit_rate").num(stats.hit_rate());
 }
 
 /// Writes the fields of a `save_cache` success reply: where the
@@ -784,7 +763,10 @@ mod tests {
     fn response_lines_are_single_line_json() {
         let stats = CacheStats::default();
         for line in [
-            line(|w| write_payload(w, &Some(Json::Int(1)), "stats", &stats_json(&stats))),
+            line(|w| {
+                write_head(w, &Some(Json::Int(1)), true);
+                w.key("stats").object(|w| write_stats(w, &stats));
+            }),
             line(|w| write_ack(w, &None, "pong")),
             error_line(&Some(Json::str("x")), "boom\nboom"),
             line(|w| write_error_kind(w, &Some(Json::Num(2.5)), "busy", "full")),

@@ -507,19 +507,19 @@ impl Server {
             Request::Kernels { kernel: None } => Ok(ComputeWork::KernelSuite),
             Request::Kernels { kernel: Some(name) } => named_kernel(name),
             Request::Stats => {
+                protocol::write_head(w, &id, true);
                 // Cache counters first (their layout is load-bearing
                 // for scripted clients), then the service fields.
-                let Json::Obj(mut fields) = protocol::stats_json(&self.pipeline.cache_stats())
-                else {
-                    unreachable!("stats_json returns an object")
-                };
-                fields.extend(self.metrics.stats_fields());
-                protocol::write_payload(w, &id, "stats", &Json::Obj(fields));
+                w.key("stats").object(|w| {
+                    protocol::write_stats(w, &self.pipeline.cache_stats());
+                    self.metrics.write_stats_fields(w);
+                });
                 return (op, false);
             }
             Request::Metrics => {
-                let payload = self.metrics.payload(&self.pipeline.cache_stats());
-                protocol::write_payload(w, &id, "metrics", &payload);
+                protocol::write_head(w, &id, true);
+                w.key("metrics")
+                    .object(|w| self.metrics.write_metrics(w, &self.pipeline.cache_stats()));
                 return (op, false);
             }
             Request::ClearCache => {

@@ -629,7 +629,7 @@ fn run() -> Result<bool, String> {
             let point = raco_bench::trajectory::record(options.quick, label, &path)
                 .map_err(|e| format!("bench-trajectory: {e}"))?;
             if !options.quiet {
-                println!("{}", point.render());
+                println!("{point}");
                 println!("point `{label}` appended to {}", path.display());
             }
             Ok(true)

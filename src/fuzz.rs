@@ -35,6 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::LazyLock;
 use std::time::{Duration, Instant};
 
+use raco_driver::json::Writer;
 use raco_driver::{Json, Pipeline, PipelineConfig};
 use raco_ir::{AguSpec, MachineDescription};
 use raco_serve::protocol;
@@ -366,25 +367,24 @@ pub fn gen_knobs(rng: &mut SmallRng) -> GenKnobs {
 
 /// Builds the NDJSON compile request line for a unit + knobs.
 pub fn compile_request(id: u64, source: &str, knobs: &GenKnobs) -> String {
-    let mut fields = vec![
-        ("id".to_owned(), Json::UInt(id)),
-        ("op".to_owned(), Json::str("compile")),
-        ("name".to_owned(), Json::str("fuzz")),
-        ("source".to_owned(), Json::str(source)),
-    ];
-    match knobs.machine {
-        Some(machine) => fields.push(("machine".to_owned(), Json::str(machine))),
-        None => fields.extend([
-            ("registers".to_owned(), Json::UInt(knobs.registers as u64)),
-            ("modify".to_owned(), Json::UInt(u64::from(knobs.modify))),
-            (
-                "modify_registers".to_owned(),
-                Json::UInt(knobs.modify_registers as u64),
-            ),
-        ]),
-    }
-    fields.push(("validate".to_owned(), Json::Bool(true)));
-    Json::Obj(fields).render()
+    let mut line = String::new();
+    Writer::compact(&mut line).object(|w| {
+        w.key("id").uint(id);
+        w.key("op").str("compile");
+        w.key("name").str("fuzz");
+        w.key("source").str(source);
+        match knobs.machine {
+            Some(machine) => w.key("machine").str(machine),
+            None => {
+                w.key("registers").uint(knobs.registers as u64);
+                w.key("modify").uint(u64::from(knobs.modify));
+                w.key("modify_registers")
+                    .uint(knobs.modify_registers as u64);
+            }
+        }
+        w.key("validate").bool(true);
+    });
+    line
 }
 
 // ---------------------------------------------------------------------
@@ -589,15 +589,17 @@ pub fn write_failure(
 ) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
     let stem = format!("{kind}-{seed:#x}-{case}");
-    let sidecar = Json::Obj(vec![
-        ("kind".to_owned(), Json::str(kind)),
-        ("seed".to_owned(), Json::UInt(seed)),
-        ("case".to_owned(), Json::UInt(case)),
-        ("detail".to_owned(), Json::str(detail)),
-        ("request".to_owned(), Json::str(request)),
-    ]);
+    let mut sidecar = String::new();
+    Writer::pretty(&mut sidecar).object(|w| {
+        w.key("kind").str(kind);
+        w.key("seed").uint(seed);
+        w.key("case").uint(case);
+        w.key("detail").str(detail);
+        w.key("request").str(request);
+    });
+    sidecar.push('\n');
     let json_path = dir.join(format!("{stem}.json"));
-    fs::write(&json_path, sidecar.render_pretty())?;
+    fs::write(&json_path, sidecar)?;
     match source {
         Some(source) => {
             let dsp_path = dir.join(format!("{stem}.dsp"));
@@ -894,15 +896,12 @@ fn snapshot_cycle(
         config.seed,
         std::process::id()
     ));
-    let save = Json::Obj(vec![
-        ("id".to_owned(), Json::UInt(case)),
-        ("op".to_owned(), Json::str("save_cache")),
-        (
-            "path".to_owned(),
-            Json::str(snap_path.display().to_string()),
-        ),
-    ])
-    .render();
+    let mut save = String::new();
+    Writer::compact(&mut save).object(|w| {
+        w.key("id").uint(case);
+        w.key("op").str("save_cache");
+        w.key("path").str(&snap_path.display().to_string());
+    });
     let result = (|| {
         let reply = server.request(&save).map_err(|e| format!("save: {e}"))?;
         let json = Json::parse(&reply).map_err(|e| format!("save reply: {e}"))?;

@@ -26,9 +26,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use raco_driver::json::Json;
+use raco_driver::json::{Json, Writer};
 use raco_obs::{Histogram, HistogramSnapshot};
-use raco_serve::histogram_json;
+use raco_serve::write_histogram;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -154,56 +154,38 @@ impl LoadgenReport {
         )
     }
 
-    /// The artifact file's text: the indented JSON of
-    /// [`to_json`](Self::to_json) and a blank line.
+    /// The artifact file's text: the schema-versioned report indented
+    /// by two spaces, then a blank line.
     pub fn artifact(&self, config: &LoadgenConfig) -> String {
-        let mut rendered = self.to_json(config).render_pretty();
-        rendered.push('\n');
-        rendered
-    }
-
-    /// Renders the schema-versioned artifact.
-    pub fn to_json(&self, config: &LoadgenConfig) -> Json {
-        let rejected: Vec<(String, Json)> = self
-            .rejected
-            .iter()
-            .map(|(kind, n)| (kind.clone(), Json::UInt(*n)))
-            .collect();
-        let mut fields = vec![
-            ("schema".to_owned(), Json::str(SCHEMA)),
-            ("version".to_owned(), Json::UInt(SCHEMA_VERSION)),
-            ("label".to_owned(), Json::str(&config.label)),
-            ("seed".to_owned(), Json::UInt(config.seed)),
-            ("requests".to_owned(), Json::UInt(self.sent)),
-            (
-                "connections".to_owned(),
-                Json::UInt(config.connections as u64),
-            ),
-            ("shapes".to_owned(), Json::UInt(config.shapes as u64)),
-            (
-                "elapsed_ms".to_owned(),
-                Json::Num(self.elapsed.as_secs_f64() * 1000.0),
-            ),
-            (
-                "throughput_rps".to_owned(),
-                Json::Num(self.throughput_rps()),
-            ),
-            ("ok".to_owned(), Json::UInt(self.ok)),
-            (
-                "errors".to_owned(),
-                Json::Obj(vec![
-                    ("transport".to_owned(), Json::UInt(self.transport_errors)),
-                    ("rejected".to_owned(), Json::UInt(self.rejected_total())),
-                    ("by_kind".to_owned(), Json::Obj(rejected)),
-                ]),
-            ),
-            ("latency_us".to_owned(), histogram_json(&self.latency)),
-            ("connect_us".to_owned(), histogram_json(&self.connect)),
-        ];
-        if let Some(metrics) = &self.server_metrics {
-            fields.push(("server".to_owned(), metrics.clone()));
-        }
-        Json::Obj(fields)
+        let mut out = String::new();
+        Writer::pretty(&mut out).object(|w| {
+            w.key("schema").str(SCHEMA);
+            w.key("version").uint(SCHEMA_VERSION);
+            w.key("label").str(&config.label);
+            w.key("seed").uint(config.seed);
+            w.key("requests").uint(self.sent);
+            w.key("connections").uint(config.connections as u64);
+            w.key("shapes").uint(config.shapes as u64);
+            w.key("elapsed_ms").num(self.elapsed.as_secs_f64() * 1000.0);
+            w.key("throughput_rps").num(self.throughput_rps());
+            w.key("ok").uint(self.ok);
+            w.key("errors").object(|w| {
+                w.key("transport").uint(self.transport_errors);
+                w.key("rejected").uint(self.rejected_total());
+                w.key("by_kind").object(|w| {
+                    for (kind, n) in &self.rejected {
+                        w.key(kind).uint(*n);
+                    }
+                });
+            });
+            write_histogram(w.key("latency_us"), &self.latency);
+            write_histogram(w.key("connect_us"), &self.connect);
+            if let Some(metrics) = &self.server_metrics {
+                w.key("server").value(metrics);
+            }
+        });
+        out.push_str("\n\n");
+        out
     }
 }
 
