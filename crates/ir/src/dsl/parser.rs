@@ -90,6 +90,9 @@ pub enum ParseErrorKind {
     /// A nest level's condition never terminates or its trip count is
     /// not positive (e.g. `i < 0` from `i = 0` upward).
     DegenerateNestLevel(String),
+    /// Parentheses, unary minus, subscripts and `for` loops nest deeper
+    /// than [`MAX_NESTING_DEPTH`] levels.
+    NestingTooDeep,
 }
 
 impl fmt::Display for ParseErrorKind {
@@ -166,6 +169,11 @@ impl fmt::Display for ParseErrorKind {
             ParseErrorKind::DegenerateNestLevel(var) => write!(
                 f,
                 "loop over `{var}` has no iterations, never terminates, or uses a condition the nest flattener does not support"
+            ),
+            ParseErrorKind::NestingTooDeep => write!(
+                f,
+                "parentheses, unary minus, subscripts and loops nest deeper than \
+                 {MAX_NESTING_DEPTH} levels"
             ),
         }
     }
@@ -263,10 +271,20 @@ impl fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
+/// How deep parentheses, unary minus, subscripts and `for` loops may
+/// nest, counted together. The parser and every later pass (lowering,
+/// folding, printing, dropping the tree) recurse once per level, so
+/// without a bound one hostile source overflows the thread's stack,
+/// which no `catch_unwind` can turn into an error. Kernels nest a
+/// handful of levels.
+pub const MAX_NESTING_DEPTH: usize = 128;
+
 pub(crate) struct Parser<'s> {
     source: &'s str,
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels open around the current token.
+    depth: usize,
 }
 
 impl<'s> Parser<'s> {
@@ -277,6 +295,7 @@ impl<'s> Parser<'s> {
             source,
             tokens,
             pos: 0,
+            depth: 0,
         })
     }
 
@@ -290,6 +309,22 @@ impl<'s> Parser<'s> {
             self.pos += 1;
         }
         t
+    }
+
+    /// Runs `parse` one nesting level deeper; the level opened at `span`
+    /// is an error past [`MAX_NESTING_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        span: Span,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(self.error(ParseErrorKind::NestingTooDeep, span));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn error(&self, kind: ParseErrorKind, span: Span) -> ParseError {
@@ -388,7 +423,14 @@ impl<'s> Parser<'s> {
         })
     }
 
+    /// Parses one `for` loop, a nesting level of its own, with the loops
+    /// nested in it.
     fn parse_one_for(&mut self) -> Result<ForLoop, ParseError> {
+        let span = self.peek().span;
+        self.nested(span, Self::parse_for_level)
+    }
+
+    fn parse_for_level(&mut self) -> Result<ForLoop, ParseError> {
         let for_span = self.expect(TokenKind::KwFor, "`for`")?.span;
         self.expect(TokenKind::LParen, "`(`")?;
 
@@ -534,8 +576,8 @@ impl<'s> Parser<'s> {
     fn parse_subscripts(&mut self) -> Result<Vec<Expr>, ParseError> {
         let mut indices = Vec::new();
         while self.peek().kind == TokenKind::LBracket {
-            self.bump();
-            indices.push(self.parse_expr()?);
+            let open = self.bump().span;
+            indices.push(self.nested(open, Self::parse_expr)?);
             self.expect(TokenKind::RBracket, "`]`")?;
         }
         Ok(indices)
@@ -609,11 +651,12 @@ impl<'s> Parser<'s> {
             }
             TokenKind::Minus => {
                 self.bump();
-                Ok(Expr::Neg(Box::new(self.parse_factor()?)))
+                let operand = self.nested(t.span, Self::parse_factor)?;
+                Ok(Expr::Neg(Box::new(operand)))
             }
             TokenKind::LParen => {
                 self.bump();
-                let e = self.parse_expr()?;
+                let e = self.nested(t.span, Self::parse_expr)?;
                 self.expect(TokenKind::RParen, "`)`")?;
                 Ok(e)
             }
@@ -793,6 +836,48 @@ mod tests {
         assert_eq!(const_eval(&p("-(4) / 2")), Some(-2));
         assert_eq!(const_eval(&p("4 / 0")), None);
         assert_eq!(const_eval(&p("x + 1")), None);
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_limit_is_an_error() {
+        let expr = |src: &str| Parser::new(src).unwrap().parse_expr();
+        for (open, leaf, close) in [("(", "1", ")"), (" -", "1", ""), ("x[", "i", "]")] {
+            let nest = |n: usize| format!("{}{leaf}{}", open.repeat(n), close.repeat(n));
+            assert!(expr(&nest(MAX_NESTING_DEPTH)).is_ok(), "{open}");
+            let err = expr(&nest(MAX_NESTING_DEPTH + 1)).unwrap_err();
+            assert_eq!(*err.kind(), ParseErrorKind::NestingTooDeep);
+            // The error names the token that opens the level past the
+            // limit (the last byte of its opener).
+            assert_eq!(err.span().start, open.len() * (MAX_NESTING_DEPTH + 1) - 1);
+        }
+        // The kinds count together: a parenthesis inside a subscript
+        // inside a negation is three levels.
+        let mixed =
+            "-x[(".repeat(MAX_NESTING_DEPTH / 3) + "1" + &")]".repeat(MAX_NESTING_DEPTH / 3);
+        assert!(expr(&mixed).is_ok());
+        assert!(expr(&format!("(((({mixed}))))")).is_err());
+
+        let loops = |n: usize, stmt: &str| {
+            let header: String = (0..n)
+                .map(|d| format!("for (i{d} = 0; i{d} < 2; i{d}++) {{ "))
+                .collect();
+            format!("{header}{stmt}{}", " }".repeat(n))
+        };
+        let program = |src: &str| Parser::new(src).unwrap().parse_unit();
+        assert!(program(&loops(MAX_NESTING_DEPTH, "s += 1;")).is_ok());
+        let err = program(&loops(MAX_NESTING_DEPTH + 1, "s += 1;")).unwrap_err();
+        assert_eq!(*err.kind(), ParseErrorKind::NestingTooDeep);
+        // A subscript in the innermost body is one level more.
+        assert!(program(&loops(MAX_NESTING_DEPTH - 1, "s += x[i0];")).is_ok());
+        assert!(program(&loops(MAX_NESTING_DEPTH, "s += x[i0];")).is_err());
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "error at 1:{}: parentheses, unary minus, subscripts and loops nest deeper \
+                 than 128 levels",
+                err.span().start + 1
+            )
+        );
     }
 
     #[test]

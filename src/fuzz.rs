@@ -659,7 +659,21 @@ fn malformed_frame(rng: &mut SmallRng, valid: &str) -> String {
         r#"{"op":"kernels","kernel":17}"#,
     ];
     match rng.gen_range(0..3u32) {
-        0 => CORPUS[rng.gen_range(0..CORPUS.len())].to_owned(),
+        // One past the corpus: a source nested far deeper than the DSL
+        // parser's limit, which must cost one error reply, not the
+        // server's stack.
+        0 => match CORPUS.get(rng.gen_range(0..=CORPUS.len())) {
+            Some(frame) => (*frame).to_owned(),
+            None => compile_request(
+                0,
+                &format!(
+                    "for (i = 0; i < 4; i++) {{ s += {}x[i]{}; }}",
+                    "(-".repeat(3000),
+                    ")".repeat(3000)
+                ),
+                &gen_knobs(rng),
+            ),
+        },
         1 => {
             // Truncate a valid request at a random byte (on a char
             // boundary; generated requests are ASCII).
@@ -1115,6 +1129,26 @@ mod tests {
                 "error names the machine dimension: {err}"
             );
         }
+    }
+
+    #[test]
+    fn the_malformed_corpus_nests_past_the_parser_limit() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let valid = compile_request(
+            0,
+            "for (i = 0; i < 4; i++) { s += x[i]; }",
+            &gen_knobs(&mut rng),
+        );
+        let deep = (0..10_000)
+            .map(|_| malformed_frame(&mut rng, &valid))
+            .find(|frame| frame.len() > 5_000)
+            .expect("the deep-nesting frame is drawn");
+        let envelope = protocol::parse_line(&deep).expect("the frame itself is well-formed");
+        let Request::Compile { source, .. } = envelope.request else {
+            panic!("a compile request");
+        };
+        let err = raco_ir::dsl::parse_program(&source).unwrap_err();
+        assert_eq!(*err.kind(), raco_ir::dsl::ParseErrorKind::NestingTooDeep);
     }
 
     #[test]

@@ -280,6 +280,76 @@ fn oversized_tcp_lines_leave_the_connection_usable() {
     });
 }
 
+/// A compile request whose source nests `levels` parentheses.
+fn deeply_parenthesized(id: u64, levels: usize) -> String {
+    let source = format!(
+        "for (i = 0; i < 4; i++) {{ s += {}x[i]{}; }}",
+        "(".repeat(levels),
+        ")".repeat(levels)
+    );
+    format!(
+        r#"{{"id":{id},"op":"compile","source":{}}}"#,
+        Json::str(source).render()
+    )
+}
+
+/// Asserts that `reply` fails its request by naming the nesting limit.
+fn assert_nesting_error(reply: &Json) {
+    assert!(!ok(reply), "{}", reply.render());
+    let error = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(
+        error.contains("nest deeper than 128 levels"),
+        "the error names the limit: {error}"
+    );
+}
+
+#[test]
+fn deep_nesting_fails_one_request_and_the_session_continues() {
+    // Over TCP (a connection thread's stack): 3000 parentheses used to
+    // overflow it and abort the whole server.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server = default_server();
+    let replies = std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve_tcp(&listener));
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        writeln!(stream, "{}", deeply_parenthesized(1, 3000)).unwrap();
+        writeln!(stream, r#"{{"op":"ping","id":2}}"#).unwrap();
+        writeln!(stream, r#"{{"op":"shutdown"}}"#).unwrap();
+        stream.flush().unwrap();
+        let replies: Vec<Json> = BufReader::new(&stream)
+            .lines()
+            .map(|line| Json::parse(&line.expect("read")).expect("valid JSON"))
+            .collect();
+        handle.join().expect("server thread").expect("clean exit");
+        replies
+    });
+    assert_eq!(replies.len(), 3, "one reply per request");
+    assert_nesting_error(&replies[0]);
+    assert!(ok(&replies[1]), "the same connection keeps serving");
+
+    // Over stdio: 200 000 parentheses and a 10 000-level loop nest.
+    let nest: String = (0..10_000)
+        .map(|d| format!("for (i{d} = 0; i{d} < 2; i{d}++) {{ "))
+        .chain(["s += x[i0];".to_owned()])
+        .chain((0..10_000).map(|_| " }".to_owned()))
+        .collect();
+    let script = format!(
+        "{}\n{}\n{}\n",
+        deeply_parenthesized(3, 200_000),
+        format_args!(
+            r#"{{"id":4,"op":"compile","source":{}}}"#,
+            Json::str(nest).render()
+        ),
+        r#"{"op":"ping","id":5}"#,
+    );
+    let replies = round_trip(&default_server(), &script);
+    assert_eq!(replies.len(), 3, "one reply per request");
+    assert_nesting_error(&replies[0]);
+    assert_nesting_error(&replies[1]);
+    assert!(ok(&replies[2]), "the session keeps serving");
+}
+
 /// Drops the wall-clock fields of a reply line: every `elapsed_us`, the
 /// report's `loops_per_second` and the stats' `uptime_ms`.
 fn without_wall_clock(line: &str) -> String {
