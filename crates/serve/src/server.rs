@@ -31,6 +31,7 @@
 //! request one `internal` error; the connection keeps serving.
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -112,13 +113,16 @@ impl Default for ServeOptions {
     }
 }
 
-/// Reads one newline-terminated line from `reader`, capping its length
-/// at `limit` bytes (exclusive of the newline).
+/// Reads one newline-terminated line from `reader` into `line` (cleared
+/// first), capping its length at `limit` bytes (exclusive of the
+/// newline).
 ///
 /// Returns `None` at end of input, otherwise a [`ReadOutcome`]: a line
-/// within the cap, an oversized line (consumed to its terminating
-/// newline — buffering at most one `BufRead` chunk at a time — so the
-/// caller can keep serving the connection), or an idle timeout.
+/// within the cap, decoded from `line` without a copy when it is valid
+/// UTF-8 (invalid bytes become U+FFFD), an oversized line (consumed to
+/// its terminating newline — buffering at most one `BufRead` chunk at a
+/// time — so the caller can keep serving the connection), or an idle
+/// timeout.
 ///
 /// When `stop` is given, the underlying stream is expected to have a
 /// read timeout: a timed-out read re-checks the flag and either keeps
@@ -136,14 +140,15 @@ impl Default for ServeOptions {
 /// gets [`ReadOutcome::IdleTimeout`]. This is what unseats a slow
 /// loris: a client that connects and never completes a line used to
 /// park its connection thread until shutdown.
-fn read_limited_line<R: BufRead>(
+fn read_limited_line<'a, R: BufRead>(
     reader: &mut R,
+    line: &'a mut Vec<u8>,
     limit: usize,
     stop: Option<&AtomicBool>,
     idle_deadline: Option<Duration>,
-) -> io::Result<Option<ReadOutcome>> {
+) -> io::Result<Option<ReadOutcome<'a>>> {
     let deadline = idle_deadline.map(|window| Instant::now() + window);
-    let mut line: Vec<u8> = Vec::new();
+    line.clear();
     let mut total: u64 = 0;
     let mut saw_input = false;
     let mut grace = DRAIN_GRACE_POLLS;
@@ -204,17 +209,15 @@ fn read_limited_line<R: BufRead>(
     if total > limit as u64 {
         Ok(Some(ReadOutcome::Oversized(total)))
     } else {
-        Ok(Some(ReadOutcome::Line(
-            String::from_utf8_lossy(&line).into_owned(),
-        )))
+        Ok(Some(ReadOutcome::Line(String::from_utf8_lossy(line))))
     }
 }
 
 /// What one bounded line read produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum ReadOutcome {
+enum ReadOutcome<'a> {
     /// A complete line within the cap.
-    Line(String),
+    Line(Cow<'a, str>),
     /// A line of this many bytes exceeded the cap (fully drained).
     Oversized(u64),
     /// No complete line arrived within the idle deadline.
@@ -621,12 +624,18 @@ impl Server {
         stop: Option<&AtomicBool>,
         read_deadline: Option<Duration>,
     ) -> io::Result<bool> {
-        // One reply buffer for the connection's lifetime: every reply is
-        // written straight into it, then framed and sent.
+        // One request and one reply buffer for the connection's
+        // lifetime: every line is read into the first, every reply is
+        // written straight into the second, then framed and sent.
+        let mut request = Vec::new();
         let mut reply = String::new();
-        while let Some(read) =
-            read_limited_line(&mut reader, MAX_REQUEST_LINE, stop, read_deadline)?
-        {
+        while let Some(read) = read_limited_line(
+            &mut reader,
+            &mut request,
+            MAX_REQUEST_LINE,
+            stop,
+            read_deadline,
+        )? {
             reply.clear();
             let (shutdown, ends) = match read {
                 ReadOutcome::Line(line) if line.trim().is_empty() => continue,
@@ -1072,29 +1081,30 @@ mod tests {
     fn read_limited_line_caps_and_resynchronizes() {
         let input = format!("short\n{}\nafter\n", "x".repeat(100));
         let mut reader = std::io::BufReader::with_capacity(16, input.as_bytes());
+        let mut line = Vec::new();
         assert_eq!(
-            read_limited_line(&mut reader, 40, None, None).unwrap(),
-            Some(ReadOutcome::Line("short".to_owned()))
+            read_limited_line(&mut reader, &mut line, 40, None, None).unwrap(),
+            Some(ReadOutcome::Line("short".into()))
         );
         // The long line reports its true length and is fully drained …
         assert_eq!(
-            read_limited_line(&mut reader, 40, None, None).unwrap(),
+            read_limited_line(&mut reader, &mut line, 40, None, None).unwrap(),
             Some(ReadOutcome::Oversized(100))
         );
         // … so the next read picks up exactly at the following line.
         assert_eq!(
-            read_limited_line(&mut reader, 40, None, None).unwrap(),
-            Some(ReadOutcome::Line("after".to_owned()))
+            read_limited_line(&mut reader, &mut line, 40, None, None).unwrap(),
+            Some(ReadOutcome::Line("after".into()))
         );
         assert_eq!(
-            read_limited_line(&mut reader, 40, None, None).unwrap(),
+            read_limited_line(&mut reader, &mut line, 40, None, None).unwrap(),
             None
         );
         // A final line without a newline still arrives.
         let mut reader = std::io::BufReader::new("tail".as_bytes());
         assert_eq!(
-            read_limited_line(&mut reader, 40, None, None).unwrap(),
-            Some(ReadOutcome::Line("tail".to_owned()))
+            read_limited_line(&mut reader, &mut line, 40, None, None).unwrap(),
+            Some(ReadOutcome::Line("tail".into()))
         );
     }
 
