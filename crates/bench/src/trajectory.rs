@@ -53,33 +53,14 @@ fn declared_workloads(text: &str) -> Result<(Vec<String>, u64), String> {
     Ok((names, run_seconds))
 }
 
-/// One perfbench run, as a point's workload entry records it.
+/// One perfbench run that [`parse_run`] accepted (correct, no failed op).
 #[derive(Debug)]
 struct Run {
-    /// Ops attempted (none failed: [`parse_run`] rejects failed ops).
     attempted: u64,
     /// The calibrated `metrics` object of the result line, as printed.
     metrics: Json,
     /// Each metric's value from the `raw {…}` line.
     raw: Vec<(String, Json)>,
-}
-
-impl Run {
-    /// Writes the entry: `correct`, `attempted`, `failed`, `metrics` and
-    /// `raw`.
-    fn write(&self, w: &mut Writer<'_>) {
-        w.object(|w| {
-            w.key("correct").bool(true);
-            w.key("attempted").uint(self.attempted);
-            w.key("failed").uint(0);
-            w.key("metrics").value(&self.metrics);
-            w.key("raw").object(|w| {
-                for (name, value) in &self.raw {
-                    w.key(name).value(value);
-                }
-            });
-        });
-    }
 }
 
 /// Reads one perfbench run's stdout: the calibrated `metrics` of the
@@ -132,7 +113,8 @@ fn parse_run(stdout: &str) -> Result<Run, String> {
 
 /// One point as its line in the file: `label`, the `commit` it was
 /// recorded at (`null` outside a git checkout), the `seconds` each
-/// workload ran, and each workload's [`Run`] entry.
+/// workload ran, and per workload its run's `correct`, `attempted`,
+/// `failed`, `metrics` and `raw`.
 fn point(label: &str, commit: Option<&str>, seconds: u64, workloads: &[(String, Run)]) -> String {
     let mut line = String::new();
     Writer::compact(&mut line).object(|w| {
@@ -144,7 +126,17 @@ fn point(label: &str, commit: Option<&str>, seconds: u64, workloads: &[(String, 
         w.key("seconds").uint(seconds);
         w.key("workloads").object(|w| {
             for (name, run) in workloads {
-                run.write(w.key(name));
+                w.key(name).object(|w| {
+                    w.key("correct").bool(true);
+                    w.key("attempted").uint(run.attempted);
+                    w.key("failed").uint(0);
+                    w.key("metrics").value(&run.metrics);
+                    w.key("raw").object(|w| {
+                        for (metric, value) in &run.raw {
+                            w.key(metric).value(value);
+                        }
+                    });
+                });
             }
         });
     });
@@ -310,16 +302,14 @@ raw {\"latency_p50_us\":{\"value\":135.47318708050076,\"unit\":\"us\"},\"addr_cy
 
     #[test]
     fn parse_run_keeps_calibrated_metrics_and_raw_values() {
-        let mut rendered = String::new();
-        parse_run(STDOUT)
-            .unwrap()
-            .write(&mut Writer::compact(&mut rendered));
-        assert_eq!(
-            rendered,
-            "{\"correct\":true,\"attempted\":16890,\"failed\":0,\"metrics\":\
+        let entry = "{\"correct\":true,\"attempted\":16890,\"failed\":0,\"metrics\":\
              {\"latency_p50_us\":{\"value\":159.34604949816807,\"unit\":\"us\"},\
              \"addr_cycles\":{\"value\":907,\"unit\":\"cycles\"}},\
-             \"raw\":{\"latency_p50_us\":135.47318708050076,\"addr_cycles\":907}}"
+             \"raw\":{\"latency_p50_us\":135.47318708050076,\"addr_cycles\":907}}";
+        let point = sample_point("a");
+        assert!(
+            point.ends_with(&format!("\"library_warm\":{entry}}}}}")),
+            "{point}"
         );
     }
 

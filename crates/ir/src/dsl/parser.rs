@@ -170,11 +170,7 @@ impl fmt::Display for ParseErrorKind {
                 f,
                 "loop over `{var}` has no iterations, never terminates, or uses a condition the nest flattener does not support"
             ),
-            ParseErrorKind::NestingTooDeep => write!(
-                f,
-                "parentheses, unary minus, subscripts and loops nest deeper than \
-                 {MAX_NESTING_DEPTH} levels"
-            ),
+            ParseErrorKind::NestingTooDeep => write!(f, "nesting deeper than {MAX_NESTING_DEPTH} levels"),
         }
     }
 }
@@ -272,11 +268,9 @@ impl fmt::Display for LowerError {
 impl std::error::Error for LowerError {}
 
 /// How deep parentheses, unary minus, subscripts and `for` loops may
-/// nest, counted together. The parser and every later pass (lowering,
-/// folding, printing, dropping the tree) recurse once per level, so
-/// without a bound one hostile source overflows the thread's stack,
-/// which no `catch_unwind` can turn into an error. Kernels nest a
-/// handful of levels.
+/// nest, counted together. The parser and the passes after it recurse
+/// once per level: unbounded, one hostile source overflows the thread's
+/// stack, which no `catch_unwind` catches. Kernels nest a few levels.
 pub const MAX_NESTING_DEPTH: usize = 128;
 
 pub(crate) struct Parser<'s> {
@@ -311,8 +305,7 @@ impl<'s> Parser<'s> {
         t
     }
 
-    /// Runs `parse` one nesting level deeper; the level opened at `span`
-    /// is an error past [`MAX_NESTING_DEPTH`].
+    /// Runs `parse` one level deeper, or fails at `span` past the limit.
     fn nested<T>(
         &mut self,
         span: Span,
@@ -423,8 +416,7 @@ impl<'s> Parser<'s> {
         })
     }
 
-    /// Parses one `for` loop, a nesting level of its own, with the loops
-    /// nested in it.
+    /// Parses one `for` loop (a nesting level) and the loops it nests.
     fn parse_one_for(&mut self) -> Result<ForLoop, ParseError> {
         let span = self.peek().span;
         self.nested(span, Self::parse_for_level)
@@ -873,8 +865,7 @@ mod tests {
         assert_eq!(
             err.to_string(),
             format!(
-                "error at 1:{}: parentheses, unary minus, subscripts and loops nest deeper \
-                 than 128 levels",
+                "error at 1:{}: nesting deeper than 128 levels",
                 err.span().start + 1
             )
         );

@@ -13,6 +13,11 @@
 //! with [`CachePolicy::Bounded`](raco_driver::CachePolicy) so
 //! unbounded traffic cannot grow memory without limit.
 //!
+//! Every reply, the `stats` and `metrics` payloads included, is written
+//! field by field through [`raco_driver::json::Writer`] into a buffer
+//! the connection keeps. A source nesting deeper than
+//! [`raco_ir::dsl::MAX_NESTING_DEPTH`] levels costs one error reply.
+//!
 //! ## Example
 //!
 //! A server is a plain value; both transports run one session loop

@@ -428,17 +428,10 @@ pub fn parse_line(line: &str) -> Result<Envelope, ProtocolError> {
     Ok(Envelope { id, request, knobs })
 }
 
-/// Writes one compact reply object into `out` (no newline); `fields`
-/// writes its fields, starting with one of the `write_*` functions
-/// below. The server keeps one such buffer per connection.
-pub(crate) fn write_reply(out: &mut String, fields: impl FnOnce(&mut Writer<'_>)) {
-    Writer::compact(out).object(fields);
-}
-
-/// A reply line as its own `String`.
+/// A reply line: one compact object whose fields `fields` writes.
 fn line(fields: impl FnOnce(&mut Writer<'_>)) -> String {
     let mut out = String::new();
-    write_reply(&mut out, fields);
+    Writer::compact(&mut out).object(fields);
     out
 }
 
@@ -462,7 +455,7 @@ pub fn report_line(id: &Option<Json>, report: &CompilationReport) -> String {
     // A single-loop compile reply is about 650 bytes: one allocation
     // instead of a doubling series.
     let mut out = String::with_capacity(1024);
-    write_reply(&mut out, |w| write_report(w, id, report));
+    Writer::compact(&mut out).object(|w| write_report(w, id, report));
     out
 }
 

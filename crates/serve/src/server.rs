@@ -31,7 +31,6 @@
 //! request one `internal` error; the connection keeps serving.
 
 use std::any::Any;
-use std::borrow::Cow;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -113,16 +112,14 @@ impl Default for ServeOptions {
     }
 }
 
-/// Reads one newline-terminated line from `reader` into `line` (cleared
-/// first), capping its length at `limit` bytes (exclusive of the
-/// newline).
+/// Reads one newline-terminated line from `reader` into `line`, capping
+/// its length at `limit` bytes (exclusive of the newline).
 ///
 /// Returns `None` at end of input, otherwise a [`ReadOutcome`]: a line
-/// within the cap, decoded from `line` without a copy when it is valid
-/// UTF-8 (invalid bytes become U+FFFD), an oversized line (consumed to
-/// its terminating newline — buffering at most one `BufRead` chunk at a
-/// time — so the caller can keep serving the connection), or an idle
-/// timeout.
+/// within the cap (borrowed from `line` unless invalid UTF-8 needs
+/// U+FFFD), an oversized line (consumed to its terminating newline —
+/// buffering at most one `BufRead` chunk at a time — so the caller can
+/// keep serving the connection), or an idle timeout.
 ///
 /// When `stop` is given, the underlying stream is expected to have a
 /// read timeout: a timed-out read re-checks the flag and either keeps
@@ -217,7 +214,7 @@ fn read_limited_line<'a, R: BufRead>(
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum ReadOutcome<'a> {
     /// A complete line within the cap.
-    Line(Cow<'a, str>),
+    Line(std::borrow::Cow<'a, str>),
     /// A line of this many bytes exceeded the cap (fully drained).
     Oversized(u64),
     /// No complete line arrived within the idle deadline.
@@ -387,7 +384,7 @@ impl Server {
         let started = Instant::now();
         self.metrics.begin();
         let mut shutdown = false;
-        protocol::write_reply(out, |w| {
+        Writer::compact(out).object(|w| {
             let (op, asked) = respond(w);
             shutdown = asked;
             let elapsed_ns = started.elapsed().as_nanos() as u64;
@@ -624,9 +621,8 @@ impl Server {
         stop: Option<&AtomicBool>,
         read_deadline: Option<Duration>,
     ) -> io::Result<bool> {
-        // One request and one reply buffer for the connection's
-        // lifetime: every line is read into the first, every reply is
-        // written straight into the second, then framed and sent.
+        // One request and one reply buffer for the connection's lifetime:
+        // every reply is written straight into its buffer, then sent.
         let mut request = Vec::new();
         let mut reply = String::new();
         while let Some(read) = read_limited_line(
@@ -662,7 +658,7 @@ impl Server {
                         "no complete request within the {} ms read deadline; closing",
                         read_deadline.unwrap_or_default().as_millis()
                     );
-                    protocol::write_reply(&mut reply, |w| {
+                    Writer::compact(&mut reply).object(|w| {
                         protocol::write_error_kind(w, &None, "read_deadline", &message)
                     });
                     (false, true)
@@ -772,9 +768,8 @@ impl Server {
             self.options.max_connections
         );
         let mut line = String::new();
-        protocol::write_reply(&mut line, |w| {
-            protocol::write_error_kind(w, &None, "busy", &message)
-        });
+        Writer::compact(&mut line)
+            .object(|w| protocol::write_error_kind(w, &None, "busy", &message));
         line.push('\n');
         let mut writer = stream;
         let _ = writer

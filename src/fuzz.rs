@@ -35,8 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::LazyLock;
 use std::time::{Duration, Instant};
 
-use raco_driver::json::Writer;
-use raco_driver::{Json, Pipeline, PipelineConfig};
+use raco_driver::{json::Writer, Json, Pipeline, PipelineConfig};
 use raco_ir::{AguSpec, MachineDescription};
 use raco_serve::protocol;
 use raco_serve::Request;
@@ -659,9 +658,8 @@ fn malformed_frame(rng: &mut SmallRng, valid: &str) -> String {
         r#"{"op":"kernels","kernel":17}"#,
     ];
     match rng.gen_range(0..3u32) {
-        // One past the corpus: a source nested far deeper than the DSL
-        // parser's limit, which must cost one error reply, not the
-        // server's stack.
+        // One past the corpus: a source nested far past the DSL parser's
+        // limit, which must cost one error reply, not the server.
         0 => match CORPUS.get(rng.gen_range(0..=CORPUS.len())) {
             Some(frame) => (*frame).to_owned(),
             None => compile_request(

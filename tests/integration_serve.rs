@@ -298,7 +298,7 @@ fn assert_nesting_error(reply: &Json) {
     assert!(!ok(reply), "{}", reply.render());
     let error = reply.get("error").and_then(Json::as_str).unwrap();
     assert!(
-        error.contains("nest deeper than 128 levels"),
+        error.contains("nesting deeper than 128 levels"),
         "the error names the limit: {error}"
     );
 }
