@@ -501,6 +501,21 @@ mod tests {
     }
 
     #[test]
+    fn trace_lines_are_pinned() {
+        let shapes = shape_pool(8, 7);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let lines: Vec<String> = (0..4).map(|id| trace_line(&mut rng, &shapes, id)).collect();
+        assert_eq!(
+            lines[0],
+            r#"{"id":0,"op":"compile","source":"for (i = 8; i < 63; i++) { y[i] = x[i-5] + x[i+8] + x[i-8] + x[i+2]; }","registers":4,"modify":2}"#
+        );
+        assert_eq!(
+            lines[3],
+            r#"{"id":3,"op":"compile","source":"for (i = 8; i < 20; i++) { y[i] = x[i-2] + x[i+4] + x[i-6]; }","machine":"paper"}"#
+        );
+    }
+
+    #[test]
     fn named_trace_machines_all_resolve() {
         for name in NAMED_MACHINES {
             raco_ir::MachineDescription::resolve(name)
