@@ -51,16 +51,18 @@ fn main() {
                 let matched = MatchingCover::new(&steps);
                 let b = bounds::bounds(&steps, &matched);
                 let (lower, upper) = (b.lower, b.upper_value());
-                let result = bb::min_zero_cost_cover_from(
+                let result = bb::search(
                     &steps,
                     b,
                     BbOptions {
                         node_limit: 2_000_000,
                         memoize: true,
                     },
-                )
-                .expect("stride-1 patterns always admit singleton covers");
-                let exact = result.virtual_registers();
+                );
+                let exact = result
+                    .cover
+                    .expect("stride-1 patterns always admit singleton covers")
+                    .register_count();
                 lbs.push(lower as f64);
                 exacts.push(exact as f64);
                 nodes.push(result.nodes as f64);

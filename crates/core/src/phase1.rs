@@ -100,25 +100,29 @@ pub fn run(dm: &DistanceModel, options: BbOptions) -> Phase1Report {
 }
 
 /// Runs Phase 1 on the [`StepMatrix`] of a distance model, which the
-/// caller keeps for Phase 2.
+/// caller keeps for Phase 2. One matching gives the lower bound, the
+/// split repair's incumbent and the relaxed fallback; [`bb::search`]
+/// looks for the zero-cost cover between the bounds.
 pub fn run_on(steps: &StepMatrix, options: BbOptions) -> Phase1Report {
     let matched = MatchingCover::new(steps);
-    match bb::min_zero_cost_cover_from(steps, bounds::bounds(steps, &matched), options) {
-        Ok(result) => Phase1Report {
-            cover: result.cover,
+    let bounds = bounds::bounds(steps, &matched);
+    let lower_bound = bounds.lower;
+    let found = bb::search(steps, bounds, options);
+    match found.cover {
+        Some(cover) => Phase1Report {
+            cover,
             outcome: Phase1Outcome::ZeroCost {
-                proved_minimal: result.optimal,
+                proved_minimal: found.proved,
             },
-            lower_bound: result.lower_bound,
-            nodes: result.nodes,
+            lower_bound,
+            nodes: found.nodes,
         },
-        // `CoverSearchError` is non-exhaustive; every failure mode —
-        // infeasibility or an exhausted budget — degrades to the relaxed
-        // matching cover.
-        Err(_) => Phase1Report {
-            lower_bound: matched.register_count(),
+        // No zero-cost cover exists, or none was found within the
+        // budget: the relaxed matching cover, reported with 0 nodes.
+        None => Phase1Report {
             cover: matched.cover(),
             outcome: Phase1Outcome::Relaxed,
+            lower_bound,
             nodes: 0,
         },
     }

@@ -154,13 +154,13 @@ impl Phase2Report {
 /// # Examples
 ///
 /// ```
-/// use raco_core::{phase2, CostModel, MergeStrategy};
-/// use raco_graph::{bb, DistanceModel};
+/// use raco_core::{phase1, phase2, CostModel, MergeStrategy};
+/// use raco_graph::{BbOptions, DistanceModel};
 ///
 /// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-/// let phase1 = bb::min_zero_cost_cover(&dm).unwrap().cover; // K̃ = 3
+/// let zero_cost = phase1::run(&dm, BbOptions::default()); // K̃ = 3
 /// let report = phase2::merge_until(
-///     &phase1,
+///     zero_cost.cover(),
 ///     2,
 ///     &dm,
 ///     CostModel::steady_state(),

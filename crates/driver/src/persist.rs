@@ -1,8 +1,9 @@
 //! Cache snapshots: persist the allocation cache across processes.
 //!
 //! The two-phase allocation is the expensive step this whole system
-//! exists to amortize, and [`CanonicalPattern::fingerprint`] is stable
-//! across processes — so there is no reason a warm cache should die
+//! exists to amortize, and a cache key — the shift-normalized
+//! [`CanonicalPattern`], the machine and the options — means the same
+//! in every process, so there is no reason a warm cache should die
 //! with the process that warmed it. This module serializes every
 //! resident entry of an [`AllocationCache`] into a dependency-free
 //! binary snapshot and restores it entry by entry, turning a server
@@ -73,8 +74,6 @@
 //! Version bumps are compatibility breaks by design: the snapshot is a
 //! cache, so the correct reaction to an old snapshot is to recompute,
 //! not to migrate. Loaders must refuse versions they do not know.
-//!
-//! [`CanonicalPattern::fingerprint`]: raco_ir::CanonicalPattern::fingerprint
 
 use std::fmt;
 use std::io;

@@ -29,19 +29,16 @@
 //! keys lie end to end in one buffer. So expanding a node allocates
 //! nothing, and the memo allocates only when it grows.
 
-use std::fmt;
-
-use crate::bounds::{self, Bounds};
-use crate::distance::{DistanceModel, StepMatrix};
-use crate::matching::MatchingCover;
+use crate::bounds::Bounds;
+use crate::distance::StepMatrix;
 use crate::path::PathCover;
 
 /// Tuning knobs for the branch-and-bound search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BbOptions {
     /// Maximum number of search nodes to expand before giving up. When the
-    /// limit is hit the best cover found so far is returned with
-    /// `optimal = false`.
+    /// limit is hit the best cover found so far is returned, proved only
+    /// if it meets the lower bound.
     pub node_limit: u64,
     /// Enable dominance memoization (recommended; costs memory
     /// proportional to the number of distinct states).
@@ -57,68 +54,26 @@ impl Default for BbOptions {
     }
 }
 
-/// Outcome of the branch-and-bound search.
+/// What the branch-and-bound search found.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BbResult {
-    /// The best zero-cost cover found. Its register count is `K̃` when
-    /// `optimal` is set.
-    pub cover: PathCover,
-    /// `true` if the search proved minimality (or the bounds were tight).
-    pub optimal: bool,
+pub struct SearchResult {
+    /// The fewest-register zero-cost cover found, if any.
+    pub cover: Option<PathCover>,
+    /// With a cover: its register count is `K̃`, because the search
+    /// finished or the cover meets the lower bound. Without one: no
+    /// zero-cost cover exists, and `false` means the node limit ran out
+    /// before the search could tell.
+    pub proved: bool,
     /// Search nodes expanded (0 when the bounds were tight).
     pub nodes: u64,
-    /// The matching lower bound.
-    pub lower_bound: usize,
 }
 
-impl BbResult {
-    /// The number of virtual registers of the returned cover.
-    pub fn virtual_registers(&self) -> usize {
-        self.cover.register_count()
-    }
-}
-
-/// Failure modes of the zero-cost cover search.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum CoverSearchError {
-    /// No zero-cost cover exists at all — e.g. the effective stride
-    /// exceeds `M` and some access can neither close its own wrap nor be
-    /// chained into a path that does. Callers typically fall back to the
-    /// relaxed matching cover (zero intra cost, paid wraps).
-    NoZeroCostCover,
-    /// The node limit was exhausted before *any* feasible cover was found
-    /// (only possible when the heuristic upper bound also failed).
-    SearchBudgetExhausted {
-        /// Nodes expanded before giving up.
-        nodes: u64,
-    },
-}
-
-impl fmt::Display for CoverSearchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CoverSearchError::NoZeroCostCover => {
-                f.write_str("no zero-cost cover exists for this pattern")
-            }
-            CoverSearchError::SearchBudgetExhausted { nodes } => {
-                write!(
-                    f,
-                    "search budget exhausted after {nodes} nodes without a feasible cover"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CoverSearchError {}
-
-/// Computes the minimum zero-cost cover (the paper's `K̃`) with default
-/// options.
-///
-/// # Errors
-///
-/// See [`CoverSearchError`].
+/// Searches the zero-cost covers of the pattern whose steps are `steps`
+/// for the fewest registers (the paper's `K̃`), between the already
+/// computed [`Bounds`]. One matching serves both bounds: its path count
+/// is the lower bound, its split repair the heuristic upper bound and
+/// the search's first incumbent. When the two meet, the repair is the
+/// answer and no node is expanded.
 ///
 /// # Examples
 ///
@@ -127,58 +82,27 @@ impl std::error::Error for CoverSearchError {}
 /// itself):
 ///
 /// ```
-/// use raco_graph::{bb, DistanceModel};
+/// use raco_graph::matching::MatchingCover;
+/// use raco_graph::{bb, bounds, BbOptions, DistanceModel, StepMatrix};
+///
 /// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-/// let result = bb::min_zero_cost_cover(&dm).expect("feasible");
-/// assert_eq!(result.virtual_registers(), 3);
-/// assert!(result.optimal);
+/// let steps = StepMatrix::new(&dm);
+/// let bounds = bounds::bounds(&steps, &MatchingCover::new(&steps));
+/// let found = bb::search(&steps, bounds, BbOptions::default());
+/// assert_eq!(found.cover.map(|cover| cover.register_count()), Some(3));
+/// assert!(found.proved);
 /// ```
-pub fn min_zero_cost_cover(dm: &DistanceModel) -> Result<BbResult, CoverSearchError> {
-    min_zero_cost_cover_with(dm, BbOptions::default())
-}
-
-/// [`min_zero_cost_cover`] with explicit [`BbOptions`].
-///
-/// # Errors
-///
-/// See [`CoverSearchError`].
-pub fn min_zero_cost_cover_with(
-    dm: &DistanceModel,
-    options: BbOptions,
-) -> Result<BbResult, CoverSearchError> {
-    let steps = StepMatrix::new(dm);
-    let bounds = bounds::bounds(&steps, &MatchingCover::new(&steps));
-    min_zero_cost_cover_from(&steps, bounds, options)
-}
-
-/// [`min_zero_cost_cover_with`] on the steps of a pattern and their
-/// already computed [`Bounds`], for callers that keep the matching cover
-/// (Phase 1 falls back to it when this search fails) or report the
-/// bounds. One matching serves both bounds: its path count is the lower
-/// bound, its split repair the heuristic upper bound and the search's
-/// first incumbent.
-///
-/// # Errors
-///
-/// See [`CoverSearchError`].
-pub fn min_zero_cost_cover_from(
-    steps: &StepMatrix,
-    bounds: Bounds,
-    options: BbOptions,
-) -> Result<BbResult, CoverSearchError> {
+pub fn search(steps: &StepMatrix, bounds: Bounds, options: BbOptions) -> SearchResult {
     let n = steps.len();
     let lb = bounds.lower;
-    let heuristic = bounds.repair;
-    if let Some((assignment, _)) = heuristic.as_ref().filter(|&&(_, paths)| paths == lb) {
-        return Ok(BbResult {
-            cover: PathCover::from_assignment(assignment),
-            optimal: true,
-            nodes: 0,
-            lower_bound: lb,
-        });
-    }
-
-    let (best_assign, best_count) = match heuristic {
+    let (best_assign, best_count) = match bounds.repair {
+        Some((assignment, paths)) if paths == lb => {
+            return SearchResult {
+                cover: Some(PathCover::from_assignment(&assignment)),
+                proved: true,
+                nodes: 0,
+            };
+        }
         Some((assignment, paths)) => (Some(assignment), paths),
         None => (None, usize::MAX),
     };
@@ -191,7 +115,9 @@ pub fn min_zero_cost_cover_from(
         nodes: 0,
         node_limit: options.node_limit,
         memo: options.memoize.then(Memo::default),
-        closable_later: closable_later_table(steps),
+        last_closer: (0..n)
+            .map(|h| (h + 1..n).rev().find(|&x| steps.is_free(x, h)).unwrap_or(0))
+            .collect(),
         class: (0..n)
             .map(|i| (0..i).find(|&j| steps.delta(j, i) == 0).unwrap_or(i) as u32)
             .collect(),
@@ -202,27 +128,12 @@ pub fn min_zero_cost_cover_from(
         proved: false,
     };
     search.dfs(0, 0);
-
-    match search.best_assign {
-        Some(assignment) => {
-            let cover = PathCover::from_assignment(&assignment);
-            let optimal = !search.aborted || cover.register_count() == lb;
-            Ok(BbResult {
-                cover,
-                optimal,
-                nodes: search.nodes,
-                lower_bound: lb,
-            })
-        }
-        None => {
-            if search.aborted {
-                Err(CoverSearchError::SearchBudgetExhausted {
-                    nodes: search.nodes,
-                })
-            } else {
-                Err(CoverSearchError::NoZeroCostCover)
-            }
-        }
+    SearchResult {
+        cover: search
+            .best_assign
+            .map(|assignment| PathCover::from_assignment(&assignment)),
+        proved: !search.aborted || search.best_count == lb,
+        nodes: search.nodes,
     }
 }
 
@@ -243,9 +154,9 @@ struct Search<'a> {
     node_limit: u64,
     /// The dominance memo, when memoizing.
     memo: Option<Memo>,
-    /// `closable_later[h * (n + 1) + p]` — does any access `x >= p > h`
-    /// close a wrap onto head `h`?
-    closable_later: Vec<bool>,
+    /// Per head `h`, the last access after it that closes a wrap onto
+    /// it, or 0 when none does (no position after a head is 0).
+    last_closer: Vec<usize>,
     /// Per access, the first access at its offset: two open paths are
     /// interchangeable, and two states equal, exactly when their heads
     /// and tails match by offset, so by class.
@@ -262,20 +173,6 @@ struct Search<'a> {
     proved: bool,
 }
 
-/// Builds the suffix table used by the closability prune. The search
-/// asks only about accesses after the head, so only those are filled.
-fn closable_later_table(steps: &StepMatrix) -> Vec<bool> {
-    let n = steps.len();
-    let mut table = vec![false; n * (n + 1)];
-    for h in 0..n {
-        let suffix = &mut table[h * (n + 1)..(h + 1) * (n + 1)];
-        for p in (h + 1..n).rev() {
-            suffix[p] = suffix[p + 1] || steps.is_free(p, h);
-        }
-    }
-    table
-}
-
 /// The memo word of an open path: its head's and tail's classes.
 #[inline]
 fn signature(class: &[u32], path: OpenPath) -> u64 {
@@ -283,10 +180,11 @@ fn signature(class: &[u32], path: OpenPath) -> u64 {
 }
 
 impl Search<'_> {
-    /// `true` iff some access at or after `pos` closes a wrap onto `head`.
+    /// `true` iff some access at or after `pos`, which lies after
+    /// `head`, closes a wrap onto `head`.
     #[inline]
     fn closable_later(&self, head: usize, pos: usize) -> bool {
-        self.closable_later[head * (self.n + 1) + pos]
+        self.last_closer[head] >= pos
     }
 
     fn dfs(&mut self, pos: usize, count: usize) {
@@ -495,37 +393,54 @@ fn hash_words(words: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute;
+    use crate::matching::MatchingCover;
+    use crate::{bounds, brute, DistanceModel};
+
+    /// The search on `dm`'s steps and bounds.
+    fn search_with(dm: &DistanceModel, options: BbOptions) -> SearchResult {
+        let steps = StepMatrix::new(dm);
+        let bounds = bounds::bounds(&steps, &MatchingCover::new(&steps));
+        search(&steps, bounds, options)
+    }
+
+    /// The registers of the cover found with the default options.
+    fn registers(dm: &DistanceModel) -> Option<usize> {
+        let found = search_with(dm, BbOptions::default());
+        assert!(found.proved, "the default budget suffices here");
+        found.cover.map(|cover| cover.register_count())
+    }
+
+    const NO_NODES: BbOptions = BbOptions {
+        node_limit: 0,
+        memoize: true,
+    };
 
     #[test]
     fn paper_example_has_three_virtual_registers() {
         let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-        let r = min_zero_cost_cover(&dm).expect("feasible");
-        assert_eq!(r.virtual_registers(), 3);
-        assert!(r.optimal);
-        assert!(r.cover.is_zero_cost(&dm));
-        assert_eq!(r.lower_bound, 2);
+        let found = search_with(&dm, BbOptions::default());
+        assert!(found.proved);
+        let cover = found.cover.expect("feasible");
+        assert_eq!(cover.register_count(), 3);
+        assert!(cover.is_zero_cost(&dm));
         // a_7 must be a singleton: nothing else closes onto offset -2.
-        let a7 = r.cover.path_of(6).unwrap();
+        let a7 = cover.path_of(6).unwrap();
         assert_eq!(a7.len(), 1);
     }
 
     #[test]
     fn monotone_pattern_closes_with_matching_stride() {
         let dm = DistanceModel::from_offsets(&[0, 1, 2, 3], 4, 1);
-        let r = min_zero_cost_cover(&dm).expect("feasible");
-        assert_eq!(r.virtual_registers(), 1);
-        assert!(r.optimal);
-        assert_eq!(r.nodes, 0, "tight bounds skip the search");
+        let found = search_with(&dm, BbOptions::default());
+        assert_eq!(found.cover.map(|cover| cover.register_count()), Some(1));
+        assert!(found.proved);
+        assert_eq!(found.nodes, 0, "tight bounds skip the search");
     }
 
     #[test]
     fn infeasible_pattern_reports_no_cover() {
         let dm = DistanceModel::from_offsets(&[0, 10], 5, 1);
-        assert_eq!(
-            min_zero_cost_cover(&dm).unwrap_err(),
-            CoverSearchError::NoZeroCostCover
-        );
+        assert_eq!(registers(&dm), None);
     }
 
     #[test]
@@ -533,32 +448,18 @@ mod tests {
         // Heuristic upper bound fails here (see bounds tests), and a zero
         // node budget stops the search immediately.
         let dm = DistanceModel::from_offsets(&[0, 10], 5, 1);
-        let err = min_zero_cost_cover_with(
-            &dm,
-            BbOptions {
-                node_limit: 0,
-                memoize: true,
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            CoverSearchError::SearchBudgetExhausted { .. }
-        ));
+        let found = search_with(&dm, NO_NODES);
+        assert_eq!(found.cover, None);
+        assert!(!found.proved);
     }
 
     #[test]
     fn node_limit_with_heuristic_returns_heuristic_cover() {
         let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-        let r = min_zero_cost_cover_with(
-            &dm,
-            BbOptions {
-                node_limit: 0,
-                memoize: true,
-            },
-        )
-        .expect("heuristic incumbent exists");
-        assert!(r.cover.is_zero_cost(&dm));
+        let found = search_with(&dm, NO_NODES);
+        let cover = found.cover.expect("heuristic incumbent exists");
+        assert!(cover.is_zero_cost(&dm));
+        assert!(!found.proved, "K̃ = 3 exceeds the lower bound of 2");
     }
 
     #[test]
@@ -570,26 +471,20 @@ mod tests {
             vec![0, -1, -2, -3, 7],
         ] {
             let dm = DistanceModel::from_offsets(&offsets, 1, 1);
-            let with = min_zero_cost_cover_with(
-                &dm,
-                BbOptions {
-                    memoize: true,
-                    ..BbOptions::default()
-                },
-            );
-            let without = min_zero_cost_cover_with(
-                &dm,
-                BbOptions {
-                    memoize: false,
-                    ..BbOptions::default()
-                },
-            );
-            match (with, without) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.virtual_registers(), b.virtual_registers(), "{offsets:?}")
-                }
-                (a, b) => panic!("inconsistent feasibility: {a:?} vs {b:?}"),
-            }
+            let [with, without] = [true, false].map(|memoize| {
+                let found = search_with(
+                    &dm,
+                    BbOptions {
+                        memoize,
+                        ..BbOptions::default()
+                    },
+                );
+                (
+                    found.proved,
+                    found.cover.map(|cover| cover.register_count()),
+                )
+            });
+            assert_eq!(with, without, "{offsets:?}");
         }
     }
 
@@ -609,35 +504,25 @@ mod tests {
             let offsets: Vec<i64> = (0..n).map(|_| next().rem_euclid(9) - 4).collect();
             let dm = DistanceModel::from_offsets(&offsets, stride, m);
             let brute = brute::min_zero_cost_cover_brute(&dm);
-            let bb = min_zero_cost_cover(&dm);
-            match (brute, bb) {
-                (Some(bc), Ok(r)) => assert_eq!(
-                    r.virtual_registers(),
-                    bc.register_count(),
-                    "offsets {offsets:?} stride {stride} m {m}"
-                ),
-                (None, Err(CoverSearchError::NoZeroCostCover)) => {}
-                (b, r) => panic!("feasibility mismatch for {offsets:?}: {b:?} vs {r:?}"),
-            }
+            assert_eq!(
+                registers(&dm),
+                brute.map(|cover| cover.register_count()),
+                "offsets {offsets:?} stride {stride} m {m}"
+            );
         }
     }
 
     #[test]
     fn repeated_offsets_collapse_into_one_register() {
         let dm = DistanceModel::from_offsets(&[3, 3, 3, 3, 3], 1, 1);
-        let r = min_zero_cost_cover(&dm).expect("feasible");
-        assert_eq!(r.virtual_registers(), 1);
+        assert_eq!(registers(&dm), Some(1));
     }
 
     #[test]
     fn single_access_patterns() {
         let dm = DistanceModel::from_offsets(&[7], 1, 1);
-        let r = min_zero_cost_cover(&dm).expect("feasible");
-        assert_eq!(r.virtual_registers(), 1);
+        assert_eq!(registers(&dm), Some(1));
         let dm = DistanceModel::from_offsets(&[7], 9, 1);
-        assert_eq!(
-            min_zero_cost_cover(&dm).unwrap_err(),
-            CoverSearchError::NoZeroCostCover
-        );
+        assert_eq!(registers(&dm), None);
     }
 }

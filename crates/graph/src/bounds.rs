@@ -4,7 +4,7 @@
 //! matching-based lower bound (their ref \[2\]) and a fast heuristic upper
 //! bound; when the two coincide the search is skipped entirely.
 
-use crate::distance::{DistanceModel, StepMatrix};
+use crate::distance::StepMatrix;
 use crate::matching::MatchingCover;
 use crate::path::PathCover;
 
@@ -32,43 +32,33 @@ impl Bounds {
             .as_ref()
             .map(|(assignment, _)| PathCover::from_assignment(assignment))
     }
-
-    /// `true` when lower and upper bound coincide, i.e. the heuristic
-    /// cover is provably optimal.
-    pub fn is_tight(&self) -> bool {
-        self.upper_value() == Some(self.lower)
-    }
 }
 
-/// Heuristic upper bound: take the matching cover (zero intra cost,
-/// minimum path count) and *split-repair* every path whose wrap step is
-/// not free.
+/// Computes both bounds from `matched`, the [`MatchingCover`] of
+/// `steps`. The lower bound is the matching's path count. The upper
+/// bound takes the matching cover (zero intra cost, minimum path count)
+/// and *split-repairs* every path whose wrap step is not free: cutting
+/// a path into contiguous segments keeps every intra step free, so the
+/// only question is where to cut such that every segment closes its own
+/// wrap. A quadratic DP finds the fewest segments per path, or proves
+/// that no contiguous split works, in which case there is no upper
+/// bound and the exact search starts without an incumbent.
 ///
-/// Splitting a path into contiguous segments preserves the freeness of all
-/// intra steps, so the only question is where to cut such that every
-/// segment closes its own wrap; a quadratic DP finds the minimum number of
-/// segments per path, or proves that no contiguous split works (in which
-/// case `None` is returned and the exact search starts without an
-/// incumbent).
+/// Pass the bounds on to [`bb::search`](crate::bb::search), so that one
+/// matching and one split repair serve the bounds and the search.
 ///
 /// # Examples
 ///
 /// ```
-/// use raco_graph::{bounds, DistanceModel};
+/// use raco_graph::matching::MatchingCover;
+/// use raco_graph::{bounds, DistanceModel, StepMatrix};
+///
 /// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-/// let cover = bounds::upper_bound_cover(&dm).expect("feasible");
-/// assert!(cover.is_zero_cost(&dm));
+/// let steps = StepMatrix::new(&dm);
+/// let bounds = bounds::bounds(&steps, &MatchingCover::new(&steps));
+/// assert_eq!(bounds.lower, 2);
+/// assert!(bounds.upper_cover().expect("feasible").is_zero_cost(&dm));
 /// ```
-pub fn upper_bound_cover(dm: &DistanceModel) -> Option<PathCover> {
-    let steps = StepMatrix::new(dm);
-    bounds(&steps, &MatchingCover::new(&steps)).upper_cover()
-}
-
-/// Computes both bounds from `matched`, the [`MatchingCover`] of
-/// `steps`. Pass them on to
-/// [`bb::min_zero_cost_cover_from`](crate::bb::min_zero_cost_cover_from)
-/// so that one matching and one split repair serve the bounds and the
-/// search.
 pub fn bounds(steps: &StepMatrix, matched: &MatchingCover) -> Bounds {
     Bounds {
         lower: matched.register_count(),
@@ -147,6 +137,7 @@ fn split_repair(steps: &StepMatrix, matched: &MatchingCover) -> Option<(Vec<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DistanceModel;
 
     fn bounds_of(dm: &DistanceModel) -> Bounds {
         let steps = StepMatrix::new(dm);
@@ -172,7 +163,11 @@ mod tests {
         let dm = DistanceModel::from_offsets(&[0, 1, 2, 3], 4, 1);
         let b = bounds_of(&dm);
         assert_eq!(b.lower, 1);
-        assert!(b.is_tight(), "wrap 0+4-3 = 1 is free: single register");
+        assert_eq!(
+            b.upper_value(),
+            Some(1),
+            "wrap 0+4-3 = 1 is free: single register"
+        );
     }
 
     #[test]
@@ -180,7 +175,7 @@ mod tests {
         // Chain 0,1,2,3 stride 1: wrap distance 0+1-3 = -2 unfree.
         // Split into (0,1),(2,3): wraps 0+1-1 = 0 and 2+1-3 = 0 → free.
         let dm = DistanceModel::from_offsets(&[0, 1, 2, 3], 1, 1);
-        let cover = upper_bound_cover(&dm).expect("feasible");
+        let cover = bounds_of(&dm).upper_cover().expect("feasible");
         assert!(cover.is_zero_cost(&dm));
         assert_eq!(cover.register_count(), 2);
     }
@@ -190,7 +185,7 @@ mod tests {
         // Stride 5, M = 1: a singleton wrap is 5, and the only two
         // accesses are 10 apart, so nothing closes.
         let dm = DistanceModel::from_offsets(&[0, 10], 5, 1);
-        assert_eq!(upper_bound_cover(&dm), None);
+        assert_eq!(bounds_of(&dm).upper_cover(), None);
     }
 
     #[test]
@@ -198,7 +193,7 @@ mod tests {
         // Stride 2, M = 1: singletons don't close (wrap = 2), but the
         // pair (0 → 1) closes: 0 + 2 - 1 = 1.
         let dm = DistanceModel::from_offsets(&[0, 1], 2, 1);
-        let cover = upper_bound_cover(&dm).expect("pair closes");
+        let cover = bounds_of(&dm).upper_cover().expect("pair closes");
         assert_eq!(cover.register_count(), 1);
         assert!(cover.is_zero_cost(&dm));
     }
@@ -209,14 +204,15 @@ mod tests {
         let b = bounds_of(&dm);
         assert_eq!(b.lower, 1);
         assert_eq!(b.upper_value(), Some(1)); // wrap 0+3-2 = 1 free
-        assert!(b.is_tight());
     }
 
     #[test]
     fn lower_bound_counts_isolated_nodes() {
         let dm = DistanceModel::from_offsets(&[0, 100, 200], 1, 1);
         assert_eq!(bounds_of(&dm).lower, 3);
-        let cover = upper_bound_cover(&dm).expect("singletons close with stride 1");
+        let cover = bounds_of(&dm)
+            .upper_cover()
+            .expect("singletons close with stride 1");
         assert_eq!(cover.register_count(), 3);
     }
 }

@@ -21,7 +21,11 @@
 //! * [`bounds`] — the matching lower bound and a split-repair heuristic
 //!   upper bound on the number of virtual registers `K̃`;
 //! * [`bb`] — the exact branch-and-bound minimum **zero-cost** cover
-//!   (their ref \[3\]), i.e. the paper's Phase 1;
+//!   (their ref \[3\]) between those bounds: [`bb::search`] returns the
+//!   best cover it found and whether its register count is proved
+//!   minimal. `raco-core`'s Phase 1 chains matching, bounds and search,
+//!   and falls back to the matching cover when there is no zero-cost
+//!   one;
 //! * [`brute`] — exhaustive oracles used by tests and ablation
 //!   experiments;
 //! * [`modify`] — the one step model: [`modify::steps`] walks a
@@ -65,7 +69,7 @@ pub mod matching;
 pub mod modify;
 mod path;
 
-pub use bb::{BbOptions, BbResult, CoverSearchError};
+pub use bb::BbOptions;
 pub use distance::{DistanceModel, StepMatrix};
 pub use graph::AccessGraph;
 pub use modify::{DeltaHistogram, ModifyAllocation};

@@ -11,7 +11,7 @@
 //! The matching is computed with Hopcroft–Karp in
 //! `O(E sqrt(V))`.
 
-use crate::distance::{DistanceModel, StepMatrix};
+use crate::distance::StepMatrix;
 use crate::path::{Path, PathCover};
 
 /// No partner: an unmatched vertex, or a chain's end.
@@ -211,12 +211,16 @@ pub(crate) fn hopcroft_karp(n_left: usize, n_right: usize, adjacency: &Adjacency
 ///
 /// ```
 /// use raco_graph::matching::MatchingCover;
-/// use raco_graph::{matching, DistanceModel, StepMatrix};
+/// use raco_graph::{DistanceModel, ModifyAllocation, StepMatrix};
 ///
 /// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
 /// let matched = MatchingCover::new(&StepMatrix::new(&dm));
 /// assert_eq!(matched.register_count(), 2);
-/// assert_eq!(matched.cover(), matching::min_path_cover(&dm));
+/// let cover = matched.cover();
+/// assert_eq!(cover.register_count(), 2);
+/// // No paid step inside an iteration (wraps left out):
+/// let paths = cover.paths().iter().map(|p| (p, &dm));
+/// assert_eq!(ModifyAllocation::new(paths, 0, false).charged(), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MatchingCover {
@@ -273,32 +277,15 @@ impl MatchingCover {
     }
 }
 
-/// An explicit minimum path cover of the intra-iteration graph (wrap
-/// constraints ignored), extracted from a maximum matching: the
-/// [`MatchingCover`] of `dm` as a [`PathCover`].
-///
-/// Every intra step of every returned path is free; back-edge (wrap) steps
-/// may not be.
-///
-/// # Examples
-///
-/// ```
-/// use raco_graph::{matching, DistanceModel, ModifyAllocation};
-/// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-/// let cover = matching::min_path_cover(&dm);
-/// assert_eq!(cover.register_count(), 2);
-/// // No paid step inside an iteration (wraps left out):
-/// let paths = cover.paths().iter().map(|p| (p, &dm));
-/// assert_eq!(ModifyAllocation::new(paths, 0, false).charged(), 0);
-/// ```
-pub fn min_path_cover(dm: &DistanceModel) -> PathCover {
-    MatchingCover::new(&StepMatrix::new(dm)).cover()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ModifyAllocation;
+    use crate::{DistanceModel, ModifyAllocation};
+
+    /// The matching cover of `dm` as a [`PathCover`].
+    fn cover_of(dm: &DistanceModel) -> PathCover {
+        MatchingCover::new(&StepMatrix::new(dm)).cover()
+    }
 
     /// The paid steps of `cover` inside one iteration (wraps left out).
     fn intra_paid(cover: &PathCover, dm: &DistanceModel) -> u32 {
@@ -359,7 +346,7 @@ mod tests {
     #[test]
     fn paper_example_needs_two_registers_without_wrap() {
         let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-        let cover = min_path_cover(&dm);
+        let cover = cover_of(&dm);
         assert_eq!(cover.register_count(), 2);
         assert!(intra_paid(&cover, &dm) == 0);
     }
@@ -367,7 +354,7 @@ mod tests {
     #[test]
     fn disconnected_pattern_needs_one_register_per_access() {
         let dm = DistanceModel::from_offsets(&[0, 10, 20, 30], 1, 1);
-        let cover = min_path_cover(&dm);
+        let cover = cover_of(&dm);
         assert_eq!(cover.register_count(), 4);
         assert!(cover.paths().iter().all(|p| p.len() == 1));
     }
@@ -375,7 +362,7 @@ mod tests {
     #[test]
     fn monotone_pattern_needs_one_register() {
         let dm = DistanceModel::from_offsets(&[0, 1, 2, 3, 4], 1, 1);
-        let cover = min_path_cover(&dm);
+        let cover = cover_of(&dm);
         assert_eq!(cover.register_count(), 1);
         assert_eq!(cover.paths()[0].indices(), &[0, 1, 2, 3, 4]);
     }
@@ -394,7 +381,7 @@ mod tests {
             for m in [0u32, 1, 2] {
                 let offsets: Vec<i64> = (0..n).map(|_| next().rem_euclid(7) - 3).collect();
                 let dm = DistanceModel::from_offsets(&offsets, 1, m);
-                let cover = min_path_cover(&dm);
+                let cover = cover_of(&dm);
                 assert_eq!(intra_paid(&cover, &dm), 0, "offsets {offsets:?} m {m}");
                 assert!(
                     n > 8 || !fewer_intra_free_paths_exist(&dm, cover.register_count()),

@@ -23,7 +23,9 @@
 //!   *costs*, though mirrored update deltas). Useful for cost-curve
 //!   caches and workload analytics, **not** for reusing generated code.
 //! * [`CanonicalPattern::fingerprint`] — a 64-bit FNV-1a hash of the
-//!   canonical access sequence, the driver's cheap cache-key prefilter.
+//!   canonical access sequence, stable across processes, for logs and
+//!   tools. No cache keys on it: the driver's cache hashes full keys
+//!   with a per-map random hasher, and snapshots store full keys.
 //!
 //! ## Nest-awareness
 //!

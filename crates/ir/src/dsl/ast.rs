@@ -128,24 +128,25 @@ pub enum Expr {
     },
     /// Unary negation `-e`.
     Neg(Box<Expr>),
-    /// Binary operation `lhs op rhs`.
-    Binary {
-        /// Operator.
-        op: BinOp,
-        /// Left operand.
-        lhs: Box<Expr>,
-        /// Right operand.
-        rhs: Box<Expr>,
+    /// A left-associative operator chain `first op1 e1 op2 e2 …`,
+    /// evaluated left to right as `((first op1 e1) op2 e2) …`. The parser
+    /// makes one node per run of same-precedence operators, so a long
+    /// sum is one node, not one level per operator, and no pass recurses
+    /// along it.
+    Chain {
+        /// Leftmost operand.
+        first: Box<Expr>,
+        /// Every further operand with the operator before it, in order.
+        rest: Vec<(BinOp, Expr)>,
     },
 }
 
 impl Expr {
-    /// Convenience constructor for a binary node.
+    /// Convenience constructor for one binary operation `lhs op rhs`.
     pub fn binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-        Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
+        Expr::Chain {
+            first: Box::new(lhs),
+            rest: vec![(op, rhs)],
         }
     }
 
@@ -154,6 +155,16 @@ impl Expr {
         Expr::Index {
             array: array.into(),
             indices: vec![index],
+        }
+    }
+
+    /// The operator applied last, if any.
+    fn last_op(&self) -> Option<BinOp> {
+        match self {
+            Expr::Chain { first, rest } => rest
+                .last()
+                .map_or_else(|| first.last_op(), |&(op, _)| Some(op)),
+            _ => None,
         }
     }
 
@@ -168,9 +179,11 @@ impl Expr {
                 f(array, indices);
             }
             Expr::Neg(e) => e.visit_indices(f),
-            Expr::Binary { lhs, rhs, .. } => {
-                lhs.visit_indices(f);
-                rhs.visit_indices(f);
+            Expr::Chain { first, rest } => {
+                first.visit_indices(f);
+                for (_, e) in rest {
+                    e.visit_indices(f);
+                }
             }
         }
     }
@@ -194,27 +207,39 @@ impl fmt::Display for Expr {
                 write_subscripts(f, indices)
             }
             Expr::Neg(e) => write!(f, "-({e})"),
-            Expr::Binary { op, lhs, rhs } => {
-                let needs_parens = |e: &Expr, parent: BinOp| match e {
-                    Expr::Binary { op, .. } => {
-                        matches!(parent, BinOp::Mul | BinOp::Div)
-                            && matches!(op, BinOp::Add | BinOp::Sub)
-                    }
-                    _ => false,
+            Expr::Chain { first, rest } => {
+                // A sum operand of a product is parenthesized, and so is
+                // any operation right of `-` or `/`. The operand left of
+                // `rest[k]` is everything before it.
+                let sum = |op: Option<BinOp>| matches!(op, Some(BinOp::Add | BinOp::Sub));
+                let product = |op: BinOp| matches!(op, BinOp::Mul | BinOp::Div);
+                let wraps_left = |k: usize| {
+                    let before = if k == 0 {
+                        first.last_op()
+                    } else {
+                        Some(rest[k - 1].0)
+                    };
+                    product(rest[k].0) && sum(before)
                 };
-                if needs_parens(lhs, *op) {
-                    write!(f, "({lhs})")?;
-                } else {
-                    write!(f, "{lhs}")?;
+                for _ in (0..rest.len()).filter(|&k| wraps_left(k)) {
+                    f.write_str("(")?;
                 }
-                write!(f, " {op} ")?;
-                if needs_parens(rhs, *op)
-                    || matches!(op, BinOp::Sub | BinOp::Div) && matches!(**rhs, Expr::Binary { .. })
-                {
-                    write!(f, "({rhs})")
-                } else {
-                    write!(f, "{rhs}")
+                write!(f, "{first}")?;
+                for (k, (op, e)) in rest.iter().enumerate() {
+                    if wraps_left(k) {
+                        f.write_str(")")?;
+                    }
+                    write!(f, " {op} ")?;
+                    let right = e.last_op();
+                    if product(*op) && sum(right)
+                        || matches!(op, BinOp::Sub | BinOp::Div) && right.is_some()
+                    {
+                        write!(f, "({e})")?;
+                    } else {
+                        write!(f, "{e}")?;
+                    }
                 }
+                Ok(())
             }
         }
     }
@@ -394,6 +419,19 @@ mod tests {
             Expr::binary(BinOp::Mul, Expr::Var("b".into()), Expr::Num(2)),
         );
         assert_eq!(e.to_string(), "a + b * 2");
+        // A chain that mixes precedences prints as the left-deep tree
+        // it evaluates as.
+        let var = |v: &str| Expr::Var(v.into());
+        let e = Expr::Chain {
+            first: Box::new(var("a")),
+            rest: vec![
+                (BinOp::Add, var("b")),
+                (BinOp::Mul, var("c")),
+                (BinOp::Sub, var("d")),
+                (BinOp::Div, Expr::binary(BinOp::Add, var("e"), var("f"))),
+            ],
+        };
+        assert_eq!(e.to_string(), "((a + b) * c - d) / (e + f)");
     }
 
     #[test]

@@ -295,40 +295,43 @@ impl<'a> Lowerer<'a> {
                     *c = c.checked_neg().ok_or(ParseErrorKind::IndexOverflow)?;
                 }
             }
-            Expr::Binary { op, lhs, rhs } => {
+            Expr::Chain { first, rest } => {
                 use super::ast::BinOp;
-                self.fold(lhs)?;
-                self.fold(rhs)?;
-                let (l, r) = self.frames[top..].split_at_mut(width);
-                let combine = |l: &mut [i64], f: fn(i64, i64) -> Option<i64>| {
-                    for (a, &b) in l.iter_mut().zip(&*r) {
-                        *a = f(*a, b).ok_or(ParseErrorKind::IndexOverflow)?;
-                    }
-                    Ok(())
-                };
-                match op {
-                    BinOp::Add => combine(l, i64::checked_add)?,
-                    BinOp::Sub => combine(l, i64::checked_sub)?,
-                    // A product is affine only when one factor is a
-                    // constant (every coefficient zero): scale the other.
-                    BinOp::Mul => {
-                        if l[..width - 1].iter().all(|&c| c == 0) {
-                            let k = l[width - 1];
-                            for (a, &b) in l.iter_mut().zip(&*r) {
-                                *a = b.checked_mul(k).ok_or(ParseErrorKind::IndexOverflow)?;
-                            }
-                        } else if r[..width - 1].iter().all(|&c| c == 0) {
-                            let k = r[width - 1];
-                            for a in l.iter_mut() {
-                                *a = a.checked_mul(k).ok_or(ParseErrorKind::IndexOverflow)?;
-                            }
-                        } else {
-                            return Err(ParseErrorKind::NonAffineIndex);
+                self.fold(first)?;
+                for (op, e) in rest {
+                    self.fold(e)?;
+                    let (l, r) = self.frames[top..].split_at_mut(width);
+                    let combine = |l: &mut [i64], f: fn(i64, i64) -> Option<i64>| {
+                        for (a, &b) in l.iter_mut().zip(&*r) {
+                            *a = f(*a, b).ok_or(ParseErrorKind::IndexOverflow)?;
                         }
+                        Ok(())
+                    };
+                    match op {
+                        BinOp::Add => combine(l, i64::checked_add)?,
+                        BinOp::Sub => combine(l, i64::checked_sub)?,
+                        // A product is affine only when one factor is a
+                        // constant (every coefficient zero): scale the
+                        // other.
+                        BinOp::Mul => {
+                            if l[..width - 1].iter().all(|&c| c == 0) {
+                                let k = l[width - 1];
+                                for (a, &b) in l.iter_mut().zip(&*r) {
+                                    *a = b.checked_mul(k).ok_or(ParseErrorKind::IndexOverflow)?;
+                                }
+                            } else if r[..width - 1].iter().all(|&c| c == 0) {
+                                let k = r[width - 1];
+                                for a in l.iter_mut() {
+                                    *a = a.checked_mul(k).ok_or(ParseErrorKind::IndexOverflow)?;
+                                }
+                            } else {
+                                return Err(ParseErrorKind::NonAffineIndex);
+                            }
+                        }
+                        BinOp::Div => return Err(ParseErrorKind::DivisionInIndex),
                     }
-                    BinOp::Div => return Err(ParseErrorKind::DivisionInIndex),
+                    self.frames.truncate(top + width);
                 }
-                self.frames.truncate(top + width);
             }
         }
         Ok(())

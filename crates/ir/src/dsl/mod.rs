@@ -190,6 +190,36 @@ mod tests {
     use super::*;
     use crate::model::AccessKind;
 
+    /// A statement with 100 000 terms is one operator chain, so parsing,
+    /// lowering, printing and dropping it each walk it in a loop: the
+    /// whole round fits a 2 MiB thread stack.
+    #[test]
+    fn long_operator_chains_compile_on_a_small_stack() {
+        let terms = 100_000;
+        let chain = |head: &str| format!("{head}{}", " + 1 - 1".repeat(terms / 2));
+        let source = format!(
+            "for (i = 0; i < {}; i++) {{ y[{}] = {}; }}",
+            chain("4"),
+            chain("i"),
+            chain("x[i]")
+        );
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let ast = parse_for(&source).expect("parses");
+                let spec = lower_loop(&ast).expect("lowers");
+                assert_eq!(spec.len(), 2, "x[i] is read, y[i] written");
+                assert_eq!(spec.accesses()[1].offset, 0);
+                let printed = ast.body[0].to_string();
+                assert!(printed.starts_with("y[i + 1 - 1 + 1"), "{}", &printed[..40]);
+                assert!(printed.ends_with("+ 1 - 1;"));
+                drop(ast);
+            })
+            .expect("spawns")
+            .join()
+            .expect("no stack overflow");
+    }
+
     #[test]
     fn end_to_end_single_array() {
         let spec =

@@ -269,8 +269,10 @@ impl std::error::Error for LowerError {}
 
 /// How deep parentheses, unary minus, subscripts and `for` loops may
 /// nest, counted together. The parser and the passes after it recurse
-/// once per level: unbounded, one hostile source overflows the thread's
-/// stack, which no `catch_unwind` catches. Kernels nest a few levels.
+/// once per such level (a run of binary operators is one
+/// [`Expr::Chain`] node, walked in a loop, however long): unbounded,
+/// one hostile source overflows the thread's stack, which no
+/// `catch_unwind` catches. Kernels nest a few levels.
 pub const MAX_NESTING_DEPTH: usize = 128;
 
 pub(crate) struct Parser<'s> {
@@ -605,33 +607,43 @@ impl<'s> Parser<'s> {
     }
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_term()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_term()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
+        self.parse_chain(Self::parse_term, |kind| match kind {
+            TokenKind::Plus => Some(BinOp::Add),
+            TokenKind::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn parse_term(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_factor()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                _ => break,
-            };
+        self.parse_chain(Self::parse_factor, |kind| match kind {
+            TokenKind::Star => Some(BinOp::Mul),
+            TokenKind::Slash => Some(BinOp::Div),
+            _ => None,
+        })
+    }
+
+    /// Parses `operand (op operand)*` for the operators `op_of` maps to,
+    /// as one [`Expr::Chain`], or the lone operand when there is no
+    /// operator.
+    fn parse_chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr, ParseError>,
+        op_of: fn(TokenKind) -> Option<BinOp>,
+    ) -> Result<Expr, ParseError> {
+        let first = operand(self)?;
+        let mut rest = Vec::new();
+        while let Some(op) = op_of(self.peek().kind) {
             self.bump();
-            let rhs = self.parse_factor()?;
-            lhs = Expr::binary(op, lhs, rhs);
+            rest.push((op, operand(self)?));
         }
-        Ok(lhs)
+        Ok(if rest.is_empty() {
+            first
+        } else {
+            Expr::Chain {
+                first: Box::new(first),
+                rest,
+            }
+        })
     }
 
     fn parse_factor(&mut self) -> Result<Expr, ParseError> {
@@ -676,9 +688,8 @@ pub(crate) fn const_eval(e: &Expr) -> Option<i64> {
         Expr::Num(n) => Some(*n),
         Expr::Var(_) | Expr::Index { .. } => None,
         Expr::Neg(inner) => const_eval(inner)?.checked_neg(),
-        Expr::Binary { op, lhs, rhs } => {
-            let l = const_eval(lhs)?;
-            let r = const_eval(rhs)?;
+        Expr::Chain { first, rest } => rest.iter().try_fold(const_eval(first)?, |l, (op, e)| {
+            let r = const_eval(e)?;
             match op {
                 BinOp::Add => l.checked_add(r),
                 BinOp::Sub => l.checked_sub(r),
@@ -691,7 +702,7 @@ pub(crate) fn const_eval(e: &Expr) -> Option<i64> {
                     }
                 }
             }
-        }
+        }),
     }
 }
 
@@ -792,7 +803,7 @@ mod tests {
     fn expression_precedence_is_conventional() {
         let ast = parse("for (i = 0; i < 9; i++) { s = 1 + 2 * 3; }");
         match &ast.body[0].rhs {
-            Expr::Binary { op: BinOp::Add, .. } => {}
+            Expr::Chain { rest, .. } if rest.len() == 1 && rest[0].0 == BinOp::Add => {}
             other => panic!("expected top-level add, got {other:?}"),
         }
     }

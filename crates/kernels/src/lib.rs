@@ -112,7 +112,9 @@ fn count_compute_ops(ast: &ForLoop) -> u64 {
             Expr::Num(_) | Expr::Var(_) => 0,
             Expr::Index { .. } => 0, // address arithmetic is the AGU's job
             Expr::Neg(inner) => 1 + expr_ops(inner),
-            Expr::Binary { lhs, rhs, .. } => 1 + expr_ops(lhs) + expr_ops(rhs),
+            Expr::Chain { first, rest } => rest
+                .iter()
+                .fold(expr_ops(first), |ops, (_, e)| ops + 1 + expr_ops(e)),
         }
     }
     ast.body

@@ -83,6 +83,7 @@
 //! was disabled).
 //!
 //! ```
+//! use raco_driver::json::Json;
 //! use raco_serve::protocol::{self, Request};
 //!
 //! let envelope = protocol::parse_line(
@@ -93,7 +94,7 @@
 //! // Unparsable lines are errors that echo whatever id was readable:
 //! let err = protocol::parse_line(r#"{"id": 7, "op": "warp"}"#).unwrap_err();
 //! assert!(err.message.contains("unknown op"));
-//! assert!(protocol::error_line(&err.id, &err.message).contains("\"ok\":false"));
+//! assert_eq!(err.id, Some(Json::Int(7)));
 //! # Ok::<(), raco_serve::protocol::ProtocolError>(())
 //! ```
 
@@ -428,13 +429,6 @@ pub fn parse_line(line: &str) -> Result<Envelope, ProtocolError> {
     Ok(Envelope { id, request, knobs })
 }
 
-/// A reply line: one compact object whose fields `fields` writes.
-fn line(fields: impl FnOnce(&mut Writer<'_>)) -> String {
-    let mut out = String::new();
-    Writer::compact(&mut out).object(fields);
-    out
-}
-
 /// Writes the fields every reply leads with: the echoed `id`, then
 /// `ok`.
 pub(crate) fn write_head(w: &mut Writer<'_>, id: &Option<Json>, ok: bool) {
@@ -469,11 +463,6 @@ pub(crate) fn write_ack(w: &mut Writer<'_>, id: &Option<Json>, flag: &str) {
 pub(crate) fn write_error(w: &mut Writer<'_>, id: &Option<Json>, message: &str) {
     write_head(w, id, false);
     w.key("error").str(message);
-}
-
-/// An error response.
-pub fn error_line(id: &Option<Json>, message: &str) -> String {
-    line(|w| write_error(w, id, message))
 }
 
 /// Writes the fields of an error reply with a machine-readable kind:
@@ -529,6 +518,13 @@ pub(crate) fn write_saved(
 mod tests {
     use super::*;
     use raco_ir::AguSpec;
+
+    /// A reply line: one compact object whose fields `fields` writes.
+    fn line(fields: impl FnOnce(&mut Writer<'_>)) -> String {
+        let mut out = String::new();
+        Writer::compact(&mut out).object(fields);
+        out
+    }
 
     #[test]
     fn compile_requests_parse_with_knobs() {
@@ -621,7 +617,7 @@ mod tests {
     fn errors_keep_the_readable_id() {
         let err = parse_line(r#"{"id":42,"op":"compile"}"#).unwrap_err();
         assert_eq!(err.id, Some(Json::Int(42)));
-        let rendered = error_line(&err.id, &err.message);
+        let rendered = line(|w| write_error(w, &err.id, &err.message));
         assert!(rendered.starts_with(r#"{"id":42,"ok":false,"error":"#));
     }
 
@@ -761,7 +757,7 @@ mod tests {
                 w.key("stats").object(|w| write_stats(w, &stats));
             }),
             line(|w| write_ack(w, &None, "pong")),
-            error_line(&Some(Json::str("x")), "boom\nboom"),
+            line(|w| write_error(w, &Some(Json::str("x")), "boom\nboom")),
             line(|w| write_error_kind(w, &Some(Json::Num(2.5)), "busy", "full")),
         ] {
             assert!(!line.contains('\n'), "NDJSON must stay on one line: {line}");

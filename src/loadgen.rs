@@ -246,16 +246,22 @@ fn trace_line(rng: &mut SmallRng, shapes: &[String], id: u64) -> String {
     let skew: f64 = rng.gen();
     let shape = &shapes[((skew * skew) * shapes.len() as f64) as usize % shapes.len()];
     let choice = rng.gen_range(0usize..MACHINES.len() + NAMED_MACHINES.len());
-    if let Some(&(registers, modify)) = MACHINES.get(choice) {
-        format!(
-            "{{\"id\":{id},\"op\":\"compile\",\"source\":\"{shape}\",\"registers\":{registers},\"modify\":{modify}}}"
-        )
-    } else {
-        let machine = NAMED_MACHINES[choice - MACHINES.len()];
-        format!(
-            "{{\"id\":{id},\"op\":\"compile\",\"source\":\"{shape}\",\"machine\":\"{machine}\"}}"
-        )
-    }
+    let mut line = String::new();
+    Writer::compact(&mut line).object(|w| {
+        w.key("id").uint(id);
+        w.key("op").str("compile");
+        w.key("source").str(shape);
+        match MACHINES.get(choice) {
+            Some(&(registers, modify)) => {
+                w.key("registers").uint(registers as u64);
+                w.key("modify").uint(u64::from(modify));
+            }
+            None => w
+                .key("machine")
+                .str(NAMED_MACHINES[choice - MACHINES.len()]),
+        }
+    });
+    line
 }
 
 // ---------------------------------------------------------------------

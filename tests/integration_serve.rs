@@ -350,6 +350,45 @@ fn deep_nesting_fails_one_request_and_the_session_continues() {
     assert!(ok(&replies[2]), "the session keeps serving");
 }
 
+#[test]
+fn a_long_operator_chain_compiles_and_the_connection_keeps_serving() {
+    // One statement of 100 000 terms (about 200 KB of JSON) used to
+    // overflow a connection thread's stack and abort the whole server:
+    // the parser built one tree level per operator.
+    use raco::serve::MAX_REQUEST_LINE;
+    let source = format!(
+        "for (i = 0; i < 4; i++) {{ y[i] = x[i]{}; }}",
+        "+1-1".repeat(50_000)
+    );
+    let request = format!(
+        r#"{{"id":1,"op":"compile","source":{}}}"#,
+        Json::str(source).render()
+    );
+    assert!(request.len() < MAX_REQUEST_LINE, "{} bytes", request.len());
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server = default_server();
+    let replies = std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve_tcp(&listener));
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        writeln!(stream, "{request}").unwrap();
+        writeln!(stream, r#"{{"op":"ping","id":2}}"#).unwrap();
+        writeln!(stream, r#"{{"op":"shutdown"}}"#).unwrap();
+        stream.flush().unwrap();
+        let replies: Vec<Json> = BufReader::new(&stream)
+            .lines()
+            .map(|line| Json::parse(&line.expect("read")).expect("valid JSON"))
+            .collect();
+        handle.join().expect("server thread").expect("clean exit");
+        replies
+    });
+    assert_eq!(replies.len(), 3, "one reply per request");
+    assert!(ok(&replies[0]), "{}", replies[0].render());
+    assert_eq!(replies[0].get("id").and_then(Json::as_u64), Some(1));
+    assert!(ok(&replies[1]), "the same connection keeps serving");
+    assert_eq!(replies[1].get("id").and_then(Json::as_u64), Some(2));
+}
+
 /// Drops the wall-clock fields of a reply line: every `elapsed_us`, the
 /// report's `loops_per_second` and the stats' `uptime_ms`.
 fn without_wall_clock(line: &str) -> String {

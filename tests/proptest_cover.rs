@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use raco::core::{phase1, phase2, CostModel, MergeStrategy, Phase1Outcome};
 use raco::graph::matching::MatchingCover;
-use raco::graph::{bb, bounds, brute, matching, BbOptions, DistanceModel, PathCover, StepMatrix};
+use raco::graph::{bounds, brute, BbOptions, DistanceModel, PathCover, StepMatrix};
 
 /// Strategy: a small random pattern (offsets, stride, modify range).
 fn pattern() -> impl Strategy<Value = (Vec<i64>, i64, u32)> {
@@ -31,7 +31,7 @@ proptest! {
     #[test]
     fn matching_cover_partitions_and_is_intra_free((offsets, stride, m) in pattern()) {
         let dm = DistanceModel::from_offsets(&offsets, stride, m);
-        let cover = matching::min_path_cover(&dm);
+        let cover = MatchingCover::new(&StepMatrix::new(&dm)).cover();
         prop_assert_eq!(cover.accesses(), offsets.len());
         prop_assert_eq!(
             cover.paths().iter().map(|p| p.len()).sum::<usize>(),
@@ -57,13 +57,14 @@ proptest! {
         let dm = DistanceModel::from_offsets(&offsets, stride, m);
         let steps = StepMatrix::new(&dm);
         let b = bounds::bounds(&steps, &MatchingCover::new(&steps));
-        if let Ok(result) = bb::min_zero_cost_cover(&dm) {
-            let exact = result.virtual_registers();
+        let report = phase1::run(&dm, BbOptions::default());
+        if let Phase1Outcome::ZeroCost { .. } = report.outcome() {
+            let exact = report.virtual_registers();
             prop_assert!(b.lower <= exact, "LB {} > exact {exact}", b.lower);
             if let Some(ub) = b.upper_value() {
                 prop_assert!(exact <= ub, "exact {exact} > UB {ub}");
             }
-            prop_assert!(result.cover.is_zero_cost(&dm));
+            prop_assert!(report.cover().is_zero_cost(&dm));
         } else if let Some(ub_cover) = b.upper_cover() {
             // If the heuristic found a zero-cost cover, the exact search
             // cannot have failed.
@@ -79,13 +80,13 @@ proptest! {
     fn bb_agrees_with_the_exhaustive_oracle((offsets, stride, m) in tiny_pattern()) {
         let dm = DistanceModel::from_offsets(&offsets, stride, m);
         let oracle = brute::min_zero_cost_cover_brute(&dm);
-        let search = bb::min_zero_cost_cover(&dm);
-        match (oracle, search) {
-            (Some(b), Ok(r)) => {
-                prop_assert_eq!(r.virtual_registers(), b.register_count());
-                prop_assert!(r.optimal);
+        let report = phase1::run(&dm, BbOptions::default());
+        match (oracle, report.outcome()) {
+            (Some(b), Phase1Outcome::ZeroCost { proved_minimal }) => {
+                prop_assert_eq!(report.virtual_registers(), b.register_count());
+                prop_assert!(proved_minimal);
             }
-            (None, Err(_)) => {}
+            (None, Phase1Outcome::Relaxed) => {}
             (o, s) => prop_assert!(false, "feasibility mismatch: {:?} vs {:?}", o, s),
         }
     }
@@ -197,12 +198,10 @@ proptest! {
     #[test]
     fn memoized_and_unmemoized_search_agree((offsets, stride, m) in tiny_pattern()) {
         let dm = DistanceModel::from_offsets(&offsets, stride, m);
-        let a = bb::min_zero_cost_cover_with(&dm, BbOptions { node_limit: 1_000_000, memoize: true });
-        let b = bb::min_zero_cost_cover_with(&dm, BbOptions { node_limit: 1_000_000, memoize: false });
-        match (a, b) {
-            (Ok(x), Ok(y)) => prop_assert_eq!(x.virtual_registers(), y.virtual_registers()),
-            (Err(_), Err(_)) => {}
-            (x, y) => prop_assert!(false, "disagreement: {:?} vs {:?}", x, y),
-        }
+        let [a, b] = [true, false].map(|memoize| {
+            let report = phase1::run(&dm, BbOptions { node_limit: 1_000_000, memoize });
+            (report.outcome(), report.virtual_registers())
+        });
+        prop_assert_eq!(a, b);
     }
 }

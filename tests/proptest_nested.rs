@@ -198,15 +198,17 @@ fn interpret(decls: &[Decl], ast: &ForLoop, spec: &LoopSpec, layout: &MemoryLayo
             Expr::Num(n) => *n,
             Expr::Var(v) => *env.get(v).expect("bound variable"),
             Expr::Neg(inner) => -eval(inner, env),
-            Expr::Binary { op, lhs, rhs } => {
+            Expr::Chain { first, rest } => {
                 use raco::ir::dsl::BinOp;
-                let (l, r) = (eval(lhs, env), eval(rhs, env));
-                match op {
-                    BinOp::Add => l + r,
-                    BinOp::Sub => l - r,
-                    BinOp::Mul => l * r,
-                    BinOp::Div => l / r,
-                }
+                rest.iter().fold(eval(first, env), |l, (op, e)| {
+                    let r = eval(e, env);
+                    match op {
+                        BinOp::Add => l + r,
+                        BinOp::Sub => l - r,
+                        BinOp::Mul => l * r,
+                        BinOp::Div => l / r,
+                    }
+                })
             }
             Expr::Index { .. } => panic!("generated subscripts never nest array accesses"),
         }
