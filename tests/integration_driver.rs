@@ -240,8 +240,8 @@ fn modify_register_machines_validate_with_bounded_cost() {
 // descriptions must reproduce the pre-refactor toolchain byte for byte.
 // The fixtures under `tests/fixtures/` were captured from the seed
 // (knob-configured) build: per-machine listings for three nested
-// kernels, the full kernel cost table, and the canonical-pattern
-// fingerprints the cache keys on.
+// kernels, the full kernel cost table, and the canonical patterns the
+// cache keys on.
 // ---------------------------------------------------------------------
 
 fn fixture(name: &str) -> String {
@@ -320,24 +320,23 @@ fn classic_descriptions_reproduce_seed_kernel_costs() {
 }
 
 #[test]
-fn canonical_fingerprints_match_the_seed_capture() {
-    // The allocation cache keys on these fingerprints; a drift would
-    // silently invalidate every persisted snapshot.
+fn canonical_forms_match_the_seed_capture() {
+    // The allocation cache and snapshots key on these canonical forms;
+    // a drift would silently invalidate every persisted snapshot.
     let mut actual = String::new();
     for kernel in raco::kernels::suite() {
         for pattern in kernel.spec().patterns() {
             let canonical = raco::ir::CanonicalPattern::of(&pattern);
             actual.push_str(&format!(
-                "FP {} {} {:#018x}\n",
+                "CF {} {} {canonical}\n",
                 kernel.name(),
                 pattern.array_name(),
-                canonical.fingerprint()
             ));
         }
     }
     assert_eq!(
         actual,
-        fixture("canonical_fingerprints.txt"),
+        fixture("canonical_forms.txt"),
         "canonical cache keys drifted from the seed capture"
     );
 }

@@ -1,41 +1,52 @@
 //! Heap allocations of Phase 1, counted by this binary's own global
 //! allocator, so the bounds hold on any host: the branch-and-bound
-//! search allocates nothing per node, and Phase 1 over the ROADMAP's
+//! search allocates nothing per node, Phase 1 over the ROADMAP's
 //! Table 1 patterns on the six built-ins allocates at most a third of
 //! what it did when the bounds, the search and every search node built
-//! their own vectors.
+//! their own vectors, and on a long loop Phase 1 and a whole cost curve
+//! allocate a few bytes per pair of accesses.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use raco::core::phase1;
 use raco::core::random::PatternGenerator;
+use raco::core::Optimizer;
 use raco::graph::{BbOptions, DistanceModel};
-use raco::ir::MachineDescription;
+use raco::ir::{AccessPattern, MachineDescription};
 
-/// Counts the allocations made on the current thread (the test harness
-/// runs tests on parallel threads; each counts only its own).
+/// Counts the allocations made on the current thread, and the bytes
+/// they asked for (the test harness runs tests on parallel threads;
+/// each counts only its own).
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-// SAFETY: every call forwards to `System` unchanged; the counter is a
-// const-initialised thread-local `Cell`, which never allocates.
+/// Counts one allocation of `bytes` on this thread.
+fn count(bytes: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counters are
+// const-initialised thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
+    /// A reallocation counts as one allocation of the bytes it grows by.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 
@@ -52,6 +63,15 @@ fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     let after = ALLOCATIONS.with(Cell::get);
+    drop(out);
+    after - before
+}
+
+/// Bytes allocated on this thread while `f` runs.
+fn bytes<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    let after = BYTES.with(Cell::get);
     drop(out);
     after - before
 }
@@ -153,5 +173,53 @@ fn table1_phase1_allocates_at_most_a_third_of_the_per_node_search() {
     assert!(
         total <= PATHS_SIZED_ONCE,
         "Phase 1 made {total} allocations, more than {PATHS_SIZED_ONCE}"
+    );
+}
+
+/// Accesses of the long loop: one statement that reads `x[i]` this
+/// many times, as in the ROADMAP's Table 3.
+const LONG_LOOP: usize = 2000;
+
+/// The long loop's pattern, and the paper machine's `K` and update
+/// window.
+fn long_loop_on_the_paper_machine() -> (AccessPattern, MachineDescription) {
+    let machine = MachineDescription::builtin("paper").expect("built-in machine");
+    (AccessPattern::from_offsets(&[0; LONG_LOOP], 1), machine)
+}
+
+/// The pairs of accesses of the long loop, `n²`: what a per-step table
+/// grows with.
+const PAIRS: u64 = (LONG_LOOP * LONG_LOOP) as u64;
+
+#[test]
+fn phase1_on_a_long_loop_allocates_a_few_bytes_per_access_pair() {
+    // Every intra step is free, so the matching's adjacency holds
+    // n(n - 1)/2 four-byte entries: about 2 bytes per pair. A table of
+    // every step's delta and freeness held 16 more.
+    const BYTES_PER_PAIR: u64 = 3;
+    let (pattern, machine) = long_loop_on_the_paper_machine();
+    let dm = DistanceModel::with_range(&pattern, machine.spec().update_range());
+    let report = phase1::run(&dm, BbOptions::default());
+    assert_eq!(report.virtual_registers(), 1, "one register serves x[i]");
+    let total = bytes(|| phase1::run(&dm, BbOptions::default()));
+    assert!(
+        total <= BYTES_PER_PAIR * PAIRS,
+        "Phase 1 allocated {total} bytes for {PAIRS} pairs, more than {BYTES_PER_PAIR} per pair"
+    );
+}
+
+#[test]
+fn a_long_loop_cost_curve_allocates_a_few_bytes_per_access_pair() {
+    // Phase 1's bytes, plus Phase 2's key per step: four bytes per
+    // pair.
+    const BYTES_PER_PAIR: u64 = 8;
+    let (pattern, machine) = long_loop_on_the_paper_machine();
+    let optimizer = Optimizer::new(*machine.spec());
+    let k = machine.spec().address_registers();
+    assert_eq!(optimizer.cost_curve(&pattern, k), vec![0; k]);
+    let total = bytes(|| optimizer.cost_curve(&pattern, k));
+    assert!(
+        total <= BYTES_PER_PAIR * PAIRS,
+        "the cost curve allocated {total} bytes for {PAIRS} pairs, more than {BYTES_PER_PAIR} per pair"
     );
 }
