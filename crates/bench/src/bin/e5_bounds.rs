@@ -9,7 +9,7 @@ use raco_bench::sweep::{sample_seed, CellKey};
 use raco_bench::table::{f1, f2, Table};
 use raco_core::random::{PatternGenerator, Spread};
 use raco_graph::matching::MatchingCover;
-use raco_graph::{bb, bounds, BbOptions, DistanceModel, StepMatrix};
+use raco_graph::{bb, bounds, BbOptions, DistanceModel};
 
 fn main() {
     let samples = raco_bench::samples_arg(100);
@@ -47,12 +47,11 @@ fn main() {
             for s in 0..samples {
                 let pattern = generator.generate(sample_seed(0xB0_07ED, &key, s));
                 let dm = DistanceModel::new(&pattern, 1);
-                let steps = StepMatrix::new(&dm);
-                let matched = MatchingCover::new(&steps);
-                let b = bounds::bounds(&steps, &matched);
+                let matched = MatchingCover::new(&dm);
+                let b = bounds::bounds(&dm, &matched);
                 let (lower, upper) = (b.lower, b.upper_value());
                 let result = bb::search(
-                    &steps,
+                    &dm,
                     b,
                     BbOptions {
                         node_limit: 2_000_000,

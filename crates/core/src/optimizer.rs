@@ -4,7 +4,7 @@ use std::fmt;
 use std::ops::RangeInclusive;
 use std::sync::{Arc, OnceLock};
 
-use raco_graph::{BbOptions, DistanceModel, PathCover, StepMatrix};
+use raco_graph::{BbOptions, DistanceModel, PathCover};
 use raco_ir::{AccessPattern, AguSpec, ArrayId, LoopSpec};
 use raco_obs::Histogram;
 
@@ -30,17 +30,15 @@ fn phase2_histogram() -> &'static Arc<Histogram> {
     HISTOGRAM.get_or_init(|| raco_obs::global().histogram("core.phase2"))
 }
 
-/// Phase-1 output bundled with the distance model it ran on and the
-/// model's [`StepMatrix`].
+/// Phase-1 output bundled with the distance model it ran on.
 ///
 /// Prepared once per pattern and shared by the cost curve and the final
 /// allocation, so the branch-and-bound search — the cycle sink of the
 /// whole allocator — runs at most once per pattern in
-/// [`Optimizer::allocate_patterns`], and Phase 2 reads the steps Phase 1
-/// read.
+/// [`Optimizer::allocate_patterns`], and Phase 2 reads its steps from
+/// the distance model Phase 1 read.
 struct PreparedPattern {
     dm: DistanceModel,
-    steps: StepMatrix,
     phase1: Phase1Report,
 }
 
@@ -257,15 +255,10 @@ impl Optimizer {
         Allocation::from_parts(prepared.dm, prepared.phase1, phase2)
     }
 
-    /// Builds the step matrix of a distance model and runs Phase 1 on
-    /// it, recording the latency of both.
+    /// Runs Phase 1 on a distance model, recording its latency.
     fn prepare_model(&self, dm: DistanceModel) -> PreparedPattern {
-        let (steps, phase1) = phase1_histogram().time(|| {
-            let steps = StepMatrix::new(&dm);
-            let phase1 = phase1::run_on(&steps, self.options.bb);
-            (steps, phase1)
-        });
-        PreparedPattern { dm, steps, phase1 }
+        let phase1 = phase1_histogram().time(|| phase1::run(&dm, self.options.bb));
+        PreparedPattern { dm, phase1 }
     }
 
     /// Runs Phase 2 under the configured cost model for every register
@@ -291,18 +284,16 @@ impl Optimizer {
         prepared: &PreparedPattern,
         counts: RangeInclusive<usize>,
     ) -> phase2::Sweep {
-        let (steps, cover) = (&prepared.steps, prepared.phase1.cover());
+        let (dm, cover) = (&prepared.dm, prepared.phase1.cover());
         let model = self.options.cost_model;
         let strategy = self.options.strategy;
         // A cover has exactly one step per access, so selection pricing
         // beyond `len` distinct deltas cannot change any ranking.
         let priced: Vec<usize> = match strategy {
-            MergeStrategy::GreedyMinCost => {
-                (0..=model.modify_registers().min(steps.len())).collect()
-            }
+            MergeStrategy::GreedyMinCost => (0..=model.modify_registers().min(dm.len())).collect(),
             _ => vec![model.modify_registers()],
         };
-        phase2_histogram().time(|| phase2::sweep(cover, counts, steps, model, &priced, strategy))
+        phase2_histogram().time(|| phase2::sweep(cover, counts, dm, model, &priced, strategy))
     }
 
     /// Allocates every array of a loop, distributing the `K` registers

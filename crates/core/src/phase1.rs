@@ -8,7 +8,7 @@
 //! proceed; the outcome records which case occurred.
 
 use raco_graph::matching::MatchingCover;
-use raco_graph::{bb, bounds, BbOptions, DistanceModel, PathCover, StepMatrix};
+use raco_graph::{bb, bounds, BbOptions, DistanceModel, PathCover};
 
 /// How Phase 1 obtained its cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +83,9 @@ impl Phase1Report {
     }
 }
 
-/// Runs Phase 1 on a distance model.
+/// Runs Phase 1 on a distance model. One matching gives the lower
+/// bound, the split repair's incumbent and the relaxed fallback;
+/// [`bb::search`] looks for the zero-cost cover between the bounds.
 ///
 /// # Examples
 ///
@@ -96,18 +98,10 @@ impl Phase1Report {
 /// assert_eq!(report.virtual_registers(), 3);
 /// ```
 pub fn run(dm: &DistanceModel, options: BbOptions) -> Phase1Report {
-    run_on(&StepMatrix::new(dm), options)
-}
-
-/// Runs Phase 1 on the [`StepMatrix`] of a distance model, which the
-/// caller keeps for Phase 2. One matching gives the lower bound, the
-/// split repair's incumbent and the relaxed fallback; [`bb::search`]
-/// looks for the zero-cost cover between the bounds.
-pub fn run_on(steps: &StepMatrix, options: BbOptions) -> Phase1Report {
-    let matched = MatchingCover::new(steps);
-    let bounds = bounds::bounds(steps, &matched);
+    let matched = MatchingCover::new(dm);
+    let bounds = bounds::bounds(dm, &matched);
     let lower_bound = bounds.lower;
-    let found = bb::search(steps, bounds, options);
+    let found = bb::search(dm, bounds, options);
     match found.cover {
         Some(cover) => Phase1Report {
             cover,

@@ -27,8 +27,8 @@ use std::ops::RangeInclusive;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use raco_graph::modify::steps;
-use raco_graph::{DeltaHistogram, DistanceModel, PathCover, StepMatrix};
+use raco_graph::modify::{paid_delta, steps};
+use raco_graph::{DeltaHistogram, DistanceModel, PathCover};
 
 use crate::cost::CostModel;
 
@@ -177,14 +177,13 @@ pub fn merge_until(
     strategy: MergeStrategy,
 ) -> Phase2Report {
     let priced = [cost_model.modify_registers()];
-    let steps = StepMatrix::new(dm);
-    sweep(cover, k..=k, &steps, cost_model, &priced, strategy).report(cover, k)
+    sweep(cover, k..=k, dm, cost_model, &priced, strategy).report(cover, k)
 }
 
 /// Phase 2 for every register count in `counts` and every selection in
 /// `priced` at once: the [`merge_until`] result of each selection at
-/// each count, of which [`Sweep`] keeps the cheapest. `steps` is the
-/// [`StepMatrix`] of the distance model `cover` covers.
+/// each count, of which [`Sweep`] keeps the cheapest. `dm` is the
+/// distance model `cover` covers.
 ///
 /// The cost model has two roles:
 ///
@@ -214,7 +213,8 @@ pub fn merge_until(
 /// cover's canonical order, in which pairs are numbered) and, per
 /// access, its successor on its path and the key of its step (to the
 /// successor, or the wrap to the head); every step gets its key once,
-/// from `steps`, in a table built when the sweep starts. A merge relinks the
+/// from its [`paid_delta`] under `dm`, in a table built when the sweep
+/// starts. A merge relinks the
 /// successors of `P_i ⊕ P_j` in place. Each state prices its candidates
 /// once for all of its selections: it keeps the over-range delta
 /// histogram of its paths ([`DeltaHistogram`]), and a candidate
@@ -236,14 +236,14 @@ pub fn merge_until(
 pub fn sweep(
     cover: &PathCover,
     counts: RangeInclusive<usize>,
-    steps: &StepMatrix,
+    dm: &DistanceModel,
     account: CostModel,
     priced: &[usize],
     strategy: MergeStrategy,
 ) -> Sweep {
     assert!(*counts.start() > 0, "cannot allocate to zero registers");
     assert!(!priced.is_empty(), "a sweep needs a selection");
-    let mut tree = Tree::new(steps, account, priced, strategy);
+    let mut tree = Tree::new(dm, account, priced, strategy);
     let mut states = vec![tree.root(cover)];
     let mut next = Vec::new();
     let initial_cost = states[0].cost;
@@ -432,8 +432,8 @@ struct StepTable {
 const FREE: u32 = u32::MAX;
 
 impl StepTable {
-    fn new(steps: &StepMatrix, include_wrap: bool, distinct: bool) -> Self {
-        let n = steps.len();
+    fn new(dm: &DistanceModel, include_wrap: bool, distinct: bool) -> Self {
+        let n = dm.len();
         let mut keys = vec![FREE; n * n];
         // Distinct keys: each paid step's delta and place, sorted by
         // delta. Key 0 is written directly: collecting and sorting
@@ -442,7 +442,7 @@ impl StepTable {
         let mut paid: Vec<(i64, usize)> = Vec::with_capacity(if distinct { n * n } else { 0 });
         for from in 0..n {
             for to in 0..n {
-                if let Some(delta) = steps.paid_delta((from, to), include_wrap) {
+                if let Some(delta) = paid_delta(dm, (from, to), include_wrap) {
                     if distinct {
                         paid.push((delta, from * n + to));
                     } else {
@@ -642,16 +642,16 @@ struct Tree<'a> {
 
 impl<'a> Tree<'a> {
     fn new(
-        steps: &StepMatrix,
+        dm: &DistanceModel,
         account: CostModel,
         priced: &'a [usize],
         strategy: MergeStrategy,
     ) -> Self {
         let distinct = account.modify_registers() > 0 || priced.iter().any(|&m| m > 0);
-        let n = steps.len();
+        let n = dm.len();
         let limit = priced.iter().copied().max().unwrap_or(0);
         Tree {
-            steps: StepTable::new(steps, account.includes_wrap(), distinct),
+            steps: StepTable::new(dm, account.includes_wrap(), distinct),
             account,
             priced,
             strategy,
@@ -1137,7 +1137,6 @@ mod tests {
             let outcome_is_relaxed = phase1.outcome() == crate::Phase1Outcome::Relaxed;
             assert_eq!(outcome_is_relaxed, relaxed, "precondition");
             let account = CostModel::steady_state().with_modify_registers(2);
-            let steps = StepMatrix::new(&dm);
             for priced in [&[0][..], &[2], &[0, 1, 2]] {
                 for strategy in [
                     MergeStrategy::GreedyMinCost,
@@ -1146,10 +1145,10 @@ mod tests {
                     MergeStrategy::WorstCost,
                 ] {
                     let cover = phase1.cover();
-                    let all = sweep(cover, 1..=8, &steps, account, priced, strategy);
+                    let all = sweep(cover, 1..=8, &dm, account, priced, strategy);
                     assert_eq!(all.counts(), 1..=8);
                     for k in 1..=8 {
-                        let alone = sweep(cover, k..=k, &steps, account, priced, strategy);
+                        let alone = sweep(cover, k..=k, &dm, account, priced, strategy);
                         assert_eq!(all.cost(k), alone.cost(k), "{strategy:?} k = {k}");
                         let report = all.report(cover, k);
                         assert_eq!(report, alone.report(cover, k), "{strategy:?} k = {k}");
@@ -1204,12 +1203,7 @@ mod tests {
                     CostModel::paper_literal().with_adda_cost(3),
                 ] {
                     let priced = [1];
-                    let tree = Tree::new(
-                        &StepMatrix::new(&dm),
-                        account,
-                        &priced,
-                        MergeStrategy::GreedyMinCost,
-                    );
+                    let tree = Tree::new(&dm, account, &priced, MergeStrategy::GreedyMinCost);
                     let mut state = tree.root(&cover);
                     let paths = cover.paths();
                     let mut changes = Vec::new();
@@ -1263,11 +1257,10 @@ mod tests {
         let dm = DistanceModel::from_offsets(&[0, 1 << 40, 3, 1 << 40, 0], 1, 1);
         let account = CostModel::steady_state().with_modify_registers(1);
         let (priced, greedy) = ([0, 1], MergeStrategy::GreedyMinCost);
-        let steps = StepMatrix::new(&dm);
-        let keys = Tree::new(&steps, account, &priced, greedy).steps.len;
+        let keys = Tree::new(&dm, account, &priced, greedy).steps.len;
         assert!(keys <= dm.len() * dm.len(), "{keys} keys");
         let cover = PathCover::singletons(dm.len());
-        let all = sweep(&cover, 1..=5, &steps, account, &priced, greedy);
+        let all = sweep(&cover, 1..=5, &dm, account, &priced, greedy);
         for k in 1..=5 {
             let cost = account.cover_cost(all.report(&cover, k).cover(), &dm);
             assert_eq!(all.cost(k), cost, "k = {k}");

@@ -23,14 +23,17 @@
 //!   `(head offset, tail offset)` is equivalent — only one branch is
 //!   explored.
 //!
-//! Every step is read from the pattern's [`StepMatrix`], and the search
-//! runs on buffers sized when it starts: one stack of candidate slots
+//! Every step is read from the pattern's [`DistanceModel`]: each call
+//! site knows whether its step is an intra step (`from < to`) or a wrap,
+//! and asks [`DistanceModel::free_intra`] or
+//! [`DistanceModel::free_wrap`]. The search runs on buffers sized when
+//! it starts: one stack of candidate slots
 //! shared by all nodes, one memo key rebuilt in place, and a memo whose
 //! keys lie end to end in one buffer. So expanding a node allocates
 //! nothing, and the memo allocates only when it grows.
 
 use crate::bounds::Bounds;
-use crate::distance::StepMatrix;
+use crate::distance::DistanceModel;
 use crate::path::PathCover;
 
 /// Tuning knobs for the branch-and-bound search.
@@ -68,8 +71,8 @@ pub struct SearchResult {
     pub nodes: u64,
 }
 
-/// Searches the zero-cost covers of the pattern whose steps are `steps`
-/// for the fewest registers (the paper's `K̃`), between the already
+/// Searches the zero-cost covers of the pattern `dm` for the fewest
+/// registers (the paper's `K̃`), between the already
 /// computed [`Bounds`]. One matching serves both bounds: its path count
 /// is the lower bound, its split repair the heuristic upper bound and
 /// the search's first incumbent. When the two meet, the repair is the
@@ -83,17 +86,16 @@ pub struct SearchResult {
 ///
 /// ```
 /// use raco_graph::matching::MatchingCover;
-/// use raco_graph::{bb, bounds, BbOptions, DistanceModel, StepMatrix};
+/// use raco_graph::{bb, bounds, BbOptions, DistanceModel};
 ///
 /// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-/// let steps = StepMatrix::new(&dm);
-/// let bounds = bounds::bounds(&steps, &MatchingCover::new(&steps));
-/// let found = bb::search(&steps, bounds, BbOptions::default());
+/// let bounds = bounds::bounds(&dm, &MatchingCover::new(&dm));
+/// let found = bb::search(&dm, bounds, BbOptions::default());
 /// assert_eq!(found.cover.map(|cover| cover.register_count()), Some(3));
 /// assert!(found.proved);
 /// ```
-pub fn search(steps: &StepMatrix, bounds: Bounds, options: BbOptions) -> SearchResult {
-    let n = steps.len();
+pub fn search(dm: &DistanceModel, bounds: Bounds, options: BbOptions) -> SearchResult {
+    let n = dm.len();
     let lb = bounds.lower;
     let (best_assign, best_count) = match bounds.repair {
         Some((assignment, paths)) if paths == lb => {
@@ -107,7 +109,7 @@ pub fn search(steps: &StepMatrix, bounds: Bounds, options: BbOptions) -> SearchR
         None => (None, usize::MAX),
     };
     let mut search = Search {
-        steps,
+        dm,
         n,
         lb,
         best_count,
@@ -116,10 +118,10 @@ pub fn search(steps: &StepMatrix, bounds: Bounds, options: BbOptions) -> SearchR
         node_limit: options.node_limit,
         memo: options.memoize.then(Memo::default),
         last_closer: (0..n)
-            .map(|h| (h + 1..n).rev().find(|&x| steps.is_free(x, h)).unwrap_or(0))
+            .map(|h| (h + 1..n).rev().find(|&x| dm.free_wrap(x, h)).unwrap_or(0))
             .collect(),
         class: (0..n)
-            .map(|i| (0..i).find(|&j| steps.delta(j, i) == 0).unwrap_or(i) as u32)
+            .map(|i| (0..i).find(|&j| dm.intra_distance(j, i) == 0).unwrap_or(i) as u32)
             .collect(),
         open: Vec::with_capacity(n),
         assign: vec![usize::MAX; n],
@@ -145,7 +147,7 @@ struct OpenPath {
 }
 
 struct Search<'a> {
-    steps: &'a StepMatrix,
+    dm: &'a DistanceModel,
     n: usize,
     lb: usize,
     best_count: usize,
@@ -199,9 +201,9 @@ impl Search<'_> {
         if count >= self.best_count {
             return; // incumbent prune: count never decreases
         }
-        let steps = self.steps;
+        let dm = self.dm;
         if pos == self.n {
-            if self.open.iter().all(|p| steps.is_free(p.tail, p.head)) {
+            if self.open.iter().all(|p| dm.free_wrap(p.tail, p.head)) {
                 self.best_count = count;
                 match &mut self.best_assign {
                     Some(best) => best.copy_from_slice(&self.assign),
@@ -216,7 +218,7 @@ impl Search<'_> {
         // Closability prune: every open path must either already close or
         // still have a potential closing tail among the remaining accesses.
         for p in &self.open {
-            if !steps.is_free(p.tail, p.head) && !self.closable_later(p.head, pos) {
+            if !dm.free_wrap(p.tail, p.head) && !self.closable_later(p.head, pos) {
                 return;
             }
         }
@@ -233,11 +235,11 @@ impl Search<'_> {
         // by (head offset, tail offset), nearest tail first).
         let start = self.candidates.len();
         for (slot, &p) in self.open.iter().enumerate() {
-            if !steps.is_free(p.tail, pos) {
+            if !dm.free_intra(p.tail, pos) {
                 continue;
             }
             // After appending, the path must remain closable.
-            if !steps.is_free(pos, p.head) && !self.closable_later(p.head, pos + 1) {
+            if !dm.free_wrap(pos, p.head) && !self.closable_later(p.head, pos + 1) {
                 continue;
             }
             let sig = signature(&self.class, p);
@@ -245,7 +247,7 @@ impl Search<'_> {
                 .iter()
                 .any(|&(_, other)| signature(&self.class, self.open[other as usize]) == sig);
             if !symmetric {
-                let distance = steps.delta(p.tail, pos).unsigned_abs();
+                let distance = dm.intra_distance(p.tail, pos).unsigned_abs();
                 self.candidates.push((distance, slot as u32));
             }
         }
@@ -272,7 +274,7 @@ impl Search<'_> {
         // Branch 2: open a new path at `pos` (if a fresh singleton can
         // still close eventually).
         if count + 1 < self.best_count
-            && (steps.is_free(pos, pos) || self.closable_later(pos, pos + 1))
+            && (dm.free_wrap(pos, pos) || self.closable_later(pos, pos + 1))
         {
             self.open.push(OpenPath {
                 head: pos,
@@ -394,13 +396,11 @@ fn hash_words(words: &[u64]) -> u64 {
 mod tests {
     use super::*;
     use crate::matching::MatchingCover;
-    use crate::{bounds, brute, DistanceModel};
+    use crate::{bounds, brute};
 
-    /// The search on `dm`'s steps and bounds.
+    /// The search on `dm` within its bounds.
     fn search_with(dm: &DistanceModel, options: BbOptions) -> SearchResult {
-        let steps = StepMatrix::new(dm);
-        let bounds = bounds::bounds(&steps, &MatchingCover::new(&steps));
-        search(&steps, bounds, options)
+        search(dm, bounds::bounds(dm, &MatchingCover::new(dm)), options)
     }
 
     /// The registers of the cover found with the default options.

@@ -4,7 +4,7 @@
 //! matching-based lower bound (their ref \[2\]) and a fast heuristic upper
 //! bound; when the two coincide the search is skipped entirely.
 
-use crate::distance::StepMatrix;
+use crate::distance::DistanceModel;
 use crate::matching::MatchingCover;
 use crate::path::PathCover;
 
@@ -35,7 +35,7 @@ impl Bounds {
 }
 
 /// Computes both bounds from `matched`, the [`MatchingCover`] of
-/// `steps`. The lower bound is the matching's path count. The upper
+/// `dm`. The lower bound is the matching's path count. The upper
 /// bound takes the matching cover (zero intra cost, minimum path count)
 /// and *split-repairs* every path whose wrap step is not free: cutting
 /// a path into contiguous segments keeps every intra step free, so the
@@ -51,18 +51,17 @@ impl Bounds {
 ///
 /// ```
 /// use raco_graph::matching::MatchingCover;
-/// use raco_graph::{bounds, DistanceModel, StepMatrix};
+/// use raco_graph::{bounds, DistanceModel};
 ///
 /// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-/// let steps = StepMatrix::new(&dm);
-/// let bounds = bounds::bounds(&steps, &MatchingCover::new(&steps));
+/// let bounds = bounds::bounds(&dm, &MatchingCover::new(&dm));
 /// assert_eq!(bounds.lower, 2);
 /// assert!(bounds.upper_cover().expect("feasible").is_zero_cost(&dm));
 /// ```
-pub fn bounds(steps: &StepMatrix, matched: &MatchingCover) -> Bounds {
+pub fn bounds(dm: &DistanceModel, matched: &MatchingCover) -> Bounds {
     Bounds {
         lower: matched.register_count(),
-        repair: split_repair(steps, matched),
+        repair: split_repair(dm, matched),
     }
 }
 
@@ -77,8 +76,8 @@ struct Cut {
 /// The split repair of `matched`: every chain cut into the fewest
 /// contiguous segments whose wraps are free, as a path id per access
 /// and the number of paths. `None` if some chain cannot be cut so.
-fn split_repair(steps: &StepMatrix, matched: &MatchingCover) -> Option<(Vec<usize>, usize)> {
-    let n = steps.len();
+fn split_repair(dm: &DistanceModel, matched: &MatchingCover) -> Option<(Vec<usize>, usize)> {
+    let n = dm.len();
     let mut assignment = vec![0; n];
     let mut paths = 0;
     // A chain that must split: per position `i`, its access and the
@@ -87,7 +86,7 @@ fn split_repair(steps: &StepMatrix, matched: &MatchingCover) -> Option<(Vec<usiz
     let mut chain: Vec<Cut> = Vec::new();
     for head in (0..n).filter(|&head| matched.is_head(head)) {
         let tail = matched.chain(head).last().expect("a chain has its head");
-        if steps.is_free(tail, head) {
+        if dm.free_wrap(tail, head) {
             for at in matched.chain(head) {
                 assignment[at] = paths;
             }
@@ -110,7 +109,7 @@ fn split_repair(steps: &StepMatrix, matched: &MatchingCover) -> Option<(Vec<usiz
             for j in i..len {
                 // Segment chain[i..=j]: head chain[i], tail chain[j].
                 let rest = chain[j + 1].segments;
-                if steps.is_free(chain[j].access, chain[i].access)
+                if dm.free_wrap(chain[j].access, chain[i].access)
                     && rest != usize::MAX
                     && 1 + rest < chain[i].segments
                 {
@@ -137,11 +136,9 @@ fn split_repair(steps: &StepMatrix, matched: &MatchingCover) -> Option<(Vec<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DistanceModel;
 
     fn bounds_of(dm: &DistanceModel) -> Bounds {
-        let steps = StepMatrix::new(dm);
-        bounds(&steps, &MatchingCover::new(&steps))
+        bounds(dm, &MatchingCover::new(dm))
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use raco_ir::{AccessPattern, UpdateRange};
 
-use crate::modify::step_delta;
-
 /// Distances between the accesses of one pattern under an auto-modify
 /// range `M`.
 ///
@@ -125,6 +123,7 @@ impl DistanceModel {
     }
 
     /// `true` iff a post-modify by `d` is free (inside the window).
+    #[inline]
     pub fn is_free(&self, d: i64) -> bool {
         self.range.contains(d)
     }
@@ -135,11 +134,15 @@ impl DistanceModel {
     /// # Panics
     ///
     /// Panics if either index is out of range.
+    #[inline]
     pub fn intra_distance(&self, from: usize, to: usize) -> i64 {
-        // Offsets come from i64 arithmetic on source constants; their
-        // difference is computed in i128 to avoid overflow on adversarial
-        // inputs, then clamped (a clamped distance is never free anyway).
-        clamp_i128(i128::from(self.offsets[to]) - i128::from(self.offsets[from]))
+        let (from, to) = (self.offsets[from], self.offsets[to]);
+        // Offsets come from i64 arithmetic on source constants; on
+        // adversarial inputs their difference overflows, and is then
+        // worked out in i128 and clamped (a clamped distance is never
+        // free anyway).
+        to.checked_sub(from)
+            .unwrap_or_else(|| clamp_i128(i128::from(to) - i128::from(from)))
     }
 
     /// Post-modify needed to go from access `from` in iteration `t` to
@@ -148,117 +151,28 @@ impl DistanceModel {
     /// # Panics
     ///
     /// Panics if either index is out of range.
+    #[inline]
     pub fn wrap_distance(&self, from: usize, to: usize) -> i64 {
-        clamp_i128(
-            i128::from(self.offsets[to]) + i128::from(self.stride) - i128::from(self.offsets[from]),
-        )
+        let (from, to) = (self.offsets[from], self.offsets[to]);
+        to.checked_add(self.stride)
+            .and_then(|d| d.checked_sub(from))
+            .unwrap_or_else(|| {
+                clamp_i128(i128::from(to) + i128::from(self.stride) - i128::from(from))
+            })
     }
 
     /// `true` iff `from → to` (same iteration, `from` before `to`) is a
     /// zero-cost step. This is the edge relation of the paper's graph `G`.
+    #[inline]
     pub fn free_intra(&self, from: usize, to: usize) -> bool {
         self.is_free(self.intra_distance(from, to))
     }
 
     /// `true` iff the back-edge step from `from` (tail, iteration `t`) to
     /// `to` (head, iteration `t+1`) is zero-cost.
+    #[inline]
     pub fn free_wrap(&self, from: usize, to: usize) -> bool {
         self.is_free(self.wrap_distance(from, to))
-    }
-}
-
-/// Every step between two accesses of one pattern, worked out once:
-/// its [`step_delta`] and whether it is free.
-///
-/// The step `(from, to)` is an intra-iteration step when `from < to`
-/// and the wrap from tail `from` to head `to` otherwise, as in
-/// [`modify::steps`](crate::modify::steps). Phase 1 — the matching, the
-/// split repair and the branch-and-bound search — and Phase 2's step
-/// keys all read steps here, so each distance is computed once per
-/// pattern.
-///
-/// ```
-/// use raco_graph::{DistanceModel, StepMatrix};
-///
-/// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-/// let steps = StepMatrix::new(&dm);
-/// assert_eq!(steps.delta(0, 2), dm.intra_distance(0, 2));
-/// assert_eq!(steps.delta(6, 0), dm.wrap_distance(6, 0));
-/// assert!(steps.is_free(2, 0) && !steps.is_free(6, 0));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepMatrix {
-    n: usize,
-    /// The step `(from, to)` at `from * n + to`.
-    steps: Vec<Step>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Step {
-    delta: i64,
-    free: bool,
-}
-
-impl StepMatrix {
-    /// The steps of `dm`.
-    pub fn new(dm: &DistanceModel) -> Self {
-        let n = dm.len();
-        let mut steps = Vec::with_capacity(n * n);
-        for from in 0..n {
-            for to in 0..n {
-                let delta = step_delta(dm, (from, to));
-                steps.push(Step {
-                    delta,
-                    free: dm.is_free(delta),
-                });
-            }
-        }
-        StepMatrix { n, steps }
-    }
-
-    /// Number of accesses.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` if the pattern has no accesses (never the case for a
-    /// model built through the public constructors).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The post-modify delta of the step `(from, to)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    #[inline]
-    pub fn delta(&self, from: usize, to: usize) -> i64 {
-        self.step(from, to).delta
-    }
-
-    /// `true` iff the step `(from, to)` is free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    #[inline]
-    pub fn is_free(&self, from: usize, to: usize) -> bool {
-        self.step(from, to).free
-    }
-
-    /// The delta of `step` if it needs an explicit update, as
-    /// [`modify::paid_delta`](crate::modify::paid_delta) gives it.
-    #[inline]
-    pub fn paid_delta(&self, (from, to): (usize, usize), include_wrap: bool) -> Option<i64> {
-        let step = self.step(from, to);
-        (!step.free && (include_wrap || from < to)).then_some(step.delta)
-    }
-
-    #[inline]
-    fn step(&self, from: usize, to: usize) -> Step {
-        assert!(from < self.n && to < self.n, "step out of range");
-        self.steps[from * self.n + to]
     }
 }
 
@@ -343,34 +257,12 @@ mod tests {
         assert!(!dm.free_intra(0, 1));
         assert_eq!(dm.wrap_distance(0, 1), i64::MAX); // clamped
         assert_eq!(dm.intra_distance(1, 0), i64::MIN); // clamped
-    }
 
-    #[test]
-    fn step_matrix_matches_the_step_model() {
-        use crate::modify::paid_delta;
-        let range = UpdateRange::new(0, 1).unwrap();
-        for dm in [
-            paper_model(),
-            DistanceModel::from_offsets(&[0, 1], -1, 1),
-            DistanceModel::from_offsets_range(&[0, 1, 0, 3], 2, range),
-            DistanceModel::from_offsets(&[i64::MIN, i64::MAX], i64::MAX, u32::MAX),
-        ] {
-            let steps = StepMatrix::new(&dm);
-            assert_eq!(steps.len(), dm.len());
-            for from in 0..dm.len() {
-                for to in 0..dm.len() {
-                    let delta = step_delta(&dm, (from, to));
-                    assert_eq!(steps.delta(from, to), delta);
-                    assert_eq!(steps.is_free(from, to), dm.is_free(delta));
-                    for wrap in [false, true] {
-                        assert_eq!(
-                            steps.paid_delta((from, to), wrap),
-                            paid_delta(&dm, (from, to), wrap)
-                        );
-                    }
-                }
-            }
-        }
+        // An overflowing partial sum still gives the exact distance.
+        let dm = DistanceModel::from_offsets(&[10, i64::MAX], 1, 1);
+        assert_eq!(dm.wrap_distance(0, 1), i64::MAX - 9);
+        assert_eq!(dm.wrap_distance(1, 0), 11 - i64::MAX);
+        assert_eq!(dm.intra_distance(0, 1), i64::MAX - 10);
     }
 
     #[test]

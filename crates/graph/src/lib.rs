@@ -7,9 +7,10 @@
 //! * [`DistanceModel`] — address distances between accesses of one
 //!   [`AccessPattern`](raco_ir::AccessPattern), inside an iteration and
 //!   across the loop back-edge, and the zero-/unit-cost classification
-//!   induced by the AGU auto-modify range `M`, and [`StepMatrix`],
-//!   every step's delta and freeness worked out once per pattern, which
-//!   Phase 1 and Phase 2 (`raco-core`) read;
+//!   induced by the AGU auto-modify range `M`. It is the one step
+//!   relation: Phase 1's matching, bounds and search ask it whether a
+//!   step is free, and Phase 2 (`raco-core`) reads its deltas through
+//!   [`modify::paid_delta`], each computed from the offsets when asked;
 //! * [`AccessGraph`] — the paper's graph `G = (V, E)` (Figure 1), with
 //!   intra-iteration and inter-iteration zero-cost edges, exportable to
 //!   Graphviz DOT;
@@ -70,7 +71,7 @@ pub mod modify;
 mod path;
 
 pub use bb::BbOptions;
-pub use distance::{DistanceModel, StepMatrix};
+pub use distance::DistanceModel;
 pub use graph::AccessGraph;
 pub use modify::{DeltaHistogram, ModifyAllocation};
 pub use path::{CoverError, Path, PathCover, PathError};

@@ -11,7 +11,7 @@
 //! The matching is computed with Hopcroft–Karp in
 //! `O(E sqrt(V))`.
 
-use crate::distance::StepMatrix;
+use crate::distance::DistanceModel;
 use crate::path::{Path, PathCover};
 
 /// No partner: an unmatched vertex, or a chain's end.
@@ -43,14 +43,14 @@ impl Adjacency {
         Adjacency { words }
     }
 
-    /// The intra-iteration zero-cost relation of `steps`: left vertex `i`
+    /// The intra-iteration zero-cost relation of `dm`: left vertex `i`
     /// connects to right vertex `j` iff `i < j` and the step `i → j` is
     /// free, in ascending `j`.
-    pub(crate) fn intra(steps: &StepMatrix) -> Self {
-        let n = steps.len();
+    pub(crate) fn intra(dm: &DistanceModel) -> Self {
+        let n = dm.len();
         Adjacency::build(n, n * n.saturating_sub(1) / 2, |i| {
             ((i + 1)..n)
-                .filter(move |&j| steps.is_free(i, j))
+                .filter(move |&j| dm.free_intra(i, j))
                 .map(|j| j as u32)
         })
     }
@@ -211,10 +211,10 @@ pub(crate) fn hopcroft_karp(n_left: usize, n_right: usize, adjacency: &Adjacency
 ///
 /// ```
 /// use raco_graph::matching::MatchingCover;
-/// use raco_graph::{DistanceModel, ModifyAllocation, StepMatrix};
+/// use raco_graph::{DistanceModel, ModifyAllocation};
 ///
 /// let dm = DistanceModel::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1, 1);
-/// let matched = MatchingCover::new(&StepMatrix::new(&dm));
+/// let matched = MatchingCover::new(&dm);
 /// assert_eq!(matched.register_count(), 2);
 /// let cover = matched.cover();
 /// assert_eq!(cover.register_count(), 2);
@@ -228,11 +228,11 @@ pub struct MatchingCover {
 }
 
 impl MatchingCover {
-    /// The matching cover of `steps`' free intra steps.
-    pub fn new(steps: &StepMatrix) -> Self {
-        let n = steps.len();
+    /// The matching cover of `dm`'s free intra steps.
+    pub fn new(dm: &DistanceModel) -> Self {
+        let n = dm.len();
         MatchingCover {
-            matching: hopcroft_karp(n, n, &Adjacency::intra(steps)),
+            matching: hopcroft_karp(n, n, &Adjacency::intra(dm)),
         }
     }
 
@@ -280,11 +280,11 @@ impl MatchingCover {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DistanceModel, ModifyAllocation};
+    use crate::ModifyAllocation;
 
     /// The matching cover of `dm` as a [`PathCover`].
     fn cover_of(dm: &DistanceModel) -> PathCover {
-        MatchingCover::new(&StepMatrix::new(dm)).cover()
+        MatchingCover::new(dm).cover()
     }
 
     /// The paid steps of `cover` inside one iteration (wraps left out).

@@ -10,7 +10,7 @@ use std::cell::Cell;
 
 use raco::core::random::PatternGenerator;
 use raco::core::{phase1, phase2, CostModel, MergeStrategy};
-use raco::graph::{BbOptions, DistanceModel, PathCover, StepMatrix};
+use raco::graph::{BbOptions, DistanceModel, PathCover};
 use raco::ir::MachineDescription;
 
 /// Counts the allocations made on the current thread (the test harness
@@ -63,13 +63,13 @@ fn a_sweep_without_modify_registers_allocates_nothing_per_merge() {
     // fourteen singletons and every merge is a main-loop merge.
     let offsets: Vec<i64> = (0..14).map(|i| 10 * i).collect();
     let dm = DistanceModel::from_offsets(&offsets, 1, 1);
-    let (cover, steps) = (PathCover::singletons(dm.len()), StepMatrix::new(&dm));
+    let cover = PathCover::singletons(dm.len());
     let sweep_to = |k: usize| {
         allocations(|| {
             phase2::sweep(
                 &cover,
                 k..=k,
-                &steps,
+                &dm,
                 CostModel::steady_state(),
                 &[0],
                 MergeStrategy::GreedyMinCost,
@@ -97,14 +97,13 @@ fn saris_sweep_allocations() -> u64 {
             .offset_span(8)
             .generate(seed);
         let dm = DistanceModel::with_range(&pattern, agu.update_range());
-        let steps = StepMatrix::new(&dm);
-        let phase1 = phase1::run_on(&steps, BbOptions::default());
+        let phase1 = phase1::run(&dm, BbOptions::default());
         let priced: Vec<usize> = (0..=account.modify_registers().min(dm.len())).collect();
         total += allocations(|| {
             phase2::sweep(
                 phase1.cover(),
                 1..=agu.address_registers(),
-                &steps,
+                &dm,
                 account,
                 &priced,
                 MergeStrategy::GreedyMinCost,

@@ -35,7 +35,7 @@ use raco::agu::codegen::CodeGenerator;
 use raco::agu::sim;
 use raco::core::{exact, phase1, phase2, CostModel, MergeStrategy, Optimizer, OptimizerOptions};
 use raco::driver::{persist, AllocationCache, Pipeline, PipelineConfig};
-use raco::graph::{BbOptions, DistanceModel, StepMatrix};
+use raco::graph::{BbOptions, DistanceModel};
 use raco::ir::{
     AccessKind, AccessPattern, AguSpec, CanonicalPattern, CostTable, LoopSpec, MachineDescription,
     MemoryLayout, Trace, UpdateRange,
@@ -265,8 +265,7 @@ proptest! {
             MergeStrategy::GreedyMinCost => (0..=mr.min(dm.len())).collect(),
             _ => vec![mr],
         };
-        let steps = StepMatrix::new(&dm);
-        let sweep = phase2::sweep(cover, 1..=k_max, &steps, account, &priced, strategy);
+        let sweep = phase2::sweep(cover, 1..=k_max, &dm, account, &priced, strategy);
         for k in 1..=k_max {
             let (cost, m, reference) = priced
                 .iter()

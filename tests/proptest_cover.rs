@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use raco::core::{phase1, phase2, CostModel, MergeStrategy, Phase1Outcome};
 use raco::graph::matching::MatchingCover;
-use raco::graph::{bounds, brute, BbOptions, DistanceModel, PathCover, StepMatrix};
+use raco::graph::{bounds, brute, BbOptions, DistanceModel, PathCover};
 
 /// Strategy: a small random pattern (offsets, stride, modify range).
 fn pattern() -> impl Strategy<Value = (Vec<i64>, i64, u32)> {
@@ -31,7 +31,7 @@ proptest! {
     #[test]
     fn matching_cover_partitions_and_is_intra_free((offsets, stride, m) in pattern()) {
         let dm = DistanceModel::from_offsets(&offsets, stride, m);
-        let cover = MatchingCover::new(&StepMatrix::new(&dm)).cover();
+        let cover = MatchingCover::new(&dm).cover();
         prop_assert_eq!(cover.accesses(), offsets.len());
         prop_assert_eq!(
             cover.paths().iter().map(|p| p.len()).sum::<usize>(),
@@ -55,8 +55,7 @@ proptest! {
     #[test]
     fn bounds_sandwich_the_exact_answer((offsets, stride, m) in pattern()) {
         let dm = DistanceModel::from_offsets(&offsets, stride, m);
-        let steps = StepMatrix::new(&dm);
-        let b = bounds::bounds(&steps, &MatchingCover::new(&steps));
+        let b = bounds::bounds(&dm, &MatchingCover::new(&dm));
         let report = phase1::run(&dm, BbOptions::default());
         if let Phase1Outcome::ZeroCost { .. } = report.outcome() {
             let exact = report.virtual_registers();
