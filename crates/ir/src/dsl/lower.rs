@@ -32,6 +32,18 @@ use super::lexer::Span;
 use super::parser::{LowerError, ParseErrorKind};
 use crate::model::{AccessKind, ArrayId, LoopNest, LoopSpec, NestLevel};
 
+/// The most array accesses one loop may make per iteration, counted
+/// over all its arrays. Lowering a loop with more fails with
+/// [`ParseErrorKind::TooManyAccesses`] at the loop.
+///
+/// The allocator keeps a few tables per array that grow with the square
+/// of its accesses (Phase 2 keeps a 4-byte key per pair of accesses).
+/// One statement reading `x[i]` 16 000 times peaks at about 1 GiB and
+/// 1.7 s under `raco compile --machine paper -j 1`, and 32 000 reads
+/// need about 4 GiB; 8 000 reads take 250 MiB. Kernels read a few
+/// dozen times per iteration.
+pub const MAX_LOOP_ACCESSES: usize = 16_384;
+
 /// Lowers a parsed [`ForLoop`] (possibly a nest) without array
 /// declarations: every array is one-dimensional.
 ///
@@ -45,7 +57,8 @@ use crate::model::{AccessKind, ArrayId, LoopNest, LoopSpec, NestLevel};
 /// Returns an error (without line/column resolution — see
 /// [`crate::dsl::parse_loop`]) when a subscript is not affine in the
 /// induction variables, ranks mismatch, one array mixes coefficients,
-/// or a nest level has no constant trip count.
+/// a nest level has no constant trip count, or the loop makes more than
+/// [`MAX_LOOP_ACCESSES`] accesses per iteration.
 pub fn lower_loop(ast: &ForLoop) -> Result<LoopSpec, LowerError> {
     lower_unit_loop(&[], ast)
 }
@@ -193,6 +206,10 @@ impl<'a> Lowerer<'a> {
         kind: AccessKind,
         span: Span,
     ) -> Result<(), LowerError> {
+        if self.spec.len() == MAX_LOOP_ACCESSES {
+            let nest = self.levels[0].ast.span;
+            return Err(LowerError::new(ParseErrorKind::TooManyAccesses, nest));
+        }
         self.linearize(array, indices)
             .map_err(|kind| LowerError::new(kind, span))?;
         let id = self.resolve_array(array, span)?;
@@ -464,6 +481,32 @@ mod tests {
             .unwrap_err()
             .kind()
             .clone()
+    }
+
+    /// A loop body of one statement that reads `x[i]` `reads` times
+    /// and writes `y[i]`, nested in an outer loop over `j`.
+    fn long_statement(reads: usize) -> String {
+        format!(
+            "for (j = 0; j < 2; j++) {{ for (i = 0; i < 9; i++) {{ y[i] = {}; }} }}",
+            vec!["x[i]"; reads].join(" + ")
+        )
+    }
+
+    #[test]
+    fn access_limit_admits_the_limit_and_rejects_one_more() {
+        let spec = lower(&long_statement(MAX_LOOP_ACCESSES - 1));
+        assert_eq!(spec.len(), MAX_LOOP_ACCESSES);
+        let source = long_statement(MAX_LOOP_ACCESSES);
+        let ast = parse_for(&source).unwrap();
+        let err = lower_loop(&ast).unwrap_err();
+        assert_eq!(*err.kind(), ParseErrorKind::TooManyAccesses);
+        assert_eq!(err.span(), ast.span, "reported at the (outermost) loop");
+        let err = parse_loop(&source).unwrap_err();
+        assert_eq!((err.line(), err.column()), (1, 1));
+        assert_eq!(
+            err.to_string(),
+            format!("error at 1:1: loop makes more than {MAX_LOOP_ACCESSES} array accesses per iteration")
+        );
     }
 
     #[test]

@@ -62,7 +62,7 @@ mod parser;
 
 pub use ast::{AssignOp, BinOp, CmpOp, Cond, Decl, Expr, ForLoop, LValue, Stmt, Update};
 pub use lexer::Span;
-pub use lower::{lower_loop, lower_unit_loop};
+pub use lower::{lower_loop, lower_unit_loop, MAX_LOOP_ACCESSES};
 pub use parser::{LowerError, ParseError, ParseErrorKind, MAX_NESTING_DEPTH};
 
 use crate::model::LoopSpec;

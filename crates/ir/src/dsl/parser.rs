@@ -4,6 +4,7 @@ use std::fmt;
 
 use super::ast::{AssignOp, BinOp, CmpOp, Cond, Expr, ForLoop, LValue, Stmt, Update};
 use super::lexer::{self, Span, Token, TokenKind};
+use super::lower::MAX_LOOP_ACCESSES;
 
 /// The different ways parsing or lowering can fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,6 +94,9 @@ pub enum ParseErrorKind {
     /// Parentheses, unary minus, subscripts and `for` loops nest deeper
     /// than [`MAX_NESTING_DEPTH`] levels.
     NestingTooDeep,
+    /// A loop makes more than [`MAX_LOOP_ACCESSES`] array accesses per
+    /// iteration.
+    TooManyAccesses,
 }
 
 impl fmt::Display for ParseErrorKind {
@@ -171,6 +175,10 @@ impl fmt::Display for ParseErrorKind {
                 "loop over `{var}` has no iterations, never terminates, or uses a condition the nest flattener does not support"
             ),
             ParseErrorKind::NestingTooDeep => write!(f, "nesting deeper than {MAX_NESTING_DEPTH} levels"),
+            ParseErrorKind::TooManyAccesses => write!(
+                f,
+                "loop makes more than {MAX_LOOP_ACCESSES} array accesses per iteration"
+            ),
         }
     }
 }

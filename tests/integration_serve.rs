@@ -389,6 +389,49 @@ fn a_long_operator_chain_compiles_and_the_connection_keeps_serving() {
     assert_eq!(replies[1].get("id").and_then(Json::as_u64), Some(2));
 }
 
+#[test]
+fn a_loop_past_the_access_limit_fails_alone_and_the_connection_keeps_serving() {
+    // One statement of 16 384 reads and a write (about 115 KB): the
+    // allocator's tables grow with the square of a loop's accesses, so
+    // lowering refuses the loop before any of them is built.
+    use raco::ir::dsl::MAX_LOOP_ACCESSES;
+    use raco::serve::MAX_REQUEST_LINE;
+    let source = format!(
+        "for (i = 0; i < 4; i++) {{ y[i] = {}; }}",
+        vec!["x[i]"; MAX_LOOP_ACCESSES].join(" + ")
+    );
+    let request = format!(
+        r#"{{"id":1,"op":"compile","source":{}}}"#,
+        Json::str(source).render()
+    );
+    assert!(request.len() < MAX_REQUEST_LINE, "{} bytes", request.len());
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server = default_server();
+    let replies = std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve_tcp(&listener));
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        writeln!(stream, "{request}").unwrap();
+        writeln!(stream, r#"{{"op":"ping","id":2}}"#).unwrap();
+        writeln!(stream, r#"{{"op":"shutdown"}}"#).unwrap();
+        stream.flush().unwrap();
+        let replies: Vec<Json> = BufReader::new(&stream)
+            .lines()
+            .map(|line| Json::parse(&line.expect("read")).expect("valid JSON"))
+            .collect();
+        handle.join().expect("server thread").expect("clean exit");
+        replies
+    });
+    assert_eq!(replies.len(), 3, "one reply per request");
+    assert!(!ok(&replies[0]), "{}", replies[0].render());
+    assert_eq!(replies[0].get("id").and_then(Json::as_u64), Some(1));
+    let error = replies[0].get("error").and_then(Json::as_str).unwrap();
+    let limit = format!("more than {MAX_LOOP_ACCESSES} array accesses");
+    assert!(error.contains(&limit), "the error names the limit: {error}");
+    assert!(ok(&replies[1]), "the same connection keeps serving");
+    assert_eq!(replies[1].get("id").and_then(Json::as_u64), Some(2));
+}
+
 /// Drops the wall-clock fields of a reply line: every `elapsed_us`, the
 /// report's `loops_per_second` and the stats' `uptime_ms`.
 fn without_wall_clock(line: &str) -> String {
