@@ -1,4 +1,4 @@
-//! Pattern canonicalization and access-sequence hashing.
+//! Pattern canonicalization.
 //!
 //! The allocation algorithms consume an [`AccessPattern`] only through
 //! its [`DistanceModel`](crate::AccessPattern) — pairwise offset
@@ -22,10 +22,10 @@
 //!   global sign (a pattern and its mirror image have equal allocation
 //!   *costs*, though mirrored update deltas). Useful for cost-curve
 //!   caches and workload analytics, **not** for reusing generated code.
-//! * [`CanonicalPattern::fingerprint`] — a 64-bit FNV-1a hash of the
-//!   canonical access sequence, stable across processes, for logs and
-//!   tools. No cache keys on it: the driver's cache hashes full keys
-//!   with a per-map random hasher, and snapshots store full keys.
+//!
+//! Both are plain data, the same in every process: the driver's cache
+//! hashes them with a per-map random hasher, and snapshots store them
+//! in full.
 //!
 //! ## Nest-awareness
 //!
@@ -48,10 +48,7 @@
 //! let b = AccessPattern::from_offsets(&[5, 4, 3], 1);
 //! // … canonicalize identically:
 //! assert_eq!(CanonicalPattern::of(&a), CanonicalPattern::of(&b));
-//! assert_eq!(
-//!     CanonicalPattern::of(&a).fingerprint(),
-//!     CanonicalPattern::of(&b).fingerprint()
-//! );
+//! assert_eq!(CanonicalPattern::of(&b).offsets(), &[0, -1, -2]);
 //! ```
 
 use std::fmt;
@@ -144,27 +141,6 @@ impl CanonicalPattern {
             self.clone()
         }
     }
-
-    /// 64-bit FNV-1a hash of the canonical access sequence (stride,
-    /// length, offsets). Stable across processes — usable in on-disk
-    /// artifacts and logs, not just in-memory maps.
-    pub fn fingerprint(&self) -> u64 {
-        const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut hash = OFFSET_BASIS;
-        let mut absorb = |v: u64| {
-            for byte in v.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(PRIME);
-            }
-        };
-        absorb(self.stride as u64);
-        absorb(self.offsets.len() as u64);
-        for &o in &self.offsets {
-            absorb(o as u64);
-        }
-        hash
-    }
 }
 
 impl fmt::Display for CanonicalPattern {
@@ -193,7 +169,6 @@ mod tests {
         let a = CanonicalPattern::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1);
         let b = CanonicalPattern::from_offsets(&[4, 3, 5, 2, 4, 3, 1], 1);
         assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.offsets()[0], 0);
     }
 
@@ -202,7 +177,6 @@ mod tests {
         let a = CanonicalPattern::from_offsets(&[0, 1], 1);
         let b = CanonicalPattern::from_offsets(&[0, 1], 2);
         assert_ne!(a, b);
-        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
@@ -221,10 +195,6 @@ mod tests {
             .mirror();
         // fwd and the mirror of bwd describe mirrored chains.
         assert_eq!(fwd.cost_class(), bwd.mirror().cost_class());
-        assert_eq!(
-            fwd.cost_class().fingerprint(),
-            bwd.mirror().cost_class().fingerprint()
-        );
     }
 
     #[test]
@@ -256,7 +226,6 @@ mod tests {
         let a = CanonicalPattern::of(&nested.patterns()[0]);
         let b = CanonicalPattern::of(&flat.patterns()[0]);
         assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

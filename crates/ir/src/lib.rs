@@ -16,8 +16,8 @@
 //! * [`dsl`] — a small C-like language for writing loops as text,
 //! * [`trace`] — reference address traces used to validate generated
 //!   address code,
-//! * [`canonical`] — shift-normalized pattern forms and access-sequence
-//!   hashing, the foundation of the driver's allocation cache, and
+//! * [`canonical`] — shift-normalized pattern forms, the keys of the
+//!   driver's allocation cache, and
 //! * [`examples`] — canned loops, including the exact running example of
 //!   the paper (Section 2, Figure 1).
 //!
@@ -54,13 +54,10 @@
 //! // The same three-tap chain at two different base offsets …
 //! let near = AccessPattern::from_offsets(&[0, -1, -2], 1);
 //! let far = AccessPattern::from_offsets(&[40, 39, 38], 1);
-//! // … is one cache entry:
+//! // … is one cache entry, whose key is plain data, the same in every
+//! // process:
 //! assert_eq!(CanonicalPattern::of(&near), CanonicalPattern::of(&far));
-//! // and its fingerprint is stable across processes:
-//! assert_eq!(
-//!     CanonicalPattern::of(&near).fingerprint(),
-//!     CanonicalPattern::of(&far).fingerprint(),
-//! );
+//! assert_eq!(CanonicalPattern::of(&far).offsets(), &[0, -1, -2]);
 //! ```
 
 #![forbid(unsafe_code)]
