@@ -214,10 +214,10 @@ pub fn merge_until(
 /// access, its successor on its path and the key of its step (to the
 /// successor, or the wrap to the head); every step gets its key once,
 /// from its [`paid_delta`] under `dm`, in a table built when the sweep
-/// starts. A merge relinks the
-/// successors of `P_i ⊕ P_j` in place. Each state prices its candidates
-/// once for all of its selections: it keeps the over-range delta
-/// histogram of its paths ([`DeltaHistogram`]), and a candidate
+/// starts. A merge relinks the successors of `P_i ⊕ P_j` in place.
+/// Each state prices its candidates once for all of its selections: it
+/// keeps the over-range delta histogram of its paths
+/// ([`DeltaHistogram`]), and a candidate
 /// `(i, j)` walks `P_i ⊕ P_j` over the successors, moves only the steps
 /// whose key the merge changes out of and into the histogram, reads the
 /// cost for every priced count off the largest counts, and moves them

@@ -23,14 +23,12 @@
 //!   `(head offset, tail offset)` is equivalent — only one branch is
 //!   explored.
 //!
-//! Every step is read from the pattern's [`DistanceModel`]: each call
-//! site knows whether its step is an intra step (`from < to`) or a wrap,
-//! and asks [`DistanceModel::free_intra`] or
-//! [`DistanceModel::free_wrap`]. The search runs on buffers sized when
-//! it starts: one stack of candidate slots
-//! shared by all nodes, one memo key rebuilt in place, and a memo whose
-//! keys lie end to end in one buffer. So expanding a node allocates
-//! nothing, and the memo allocates only when it grows.
+//! Every step is read from the pattern's [`DistanceModel`], as an intra
+//! step or a wrap, and the search runs on buffers sized when it starts:
+//! one stack of candidate slots shared by all nodes, one memo key
+//! rebuilt in place, and a memo whose keys lie end to end in one buffer.
+//! So expanding a node allocates nothing, and the memo allocates only
+//! when it grows.
 
 use crate::bounds::Bounds;
 use crate::distance::DistanceModel;
@@ -72,10 +70,10 @@ pub struct SearchResult {
 }
 
 /// Searches the zero-cost covers of the pattern `dm` for the fewest
-/// registers (the paper's `K̃`), between the already
-/// computed [`Bounds`]. One matching serves both bounds: its path count
-/// is the lower bound, its split repair the heuristic upper bound and
-/// the search's first incumbent. When the two meet, the repair is the
+/// registers (the paper's `K̃`), between the already computed
+/// [`Bounds`]. One matching serves both bounds: its path count is the
+/// lower bound, its split repair the heuristic upper bound and the
+/// search's first incumbent. When the two meet, the repair is the
 /// answer and no node is expanded.
 ///
 /// # Examples
