@@ -573,6 +573,39 @@ mod tests {
         );
     }
 
+    /// Every suite kernel's operator count, pinned: `compute_ops` feeds
+    /// E4's whole-loop columns, so a change in how the body is counted
+    /// shows here first.
+    #[test]
+    fn every_kernel_pins_its_compute_op_count() {
+        let pinned = [
+            ("fir_4", 7),
+            ("fir_8", 15),
+            ("biquad", 9),
+            ("convolution", 2),
+            ("correlation", 2),
+            ("dot_product", 2),
+            ("vector_add", 1),
+            ("n_real_updates", 2),
+            ("n_complex_updates", 8),
+            ("matmul_inner_8", 2),
+            ("lms", 4),
+            ("lattice", 4),
+            ("fft_butterfly", 10),
+            ("iir_df1", 5),
+            ("decimator", 2),
+            ("conv2d", 17),
+            ("transpose", 1),
+            ("stencil5", 5),
+            ("paper_example", 7),
+        ];
+        let counted: Vec<(&str, u64)> = suite()
+            .iter()
+            .map(|k| (k.name(), k.compute_ops()))
+            .collect();
+        assert_eq!(counted, pinned);
+    }
+
     #[test]
     fn compute_ops_counts_operators() {
         // 1 mul + 1 add + compound add = 3.
@@ -582,6 +615,18 @@ mod tests {
             "for (i = 0; i < 4; i++) { acc += a[i] * b[i] + 1; }",
         );
         assert_eq!(k.compute_ops(), 3);
+    }
+
+    #[test]
+    fn compute_ops_counts_negations_and_parenthesized_chains() {
+        // neg + (add) + mul = 3; a move alone is one instruction; a
+        // compound `-=` over `a - -b` is 1 + sub + neg = 3.
+        let k = Kernel::from_source(
+            "t",
+            "test",
+            "for (i = 0; i < 4; i++) { s = -(a[i] + b[i]) * c; t = a[i]; u -= a[i] - -b[i]; }",
+        );
+        assert_eq!(k.compute_ops(), 3 + 1 + 3);
     }
 
     #[test]
