@@ -434,35 +434,29 @@ const FREE: u32 = u32::MAX;
 impl StepTable {
     fn new(dm: &DistanceModel, include_wrap: bool, distinct: bool) -> Self {
         let n = dm.len();
+        let paid = |from, to| paid_delta(dm, (from, to), include_wrap);
         let mut keys = vec![FREE; n * n];
-        // Distinct keys: each paid step's delta and place, sorted by
-        // delta. Key 0 is written directly: collecting and sorting
+        // Without distinct keys every paid step is key 0: numbering
         // all-zero deltas measured 5 % of a cost curve on the machines
         // without modify registers.
-        let mut paid: Vec<(i64, usize)> = Vec::with_capacity(if distinct { n * n } else { 0 });
+        let deltas = if distinct {
+            distinct_deltas(n, paid)
+        } else {
+            Vec::new()
+        };
         for from in 0..n {
             for to in 0..n {
-                if let Some(delta) = paid_delta(dm, (from, to), include_wrap) {
-                    if distinct {
-                        paid.push((delta, from * n + to));
-                    } else {
-                        keys[from * n + to] = 0;
-                    }
+                if let Some(delta) = paid(from, to) {
+                    keys[from * n + to] = deltas
+                        .binary_search(&delta)
+                        .map_or(0, |key| key as u32);
                 }
             }
-        }
-        paid.sort_unstable();
-        let mut key = 0;
-        for (at, &(delta, step)) in paid.iter().enumerate() {
-            if at > 0 && delta != paid[at - 1].0 {
-                key += 1;
-            }
-            keys[step] = key;
         }
         StepTable {
             n,
             keys,
-            len: key as usize + 1,
+            len: deltas.len().max(1),
         }
     }
 
@@ -471,6 +465,32 @@ impl StepTable {
     fn key(&self, from: u32, to: u32) -> u32 {
         self.keys[from as usize * self.n + to as usize]
     }
+}
+
+/// The distinct values of `paid(from, to)` over the `n²` steps,
+/// ascending. The buffer is sorted and deduplicated whenever it fills,
+/// and then holds room for twice the distinct deltas plus `n`, so it
+/// grows with the distinct deltas, not with the paid steps.
+fn distinct_deltas(n: usize, paid: impl Fn(usize, usize) -> Option<i64>) -> Vec<i64> {
+    let compact = |deltas: &mut Vec<i64>| {
+        deltas.sort_unstable();
+        deltas.dedup();
+        deltas.reserve_exact(deltas.len() + n);
+    };
+    let mut deltas = Vec::with_capacity((n * n).min(4 * n));
+    for from in 0..n {
+        for to in 0..n {
+            if let Some(delta) = paid(from, to) {
+                if deltas.len() == deltas.capacity() {
+                    compact(&mut deltas);
+                }
+                deltas.push(delta);
+            }
+        }
+    }
+    deltas.sort_unstable();
+    deltas.dedup();
+    deltas
 }
 
 /// The [`Link::next`] of a path's tail.

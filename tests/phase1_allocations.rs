@@ -223,3 +223,23 @@ fn a_long_loop_cost_curve_allocates_a_few_bytes_per_access_pair() {
         "the cost curve allocated {total} bytes for {PAIRS} pairs, more than {BYTES_PER_PAIR} per pair"
     );
 }
+
+#[test]
+fn a_long_loop_cost_curve_on_dsp56k_allocates_a_few_bytes_per_access_pair() {
+    // A step table numbers the distinct paid deltas for the modify
+    // registers: the long loop alternates `x[i]` and `x[i + 10]`, so most
+    // steps pay one of a few deltas. Phase 2 keeps a four-byte key per
+    // pair; a `(delta, step)` entry per paid step held 16 more.
+    const BYTES_PER_PAIR: u64 = 8;
+    let machine = MachineDescription::builtin("dsp56k").expect("built-in machine");
+    assert!(machine.spec().modify_registers() > 0);
+    let offsets: Vec<i64> = (0..LONG_LOOP).map(|a| 10 * (a % 2) as i64).collect();
+    let pattern = AccessPattern::from_offsets(&offsets, 1);
+    let optimizer = Optimizer::new(*machine.spec());
+    let k = machine.spec().address_registers();
+    let total = bytes(|| optimizer.cost_curve(&pattern, k));
+    assert!(
+        total <= BYTES_PER_PAIR * PAIRS,
+        "the cost curve allocated {total} bytes for {PAIRS} pairs, more than {BYTES_PER_PAIR} per pair"
+    );
+}
