@@ -447,9 +447,7 @@ impl StepTable {
         for from in 0..n {
             for to in 0..n {
                 if let Some(delta) = paid(from, to) {
-                    keys[from * n + to] = deltas
-                        .binary_search(&delta)
-                        .map_or(0, |key| key as u32);
+                    keys[from * n + to] = deltas.binary_search(&delta).map_or(0, |key| key as u32);
                 }
             }
         }

@@ -412,13 +412,13 @@ impl Pipeline {
         for (index, (name, source)) in units.iter().enumerate() {
             let parsed = dsl::parse_unit(source);
             clock.lap(Stage::Parse);
-            let (decls, asts) = parsed.map_err(|error| DriverError::Parse {
+            let (unit, asts) = parsed.map_err(|error| DriverError::Parse {
                 unit: name.clone(),
                 error,
             })?;
             unit_names.push(name.clone());
             for (i, ast) in asts.iter().enumerate() {
-                let lowered = dsl::lower_unit_loop(&decls, ast);
+                let lowered = dsl::lower_unit_loop(&unit, ast);
                 clock.lap(Stage::Lower);
                 let mut spec = lowered.map_err(|e| DriverError::Parse {
                     unit: name.clone(),

@@ -1,9 +1,10 @@
 //! Hand-written lexer for the loop DSL.
 //!
-//! Produces a flat vector of `Copy` tokens: a kind plus a byte span.
-//! No token owns text — an identifier's name is `&source[span]`, sliced
-//! when the parser stores it — so lexing allocates the vector only.
-//! Comments (`// …` and `/* … */`) and whitespace are skipped.
+//! Produces a flat vector of 12-byte `Copy` tokens: a kind plus a byte
+//! range. No token owns text — an identifier's name and an integer's
+//! digits are the token's slice of the source — so lexing allocates the
+//! vector only. Comments (`// …` and `/* … */`) and whitespace are
+//! skipped.
 
 use super::parser::ParseErrorKind;
 
@@ -44,7 +45,8 @@ impl Span {
 pub(crate) enum TokenKind {
     /// An identifier; its text is the token's span of the source.
     Ident,
-    Int(i64),
+    /// An integer literal that fits `i64`; see [`Token::value`].
+    Int,
     KwFor,
     KwArray,
     LParen,
@@ -73,23 +75,47 @@ pub(crate) enum TokenKind {
     Eof,
 }
 
+/// A token: its kind and its bytes `start..end` of a source no longer
+/// than `u32::MAX` bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Token {
     pub(crate) kind: TokenKind,
-    pub(crate) span: Span,
+    start: u32,
+    end: u32,
 }
 
 impl Token {
+    fn new(kind: TokenKind, start: usize, end: usize) -> Self {
+        // `tokenize` rejects sources longer than `u32::MAX` bytes.
+        Token {
+            kind,
+            start: start as u32,
+            end: end as u32,
+        }
+    }
+
+    /// The token's byte span.
+    pub(crate) fn span(self) -> Span {
+        Span::new(self.start as usize, self.end as usize)
+    }
+
     /// The token's source text.
     pub(crate) fn text(self, source: &str) -> &str {
-        &source[self.span.start..self.span.end]
+        &source[self.start as usize..self.end as usize]
+    }
+
+    /// The value of an [`TokenKind::Int`] token.
+    pub(crate) fn value(self, source: &str) -> i64 {
+        self.text(source)
+            .parse()
+            .expect("the lexer admits only literals that fit i64")
     }
 
     /// Describes the token for an error message, e.g. ``identifier `foo` ``.
     pub(crate) fn describe(self, source: &str) -> String {
         let fixed = match self.kind {
             TokenKind::Ident => return format!("identifier `{}`", self.text(source)),
-            TokenKind::Int(n) => return format!("integer `{n}`"),
+            TokenKind::Int => return format!("integer `{}`", self.value(source)),
             TokenKind::KwFor => "`for`",
             TokenKind::KwArray => "`array`",
             TokenKind::LParen => "`(`",
@@ -124,109 +150,94 @@ impl Token {
 /// Tokenizes the whole source, appending a trailing `Eof` token. A
 /// lexical error is a parse error: its kind and the offending span.
 pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, (ParseErrorKind, Span)> {
+    if u32::try_from(source.len()).is_err() {
+        let past = Span::new(u32::MAX as usize, source.len());
+        return Err((ParseErrorKind::SourceTooLong, past));
+    }
     let bytes = source.as_bytes();
     // Every token but the trailing `Eof` spans at least one byte, so the
     // vector is allocated once and never grows.
     let mut tokens = Vec::with_capacity(source.len() + 1);
     let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        // Whitespace.
-        if c.is_ascii_whitespace() {
-            i += 1;
-            continue;
-        }
-        // Comments.
-        if c == '/' && i + 1 < bytes.len() {
-            match bytes[i + 1] as char {
-                '/' => {
-                    while i < bytes.len() && bytes[i] as char != '\n' {
-                        i += 1;
-                    }
-                    continue;
-                }
-                '*' => {
-                    let start = i;
-                    i += 2;
-                    loop {
-                        if i + 1 >= bytes.len() {
-                            return Err((
-                                ParseErrorKind::UnterminatedComment,
-                                Span::new(start, bytes.len()),
-                            ));
-                        }
-                        if bytes[i] as char == '*' && bytes[i + 1] as char == '/' {
-                            i += 2;
-                            break;
-                        }
-                        i += 1;
-                    }
-                    continue;
-                }
-                _ => {}
-            }
-        }
+    // One match per token on its first byte. Bytes, not string slices:
+    // the byte after an operator may begin a multi-byte character.
+    while let Some(&c) = bytes.get(i) {
         let start = i;
-        // Identifiers / keywords.
-        if c.is_ascii_alphabetic() || c == '_' {
-            while i < bytes.len()
-                && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] as char == '_')
-            {
+        let next = bytes.get(i + 1).copied();
+        let (kind, len) = match (c, next) {
+            (b' ' | b'\t' | b'\n' | b'\r' | b'\x0c', _) => {
                 i += 1;
+                continue;
             }
-            let kind = match &source[start..i] {
-                "for" => TokenKind::KwFor,
-                "array" => TokenKind::KwArray,
-                _ => TokenKind::Ident,
-            };
-            tokens.push(Token {
-                kind,
-                span: Span::new(start, i),
-            });
-            continue;
-        }
-        // Integers (unsigned here; unary minus handled by the parser).
-        if c.is_ascii_digit() {
-            while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                i += 1;
+            (b'/', Some(b'/')) => {
+                while i < bytes.len() && bytes[i] != b'\n' {
+                    i += 1;
+                }
+                continue;
             }
-            let text = &source[start..i];
-            let value: i64 = text
-                .parse()
-                .map_err(|_| (ParseErrorKind::IntegerOverflow, Span::new(start, i)))?;
-            tokens.push(Token {
-                kind: TokenKind::Int(value),
-                span: Span::new(start, i),
-            });
-            continue;
-        }
-        // Operators and punctuation (longest match first). Bytes, not
-        // string slices: the byte after an operator may begin a
-        // multi-byte character.
-        let (kind, len) = match (c, bytes.get(i + 1)) {
-            ('+', Some(b'=')) => (TokenKind::PlusAssign, 2),
-            ('-', Some(b'=')) => (TokenKind::MinusAssign, 2),
-            ('*', Some(b'=')) => (TokenKind::StarAssign, 2),
-            ('+', Some(b'+')) => (TokenKind::PlusPlus, 2),
-            ('-', Some(b'-')) => (TokenKind::MinusMinus, 2),
-            ('<', Some(b'=')) => (TokenKind::Le, 2),
-            ('>', Some(b'=')) => (TokenKind::Ge, 2),
-            ('!', Some(b'=')) => (TokenKind::Ne, 2),
-            ('=', Some(b'=')) => (TokenKind::EqEq, 2),
-            ('(', _) => (TokenKind::LParen, 1),
-            (')', _) => (TokenKind::RParen, 1),
-            ('{', _) => (TokenKind::LBrace, 1),
-            ('}', _) => (TokenKind::RBrace, 1),
-            ('[', _) => (TokenKind::LBracket, 1),
-            (']', _) => (TokenKind::RBracket, 1),
-            (';', _) => (TokenKind::Semi, 1),
-            ('+', _) => (TokenKind::Plus, 1),
-            ('-', _) => (TokenKind::Minus, 1),
-            ('*', _) => (TokenKind::Star, 1),
-            ('/', _) => (TokenKind::Slash, 1),
-            ('=', _) => (TokenKind::Assign, 1),
-            ('<', _) => (TokenKind::Lt, 1),
-            ('>', _) => (TokenKind::Gt, 1),
+            (b'/', Some(b'*')) => {
+                match bytes[i + 2..].windows(2).position(|pair| pair == b"*/") {
+                    Some(at) => i += 2 + at + 2,
+                    None => {
+                        return Err((
+                            ParseErrorKind::UnterminatedComment,
+                            Span::new(start, bytes.len()),
+                        ))
+                    }
+                }
+                continue;
+            }
+            // Identifiers and keywords.
+            (b'a'..=b'z' | b'A'..=b'Z' | b'_', _) => {
+                let len = bytes[i..]
+                    .iter()
+                    .position(|&b| !(b.is_ascii_alphanumeric() || b == b'_'))
+                    .unwrap_or(bytes.len() - i);
+                let kind = match &bytes[i..i + len] {
+                    b"for" => TokenKind::KwFor,
+                    b"array" => TokenKind::KwArray,
+                    _ => TokenKind::Ident,
+                };
+                (kind, len)
+            }
+            // Integers (unsigned here; unary minus handled by the parser).
+            (b'0'..=b'9', _) => {
+                let len = bytes[i..]
+                    .iter()
+                    .position(|b| !b.is_ascii_digit())
+                    .unwrap_or(bytes.len() - i);
+                let fits = bytes[i..i + len].iter().try_fold(0i64, |value, &digit| {
+                    value.checked_mul(10)?.checked_add(i64::from(digit - b'0'))
+                });
+                if fits.is_none() {
+                    return Err((ParseErrorKind::IntegerOverflow, Span::new(i, i + len)));
+                }
+                (TokenKind::Int, len)
+            }
+            // Operators and punctuation (longest match first).
+            (b'+', Some(b'=')) => (TokenKind::PlusAssign, 2),
+            (b'-', Some(b'=')) => (TokenKind::MinusAssign, 2),
+            (b'*', Some(b'=')) => (TokenKind::StarAssign, 2),
+            (b'+', Some(b'+')) => (TokenKind::PlusPlus, 2),
+            (b'-', Some(b'-')) => (TokenKind::MinusMinus, 2),
+            (b'<', Some(b'=')) => (TokenKind::Le, 2),
+            (b'>', Some(b'=')) => (TokenKind::Ge, 2),
+            (b'!', Some(b'=')) => (TokenKind::Ne, 2),
+            (b'=', Some(b'=')) => (TokenKind::EqEq, 2),
+            (b'(', _) => (TokenKind::LParen, 1),
+            (b')', _) => (TokenKind::RParen, 1),
+            (b'{', _) => (TokenKind::LBrace, 1),
+            (b'}', _) => (TokenKind::RBrace, 1),
+            (b'[', _) => (TokenKind::LBracket, 1),
+            (b']', _) => (TokenKind::RBracket, 1),
+            (b';', _) => (TokenKind::Semi, 1),
+            (b'+', _) => (TokenKind::Plus, 1),
+            (b'-', _) => (TokenKind::Minus, 1),
+            (b'*', _) => (TokenKind::Star, 1),
+            (b'/', _) => (TokenKind::Slash, 1),
+            (b'=', _) => (TokenKind::Assign, 1),
+            (b'<', _) => (TokenKind::Lt, 1),
+            (b'>', _) => (TokenKind::Gt, 1),
             _ => {
                 // Named by the whole character, not its first byte: `i`
                 // is on a character boundary, since every byte consumed
@@ -238,16 +249,10 @@ pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, (ParseErrorKind, Span
                 ));
             }
         };
-        tokens.push(Token {
-            kind,
-            span: Span::new(start, start + len),
-        });
+        tokens.push(Token::new(kind, start, start + len));
         i += len;
     }
-    tokens.push(Token {
-        kind: TokenKind::Eof,
-        span: Span::new(source.len(), source.len()),
-    });
+    tokens.push(Token::new(TokenKind::Eof, source.len(), source.len()));
     Ok(tokens)
 }
 
@@ -361,8 +366,8 @@ mod tests {
     fn line_col_is_one_based() {
         let src = "ab\ncd";
         let toks = tokenize(src).unwrap();
-        assert_eq!(toks[0].span.line_col(src), (1, 1));
-        assert_eq!(toks[1].span.line_col(src), (2, 1));
+        assert_eq!(toks[0].span().line_col(src), (1, 1));
+        assert_eq!(toks[1].span().line_col(src), (2, 1));
     }
 
     #[test]

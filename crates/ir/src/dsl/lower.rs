@@ -1,4 +1,4 @@
-//! Lowering from the DSL AST to the flat [`LoopSpec`] IR.
+//! Lowering from a parsed [`Unit`] to the flat [`LoopSpec`] IR.
 //!
 //! Lowering walks every statement of the innermost loop, extracts array
 //! accesses in evaluation order (right-hand-side reads left-to-right,
@@ -27,7 +27,7 @@
 //! Flattening requires constant bounds on every level of a nest (plain
 //! single loops may keep symbolic bounds, as before).
 
-use super::ast::{CmpOp, Decl, Expr, ForLoop, LValue, Stmt};
+use super::ast::{BinOp, CmpOp, Expr, ExprId, ForLoop, Level, Stmt, Unit};
 use super::lexer::Span;
 use super::parser::{LowerError, ParseErrorKind};
 use crate::model::{AccessKind, ArrayId, LoopNest, LoopSpec, NestLevel};
@@ -44,38 +44,40 @@ use crate::model::{AccessKind, ArrayId, LoopNest, LoopSpec, NestLevel};
 /// dozen times per iteration.
 pub const MAX_LOOP_ACCESSES: usize = 16_384;
 
-/// Lowers a parsed [`ForLoop`] (possibly a nest) without array
-/// declarations: every array is one-dimensional.
+/// Lowers one loop (nest) of a parsed unit under the unit's `array`
+/// declarations.
 ///
-/// Exposed publicly as [`crate::dsl::parse_loop`], which also attaches
-/// the source text to error positions; calling this directly is useful
-/// when the AST was built programmatically. Sources with `array`
-/// declarations lower through [`lower_unit_loop`].
+/// [`crate::dsl::parse_program`] parses a unit and lowers every loop,
+/// attaching the source text to error positions; call this directly to
+/// lower the loops of a [`Unit`] one by one.
 ///
 /// # Errors
 ///
 /// Returns an error (without line/column resolution — see
-/// [`crate::dsl::parse_loop`]) when a subscript is not affine in the
+/// [`LowerError::attach_source`]) when a subscript is not affine in the
 /// induction variables, ranks mismatch, one array mixes coefficients,
 /// a nest level has no constant trip count, or the loop makes more than
 /// [`MAX_LOOP_ACCESSES`] accesses per iteration.
-pub fn lower_loop(ast: &ForLoop) -> Result<LoopSpec, LowerError> {
-    lower_unit_loop(&[], ast)
+///
+/// # Examples
+///
+/// ```
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let source = "array m[2][3];
+///               for (i = 0; i < 2; i++) { for (j = 0; j < 3; j++) { m[i][j] = 0; } }";
+/// let (unit, loops) = raco_ir::dsl::parse_unit(source)?;
+/// let spec = raco_ir::dsl::lower_unit_loop(&unit, &loops[0])?;
+/// assert_eq!(spec.var(), "j");
+/// assert_eq!(spec.nest().unwrap().total_iterations(), 6);
+/// # Ok(())
+/// # }
+/// ```
+pub fn lower_unit_loop(unit: &Unit<'_>, ast: &ForLoop) -> Result<LoopSpec, LowerError> {
+    Lowerer::new(unit, ast)?.lower(unit.body(ast))
 }
 
-/// Lowers one loop (nest) of a compilation unit under its `array`
-/// declarations.
-///
-/// # Errors
-///
-/// See [`lower_loop`].
-pub fn lower_unit_loop(decls: &[Decl], ast: &ForLoop) -> Result<LoopSpec, LowerError> {
-    Lowerer::new(decls, ast)?.lower()
-}
-
-/// Per-level loop shape of one nest level (including the innermost).
-struct Level<'a> {
-    ast: &'a ForLoop,
+/// The shape of one nest level (including the innermost).
+struct Shape {
     start: i64,
     stride: i64,
     trips: u64,
@@ -85,12 +87,15 @@ struct Level<'a> {
 /// the declarations and reused by every access, so an access allocates
 /// only what the returned [`LoopSpec`] keeps.
 struct Lowerer<'a> {
-    decls: &'a [Decl],
+    unit: &'a Unit<'a>,
+    /// The nest's levels, outermost first.
+    levels: &'a [Level],
+    /// Each level's shape.
+    shapes: Vec<Shape>,
     /// Row-major strides of every declaration, flat in declaration
     /// order; `None` where the product overflows `i128`, an error only
     /// once an access to that array is linearized.
     row_strides: Vec<Option<i128>>,
-    levels: Vec<Level<'a>>,
     spec: LoopSpec,
     /// Per-level coefficients of each registered array, one
     /// `levels.len()`-wide row per [`ArrayId`] (the spec itself only
@@ -105,61 +110,68 @@ struct Lowerer<'a> {
     /// layout.
     linear: Vec<i128>,
     /// Right-hand-side array references of the statement being lowered.
-    rhs_refs: Vec<(&'a str, &'a [Expr])>,
+    rhs_refs: Vec<(&'a str, &'a [ExprId])>,
 }
 
 impl<'a> Lowerer<'a> {
-    fn new(decls: &'a [Decl], ast: &'a ForLoop) -> Result<Self, LowerError> {
-        // Collect the nest chain, outermost first, and check variables.
-        // Plain single loops keep symbolic bounds (the trip count is
-        // never consulted); a nest's levels need constant shapes.
-        let mut levels: Vec<Level<'a>> = Vec::new();
-        let mut current = Some(ast);
-        while let Some(level) = current {
-            if levels.iter().any(|outer| outer.ast.var == level.var) {
+    fn new(unit: &'a Unit<'a>, ast: &ForLoop) -> Result<Self, LowerError> {
+        // Check the nest's variables, outermost first. Plain single
+        // loops keep symbolic bounds (the trip count is never
+        // consulted); a nest's levels need constant shapes.
+        let levels = unit.levels(ast);
+        for (k, level) in levels.iter().enumerate() {
+            let var = unit.text(level.var);
+            if levels[..k].iter().any(|outer| unit.text(outer.var) == var) {
                 return Err(LowerError::new(
-                    ParseErrorKind::DuplicateInductionVariable(level.var.clone()),
+                    ParseErrorKind::DuplicateInductionVariable(var.to_owned()),
                     level.span,
                 ));
             }
-            levels.push(Level {
-                ast: level,
-                start: level.start.unwrap_or(0),
-                stride: level.update.stride(),
-                trips: 1,
-            });
-            current = level.nested.as_deref();
         }
-        if levels.len() > 1 {
-            for level in &mut levels {
-                *level = level_shape(level.ast)?;
-            }
-        }
+        let shapes: Vec<Shape> = if levels.len() > 1 {
+            levels
+                .iter()
+                .map(|level| level_shape(unit, level))
+                .collect::<Result<_, _>>()?
+        } else {
+            levels
+                .iter()
+                .map(|level| Shape {
+                    start: level.start.unwrap_or(0),
+                    stride: level.update.stride(),
+                    trips: 1,
+                })
+                .collect()
+        };
 
         // Row-major: the stride of dimension k is the product of all
         // dimensions after it; the outermost extent only checks rank.
-        let mut row_strides = Vec::with_capacity(decls.iter().map(|d| d.dims.len()).sum());
+        let decls = unit.decls();
+        let mut row_strides = Vec::with_capacity(decls.iter().map(|d| unit.dims(d).len()).sum());
         for decl in decls {
+            let dims = unit.dims(decl);
             let base = row_strides.len();
-            row_strides.resize(base + decl.dims.len(), Some(1));
-            for k in (1..decl.dims.len()).rev() {
+            row_strides.resize(base + dims.len(), Some(1));
+            for k in (1..dims.len()).rev() {
                 row_strides[base + k - 1] = row_strides[base + k]
-                    .and_then(|stride: i128| stride.checked_mul(i128::from(decl.dims[k])));
+                    .and_then(|stride: i128| stride.checked_mul(i128::from(dims[k])));
             }
         }
 
-        let inner = levels.last().expect("a nest has at least one level");
-        let mut spec = LoopSpec::try_new("loop", &inner.ast.var, inner.stride).map_err(|_| {
-            // The parser already rejects zero strides; this is a safety
-            // net for programmatically-built ASTs.
-            LowerError::new(ParseErrorKind::ZeroStride, inner.ast.span)
-        })?;
-        spec.set_start(inner.start);
+        let (inner, inner_shape) = (&levels[levels.len() - 1], &shapes[levels.len() - 1]);
+        let mut spec = LoopSpec::try_new("loop", unit.text(inner.var), inner_shape.stride)
+            .map_err(|_| {
+                // The parser already rejects zero strides; this is a
+                // safety net.
+                LowerError::new(ParseErrorKind::ZeroStride, inner.span)
+            })?;
+        spec.set_start(inner_shape.start);
         let width = levels.len() + 1;
         Ok(Lowerer {
-            decls,
-            row_strides,
+            unit,
             levels,
+            shapes,
+            row_strides,
             spec,
             coeff_rows: Vec::new(),
             frames: Vec::with_capacity(4 * width),
@@ -168,9 +180,8 @@ impl<'a> Lowerer<'a> {
         })
     }
 
-    fn lower(mut self) -> Result<LoopSpec, LowerError> {
-        let inner_ast = self.levels.last().expect("non-empty nest").ast;
-        for stmt in &inner_ast.body {
+    fn lower(mut self, body: &'a [Stmt]) -> Result<LoopSpec, LowerError> {
+        for stmt in body {
             self.lower_stmt(stmt)?;
         }
         if self.levels.len() > 1 {
@@ -179,22 +190,24 @@ impl<'a> Lowerer<'a> {
         Ok(self.spec)
     }
 
-    fn lower_stmt(&mut self, stmt: &'a Stmt) -> Result<(), LowerError> {
+    fn lower_stmt(&mut self, stmt: &Stmt) -> Result<(), LowerError> {
+        let unit = self.unit;
         // Right-hand-side reads, in evaluation order.
         self.rhs_refs.clear();
         let rhs_refs = &mut self.rhs_refs;
-        stmt.rhs
-            .visit_indices(&mut |name, indices| rhs_refs.push((name, indices)));
+        unit.visit_indices(stmt.rhs, &mut |name, subscripts| {
+            rhs_refs.push((name, subscripts));
+        });
         for k in 0..self.rhs_refs.len() {
-            let (name, indices) = self.rhs_refs[k];
-            self.push(name, indices, AccessKind::Read, stmt.span)?;
+            let (name, subscripts) = self.rhs_refs[k];
+            self.push(name, subscripts, AccessKind::Read, stmt.span)?;
         }
         // Left-hand side.
-        if let LValue::Element { array, indices } = &stmt.lhs {
+        if let Expr::Index { array, subscripts } = unit.expr(stmt.lhs) {
             if stmt.op.reads_lhs() {
-                self.push(array, indices, AccessKind::Read, stmt.span)?;
+                self.push(array, subscripts, AccessKind::Read, stmt.span)?;
             }
-            self.push(array, indices, AccessKind::Write, stmt.span)?;
+            self.push(array, subscripts, AccessKind::Write, stmt.span)?;
         }
         Ok(())
     }
@@ -202,26 +215,26 @@ impl<'a> Lowerer<'a> {
     fn push(
         &mut self,
         array: &str,
-        indices: &[Expr],
+        subscripts: &[ExprId],
         kind: AccessKind,
         span: Span,
     ) -> Result<(), LowerError> {
         if self.spec.len() == MAX_LOOP_ACCESSES {
-            let nest = self.levels[0].ast.span;
+            let nest = self.levels[0].span;
             return Err(LowerError::new(ParseErrorKind::TooManyAccesses, nest));
         }
-        self.linearize(array, indices)
+        self.linearize(array, subscripts)
             .map_err(|kind| LowerError::new(kind, span))?;
         let id = self.resolve_array(array, span)?;
         // Fold outer-level starts into the constant: the flat spec only
         // tracks the innermost variable. One product fits `i128`; three
         // or more outer levels can overflow their sum.
         let depth = self.levels.len();
-        let offset = self.levels[..depth - 1]
+        let offset = self.shapes[..depth - 1]
             .iter()
             .zip(&self.frames)
-            .try_fold(i128::from(self.frames[depth]), |sum, (level, &coeff)| {
-                sum.checked_add(i128::from(coeff) * i128::from(level.start))
+            .try_fold(i128::from(self.frames[depth]), |sum, (shape, &coeff)| {
+                sum.checked_add(i128::from(coeff) * i128::from(shape.start))
             })
             .ok_or(ParseErrorKind::IndexOverflow)
             .and_then(narrow)
@@ -236,27 +249,29 @@ impl<'a> Lowerer<'a> {
     /// variables, linearizing multi-dimensional subscripts row-major
     /// against the array's declaration, and leaves it as the one frame
     /// on the folding stack.
-    fn linearize(&mut self, array: &str, indices: &[Expr]) -> Result<(), ParseErrorKind> {
+    fn linearize(&mut self, array: &str, subscripts: &[ExprId]) -> Result<(), ParseErrorKind> {
+        let unit = self.unit;
         // The offset of the array's strides in `row_strides`, or `None`
         // for an undeclared (one-dimensional, unit-stride) array.
-        let strides_at = match self.decls.iter().position(|d| d.name == array) {
+        let decls = unit.decls();
+        let strides_at = match decls.iter().position(|d| unit.text(d.name) == array) {
             Some(pos) => {
-                let rank = self.decls[pos].dims.len();
-                if indices.len() != rank {
+                let rank = unit.dims(&decls[pos]).len();
+                if subscripts.len() != rank {
                     return Err(ParseErrorKind::RankMismatch {
                         array: array.to_owned(),
                         expected: rank,
-                        found: indices.len(),
+                        found: subscripts.len(),
                     });
                 }
-                let base = self.decls[..pos].iter().map(|d| d.dims.len()).sum();
+                let base = decls[..pos].iter().map(|d| unit.dims(d).len()).sum();
                 if self.row_strides[base..base + rank].contains(&None) {
                     return Err(ParseErrorKind::IndexOverflow);
                 }
                 Some(base)
             }
             None => {
-                if indices.len() != 1 {
+                if subscripts.len() != 1 {
                     return Err(ParseErrorKind::UndeclaredArray(array.to_owned()));
                 }
                 None
@@ -264,7 +279,7 @@ impl<'a> Lowerer<'a> {
         };
         self.linear.clear();
         self.linear.resize(self.levels.len() + 1, 0);
-        for (k, index) in indices.iter().enumerate() {
+        for (k, &index) in subscripts.iter().enumerate() {
             let stride = strides_at.map_or(1, |base| {
                 self.row_strides[base + k].expect("overflow is rejected above")
             });
@@ -290,32 +305,34 @@ impl<'a> Lowerer<'a> {
     /// Folds one index expression into `Σ c_k * var_k + d` and pushes it
     /// as a frame onto the folding stack. Every node checks its `i64`
     /// arithmetic.
-    fn fold(&mut self, e: &Expr) -> Result<(), ParseErrorKind> {
+    fn fold(&mut self, e: ExprId) -> Result<(), ParseErrorKind> {
+        let unit = self.unit;
         let width = self.levels.len() + 1;
         let top = self.frames.len();
-        match e {
+        match unit.expr(e) {
             Expr::Num(n) => {
                 self.frames.resize(top + width, 0);
-                self.frames[top + width - 1] = *n;
+                self.frames[top + width - 1] = n;
             }
-            Expr::Var(v) => match self.levels.iter().position(|level| level.ast.var == *v) {
+            Expr::Var(v) => match self.levels.iter().position(|l| unit.text(l.var) == v) {
                 Some(k) => {
                     self.frames.resize(top + width, 0);
                     self.frames[top + k] = 1;
                 }
-                None => return Err(ParseErrorKind::SymbolicIndex(v.clone())),
+                None => return Err(ParseErrorKind::SymbolicIndex(v.to_owned())),
             },
-            Expr::Index { array, .. } => return Err(ParseErrorKind::ArrayInIndex(array.clone())),
+            Expr::Index { array, .. } => {
+                return Err(ParseErrorKind::ArrayInIndex(array.to_owned()))
+            }
             Expr::Neg(inner) => {
                 self.fold(inner)?;
                 for c in &mut self.frames[top..] {
                     *c = c.checked_neg().ok_or(ParseErrorKind::IndexOverflow)?;
                 }
             }
-            Expr::Chain { first, rest } => {
-                use super::ast::BinOp;
+            Expr::Chain { first, ops, rest } => {
                 self.fold(first)?;
-                for (op, e) in rest {
+                for (&op, &e) in ops.iter().zip(rest) {
                     self.fold(e)?;
                     let (l, r) = self.frames[top..].split_at_mut(width);
                     let combine = |l: &mut [i64], f: fn(i64, i64) -> Option<i64>| {
@@ -388,18 +405,19 @@ impl<'a> Lowerer<'a> {
     /// Attaches [`LoopNest`] metadata and per-array carries to the spec.
     fn attach_nest(&mut self) -> Result<(), LowerError> {
         let depth = self.levels.len();
-        let outer = &self.levels[..depth - 1];
+        let outer = &self.shapes[..depth - 1];
         let nest = LoopNest::new(
-            outer
+            self.levels[..depth - 1]
                 .iter()
-                .map(|level| NestLevel {
-                    var: level.ast.var.clone(),
-                    start: level.start,
-                    stride: level.stride,
-                    trips: level.trips,
+                .zip(outer)
+                .map(|(level, shape)| NestLevel {
+                    var: self.unit.text(level.var).to_owned(),
+                    start: shape.start,
+                    stride: shape.stride,
+                    trips: shape.trips,
                 })
                 .collect(),
-            self.levels.last().expect("non-empty nest").trips,
+            self.shapes[depth - 1].trips,
         );
         // carry_k = c_k*s_k − c_{k+1}*s_{k+1}*T_{k+1}: how far the flat
         // model drifts from the true address each time level k advances
@@ -409,14 +427,14 @@ impl<'a> Lowerer<'a> {
             for k in 0..outer.len() {
                 // One `i64` product fits `i128`; times a trip count it
                 // may not.
-                let here = i128::from(coeffs[k]) * i128::from(self.levels[k].stride);
-                let below = (i128::from(coeffs[k + 1]) * i128::from(self.levels[k + 1].stride))
-                    .checked_mul(i128::from(self.levels[k + 1].trips));
+                let here = i128::from(coeffs[k]) * i128::from(self.shapes[k].stride);
+                let below = (i128::from(coeffs[k + 1]) * i128::from(self.shapes[k + 1].stride))
+                    .checked_mul(i128::from(self.shapes[k + 1].trips));
                 let carry = below
                     .and_then(|below| here.checked_sub(below))
                     .ok_or(ParseErrorKind::IndexOverflow)
                     .and_then(narrow)
-                    .map_err(|kind| LowerError::new(kind, self.levels[k].ast.span))?;
+                    .map_err(|kind| LowerError::new(kind, self.levels[k].span))?;
                 carries.push(carry);
             }
             self.spec
@@ -430,19 +448,20 @@ impl<'a> Lowerer<'a> {
 
 /// Computes the constant shape (start, stride, trip count) of one nest
 /// level; flattening needs all three.
-fn level_shape(ast: &ForLoop) -> Result<Level<'_>, LowerError> {
-    let var = || ast.var.clone();
-    let start = ast
+fn level_shape(unit: &Unit<'_>, level: &Level) -> Result<Shape, LowerError> {
+    let var = || unit.text(level.var).to_owned();
+    let start = level
         .start
-        .ok_or_else(|| LowerError::new(ParseErrorKind::NonConstantNestBound(var()), ast.span))?;
-    let bound = super::parser::const_eval(&ast.cond.bound)
-        .ok_or_else(|| LowerError::new(ParseErrorKind::NonConstantNestBound(var()), ast.span))?;
-    let stride = ast.update.stride();
-    let degenerate = || LowerError::new(ParseErrorKind::DegenerateNestLevel(var()), ast.span);
+        .ok_or_else(|| LowerError::new(ParseErrorKind::NonConstantNestBound(var()), level.span))?;
+    let bound = unit
+        .const_eval(level.cond.bound)
+        .ok_or_else(|| LowerError::new(ParseErrorKind::NonConstantNestBound(var()), level.span))?;
+    let stride = level.update.stride();
+    let degenerate = || LowerError::new(ParseErrorKind::DegenerateNestLevel(var()), level.span);
     // Iterations of `v = start; v <op> bound; v += stride` for the four
     // monotone condition/direction pairings; everything else (wrong
     // direction, `!=`, `==`) does not flatten.
-    let span_len: i128 = match (ast.cond.op, stride > 0) {
+    let span_len: i128 = match (level.cond.op, stride > 0) {
         (CmpOp::Lt, true) => i128::from(bound) - i128::from(start),
         (CmpOp::Le, true) => i128::from(bound) - i128::from(start) + 1,
         (CmpOp::Gt, false) => i128::from(start) - i128::from(bound),
@@ -454,8 +473,7 @@ fn level_shape(ast: &ForLoop) -> Result<Level<'_>, LowerError> {
     if trips <= 0 {
         return Err(degenerate());
     }
-    Ok(Level {
-        ast,
+    Ok(Shape {
         start,
         stride,
         trips: u64::try_from(trips).map_err(|_| degenerate())?,
@@ -472,15 +490,18 @@ mod tests {
     use super::*;
     use crate::dsl::{parse_for, parse_loop};
 
+    /// Lowers the one loop of `src`, which has no declarations.
+    fn lower_loop(src: &str) -> Result<LoopSpec, LowerError> {
+        let (unit, ast) = parse_for(src).unwrap();
+        lower_unit_loop(&unit, &ast)
+    }
+
     fn lower(src: &str) -> LoopSpec {
-        lower_loop(&parse_for(src).unwrap()).unwrap()
+        lower_loop(src).unwrap()
     }
 
     fn lower_err(src: &str) -> ParseErrorKind {
-        lower_loop(&parse_for(src).unwrap())
-            .unwrap_err()
-            .kind()
-            .clone()
+        lower_loop(src).unwrap_err().kind().clone()
     }
 
     /// A loop body of one statement that reads `x[i]` `reads` times
@@ -497,10 +518,10 @@ mod tests {
         let spec = lower(&long_statement(MAX_LOOP_ACCESSES - 1));
         assert_eq!(spec.len(), MAX_LOOP_ACCESSES);
         let source = long_statement(MAX_LOOP_ACCESSES);
-        let ast = parse_for(&source).unwrap();
-        let err = lower_loop(&ast).unwrap_err();
+        let (unit, ast) = parse_for(&source).unwrap();
+        let err = lower_unit_loop(&unit, &ast).unwrap_err();
         assert_eq!(*err.kind(), ParseErrorKind::TooManyAccesses);
-        assert_eq!(err.span(), ast.span, "reported at the (outermost) loop");
+        assert_eq!(err.span(), ast.span(), "reported at the (outermost) loop");
         let err = parse_loop(&source).unwrap_err();
         assert_eq!((err.line(), err.column()), (1, 1));
         assert_eq!(
@@ -512,8 +533,7 @@ mod tests {
     #[test]
     fn affine_forms() {
         let check = |src: &str, want: (i64, i64)| {
-            let ast = parse_for(&format!("for (i = 0; i < 9; i++) {{ s = A[{src}]; }}")).unwrap();
-            let spec = lower_loop(&ast).unwrap();
+            let spec = lower(&format!("for (i = 0; i < 9; i++) {{ s = A[{src}]; }}"));
             let info = &spec.arrays()[0];
             assert_eq!(
                 (info.coefficient(), spec.accesses()[0].offset),

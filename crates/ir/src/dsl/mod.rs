@@ -35,6 +35,14 @@
 //! right-hand side from left to right, then (for compound assignments) the
 //! read of the left-hand side, then the write of the left-hand side.
 //!
+//! Parsing without lowering ([`parse_unit`], [`parse_for`]) yields a
+//! [`Unit`]: one flat table per source, holding its declarations, loop
+//! levels, statements and expression nodes in a few vectors, with names
+//! as [`Span`]s of the borrowed source and expressions as [`ExprId`]s.
+//! Read a node with [`Unit::expr`], print with
+//! [`crate::pretty::print_for`], and lower a loop of it with
+//! [`lower_unit_loop`].
+//!
 //! # Examples
 //!
 //! ```
@@ -60,9 +68,11 @@ mod lexer;
 mod lower;
 mod parser;
 
-pub use ast::{AssignOp, BinOp, CmpOp, Cond, Decl, Expr, ForLoop, LValue, Stmt, Update};
+pub use ast::{
+    AssignOp, BinOp, CmpOp, Cond, Decl, Expr, ExprId, ForLoop, Level, Shown, Stmt, Unit, Update,
+};
 pub use lexer::Span;
-pub use lower::{lower_loop, lower_unit_loop, MAX_LOOP_ACCESSES};
+pub use lower::{lower_unit_loop, MAX_LOOP_ACCESSES};
 pub use parser::{LowerError, ParseError, ParseErrorKind, MAX_NESTING_DEPTH};
 
 use crate::model::LoopSpec;
@@ -87,26 +97,24 @@ use crate::model::LoopSpec;
 /// # }
 /// ```
 pub fn parse_loop(source: &str) -> Result<LoopSpec, ParseError> {
-    let (decls, mut loops) = parse_unit(source)?;
+    let (unit, loops) = parse_unit(source)?;
     if loops.len() != 1 {
         // Multiple loops need parse_program; report the second loop's
         // position as unexpected input.
-        let second = &loops[1];
         return Err(ParseError::new(
             ParseErrorKind::UnexpectedToken {
                 found: "a second loop".to_owned(),
                 expected: "end of input (use parse_program for multi-loop sources)".to_owned(),
             },
-            second.span,
+            loops[1].span(),
             source,
         ));
     }
-    let ast = loops.pop().expect("checked above");
-    lower::lower_unit_loop(&decls, &ast).map_err(|e| e.attach_source(source))
+    lower::lower_unit_loop(&unit, &loops[0]).map_err(|e| e.attach_source(source))
 }
 
-/// Parses a `for` loop (or perfect nest) into its [`ForLoop`] AST
-/// without lowering.
+/// Parses a `for` loop (or perfect nest) without lowering: the [`Unit`]
+/// table that holds it, and the loop.
 ///
 /// Useful for pretty printing or custom analyses. Array declarations
 /// are not accepted here — they belong to a compilation unit; use
@@ -115,14 +123,33 @@ pub fn parse_loop(source: &str) -> Result<LoopSpec, ParseError> {
 /// # Errors
 ///
 /// Returns a [`ParseError`] on lexical or syntax errors.
-pub fn parse_for(source: &str) -> Result<ForLoop, ParseError> {
+///
+/// # Examples
+///
+/// ```
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use raco_ir::dsl::{self, Expr};
+///
+/// let (unit, ast) = dsl::parse_for("for (i = 0; i < 8; i++) { y[i] = x[i + 1] * 2; }")?;
+/// let stmt = unit.body(&ast)[0];
+/// assert_eq!(unit.display_stmt(&stmt).to_string(), "y[i] = x[i + 1] * 2;");
+/// let Expr::Chain { first, ops, .. } = unit.expr(stmt.rhs) else { unreachable!() };
+/// assert!(matches!(unit.expr(first), Expr::Index { array: "x", .. }));
+/// assert_eq!(ops, [dsl::BinOp::Mul]);
+/// # Ok(())
+/// # }
+/// ```
+pub fn parse_for(source: &str) -> Result<(Unit<'_>, ForLoop), ParseError> {
     parser::Parser::new(source)?.parse_for_loop()
 }
 
-/// Parses a whole compilation unit into its raw parts: `array`
-/// declarations and loop (nest) ASTs, without lowering.
+/// Parses a whole compilation unit without lowering: the [`Unit`] table
+/// that holds its `array` declarations and loop (nest) syntax, and its
+/// loops in source order.
 ///
-/// Declarations scope over the entire unit, wherever they appear.
+/// Declarations scope over the entire unit, wherever they appear. The
+/// unit borrows `source` for every name, and allocates a fixed handful
+/// of vectors however many statements and accesses the source has.
 ///
 /// # Errors
 ///
@@ -133,16 +160,17 @@ pub fn parse_for(source: &str) -> Result<ForLoop, ParseError> {
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let (decls, loops) = raco_ir::dsl::parse_unit(
+/// let (unit, loops) = raco_ir::dsl::parse_unit(
 ///     "array m[2][3];
 ///      for (i = 0; i < 2; i++) { for (j = 0; j < 3; j++) { m[i][j] = 0; } }",
 /// )?;
-/// assert_eq!(decls[0].dims, vec![2, 3]);
+/// assert_eq!(unit.dims(&unit.decls()[0]), [2, 3]);
 /// assert_eq!(loops[0].depth(), 2);
+/// assert_eq!(unit.text(unit.levels(&loops[0])[1].var), "j");
 /// # Ok(())
 /// # }
 /// ```
-pub fn parse_unit(source: &str) -> Result<(Vec<Decl>, Vec<ForLoop>), ParseError> {
+pub fn parse_unit(source: &str) -> Result<(Unit<'_>, Vec<ForLoop>), ParseError> {
     parser::Parser::new(source)?.parse_unit()
 }
 
@@ -173,12 +201,12 @@ pub fn parse_unit(source: &str) -> Result<(Vec<Decl>, Vec<ForLoop>), ParseError>
 /// # }
 /// ```
 pub fn parse_program(source: &str) -> Result<Vec<LoopSpec>, ParseError> {
-    let (decls, asts) = parse_unit(source)?;
+    let (unit, asts) = parse_unit(source)?;
     asts.iter()
         .enumerate()
         .map(|(i, ast)| {
             let mut spec =
-                lower::lower_unit_loop(&decls, ast).map_err(|e| e.attach_source(source))?;
+                lower::lower_unit_loop(&unit, ast).map_err(|e| e.attach_source(source))?;
             spec.set_name(&format!("loop{i}"));
             Ok(spec)
         })
@@ -191,8 +219,8 @@ mod tests {
     use crate::model::AccessKind;
 
     /// A statement with 100 000 terms is one operator chain, so parsing,
-    /// lowering, printing and dropping it each walk it in a loop: the
-    /// whole round fits a 2 MiB thread stack.
+    /// lowering and printing it each walk it in a loop, and the unit
+    /// drops as flat vectors: the whole round fits a 2 MiB thread stack.
     #[test]
     fn long_operator_chains_compile_on_a_small_stack() {
         let terms = 100_000;
@@ -206,14 +234,14 @@ mod tests {
         std::thread::Builder::new()
             .stack_size(2 << 20)
             .spawn(move || {
-                let ast = parse_for(&source).expect("parses");
-                let spec = lower_loop(&ast).expect("lowers");
+                let (unit, ast) = parse_for(&source).expect("parses");
+                let spec = lower_unit_loop(&unit, &ast).expect("lowers");
                 assert_eq!(spec.len(), 2, "x[i] is read, y[i] written");
                 assert_eq!(spec.accesses()[1].offset, 0);
-                let printed = ast.body[0].to_string();
+                let printed = unit.display_stmt(&unit.body(&ast)[0]).to_string();
                 assert!(printed.starts_with("y[i + 1 - 1 + 1"), "{}", &printed[..40]);
                 assert!(printed.ends_with("+ 1 - 1;"));
-                drop(ast);
+                drop(unit);
             })
             .expect("spawns")
             .join()

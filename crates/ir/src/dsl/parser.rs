@@ -2,7 +2,9 @@
 
 use std::fmt;
 
-use super::ast::{AssignOp, BinOp, CmpOp, Cond, Expr, ForLoop, LValue, Stmt, Update};
+use super::ast::{
+    AssignOp, BinOp, Capacity, CmpOp, Cond, ExprId, ForLoop, Level, Node, Run, Stmt, Unit, Update,
+};
 use super::lexer::{self, Span, Token, TokenKind};
 use super::lower::MAX_LOOP_ACCESSES;
 
@@ -97,6 +99,9 @@ pub enum ParseErrorKind {
     /// A loop makes more than [`MAX_LOOP_ACCESSES`] array accesses per
     /// iteration.
     TooManyAccesses,
+    /// The source is longer than `u32::MAX` bytes, the longest a parsed
+    /// unit addresses.
+    SourceTooLong,
 }
 
 impl fmt::Display for ParseErrorKind {
@@ -179,6 +184,9 @@ impl fmt::Display for ParseErrorKind {
                 f,
                 "loop makes more than {MAX_LOOP_ACCESSES} array accesses per iteration"
             ),
+            ParseErrorKind::SourceTooLong => {
+                write!(f, "source is longer than {} bytes", u32::MAX)
+            }
         }
     }
 }
@@ -234,10 +242,10 @@ impl std::error::Error for ParseError {}
 
 /// A lowering error that has not yet been resolved against source text.
 ///
-/// [`crate::dsl::lower_loop`] returns this error because lowering operates
-/// on an AST, which may have been built programmatically and therefore has
-/// no source text; [`LowerError::attach_source`] upgrades it to a
-/// [`ParseError`] with line/column information.
+/// [`crate::dsl::lower_unit_loop`] returns this error: it names the
+/// offending span, and [`LowerError::attach_source`] upgrades it to a
+/// [`ParseError`] with line/column information, a scan of the source
+/// that only a failed lowering pays.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LowerError {
     kind: ParseErrorKind,
@@ -254,8 +262,8 @@ impl LowerError {
         &self.kind
     }
 
-    /// Byte span of the offending AST node in the original source (empty
-    /// for programmatically built ASTs).
+    /// Byte span of the offending statement or loop header in the
+    /// source.
     pub fn span(&self) -> Span {
         self.span
     }
@@ -278,29 +286,62 @@ impl std::error::Error for LowerError {}
 /// How deep parentheses, unary minus, subscripts and `for` loops may
 /// nest, counted together. The parser and the passes after it recurse
 /// once per such level (a run of binary operators is one
-/// [`Expr::Chain`] node, walked in a loop, however long): unbounded,
-/// one hostile source overflows the thread's stack, which no
-/// `catch_unwind` catches. Kernels nest a few levels.
+/// [`Expr::Chain`](super::Expr::Chain) node, walked in a loop, however
+/// long): unbounded, one hostile source overflows the thread's stack,
+/// which no `catch_unwind` catches. Kernels nest a few levels.
 pub const MAX_NESTING_DEPTH: usize = 128;
 
 pub(crate) struct Parser<'s> {
-    source: &'s str,
+    unit: Unit<'s>,
     tokens: Vec<Token>,
     pos: usize,
     /// Levels open around the current token.
     depth: usize,
+    /// The operands of the chains and subscript lists still being
+    /// parsed, innermost last. Each moves to the unit's operand list as
+    /// one run when its chain or list closes.
+    pending: Vec<ExprId>,
+    /// The operators of the chains still being parsed, likewise.
+    pending_ops: Vec<BinOp>,
 }
 
 impl<'s> Parser<'s> {
     pub(crate) fn new(source: &'s str) -> Result<Self, ParseError> {
         let tokens =
             lexer::tokenize(source).map_err(|(kind, span)| ParseError::new(kind, span, source))?;
+        // Each node is made at a token of its own (a literal, a name,
+        // a unary minus or a chain's first operator), so the token kinds
+        // bound every vector the parse fills.
+        let mut capacity = Capacity::default();
+        for token in &tokens {
+            match token.kind {
+                TokenKind::Int | TokenKind::Ident => capacity.nodes += 1,
+                TokenKind::Plus | TokenKind::Minus | TokenKind::Star | TokenKind::Slash => {
+                    capacity.nodes += 1;
+                    capacity.ops += 1;
+                }
+                TokenKind::KwFor => capacity.levels += 1,
+                TokenKind::KwArray => capacity.decls += 1,
+                TokenKind::LBracket => capacity.dims += 1,
+                TokenKind::Semi => capacity.stmts += 1,
+                _ => {}
+            }
+        }
+        if capacity.decls == 0 {
+            capacity.dims = 0;
+        }
         Ok(Parser {
-            source,
+            unit: Unit::with_capacity(source, capacity),
             tokens,
             pos: 0,
             depth: 0,
+            pending: Vec::with_capacity(capacity.nodes),
+            pending_ops: Vec::with_capacity(capacity.ops),
         })
+    }
+
+    fn source(&self) -> &'s str {
+        self.unit.source
     }
 
     fn peek(&self) -> Token {
@@ -331,17 +372,17 @@ impl<'s> Parser<'s> {
     }
 
     fn error(&self, kind: ParseErrorKind, span: Span) -> ParseError {
-        ParseError::new(kind, span, self.source)
+        ParseError::new(kind, span, self.source())
     }
 
     fn unexpected(&self, expected: &str) -> ParseError {
         let t = self.peek();
         self.error(
             ParseErrorKind::UnexpectedToken {
-                found: t.describe(self.source),
+                found: t.describe(self.source()),
                 expected: expected.to_owned(),
             },
-            t.span,
+            t.span(),
         )
     }
 
@@ -354,45 +395,41 @@ impl<'s> Parser<'s> {
     }
 
     /// Consumes an identifier and returns its text, borrowed from the
-    /// source (the caller allocates the name only to store it), and span.
+    /// source, and span.
     fn expect_ident(&mut self, what: &str) -> Result<(&'s str, Span), ParseError> {
         let t = self.expect(TokenKind::Ident, what)?;
-        Ok((t.text(self.source), t.span))
+        Ok((t.text(self.source()), t.span()))
+    }
+
+    /// Moves the pending operands from `mark` on to the unit's operand
+    /// list, as one run.
+    fn close_run(&mut self, mark: usize) -> Run {
+        let start = self.unit.operands.len();
+        self.unit.operands.extend(self.pending.drain(mark..));
+        Run::since(start, self.unit.operands.len())
     }
 
     /// Parses a complete `for` loop (possibly a nest); trailing tokens
     /// are an error. Array declarations are *not* accepted here — use
     /// [`Parser::parse_unit`] for sources with declarations.
-    pub(crate) fn parse_for_loop(mut self) -> Result<ForLoop, ParseError> {
+    pub(crate) fn parse_for_loop(mut self) -> Result<(Unit<'s>, ForLoop), ParseError> {
         let ast = self.parse_one_for()?;
         if self.peek().kind != TokenKind::Eof {
             return Err(self.unexpected("end of input"));
         }
-        Ok(ast)
+        Ok((self.unit, ast))
     }
 
     /// Parses a whole compilation unit: array declarations interleaved
     /// with one or more `for` loops (nests). Declarations scope over the
     /// entire unit.
-    pub(crate) fn parse_unit(
-        mut self,
-    ) -> Result<(Vec<super::ast::Decl>, Vec<ForLoop>), ParseError> {
-        let mut decls: Vec<super::ast::Decl> = Vec::new();
-        let mut loops = Vec::new();
+    pub(crate) fn parse_unit(mut self) -> Result<(Unit<'s>, Vec<ForLoop>), ParseError> {
+        let mut loops = Vec::with_capacity(self.unit.levels.capacity());
         loop {
             match self.peek().kind {
-                TokenKind::KwArray => {
-                    let decl = self.parse_decl()?;
-                    if decls.iter().any(|d| d.name == decl.name) {
-                        return Err(self.error(
-                            ParseErrorKind::DuplicateDeclaration(decl.name.clone()),
-                            decl.span,
-                        ));
-                    }
-                    decls.push(decl);
-                }
+                TokenKind::KwArray => self.parse_decl()?,
                 TokenKind::KwFor => loops.push(self.parse_one_for()?),
-                TokenKind::Eof if !loops.is_empty() => return Ok((decls, loops)),
+                TokenKind::Eof if !loops.is_empty() => return Ok((self.unit, loops)),
                 // Declarations alone are not a program.
                 TokenKind::Eof => return Err(self.unexpected("a `for` loop")),
                 _ => return Err(self.unexpected("`array`, `for` or end of input")),
@@ -401,46 +438,54 @@ impl<'s> Parser<'s> {
     }
 
     /// Parses `array name[d1][d2]…;`.
-    fn parse_decl(&mut self) -> Result<super::ast::Decl, ParseError> {
-        let start = self.expect(TokenKind::KwArray, "`array`")?.span;
-        let name = self.expect_ident("array name")?.0.to_owned();
-        let mut dims = Vec::new();
+    fn parse_decl(&mut self) -> Result<(), ParseError> {
+        let start = self.expect(TokenKind::KwArray, "`array`")?.span();
+        let (name, name_span) = self.expect_ident("array name")?;
+        let first_dim = self.unit.dims.len();
         while self.peek().kind == TokenKind::LBracket {
             self.bump();
             let dim_expr = self.parse_expr()?;
             let close = self.expect(TokenKind::RBracket, "`]`")?;
-            let span = Span::new(start.start, close.span.end);
-            match const_eval(&dim_expr) {
-                Some(d) if d > 0 => dims.push(d),
-                _ => return Err(self.error(ParseErrorKind::InvalidDimension(name.clone()), span)),
+            let span = Span::new(start.start, close.span().end);
+            match self.unit.const_eval(dim_expr) {
+                Some(d) if d > 0 => self.unit.dims.push(d),
+                _ => {
+                    return Err(self.error(ParseErrorKind::InvalidDimension(name.to_owned()), span))
+                }
             }
         }
-        if dims.is_empty() {
+        if self.unit.dims.len() == first_dim {
             return Err(self.unexpected("`[` (array declarations need dimensions)"));
         }
         let end = self.expect(TokenKind::Semi, "`;` after array declaration")?;
-        Ok(super::ast::Decl {
-            name,
-            dims,
-            span: Span::new(start.start, end.span.end),
-        })
+        let span = Span::new(start.start, end.span().end);
+        if self.unit.decl(name).is_some() {
+            return Err(self.error(ParseErrorKind::DuplicateDeclaration(name.to_owned()), span));
+        }
+        self.unit.push_decl(name_span, span, first_dim);
+        Ok(())
     }
 
     /// Parses one `for` loop (a nesting level) and the loops it nests.
     fn parse_one_for(&mut self) -> Result<ForLoop, ParseError> {
-        let span = self.peek().span;
-        self.nested(span, Self::parse_for_level)
+        let span = self.peek().span();
+        let first_level = self.unit.levels.len();
+        let body = self.nested(span, Self::parse_for_level)?;
+        Ok(self.unit.loop_from(first_level, body))
     }
 
-    fn parse_for_level(&mut self) -> Result<ForLoop, ParseError> {
-        let for_span = self.expect(TokenKind::KwFor, "`for`")?.span;
+    /// Parses one level's header, then its body: the level is pushed
+    /// before the levels it nests, so a nest's levels are one run.
+    /// Returns the run of the innermost body's statements.
+    fn parse_for_level(&mut self) -> Result<Run, ParseError> {
+        let for_span = self.expect(TokenKind::KwFor, "`for`")?.span();
         self.expect(TokenKind::LParen, "`(`")?;
 
         // init: var = expr
-        let (var, _) = self.expect_ident("loop variable")?;
+        let (var, var_span) = self.expect_ident("loop variable")?;
         self.expect(TokenKind::Assign, "`=` in loop init")?;
         let init = self.parse_expr()?;
-        let start = const_eval(&init);
+        let start = self.unit.const_eval(init);
         self.expect(TokenKind::Semi, "`;` after loop init")?;
 
         // cond: var <cmp> expr
@@ -465,48 +510,46 @@ impl<'s> Parser<'s> {
         };
         self.bump();
         let bound = self.parse_expr()?;
-        let cond = Cond { op, bound };
         self.expect(TokenKind::Semi, "`;` after loop condition")?;
 
         // update
         let update = self.parse_update(var)?;
         let header_end = self.expect(TokenKind::RParen, "`)` after loop header")?;
-        let span = Span::new(for_span.start, header_end.span.end);
+        self.unit.levels.push(Level {
+            var: var_span,
+            start,
+            init,
+            cond: Cond { op, bound },
+            update,
+            span: Span::new(for_span.start, header_end.span().end),
+        });
 
         // body: either statements or exactly one nested for.
         self.expect(TokenKind::LBrace, "`{`")?;
-        let mut body = Vec::new();
-        let mut nested: Option<Box<ForLoop>> = None;
+        let first_stmt = self.unit.stmts.len();
+        let mut nested: Option<Run> = None;
         while self.peek().kind != TokenKind::RBrace {
             match self.peek().kind {
                 TokenKind::Eof => return Err(self.unexpected("`}`, a statement or `for`")),
                 TokenKind::KwFor => {
-                    let span = self.peek().span;
-                    if nested.is_some() || !body.is_empty() {
+                    let span = self.peek().span();
+                    if nested.is_some() || self.unit.stmts.len() > first_stmt {
                         return Err(self.error(ParseErrorKind::ImperfectNest, span));
                     }
-                    nested = Some(Box::new(self.parse_one_for()?));
+                    nested = Some(self.parse_one_for()?.body);
                 }
                 _ => {
                     if nested.is_some() {
-                        let span = self.peek().span;
+                        let span = self.peek().span();
                         return Err(self.error(ParseErrorKind::ImperfectNest, span));
                     }
-                    body.push(self.parse_stmt()?);
+                    let stmt = self.parse_stmt()?;
+                    self.unit.stmts.push(stmt);
                 }
             }
         }
         self.expect(TokenKind::RBrace, "`}`")?;
-        Ok(ForLoop {
-            var: var.to_owned(),
-            start,
-            init,
-            cond,
-            update,
-            body,
-            nested,
-            span,
-        })
+        Ok(nested.unwrap_or_else(|| Run::since(first_stmt, self.unit.stmts.len())))
     }
 
     fn parse_update(&mut self, var: &str) -> Result<Update, ParseError> {
@@ -524,12 +567,12 @@ impl<'s> Parser<'s> {
             TokenKind::PlusAssign => {
                 self.bump();
                 let e = self.parse_expr()?;
-                const_eval(&e)
+                self.unit.const_eval(e)
             }
             TokenKind::MinusAssign => {
                 self.bump();
                 let e = self.parse_expr()?;
-                const_eval(&e).and_then(i64::checked_neg)
+                self.unit.const_eval(e).and_then(i64::checked_neg)
             }
             TokenKind::Assign => {
                 // i = i + k  |  i = i - k
@@ -543,7 +586,7 @@ impl<'s> Parser<'s> {
                 };
                 self.bump();
                 let e = self.parse_expr()?;
-                let k = const_eval(&e);
+                let k = self.unit.const_eval(e);
                 if negate {
                     k.and_then(i64::checked_neg)
                 } else {
@@ -574,28 +617,29 @@ impl<'s> Parser<'s> {
         ))
     }
 
-    /// Parses a (possibly multi-dimensional) `[e1][e2]…` subscript chain.
-    fn parse_subscripts(&mut self) -> Result<Vec<Expr>, ParseError> {
-        let mut indices = Vec::new();
+    /// Parses the name just consumed (`name`) as a scalar or, with a
+    /// `[e1][e2]…` subscript list, an array element.
+    fn parse_named(&mut self, name: Span) -> Result<ExprId, ParseError> {
+        if self.peek().kind != TokenKind::LBracket {
+            return Ok(self.unit.push(Node::Var(name)));
+        }
+        let mark = self.pending.len();
         while self.peek().kind == TokenKind::LBracket {
-            let open = self.bump().span;
-            indices.push(self.nested(open, Self::parse_expr)?);
+            let open = self.bump().span();
+            let index = self.nested(open, Self::parse_expr)?;
+            self.pending.push(index);
             self.expect(TokenKind::RBracket, "`]`")?;
         }
-        Ok(indices)
+        let subscripts = self.close_run(mark);
+        Ok(self.unit.push(Node::Index {
+            array: name,
+            subscripts,
+        }))
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
-        let (name, start_span) = self.expect_ident("a statement")?;
-        let lhs = if self.peek().kind == TokenKind::LBracket {
-            let indices = self.parse_subscripts()?;
-            LValue::Element {
-                array: name.to_owned(),
-                indices,
-            }
-        } else {
-            LValue::Scalar(name.to_owned())
-        };
+        let (_, start_span) = self.expect_ident("a statement")?;
+        let lhs = self.parse_named(start_span)?;
         let op = match self.peek().kind {
             TokenKind::Assign => AssignOp::Assign,
             TokenKind::PlusAssign => AssignOp::AddAssign,
@@ -610,11 +654,11 @@ impl<'s> Parser<'s> {
             lhs,
             op,
             rhs,
-            span: Span::new(start_span.start, end.span.end),
+            span: Span::new(start_span.start, end.span().end),
         })
     }
 
-    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+    fn parse_expr(&mut self) -> Result<ExprId, ParseError> {
         self.parse_chain(Self::parse_term, |kind| match kind {
             TokenKind::Plus => Some(BinOp::Add),
             TokenKind::Minus => Some(BinOp::Sub),
@@ -622,7 +666,7 @@ impl<'s> Parser<'s> {
         })
     }
 
-    fn parse_term(&mut self) -> Result<Expr, ParseError> {
+    fn parse_term(&mut self) -> Result<ExprId, ParseError> {
         self.parse_chain(Self::parse_factor, |kind| match kind {
             TokenKind::Star => Some(BinOp::Mul),
             TokenKind::Slash => Some(BinOp::Div),
@@ -631,95 +675,71 @@ impl<'s> Parser<'s> {
     }
 
     /// Parses `operand (op operand)*` for the operators `op_of` maps to,
-    /// as one [`Expr::Chain`], or the lone operand when there is no
-    /// operator.
+    /// as one chain node, or the lone operand when there is no operator.
     fn parse_chain(
         &mut self,
-        operand: fn(&mut Self) -> Result<Expr, ParseError>,
+        operand: fn(&mut Self) -> Result<ExprId, ParseError>,
         op_of: fn(TokenKind) -> Option<BinOp>,
-    ) -> Result<Expr, ParseError> {
+    ) -> Result<ExprId, ParseError> {
         let first = operand(self)?;
-        let mut rest = Vec::new();
+        if op_of(self.peek().kind).is_none() {
+            return Ok(first);
+        }
+        let (mark, ops_mark) = (self.pending.len(), self.pending_ops.len());
+        self.pending.push(first);
         while let Some(op) = op_of(self.peek().kind) {
             self.bump();
-            rest.push((op, operand(self)?));
+            self.pending_ops.push(op);
+            let next = operand(self)?;
+            self.pending.push(next);
         }
-        Ok(if rest.is_empty() {
-            first
-        } else {
-            Expr::Chain {
-                first: Box::new(first),
-                rest,
-            }
-        })
+        let operands = self.close_run(mark);
+        let ops_at = self.unit.ops.len() as u32;
+        self.unit.ops.extend(self.pending_ops.drain(ops_mark..));
+        Ok(self.unit.push(Node::Chain { operands, ops_at }))
     }
 
-    fn parse_factor(&mut self) -> Result<Expr, ParseError> {
+    fn parse_factor(&mut self) -> Result<ExprId, ParseError> {
         let t = self.peek();
         match t.kind {
-            TokenKind::Int(n) => {
+            TokenKind::Int => {
                 self.bump();
-                Ok(Expr::Num(n))
+                let n = t.value(self.source());
+                Ok(self.unit.push(Node::Num(n)))
             }
             TokenKind::Minus => {
                 self.bump();
-                let operand = self.nested(t.span, Self::parse_factor)?;
-                Ok(Expr::Neg(Box::new(operand)))
+                let operand = self.nested(t.span(), Self::parse_factor)?;
+                Ok(self.unit.push(Node::Neg(operand)))
             }
             TokenKind::LParen => {
                 self.bump();
-                let e = self.nested(t.span, Self::parse_expr)?;
+                let e = self.nested(t.span(), Self::parse_expr)?;
                 self.expect(TokenKind::RParen, "`)`")?;
                 Ok(e)
             }
             TokenKind::Ident => {
                 self.bump();
-                let name = t.text(self.source).to_owned();
-                if self.peek().kind == TokenKind::LBracket {
-                    let indices = self.parse_subscripts()?;
-                    Ok(Expr::Index {
-                        array: name,
-                        indices,
-                    })
-                } else {
-                    Ok(Expr::Var(name))
-                }
+                self.parse_named(t.span())
             }
             _ => Err(self.unexpected("an expression")),
         }
     }
 }
 
-/// Constant-folds an expression; `None` if it references any variable.
-pub(crate) fn const_eval(e: &Expr) -> Option<i64> {
-    match e {
-        Expr::Num(n) => Some(*n),
-        Expr::Var(_) | Expr::Index { .. } => None,
-        Expr::Neg(inner) => const_eval(inner)?.checked_neg(),
-        Expr::Chain { first, rest } => rest.iter().try_fold(const_eval(first)?, |l, (op, e)| {
-            let r = const_eval(e)?;
-            match op {
-                BinOp::Add => l.checked_add(r),
-                BinOp::Sub => l.checked_sub(r),
-                BinOp::Mul => l.checked_mul(r),
-                BinOp::Div => {
-                    if r == 0 {
-                        None
-                    } else {
-                        l.checked_div(r)
-                    }
-                }
-            }
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsl::Expr;
 
-    fn parse(src: &str) -> ForLoop {
+    fn parse(src: &str) -> (Unit<'_>, ForLoop) {
         Parser::new(src).unwrap().parse_for_loop().unwrap()
+    }
+
+    /// The header of a single loop.
+    fn level(src: &str) -> Level {
+        let (unit, ast) = parse(src);
+        unit.levels(&ast)[0]
     }
 
     fn parse_err(src: &str) -> ParseError {
@@ -732,27 +752,27 @@ mod tests {
     #[test]
     fn parses_all_update_forms() {
         assert_eq!(
-            parse("for (i = 0; i < 9; i++) { }").update,
+            level("for (i = 0; i < 9; i++) { }").update,
             Update::Increment
         );
         assert_eq!(
-            parse("for (i = 9; i > 0; i--) { }").update,
+            level("for (i = 9; i > 0; i--) { }").update,
             Update::Decrement
         );
         assert_eq!(
-            parse("for (i = 0; i < 9; i += 2) { }").update,
+            level("for (i = 0; i < 9; i += 2) { }").update,
             Update::Step(2)
         );
         assert_eq!(
-            parse("for (i = 9; i > 0; i -= 3) { }").update,
+            level("for (i = 9; i > 0; i -= 3) { }").update,
             Update::Step(-3)
         );
         assert_eq!(
-            parse("for (i = 0; i < 9; i = i + 4) { }").update,
+            level("for (i = 0; i < 9; i = i + 4) { }").update,
             Update::Step(4)
         );
         assert_eq!(
-            parse("for (i = 9; i > 0; i = i - 1) { }").update,
+            level("for (i = 9; i > 0; i = i - 1) { }").update,
             Update::Step(-1)
         );
     }
@@ -787,31 +807,35 @@ mod tests {
 
     #[test]
     fn captures_constant_and_symbolic_starts() {
-        assert_eq!(parse("for (i = 2; i <= 9; i++) { }").start, Some(2));
-        assert_eq!(parse("for (i = 1 + 1; i <= 9; i++) { }").start, Some(2));
-        assert_eq!(parse("for (i = n0; i <= 9; i++) { }").start, None);
+        assert_eq!(level("for (i = 2; i <= 9; i++) { }").start, Some(2));
+        assert_eq!(level("for (i = 1 + 1; i <= 9; i++) { }").start, Some(2));
+        assert_eq!(level("for (i = n0; i <= 9; i++) { }").start, None);
     }
 
     #[test]
     fn parses_statement_shapes() {
-        let ast = parse(
+        let (unit, ast) = parse(
             "for (i = 0; i < 9; i++) {
                 s = A[i] * 2;
                 A[i + 1] += s - 1;
                 t *= 3;
             }",
         );
-        assert_eq!(ast.body.len(), 3);
-        assert_eq!(ast.body[0].to_string(), "s = A[i] * 2;");
-        assert_eq!(ast.body[1].to_string(), "A[i + 1] += s - 1;");
-        assert_eq!(ast.body[2].to_string(), "t *= 3;");
+        let printed: Vec<String> = unit
+            .body(&ast)
+            .iter()
+            .map(|stmt| unit.display_stmt(stmt).to_string())
+            .collect();
+        assert_eq!(printed, ["s = A[i] * 2;", "A[i + 1] += s - 1;", "t *= 3;"]);
     }
 
     #[test]
     fn expression_precedence_is_conventional() {
-        let ast = parse("for (i = 0; i < 9; i++) { s = 1 + 2 * 3; }");
-        match &ast.body[0].rhs {
-            Expr::Chain { rest, .. } if rest.len() == 1 && rest[0].0 == BinOp::Add => {}
+        let (unit, ast) = parse("for (i = 0; i < 9; i++) { s = 1 + 2 * 3; }");
+        match unit.expr(unit.body(&ast)[0].rhs) {
+            Expr::Chain {
+                ops: [BinOp::Add], ..
+            } => {}
             other => panic!("expected top-level add, got {other:?}"),
         }
     }
@@ -842,11 +866,17 @@ mod tests {
 
     #[test]
     fn const_eval_folds_and_rejects() {
-        let p = |src: &str| Parser::new(src).unwrap().parse_expr().unwrap();
-        assert_eq!(const_eval(&p("1 + 2 * 3")), Some(7));
-        assert_eq!(const_eval(&p("-(4) / 2")), Some(-2));
-        assert_eq!(const_eval(&p("4 / 0")), None);
-        assert_eq!(const_eval(&p("x + 1")), None);
+        let eval = |src: &str| {
+            let mut parser = Parser::new(src).unwrap();
+            let e = parser.parse_expr().unwrap();
+            parser.unit.const_eval(e)
+        };
+        assert_eq!(eval("1 + 2 * 3"), Some(7));
+        assert_eq!(eval("-(4) / 2"), Some(-2));
+        assert_eq!(eval("4 / 0"), None);
+        assert_eq!(eval("x + 1"), None);
+        assert_eq!(eval("x[1]"), None);
+        assert_eq!(eval("9223372036854775807 + 1"), None);
     }
 
     #[test]
@@ -874,7 +904,7 @@ mod tests {
                 .collect();
             format!("{header}{stmt}{}", " }".repeat(n))
         };
-        let program = |src: &str| Parser::new(src).unwrap().parse_unit();
+        let program = |src: &str| Parser::new(src).unwrap().parse_unit().map(drop);
         assert!(program(&loops(MAX_NESTING_DEPTH, "s += 1;")).is_ok());
         let err = program(&loops(MAX_NESTING_DEPTH + 1, "s += 1;")).unwrap_err();
         assert_eq!(*err.kind(), ParseErrorKind::NestingTooDeep);
@@ -893,8 +923,8 @@ mod tests {
     #[test]
     fn statement_spans_cover_the_statement() {
         let src = "for (i = 0; i < 9; i++) { s = A[i]; }";
-        let ast = parse(src);
-        let span = ast.body[0].span;
+        let (unit, ast) = parse(src);
+        let span = unit.body(&ast)[0].span;
         assert_eq!(&src[span.start..span.end], "s = A[i];");
     }
 }

@@ -1,17 +1,17 @@
 //! Pretty printers for loops and access patterns.
 //!
 //! Two renderings are provided: the C-like source of a parsed
-//! [`ForLoop`] AST, and the paper-style annotated
+//! [`ForLoop`], read from its [`Unit`], and the paper-style annotated
 //! access listing of a [`LoopSpec`] (compare the example loop in Section 2
 //! of the paper, where each access is labelled `a_k` and its offset is
 //! shown as a comment).
 
 use std::fmt::Write as _;
 
-use crate::dsl::ForLoop;
+use crate::dsl::{ForLoop, Unit, Update};
 use crate::model::{AccessKind, LoopSpec};
 
-/// Renders a parsed AST back to C-like source.
+/// Renders a parsed loop (nest) back to C-like source.
 ///
 /// The output is normalized (one statement per line, canonical spacing)
 /// but semantically identical to the input.
@@ -20,40 +20,41 @@ use crate::model::{AccessKind, LoopSpec};
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let ast = raco_ir::dsl::parse_for("for(i=0;i<8;i++){y[i]=x[i+1];}")?;
-/// let printed = raco_ir::pretty::print_for(&ast);
+/// let (unit, ast) = raco_ir::dsl::parse_for("for(i=0;i<8;i++){y[i]=x[i+1];}")?;
+/// let printed = raco_ir::pretty::print_for(&unit, &ast);
 /// assert!(printed.contains("for (i = 0; i < 8; i++) {"));
 /// assert!(printed.contains("    y[i] = x[i + 1];"));
 /// # Ok(())
 /// # }
 /// ```
-pub fn print_for(ast: &ForLoop) -> String {
+pub fn print_for(unit: &Unit<'_>, ast: &ForLoop) -> String {
     let mut out = String::new();
-    print_for_level(&mut out, ast, 0);
+    let levels = unit.levels(ast);
+    for (depth, level) in levels.iter().enumerate() {
+        let var = unit.text(level.var);
+        let update = match level.update {
+            Update::Increment => format!("{var}++"),
+            Update::Decrement => format!("{var}--"),
+            Update::Step(k) if k >= 0 => format!("{var} += {k}"),
+            Update::Step(k) => format!("{var} -= {}", -k),
+        };
+        let pad = "    ".repeat(depth);
+        let _ = writeln!(
+            out,
+            "{pad}for ({var} = {}; {var} {} {}; {update}) {{",
+            unit.display_expr(level.init),
+            level.cond.op,
+            unit.display_expr(level.cond.bound)
+        );
+    }
+    let pad = "    ".repeat(levels.len());
+    for stmt in unit.body(ast) {
+        let _ = writeln!(out, "{pad}{}", unit.display_stmt(stmt));
+    }
+    for depth in (0..levels.len()).rev() {
+        let _ = writeln!(out, "{}}}", "    ".repeat(depth));
+    }
     out
-}
-
-fn print_for_level(out: &mut String, ast: &ForLoop, depth: usize) {
-    use crate::dsl::Update;
-    let update = match ast.update {
-        Update::Increment => format!("{}++", ast.var),
-        Update::Decrement => format!("{}--", ast.var),
-        Update::Step(k) if k >= 0 => format!("{} += {k}", ast.var),
-        Update::Step(k) => format!("{} -= {}", ast.var, -k),
-    };
-    let pad = "    ".repeat(depth);
-    let _ = writeln!(
-        out,
-        "{pad}for ({} = {}; {} {} {}; {update}) {{",
-        ast.var, ast.init, ast.var, ast.cond.op, ast.cond.bound
-    );
-    if let Some(inner) = &ast.nested {
-        print_for_level(out, inner, depth + 1);
-    }
-    for stmt in &ast.body {
-        let _ = writeln!(out, "{pad}    {stmt}");
-    }
-    let _ = writeln!(out, "{pad}}}");
 }
 
 /// Renders a [`LoopSpec`] as the paper-style annotated access listing.
@@ -144,13 +145,14 @@ mod tests {
             acc = acc + A[i + 1] * A[i];
             B[2 * i] += A[i - 1];
         }";
-        let ast = parse_for(src).unwrap();
-        let printed = print_for(&ast);
-        let reparsed = parse_for(&printed).unwrap();
+        let (unit, ast) = parse_for(src).unwrap();
+        let printed = print_for(&unit, &ast);
+        let (reunit, reparsed) = parse_for(&printed).unwrap();
         // Compare lowered semantics rather than spans.
-        let a = crate::dsl::lower_loop(&ast).unwrap();
-        let b = crate::dsl::lower_loop(&reparsed).unwrap();
+        let a = crate::dsl::lower_unit_loop(&unit, &ast).unwrap();
+        let b = crate::dsl::lower_unit_loop(&reunit, &reparsed).unwrap();
         assert_eq!(a, b);
+        assert_eq!(print_for(&reunit, &reparsed), printed);
     }
 
     #[test]
@@ -182,6 +184,17 @@ mod tests {
     }
 
     #[test]
+    fn print_for_indents_each_nest_level() {
+        let (unit, ast) =
+            parse_for("for (i = 0; i < 2; i++) { for (j = n; j > -1; j--) { s += x[j]; } }")
+                .unwrap();
+        assert_eq!(
+            print_for(&unit, &ast),
+            "for (i = 0; i < 2; i++) {\n    for (j = n; j > -(1); j--) {\n        s += x[j];\n    }\n}\n"
+        );
+    }
+
+    #[test]
     fn print_for_update_forms() {
         for (src, needle) in [
             ("for (i = 0; i < 8; i++) { }", "i++"),
@@ -189,7 +202,8 @@ mod tests {
             ("for (i = 0; i < 8; i += 3) { }", "i += 3"),
             ("for (i = 8; i > 0; i -= 2) { }", "i -= 2"),
         ] {
-            let printed = print_for(&parse_for(src).unwrap());
+            let (unit, ast) = parse_for(src).unwrap();
+            let printed = print_for(&unit, &ast);
             assert!(printed.contains(needle), "`{printed}` lacks `{needle}`");
         }
     }

@@ -5,7 +5,7 @@
 //! provides the standard substitution: a suite of classic DSP kernels (in
 //! the spirit of DSPstone) written in the `raco-ir` DSL. Each kernel
 //! carries the per-iteration *compute* instruction count (derived from
-//! its own AST) so that experiments can report whole-loop code-size and
+//! its own parsed loop) so that experiments can report whole-loop code-size and
 //! cycle improvements, not just addressing overhead.
 //!
 //! [`suite()`] is built once per process: the first call parses and
@@ -27,7 +27,7 @@
 
 use std::sync::OnceLock;
 
-use raco_ir::dsl::{self, Expr, ForLoop};
+use raco_ir::dsl::{self, Expr, ExprId, ForLoop, Unit};
 use raco_ir::LoopSpec;
 
 /// One benchmark kernel: DSL source, parsed loop and compute metadata.
@@ -50,7 +50,7 @@ impl Kernel {
     /// loop — kernels are compiled-in constants, so a parse failure is a
     /// bug in this crate.
     pub fn from_source(name: &str, description: &str, source: &str) -> Self {
-        let (decls, loops) = dsl::parse_unit(source)
+        let (unit, loops) = dsl::parse_unit(source)
             .unwrap_or_else(|e| panic!("kernel `{name}` does not parse: {e}"));
         assert!(
             loops.len() == 1,
@@ -58,9 +58,9 @@ impl Kernel {
             loops.len()
         );
         let ast = &loops[0];
-        let spec = dsl::lower_unit_loop(&decls, ast)
+        let spec = dsl::lower_unit_loop(&unit, ast)
             .unwrap_or_else(|e| panic!("kernel `{name}` does not lower: {e}"));
-        let compute_ops = count_compute_ops(ast.innermost());
+        let compute_ops = count_compute_ops(&unit, ast);
         Kernel {
             name: name.to_owned(),
             description: description.to_owned(),
@@ -106,24 +106,24 @@ impl Kernel {
 /// Counts arithmetic operators in the (innermost) loop body — compute
 /// instructions per innermost iteration. Compound assignments contribute
 /// their implicit operator.
-fn count_compute_ops(ast: &ForLoop) -> u64 {
-    fn expr_ops(e: &Expr) -> u64 {
-        match e {
+fn count_compute_ops(unit: &Unit<'_>, ast: &ForLoop) -> u64 {
+    fn expr_ops(unit: &Unit<'_>, e: ExprId) -> u64 {
+        match unit.expr(e) {
             Expr::Num(_) | Expr::Var(_) => 0,
             Expr::Index { .. } => 0, // address arithmetic is the AGU's job
-            Expr::Neg(inner) => 1 + expr_ops(inner),
-            Expr::Chain { first, rest } => rest
+            Expr::Neg(inner) => 1 + expr_ops(unit, inner),
+            Expr::Chain { first, rest, .. } => rest
                 .iter()
-                .fold(expr_ops(first), |ops, (_, e)| ops + 1 + expr_ops(e)),
+                .fold(expr_ops(unit, first), |ops, &e| ops + 1 + expr_ops(unit, e)),
         }
     }
-    ast.body
+    unit.body(ast)
         .iter()
         .map(|stmt| {
             let implicit = u64::from(stmt.op.reads_lhs());
             // A statement without arithmetic is still one data-path
             // instruction (a move).
-            (implicit + expr_ops(&stmt.rhs)).max(1)
+            (implicit + expr_ops(unit, stmt.rhs)).max(1)
         })
         .sum()
 }

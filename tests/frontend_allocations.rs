@@ -1,9 +1,11 @@
 //! Heap allocations of the DSL front end, counted by this binary's own
-//! global allocator, so the bound holds on any host: parse + lower of
+//! global allocator, so the bounds hold on any host: parse + lower of
 //! three fixed units stays at most half of what the front end made when
 //! identifiers were owned strings and lowering built a vector per
-//! expression node, and lowering a subscript allocates the same number
-//! of times whatever its length.
+//! expression node, and within what one flat table per unit makes;
+//! parsing allocates the same number of times however many statements
+//! and accesses a unit has, and lowering a subscript the same number of
+//! times whatever its length.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -132,4 +134,38 @@ fn lowering_a_subscript_allocates_independently_of_its_length() {
         allocations(|| dsl::lower_unit_loop(&decls, &loops[0]).expect("lowers"))
     };
     assert_eq!(lower_allocations(1), lower_allocations(32));
+}
+
+#[test]
+fn parse_and_lower_of_the_fixed_units_stay_at_the_flat_table_count() {
+    // The owned tree took 281 allocations for the three units (206 of
+    // them in parsing): a `String` per name, a `Vec` per subscript list
+    // and chain, a `Box` per chain and negation. One flat table per
+    // unit takes 106 (31 in parsing).
+    const FLAT_TABLE: u64 = 106;
+    parse_and_lower(SINGLE_LOOP); // warm any lazy one-time state
+    let counts: Vec<u64> = [MULTI_LOOP, SINGLE_LOOP, TRIPLE_NEST]
+        .iter()
+        .map(|source| allocations(|| parse_and_lower(source)))
+        .collect();
+    let total: u64 = counts.iter().sum();
+    assert!(
+        total <= FLAT_TABLE,
+        "parse + lower made {total} allocations {counts:?}, more than {FLAT_TABLE}"
+    );
+}
+
+#[test]
+fn parsing_allocates_independently_of_the_unit_length() {
+    // A loop of `statements` statements, each reading `reads` elements.
+    let parse_allocations = |statements: usize, reads: usize| {
+        let rhs = vec!["x[i - 1] * 2 + -x[i + 1]"; reads].join(" - ");
+        let body = format!("  y[i][i + 1] += {rhs};\n").repeat(statements);
+        let source = format!("array y[64][65];\nfor (i = 0; i < 64; i++) {{\n{body}}}\n");
+        allocations(|| dsl::parse_unit(&source).expect("parses"))
+    };
+    let one = parse_allocations(1, 1);
+    assert_eq!(one, parse_allocations(64, 1), "64 statements");
+    assert_eq!(one, parse_allocations(1, 64), "64 reads in one statement");
+    assert_eq!(one, parse_allocations(64, 64), "64 statements of 64 reads");
 }

@@ -1,91 +1,77 @@
 //! Property-based tests of the DSL front end: printing and re-parsing
 //! round-trips, affine index extraction, and program-level parsing.
+//! Loops are drawn as source text and parsed, so every tree the
+//! properties see is one the parser builds.
 
 use proptest::prelude::*;
 
-use raco::ir::dsl::{self, AssignOp, BinOp, CmpOp, Cond, Expr, ForLoop, LValue, Stmt, Update};
+use raco::ir::dsl;
 use raco::ir::pretty;
 
-/// Strategy: a random expression over the loop variable `i`, scalars and
-/// array elements (depth-limited).
-fn expr() -> impl Strategy<Value = Expr> {
+/// Strategy: the source text of a random expression over the loop
+/// variable `i`, scalars and array elements (depth-limited). An
+/// operation is written with or without parentheses around it, so the
+/// parsed trees nest chains to the left and to the right, mix
+/// precedences and run several operators in one chain, and the printer
+/// must choose every parenthesis itself.
+fn expr() -> impl Strategy<Value = String> {
     let leaf = prop_oneof![
-        (-30i64..=30).prop_map(Expr::Num),
-        Just(Expr::Var("i".to_owned())),
-        Just(Expr::Var("s".to_owned())),
-        (-6i64..=6).prop_map(|d| Expr::index(
-            "A",
-            Expr::binary(BinOp::Add, Expr::Var("i".to_owned()), Expr::Num(d)),
-        )),
-        (-6i64..=6).prop_map(|d| Expr::index(
-            "B",
-            Expr::binary(BinOp::Sub, Expr::Num(d), Expr::Var("i".to_owned())),
-        )),
+        // A negative literal parses as a negation.
+        (-30i64..=30).prop_map(|n| n.to_string()),
+        Just("i".to_owned()),
+        Just("s".to_owned()),
+        (-6i64..=6).prop_map(|d| format!("A[i + {d}]")),
+        (-6i64..=6).prop_map(|d| format!("B[{d} - i]")),
     ];
     leaf.prop_recursive(3, 24, 2, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::binary(BinOp::Add, a, b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::binary(BinOp::Sub, a, b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a} + {b})")),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a} - {b})")),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("{a} + {b}")),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("{a} - {b}")),
             // Multiplication only by a constant keeps indices affine.
-            (inner.clone(), -4i64..=4).prop_map(|(a, c)| Expr::binary(BinOp::Mul, a, Expr::Num(c))),
-            inner.prop_map(|e| Expr::Neg(Box::new(e))),
+            (inner.clone(), -4i64..=4).prop_map(|(a, c)| format!("({a} * {c})")),
+            (inner.clone(), -4i64..=4).prop_map(|(a, c)| format!("{a} * {c}")),
+            inner.prop_map(|e| format!("-({e})")),
         ]
     })
 }
 
-fn stmt() -> impl Strategy<Value = Stmt> {
+fn stmt() -> impl Strategy<Value = String> {
     (
         prop_oneof![
-            Just(LValue::Scalar("acc".to_owned())),
-            (-4i64..=4).prop_map(|d| LValue::element(
-                "Y",
-                Expr::binary(BinOp::Add, Expr::Var("i".to_owned()), Expr::Num(d)),
-            )),
+            Just("acc".to_owned()),
+            (-4i64..=4).prop_map(|d| format!("Y[i + {d}]")),
         ],
-        prop_oneof![
-            Just(AssignOp::Assign),
-            Just(AssignOp::AddAssign),
-            Just(AssignOp::SubAssign),
-            Just(AssignOp::MulAssign),
-        ],
+        prop_oneof![Just("="), Just("+="), Just("-="), Just("*=")],
         expr(),
     )
-        .prop_map(|(lhs, op, rhs)| Stmt {
-            lhs,
-            op,
-            rhs,
-            span: Default::default(),
-        })
+        .prop_map(|(lhs, op, rhs)| format!("{lhs} {op} {rhs};"))
 }
 
-fn for_loop() -> impl Strategy<Value = ForLoop> {
+/// Strategy: the source text of a loop over `i` with one to five
+/// statements, its update in every form the parser accepts.
+fn for_loop() -> impl Strategy<Value = String> {
     (
         -8i64..=8,
         1i64..=200,
         prop_oneof![
-            Just(Update::Increment),
-            Just(Update::Decrement),
-            (2i64..=4).prop_map(Update::Step),
-            (-4i64..=-2).prop_map(Update::Step),
+            Just("i++".to_owned()),
+            Just("i--".to_owned()),
+            (2i64..=4).prop_map(|k| format!("i += {k}")),
+            (2i64..=4).prop_map(|k| format!("i -= {k}")),
+            (2i64..=4).prop_map(|k| format!("i = i + {k}")),
+            (2i64..=4).prop_map(|k| format!("i = i - {k}")),
         ],
         prop::collection::vec(stmt(), 1..=5),
     )
-        .prop_map(|(start, bound, update, body)| ForLoop {
-            var: "i".to_owned(),
-            start: Some(start),
-            init: Expr::Num(start),
-            cond: Cond {
-                op: if update.stride() > 0 {
-                    CmpOp::Lt
-                } else {
-                    CmpOp::Gt
-                },
-                bound: Expr::Num(bound),
-            },
-            update,
-            body,
-            nested: None,
-            span: Default::default(),
+        .prop_map(|(start, bound, update, body)| {
+            let up = update == "i++" || update.contains('+');
+            let cmp = if up { "<" } else { ">" };
+            format!(
+                "for (i = {start}; i {cmp} {bound}; {update}) {{ {} }}",
+                body.join(" ")
+            )
         })
 }
 
@@ -93,17 +79,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
     #[test]
-    fn print_parse_round_trip_preserves_semantics(ast in for_loop()) {
-        let printed = pretty::print_for(&ast);
-        let reparsed = dsl::parse_for(&printed)
+    fn print_parse_round_trip_preserves_semantics(source in for_loop()) {
+        let (unit, ast) = dsl::parse_for(&source)
+            .unwrap_or_else(|e| panic!("generated source must parse: {e}\n{source}"));
+        let printed = pretty::print_for(&unit, &ast);
+        let (reunit, reparsed) = dsl::parse_for(&printed)
             .unwrap_or_else(|e| panic!("printed source must re-parse: {e}\n{printed}"));
         // Compare lowered semantics (spans differ); both may fail to
         // lower only in exactly the same way (e.g. mixed coefficients).
-        match (dsl::lower_loop(&ast), dsl::lower_loop(&reparsed)) {
+        match (dsl::lower_unit_loop(&unit, &ast), dsl::lower_unit_loop(&reunit, &reparsed)) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "printed:\n{}", printed),
             (Err(ea), Err(eb)) => prop_assert_eq!(ea.kind(), eb.kind()),
             (a, b) => prop_assert!(false, "lowering diverged: {:?} vs {:?}", a, b),
         }
+        // Printing is a fixed point after one round: the printed text
+        // parses to a tree that prints the same.
+        prop_assert_eq!(pretty::print_for(&reunit, &reparsed), printed.clone(), "source:\n{}", source);
     }
 
     #[test]
@@ -146,8 +137,8 @@ proptest! {
     }
 
     #[test]
-    fn listings_mention_every_access(ast in for_loop()) {
-        if let Ok(spec) = dsl::lower_loop(&ast) {
+    fn listings_mention_every_access(source in for_loop()) {
+        if let Ok(spec) = dsl::parse_loop(&source) {
             if spec.is_empty() {
                 return Ok(());
             }

@@ -3,7 +3,7 @@
 //!
 //! 1. **Lowerer vs. reference interpreter**: a generated loop nest is
 //!    lowered to the flat [`LoopSpec`] and its captured address trace
-//!    must equal *direct interpretation* of the nest AST (walking the
+//!    must equal *direct interpretation* of the parsed nest (walking the
 //!    levels, evaluating every subscript against the declarations).
 //!    This pins down linearization, start folding, coefficients and
 //!    outer-loop carries in one equation.
@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use raco::core::Optimizer;
 use raco::driver::{Parallelism, Pipeline, PipelineConfig};
 use raco::ir::canonical::CanonicalPattern;
-use raco::ir::dsl::{self, CmpOp, Decl, Expr, ForLoop, LValue, Update};
+use raco::ir::dsl::{self, CmpOp, Expr, ExprId, ForLoop, Level, Stmt, Unit, Update};
 use raco::ir::{AccessPattern, AguSpec, LoopSpec, MemoryLayout, Trace};
 
 // ---- generator -------------------------------------------------------
@@ -188,51 +188,51 @@ fn case_seed() -> impl Strategy<Value = u64> {
 
 // ---- reference interpreter -------------------------------------------
 
-/// Directly interprets the nest AST: walks the loop levels, evaluates
-/// every subscript against the declarations, and records the absolute
-/// address of each access in execution order. Shares nothing with the
-/// flattening lowerer except the statement-level access ordering rules.
-fn interpret(decls: &[Decl], ast: &ForLoop, spec: &LoopSpec, layout: &MemoryLayout) -> Vec<i64> {
-    fn eval(e: &Expr, env: &HashMap<String, i64>) -> i64 {
-        match e {
-            Expr::Num(n) => *n,
+/// Directly interprets the parsed nest: walks the loop levels,
+/// evaluates every subscript against the declarations, and records the
+/// absolute address of each access in execution order. Shares nothing
+/// with the flattening lowerer except the statement-level access
+/// ordering rules.
+fn interpret(unit: &Unit<'_>, ast: &ForLoop, spec: &LoopSpec, layout: &MemoryLayout) -> Vec<i64> {
+    fn eval(unit: &Unit<'_>, e: ExprId, env: &HashMap<String, i64>) -> i64 {
+        match unit.expr(e) {
+            Expr::Num(n) => n,
             Expr::Var(v) => *env.get(v).expect("bound variable"),
-            Expr::Neg(inner) => -eval(inner, env),
-            Expr::Chain { first, rest } => {
+            Expr::Neg(inner) => -eval(unit, inner, env),
+            Expr::Chain { first, ops, rest } => {
                 use raco::ir::dsl::BinOp;
-                rest.iter().fold(eval(first, env), |l, (op, e)| {
-                    let r = eval(e, env);
-                    match op {
-                        BinOp::Add => l + r,
-                        BinOp::Sub => l - r,
-                        BinOp::Mul => l * r,
-                        BinOp::Div => l / r,
-                    }
-                })
+                ops.iter()
+                    .zip(rest)
+                    .fold(eval(unit, first, env), |l, (op, &e)| {
+                        let r = eval(unit, e, env);
+                        match op {
+                            BinOp::Add => l + r,
+                            BinOp::Sub => l - r,
+                            BinOp::Mul => l * r,
+                            BinOp::Div => l / r,
+                        }
+                    })
             }
             Expr::Index { .. } => panic!("generated subscripts never nest array accesses"),
         }
     }
 
     fn address(
-        decls: &[Decl],
+        unit: &Unit<'_>,
         spec: &LoopSpec,
         layout: &MemoryLayout,
         env: &HashMap<String, i64>,
         array: &str,
-        indices: &[Expr],
+        subscripts: &[ExprId],
     ) -> i64 {
         let base = layout
             .base(spec.array_id(array).expect("lowered arrays are registered"))
             .expect("layout covers the loop's arrays");
-        let dims: &[i64] = decls
-            .iter()
-            .find(|d| d.name == array)
-            .map_or(&[1][..], |d| &d.dims);
+        let dims: &[i64] = unit.decl(array).map_or(&[1][..], |d| unit.dims(d));
         let mut addr = base;
         let mut stride = 1i64;
-        for (k, index) in indices.iter().enumerate().rev() {
-            addr += stride * eval(index, env);
+        for (k, &index) in subscripts.iter().enumerate().rev() {
+            addr += stride * eval(unit, index, env);
             stride *= dims[k];
         }
         addr
@@ -249,46 +249,57 @@ fn interpret(decls: &[Decl], ast: &ForLoop, spec: &LoopSpec, layout: &MemoryLayo
         }
     }
 
+    /// Runs `levels[0]` over the levels it nests, then `body`.
     fn walk(
-        decls: &[Decl],
-        ast: &ForLoop,
+        unit: &Unit<'_>,
+        levels: &[Level],
+        body: &[Stmt],
         spec: &LoopSpec,
         layout: &MemoryLayout,
         env: &mut HashMap<String, i64>,
         out: &mut Vec<i64>,
     ) {
-        let start = eval(&ast.init, env);
-        let stride = match ast.update {
+        let Some((level, inner)) = levels.split_first() else {
+            for stmt in body {
+                // Same ordering contract as the lowerer: RHS reads left
+                // to right, then LHS read (compound), then LHS write.
+                unit.visit_indices(stmt.rhs, &mut |name, subscripts| {
+                    out.push(address(unit, spec, layout, env, name, subscripts));
+                });
+                if let Expr::Index { array, subscripts } = unit.expr(stmt.lhs) {
+                    if stmt.op.reads_lhs() {
+                        out.push(address(unit, spec, layout, env, array, subscripts));
+                    }
+                    out.push(address(unit, spec, layout, env, array, subscripts));
+                }
+            }
+            return;
+        };
+        let start = eval(unit, level.init, env);
+        let stride = match level.update {
             Update::Increment => 1,
             Update::Decrement => -1,
             Update::Step(k) => k,
         };
         let mut value = start;
-        while holds(ast.cond.op, value, eval(&ast.cond.bound, env)) {
-            env.insert(ast.var.clone(), value);
-            if let Some(inner) = &ast.nested {
-                walk(decls, inner, spec, layout, env, out);
-            }
-            for stmt in &ast.body {
-                // Same ordering contract as the lowerer: RHS reads left
-                // to right, then LHS read (compound), then LHS write.
-                stmt.rhs.visit_indices(&mut |name, indices| {
-                    out.push(address(decls, spec, layout, env, name, indices));
-                });
-                if let LValue::Element { array, indices } = &stmt.lhs {
-                    if stmt.op.reads_lhs() {
-                        out.push(address(decls, spec, layout, env, array, indices));
-                    }
-                    out.push(address(decls, spec, layout, env, array, indices));
-                }
-            }
+        while holds(level.cond.op, value, eval(unit, level.cond.bound, env)) {
+            env.insert(unit.text(level.var).to_owned(), value);
+            walk(unit, inner, body, spec, layout, env, out);
             value += stride;
         }
     }
 
     let mut env = HashMap::new();
     let mut out = Vec::new();
-    walk(decls, ast, spec, layout, &mut env, &mut out);
+    walk(
+        unit,
+        unit.levels(ast),
+        unit.body(ast),
+        spec,
+        layout,
+        &mut env,
+        &mut out,
+    );
     out
 }
 
@@ -301,14 +312,14 @@ proptest! {
     fn flattened_traces_equal_direct_interpretation(seed in case_seed()) {
         let case = build_case(seed);
         let source = case.source();
-        let (decls, loops) = dsl::parse_unit(&source)
+        let (unit, loops) = dsl::parse_unit(&source)
             .unwrap_or_else(|e| panic!("generated source must parse: {e}\n{source}"));
         let ast = &loops[0];
-        let spec = dsl::lower_unit_loop(&decls, ast)
+        let spec = dsl::lower_unit_loop(&unit, ast)
             .unwrap_or_else(|e| panic!("generated nest must lower: {e}\n{source}"));
         let layout = MemoryLayout::contiguous(&spec, 0x1000, 0x400);
 
-        let expected = interpret(&decls, ast, &spec, &layout);
+        let expected = interpret(&unit, ast, &spec, &layout);
         let nest = spec.nest().expect("depth >= 2 cases carry nest metadata");
         prop_assert_eq!(
             expected.len() as u64,
