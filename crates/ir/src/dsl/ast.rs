@@ -499,7 +499,8 @@ impl<'s> Unit<'s> {
             }
             Expr::Chain { first, ops, rest } => {
                 // A sum operand of a product is parenthesized, and so is
-                // any operation right of `-` or `/`. The operand left of
+                // any operation right of `-`, `*` or `/` (`a * (b / c)`
+                // is not `a * b / c` in integers). The operand left of
                 // `rest[k]` is everything before it.
                 let sum = |op: Option<BinOp>| matches!(op, Some(BinOp::Add | BinOp::Sub));
                 let product = |op: BinOp| matches!(op, BinOp::Mul | BinOp::Div);
@@ -520,9 +521,7 @@ impl<'s> Unit<'s> {
                         f.write_str(")")?;
                     }
                     write!(f, " {op} ")?;
-                    let right = self.last_op(e);
-                    let wrap = product(op) && sum(right)
-                        || matches!(op, BinOp::Sub | BinOp::Div) && right.is_some();
+                    let wrap = op != BinOp::Add && self.last_op(e).is_some();
                     if wrap {
                         f.write_str("(")?;
                     }
@@ -598,6 +597,10 @@ mod tests {
         assert_eq!(reprinted("s = (a - b) - c;"), "s = a - b - c;");
         assert_eq!(reprinted("s = a / (b * c);"), "s = a / (b * c);");
         assert_eq!(reprinted("s = a * (b + c);"), "s = a * (b + c);");
+        assert_eq!(reprinted("s = a * (b / c);"), "s = a * (b / c);");
+        assert_eq!(reprinted("s = a * (b * c);"), "s = a * (b * c);");
+        assert_eq!(reprinted("s = (a / b) * c;"), "s = a / b * c;");
+        assert_eq!(reprinted("s = a + (b * c - d);"), "s = a + b * c - d;");
         assert_eq!(
             reprinted("s = ((a + b) * c - d) / (e + f);"),
             "s = ((a + b) * c - d) / (e + f);"

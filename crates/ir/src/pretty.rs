@@ -184,6 +184,18 @@ mod tests {
     }
 
     #[test]
+    fn print_for_keeps_the_value_of_integer_division() {
+        let (unit, ast) = parse_for("for (i = 0; i < 2 * (3 / 2); i++) { s += x[i]; }").unwrap();
+        let printed = print_for(&unit, &ast);
+        assert!(printed.contains("i < 2 * (3 / 2);"), "{printed}");
+        let (reunit, reparsed) = parse_for(&printed).unwrap();
+        assert_eq!(
+            reunit.const_eval(reunit.levels(&reparsed)[0].cond.bound),
+            Some(2)
+        );
+    }
+
+    #[test]
     fn print_for_indents_each_nest_level() {
         let (unit, ast) =
             parse_for("for (i = 0; i < 2; i++) { for (j = n; j > -1; j--) { s += x[j]; } }")

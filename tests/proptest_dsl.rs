@@ -37,6 +37,23 @@ fn expr() -> impl Strategy<Value = String> {
     })
 }
 
+/// Strategy: the source text of a constant expression with all four
+/// operators, with or without parentheses around each operation.
+fn constant() -> impl Strategy<Value = String> {
+    (1i64..=9)
+        .prop_map(|n| n.to_string())
+        .prop_recursive(3, 16, 2, |inner| {
+            (inner.clone(), inner, 0usize..8).prop_map(|(a, b, shape)| {
+                let op = ["+", "-", "*", "/"][shape % 4];
+                if shape < 4 {
+                    format!("({a} {op} {b})")
+                } else {
+                    format!("{a} {op} {b}")
+                }
+            })
+        })
+}
+
 fn stmt() -> impl Strategy<Value = String> {
     (
         prop_oneof![
@@ -95,6 +112,24 @@ proptest! {
         // Printing is a fixed point after one round: the printed text
         // parses to a tree that prints the same.
         prop_assert_eq!(pretty::print_for(&reunit, &reparsed), printed.clone(), "source:\n{}", source);
+    }
+
+    #[test]
+    fn printing_keeps_the_value_of_constant_expressions(bound in constant()) {
+        // An inner level's bound sets the nest's trip count, so a
+        // printed bound that reparses to another value lowers
+        // differently.
+        let source = format!(
+            "for (j = 0; j < 2; j++) {{ for (i = 0; i < {bound}; i++) {{ s += x[i]; }} }}"
+        );
+        let (unit, ast) = dsl::parse_for(&source).expect("generated source parses");
+        let printed = pretty::print_for(&unit, &ast);
+        let (reunit, reparsed) = dsl::parse_for(&printed).expect("printed source parses");
+        match (dsl::lower_unit_loop(&unit, &ast), dsl::lower_unit_loop(&reunit, &reparsed)) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "{} printed as\n{}", source, printed),
+            (Err(ea), Err(eb)) => prop_assert_eq!(ea.kind(), eb.kind()),
+            (a, b) => prop_assert!(false, "lowering diverged: {:?} vs {:?}\n{}", a, b, printed),
+        }
     }
 
     #[test]
