@@ -127,6 +127,8 @@ impl fmt::Display for AssignOp {
 pub struct ExprId(u32);
 
 /// Consecutive entries `start..start + len` of one of a unit's vectors.
+/// No vector of a unit is longer than its source has tokens, and the
+/// lexer admits at most `u32::MAX` bytes, so every index fits `u32`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct Run {
     start: u32,

@@ -128,21 +128,20 @@ impl<'a> Lowerer<'a> {
                 ));
             }
         }
-        let shapes: Vec<Shape> = if levels.len() > 1 {
-            levels
-                .iter()
-                .map(|level| level_shape(unit, level))
-                .collect::<Result<_, _>>()?
-        } else {
-            levels
-                .iter()
-                .map(|level| Shape {
+        let nest = levels.len() > 1;
+        let shapes = levels
+            .iter()
+            .map(|level| {
+                if nest {
+                    return level_shape(unit, level);
+                }
+                Ok(Shape {
                     start: level.start.unwrap_or(0),
                     stride: level.update.stride(),
                     trips: 1,
                 })
-                .collect()
-        };
+            })
+            .collect::<Result<Vec<_>, _>>()?;
 
         // Row-major: the stride of dimension k is the product of all
         // dimensions after it; the outermost extent only checks rank.
